@@ -2,19 +2,21 @@
 
 Every solve of a symmetric positive (semi)definite system in this package
 goes through spd_solve so the ridge fallback policy lives in one place:
-when the condition number exceeds 1e12 the diagonal is inflated by
-1e-10 * trace/dim and a warning is recorded before solving.
+when the Cholesky factorization fails or LAPACK's 1-norm condition estimate
+exceeds 1e12, the diagonal is inflated by 1e-10 * trace/dim and a warning
+is recorded before solving.
 """
 
 import warnings
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgeqrf, dpocon, dpotrf, dpotrs, dtrcon
 
 from .errors import NumericalError
 
 COND_LIMIT = 1e12
 RIDGE_SCALE = 1e-10
+RANK_RCOND = 1e-10
 
 
 def sym(a):
@@ -37,31 +39,31 @@ def min_eigenvalue(a) -> float:
 def spd_solve(a, b, error: type = NumericalError, sink: list | None = None, context: str = ""):
     """Solve a @ x = b for symmetric positive definite a.
 
-    Falls back to a ridge-inflated diagonal when the condition number
-    exceeds COND_LIMIT, warning through `warnings` and appending the message
-    to `sink` when given. Raises `error` if the system is still unsolvable.
+    Falls back to a ridge-inflated diagonal when the Cholesky factorization
+    fails or the estimated condition number exceeds COND_LIMIT, warning
+    through `warnings` and appending the message to `sink` when given.
+    Raises `error` if the system is still unsolvable.
     """
     a = sym(np.asarray(a, dtype=float))
+    b = np.asarray(b, dtype=float)
     dim = a.shape[0]
     if dim == 0:
-        return np.zeros_like(np.asarray(b, dtype=float))
-    eigs = np.linalg.eigvalsh(a)
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    if lo <= 0.0 or hi / lo > COND_LIMIT:
+        return np.zeros_like(b)
+    chol, info = dpotrf(a, lower=1, clean=0)
+    norm1 = float(np.max(np.sum(np.abs(a), axis=0)))
+    if info != 0 or dpocon(chol, norm1, uplo="L")[0] < 1.0 / COND_LIMIT:
         trace = float(np.trace(a))
         if trace <= 0.0:
             raise error(f"matrix is not positive definite{_ctx(context)}")
         ridge = RIDGE_SCALE * trace / dim
-        a = a + ridge * np.eye(dim)
         msg = f"ill-conditioned system{_ctx(context)}: added ridge {ridge:.3e} to diagonal"
         warnings.warn(msg)
         if sink is not None:
             sink.append(msg)
-    try:
-        cho = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-        return scipy.linalg.cho_solve(cho, np.asarray(b, dtype=float), check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise error(f"singular system{_ctx(context)}") from exc
+        chol, info = dpotrf(a + ridge * np.eye(dim), lower=1, clean=0)
+        if info != 0:
+            raise error(f"singular system{_ctx(context)}")
+    return dpotrs(chol, b, lower=1)[0]
 
 
 def inv_sqrt_spd(a, floor: float = 1e-12, error: type = NumericalError, context: str = ""):
@@ -79,10 +81,20 @@ def inv_sqrt_spd(a, floor: float = 1e-12, error: type = NumericalError, context:
 
 
 def check_full_rank(design, error: type, context: str = ""):
-    """Raise `error` unless the design matrix has full column rank."""
-    s = np.linalg.svd(np.asarray(design, dtype=float), compute_uv=False)
-    if s.size == 0 or s[-1] <= 1e-10 * s[0]:
+    """Triangular factor r of the QR factorization of a full-rank design.
+
+    r'r equals design'design, so r serves as its upper Cholesky factor.
+    Raises `error` unless rows >= columns >= 1 and the 1-norm reciprocal
+    condition estimate of r exceeds RANK_RCOND.
+    """
+    design = np.asarray(design, dtype=float)
+    rows, cols = design.shape
+    if cols == 0 or rows < cols:
         raise error(f"design matrix is rank deficient{_ctx(context)}")
+    r = np.triu(dgeqrf(design)[0][:cols])
+    if not dtrcon(r)[0] > RANK_RCOND:
+        raise error(f"design matrix is rank deficient{_ctx(context)}")
+    return r
 
 
 def _ctx(context: str) -> str:

@@ -13,22 +13,20 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .debias import DebiasConfig, estimate_dbs
+# The estimate_* names stay bound for bench/layers.py, which patches them here;
+# estimators are called through debias._run_method.
+from .debias import DebiasConfig, _run_method, estimate_dbs  # noqa: F401
 from .errors import DataFuseError, IoError, MalformedInput, ZeroStandardError
 from .model import (
     FunctionalDescriptor,
     FunctionalKind,
+    Method,
     read_internal_csv,
     read_summary_json,
     validate_summary,
 )
-from .fusion import (
-    estimate_crude,
-    estimate_eff,
-    estimate_int,
-    prepare_inputs,
-    wald_inference,
-)
+from .fusion import estimate_crude, estimate_eff, estimate_int  # noqa: F401
+from .fusion import prepare_inputs, wald_inference
 from .sim import ScenarioConfig, export_tables, format_table, run_replications
 
 _EST_METHODS = ("int", "crd", "eff", "dbs")
@@ -115,8 +113,7 @@ def _roles_from_tau(desc: FunctionalDescriptor) -> dict:
             "treatment": args["treatment"],
             "covariates": tuple(args["covariates"]),
         }
-    if desc.kind in (FunctionalKind.JOINT_OLS, FunctionalKind.MARGINAL_OLS,
-                     FunctionalKind.GLM_MARGINAL):
+    if desc.kind in (FunctionalKind.JOINT_OLS, FunctionalKind.MARGINAL_OLS):
         return {"outcome": args["outcome"]}
     return {}
 
@@ -136,26 +133,9 @@ def _cmd_estimate(args) -> int:
 
     seed = args.seed if args.seed is not None else _env_seed()
     inputs = prepare_inputs(data, tau_desc, summaries)
-    selection = None
-    if args.method == "int":
-        result = estimate_int(inputs, args.level)
-    elif args.method == "crd":
-        result = estimate_crude(inputs, args.level)
-    elif args.method == "eff":
-        result = estimate_eff(inputs, args.level)
-    else:
-        debias_cfg = DebiasConfig()
-        if args.debias_config is not None:
-            try:
-                with open(args.debias_config, encoding="utf-8") as fh:
-                    debias_cfg = DebiasConfig.from_dict(json.load(fh))
-            except OSError as exc:
-                raise IoError(f"cannot read {args.debias_config}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise MalformedInput(f"{args.debias_config}: invalid JSON: {exc}") from exc
-        if seed is not None:
-            debias_cfg = replace(debias_cfg, seed=seed)
-        result, selection = estimate_dbs(inputs, debias_cfg, args.level)
+    method = Method(args.method.upper())
+    debias_cfg = _debias_config(args.debias_config, seed) if method is Method.DBS else None
+    result, selection = _run_method(method, inputs, args.level, debias=debias_cfg)
 
     out = result.to_json_dict()
     try:
@@ -177,6 +157,22 @@ def _cmd_estimate(args) -> int:
         text = json.dumps(out, indent=2)
     _emit(text, args.out)
     return 0
+
+
+def _debias_config(path, seed) -> DebiasConfig:
+    """DebiasConfig from a JSON file (defaults without one), seed overriding."""
+    debias_cfg = DebiasConfig()
+    if path is not None:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                debias_cfg = DebiasConfig.from_dict(json.load(fh))
+        except OSError as exc:
+            raise IoError(f"cannot read {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise MalformedInput(f"{path}: invalid JSON: {exc}") from exc
+    if seed is not None:
+        debias_cfg = replace(debias_cfg, seed=seed)
+    return debias_cfg
 
 
 def _estimate_table(out: dict) -> str:

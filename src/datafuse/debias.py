@@ -26,11 +26,12 @@ from .fusion import (
     FusionInputs,
     assemble_external,
     empirical_moments,
+    estimate_crude,
     estimate_eff,
     estimate_int,
+    estimate_knw,
     prepare_inputs,
     restrict_inputs,
-    with_method,
 )
 
 __all__ = [
@@ -191,17 +192,21 @@ def select_unbiased(inputs: FusionInputs, lam: float, alpha: float = 2.0) -> Sel
     return SelectionResult(b_hat=b_hat, selected=selected, lam=float(lam), alpha=float(alpha))
 
 
+def _eff_or_int(inputs: FusionInputs, keep, method: Method, level: float, empty_note: str):
+    """EFF restricted to the coordinates in `keep`, tagged `method`; with
+    `keep` empty, the internal-only estimate flagged by `empty_note`."""
+    if keep:
+        return replace(estimate_eff(restrict_inputs(inputs, keep), level=level), method=method)
+    result = estimate_int(inputs, level=level)
+    return replace(result, method=method, warnings=result.warnings + (empty_note,))
+
+
 def estimate_orc(inputs: FusionInputs, unbiased_set, level: float = 0.95):
     """Fused estimate restricted to coordinates known to be unbiased."""
     unbiased = tuple(sorted(int(j) for j in unbiased_set))
-    if not unbiased:
-        result = estimate_int(inputs, level=level)
-        return replace(
-            result,
-            method=Method.ORC,
-            warnings=result.warnings + ("empty unbiased set: internal-only estimate",),
-        )
-    return with_method(estimate_eff(restrict_inputs(inputs, unbiased), level=level), Method.ORC)
+    return _eff_or_int(
+        inputs, unbiased, Method.ORC, level, "empty unbiased set: internal-only estimate"
+    )
 
 
 def kfold_indices(n: int, k: int, seed) -> list:
@@ -310,13 +315,23 @@ def estimate_dbs(inputs: FusionInputs, config: DebiasConfig = None, level: float
         alpha=config.alpha,
         cv_trace=cv_trace,
     )
-    if not selection.selected:
-        result = estimate_int(inputs, level=level)
-        result = replace(
-            result,
-            method=Method.DBS,
-            warnings=result.warnings + ("empty selection: internal-only estimate",),
-        )
-        return result, selection
-    restricted = restrict_inputs(inputs, selection.selected)
-    return with_method(estimate_eff(restricted, level=level), Method.DBS), selection
+    result = _eff_or_int(
+        inputs, selection.selected, Method.DBS, level, "empty selection: internal-only estimate"
+    )
+    return result, selection
+
+
+def _run_method(method, inputs, level=0.95, *, beta_true=None, unbiased=None, debias=None):
+    """Run the estimator of `method`: (FusionResult, SelectionResult or None).
+
+    KNW reads `beta_true`, ORC `unbiased` and DBS `debias` (a DebiasConfig);
+    only DBS returns a selection.
+    """
+    if method is Method.DBS:
+        return estimate_dbs(inputs, debias, level)
+    if method is Method.KNW:
+        return estimate_knw(inputs, beta_true, level), None
+    if method is Method.ORC:
+        return estimate_orc(inputs, unbiased, level), None
+    plain = {Method.INT: estimate_int, Method.CRD: estimate_crude, Method.EFF: estimate_eff}
+    return plain[method](inputs, level), None

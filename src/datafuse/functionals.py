@@ -10,6 +10,7 @@ it stays consistent when either nuisance model is correct.
 import warnings
 
 import numpy as np
+from scipy.linalg.lapack import dpotrs
 from scipy.special import expit
 
 from ._linalg import check_full_rank, spd_solve
@@ -35,7 +36,6 @@ __all__ = [
     "fit_mean",
     "fit_joint_ols",
     "fit_marginal_ols",
-    "fit_marginal_ols_batch",
     "fit_logistic",
     "fit_aipw_ate",
     "fit_functional",
@@ -70,13 +70,18 @@ def fit_mean(data: InternalDataset, column: str, where=None) -> FunctionalFit:
 
 
 def _ols_fit(design: np.ndarray, y: np.ndarray, context: str):
-    """Coefficients and influence rows inv(E VV') V e for a linear fit."""
-    check_full_rank(design, RankDeficientDesign, context)
-    n = design.shape[0]
-    gram = design.T @ design / n
-    coef = np.linalg.solve(design.T @ design, design.T @ y)
+    """Coefficients and influence rows inv(E VV') V_i e_i for a linear fit.
+
+    One QR of the design gives R with R'R = V'V. The influence row is
+    n R^{-1} R^{-T} V_i e_i; the coefficients solve R'R coef = V'y with one
+    refinement step (Bjorck's corrected seminormal equations), which keeps
+    them as accurate as a QR solve rather than the normal equations.
+    """
+    r = check_full_rank(design, RankDeficientDesign, context)
+    coef = dpotrs(r, design.T @ y)[0]
+    coef = coef + dpotrs(r, design.T @ (y - design @ coef))[0]
     resid = y - design @ coef
-    infl = spd_solve(gram, (design * resid[:, None]).T, RankDeficientDesign, context=context).T
+    infl = design.shape[0] * dpotrs(r, (design * resid[:, None]).T)[0].T
     return coef, infl
 
 
@@ -111,16 +116,6 @@ def fit_marginal_ols(data: InternalDataset, outcome: str, regressor: str) -> Fun
     infl = (x * (y - x * coef) / second)[:, None]
     return FunctionalFit(
         np.array([coef]), infl, label=f"marginal_ols({outcome}~{regressor})"
-    )
-
-
-def fit_marginal_ols_batch(data: InternalDataset, outcome: str, regressors) -> FunctionalFit:
-    """Several marginal slopes stacked into one fit, one column each."""
-    fits = [fit_marginal_ols(data, outcome, r) for r in regressors]
-    return FunctionalFit(
-        np.concatenate([f.estimate for f in fits]),
-        np.hstack([f.influence for f in fits]),
-        label=f"marginal_ols({outcome}~[{','.join(regressors)}])",
     )
 
 
@@ -242,11 +237,6 @@ def fit_functional(data: InternalDataset, desc: FunctionalDescriptor) -> Functio
         return fit_marginal_ols(data, args["outcome"], args["regressor"])
     if desc.kind is FunctionalKind.AIPW_ATE:
         return fit_aipw_ate(data, args["outcome"], args["treatment"], args["covariates"])
-    if desc.kind is FunctionalKind.GLM_MARGINAL:
-        link = args.get("link", "identity")
-        if link != "identity":
-            raise UnsupportedFunctional(f"glm_marginal link {link!r} is not implemented")
-        return fit_marginal_ols(data, args["outcome"], args["regressor"])
     raise UnsupportedFunctional(f"unknown kind {desc.kind!r}")
 
 

@@ -12,7 +12,7 @@ Several sources stack block-diagonally; each block s is scaled by
 n / m_s, so everything is expressed per internal observation.
 """
 
-from dataclasses import dataclass, replace as _replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,6 +21,7 @@ from scipy.special import ndtr, ndtri
 from ._linalg import spd_solve, sym
 from .errors import (
     DimensionMismatch,
+    MalformedInput,
     NonPositiveVariance,
     SingularCalibration,
     SingularGram,
@@ -34,6 +35,8 @@ from .model import (
     InternalDataset,
     Method,
     SummaryStatistic,
+    _readonly,
+    expand_binding,
 )
 
 __all__ = [
@@ -42,7 +45,6 @@ __all__ = [
     "empirical_moments",
     "estimate_int",
     "estimate_eff",
-    "estimate_multi_source",
     "estimate_crude",
     "estimate_knw",
     "efficiency_bound",
@@ -50,19 +52,7 @@ __all__ = [
     "cd_minimize_check",
     "wald_inference",
     "restrict_inputs",
-    "normal_cdf",
-    "normal_quantile",
 ]
-
-
-def normal_cdf(x):
-    """Standard normal CDF via the erf-based Cephes routine (abs error
-    below 1e-15 and identical across platforms, so p-values are stable)."""
-    return ndtr(x)
-
-
-def normal_quantile(p):
-    return ndtri(p)
 
 
 @dataclass(frozen=True)
@@ -134,7 +124,7 @@ def prepare_inputs(
         beta_int, eta = evaluate_binding(data, binding)
     else:
         beta_int, eta = np.zeros(0), np.zeros((data.n, 0))
-    beta_fit = FunctionalFit(beta_int, eta, label="binding")
+    beta_fit = FunctionalFit._unchecked(beta_int, eta, label="binding")
     return FusionInputs(
         tau_fit=tau_fit,
         beta_fit=beta_fit,
@@ -185,6 +175,25 @@ def _phi_var(tau_fit: FunctionalFit) -> np.ndarray:
     return sym(tau_fit.influence.T @ tau_fit.influence / tau_fit.n)
 
 
+def _wald(estimate, se, level: float, null=0.0, side: str = "upper"):
+    """(z, p, ci): z = (estimate - null) / se, NaN where se is 0; p its tail
+    probability on `side` by ndtr (Cephes, abs error below 1e-15 and the same
+    on every platform); ci the `level` interval estimate -/+ z_crit * se."""
+    if not 0.0 < level < 1.0:
+        raise MalformedInput(f"level must be in (0, 1), got {level}")
+    zcrit = float(ndtri(0.5 + level / 2.0))
+    ci = np.column_stack([estimate - zcrit * se, estimate + zcrit * se])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(se > 0.0, (estimate - null) / se, np.nan)
+    if side == "upper":
+        p = ndtr(-z)
+    elif side == "lower":
+        p = ndtr(z)
+    else:
+        p = 2.0 * ndtr(-np.abs(z))
+    return z, p, ci
+
+
 def _build_result(
     method: Method,
     estimate: np.ndarray,
@@ -201,11 +210,7 @@ def _build_result(
     # negative round-off on the diagonal is clipped here; anything beyond
     # tolerance is rejected by the FusionResult constructor below
     se = np.sqrt(np.maximum(np.diag(avar), 0.0) / n)
-    zcrit = float(normal_quantile(0.5 + level / 2.0))
-    ci = np.column_stack([estimate - zcrit * se, estimate + zcrit * se])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0.0, estimate / se, np.nan)
-    p_one = np.where(np.isnan(z), np.nan, normal_cdf(-z))
+    _, p_one, ci = _wald(estimate, se, level)
     if np.any(se == 0.0):
         warn = warn + ["zero standard error: one-sided p set to NaN"]
     return FusionResult(
@@ -257,12 +262,6 @@ def estimate_eff(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
     estimate = inputs.tau_fit.estimate - gain @ (inputs.beta_fit.estimate - beta_tilde)
     avar = _phi_var(inputs.tau_fit) - gain @ cross.T
     return _build_result(Method.EFF, estimate, avar, inputs, gain, cross, gram, level, warn)
-
-
-def estimate_multi_source(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
-    """Fused estimator with any number of independent sources; identical to
-    estimate_eff, which already stacks summaries block-diagonally."""
-    return estimate_eff(inputs, level=level)
 
 
 def estimate_crude(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
@@ -365,28 +364,17 @@ def wald_inference(result: FusionResult, null=0.0, side: str = "upper", level=No
     null = np.broadcast_to(np.asarray(null, dtype=float), result.estimate.shape)
     if np.any(result.se <= 0.0):
         raise ZeroStandardError("standard error is zero; z statistic undefined")
-    z = (result.estimate - null) / result.se
-    if side == "upper":
-        p = normal_cdf(-z)
-    elif side == "lower":
-        p = normal_cdf(z)
-    else:
-        p = 2.0 * normal_cdf(-np.abs(z))
-    zcrit = float(normal_quantile(0.5 + level / 2.0))
-    ci = np.column_stack(
-        [result.estimate - zcrit * result.se, result.estimate + zcrit * result.se]
-    )
-    return z, p, ci
+    return _wald(result.estimate, result.se, level, null, side)
 
 
 def restrict_inputs(inputs: FusionInputs, keep) -> FusionInputs:
     """Restriction to a subset of summary coordinates (global 0-based).
 
     Summaries are re-sliced coordinate-wise (bindings become per-component
-    descriptors); sources losing all coordinates are dropped.
+    descriptors); sources losing all coordinates are dropped. A principal
+    submatrix of a validated covariance is again symmetric PSD, and columns
+    of a validated fit stay centered, so neither is validated again.
     """
-    from .model import expand_binding, validate_summary
-
     keep = sorted(int(j) for j in keep)
     if len(set(keep)) != len(keep) or any(j < 0 or j >= inputs.q for j in keep):
         raise DimensionMismatch(f"invalid coordinate subset {keep} for q={inputs.q}")
@@ -398,19 +386,19 @@ def restrict_inputs(inputs: FusionInputs, keep) -> FusionInputs:
             expanded = expand_binding(s.binding)
             new_binding = [expanded[j][0].with_component(expanded[j][1]) for j in local]
             new_summaries.append(
-                validate_summary(
-                    s.beta[local],
-                    s.sigma1[np.ix_(local, local)],
-                    s.m,
-                    new_binding,
-                    s.source_id,
+                SummaryStatistic(
+                    beta=_readonly(s.beta[local]),
+                    sigma1=_readonly(s.sigma1[np.ix_(local, local)]),
+                    m=s.m,
+                    binding=tuple(new_binding),
+                    source_id=s.source_id,
                 )
             )
         at += s.q
     omega = inputs.omega_override
     if omega is not None:
         omega = omega[np.ix_(keep, keep)]
-    beta_fit = FunctionalFit(
+    beta_fit = FunctionalFit._unchecked(
         inputs.beta_fit.estimate[keep],
         inputs.beta_fit.influence[:, keep],
         label=inputs.beta_fit.label,
@@ -423,8 +411,3 @@ def restrict_inputs(inputs: FusionInputs, keep) -> FusionInputs:
         data=inputs.data,
         tau=inputs.tau,
     )
-
-
-def with_method(result: FusionResult, method: Method) -> FusionResult:
-    """Same numbers, different method tag (DBS/ORC reuse the fused fit)."""
-    return _replace(result, method=method)

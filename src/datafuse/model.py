@@ -29,7 +29,9 @@ from .errors import (
     NonBinaryTreatment,
     NonFiniteValue,
     NotPSD,
+    NotPositiveDefinite,
     RaggedColumns,
+    UnsupportedFunctional,
 )
 
 SYMMETRY_TOL = 1e-10
@@ -142,20 +144,14 @@ class FunctionalKind(str, Enum):
     GLM_MARGINAL = "glm_marginal"
 
 
-_SCALAR_KINDS = {
-    FunctionalKind.MEAN,
-    FunctionalKind.MARGINAL_OLS,
-    FunctionalKind.AIPW_ATE,
-    FunctionalKind.GLM_MARGINAL,
-}
-
-
 @dataclass(frozen=True, eq=True)
 class FunctionalDescriptor:
     """Names a functional kind plus the column arguments it acts on.
 
     `component` optionally restricts a multi-coefficient fit (joint OLS) to a
     single 0-based coefficient, so a summary can report part of a fit.
+    `glm_marginal` with the identity link is stored as the `marginal_ols` it
+    equals; any other link raises UnsupportedFunctional.
     """
 
     kind: FunctionalKind
@@ -165,6 +161,11 @@ class FunctionalDescriptor:
     def __post_init__(self):
         object.__setattr__(self, "kind", FunctionalKind(self.kind))
         object.__setattr__(self, "args", dict(self.args))
+        if self.kind is FunctionalKind.GLM_MARGINAL:
+            link = self.args.pop("link", "identity")
+            if link != "identity":
+                raise UnsupportedFunctional(f"glm_marginal link {link!r} is not implemented")
+            object.__setattr__(self, "kind", FunctionalKind.MARGINAL_OLS)
         _validate_args(self.kind, self.args)
         if self.component is not None:
             width = self._base_width()
@@ -235,7 +236,6 @@ def _validate_args(kind: FunctionalKind, args: dict):
         FunctionalKind.JOINT_OLS: {"outcome", "regressors", "intercept"},
         FunctionalKind.MARGINAL_OLS: {"outcome", "regressor"},
         FunctionalKind.AIPW_ATE: {"outcome", "treatment", "covariates"},
-        FunctionalKind.GLM_MARGINAL: {"outcome", "regressor", "link"},
     }[kind]
     extra = set(args) - allowed
     if extra:
@@ -268,11 +268,6 @@ def _validate_args(kind: FunctionalKind, args: dict):
         need_str("outcome")
         need_str("treatment")
         need_str_list("covariates")
-    elif kind is FunctionalKind.GLM_MARGINAL:
-        need_str("outcome")
-        need_str("regressor")
-        if "link" in args and not isinstance(args["link"], str):
-            raise MalformedInput("glm_marginal 'link' must be a string")
 
 
 def _args_from_list(kind: FunctionalKind, args: list) -> dict:
@@ -420,6 +415,16 @@ class FunctionalFit:
         object.__setattr__(self, "estimate", _readonly(estimate))
         object.__setattr__(self, "influence", _readonly(influence))
 
+    @classmethod
+    def _unchecked(cls, estimate, influence, label: str = "") -> "FunctionalFit":
+        """Fit from columns of already validated fits, which keep every
+        property __post_init__ checks; skips its O(n q) pass."""
+        fit = object.__new__(cls)
+        object.__setattr__(fit, "estimate", _readonly(estimate))
+        object.__setattr__(fit, "influence", _readonly(influence))
+        object.__setattr__(fit, "label", label)
+        return fit
+
     @property
     def n(self) -> int:
         return int(self.influence.shape[0])
@@ -462,7 +467,7 @@ class FusionResult:
         if max_asymmetry(avar) > scale:
             raise DimensionMismatch("avar is not symmetric")
         if min_eigenvalue(avar) < -scale:
-            raise DimensionMismatch("avar is not positive semidefinite")
+            raise NotPositiveDefinite("avar is not positive semidefinite")
 
     def to_json_dict(self) -> dict:
         return {

@@ -25,7 +25,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import expit
 
-from .debias import DebiasConfig, estimate_dbs, estimate_orc
+# The estimate_* names stay bound for bench/layers.py, which patches them here;
+# estimators are called through debias._run_method.
+from .debias import DebiasConfig, _run_method, estimate_dbs, estimate_orc  # noqa: F401
 from .errors import (
     DataFuseError,
     ExcessiveFailures,
@@ -42,13 +44,8 @@ from .model import (
     validate_dataset,
     validate_summary,
 )
-from .fusion import (
-    estimate_crude,
-    estimate_eff,
-    estimate_int,
-    estimate_knw,
-    prepare_inputs,
-)
+from .fusion import estimate_crude, estimate_eff, estimate_int, estimate_knw  # noqa: F401
+from .fusion import prepare_inputs
 
 __all__ = [
     "ScenarioConfig",
@@ -321,25 +318,19 @@ def _replicate(config: ScenarioConfig, rep_seed: np.random.SeedSequence):
             config.n, config.m, config.scenario == "II_biased", rng, config.tau
         )
     inputs = prepare_inputs(internal, _tau_descriptor(config.scenario), [summary])
+    debias = replace(config.debias, seed=cv_seed)
     out = {}
     for name in config.methods:
-        selected = None
-        if name == "INT":
-            result = estimate_int(inputs, config.level)
-        elif name == "CRD":
-            result = estimate_crude(inputs, config.level)
-        elif name == "EFF":
-            result = estimate_eff(inputs, config.level)
-        elif name == "KNW":
-            result = estimate_knw(inputs, truth["beta"], config.level)
-        elif name == "ORC":
-            result = estimate_orc(inputs, truth["unbiased"], config.level)
-        else:
-            result, selection = estimate_dbs(
-                inputs, replace(config.debias, seed=cv_seed), config.level
-            )
-            selected = selection.selected
+        result, selection = _run_method(
+            Method(name),
+            inputs,
+            config.level,
+            beta_true=truth["beta"],
+            unbiased=truth["unbiased"],
+            debias=debias,
+        )
         covered = (result.ci[:, 0] <= truth["tau"]) & (truth["tau"] <= result.ci[:, 1])
+        selected = selection.selected if selection is not None else None
         out[name] = (result.estimate, result.se, covered, selected)
     return truth["tau"], out
 

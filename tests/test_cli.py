@@ -401,3 +401,14 @@ def test_cli_exit_codes(tmp_path, capsys):
          "--tau", dup_tau],
     )
     assert code == 3 and _stderr_kind(err) == "RankDeficientDesign"
+
+
+def test_estimate_level_outside_unit_interval(tmp_path, capsys):
+    internal, summary = _write_example(tmp_path)
+    for method, level in (("eff", "1.5"), ("int", "0"), ("crd", "-0.5")):
+        code, out, err = _run(
+            capsys,
+            ["estimate", "--internal", str(internal), "--summary", str(summary),
+             "--tau", TAU_MEAN_Y, "--method", method, "--level", level],
+        )
+        assert code == 2 and out == "" and _stderr_kind(err) == "MalformedInput"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import expit
 
 from datafuse import (
@@ -15,10 +16,10 @@ from datafuse import (
     fit_joint_ols,
     fit_logistic,
     fit_marginal_ols,
-    fit_marginal_ols_batch,
     fit_mean,
     validate_dataset,
 )
+from datafuse.functionals import _ols_fit
 from datafuse.errors import (
     DegenerateRegressor,
     EmptyArm,
@@ -104,6 +105,48 @@ def test_joint_ols_sandwich_identity():
     np.testing.assert_allclose(gram_emp, bread @ meat @ bread, atol=1e-10)
 
 
+def _ols_fit_normal_equations(design, y):
+    """Reference: SVD rank check, normal-equation solve, and a Cholesky solve
+    of the Gram for the influence rows (three factorizations)."""
+    s = np.linalg.svd(design, compute_uv=False)
+    if s[-1] <= 1e-10 * s[0]:
+        raise RankDeficientDesign("design matrix is rank deficient")
+    n = design.shape[0]
+    coef = np.linalg.solve(design.T @ design, design.T @ y)
+    resid = y - design @ coef
+    cho = scipy.linalg.cho_factor(design.T @ design / n, lower=True)
+    return coef, scipy.linalg.cho_solve(cho, (design * resid[:, None]).T).T
+
+
+def test_ols_fit_matches_normal_equation_reference():
+    rng = np.random.default_rng(47)
+    for n, p in ((8, 1), (30, 2), (200, 3), (1000, 5)):
+        design = np.column_stack([np.ones(n), 3.0 * rng.standard_normal((n, p - 1))])
+        y = design @ rng.standard_normal(p) + rng.standard_normal(n)
+        coef, infl = _ols_fit(design, y, "probe")
+        ref_coef, ref_infl = _ols_fit_normal_equations(design, y)
+        np.testing.assert_allclose(coef, ref_coef, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(infl, ref_infl, rtol=1e-10, atol=1e-10)
+
+
+def test_ols_fit_rank_threshold():
+    rng = np.random.default_rng(53)
+    n = 100
+    x = rng.standard_normal(n)
+    y = x + rng.standard_normal(n)
+    with pytest.raises(RankDeficientDesign):
+        _ols_fit(np.column_stack([np.ones(n), x, 2.0 * x]), y, "collinear")
+    with pytest.raises(RankDeficientDesign):
+        _ols_fit(rng.standard_normal((2, 3)), y[:2], "fewer rows than columns")
+    # singular-value ratio 1e-6 sits well above the 1e-10 rank threshold
+    u, _ = np.linalg.qr(rng.standard_normal((n, 3)))
+    v, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    design = (u * [1.0, 1e-3, 1e-6]) @ v.T
+    coef, infl = _ols_fit(design, y, "ill-conditioned")
+    np.testing.assert_allclose(coef, np.linalg.lstsq(design, y, rcond=None)[0], rtol=1e-7)
+    assert np.all(np.isfinite(infl))
+
+
 def test_marginal_ols_values():
     x = np.array([1.0, 2.0, 3.0])
     fit = fit_marginal_ols(_data(Y=np.array([2.0, 1.0, 4.0]), X=x), "Y", "X")
@@ -128,11 +171,12 @@ def test_marginal_batch_matches_normal_equations():
     xs = rng.standard_normal((n, 2)) @ chol.T
     y = xs[:, 0] + xs[:, 1] + 2.0 * rng.standard_normal(n)
     data = _data(Y=y, X1=xs[:, 0], X2=xs[:, 1])
-    fit = fit_marginal_ols_batch(data, "Y", ["X1", "X2"])
+    fits = [fit_marginal_ols(data, "Y", name) for name in ("X1", "X2")]
     brute = np.array([xs[:, j] @ y / (xs[:, j] @ xs[:, j]) for j in range(2)])
-    np.testing.assert_allclose(fit.estimate, brute, atol=1e-10)
-    assert fit.influence.shape == (n, 2)
-    assert np.abs(fit.influence.mean(axis=0)).max() < 1e-10
+    np.testing.assert_allclose([f.estimate[0] for f in fits], brute, atol=1e-10)
+    for fit in fits:
+        assert fit.influence.shape == (n, 1)
+        assert np.abs(fit.influence.mean(axis=0)).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +345,18 @@ def test_fit_functional_dispatch():
     glm = FunctionalDescriptor(
         FunctionalKind.GLM_MARGINAL, {"outcome": "Y", "regressor": "X", "link": "identity"}
     )
+    assert glm == FunctionalDescriptor(
+        FunctionalKind.MARGINAL_OLS, {"outcome": "Y", "regressor": "X"}
+    )
     np.testing.assert_allclose(
         fit_functional(data, glm).estimate,
         fit_marginal_ols(data, "Y", "X").estimate,
         atol=1e-14,
     )
-    logit = FunctionalDescriptor(
-        FunctionalKind.GLM_MARGINAL, {"outcome": "Y", "regressor": "X", "link": "logit"}
-    )
     with pytest.raises(UnsupportedFunctional):
-        fit_functional(data, logit)
+        FunctionalDescriptor(
+            FunctionalKind.GLM_MARGINAL, {"outcome": "Y", "regressor": "X", "link": "logit"}
+        )
 
 
 def test_evaluate_binding_mean_column():

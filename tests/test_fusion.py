@@ -17,7 +17,6 @@ from datafuse import (
     estimate_eff,
     estimate_int,
     estimate_knw,
-    estimate_multi_source,
     ivw_reduce,
     prepare_inputs,
     restrict_inputs,
@@ -342,8 +341,8 @@ def test_multi_source_split_equals_merged():
             validate_summary(beta[1:], diag[1:, 1:], m, mean_binding(1, "b")),
         ),
     )
-    one = estimate_multi_source(merged)
-    two = estimate_multi_source(split)
+    one = estimate_eff(merged)
+    two = estimate_eff(split)
     np.testing.assert_allclose(one.estimate, two.estimate, atol=1e-12)
     np.testing.assert_allclose(one.avar, two.avar, atol=1e-12)
 

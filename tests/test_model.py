@@ -1,10 +1,13 @@
 """Data types, validation, and serialization round-trips."""
 
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
+import datafuse
 from datafuse import (
     FunctionalDescriptor,
     FunctionalFit,
@@ -30,6 +33,7 @@ from datafuse.errors import (
     NonBinaryTreatment,
     NonFiniteValue,
     NotPSD,
+    NotPositiveDefinite,
     RaggedColumns,
 )
 from datafuse.model import binding_width, expand_binding
@@ -266,7 +270,7 @@ def test_fusion_result_rejects_bad_avar():
     _result(np.eye(2))
     with pytest.raises(DimensionMismatch):
         _result([[1.0, 0.5], [0.2, 1.0]])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(NotPositiveDefinite):
         _result([[1.0, 2.0], [2.0, 1.0]])
 
 
@@ -380,3 +384,17 @@ def test_summary_json_io_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(MalformedInput):
         read_summary_json(bad)
+
+
+# ---------------------------------------------------------------------------
+# package surface
+
+
+def test_every_exported_name_resolves():
+    modules = [datafuse] + [
+        importlib.import_module(f"datafuse.{info.name}")
+        for info in pkgutil.iter_modules(datafuse.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
