@@ -5,12 +5,21 @@ adaptive lasso on the whitened calibration system shrinks the unbiased
 coordinates of b to exactly zero; fusion then uses only the selected
 (zero) coordinates. The penalty level lambda = C * n^{-w} is tuned by
 K-fold cross-validation against internal-only fold estimates.
+
+The lasso is solved by the exact homotopy in lambda (the lasso
+modification of LARS, Efron et al., Ann. Statist. 32, 2004): the solution
+is piecewise linear in lambda, so one path per fold gives the solution at
+every grid point. Zeros are exact by construction and there is no
+convergence tolerance; NoConvergence is raised only when a path exceeds
+_MAX_KNOTS knots.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
 from ._linalg import inv_sqrt_spd
 from .errors import (
@@ -20,10 +29,12 @@ from .errors import (
     MalformedInput,
     NoConvergence,
     NotPositiveDefinite,
+    RankDeficientDesign,
 )
 from .model import Method, SelectionResult
 from .fusion import (
     FusionInputs,
+    _eff_shift,
     assemble_external,
     empirical_moments,
     estimate_crude,
@@ -45,8 +56,7 @@ __all__ = [
     "kfold_indices",
 ]
 
-CD_TOL = 1e-10
-CD_MAX_SWEEPS = 10_000
+_MAX_KNOTS = 1000
 EIG_FLOOR = 1e-12
 
 
@@ -113,11 +123,18 @@ def whiten(inputs: FusionInputs):
     """
     _, gram = empirical_moments(inputs.tau_fit, inputs.beta_fit)
     beta_tilde, sigma_ext = assemble_external(inputs)
-    x = inv_sqrt_spd(
-        sigma_ext + gram, floor=EIG_FLOOR, error=NotPositiveDefinite, context="whiten"
-    )
-    y = x @ (beta_tilde - inputs.beta_fit.estimate)
-    return x, y
+    return _whiten(sigma_ext + gram, beta_tilde - inputs.beta_fit.estimate)
+
+
+def _whiten(calib, discrepancy):
+    x = inv_sqrt_spd(calib, floor=EIG_FLOOR, error=NotPositiveDefinite, context="whiten")
+    return x, x @ discrepancy
+
+
+def _adaptive_weights(discrepancy, alpha) -> np.ndarray:
+    """Zou's weights |discrepancy_j|^-alpha, infinite where it is zero."""
+    with np.errstate(divide="ignore"):
+        return np.abs(discrepancy) ** (-float(alpha))
 
 
 def soft_threshold(z: float, t: float) -> float:
@@ -129,12 +146,106 @@ def _penalty(b, weights, lam) -> float:
     return lam * float(np.sum(weights[finite] * np.abs(b[finite])))
 
 
-def adaptive_lasso(x, y, weights, lam, *, return_trace: bool = False):
-    """Cyclic coordinate descent for ||y - x b||^2 + lam * sum_j w_j |b_j|.
+def _lasso_path(x, y, weights, lams, knots=None) -> np.ndarray:
+    """Minimizers of ||y - x b||^2 + lam * sum_j w_j |b_j|, one row per
+    entry of `lams` (any order), by the exact homotopy in lam.
 
-    Zeros are exact: a coordinate whose subgradient condition holds is set
-    to 0.0, never to a small float. Coordinates with infinite weight are
-    pinned at zero and flagged with a warning rather than aborting.
+    With G = x'x, r = x'y and h = w/2, the solution on the active set A with
+    signs s is b_A(lam) = G_AA^{-1} (r_A - lam h_A s_A), linear in lam
+    between knots. The path starts at lam = inf and stops below the smallest
+    requested lam. At each knot one coordinate joins A (its correlation
+    r_j - G_j b reaches lam h_j in absolute value) or leaves it (b_j reaches
+    zero). Coordinates with infinite weight or a zero column stay at zero;
+    zero-weight coordinates are active from the start and never leave.
+    `knots`, when given, receives b at every knot passed. Raises
+    RankDeficientDesign if the active columns are linearly dependent.
+    """
+    # q is small (one coordinate per summary statistic), so the bookkeeping
+    # runs on Python floats; LAPACK factors the active block at each knot
+    gram = (x.T @ x).tolist()
+    r = (x.T @ y).tolist()
+    q = len(r)
+    w = weights.tolist()
+    movable = [math.isfinite(wj) and gram[j][j] > 0.0 for j, wj in enumerate(w)]
+    h = [wj / 2.0 if ok else 0.0 for wj, ok in zip(w, movable)]
+    active = [j for j in range(q) if movable[j] and h[j] == 0.0]
+    # +-1 for a penalized coordinate on the active set, else 0
+    sign = [0.0] * q
+    order = sorted(range(len(lams)), key=lambda i: -lams[i])
+    out = np.zeros((len(lams), q))
+    done, top = 0, math.inf
+    # the coordinate that changed state at `top`, and its sign before that
+    changed, changed_sign = -1, 0.0
+    for _ in range(_MAX_KNOTS):
+        # b(lam) = u - lam v, exactly zero off the active set
+        u, v = [0.0] * q, [0.0] * q
+        if active:
+            _, sol, info = dposv(
+                [[gram[i][j] for j in active] for i in active],
+                [[r[i], h[i] * sign[i]] for i in active],
+            )
+            if info != 0:
+                raise RankDeficientDesign("adaptive lasso: active columns are collinear")
+            for i, (ui, vi) in zip(active, sol.tolist()):
+                u[i], v[i] = ui, vi
+        # The next knot is the largest root below `top` at which a coordinate
+        # starts to change state as lam decreases. The coordinate that changed
+        # at `top` is barred from its own root there: a coordinate that joined
+        # cannot leave at once, one that left cannot rejoin with the same sign
+        # (it may with the other).
+        lo, who, new_sign = 0.0, -1, 0.0
+        for j in range(q):
+            if not movable[j] or h[j] == 0.0:
+                continue
+            if sign[j]:
+                # b_j = u_j - lam v_j heads for zero
+                if j != changed and sign[j] * v[j] < 0.0 and u[j] / v[j] > lo:
+                    lo, who = u[j] / v[j], j
+                continue
+            # the correlation a + lam g heads out through s lam h_j
+            a = r[j] - sum(gram[j][i] * u[i] for i in active)
+            g = sum(gram[j][i] * v[i] for i in active)
+            for s in (1.0, -1.0):
+                slope = h[j] - s * g
+                if slope > 0.0 and s * a / slope > lo and (j, s) != (changed, changed_sign):
+                    lo, who, new_sign = s * a / slope, j, s
+        lo = min(lo, top)
+        while done < len(order) and (who < 0 or lams[order[done]] >= lo):
+            lam = lams[order[done]]
+            out[order[done]] = _segment_point(u, v, lam, who if lam == lo else -1)
+            done += 1
+        if done == len(order):
+            return out
+        if knots is not None:
+            knots.append(np.array(_segment_point(u, v, lo, who)))
+        changed, changed_sign = who, sign[who]
+        if sign[who]:
+            active.remove(who)
+            sign[who] = 0.0
+        else:
+            active.append(who)
+            sign[who] = new_sign
+        top = lo
+    raise NoConvergence(f"lasso path did not finish within {_MAX_KNOTS} knots")
+
+
+def _segment_point(u, v, lam, knot_coord: int) -> list:
+    """u - lam v, with the coordinate changing state at this lam (if any,
+    else -1) set to the exact zero it passes through."""
+    b = [uj - lam * vj if vj else uj for uj, vj in zip(u, v)]
+    if knot_coord >= 0:
+        b[knot_coord] = 0.0
+    return b
+
+
+def adaptive_lasso(x, y, weights, lam, *, return_trace: bool = False):
+    """Minimizer of ||y - x b||^2 + lam * sum_j w_j |b_j| by the exact homotopy.
+
+    Zeros are exact: a coordinate off the active set is 0.0, never a small
+    float. Coordinates with infinite weight are pinned at zero and flagged
+    with a warning rather than aborting. With return_trace, also returns the
+    objective at lam of the path's solution at every knot passed and at lam
+    itself; it never increases along the path.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -145,36 +256,23 @@ def adaptive_lasso(x, y, weights, lam, *, return_trace: bool = False):
         )
     if lam < 0.0:
         raise MalformedInput(f"lambda must be >= 0, got {lam}")
-    if np.any(weights < 0.0):
+    if (weights < 0.0).any():
         raise MalformedInput("weights must be non-negative")
-    q = x.shape[1]
     pinned = ~np.isfinite(weights)
-    if np.any(pinned):
+    if pinned.any():
         warnings.warn(
             f"coordinates {np.flatnonzero(pinned).tolist()} have infinite weight; "
             "pinned at zero"
         )
-    col_sq = np.einsum("ij,ij->j", x, x)
-    b = np.zeros(q)
-    resid = y.copy()
+    knots = [] if return_trace else None
+    b = _lasso_path(x, y, weights, [float(lam)], knots)[0]
+    if not return_trace:
+        return b
     trace = []
-    for _ in range(CD_MAX_SWEEPS):
-        delta = 0.0
-        for j in range(q):
-            if pinned[j] or col_sq[j] <= 0.0:
-                continue
-            old = b[j]
-            zj = x[:, j] @ resid + col_sq[j] * old
-            new = soft_threshold(zj, lam * weights[j] / 2.0) / col_sq[j]
-            if new != old:
-                resid += x[:, j] * (old - new)
-                b[j] = new
-                delta = max(delta, abs(new - old))
-        if return_trace:
-            trace.append(float(resid @ resid) + _penalty(b, weights, lam))
-        if delta < CD_TOL:
-            return (b, trace) if return_trace else b
-    raise NoConvergence(f"coordinate descent did not converge in {CD_MAX_SWEEPS} sweeps")
+    for point in knots + [b]:
+        resid = y - x @ point
+        trace.append(float(resid @ resid) + _penalty(point, weights, lam))
+    return b, trace
 
 
 def select_unbiased(inputs: FusionInputs, lam: float, alpha: float = 2.0) -> SelectionResult:
@@ -185,9 +283,7 @@ def select_unbiased(inputs: FusionInputs, lam: float, alpha: float = 2.0) -> Sel
     discrepancy = (
         np.concatenate([s.beta for s in inputs.summaries]) - inputs.beta_fit.estimate
     )
-    with np.errstate(divide="ignore"):
-        weights = np.abs(discrepancy) ** (-float(alpha))
-    b_hat = adaptive_lasso(x, y, weights, lam)
+    b_hat = adaptive_lasso(x, y, _adaptive_weights(discrepancy, alpha), lam)
     selected = tuple(int(j) for j in np.flatnonzero(b_hat == 0.0))
     return SelectionResult(b_hat=b_hat, selected=selected, lam=float(lam), alpha=float(alpha))
 
@@ -217,6 +313,21 @@ def kfold_indices(n: int, k: int, seed) -> list:
     return [np.sort(part) for part in np.array_split(rng.permutation(n), k)]
 
 
+def _fold_rows(fold, n: int, fold_idx: int) -> np.ndarray:
+    rows = np.asarray(fold)
+    if (
+        rows.ndim != 1
+        or rows.size == 0
+        or not np.issubdtype(rows.dtype, np.integer)
+        or rows.min() < 0
+        or rows.max() >= n
+    ):
+        raise MalformedInput(
+            f"fold {fold_idx} must be a non-empty list of row indices in [0, {n})"
+        )
+    return rows
+
+
 def cv_tune(
     inputs: FusionInputs,
     grid_c,
@@ -233,12 +344,18 @@ def cv_tune(
     are fixed; only the internal fits are resampled). The error is the mean
     squared distance across folds; ties break toward the smaller C.
     Returns (c_star, trace) with trace a tuple of (C, error) pairs.
+
+    A fold computes its calibration moments once, traces one lasso path over
+    the whole grid and evaluates the fused estimate once per distinct
+    selected set, from sub-blocks of those moments.
     """
     if inputs.data is None or inputs.tau is None:
         raise MalformedInput(
             "cross-validation needs inputs carrying the dataset and tau descriptor "
             "(build them with prepare_inputs)"
         )
+    if not inputs.summaries:
+        raise DimensionMismatch("cv_tune needs at least one summary")
     grid = sorted(float(c) for c in grid_c)
     if not grid or any(c <= 0.0 for c in grid):
         raise MalformedInput("grid_c must be a non-empty list of positive constants")
@@ -246,11 +363,12 @@ def cv_tune(
     if folds is None:
         folds = kfold_indices(n, k, seed)
     else:
-        folds = [np.asarray(f) for f in folds]
+        folds = [_fold_rows(f, n, i) for i, f in enumerate(folds)]
     errors = np.zeros(len(grid))
-    all_rows = np.arange(n)
     for fold_idx, test_rows in enumerate(folds):
-        train_rows = np.setdiff1d(all_rows, test_rows)
+        train = np.ones(n, dtype=bool)
+        train[test_rows] = False
+        train_rows = np.flatnonzero(train)
         try:
             tau_test = _fit_tau(inputs, test_rows)
             train_inputs = prepare_inputs(
@@ -259,28 +377,32 @@ def cv_tune(
                 inputs.summaries,
                 omega_override=inputs.omega_override,
             )
-            x, y = whiten(train_inputs)
+            cross, gram = empirical_moments(train_inputs.tau_fit, train_inputs.beta_fit)
+            beta_tilde, sigma_ext = assemble_external(train_inputs)
+            calib = sigma_ext + gram
+            residual = train_inputs.beta_fit.estimate - beta_tilde
+            x, y = _whiten(calib, -residual)
         except DataFuseError as exc:
             raise FoldTooSmall(f"fold {fold_idx}: {exc}") from exc
-        discrepancy = (
-            np.concatenate([s.beta for s in inputs.summaries])
-            - train_inputs.beta_fit.estimate
-        )
-        with np.errstate(divide="ignore"):
-            weights = np.abs(discrepancy) ** (-float(alpha))
         n_train = train_rows.size
+        lams = [c * n_train ** (-float(w)) for c in grid]
+        path = _lasso_path(x, y, _adaptive_weights(residual, alpha), lams)
+        tau_int = train_inputs.tau_fit.estimate
         cache = {}
-        for g, c in enumerate(grid):
-            lam = c * n_train ** (-float(w))
-            b_hat = adaptive_lasso(x, y, weights, lam)
-            key = tuple(int(j) for j in np.flatnonzero(b_hat == 0.0))
+        for g, zero in enumerate((path == 0.0).tolist()):
+            keep = [j for j, z in enumerate(zero) if z]
+            key = tuple(keep)
             if key not in cache:
-                if key:
-                    cache[key] = estimate_eff(restrict_inputs(train_inputs, key)).estimate
-                else:
-                    cache[key] = train_inputs.tau_fit.estimate
-            diff = tau_test - cache[key]
-            errors[g] += float(diff @ diff) / len(folds)
+                fused = (
+                    _eff_shift(
+                        tau_int, residual[keep], cross[:, keep], calib[np.ix_(keep, keep)]
+                    )[1]
+                    if keep
+                    else tau_int
+                )
+                diff = tau_test - fused
+                cache[key] = float(diff @ diff) / len(folds)
+            errors[g] += cache[key]
     best = int(np.argmin(errors))
     trace = tuple((grid[g], float(errors[g])) for g in range(len(grid)))
     return grid[best], trace

@@ -122,7 +122,7 @@ class ZeroStandardError(NumericalError):
 
 
 class NoConvergence(NumericalError):
-    """Iterative solver exhausted its sweep budget."""
+    """Iterative solver exhausted its iteration budget (lasso path knots)."""
 
 
 class IoError(DataFuseError):

@@ -230,6 +230,13 @@ def _build_result(
     )
 
 
+def _eff_shift(tau_estimate, residual, cross, calib, sink=None):
+    """(gain, fused estimate): gain = cross calib^{-1} and the estimate
+    tau_estimate - gain @ residual, with residual = beta_int - beta_tilde."""
+    gain = spd_solve(calib, cross.T, SingularCalibration, sink=sink, context="calibration").T
+    return gain, tau_estimate - gain @ residual
+
+
 def estimate_int(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
     """Internal-only estimate: no calibration, avar = E(phi phi')."""
     p = inputs.p
@@ -257,9 +264,13 @@ def estimate_eff(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
     warn: list = []
     cross, gram = empirical_moments(inputs.tau_fit, inputs.beta_fit)
     beta_tilde, sigma_ext = assemble_external(inputs)
-    calib = sigma_ext + gram
-    gain = spd_solve(calib, cross.T, SingularCalibration, sink=warn, context="calibration").T
-    estimate = inputs.tau_fit.estimate - gain @ (inputs.beta_fit.estimate - beta_tilde)
+    gain, estimate = _eff_shift(
+        inputs.tau_fit.estimate,
+        inputs.beta_fit.estimate - beta_tilde,
+        cross,
+        sigma_ext + gram,
+        sink=warn,
+    )
     avar = _phi_var(inputs.tau_fit) - gain @ cross.T
     return _build_result(Method.EFF, estimate, avar, inputs, gain, cross, gram, level, warn)
 

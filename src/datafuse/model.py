@@ -339,8 +339,11 @@ def validate_summary(
     source_id: str = "",
 ) -> SummaryStatistic:
     """Build a SummaryStatistic, enforcing symmetry/PSD/shape contracts."""
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    sigma1 = np.asarray(sigma1, dtype=float)
+    try:
+        beta = np.atleast_1d(np.asarray(beta, dtype=float))
+        sigma1 = np.asarray(sigma1, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"summary beta and sigma1 must be numeric arrays: {exc}") from None
     if sigma1.ndim == 0:
         sigma1 = sigma1.reshape(1, 1)
     if beta.ndim != 1:
@@ -543,6 +546,8 @@ def read_internal_csv(
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path}: not UTF-8 text: {exc}") from None
     if not rows:
         raise MalformedInput(f"{path}: empty file")
     header = rows[0]
@@ -583,9 +588,12 @@ def summary_from_dict(obj) -> SummaryStatistic:
     if not isinstance(binding, Sequence) or isinstance(binding, (str, bytes)):
         raise MalformedInput("summary 'binding' must be a list of descriptors")
     descs = [FunctionalDescriptor.from_json(entry) for entry in binding]
-    return validate_summary(
-        obj["beta"], obj["sigma1"], obj["m"], descs, obj.get("source_id", "")
-    )
+    source_id = obj.get("source_id")
+    if source_id is None:
+        source_id = ""
+    elif not isinstance(source_id, str):
+        raise MalformedInput(f"summary 'source_id' must be a string, got {source_id!r}")
+    return validate_summary(obj["beta"], obj["sigma1"], obj["m"], descs, source_id)
 
 
 def write_summary_json(summary: SummaryStatistic, path):
@@ -605,4 +613,6 @@ def read_summary_json(path) -> SummaryStatistic:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{path}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path}: not UTF-8 text: {exc}") from None
     return summary_from_dict(obj)

@@ -33,6 +33,7 @@ from .errors import (
     ExcessiveFailures,
     IoError,
     MalformedInput,
+    RankDeficientDesign,
 )
 from .model import (
     FLOAT_FMT,
@@ -122,8 +123,12 @@ def gen_scenario1(n: int, m: int, rng: np.random.Generator):
     )
     xe, te, ye = _scenario1_draw(m, rng)
     design = np.column_stack([np.ones(m), xe, te])
-    coef = np.linalg.solve(design.T @ design, design.T @ ye)
-    sigma1 = _sandwich(design, ye - design @ coef)
+    try:
+        coef = np.linalg.solve(design.T @ design, design.T @ ye)
+        sigma1 = _sandwich(design, ye - design @ coef)
+    except np.linalg.LinAlgError as exc:
+        # a small external sample can lack one arm or have too few rows
+        raise RankDeficientDesign(f"scenario I external design: {exc}") from None
     binding = (
         FunctionalDescriptor(
             FunctionalKind.JOINT_OLS,

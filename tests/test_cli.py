@@ -412,3 +412,41 @@ def test_estimate_level_outside_unit_interval(tmp_path, capsys):
              "--tau", TAU_MEAN_Y, "--method", method, "--level", level],
         )
         assert code == 2 and out == "" and _stderr_kind(err) == "MalformedInput"
+
+
+def test_malformed_summary_fields_and_encodings(tmp_path, capsys):
+    internal, summary = _write_example(tmp_path)
+    good = json.loads(summary.read_text())
+    for field, value in (("beta", ["abc"]), ("sigma1", "x")):
+        bad = tmp_path / f"bad_{field}.json"
+        bad.write_text(json.dumps({**good, field: value}))
+        code, out, err = _run(
+            capsys,
+            ["estimate", "--internal", str(internal), "--summary", str(bad),
+             "--tau", TAU_MEAN_Y],
+        )
+        assert code == 2 and out == "" and _stderr_kind(err) == "MalformedInput"
+
+    latin1_csv = tmp_path / "latin1.csv"
+    latin1_csv.write_bytes("X,Y\n0.0,1.0\n1.0,2.0\n".encode("utf-8") + b"\xff,3.0\n")
+    latin1_json = tmp_path / "latin1.json"
+    latin1_json.write_bytes(summary.read_bytes().replace(b'"pilot"', b'"pil\xf6t"'))
+    for data, summ in ((latin1_csv, summary), (internal, latin1_json)):
+        code, out, err = _run(
+            capsys,
+            ["estimate", "--internal", str(data), "--summary", str(summ),
+             "--tau", TAU_MEAN_Y],
+        )
+        assert code == 2 and out == "" and _stderr_kind(err) == "MalformedInput"
+
+
+def test_simulate_singular_external_design_counts_as_failure(tmp_path, capsys):
+    # with m=2 the external joint-OLS design of Scenario I has fewer rows than
+    # columns: the replication fails with a typed error and the run aborts
+    code, out, err = _run(
+        capsys,
+        ["simulate", "--scenario", "I", "--m", "2", "--reps", "20",
+         "--out-dir", str(tmp_path / "run")],
+    )
+    assert code == 2 and out == "" and _stderr_kind(err) == "ExcessiveFailures"
+    assert "scenario I external design" in json.loads(err)["error"]["detail"]

@@ -215,6 +215,8 @@ def test_select_unbiased_needs_summaries():
     inputs = prepare_inputs(data, tau, [])
     with pytest.raises(DimensionMismatch):
         select_unbiased(inputs, lam=0.1)
+    with pytest.raises(DimensionMismatch):
+        cv_tune(inputs, [1.0])
 
 
 def test_estimate_orc_paths():
@@ -321,6 +323,18 @@ def test_cv_tune_fold_failure_is_typed():
     inputs = prepare_inputs(data, tau, [summary])
     with pytest.raises(FoldTooSmall):
         cv_tune(inputs, [1.0], k=2, folds=[np.array([0, 1]), np.array([2, 3])])
+
+
+def test_cv_tune_rejects_folds_outside_the_rows():
+    inputs = _mean_cv_inputs(beta_tilde=0.1)
+    for bad in (
+        [np.arange(0, 6), np.arange(6, 13)],
+        [np.array([-1, 0, 1, 2, 3, 4]), np.arange(5, 12)],
+        [np.array([0.0, 1.0, 2.0, 3.0]), np.arange(4, 12)],
+        [np.array([], dtype=int), np.arange(12)],
+    ):
+        with pytest.raises(MalformedInput):
+            cv_tune(inputs, [1.0], folds=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,20 @@ def test_summary_dict_requires_keys():
     assert summary_to_dict(ok)["source_id"] == ""
 
 
+def test_summary_source_id_null_and_non_string():
+    base = {
+        "beta": [1.0],
+        "sigma1": [[1.0]],
+        "m": 10,
+        "binding": [{"functional": "mean", "args": {"column": "X"}}],
+    }
+    assert summary_from_dict({**base, "source_id": None}).source_id == ""
+    assert summary_from_dict({**base, "source_id": "study-b"}).source_id == "study-b"
+    for bad in (3, ["a"], {"id": "a"}, True):
+        with pytest.raises(MalformedInput):
+            summary_from_dict({**base, "source_id": bad})
+
+
 def test_summary_json_io_errors(tmp_path):
     with pytest.raises(IoError):
         read_summary_json(tmp_path / "nope.json")
