@@ -95,12 +95,15 @@ def _parse_descriptor(text: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError:
         pass
-    path = Path(text)
-    if path.exists():
+    try:
+        is_file = Path(text).exists()
+    except OSError:  # not a usable path, e.g. a name too long for the file system
+        is_file = False
+    if is_file:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(text, encoding="utf-8") as fh:
                 return json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise MalformedInput(f"cannot parse descriptor file {text}: {exc}") from exc
     raise MalformedInput(f"--tau/--beta value is neither JSON nor an existing file: {text!r}")
 

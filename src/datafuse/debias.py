@@ -16,7 +16,7 @@ _MAX_KNOTS knots.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dposv
@@ -31,12 +31,11 @@ from .errors import (
     NotPositiveDefinite,
     RankDeficientDesign,
 )
-from .model import Method, SelectionResult
-from .fusion import (
+from .model import Method, SelectionResult, _integer, _real, _reals, _seed
+# restrict_inputs stays bound for bench/layers.py, which patches it here
+from .fusion import (  # noqa: F401
     FusionInputs,
-    _eff_shift,
-    assemble_external,
-    empirical_moments,
+    _fused,
     estimate_crude,
     estimate_eff,
     estimate_int,
@@ -74,7 +73,8 @@ class DebiasConfig:
 
     w must satisfy 1/2 < w < (alpha + 1)/2 so the penalty vanishes for
     unbiased coordinates but still dominates their noise. lambda_fixed
-    bypasses cross-validation entirely.
+    bypasses cross-validation entirely. k is an integer >= 2 and seed an
+    integer >= 0 or a numpy SeedSequence.
     """
 
     alpha: float = 2.0
@@ -85,33 +85,29 @@ class DebiasConfig:
     lambda_fixed: float = None
 
     def __post_init__(self):
-        if not self.grid_c:
-            object.__setattr__(self, "grid_c", _default_grid())
-        grid = tuple(sorted(float(c) for c in self.grid_c))
+        grid = tuple(sorted(_reals("grid_c", self.grid_c or _default_grid())))
         if any(c <= 0.0 for c in grid):
             raise MalformedInput("grid_c entries must be positive")
         object.__setattr__(self, "grid_c", grid)
-        if not self.alpha > 0.0:
+        if not _real("alpha", self.alpha) > 0.0:
             raise MalformedInput(f"alpha must be positive, got {self.alpha}")
-        if not 0.5 < self.w < (self.alpha + 1.0) / 2.0:
+        if not 0.5 < _real("w", self.w) < (self.alpha + 1.0) / 2.0:
             raise MalformedInput(
                 f"w={self.w} outside admissible range (0.5, {(self.alpha + 1.0) / 2.0})"
             )
-        if self.k < 2:
-            raise MalformedInput(f"cross-validation needs k >= 2, got {self.k}")
-        if self.lambda_fixed is not None and not self.lambda_fixed >= 0.0:
+        _integer("k", self.k, 2)
+        _seed(self.seed)
+        if self.lambda_fixed is not None and not _real("lambda_fixed", self.lambda_fixed) >= 0.0:
             raise MalformedInput(f"lambda_fixed must be >= 0, got {self.lambda_fixed}")
 
     @classmethod
     def from_dict(cls, obj) -> "DebiasConfig":
-        known = {"alpha", "w", "grid_c", "k", "seed", "lambda_fixed"}
-        extra = set(obj) - known
+        if not isinstance(obj, dict):
+            raise MalformedInput("debias config must be a table/object")
+        extra = set(obj) - {"alpha", "w", "grid_c", "k", "seed", "lambda_fixed"}
         if extra:
             raise MalformedInput(f"unknown debias config keys {sorted(extra)}")
-        kwargs = dict(obj)
-        if "grid_c" in kwargs:
-            kwargs["grid_c"] = tuple(kwargs["grid_c"])
-        return cls(**kwargs)
+        return cls(**obj)
 
 
 def whiten(inputs: FusionInputs):
@@ -121,14 +117,9 @@ def whiten(inputs: FusionInputs):
     floored at 1e-12) and Y = X (beta_tilde - beta_int), so that
     ||Y - X b||^2 reproduces the quadratic form exactly.
     """
-    _, gram = empirical_moments(inputs.tau_fit, inputs.beta_fit)
-    beta_tilde, sigma_ext = assemble_external(inputs)
-    return _whiten(sigma_ext + gram, beta_tilde - inputs.beta_fit.estimate)
-
-
-def _whiten(calib, discrepancy):
-    x = inv_sqrt_spd(calib, floor=EIG_FLOOR, error=NotPositiveDefinite, context="whiten")
-    return x, x @ discrepancy
+    calib = inputs._calibration
+    x = inv_sqrt_spd(calib.sigma_ext + calib.gram, EIG_FLOOR, NotPositiveDefinite, "whiten")
+    return x, x @ -calib.residual
 
 
 def _adaptive_weights(discrepancy, alpha) -> np.ndarray:
@@ -280,36 +271,24 @@ def select_unbiased(inputs: FusionInputs, lam: float, alpha: float = 2.0) -> Sel
     if not inputs.summaries:
         raise DimensionMismatch("select_unbiased needs at least one summary")
     x, y = whiten(inputs)
-    discrepancy = (
-        np.concatenate([s.beta for s in inputs.summaries]) - inputs.beta_fit.estimate
-    )
-    b_hat = adaptive_lasso(x, y, _adaptive_weights(discrepancy, alpha), lam)
+    b_hat = adaptive_lasso(x, y, _adaptive_weights(inputs._calibration.residual, alpha), lam)
     selected = tuple(int(j) for j in np.flatnonzero(b_hat == 0.0))
     return SelectionResult(b_hat=b_hat, selected=selected, lam=float(lam), alpha=float(alpha))
 
 
-def _eff_or_int(inputs: FusionInputs, keep, method: Method, level: float, empty_note: str):
-    """EFF restricted to the coordinates in `keep`, tagged `method`; with
-    `keep` empty, the internal-only estimate flagged by `empty_note`."""
-    if keep:
-        return replace(estimate_eff(restrict_inputs(inputs, keep), level=level), method=method)
-    result = estimate_int(inputs, level=level)
-    return replace(result, method=method, warnings=result.warnings + (empty_note,))
-
-
 def estimate_orc(inputs: FusionInputs, unbiased_set, level: float = 0.95):
     """Fused estimate restricted to coordinates known to be unbiased."""
-    unbiased = tuple(sorted(int(j) for j in unbiased_set))
-    return _eff_or_int(
-        inputs, unbiased, Method.ORC, level, "empty unbiased set: internal-only estimate"
+    return _fused(
+        inputs, unbiased_set, Method.ORC, level, "empty unbiased set: internal-only estimate"
     )
 
 
 def kfold_indices(n: int, k: int, seed) -> list:
-    """Balanced folds (sizes differ by at most one) from a seeded shuffle."""
-    if k < 2 or k > n:
+    """Balanced folds (sizes differ by at most one) from a seeded shuffle;
+    k is an integer >= 2 and seed an integer >= 0 or a numpy SeedSequence."""
+    if _integer("k", k, 2) > n:
         raise MalformedInput(f"cannot split {n} rows into {k} folds")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     return [np.sort(part) for part in np.array_split(rng.permutation(n), k)]
 
 
@@ -345,9 +324,9 @@ def cv_tune(
     squared distance across folds; ties break toward the smaller C.
     Returns (c_star, trace) with trace a tuple of (C, error) pairs.
 
-    A fold computes its calibration moments once, traces one lasso path over
-    the whole grid and evaluates the fused estimate once per distinct
-    selected set, from sub-blocks of those moments.
+    A fold computes its calibration once, traces one lasso path over the
+    whole grid and evaluates the fused estimate once per distinct selected
+    set, from sub-blocks of that calibration.
     """
     if inputs.data is None or inputs.tau is None:
         raise MalformedInput(
@@ -377,30 +356,17 @@ def cv_tune(
                 inputs.summaries,
                 omega_override=inputs.omega_override,
             )
-            cross, gram = empirical_moments(train_inputs.tau_fit, train_inputs.beta_fit)
-            beta_tilde, sigma_ext = assemble_external(train_inputs)
-            calib = sigma_ext + gram
-            residual = train_inputs.beta_fit.estimate - beta_tilde
-            x, y = _whiten(calib, -residual)
+            x, y = whiten(train_inputs)
         except DataFuseError as exc:
             raise FoldTooSmall(f"fold {fold_idx}: {exc}") from exc
-        n_train = train_rows.size
-        lams = [c * n_train ** (-float(w)) for c in grid]
-        path = _lasso_path(x, y, _adaptive_weights(residual, alpha), lams)
-        tau_int = train_inputs.tau_fit.estimate
+        lams = [c * train_rows.size ** (-float(w)) for c in grid]
+        calib = train_inputs._calibration
+        path = _lasso_path(x, y, _adaptive_weights(calib.residual, alpha), lams)
         cache = {}
         for g, zero in enumerate((path == 0.0).tolist()):
-            keep = [j for j, z in enumerate(zero) if z]
-            key = tuple(keep)
+            key = tuple(j for j, z in enumerate(zero) if z)
             if key not in cache:
-                fused = (
-                    _eff_shift(
-                        tau_int, residual[keep], cross[:, keep], calib[np.ix_(keep, keep)]
-                    )[1]
-                    if keep
-                    else tau_int
-                )
-                diff = tau_test - fused
+                diff = tau_test - calib.restrict(key).fuse()[1]
                 cache[key] = float(diff @ diff) / len(folds)
             errors[g] += cache[key]
     best = int(np.argmin(errors))
@@ -437,7 +403,7 @@ def estimate_dbs(inputs: FusionInputs, config: DebiasConfig = None, level: float
         alpha=config.alpha,
         cv_trace=cv_trace,
     )
-    result = _eff_or_int(
+    result = _fused(
         inputs, selection.selected, Method.DBS, level, "empty selection: internal-only estimate"
     )
     return result, selection

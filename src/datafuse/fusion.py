@@ -1,15 +1,21 @@
 """Fusion of an internal functional fit with external summary statistics.
 
-The fused estimator shifts the internal estimate by a calibration term,
+The fused estimator (EFF) shifts the internal estimate by a calibration term,
 
     tau_fused = tau_int - gain @ (beta_int - beta_tilde),
 
 where the gain solves (sigma_ext + gram) gain' = cross' built from the
 empirical influence moments cross = E(phi eta') and gram = E(eta eta') and
 the scaled external covariance sigma_ext. Its asymptotic variance is the
-plug-in efficiency bound E(phi phi') - cross (sigma_ext + gram)^{-1} cross'.
-Several sources stack block-diagonally; each block s is scaled by
-n / m_s, so everything is expressed per internal observation.
+plug-in efficiency bound E(phi phi') - gain cross'. Several sources stack
+block-diagonally; each block s is scaled by n / m_s, so everything is
+expressed per internal observation.
+
+These pieces form the calibration, computed once when a FusionInputs is
+built. EFF on a subset of the summary coordinates reads its sub-blocks: that
+is the oracle (ORC), the debiased estimator (DBS) and every cross-validation
+fold estimate. On the empty set the gain is p x 0, so the internal-only
+estimate (INT) is EFF with no summary coordinate.
 """
 
 from dataclasses import dataclass
@@ -61,7 +67,8 @@ class FusionInputs:
 
     `data` and `tau` keep references to the originating dataset and
     functional so cross-validation can refit on row subsets; they are not
-    used by the plain estimators.
+    used by the plain estimators. The calibration every estimator reads is
+    computed once, here.
     """
 
     tau_fit: FunctionalFit
@@ -89,6 +96,13 @@ class FusionInputs:
                     f"omega_override shape {omega.shape}, expected {(q, q)}"
                 )
             object.__setattr__(self, "omega_override", omega)
+        cross, gram = empirical_moments(self.tau_fit, self.beta_fit)
+        beta_tilde, sigma_ext = assemble_external(self)
+        residual = self.beta_fit.estimate - beta_tilde
+        calib = _Calibration(
+            self.tau_fit.estimate, _phi_var(self.tau_fit), cross, gram, residual, sigma_ext
+        )
+        object.__setattr__(self, "_calibration", calib)
 
     @property
     def n(self) -> int:
@@ -106,6 +120,35 @@ class FusionInputs:
     def rho(self) -> float:
         """Aggregate external-to-internal sample ratio."""
         return sum(s.m for s in self.summaries) / self.n if self.summaries else 0.0
+
+
+@dataclass(frozen=True)
+class _Calibration:
+    """What the estimators read from a FusionInputs (q = summary coordinates)."""
+
+    tau: np.ndarray  # tau_int, length p
+    phi_var: np.ndarray  # E(phi phi'), p x p
+    cross: np.ndarray  # E(phi eta'), p x q
+    gram: np.ndarray  # E(eta eta'), q x q
+    residual: np.ndarray  # beta_int - beta_tilde, length q
+    sigma_ext: np.ndarray  # scaled external covariance, q x q
+
+    def restrict(self, keep) -> "_Calibration":
+        """Sub-blocks on the summary coordinates `keep` (indices in [0, q))."""
+        gram, sigma_ext = (a.take(keep, 0).take(keep, 1) for a in (self.gram, self.sigma_ext))
+        cross, residual = self.cross.take(keep, 1), self.residual.take(keep)
+        return _Calibration(self.tau, self.phi_var, cross, gram, residual, sigma_ext)
+
+    def fuse(self, sink: list | None = None):
+        """(gain, estimate, avar) of EFF on every coordinate held; with none
+        the gain is p x 0 and this is tau_int with avar E(phi phi')."""
+        lhs = self.sigma_ext + self.gram
+        gain = spd_solve(lhs, self.cross.T, SingularCalibration, sink, "calibration").T
+        return gain, self.tau - gain @ self.residual, self.phi_var - gain @ self.cross.T
+
+    def gram_coef(self, sink: list | None = None) -> np.ndarray:
+        """cross gram^{-1}, the coefficient of CRD and KNW."""
+        return spd_solve(self.gram, self.cross.T, SingularGram, sink, "gram").T
 
 
 def prepare_inputs(
@@ -148,27 +191,19 @@ def empirical_moments(tau_fit: FunctionalFit, beta_fit: FunctionalFit):
 def assemble_external(inputs: FusionInputs):
     """Concatenated external estimates and their per-internal-observation
     scaled covariance: block s of sigma_ext is sigma1_s * n / m_s."""
-    n = inputs.n
-    beta_tilde = (
-        np.concatenate([s.beta for s in inputs.summaries])
-        if inputs.summaries
-        else np.zeros(0)
-    )
-    rho_coord = np.concatenate(
-        [np.full(s.q, s.m / n) for s in inputs.summaries]
-    ) if inputs.summaries else np.zeros(0)
+    summaries, n = inputs.summaries, inputs.n
+    beta_tilde = np.concatenate([np.zeros(0)] + [s.beta for s in summaries])
+    rho_coord = np.concatenate([np.zeros(0)] + [np.full(s.q, s.m / n) for s in summaries])
     if inputs.omega_override is not None:
         base = inputs.omega_override
     else:
         q = beta_tilde.shape[0]
         base = np.zeros((q, q))
         at = 0
-        for s in inputs.summaries:
+        for s in summaries:
             base[at : at + s.q, at : at + s.q] = s.sigma1
             at += s.q
-    scale = np.sqrt(np.outer(rho_coord, rho_coord)) if rho_coord.size else rho_coord
-    sigma_ext = base / scale if rho_coord.size else base.reshape(0, 0)
-    return beta_tilde, sym(sigma_ext)
+    return beta_tilde, sym(base / np.sqrt(np.outer(rho_coord, rho_coord)))
 
 
 def _phi_var(tau_fit: FunctionalFit) -> np.ndarray:
@@ -195,33 +230,28 @@ def _wald(estimate, se, level: float, null=0.0, side: str = "upper"):
 
 
 def _build_result(
-    method: Method,
-    estimate: np.ndarray,
-    avar: np.ndarray,
-    inputs: FusionInputs,
-    gain: np.ndarray,
-    cross: np.ndarray,
-    gram: np.ndarray,
-    level: float,
-    warn: list,
+    method: Method, inputs: FusionInputs, calib: _Calibration, gain, estimate, avar,
+    rho: float, level: float, warn: list, note: str = "",
 ) -> FusionResult:
-    n = inputs.n
+    """FusionResult with se and CIs; a non-empty `note` is the last warning."""
     avar = sym(avar)
     # negative round-off on the diagonal is clipped here; anything beyond
     # tolerance is rejected by the FusionResult constructor below
-    se = np.sqrt(np.maximum(np.diag(avar), 0.0) / n)
+    se = np.sqrt(np.maximum(np.diag(avar), 0.0) / inputs.n)
     _, p_one, ci = _wald(estimate, se, level)
     if np.any(se == 0.0):
         warn = warn + ["zero standard error: one-sided p set to NaN"]
+    if note:
+        warn = warn + [note]
     return FusionResult(
         method=method,
         estimate=estimate,
         avar=avar,
         se=se,
         gain=gain,
-        cross=cross,
-        gram=gram,
-        rho=inputs.rho,
+        cross=calib.cross.copy(),
+        gram=calib.gram.copy(),
+        rho=rho,
         ci=ci,
         level=level,
         p_one_sided=p_one,
@@ -230,27 +260,37 @@ def _build_result(
     )
 
 
-def _eff_shift(tau_estimate, residual, cross, calib, sink=None):
-    """(gain, fused estimate): gain = cross calib^{-1} and the estimate
-    tau_estimate - gain @ residual, with residual = beta_int - beta_tilde."""
-    gain = spd_solve(calib, cross.T, SingularCalibration, sink=sink, context="calibration").T
-    return gain, tau_estimate - gain @ residual
+def _coordinates(keep, q: int) -> list:
+    """`keep` as a sorted list of distinct summary coordinates in [0, q)."""
+    keep = sorted(int(j) for j in keep)
+    if len(set(keep)) != len(keep) or any(j < 0 or j >= q for j in keep):
+        raise DimensionMismatch(f"invalid coordinate subset {keep} for q={q}")
+    return keep
+
+
+def _fused(
+    inputs: FusionInputs, keep, method: Method, level: float = 0.95, empty_note: str = ""
+) -> FusionResult:
+    """EFF on the summary coordinates `keep` (global, 0-based), tagged `method`.
+
+    On the empty set this is the internal-only estimate, flagged by
+    `empty_note`, with the rho of all sources; otherwise rho counts the
+    sources holding a kept coordinate.
+    """
+    keep = _coordinates(keep, inputs.q)
+    calib = inputs._calibration.restrict(keep)
+    warn: list = []
+    gain, estimate, avar = calib.fuse(warn)
+    owner = [i for i, s in enumerate(inputs.summaries) for _ in range(s.q)]
+    used = {owner[j] for j in keep} if keep else range(len(inputs.summaries))
+    rho = sum(inputs.summaries[i].m for i in used) / inputs.n
+    note = "" if keep else empty_note
+    return _build_result(method, inputs, calib, gain, estimate, avar, rho, level, warn, note)
 
 
 def estimate_int(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
-    """Internal-only estimate: no calibration, avar = E(phi phi')."""
-    p = inputs.p
-    return _build_result(
-        Method.INT,
-        inputs.tau_fit.estimate.copy(),
-        _phi_var(inputs.tau_fit),
-        inputs,
-        gain=np.zeros((p, 0)),
-        cross=np.zeros((p, 0)),
-        gram=np.zeros((0, 0)),
-        level=level,
-        warn=[],
-    )
+    """Internal-only estimate: EFF on no summary coordinate, avar = E(phi phi')."""
+    return _fused(inputs, (), Method.INT, level)
 
 
 def estimate_eff(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
@@ -261,18 +301,7 @@ def estimate_eff(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
     """
     if not inputs.summaries:
         raise DimensionMismatch("estimate_eff needs at least one summary")
-    warn: list = []
-    cross, gram = empirical_moments(inputs.tau_fit, inputs.beta_fit)
-    beta_tilde, sigma_ext = assemble_external(inputs)
-    gain, estimate = _eff_shift(
-        inputs.tau_fit.estimate,
-        inputs.beta_fit.estimate - beta_tilde,
-        cross,
-        sigma_ext + gram,
-        sink=warn,
-    )
-    avar = _phi_var(inputs.tau_fit) - gain @ cross.T
-    return _build_result(Method.EFF, estimate, avar, inputs, gain, cross, gram, level, warn)
+    return _fused(inputs, range(inputs.q), Method.EFF, level)
 
 
 def estimate_crude(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
@@ -283,13 +312,11 @@ def estimate_crude(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
     """
     if not inputs.summaries:
         raise DimensionMismatch("estimate_crude needs at least one summary")
-    warn: list = []
-    cross, gram = empirical_moments(inputs.tau_fit, inputs.beta_fit)
-    beta_tilde, sigma_ext = assemble_external(inputs)
-    coef = spd_solve(gram, cross.T, SingularGram, sink=warn, context="gram").T
-    estimate = inputs.tau_fit.estimate - coef @ (inputs.beta_fit.estimate - beta_tilde)
-    avar = _phi_var(inputs.tau_fit) + coef @ (sigma_ext - gram) @ coef.T
-    return _build_result(Method.CRD, estimate, avar, inputs, coef, cross, gram, level, warn)
+    calib, warn = inputs._calibration, []
+    coef = calib.gram_coef(warn)
+    estimate = calib.tau - coef @ calib.residual
+    avar = calib.phi_var + coef @ (calib.sigma_ext - calib.gram) @ coef.T
+    return _build_result(Method.CRD, inputs, calib, coef, estimate, avar, inputs.rho, level, warn)
 
 
 def estimate_knw(inputs: FusionInputs, beta_true, level: float = 0.95) -> FusionResult:
@@ -299,12 +326,11 @@ def estimate_knw(inputs: FusionInputs, beta_true, level: float = 0.95) -> Fusion
         raise DimensionMismatch(
             f"beta_true has length {beta_true.shape[0]}, expected {inputs.q}"
         )
-    warn: list = []
-    cross, gram = empirical_moments(inputs.tau_fit, inputs.beta_fit)
-    coef = spd_solve(gram, cross.T, SingularGram, sink=warn, context="gram").T
-    estimate = inputs.tau_fit.estimate - coef @ (inputs.beta_fit.estimate - beta_true)
-    avar = _phi_var(inputs.tau_fit) - coef @ cross.T
-    return _build_result(Method.KNW, estimate, avar, inputs, coef, cross, gram, level, warn)
+    calib, warn = inputs._calibration, []
+    coef = calib.gram_coef(warn)
+    estimate = calib.tau - coef @ (inputs.beta_fit.estimate - beta_true)
+    avar = calib.phi_var - coef @ calib.cross.T
+    return _build_result(Method.KNW, inputs, calib, coef, estimate, avar, inputs.rho, level, warn)
 
 
 def efficiency_bound(phi_var, cross, gram, sigma1, rho: float) -> np.ndarray:
@@ -386,9 +412,7 @@ def restrict_inputs(inputs: FusionInputs, keep) -> FusionInputs:
     submatrix of a validated covariance is again symmetric PSD, and columns
     of a validated fit stay centered, so neither is validated again.
     """
-    keep = sorted(int(j) for j in keep)
-    if len(set(keep)) != len(keep) or any(j < 0 or j >= inputs.q for j in keep):
-        raise DimensionMismatch(f"invalid coordinate subset {keep} for q={inputs.q}")
+    keep = _coordinates(keep, inputs.q)
     new_summaries = []
     at = 0
     for s in inputs.summaries:

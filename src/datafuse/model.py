@@ -47,6 +47,32 @@ def _readonly(values) -> np.ndarray:
     return arr
 
 
+def _integer(name: str, value, low: int):
+    """`value` if it is an integer (not a bool) of at least `low`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise MalformedInput(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _real(name: str, value) -> float:
+    """`value` as a float if it is a real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise MalformedInput(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _seed(value):
+    """`value` if it is an integer >= 0 or a numpy SeedSequence."""
+    return value if isinstance(value, np.random.SeedSequence) else _integer("seed", value, 0)
+
+
+def _reals(name: str, values) -> tuple:
+    """`values`, a list or tuple of real numbers, as a tuple of floats."""
+    if not isinstance(values, (list, tuple)):
+        raise MalformedInput(f"{name} must be a list of numbers, got {values!r}")
+    return tuple(_real(name, v) for v in values)
+
+
 # ---------------------------------------------------------------------------
 # datasets
 

@@ -14,6 +14,7 @@ subset.
 
 import csv
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -42,6 +43,9 @@ from .model import (
     InternalDataset,
     Method,
     SummaryStatistic,
+    _integer,
+    _real,
+    _reals,
     validate_dataset,
     validate_summary,
 )
@@ -123,6 +127,9 @@ def gen_scenario1(n: int, m: int, rng: np.random.Generator):
     )
     xe, te, ye = _scenario1_draw(m, rng)
     design = np.column_stack([np.ones(m), xe, te])
+    if m < design.shape[1]:
+        # numpy's solve need not fail on the singular normal matrix
+        raise RankDeficientDesign(f"scenario I external design has {m} rows, needs 3")
     try:
         coef = np.linalg.solve(design.T @ design, design.T @ ye)
         sigma1 = _sandwich(design, ye - design @ coef)
@@ -228,9 +235,10 @@ class ScenarioConfig:
             raise MalformedInput(
                 f"scenario must be one of {SCENARIOS}, got {self.scenario!r}"
             )
-        for name, value in (("n", self.n), ("m", self.m), ("reps", self.reps)):
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value <= 0:
-                raise MalformedInput(f"{name} must be a positive integer, got {value!r}")
+        for name, low in (("n", 1), ("m", 1), ("reps", 1), ("seed", 0)):
+            _integer(name, getattr(self, name), low)
+        if not isinstance(self.methods, (list, tuple)):
+            raise MalformedInput(f"methods must be a list of names, got {self.methods!r}")
         methods = tuple(self.methods) or _DEFAULT_METHODS[self.scenario]
         seen = []
         for name in methods:
@@ -244,12 +252,14 @@ class ScenarioConfig:
             if name not in seen:
                 seen.append(name)
         object.__setattr__(self, "methods", tuple(seen))
-        if not 0.0 < self.level < 1.0:
+        if not 0.0 < _real("level", self.level) < 1.0:
             raise MalformedInput(f"level must be in (0, 1), got {self.level}")
-        tau = tuple(float(v) for v in self.tau)
+        tau = _reals("tau", self.tau)
         if len(tau) != 2:
             raise MalformedInput("tau must have two components")
         object.__setattr__(self, "tau", tau)
+        if self.out_dir is not None and not isinstance(self.out_dir, (str, os.PathLike)):
+            raise MalformedInput(f"out_dir must be a path, got {self.out_dir!r}")
 
     @classmethod
     def from_dict(cls, obj) -> "ScenarioConfig":
@@ -263,8 +273,6 @@ class ScenarioConfig:
         if extra:
             raise MalformedInput(f"unknown config keys {sorted(extra)}")
         kwargs = dict(obj)
-        if "methods" in kwargs:
-            kwargs["methods"] = tuple(kwargs["methods"])
         if "debias" in kwargs:
             kwargs["debias"] = DebiasConfig.from_dict(kwargs["debias"])
         return cls(**kwargs)

@@ -450,3 +450,53 @@ def test_simulate_singular_external_design_counts_as_failure(tmp_path, capsys):
     )
     assert code == 2 and out == "" and _stderr_kind(err) == "ExcessiveFailures"
     assert "scenario I external design" in json.loads(err)["error"]["detail"]
+
+
+_BAD_DEBIAS = [
+    {"k": "3"}, {"k": 2.5}, {"alpha": "x"}, {"w": None}, {"lambda_fixed": "x"},
+    {"grid_c": 5}, {"grid_c": ["a"]}, {"seed": "abc"},
+]
+_BAD_SCENARIO = [
+    {"tau": "ab"}, {"level": "x"}, {"seed": "x"}, {"methods": 5}, {"debias": 5},
+    {"out_dir": 5},
+]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [("estimate-config", bad) for bad in _BAD_DEBIAS]
+    + [("simulate-config", bad) for bad in _BAD_SCENARIO]
+    + [("estimate-seed", None), ("simulate-seed", None), ("estimate-long-tau", None),
+       ("estimate-latin1-tau-file", None)],
+    ids=lambda case: f"{case[0]}-{json.dumps(case[1])}" if case[1] is not None else case[0],
+)
+def test_bad_config_values_and_seeds_exit_2(tmp_path, capsys, case):
+    # each of these used to end in a raw TypeError/ValueError/OSError or
+    # UnicodeDecodeError traceback (exit 1), or for "k": 2.5 in a silent
+    # 2-fold run
+    kind, bad = case
+    internal, summary = _write_larger(tmp_path)
+    estimate = ["estimate", "--internal", str(internal), "--summary", str(summary),
+                "--tau", TAU_MEAN_Y, "--method", "dbs"]
+    simulate = ["simulate", "--scenario", "I", "--n", "50", "--m", "50", "--reps", "2"]
+    config = tmp_path / "config.json"
+    if kind == "estimate-config":
+        config.write_text(json.dumps(bad))
+        argv = estimate + ["--debias-config", str(config)]
+    elif kind == "simulate-config":
+        config.write_text(json.dumps({"scenario": "I", "n": 50, "m": 50, "reps": 2, **bad}))
+        argv = ["simulate", "--config", str(config)]
+    elif kind == "estimate-seed":
+        argv = estimate + ["--seed", "-1"]
+    elif kind == "simulate-seed":
+        argv = simulate + ["--seed", "-1"]
+    else:
+        tau = "x" * 5000
+        if kind == "estimate-latin1-tau-file":
+            tau = tmp_path / "tau.json"
+            tau.write_bytes(TAU_MEAN_Y.replace("Y", "Y\xf6").encode("latin-1"))
+        argv = ["estimate", "--internal", str(internal), "--summary", str(summary),
+                "--tau", str(tau)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert _stderr_kind(err) == "MalformedInput"

@@ -257,6 +257,14 @@ def test_kfold_balanced_partition():
         kfold_indices(5, 1, seed=0)
 
 
+def test_kfold_rejects_fractional_k_and_negative_seed():
+    # k=2.5 used to split into 2 folds silently, seed=-1 raised numpy's ValueError
+    with pytest.raises(MalformedInput):
+        kfold_indices(10, 2.5, seed=0)
+    with pytest.raises(MalformedInput):
+        kfold_indices(10, 3, seed=-1)
+
+
 def _mean_cv_inputs(beta_tilde, n=12, seed=21):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)

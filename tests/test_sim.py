@@ -18,7 +18,7 @@ from datafuse import (
     run_replications,
     scenario1_beta_true,
 )
-from datafuse.errors import ExcessiveFailures, IoError, MalformedInput
+from datafuse.errors import ExcessiveFailures, IoError, MalformedInput, RankDeficientDesign
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +81,14 @@ def test_gen_scenario1_internal_independent_of_m():
     b, _, _ = gen_scenario1(150, 2000, np.random.default_rng(9))
     for name in a.names:
         np.testing.assert_array_equal(a.column(name), b.column(name))
+
+
+def test_gen_scenario1_rejects_fewer_external_rows_than_columns():
+    # a 2-row design makes the 3x3 normal matrix singular, which numpy's
+    # solve does not always detect; every seed must fail, not just some
+    for seed in range(20):
+        with pytest.raises(RankDeficientDesign):
+            gen_scenario1(5, 2, np.random.default_rng(seed))
 
 
 def test_gen_scenario1_outcome_moments():
