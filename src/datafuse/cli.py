@@ -19,7 +19,6 @@ from .debias import DebiasConfig, _run_method, estimate_dbs  # noqa: F401
 from .errors import DataFuseError, IoError, MalformedInput, ZeroStandardError
 from .model import (
     FunctionalDescriptor,
-    FunctionalKind,
     Method,
     read_internal_csv,
     read_summary_json,
@@ -109,16 +108,7 @@ def _parse_descriptor(text: str) -> dict:
 
 
 def _roles_from_tau(desc: FunctionalDescriptor) -> dict:
-    args = desc.args
-    if desc.kind is FunctionalKind.AIPW_ATE:
-        return {
-            "outcome": args["outcome"],
-            "treatment": args["treatment"],
-            "covariates": tuple(args["covariates"]),
-        }
-    if desc.kind in (FunctionalKind.JOINT_OLS, FunctionalKind.MARGINAL_OLS):
-        return {"outcome": args["outcome"]}
-    return {}
+    return {k: v for k, v in desc.args.items() if k in ("outcome", "treatment", "covariates")}
 
 
 def _cmd_estimate(args) -> int:

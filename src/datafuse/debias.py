@@ -375,9 +375,9 @@ def cv_tune(
 
 
 def _fit_tau(inputs: FusionInputs, rows) -> np.ndarray:
-    from .functionals import fit_functional
+    from .functionals import _columns, fit_functional
 
-    return fit_functional(inputs.data.subset(rows), inputs.tau).estimate
+    return _columns(fit_functional(inputs.data.subset(rows), inputs.tau), inputs.tau).estimate
 
 
 def estimate_dbs(inputs: FusionInputs, config: DebiasConfig = None, level: float = 0.95):

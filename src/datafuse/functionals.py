@@ -20,14 +20,12 @@ from .errors import (
     PropensityDegenerate,
     RankDeficientDesign,
     Separation,
-    UnsupportedFunctional,
 )
 from .model import (
     FunctionalDescriptor,
     FunctionalFit,
     FunctionalKind,
     InternalDataset,
-    expand_binding,
 )
 
 __all__ = [
@@ -224,20 +222,20 @@ def fit_aipw_ate(
     )
 
 
+_FITTERS = {
+    FunctionalKind.MEAN: fit_mean,
+    FunctionalKind.JOINT_OLS: fit_joint_ols,
+    FunctionalKind.MARGINAL_OLS: fit_marginal_ols,
+    FunctionalKind.AIPW_ATE: fit_aipw_ate,
+}
+
+
 def fit_functional(data: InternalDataset, desc: FunctionalDescriptor) -> FunctionalFit:
-    """Dispatch a descriptor to its fitter; returns the full-width fit."""
-    args = desc.args
-    if desc.kind is FunctionalKind.MEAN:
-        return fit_mean(data, args["column"], args.get("where"))
-    if desc.kind is FunctionalKind.JOINT_OLS:
-        return fit_joint_ols(
-            data, args["outcome"], args["regressors"], args.get("intercept", True)
-        )
-    if desc.kind is FunctionalKind.MARGINAL_OLS:
-        return fit_marginal_ols(data, args["outcome"], args["regressor"])
-    if desc.kind is FunctionalKind.AIPW_ATE:
-        return fit_aipw_ate(data, args["outcome"], args["treatment"], args["covariates"])
-    raise UnsupportedFunctional(f"unknown kind {desc.kind!r}")
+    """Dispatch a descriptor to its fitter; returns the full-width fit.
+
+    A descriptor's argument names are its fitter's keyword names.
+    """
+    return _FITTERS[desc.kind](data, **desc.args)
 
 
 def evaluate_binding(data: InternalDataset, binding):
@@ -252,10 +250,13 @@ def evaluate_binding(data: InternalDataset, binding):
         key = desc.group_key()
         if key not in fits:
             fits[key] = fit_functional(data, desc)
-    estimates = []
-    columns = []
-    for desc, j in expand_binding(binding):
-        fit = fits[desc.group_key()]
-        estimates.append(fit.estimate[j])
-        columns.append(fit.influence[:, j])
-    return np.asarray(estimates), np.column_stack(columns)
+    parts = [_columns(fits[desc.group_key()], desc) for desc in binding]
+    return np.concatenate([f.estimate for f in parts]), np.hstack([f.influence for f in parts])
+
+
+def _columns(fit: FunctionalFit, desc: FunctionalDescriptor) -> FunctionalFit:
+    """The coefficients of `fit` that `desc` names: all of them, or its component."""
+    if desc.component is None:
+        return fit
+    j = [desc.component]
+    return FunctionalFit._unchecked(fit.estimate[j], fit.influence[:, j], fit.label)

@@ -158,10 +158,10 @@ def prepare_inputs(
     omega_override=None,
 ) -> FusionInputs:
     """Fit the target functional and all summary bindings on one dataset."""
-    from .functionals import evaluate_binding, fit_functional
+    from .functionals import _columns, evaluate_binding, fit_functional
 
     summaries = tuple(summaries)
-    tau_fit = fit_functional(data, tau)
+    tau_fit = _columns(fit_functional(data, tau), tau)
     binding = [desc for s in summaries for desc in s.binding]
     if binding:
         beta_int, eta = evaluate_binding(data, binding)
@@ -274,15 +274,15 @@ def _fused(
     """EFF on the summary coordinates `keep` (global, 0-based), tagged `method`.
 
     On the empty set this is the internal-only estimate, flagged by
-    `empty_note`, with the rho of all sources; otherwise rho counts the
-    sources holding a kept coordinate.
+    `empty_note`. rho counts the sources holding a kept coordinate, so it is
+    0.0 on the empty set.
     """
     keep = _coordinates(keep, inputs.q)
     calib = inputs._calibration.restrict(keep)
     warn: list = []
     gain, estimate, avar = calib.fuse(warn)
     owner = [i for i, s in enumerate(inputs.summaries) for _ in range(s.q)]
-    used = {owner[j] for j in keep} if keep else range(len(inputs.summaries))
+    used = {owner[j] for j in keep}
     rho = sum(inputs.summaries[i].m for i in used) / inputs.n
     note = "" if keep else empty_note
     return _build_result(method, inputs, calib, gain, estimate, avar, rho, level, warn, note)

@@ -174,8 +174,12 @@ class FunctionalKind(str, Enum):
 class FunctionalDescriptor:
     """Names a functional kind plus the column arguments it acts on.
 
+    Each kind's arguments, their positional order and which are required are
+    in one table, `_ARGS`; their names are the keyword names of the kind's
+    fitter. Unknown or missing arguments raise MalformedInput.
     `component` optionally restricts a multi-coefficient fit (joint OLS) to a
-    single 0-based coefficient, so a summary can report part of a fit.
+    single 0-based coefficient (an integer, not a bool): a summary then
+    reports part of a fit, and a target estimates that one coefficient.
     `glm_marginal` with the identity link is stored as the `marginal_ols` it
     equals; any other link raises UnsupportedFunctional.
     """
@@ -185,20 +189,19 @@ class FunctionalDescriptor:
     component: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", FunctionalKind(self.kind))
-        object.__setattr__(self, "args", dict(self.args))
-        if self.kind is FunctionalKind.GLM_MARGINAL:
-            link = self.args.pop("link", "identity")
-            if link != "identity":
-                raise UnsupportedFunctional(f"glm_marginal link {link!r} is not implemented")
-            object.__setattr__(self, "kind", FunctionalKind.MARGINAL_OLS)
-        _validate_args(self.kind, self.args)
+        kind = FunctionalKind(self.kind)
+        args = _validate_args(kind, self.args)
+        if kind is FunctionalKind.GLM_MARGINAL:
+            args.pop("link", None)
+            kind = FunctionalKind.MARGINAL_OLS
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "args", args)
         if self.component is not None:
+            component = int(_integer("component", self.component, 0))
             width = self._base_width()
-            if not isinstance(self.component, int) or not 0 <= self.component < width:
-                raise MalformedInput(
-                    f"component {self.component!r} out of range for width {width}"
-                )
+            if component >= width:
+                raise MalformedInput(f"component {component!r} out of range for width {width}")
+            object.__setattr__(self, "component", component)
 
     def _base_width(self) -> int:
         if self.kind is FunctionalKind.JOINT_OLS:
@@ -229,6 +232,9 @@ class FunctionalDescriptor:
     def from_json(cls, obj) -> "FunctionalDescriptor":
         if not isinstance(obj, Mapping) or "functional" not in obj:
             raise MalformedInput(f"descriptor must be an object with 'functional': {obj!r}")
+        extra = set(obj) - {"functional", "args", "component"}
+        if extra:
+            raise MalformedInput(f"unknown descriptor keys {sorted(extra)}")
         try:
             kind = FunctionalKind(obj["functional"])
         except ValueError:
@@ -242,85 +248,76 @@ class FunctionalDescriptor:
         return cls(kind=kind, args=args, component=component)
 
 
-def _validate_args(kind: FunctionalKind, args: dict):
-    def need_str(key):
-        if not isinstance(args.get(key), str):
-            raise MalformedInput(f"{kind.value} requires string arg {key!r}")
+def _col(kind, key, value):
+    if not isinstance(value, str):
+        raise MalformedInput(f"{kind.value} requires string arg {key!r}")
+    return value
 
-    def need_str_list(key):
-        val = args.get(key)
-        if (
-            not isinstance(val, (list, tuple))
-            or not val
-            or not all(isinstance(v, str) for v in val)
-        ):
-            raise MalformedInput(f"{kind.value} requires non-empty name list {key!r}")
-        args[key] = list(val)
 
-    allowed = {
-        FunctionalKind.MEAN: {"column", "where"},
-        FunctionalKind.JOINT_OLS: {"outcome", "regressors", "intercept"},
-        FunctionalKind.MARGINAL_OLS: {"outcome", "regressor"},
-        FunctionalKind.AIPW_ATE: {"outcome", "treatment", "covariates"},
-    }[kind]
-    extra = set(args) - allowed
+def _cols(kind, key, value):
+    if not (isinstance(value, (list, tuple)) and value and all(isinstance(v, str) for v in value)):
+        raise MalformedInput(f"{kind.value} requires non-empty name list {key!r}")
+    return list(value)
+
+
+def _bool(kind, key, value):
+    if not isinstance(value, bool):
+        raise MalformedInput(f"{kind.value} {key!r} must be a boolean")
+    return value
+
+
+def _where(kind, key, where):
+    if where is None:
+        return None
+    if (
+        not isinstance(where, Mapping)
+        or set(where) != {"column", "equals"}
+        or not isinstance(where["column"], str)
+        or not isinstance(where["equals"], (int, float))
+        or isinstance(where["equals"], bool)
+    ):
+        raise MalformedInput("mean 'where' must be {'column': name, 'equals': number}")
+    return {"column": where["column"], "equals": float(where["equals"])}
+
+
+def _link(kind, key, link):
+    if link != "identity":
+        raise UnsupportedFunctional(f"glm_marginal link {link!r} is not implemented")
+    return link
+
+
+# Each kind's arguments in positional order as (name, check), after the number
+# of leading ones that are required. The names are the keyword names of the
+# kind's fitter; a check returns the canonical value or raises.
+_ARGS = {
+    FunctionalKind.MEAN: (1, (("column", _col), ("where", _where))),
+    FunctionalKind.JOINT_OLS: (2, (("outcome", _col), ("regressors", _cols), ("intercept", _bool))),
+    FunctionalKind.MARGINAL_OLS: (2, (("outcome", _col), ("regressor", _col))),
+    FunctionalKind.AIPW_ATE: (3, (("outcome", _col), ("treatment", _col), ("covariates", _cols))),
+    FunctionalKind.GLM_MARGINAL: (2, (("outcome", _col), ("regressor", _col), ("link", _link))),
+}
+
+
+def _validate_args(kind: FunctionalKind, args: Mapping) -> dict:
+    """Canonical copy of `args` (in the caller's key order) checked against
+    the kind's table entry; a missing required argument fails its check."""
+    required, spec = _ARGS[kind]
+    extra = set(args) - {name for name, _ in spec}
     if extra:
         raise MalformedInput(f"{kind.value} got unexpected args {sorted(extra)}")
-
-    if kind is FunctionalKind.MEAN:
-        need_str("column")
-        where = args.get("where")
-        if where is not None:
-            if (
-                not isinstance(where, Mapping)
-                or set(where) != {"column", "equals"}
-                or not isinstance(where["column"], str)
-                or not isinstance(where["equals"], (int, float))
-                or isinstance(where["equals"], bool)
-            ):
-                raise MalformedInput(
-                    "mean 'where' must be {'column': name, 'equals': number}"
-                )
-            args["where"] = {"column": where["column"], "equals": float(where["equals"])}
-    elif kind is FunctionalKind.JOINT_OLS:
-        need_str("outcome")
-        need_str_list("regressors")
-        if "intercept" in args and not isinstance(args["intercept"], bool):
-            raise MalformedInput("joint_ols 'intercept' must be a boolean")
-    elif kind is FunctionalKind.MARGINAL_OLS:
-        need_str("outcome")
-        need_str("regressor")
-    elif kind is FunctionalKind.AIPW_ATE:
-        need_str("outcome")
-        need_str("treatment")
-        need_str_list("covariates")
+    out = dict(args)
+    for i, (name, check) in enumerate(spec):
+        if i < required or name in out:
+            out[name] = check(kind, name, out.get(name))
+    return out
 
 
 def _args_from_list(kind: FunctionalKind, args: list) -> dict:
     """Positional args accepted on parse; canonical form is the keyed object."""
-    try:
-        if kind is FunctionalKind.MEAN:
-            out = {"column": args[0]}
-            if len(args) > 1:
-                out["where"] = args[1]
-            return out
-        if kind is FunctionalKind.JOINT_OLS:
-            out = {"outcome": args[0], "regressors": args[1]}
-            if len(args) > 2:
-                out["intercept"] = args[2]
-            return out
-        if kind is FunctionalKind.MARGINAL_OLS:
-            return {"outcome": args[0], "regressor": args[1]}
-        if kind is FunctionalKind.AIPW_ATE:
-            return {"outcome": args[0], "treatment": args[1], "covariates": args[2]}
-        if kind is FunctionalKind.GLM_MARGINAL:
-            out = {"outcome": args[0], "regressor": args[1]}
-            if len(args) > 2:
-                out["link"] = args[2]
-            return out
-    except IndexError:
-        pass
-    raise MalformedInput(f"positional args {args!r} do not fit {kind.value}")
+    required, spec = _ARGS[kind]
+    if not required <= len(args) <= len(spec):
+        raise MalformedInput(f"positional args {args!r} do not fit {kind.value}")
+    return dict(zip((name for name, _ in spec), args))
 
 
 def binding_width(binding: Sequence[FunctionalDescriptor]) -> int:

@@ -331,7 +331,7 @@ def _replicate(config: ScenarioConfig, rep_seed: np.random.SeedSequence):
             config.n, config.m, config.scenario == "II_biased", rng, config.tau
         )
     inputs = prepare_inputs(internal, _tau_descriptor(config.scenario), [summary])
-    debias = replace(config.debias, seed=cv_seed)
+    debias = replace(config.debias, seed=cv_seed) if "DBS" in config.methods else None
     out = {}
     for name in config.methods:
         result, selection = _run_method(

@@ -88,7 +88,7 @@ def test_empty_subset_is_the_internal_only_formula(instance):
     for result in (_fused(inputs, (), Method.INT), estimate_int(inputs)):
         assert np.array_equal(result.estimate, inputs.tau_fit.estimate)
         assert np.array_equal(result.avar, sym(phi.T @ phi / inputs.n))
-        assert result.gain.shape == (inputs.p, 0) and result.rho == inputs.rho
+        assert result.gain.shape == (inputs.p, 0) and result.rho == 0.0
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,12 +1,18 @@
 """Command-line interface: flags, files, exit codes, stderr contract."""
 
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from datafuse import FunctionalKind
 from datafuse.cli import main
+from datafuse.model import _ARGS
 
 TAU_MEAN_Y = json.dumps({"functional": "mean", "args": {"column": "Y"}})
 
@@ -500,3 +506,84 @@ def test_bad_config_values_and_seeds_exit_2(tmp_path, capsys, case):
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert _stderr_kind(err) == "MalformedInput"
+
+
+_FUZZ_NAMES = st.sampled_from(["Y", "X", "T", "Y", "X", "T", "missing"])
+_FUZZ_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(-3.0, 3.0) | _FUZZ_NAMES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["column", "equals", "other"]), inner, max_size=2),
+    max_leaves=4,
+)
+# a value of the right type for each argument name
+_FUZZ_TYPED = {
+    "regressors": st.lists(_FUZZ_NAMES, min_size=1, max_size=2),
+    "covariates": st.lists(_FUZZ_NAMES, min_size=1, max_size=2),
+    "where": st.fixed_dictionaries({"column": _FUZZ_NAMES, "equals": st.sampled_from([0, 1, 0.5])}),
+    "intercept": st.booleans(),
+    "link": st.sampled_from(["identity", "logit"]),
+}
+
+
+@st.composite
+def _fuzz_tau(draw):
+    """A --tau descriptor object: a kind (or an unknown one), keyed or
+    positional args of about the right count, each mostly of the right type
+    and otherwise any JSON value, maybe a component and maybe a stray key."""
+    kind = draw(st.sampled_from([k.value for k in FunctionalKind] + ["spline"]))
+    required, spec = _ARGS[FunctionalKind(kind)] if kind != "spline" else (0, ())
+    names = [n for n, _ in spec] + ["junk"]
+    if draw(st.integers(0, 4)):
+        count = draw(st.integers(required, len(spec)))
+    else:
+        count = draw(st.integers(max(required - 1, 0), len(names)))
+    values = [
+        draw(_FUZZ_TYPED.get(name, _FUZZ_NAMES) if draw(st.integers(0, 9)) else _FUZZ_VALUES)
+        for name in names[:count]
+    ]
+    args = values if draw(st.booleans()) else dict(zip(names, values))
+    obj = {"functional": kind, "args": args}
+    if draw(st.integers(0, 2)) == 0:
+        obj["component"] = draw(st.integers(-1, 2) if draw(st.integers(0, 4)) else _FUZZ_VALUES)
+    if draw(st.integers(0, 9)) == 0:
+        obj["extra"] = 1
+    return obj
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(16)
+    t = np.tile([0.0, 1.0], 8)
+    y = 1.0 + x + 0.5 * t + rng.standard_normal(16)
+    internal = root / "internal.csv"
+    rows = ["X,T,Y"] + [f"{float(a)!r},{float(b)!r},{float(c)!r}" for a, b, c in zip(x, t, y)]
+    internal.write_text("\n".join(rows) + "\n")
+    summary = root / "summary.json"
+    summary.write_text(json.dumps({
+        "beta": [0.1], "sigma1": [[1.0]], "m": 40,
+        "binding": [{"functional": "mean", "args": {"column": "X"}}],
+    }))
+    return str(internal), str(summary)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tau=_fuzz_tau(), method=st.sampled_from(["int", "eff", "crd", "dbs"]))
+def test_estimate_fuzzed_tau_exits_0_2_or_3(fuzz_files, tau, method):
+    # every --tau gives a result (one coefficient when a component is set) or
+    # a typed error: exit 2 or 3, nothing on stdout, one JSON error on stderr
+    internal, summary = fuzz_files
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["estimate", "--internal", internal, "--summary", summary,
+                     "--tau", json.dumps(tau), "--method", method])
+    assert code in (0, 2, 3)
+    if code == 0:
+        result = json.loads(out.getvalue())
+        if tau.get("component") is not None:
+            assert len(result["estimate"]) == 1
+    else:
+        assert out.getvalue() == ""
+        payload = json.loads(err.getvalue())
+        assert list(payload) == ["error"] and set(payload["error"]) == {"kind", "detail"}

@@ -428,3 +428,24 @@ def test_estimate_dbs_keeps_unbiased_summaries():
         _, sel = estimate_dbs(inputs, DebiasConfig(seed=cv_seed))
         hits += sel.selected == (0, 1)
     assert hits >= int(0.85 * reps)
+
+
+def test_target_component_selects_one_coefficient():
+    # a joint_ols target with component=1 is coefficient 1 of the full fit, in
+    # the calibration and in the cross-validation refits alike
+    rng = np.random.default_rng(17)
+    n = 300
+    x = rng.standard_normal(n)
+    y = 1.0 + 2.0 * x + rng.standard_normal(n)
+    data = validate_dataset({"X": x, "Y": y}, outcome="Y")
+    mean_x = FunctionalDescriptor(FunctionalKind.MEAN, {"column": "X"})
+    summary = validate_summary([0.01], [[1.0]], 1000, [mean_x])
+    tau = FunctionalDescriptor(FunctionalKind.JOINT_OLS, {"outcome": "Y", "regressors": ["X"]})
+    full = prepare_inputs(data, tau, [summary])
+    part = prepare_inputs(data, tau.with_component(1), [summary])
+    for run in (estimate_int, lambda inputs: estimate_dbs(inputs)[0]):
+        whole, one = run(full), run(part)
+        assert one.estimate.shape == (1,) and one.se.shape == (1,)
+        np.testing.assert_allclose(one.estimate, whole.estimate[1:], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(one.se, whole.se[1:], rtol=1e-12, atol=0)
+    assert estimate_dbs(part)[1].selected == estimate_dbs(full)[1].selected == (0,)

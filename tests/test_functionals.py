@@ -1,5 +1,6 @@
 """Influence-function fitters: frozen values, identities, and sampling checks."""
 
+import inspect
 import math
 
 import numpy as np
@@ -19,7 +20,8 @@ from datafuse import (
     fit_mean,
     validate_dataset,
 )
-from datafuse.functionals import _ols_fit
+from datafuse.functionals import _FITTERS, _ols_fit
+from datafuse.model import _ARGS
 from datafuse.errors import (
     DegenerateRegressor,
     EmptyArm,
@@ -357,6 +359,22 @@ def test_fit_functional_dispatch():
         FunctionalDescriptor(
             FunctionalKind.GLM_MARGINAL, {"outcome": "Y", "regressor": "X", "link": "logit"}
         )
+
+
+def test_every_kind_has_a_fitter_taking_its_table_arguments():
+    # glm_marginal is the one alias: its descriptor is stored as marginal_ols
+    assert set(_FITTERS) == set(FunctionalKind) - {FunctionalKind.GLM_MARGINAL}
+    for kind, fitter in _FITTERS.items():
+        required, spec = _ARGS[kind]
+        params = dict(inspect.signature(fitter).parameters)
+        assert next(iter(params)) == "data"
+        del params["data"]
+        names = [name for name, _ in spec]
+        extra = {"trim"} if kind is FunctionalKind.AIPW_ATE else set()
+        assert set(params) == set(names) | extra
+        # the table's required arguments are the fitter's ones without a default
+        no_default = [n for n, p in params.items() if p.default is inspect.Parameter.empty]
+        assert no_default == names[:required]
 
 
 def test_evaluate_binding_mean_column():

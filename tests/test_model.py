@@ -6,6 +6,8 @@ import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import datafuse
 from datafuse import (
@@ -36,7 +38,7 @@ from datafuse.errors import (
     NotPositiveDefinite,
     RaggedColumns,
 )
-from datafuse.model import binding_width, expand_binding
+from datafuse.model import _ARGS, _bool, _col, _cols, _link, _where, binding_width, expand_binding
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +164,83 @@ def test_descriptor_component_bounds():
         FunctionalDescriptor(FunctionalKind.JOINT_OLS, base, component=3)
     with pytest.raises(MalformedInput):
         FunctionalDescriptor(FunctionalKind.MEAN, {"column": "X"}, component=1)
+
+
+_JOINT = {"functional": "joint_ols", "args": {"outcome": "Y", "regressors": ["X"]}}
+
+
+@pytest.mark.parametrize(
+    "obj, component",
+    [
+        ({"functional": "mean", "args": ["Y", None, "junk"]}, None),
+        ({"functional": "joint_ols", "args": ["Y", ["X"], True, "junk"]}, None),
+        ({"functional": "marginal_ols", "args": ["Y", "X1", "junk"]}, None),
+        ({"functional": "aipw_ate", "args": ["Y", "T", ["X"], "junk"]}, None),
+        ({"functional": "glm_marginal", "args": ["Y", "X", "identity", "junk"]}, None),
+        ({"functional": "mean", "args": {"column": "Y"}, "extra": 1}, None),
+        ({**_JOINT, "componnet": 1}, None),
+        ({**_JOINT, "component": True}, None),
+        ({**_JOINT, "component": np.int64(1)}, 1),
+    ],
+    ids=["mean-extra", "joint-extra", "marginal-extra", "aipw-extra", "glm-extra",
+         "unknown-key", "typo-key", "bool-component", "numpy-component"],
+)
+def test_descriptor_parse_rejects_malformed_input(obj, component):
+    # component None: the input is malformed; else the component it reads as
+    if component is None:
+        with pytest.raises(MalformedInput):
+            FunctionalDescriptor.from_json(obj)
+        return
+    desc = FunctionalDescriptor.from_json(obj)
+    assert desc.component == component and type(desc.component) is int
+    assert json.loads(json.dumps(desc.to_json()))["component"] == component
+
+
+_NAMES = st.sampled_from(["Y", "X", "T", "Z1"])
+_VALID = {
+    _col: _NAMES,
+    _cols: st.lists(_NAMES, min_size=1, max_size=3),
+    _bool: st.booleans(),
+    _where: st.none() | st.fixed_dictionaries(
+        {"column": _NAMES, "equals": st.integers(-2, 2) | st.floats(-2.0, 2.0)}
+    ),
+    _link: st.just("identity"),
+}
+
+
+@st.composite
+def _descriptor_cases(draw):
+    """(kind, valid values of its table arguments in positional order, the
+    number of them given, component or None)."""
+    kind = draw(st.sampled_from(list(FunctionalKind)))
+    required, spec = _ARGS[kind]
+    values = [draw(_VALID[check]) for _, check in spec]
+    count = draw(st.integers(required, len(spec)))
+    width = 1
+    if kind is FunctionalKind.JOINT_OLS:
+        width = len(values[1]) + int(values[2] if count == 3 else True)
+    component = draw(st.none() | st.integers(0, width - 1))
+    return kind, values, count, component
+
+
+@settings(max_examples=300, deadline=None)
+@given(_descriptor_cases())
+def test_keyed_and_positional_args_read_the_same_table(case):
+    kind, values, count, component = case
+    names = [name for name, _ in _ARGS[kind][1]]
+    extra = {} if component is None else {"component": component}
+    keyed = {"functional": kind.value, "args": dict(zip(names, values[:count])), **extra}
+    positional = {"functional": kind.value, "args": values[:count], **extra}
+    desc = FunctionalDescriptor.from_json(keyed)
+    assert FunctionalDescriptor.from_json(positional) == desc
+    text = json.dumps(desc.to_json())
+    again = FunctionalDescriptor.from_json(json.loads(text))
+    assert again == desc and json.dumps(again.to_json()) == text
+    assert again.group_key() == desc.group_key()
+    required = _ARGS[kind][0]
+    for bad in (values[: required - 1], values + ["junk"]):
+        with pytest.raises(MalformedInput):
+            FunctionalDescriptor.from_json({"functional": kind.value, "args": bad})
 
 
 def test_expand_binding_enumerates_components():
