@@ -32,10 +32,12 @@ from .errors import (
     RankDeficientDesign,
 )
 from .model import Method, SelectionResult, _integer, _real, _reals, _seed
-# restrict_inputs stays bound for bench/layers.py, which patches it here
+# prepare_inputs and restrict_inputs stay bound for bench/layers.py, which
+# patches them here
 from .fusion import (  # noqa: F401
     FusionInputs,
     _fused,
+    _prepare,
     estimate_crude,
     estimate_eff,
     estimate_int,
@@ -349,12 +351,8 @@ def cv_tune(
         train[test_rows] = False
         train_rows = np.flatnonzero(train)
         try:
-            tau_test = _fit_tau(inputs, test_rows)
-            train_inputs = prepare_inputs(
-                inputs.data.subset(train_rows),
-                inputs.tau,
-                inputs.summaries,
-                omega_override=inputs.omega_override,
+            tau_test, train_inputs = _fold_fits(
+                inputs, test_rows, train_rows, inputs.tau_fit._propensity
             )
             x, y = whiten(train_inputs)
         except DataFuseError as exc:
@@ -374,10 +372,27 @@ def cv_tune(
     return grid[best], trace
 
 
-def _fit_tau(inputs: FusionInputs, rows) -> np.ndarray:
-    from .functionals import _columns, fit_functional
+def _fold_fits(inputs: FusionInputs, test_rows, train_rows, start):
+    """The target estimate on the test rows and the FusionInputs of the train
+    rows, with an aipw_ate target's propensity Newton started at `start`,
+    the full-data coefficient. A start moves the fits by round-off only; if
+    the fits raise from it they are re-run from zero, so a fold fails with
+    the error of the cold fits."""
+    try:
+        return _fit_tau(inputs, test_rows, start), _prepare(
+            inputs.data.subset(train_rows), inputs.tau, inputs.summaries,
+            inputs.omega_override, start,
+        )
+    except DataFuseError:
+        if start is None:
+            raise
+    return _fold_fits(inputs, test_rows, train_rows, None)
 
-    return _columns(fit_functional(inputs.data.subset(rows), inputs.tau), inputs.tau).estimate
+
+def _fit_tau(inputs: FusionInputs, rows, start=None) -> np.ndarray:
+    from .functionals import _columns, _refit
+
+    return _columns(_refit(inputs.data.subset(rows), inputs.tau, start), inputs.tau).estimate
 
 
 def estimate_dbs(inputs: FusionInputs, config: DebiasConfig = None, level: float = 0.95):

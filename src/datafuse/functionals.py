@@ -121,10 +121,11 @@ def _bernoulli_loglik(y: np.ndarray, linpred: np.ndarray) -> float:
     return float(np.sum(y * linpred - np.logaddexp(0.0, linpred)))
 
 
-def _newton_logistic(design: np.ndarray, y: np.ndarray, context: str) -> np.ndarray:
-    """Damped Newton MLE; stops when max |score| < 1e-10 or 100 iterations."""
+def _newton_logistic(design: np.ndarray, y: np.ndarray, context: str, start=None) -> np.ndarray:
+    """Damped Newton MLE from `start` (zero if None); stops when
+    max |score| < 1e-10 or after 100 iterations."""
     check_full_rank(design, RankDeficientDesign, context)
-    coef = np.zeros(design.shape[1])
+    coef = np.zeros(design.shape[1]) if start is None else start
     linpred = design @ coef
     loglik = _bernoulli_loglik(y, linpred)
     for _ in range(LOGISTIC_MAX_ITER):
@@ -187,6 +188,13 @@ def fit_aipw_ate(
     covariates within each arm. Fitted propensities are trimmed to
     [trim, 1 - trim] before weighting.
     """
+    return _fit_aipw(data, outcome, treatment, covariates, trim)
+
+
+def _fit_aipw(data, outcome, treatment, covariates, trim=PROPENSITY_TRIM, start=None):
+    """fit_aipw_ate with the propensity Newton started at `start` (zero if
+    None or of another length). The fit keeps its propensity coefficient as
+    `_propensity`, a start for refits of the same model on other rows."""
     y = data.column(outcome)
     t = data.column(treatment)
     if not np.all((t == 0.0) | (t == 1.0)):
@@ -197,8 +205,10 @@ def fit_aipw_ate(
     cols = [data.column(name) for name in covariates]
     design = np.column_stack([np.ones(data.n)] + cols)
 
+    if start is not None and start.shape != (design.shape[1],):
+        start = None
     try:
-        prop_coef = _newton_logistic(design, t, f"propensity({treatment})")
+        prop_coef = _newton_logistic(design, t, f"propensity({treatment})", start)
     except Separation as exc:
         raise PropensityDegenerate(str(exc)) from exc
     prop = np.clip(expit(design @ prop_coef), trim, 1.0 - trim)
@@ -215,11 +225,13 @@ def fit_aipw_ate(
         - mu[:, 0]
     )
     est = float(transform.mean())
-    return FunctionalFit(
+    fit = FunctionalFit(
         np.array([est]),
         (transform - est)[:, None],
         label=f"aipw_ate({outcome}~{treatment}|{'+'.join(covariates)})",
     )
+    object.__setattr__(fit, "_propensity", prop_coef)
+    return fit
 
 
 _FITTERS = {
@@ -238,6 +250,14 @@ def fit_functional(data: InternalDataset, desc: FunctionalDescriptor) -> Functio
     return _FITTERS[desc.kind](data, **desc.args)
 
 
+def _refit(data: InternalDataset, desc: FunctionalDescriptor, start=None) -> FunctionalFit:
+    """fit_functional, with the propensity Newton of an aipw_ate fit started
+    at `start`, the `_propensity` of a fit of the same model on other rows."""
+    if start is None or desc.kind is not FunctionalKind.AIPW_ATE:
+        return fit_functional(data, desc)
+    return _fit_aipw(data, **desc.args, start=start)
+
+
 def evaluate_binding(data: InternalDataset, binding):
     """Fit every descriptor of a binding against the internal data.
 
@@ -245,12 +265,12 @@ def evaluate_binding(data: InternalDataset, binding):
     then slices the shared fit. Returns (estimates, influence matrix) with
     one column per summary coordinate, ordered as the binding lists them.
     """
+    keys = [desc.group_key() for desc in binding]
     fits = {}
-    for desc in binding:
-        key = desc.group_key()
+    for desc, key in zip(binding, keys):
         if key not in fits:
             fits[key] = fit_functional(data, desc)
-    parts = [_columns(fits[desc.group_key()], desc) for desc in binding]
+    parts = [_columns(fits[key], desc) for desc, key in zip(binding, keys)]
     return np.concatenate([f.estimate for f in parts]), np.hstack([f.influence for f in parts])
 
 

@@ -158,10 +158,15 @@ def prepare_inputs(
     omega_override=None,
 ) -> FusionInputs:
     """Fit the target functional and all summary bindings on one dataset."""
-    from .functionals import _columns, evaluate_binding, fit_functional
+    return _prepare(data, tau, summaries, omega_override)
+
+
+def _prepare(data, tau, summaries, omega_override=None, start=None) -> FusionInputs:
+    """prepare_inputs, with the target refitted from `start` (functionals._refit)."""
+    from .functionals import _columns, _refit, evaluate_binding
 
     summaries = tuple(summaries)
-    tau_fit = _columns(fit_functional(data, tau), tau)
+    tau_fit = _columns(_refit(data, tau, start), tau)
     binding = [desc for s in summaries for desc in s.binding]
     if binding:
         beta_int, eta = evaluate_binding(data, binding)

@@ -11,6 +11,7 @@ Indices in machine formats are 0-based.
 """
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -300,7 +301,8 @@ _ARGS = {
 
 def _validate_args(kind: FunctionalKind, args: Mapping) -> dict:
     """Canonical copy of `args` (in the caller's key order) checked against
-    the kind's table entry; a missing required argument fails its check."""
+    the kind's table entry; a missing required argument fails its check and
+    an optional one whose check returns None is dropped."""
     required, spec = _ARGS[kind]
     extra = set(args) - {name for name, _ in spec}
     if extra:
@@ -309,6 +311,8 @@ def _validate_args(kind: FunctionalKind, args: Mapping) -> dict:
     for i, (name, check) in enumerate(spec):
         if i < required or name in out:
             out[name] = check(kind, name, out.get(name))
+            if out[name] is None:  # a null `where`, the same as none
+                del out[name]
     return out
 
 
@@ -419,6 +423,9 @@ class FunctionalFit:
     estimate: np.ndarray
     influence: np.ndarray
     label: str = ""
+    # set on an aipw_ate fit to its propensity coefficient, which refits of
+    # the same model on other rows start from; not part of the fit's value
+    _propensity = None
 
     def __post_init__(self):
         estimate = np.atleast_1d(np.asarray(self.estimate, dtype=float))
@@ -428,10 +435,18 @@ class FunctionalFit:
                 f"influence shape {influence.shape} does not match "
                 f"estimate length {estimate.shape[0]}"
             )
-        if not np.all(np.isfinite(estimate)) or not np.all(np.isfinite(influence)):
-            raise NonFiniteValue(f"fit {self.label!r} contains non-finite values")
-        means = influence.mean(axis=0)
-        stds = influence.std(axis=0)
+        n = influence.shape[0]
+        squares = np.einsum("ij,ij->j", influence, influence)
+        if n and np.all(np.isfinite(squares)) and np.all(np.isfinite(estimate)):
+            # finite sums of squares: every value is finite, so one pass over
+            # the columns gives their means and standard deviations
+            means = np.einsum("ij->j", influence) / n
+            stds = np.sqrt(np.maximum(squares / n - means * means, 0.0))
+        else:
+            if not np.all(np.isfinite(estimate)) or not np.all(np.isfinite(influence)):
+                raise NonFiniteValue(f"fit {self.label!r} contains non-finite values")
+            means = influence.mean(axis=0)
+            stds = influence.std(axis=0)
         bad = np.abs(means) > MEAN_ZERO_TOL * (stds + 1.0)
         if np.any(bad):
             raise DimensionMismatch(
@@ -489,6 +504,8 @@ class FusionResult:
 
     def __post_init__(self):
         avar = np.asarray(self.avar, dtype=float)
+        if not np.all(np.isfinite(avar)):
+            raise NonFiniteValue("avar is not finite: the influence moments overflow")
         scale = AVAR_TOL * (1.0 + (np.max(np.abs(avar)) if avar.size else 0.0))
         if max_asymmetry(avar) > scale:
             raise DimensionMismatch("avar is not symmetric")
@@ -564,6 +581,62 @@ def read_internal_csv(
     treatment: Optional[str] = None,
     covariates: Sequence[str] = (),
 ) -> InternalDataset:
+    """Dataset from a UTF-8 CSV with a header row of distinct names and one
+    number per cell (anything Python's float() reads, then validated)."""
+    data = _read_columns_fast(path)
+    if data is None:
+        data = _read_columns_csv(path)
+    return validate_dataset(data, outcome=outcome, treatment=treatment, covariates=covariates)
+
+
+def _read_columns_fast(path):
+    """The columns _read_columns_csv would return, parsed by np.loadtxt, or
+    None when that parse might differ from it; the caller then runs it.
+
+    Taken only when the header line has no quote character, the body is not
+    empty, no line is longer than the csv module's field limit, no byte is
+    0x1c-0x1f (whitespace to loadtxt, not to float()) and loadtxt returns
+    one row of header width per line of the body: loadtxt skips blank
+    lines, which the csv reader returns as empty (ragged) rows. Otherwise
+    loadtxt reads a number exactly when float() does, to the same bits.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        if any(sep in raw for sep in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+            return None
+        # line ends as the csv reader sees them: \n, \r and \r\n
+        codes = np.frombuffer(raw, np.uint8)
+        ends = codes == 10
+        if b"\r" in raw:
+            cr = codes == 13
+            cr[:-1] &= ~ends[1:]  # the \r of a \r\n ends no line of its own
+            ends |= cr
+        ends = np.flatnonzero(ends)
+        if ends.size == 0:
+            return None
+        if np.max(np.diff(ends, append=len(raw))) > csv.field_size_limit():
+            return None
+        header_line = raw[: ends[0]].removesuffix(b"\r").decode("utf-8")
+        if '"' in header_line:
+            return None
+        header = next(csv.reader([header_line]))
+        if not header or len(set(header)) != len(header):
+            return None
+        body = raw[ends[0] + 1 :].decode("utf-8")
+        if not body.strip("\r\n"):  # loadtxt warns on finding no rows
+            return None
+        values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2, dtype=float)
+    except (OSError, ValueError, csv.Error):
+        return None
+    lines = ends.size - 1 + int(ends[-1] != len(raw) - 1)
+    if values.shape != (lines, len(header)):
+        return None
+    return {name: values[:, j] for j, name in enumerate(header)}
+
+
+def _read_columns_csv(path) -> dict:
+    """Columns of the CSV as lists of floats, one csv row and float() per cell."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -571,6 +644,8 @@ def read_internal_csv(
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise MalformedInput(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise MalformedInput(f"{path}: {exc}") from None
     if not rows:
         raise MalformedInput(f"{path}: empty file")
     header = rows[0]
@@ -588,7 +663,7 @@ def read_internal_csv(
                 raise MalformedInput(
                     f"{path}: row {i}, column {name!r}: not a number: {cell!r}"
                 ) from None
-    return validate_dataset(data, outcome=outcome, treatment=treatment, covariates=covariates)
+    return data
 
 
 def summary_to_dict(summary: SummaryStatistic) -> dict:

@@ -348,6 +348,19 @@ def _replicate(config: ScenarioConfig, rep_seed: np.random.SeedSequence):
     return truth["tau"], out
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (the affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_size(threads: int, reps: int, cpus: int) -> int:
+    """Workers for `reps` replications at `--threads threads`: no more than
+    there are replications or usable CPUs, and at least one."""
+    return max(1, min(threads, reps, cpus))
+
+
 def run_replications(config: ScenarioConfig, threads: int = 1) -> SimulationResult:
     """Run the configured replications and aggregate the reference metrics.
 
@@ -365,8 +378,9 @@ def run_replications(config: ScenarioConfig, threads: int = 1) -> SimulationResu
             return rep, None, exc
 
     jobs = list(enumerate(seeds))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = _pool_size(threads, config.reps, _usable_cpus())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(worker, jobs))
     else:
         outcomes = [worker(job) for job in jobs]

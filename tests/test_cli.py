@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from datafuse import FunctionalKind
 from datafuse.cli import main
 from datafuse.model import _ARGS
+from helpers import CSV_ODD_CELLS, csv_files
 
 TAU_MEAN_Y = json.dumps({"functional": "mean", "args": {"column": "Y"}})
 
@@ -583,6 +584,58 @@ def test_estimate_fuzzed_tau_exits_0_2_or_3(fuzz_files, tau, method):
         result = json.loads(out.getvalue())
         if tau.get("component") is not None:
             assert len(result["estimate"]) == 1
+    else:
+        assert out.getvalue() == ""
+        payload = json.loads(err.getvalue())
+        assert list(payload) == ["error"] and set(payload["error"]) == {"kind", "detail"}
+
+
+@st.composite
+def _fuzz_internal(draw):
+    """Bytes of an --internal CSV with columns X, T, Y: up to 24 rows of
+    mostly usable data (T mostly 0/1, values sometimes extreme or odd), or
+    one of the malformed files of helpers.csv_files."""
+    if draw(st.integers(0, 2)) == 0:
+        return draw(csv_files(names=("X", "T", "Y")))
+    value = st.one_of(
+        st.floats(-10.0, 10.0),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, 1.0, 1e-300, 1e300]),
+    ).map(repr)
+    arm = st.sampled_from(["0", "1", "0.0", "1.0"]) if draw(st.integers(0, 4)) else value
+    rows = [
+        [draw(value), draw(arm), draw(value)] for _ in range(draw(st.integers(0, 24)))
+    ]
+    if rows and draw(st.booleans()):
+        row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2))
+        rows[row][col] = draw(st.sampled_from(CSV_ODD_CELLS))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return (eol.join(["X,T,Y"] + [",".join(r) for r in rows]) + eol).encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    raw=_fuzz_internal(),
+    tau=st.sampled_from([
+        {"functional": "aipw_ate", "args": ["Y", "T", ["X"]]},
+        {"functional": "mean", "args": ["Y"]},
+        {"functional": "joint_ols", "args": ["Y", ["X", "T"]]},
+    ]),
+    method=st.sampled_from(["int", "eff", "dbs"]),
+)
+def test_estimate_fuzzed_internal_exits_0_2_or_3(fuzz_files, tmp_path_factory, raw, tau, method):
+    # every --internal file gives a result or a typed error: exit 2 or 3,
+    # nothing on stdout, one JSON error on stderr
+    _, summary = fuzz_files
+    internal = tmp_path_factory.getbasetemp() / "fuzz_internal.csv"
+    internal.write_bytes(raw)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["estimate", "--internal", str(internal), "--summary", summary,
+                     "--tau", json.dumps(tau), "--method", method])
+    assert code in (0, 2, 3)
+    if code == 0:
+        json.loads(out.getvalue())
     else:
         assert out.getvalue() == ""
         payload = json.loads(err.getvalue())

@@ -18,6 +18,7 @@ from datafuse import (
     estimate_eff,
     estimate_int,
     estimate_orc,
+    gen_scenario1,
     gen_scenario2,
     kfold_indices,
     prepare_inputs,
@@ -28,10 +29,12 @@ from datafuse import (
     validate_summary,
     whiten,
 )
+from datafuse import functionals
 from datafuse.errors import (
     DimensionMismatch,
     FoldTooSmall,
     MalformedInput,
+    PropensityDegenerate,
 )
 
 
@@ -331,6 +334,82 @@ def test_cv_tune_fold_failure_is_typed():
     inputs = prepare_inputs(data, tau, [summary])
     with pytest.raises(FoldTooSmall):
         cv_tune(inputs, [1.0], k=2, folds=[np.array([0, 1]), np.array([2, 3])])
+
+
+def _aipw_inputs(n=600, seed=5):
+    internal, summary, _ = gen_scenario1(n, n, np.random.default_rng(seed))
+    tau = FunctionalDescriptor(
+        FunctionalKind.AIPW_ATE, {"outcome": "Y", "treatment": "T", "covariates": ["X", "X2"]}
+    )
+    return prepare_inputs(internal, tau, [summary])
+
+
+def _without_start(inputs):
+    """The same inputs with a target fit that carries no propensity start."""
+    tau_fit = FunctionalFit(inputs.tau_fit.estimate, inputs.tau_fit.influence)
+    return FusionInputs(
+        tau_fit, inputs.beta_fit, inputs.summaries, inputs.omega_override, inputs.data, inputs.tau
+    )
+
+
+def _record_starts(monkeypatch) -> list:
+    starts = []
+    newton = functionals._newton_logistic
+
+    def recording(design, y, context, start=None):
+        starts.append(start is not None)
+        return newton(design, y, context, start)
+
+    monkeypatch.setattr(functionals, "_newton_logistic", recording)
+    return starts
+
+
+def test_cv_tune_warm_starts_aipw_fold_refits(monkeypatch):
+    starts = _record_starts(monkeypatch)
+    inputs = _aipw_inputs()
+    assert starts == [False]  # the full-data fit is cold
+    grid = DebiasConfig().grid_c
+    warm = cv_tune(inputs, grid, k=3, seed=4)
+    # per fold: the held-out target fit and the train-rows target fit
+    assert starts[1:] == [True] * 6
+    del starts[:]
+    cold = cv_tune(_without_start(inputs), grid, k=3, seed=4)
+    assert starts == [False] * 6
+    assert warm[0] == cold[0]
+    assert [c for c, _ in warm[1]] == [c for c, _ in cold[1]]
+    np.testing.assert_allclose([e for _, e in warm[1]], [e for _, e in cold[1]], rtol=1e-9, atol=0.0)
+
+
+def test_cv_tune_reruns_a_failing_warm_fold_cold(monkeypatch):
+    real = functionals._fit_aipw
+
+    def failing_warm(*args, start=None, **kwargs):
+        if start is not None:
+            raise PropensityDegenerate("warm start failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(functionals, "_fit_aipw", failing_warm)
+    inputs = _aipw_inputs(n=300)
+    assert cv_tune(inputs, [1.0, 10.0], seed=2) == cv_tune(_without_start(inputs), [1.0, 10.0], seed=2)
+    # a fold whose cold fit fails too reports the cold fit's error
+    monkeypatch.setattr(functionals, "_fit_aipw", real)
+    data = validate_dataset(
+        {"Y": [1.0, 2.0, 3.0, 4.0], "T": [0.0, 0.0, 1.0, 1.0], "X": [0.1, 0.4, 0.2, 0.3]}
+    )
+    tau = FunctionalDescriptor(
+        FunctionalKind.AIPW_ATE, {"outcome": "Y", "treatment": "T", "covariates": ["X"]}
+    )
+    summary = validate_summary(
+        [0.0], [[1.0]], 4, [FunctionalDescriptor(FunctionalKind.MEAN, {"column": "X"})]
+    )
+    small = prepare_inputs(data, tau, [summary])
+    folds = [np.array([0, 1]), np.array([2, 3])]
+    messages = []
+    for case in (small, _without_start(small)):
+        with pytest.raises(FoldTooSmall) as info:
+            cv_tune(case, [1.0], k=2, folds=folds)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_cv_tune_rejects_folds_outside_the_rows():

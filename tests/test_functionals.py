@@ -1,6 +1,7 @@
 """Influence-function fitters: frozen values, identities, and sampling checks."""
 
 import inspect
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from datafuse import (
     fit_mean,
     validate_dataset,
 )
+from datafuse import functionals
 from datafuse.functionals import _FITTERS, _ols_fit
 from datafuse.model import _ARGS
 from datafuse.errors import (
@@ -407,6 +409,22 @@ def test_evaluate_binding_matches_componentwise_fit():
     beta_parts, eta_parts = evaluate_binding(data, parts)
     np.testing.assert_allclose(beta_parts, full.estimate[[2, 0]], atol=1e-12)
     np.testing.assert_allclose(eta_parts, full.influence[:, [2, 0]], atol=1e-12)
+
+
+def test_null_where_is_the_mean_without_one(monkeypatch):
+    keyed = FunctionalDescriptor.from_json(
+        {"functional": "mean", "args": {"column": "Y", "where": None}}
+    )
+    positional = FunctionalDescriptor.from_json({"functional": "mean", "args": ["Y"]})
+    assert keyed == positional
+    assert keyed.group_key() == positional.group_key()
+    assert json.dumps(keyed.to_json()) == json.dumps(positional.to_json())
+    fits = []
+    real = functionals.fit_functional
+    monkeypatch.setattr(functionals, "fit_functional", lambda *a: fits.append(a) or real(*a))
+    beta, _ = evaluate_binding(_data(Y=[1.0, 2.0, 6.0]), [keyed, positional])
+    assert len(fits) == 1
+    np.testing.assert_array_equal(beta, [3.0, 3.0])
 
 
 def test_evaluate_binding_stacks_marginals():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import datafuse
+from helpers import csv_files
 from datafuse import (
     FunctionalDescriptor,
     FunctionalFit,
@@ -28,6 +29,7 @@ from datafuse import (
 )
 from datafuse.errors import (
     AsymmetricCovariance,
+    DataFuseError,
     DimensionMismatch,
     IoError,
     MalformedInput,
@@ -38,7 +40,19 @@ from datafuse.errors import (
     NotPositiveDefinite,
     RaggedColumns,
 )
-from datafuse.model import _ARGS, _bool, _col, _cols, _link, _where, binding_width, expand_binding
+from datafuse.model import (
+    _ARGS,
+    MEAN_ZERO_TOL,
+    _bool,
+    _col,
+    _cols,
+    _link,
+    _read_columns_csv,
+    _read_columns_fast,
+    _where,
+    binding_width,
+    expand_binding,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +340,71 @@ def test_functional_fit_shape_and_finite_checks():
         FunctionalFit([np.nan], np.zeros((4, 1)))
 
 
+def _two_pass_check(estimate, influence):
+    """The centering check as np.mean and np.std compute it: the error type
+    it raises (None if it passes) and each column's distance from its
+    boundary, relative to that boundary."""
+    if not np.all(np.isfinite(estimate)) or not np.all(np.isfinite(influence)):
+        return NonFiniteValue, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        means, stds = influence.mean(axis=0), influence.std(axis=0)
+        bound = MEAN_ZERO_TOL * (stds + 1.0)
+        distance = np.abs(np.abs(means) - bound) / bound
+    return (DimensionMismatch if np.any(np.abs(means) > bound) else None), distance
+
+
+@st.composite
+def _influence_columns(draw):
+    n = draw(st.integers(1, 40))
+    q = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = rng.standard_normal((n, q)) * 10.0 ** draw(st.floats(-8.0, 8.0))
+    cols -= cols.mean(axis=0)
+    kind = draw(st.sampled_from(["centered", "boundary", "offset", "huge", "non-finite"]))
+    bound = MEAN_ZERO_TOL * (cols.std(axis=0) + 1.0)
+    if kind == "boundary":
+        cols += bound * draw(st.floats(0.5, 1.5)) * rng.choice([-1.0, 1.0], size=q)
+    elif kind == "offset":
+        cols += 10.0 ** draw(st.floats(-12.0, 12.0)) * rng.choice([-1.0, 1.0], size=q)
+    elif kind == "huge":
+        cols[rng.integers(n), rng.integers(q)] = draw(st.sampled_from([1e155, -1e200, 1.7e308]))
+    elif kind == "non-finite":
+        cols[rng.integers(n), rng.integers(q)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return cols
+
+
+@settings(max_examples=400, deadline=None)
+@given(influence=_influence_columns())
+def test_one_pass_centering_check_decides_as_the_two_pass_check(influence):
+    # sums and sums of squares give the decision of np.mean and np.std except
+    # within round-off of the boundary; non-finite values and overflowing
+    # squares take the two-pass check itself
+    estimate = np.ones(influence.shape[1])
+    expected, distance = _two_pass_check(estimate, influence)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            FunctionalFit(estimate, influence)
+        outcome = None
+    except (DimensionMismatch, NonFiniteValue) as exc:
+        outcome = type(exc)
+    if outcome is not expected:
+        assert expected is not NonFiniteValue and outcome is not NonFiniteValue
+        assert np.min(distance) < 1e-6
+
+
+def test_one_pass_centering_check_examples():
+    # a single row passes only if it is within the tolerance of zero
+    FunctionalFit([0.0], np.array([[0.5e-8]]))
+    with pytest.raises(DimensionMismatch):
+        FunctionalFit([0.0], np.array([[2e-8]]))
+    # a large common offset is no longer hidden by cancellation
+    with pytest.raises(DimensionMismatch):
+        FunctionalFit([0.0], np.array([[1e9 + 1.0], [1e9 - 1.0]]))
+    # squares overflow: the two-pass check, whose std is infinite, passes it
+    with np.errstate(over="ignore", invalid="ignore"):
+        FunctionalFit([0.0], np.array([[1e200], [-1e200]]))
+
+
 def _result(avar, se=None, estimate=None):
     p = np.asarray(avar).shape[0]
     est = np.asarray(estimate if estimate is not None else np.zeros(p), dtype=float)
@@ -411,6 +490,70 @@ def test_internal_csv_errors(tmp_path):
     ragged.write_text("A,B\n1,2\n3\n")
     with pytest.raises(RaggedColumns):
         read_internal_csv(ragged)
+
+
+def _csv_outcome(read, path):
+    """What `read(path)` returns, or the type and message of its error."""
+    try:
+        return read(path)
+    except DataFuseError as exc:
+        return type(exc), str(exc)
+
+
+def _same_columns(a, b) -> bool:
+    return list(a) == list(b) and all(
+        np.asarray(a[k], dtype=float).tobytes() == np.asarray(b[k], dtype=float).tobytes()
+        for k in a
+    )
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "internal.csv"
+
+
+@settings(max_examples=600, deadline=None)
+@given(raw=csv_files())
+def test_fast_csv_parse_gives_the_csv_loop_result(csv_path, raw):
+    # on every file the loop accepts the loadtxt path gives the same bits (or
+    # declines); it never accepts a file the loop rejects; and the reader
+    # reports the loop's error otherwise
+    csv_path.write_bytes(raw)
+    fast = _read_columns_fast(csv_path)
+    loop = _csv_outcome(_read_columns_csv, csv_path)
+    if fast is not None:
+        assert isinstance(loop, dict) and _same_columns(fast, loop)
+    got = _csv_outcome(read_internal_csv, csv_path)
+    want = _csv_outcome(lambda p: validate_dataset(_read_columns_csv(p)), csv_path)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert _same_columns(got.columns, want.columns)
+
+
+def test_fast_csv_parse_takes_ordinary_files(tmp_path):
+    rng = np.random.default_rng(11)
+    data = validate_dataset({"X": rng.standard_normal(50) * 1e5, "T": np.tile([0.0, 1.0], 25)})
+    path = tmp_path / "written.csv"
+    write_internal_csv(data, path)
+    crlf = path.read_bytes()
+    lf = crlf.replace(b"\r\n", b"\n")
+    for raw in (crlf, lf, lf.rstrip(b"\n"), crlf.rstrip(b"\r\n"), b"\xef\xbb\xbf" + lf):
+        path.write_bytes(raw)
+        fast = _read_columns_fast(path)
+        assert fast is not None and _same_columns(fast, _read_columns_csv(path))
+    # a blank line, a quoted cell or a lone \r line end leaves it to the loop
+    for raw in (lf + b"\n", lf.replace(b",0\n", b',"0"\n', 1), lf.replace(b"\n", b"\r")):
+        path.write_bytes(raw)
+        assert _read_columns_fast(path) is None
+
+
+def test_csv_field_over_the_csv_limit_is_malformed_input(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("X\n1\n0." + "0" * 200_000 + "1\n")
+    assert _read_columns_fast(path) is None
+    with pytest.raises(MalformedInput, match="field larger than field limit"):
+        read_internal_csv(path)
 
 
 def test_summary_json_round_trip(tmp_path):

@@ -192,6 +192,17 @@ def test_run_replications_deterministic_across_threads():
     assert serial.failures == 0
 
 
+def test_pool_size_caps_workers_at_reps_and_cpus():
+    # arithmetic only: no pool is started
+    assert sim_module._pool_size(1, 200, 8) == 1
+    assert sim_module._pool_size(4, 200, 8) == 4
+    assert sim_module._pool_size(4, 3, 8) == 3
+    assert sim_module._pool_size(64, 200, 2) == 2
+    assert sim_module._pool_size(10**9, 10**9, 2) == 2
+    assert sim_module._pool_size(0, 5, 2) == 1
+    assert sim_module._usable_cpus() >= 1
+
+
 def test_run_replications_method_subset_preserves_streams():
     full = ScenarioConfig(scenario="I", n=250, m=200, reps=8, seed=5)
     only_int = ScenarioConfig(scenario="I", n=250, m=200, reps=8, seed=5, methods=("INT",))
