@@ -1,15 +1,17 @@
 """Command-line interface: `datafuse estimate` and `datafuse simulate`.
 
-Results go to stdout (JSON by default), errors to stderr as
-{"error": {"kind": ..., "detail": ...}}. Exit codes: 0 success, 2 input
-validation error, 3 numerical failure. DATAFUSE_SEED serves as a fallback
-seed when --seed is absent.
+Results go to stdout (JSON by default). A failing command writes nothing
+to stdout and one line to stderr, {"error": {"kind": ..., "detail": ...}};
+Python warnings raised on the way are shown only when the command succeeds.
+Exit codes: 0 success, 2 input validation error, 3 numerical failure.
+DATAFUSE_SEED serves as a fallback seed when --seed is absent.
 """
 
 import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from .errors import DataFuseError, IoError, MalformedInput, ZeroStandardError
 from .model import (
     FunctionalDescriptor,
     Method,
+    _real,
     read_internal_csv,
     read_summary_json,
     validate_summary,
@@ -111,7 +114,7 @@ def _roles_from_tau(desc: FunctionalDescriptor) -> dict:
     return {k: v for k, v in desc.args.items() if k in ("outcome", "treatment", "covariates")}
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> tuple:
     tau_desc = FunctionalDescriptor.from_json(_parse_descriptor(args.tau))
     data = read_internal_csv(args.internal, **_roles_from_tau(tau_desc))
     summaries = [read_summary_json(p) for p in args.summary]
@@ -124,6 +127,7 @@ def _cmd_estimate(args) -> int:
         s = summaries[0]
         summaries = [validate_summary(s.beta, s.sigma1, s.m, binding, s.source_id)]
 
+    null = _real("--null", args.null)
     seed = args.seed if args.seed is not None else _env_seed()
     inputs = prepare_inputs(data, tau_desc, summaries)
     method = Method(args.method.upper())
@@ -132,9 +136,9 @@ def _cmd_estimate(args) -> int:
 
     out = result.to_json_dict()
     try:
-        z, p, _ = wald_inference(result, null=args.null, side=args.side)
+        z, p, _ = wald_inference(result, null=null, side=args.side)
         out["test"] = {
-            "null": args.null,
+            "null": null,
             "side": args.side,
             "z": z.tolist(),
             "p": p.tolist(),
@@ -148,8 +152,14 @@ def _cmd_estimate(args) -> int:
         text = _estimate_table(out)
     else:
         text = json.dumps(out, indent=2)
-    _emit(text, args.out)
-    return 0
+    if args.out is None:
+        return text, None
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {args.out}: {exc}") from exc
+    return None, None
 
 
 def _debias_config(path, seed) -> DebiasConfig:
@@ -180,17 +190,6 @@ def _estimate_table(out: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(text: str, out_path):
-    if out_path is None:
-        print(text)
-        return
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {out_path}: {exc}") from exc
-
-
 def _load_config_file(path: str) -> dict:
     suffix = Path(path).suffix.lower()
     try:
@@ -211,7 +210,7 @@ def _load_config_file(path: str) -> dict:
         raise MalformedInput(f"{path}: invalid TOML: {exc}") from exc
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple:
     cfg = _load_config_file(args.config) if args.config else {}
     if args.scenario is not None:
         cfg["scenario"] = args.scenario
@@ -238,28 +237,37 @@ def _cmd_simulate(args) -> int:
 
     config = ScenarioConfig.from_dict(cfg)
     result = run_replications(config, threads=args.threads)
-    print(format_table(result.rows))
-    if config.out_dir is not None:
-        out_dir = Path(config.out_dir)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise IoError(f"cannot create {out_dir}: {exc}") from exc
-        paths = export_tables(result, out_dir / "metrics.csv")
-        print(f"wrote {paths[0]} and {paths[1]}", file=sys.stderr)
-    return 0
+    if config.out_dir is None:
+        return format_table(result.rows), None
+    out_dir = Path(config.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create {out_dir}: {exc}") from exc
+    paths = export_tables(result, out_dir / "metrics.csv")
+    return format_table(result.rows), f"wrote {paths[0]} and {paths[1]}"
 
 
 def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        return _cmd_simulate(args)
-    except DataFuseError as exc:
-        payload = {"error": {"kind": exc.kind, "detail": str(exc)}}
-        print(json.dumps(payload), file=sys.stderr)
-        return exc.exit_code
+    """Run one command. Its output, and the warnings raised while it ran, are
+    written only if it succeeds: stdout text, then on stderr the warnings (as
+    Python would have shown them) and the command's note."""
+    with warnings.catch_warnings(record=True) as held:
+        try:
+            args = _build_parser().parse_args(argv)
+            command = _cmd_estimate if args.command == "estimate" else _cmd_simulate
+            text, note = command(args)
+        except DataFuseError as exc:
+            payload = {"error": {"kind": exc.kind, "detail": str(exc)}}
+            print(json.dumps(payload), file=sys.stderr)
+            return exc.exit_code
+    if text is not None:
+        print(text)
+    for w in held:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    if note is not None:
+        print(note, file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

@@ -116,11 +116,6 @@ class FusionInputs:
     def q(self) -> int:
         return self.beta_fit.p
 
-    @property
-    def rho(self) -> float:
-        """Aggregate external-to-internal sample ratio."""
-        return sum(s.m for s in self.summaries) / self.n if self.summaries else 0.0
-
 
 @dataclass(frozen=True)
 class _Calibration:
@@ -235,8 +230,8 @@ def _wald(estimate, se, level: float, null=0.0, side: str = "upper"):
 
 
 def _build_result(
-    method: Method, inputs: FusionInputs, calib: _Calibration, gain, estimate, avar,
-    rho: float, level: float, warn: list, note: str = "",
+    method: Method, inputs: FusionInputs, gain, estimate, avar, level: float, warn: list,
+    note: str = "",
 ) -> FusionResult:
     """FusionResult with se and CIs; a non-empty `note` is the last warning."""
     avar = sym(avar)
@@ -254,9 +249,6 @@ def _build_result(
         avar=avar,
         se=se,
         gain=gain,
-        cross=calib.cross.copy(),
-        gram=calib.gram.copy(),
-        rho=rho,
         ci=ci,
         level=level,
         p_one_sided=p_one,
@@ -279,18 +271,14 @@ def _fused(
     """EFF on the summary coordinates `keep` (global, 0-based), tagged `method`.
 
     On the empty set this is the internal-only estimate, flagged by
-    `empty_note`. rho counts the sources holding a kept coordinate, so it is
-    0.0 on the empty set.
+    `empty_note`.
     """
     keep = _coordinates(keep, inputs.q)
     calib = inputs._calibration.restrict(keep)
     warn: list = []
     gain, estimate, avar = calib.fuse(warn)
-    owner = [i for i, s in enumerate(inputs.summaries) for _ in range(s.q)]
-    used = {owner[j] for j in keep}
-    rho = sum(inputs.summaries[i].m for i in used) / inputs.n
     note = "" if keep else empty_note
-    return _build_result(method, inputs, calib, gain, estimate, avar, rho, level, warn, note)
+    return _build_result(method, inputs, gain, estimate, avar, level, warn, note)
 
 
 def estimate_int(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
@@ -321,7 +309,7 @@ def estimate_crude(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
     coef = calib.gram_coef(warn)
     estimate = calib.tau - coef @ calib.residual
     avar = calib.phi_var + coef @ (calib.sigma_ext - calib.gram) @ coef.T
-    return _build_result(Method.CRD, inputs, calib, coef, estimate, avar, inputs.rho, level, warn)
+    return _build_result(Method.CRD, inputs, coef, estimate, avar, level, warn)
 
 
 def estimate_knw(inputs: FusionInputs, beta_true, level: float = 0.95) -> FusionResult:
@@ -335,7 +323,7 @@ def estimate_knw(inputs: FusionInputs, beta_true, level: float = 0.95) -> Fusion
     coef = calib.gram_coef(warn)
     estimate = calib.tau - coef @ (inputs.beta_fit.estimate - beta_true)
     avar = calib.phi_var - coef @ calib.cross.T
-    return _build_result(Method.KNW, inputs, calib, coef, estimate, avar, inputs.rho, level, warn)
+    return _build_result(Method.KNW, inputs, coef, estimate, avar, level, warn)
 
 
 def efficiency_bound(phi_var, cross, gram, sigma1, rho: float) -> np.ndarray:

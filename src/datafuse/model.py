@@ -56,10 +56,14 @@ def _integer(name: str, value, low: int):
 
 
 def _real(name: str, value) -> float:
-    """`value` as a float if it is a real number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise MalformedInput(f"{name} must be a number, got {value!r}")
-    return float(value)
+    """`value` as a float if it is a finite real number (not a bool)."""
+    if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise MalformedInput(f"{name} must be a finite number, got {value!r}")
 
 
 def _seed(value):
@@ -417,7 +421,10 @@ class FunctionalFit:
 
     Influence columns must be (numerically) centered: the estimating
     equations of every fitter zero them out exactly, so a violation here
-    means the fit itself is wrong.
+    means the fit itself is wrong. One pass over the columns checks it: a
+    mean beyond MEAN_ZERO_TOL * (std + 1) raises DimensionMismatch, and a
+    non-finite estimate or influence, or influence whose column sums of
+    squares overflow, raises NonFiniteValue. With no rows it passes.
     """
 
     estimate: np.ndarray
@@ -435,18 +442,15 @@ class FunctionalFit:
                 f"influence shape {influence.shape} does not match "
                 f"estimate length {estimate.shape[0]}"
             )
-        n = influence.shape[0]
-        squares = np.einsum("ij,ij->j", influence, influence)
-        if n and np.all(np.isfinite(squares)) and np.all(np.isfinite(estimate)):
-            # finite sums of squares: every value is finite, so one pass over
-            # the columns gives their means and standard deviations
-            means = np.einsum("ij->j", influence) / n
-            stds = np.sqrt(np.maximum(squares / n - means * means, 0.0))
-        else:
-            if not np.all(np.isfinite(estimate)) or not np.all(np.isfinite(influence)):
-                raise NonFiniteValue(f"fit {self.label!r} contains non-finite values")
-            means = influence.mean(axis=0)
-            stds = influence.std(axis=0)
+        n = max(influence.shape[0], 1)  # no rows: zero sums, nothing to reject
+        with np.errstate(over="ignore"):
+            squares = np.einsum("ij,ij->j", influence, influence)
+        if not (np.all(np.isfinite(squares)) and np.all(np.isfinite(estimate))):
+            raise NonFiniteValue(f"fit {self.label!r} has non-finite or overflowing values")
+        # finite sums of squares: every value is finite, so one pass over
+        # the columns gives their means and standard deviations
+        means = np.einsum("ij->j", influence) / n
+        stds = np.sqrt(np.maximum(squares / n - means * means, 0.0))
         bad = np.abs(means) > MEAN_ZERO_TOL * (stds + 1.0)
         if np.any(bad):
             raise DimensionMismatch(
@@ -486,16 +490,15 @@ class Method(str, Enum):
 
 @dataclass(frozen=True)
 class FusionResult:
-    """Estimate with asymptotic variance and the calibration pieces."""
+    """Estimate, its plug-in avar, se, the calibration gain, and the Wald
+    interval and one-sided p built from them. The influence moments behind
+    the gain are not kept; fusion.empirical_moments gives them."""
 
     method: Method
     estimate: np.ndarray
     avar: np.ndarray
     se: np.ndarray
     gain: np.ndarray
-    cross: np.ndarray
-    gram: np.ndarray
-    rho: float
     ci: np.ndarray
     level: float
     p_one_sided: np.ndarray

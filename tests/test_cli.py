@@ -4,12 +4,17 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import datafuse
 from datafuse import FunctionalKind
 from datafuse.cli import main
 from datafuse.model import _ARGS
@@ -640,3 +645,145 @@ def test_estimate_fuzzed_internal_exits_0_2_or_3(fuzz_files, tmp_path_factory, r
         assert out.getvalue() == ""
         payload = json.loads(err.getvalue())
         assert list(payload) == ["error"] and set(payload["error"]) == {"kind", "detail"}
+
+
+def _strict_json(text: str):
+    """`text` parsed as standard JSON: NaN and Infinity tokens are refused."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _assert_one_json_error(err: str):
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    payload = json.loads(lines[0])
+    assert list(payload) == ["error"] and set(payload["error"]) == {"kind", "detail"}
+    return payload["error"]["kind"]
+
+
+def _cli_process(argv):
+    """`python -m datafuse.cli argv` in a fresh interpreter, warnings shown as
+    Python shows them by default."""
+    src = str(Path(datafuse.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "datafuse.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_warnings_reach_stderr_only_when_the_command_succeeds(tmp_path):
+    tau = json.dumps({"functional": "mean", "args": ["Y"]})
+    # the mean of Y overflows (a numpy RuntimeWarning), then the fit is rejected
+    internal = tmp_path / "overflow.csv"
+    internal.write_text("X,Y\n0.0,1e+300\n1.0,1.797693124862316e+308\n")
+    _, summary = _write_example(tmp_path)
+    failed = _cli_process(["estimate", "--internal", str(internal), "--summary", str(summary),
+                           "--tau", tau, "--method", "int"])
+    assert failed.returncode == 2 and failed.stdout == ""
+    assert _assert_one_json_error(failed.stderr) == "NonFiniteValue"
+    # two copies of one summary column: CRD's gram is singular, gets a ridge
+    # and warns; the warning is shown as Python shows it
+    internal = tmp_path / "twin.csv"
+    internal.write_text("X,X2,Y\n0.0,0.0,1.0\n1.0,1.0,2.0\n2.0,2.0,2.0\n3.0,3.0,5.0\n")
+    summary = tmp_path / "twin.json"
+    summary.write_text(json.dumps({
+        "beta": [1.0, 1.0], "sigma1": [[1.0, 0.0], [0.0, 1.0]], "m": 4,
+        "binding": [{"functional": "mean", "args": [col]} for col in ("X", "X2")],
+    }))
+    done = _cli_process(["estimate", "--internal", str(internal), "--summary", str(summary),
+                         "--tau", tau, "--method", "crd"])
+    assert done.returncode == 0
+    _strict_json(done.stdout)
+    linalg = Path(datafuse.__file__).resolve().parent / "_linalg.py"
+    assert done.stderr.startswith(f"{linalg}:")
+    assert "UserWarning: ill-conditioned system (gram): added ridge" in done.stderr
+    assert done.stderr.endswith("  warnings.warn(msg)\n")
+
+
+def test_simulate_that_cannot_write_its_tables_prints_no_table(tmp_path, capsys):
+    # the table used to reach stdout before the out-dir was made
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = _run(
+        capsys,
+        ["simulate", "--scenario", "I", "--n", "150", "--m", "100", "--reps", "3",
+         "--methods", "INT", "--out-dir", str(blocker / "run")],
+    )
+    assert code == 2 and out == ""
+    assert _assert_one_json_error(err) == "IoError"
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--null", "nan"], ["--null", "inf"], ["--null=-inf"],
+     {"lambda_fixed": float("inf")}, {"grid_c": [1.0, float("inf")]},
+     {"alpha": float("inf")}, {"w": float("nan")}],
+    ids=lambda option: json.dumps(option),
+)
+def test_non_finite_numeric_options_exit_2(tmp_path, capsys, option):
+    # each of these used to exit 0 and print NaN or Infinity into the JSON
+    internal, summary = _write_larger(tmp_path)
+    argv = ["estimate", "--internal", str(internal), "--summary", str(summary),
+            "--tau", TAU_MEAN_Y, "--method", "dbs"]
+    if isinstance(option, dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(option))
+        option = ["--debias-config", str(config)]
+    code, out, err = _run(capsys, argv + option)
+    assert code == 2 and out == ""
+    assert _assert_one_json_error(err) == "MalformedInput"
+
+
+_CONFIG_ANY = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, 5e-324]),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+)
+# a value of about the admissible range for each key
+_CONFIG_TYPED = {
+    "alpha": st.floats(0.5, 4.0) | st.integers(1, 4),
+    "w": st.floats(0.5, 1.5) | st.just(1),
+    "grid_c": st.lists(st.floats(0.01, 100.0) | st.integers(1, 50), min_size=1, max_size=4),
+    "k": st.integers(2, 20),
+    "seed": st.integers(0, 2**64),
+    "lambda_fixed": st.floats(0.0, 10.0) | st.none(),
+}
+
+
+@st.composite
+def _fuzz_debias_config(draw):
+    """A --debias-config object: some of the known keys, each mostly of about
+    the admissible range and otherwise any JSON scalar or a list of them
+    (NaN and Infinity included), maybe with an unknown key."""
+    keys = draw(st.lists(st.sampled_from(sorted(_CONFIG_TYPED)), max_size=4, unique=True))
+    anything = _CONFIG_ANY | st.lists(_CONFIG_ANY, max_size=3)
+    config = {k: draw(_CONFIG_TYPED[k] if draw(st.integers(0, 3)) else anything) for k in keys}
+    if draw(st.integers(0, 9)) == 0:
+        config["gamma"] = draw(anything)
+    return config
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=_fuzz_debias_config())
+def test_estimate_fuzzed_debias_config_exits_0_2_or_3(fuzz_files, tmp_path_factory, config):
+    # every --debias-config gives a result in standard JSON or a typed error:
+    # exit 2 or 3, nothing on stdout, one JSON error on stderr
+    internal, summary = fuzz_files
+    path = tmp_path_factory.getbasetemp() / "fuzz_debias.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["estimate", "--internal", internal, "--summary", summary,
+                     "--tau", TAU_MEAN_Y, "--method", "dbs", "--debias-config", str(path)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        _strict_json(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        _assert_one_json_error(err.getvalue())

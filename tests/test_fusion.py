@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import centered, mean_binding, random_spd, synth_inputs
 
@@ -103,7 +105,6 @@ def test_semi_supervised_closed_form():
     result = estimate_eff(_semi_supervised_inputs())
     assert abs(result.estimate[0] - 2.2) < 1e-12
     assert abs(result.avar[0, 0] - 1.35) < 1e-12
-    assert result.rho == 1.0
     # gain = cross / (sigma1/rho + gram) = 1.5 / 2.5
     assert abs(result.gain[0, 0] - 0.6) < 1e-12
 
@@ -347,35 +348,42 @@ def test_multi_source_split_equals_merged():
     np.testing.assert_allclose(one.avar, two.avar, atol=1e-12)
 
 
-def test_permutation_equivariance():
-    rng = np.random.default_rng(28)
-    n = 40
-    phi = centered(rng, n, 1)
-    eta = centered(rng, n, 3)
-    beta_int = rng.standard_normal(3)
-    beta = rng.standard_normal(3)
-    sigma1 = random_spd(rng, 3)
-    m = 90
-    perm = np.array([2, 0, 1])
-    base = FusionInputs(
-        tau_fit=FunctionalFit([0.7], phi),
-        beta_fit=FunctionalFit(beta_int, eta),
-        summaries=(validate_summary(beta, sigma1, m, mean_binding(3)),),
-    )
+@st.composite
+def _reordered_summaries(draw):
+    """Synthetic inputs plus the same instance with its sources reordered and
+    the coordinates within each source permuted."""
+    splits = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inputs = synth_inputs(rng, n=draw(st.integers(20, 60)), p=draw(st.integers(1, 2)),
+                          q=sum(splits), splits=splits)
+    starts = np.cumsum([0] + splits)
+    coords, summaries = [], []
+    for i in draw(st.permutations(range(len(splits)))):
+        s = inputs.summaries[i]
+        local = list(draw(st.permutations(range(s.q))))
+        coords.extend(starts[i] + j for j in local)
+        summaries.append(validate_summary(
+            s.beta[local], s.sigma1[np.ix_(local, local)], s.m,
+            [s.binding[j] for j in local], s.source_id,
+        ))
+    beta = inputs.beta_fit
     shuffled = FusionInputs(
-        tau_fit=FunctionalFit([0.7], phi),
-        beta_fit=FunctionalFit(beta_int[perm], eta[:, perm]),
-        summaries=(
-            validate_summary(
-                beta[perm], sigma1[np.ix_(perm, perm)], m, mean_binding(3)
-            ),
-        ),
+        tau_fit=inputs.tau_fit,
+        beta_fit=FunctionalFit(beta.estimate[coords], beta.influence[:, coords]),
+        summaries=tuple(summaries),
     )
-    for factory in (estimate_eff, estimate_crude):
+    return inputs, shuffled
+
+
+@settings(max_examples=100, deadline=None)
+@given(_reordered_summaries())
+def test_permutation_equivariance(instance):
+    base, shuffled = instance
+    for factory in (estimate_eff, estimate_crude, estimate_int):
         a = factory(base)
         b = factory(shuffled)
-        np.testing.assert_allclose(a.estimate, b.estimate, atol=1e-12)
-        np.testing.assert_allclose(a.avar, b.avar, atol=1e-12)
+        np.testing.assert_allclose(a.estimate, b.estimate, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.avar, b.avar, rtol=0, atol=1e-12)
 
 
 def test_limits_in_external_precision():

@@ -344,7 +344,9 @@ def _two_pass_check(estimate, influence):
     """The centering check as np.mean and np.std compute it: the error type
     it raises (None if it passes) and each column's distance from its
     boundary, relative to that boundary."""
-    if not np.all(np.isfinite(estimate)) or not np.all(np.isfinite(influence)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.sum(influence * influence, axis=0)
+    if not np.all(np.isfinite(estimate)) or not np.all(np.isfinite(squares)):
         return NonFiniteValue, None
     with np.errstate(over="ignore", invalid="ignore"):
         means, stds = influence.mean(axis=0), influence.std(axis=0)
@@ -378,7 +380,7 @@ def _influence_columns(draw):
 def test_one_pass_centering_check_decides_as_the_two_pass_check(influence):
     # sums and sums of squares give the decision of np.mean and np.std except
     # within round-off of the boundary; non-finite values and overflowing
-    # squares take the two-pass check itself
+    # squares are rejected as non-finite
     estimate = np.ones(influence.shape[1])
     expected, distance = _two_pass_check(estimate, influence)
     try:
@@ -400,9 +402,10 @@ def test_one_pass_centering_check_examples():
     # a large common offset is no longer hidden by cancellation
     with pytest.raises(DimensionMismatch):
         FunctionalFit([0.0], np.array([[1e9 + 1.0], [1e9 - 1.0]]))
-    # squares overflow: the two-pass check, whose std is infinite, passes it
-    with np.errstate(over="ignore", invalid="ignore"):
-        FunctionalFit([0.0], np.array([[1e200], [-1e200]]))
+    # squares overflow: rejected as non-finite, whatever the means
+    for influence in ([[1e200], [-1e200]], [[1e300], [1e300], [-1e300]], [[1.7e308], [1.7e308]]):
+        with pytest.raises(NonFiniteValue):
+            FunctionalFit([0.0], np.array(influence))
 
 
 def _result(avar, se=None, estimate=None):
@@ -415,9 +418,6 @@ def _result(avar, se=None, estimate=None):
         avar=np.asarray(avar, dtype=float),
         se=se_arr,
         gain=np.zeros((p, 0)),
-        cross=np.zeros((p, 0)),
-        gram=np.zeros((0, 0)),
-        rho=0.0,
         ci=np.column_stack([est - se_arr, est + se_arr]),
         level=0.95,
         p_one_sided=np.full(p, 0.5),
