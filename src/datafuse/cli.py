@@ -97,6 +97,8 @@ def _parse_descriptor(text: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError:
         pass
+    except (ValueError, RecursionError) as exc:  # JSON beyond the int-digit or nesting limit
+        raise MalformedInput(f"--tau/--beta value: invalid JSON: {exc}") from exc
     try:
         is_file = Path(text).exists()
     except OSError:  # not a usable path, e.g. a name too long for the file system
@@ -105,7 +107,7 @@ def _parse_descriptor(text: str) -> dict:
         try:
             with open(text, encoding="utf-8") as fh:
                 return json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise MalformedInput(f"cannot parse descriptor file {text}: {exc}") from exc
     raise MalformedInput(f"--tau/--beta value is neither JSON nor an existing file: {text!r}")
 
@@ -166,13 +168,7 @@ def _debias_config(path, seed) -> DebiasConfig:
     """DebiasConfig from a JSON file (defaults without one), seed overriding."""
     debias_cfg = DebiasConfig()
     if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                debias_cfg = DebiasConfig.from_dict(json.load(fh))
-        except OSError as exc:
-            raise IoError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"{path}: invalid JSON: {exc}") from exc
+        debias_cfg = DebiasConfig.from_dict(_load_config_file(path, toml=False))
     if seed is not None:
         debias_cfg = replace(debias_cfg, seed=seed)
     return debias_cfg
@@ -190,10 +186,14 @@ def _estimate_table(out: dict) -> str:
     return "\n".join(lines)
 
 
-def _load_config_file(path: str) -> dict:
-    suffix = Path(path).suffix.lower()
+def _load_config_file(path: str, toml: bool = True):
+    """The content of a JSON file, or of a TOML file if `toml` and the name
+    ends in .toml. A file that does not parse, is not UTF-8 or holds an
+    integer beyond the interpreter's digit limit (all ValueError, as is
+    tomllib.TOMLDecodeError) raises MalformedInput."""
+    fmt = "TOML" if toml and Path(path).suffix.lower() == ".toml" else "JSON"
     try:
-        if suffix == ".toml":
+        if fmt == "TOML":
             try:
                 import tomllib
             except ModuleNotFoundError:
@@ -204,14 +204,14 @@ def _load_config_file(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"{path}: invalid JSON: {exc}") from exc
-    except Exception as exc:  # tomllib.TOMLDecodeError without a hard import
-        raise MalformedInput(f"{path}: invalid TOML: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise MalformedInput(f"{path}: invalid {fmt}: {exc}") from exc
 
 
 def _cmd_simulate(args) -> tuple:
     cfg = _load_config_file(args.config) if args.config else {}
+    if not isinstance(cfg, dict):
+        raise MalformedInput(f"{args.config}: simulate config must be a table/object")
     if args.scenario is not None:
         cfg["scenario"] = args.scenario
     if "scenario" not in cfg:

@@ -12,6 +12,12 @@ is piecewise linear in lambda, so one path per fold gives the solution at
 every grid point. Zeros are exact by construction and there is no
 convergence tolerance; NoConvergence is raised only when a path exceeds
 _MAX_KNOTS knots.
+
+Cross-validation folds refit no mean, marginal_ols or joint_ols fit of a
+narrow design: their estimates and influence maps on a fold's rows come from
+per-fold sums of moment features (_FoldFits, functionals._Moments).
+aipw_ate fits, wider designs and fits whose moments on a fold would cancel
+are refitted on the fold's rows.
 """
 
 import math
@@ -36,8 +42,9 @@ from .model import Method, SelectionResult, _integer, _real, _reals, _seed
 # patches them here
 from .fusion import (  # noqa: F401
     FusionInputs,
+    _Calibration,
+    _external,
     _fused,
-    _prepare,
     estimate_crude,
     estimate_eff,
     estimate_int,
@@ -119,7 +126,10 @@ def whiten(inputs: FusionInputs):
     floored at 1e-12) and Y = X (beta_tilde - beta_int), so that
     ||Y - X b||^2 reproduces the quadratic form exactly.
     """
-    calib = inputs._calibration
+    return _whiten(inputs._calibration)
+
+
+def _whiten(calib):
     x = inv_sqrt_spd(calib.sigma_ext + calib.gram, EIG_FLOOR, NotPositiveDefinite, "whiten")
     return x, x @ -calib.residual
 
@@ -326,9 +336,14 @@ def cv_tune(
     squared distance across folds; ties break toward the smaller C.
     Returns (c_star, trace) with trace a tuple of (C, error) pairs.
 
-    A fold computes its calibration once, traces one lasso path over the
-    whole grid and evaluates the fused estimate once per distinct selected
-    set, from sub-blocks of that calibration.
+    Mean, marginal_ols and joint_ols fits of narrow designs are not
+    refitted: each fold reads them from sums of their moment features over
+    its rows (_FoldFits). Other fits are refitted on the fold's rows, an
+    aipw_ate target with its propensity Newton started from the full-data
+    fit. A fold builds its
+    calibration once, traces one lasso path over the whole grid and
+    evaluates the fused estimate once per distinct selected set, from
+    sub-blocks of that calibration.
     """
     if inputs.data is None or inputs.tau is None:
         raise MalformedInput(
@@ -345,20 +360,15 @@ def cv_tune(
         folds = kfold_indices(n, k, seed)
     else:
         folds = [_fold_rows(f, n, i) for i, f in enumerate(folds)]
+    fits = _FoldFits(inputs, folds)
     errors = np.zeros(len(grid))
-    for fold_idx, test_rows in enumerate(folds):
-        train = np.ones(n, dtype=bool)
-        train[test_rows] = False
-        train_rows = np.flatnonzero(train)
+    for fold_idx in range(len(folds)):
         try:
-            tau_test, train_inputs = _fold_fits(
-                inputs, test_rows, train_rows, inputs.tau_fit._propensity
-            )
-            x, y = whiten(train_inputs)
+            tau_test, calib = fits.fold(fold_idx, inputs.tau_fit._propensity)
+            x, y = _whiten(calib)
         except DataFuseError as exc:
             raise FoldTooSmall(f"fold {fold_idx}: {exc}") from exc
-        lams = [c * train_rows.size ** (-float(w)) for c in grid]
-        calib = train_inputs._calibration
+        lams = [c * fits.train_rows[fold_idx].size ** (-float(w)) for c in grid]
         path = _lasso_path(x, y, _adaptive_weights(calib.residual, alpha), lams)
         cache = {}
         for g, zero in enumerate((path == 0.0).tolist()):
@@ -372,27 +382,217 @@ def cv_tune(
     return grid[best], trace
 
 
-def _fold_fits(inputs: FusionInputs, test_rows, train_rows, start):
-    """The target estimate on the test rows and the FusionInputs of the train
-    rows, with an aipw_ate target's propensity Newton started at `start`,
-    the full-data coefficient. A start moves the fits by round-off only; if
-    the fits raise from it they are re-run from zero, so a fold fails with
-    the error of the cold fits."""
-    try:
-        return _fit_tau(inputs, test_rows, start), _prepare(
-            inputs.data.subset(train_rows), inputs.tau, inputs.summaries,
-            inputs.omega_override, start,
+class _FoldFits:
+    """The fits of cv_tune's folds: the target on each fold's held-out rows,
+    and the calibration of the target and the summary bindings on the other
+    rows, its train rows, as prepare_inputs would build it there.
+
+    Slot 0 is the target, then one slot per distinct binding fit (by group
+    key, in binding order). Their coefficients are stacked, slot i's at
+    `coefs[i]`, and `tau` and `beta` index the ones the target and the
+    bindings report. A mean, marginal_ols or joint_ols slot of a narrow
+    design has a moment form (functionals._Moments), built around the
+    full-data fit. Its features, after a row of ones, make the feature
+    matrix G (one row per feature). One product G_f G_f' per fold f gives
+    the row count and the sums of the features and of their outer products
+    over the fold's rows; the train rows' sums are total - fold. The slots'
+    fits on every fold's rows come from those sums at once, with no refit
+    and no influence columns: estimates, influence maps L, and the
+    calibration moments L S L' with S the train rows' second moments of the
+    features. A slot is refitted on a fold's train rows (`refit[f, i]`)
+    when it has no moment form (aipw_ate, a wide joint_ols), when the fold
+    leaves no train rows, or when its moments there would cancel
+    (_Moments.fit); the target's refit starts from the full-data propensity,
+    and the refitted influence columns join the features. If a sum is not
+    finite, every slot is refitted.
+    """
+
+    def __init__(self, inputs: FusionInputs, folds):
+        from .functionals import _moment_forms
+
+        binding = [desc for s in inputs.summaries for desc in s.binding]
+        keys = [desc.group_key() for desc in binding]
+        groups = {}
+        for desc, key in zip(binding, keys):
+            groups.setdefault(key, desc)
+        slot_of = {key: 1 + i for i, key in enumerate(groups)}
+        self.inputs, self.folds = inputs, folds
+        self.slots = [inputs.tau, *groups.values()]
+        starts = np.cumsum([0] + [desc._base_width() for desc in self.slots])
+        self.coefs = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
+        self.tau = np.arange(starts[1])[_coefficients(inputs.tau)]
+        self.beta = np.concatenate(
+            [
+                np.arange(starts[slot_of[key]], starts[slot_of[key] + 1])[_coefficients(desc)]
+                for desc, key in zip(binding, keys)
+            ]
         )
-    except DataFuseError:
-        if start is None:
-            raise
-    return _fold_fits(inputs, test_rows, train_rows, None)
+        n = inputs.n
+        self.partition = np.all(np.bincount(np.concatenate(folds), minlength=n) == 1)
+        self.train_rows = []
+        for test_rows in folds:
+            train = np.ones(n, dtype=bool)
+            train[test_rows] = False
+            self.train_rows.append(np.flatnonzero(train))
+
+        # build the moment forms around the full-data fits where inputs holds
+        # all of a slot's coefficients
+        known = np.full(starts[-1], np.nan)
+        known[self.beta] = inputs.beta_fit.estimate
+        if inputs.tau_fit.p == self.tau.size:
+            known[self.tau] = inputs.tau_fit.estimate
+        centers = [known[c] if np.isfinite(known[c]).all() else None for c in self.coefs]
+        with np.errstate(over="ignore", invalid="ignore"):
+            forms = _moment_forms(inputs.data, self.slots, centers)
+            self.features, self.spans, test, train = self._sums(forms)
+        if not (np.isfinite(test).all() and np.isfinite(train).all()):
+            forms = [None] * len(forms)
+            self.features, self.spans, test, train = self._sums(forms)
+        # per fold: the stacked estimates and influence maps of the moment
+        # slots (zero where a slot is refitted), the second moments of the
+        # features, and each slot's errors (None where it is refitted); folds
+        # with no train rows are refitted as a whole
+        k, width = len(folds), self.features.shape[0]
+        counts = np.array([rows.size for rows in self.train_rows])
+        fitted = np.flatnonzero(counts)
+        self.refit = np.ones((k, len(self.slots)), dtype=bool)
+        self.test_fit, self.errors = None, []
+        self.estimate = np.zeros((k, starts[-1]))
+        self.maps = np.zeros((k, starts[-1], width))
+        self.second = train / np.maximum(counts, 1)[:, None, None]
+        train_sets = [self.train_rows[f] for f in fitted]
+        for i, (form, span, c) in enumerate(zip(forms, self.spans, self.coefs)):
+            self.errors.append([None] * k)
+            if form is None:
+                continue
+            sets, sums = train_sets, train[fitted]
+            if i == 0:  # the target on the test rows too, in the same call
+                sets, sums = folds + sets, np.concatenate((test, sums))
+            estimate, maps, errors, cancelled = form.fit(
+                sets, sums[:, 0, span], sums[:, span, span]
+            )
+            if i == 0:
+                self.test_fit = estimate[:k], errors[:k]
+                estimate, maps, errors, cancelled = (
+                    estimate[k:], maps[k:], errors[k:], cancelled[k:]
+                )
+            for f, error in zip(fitted, errors):
+                self.errors[i][f] = error
+            self.refit[fitted, i] = cancelled
+            self.estimate[fitted, c], self.maps[fitted, c, span] = estimate, maps
+        self.moments = _calibration_moments(
+            self.maps[:, self.tau], self.maps[:, self.beta], self.second
+        )
+
+    def _sums(self, forms):
+        """The feature matrix of `forms`, each slot's span of it, and the
+        products of each fold's test rows and of its train rows."""
+        spans, columns = [], [np.ones(self.inputs.n)]
+        for form in forms:
+            width = len(form.features) if form else 0
+            spans.append(slice(len(columns), len(columns) + width))
+            columns += form.features if form else []
+        features = np.array(columns)
+        test = np.array([_products(features, rows) for rows in self.folds])
+        if self.partition:
+            # total - fold as the sum of the other folds: nothing cancels
+            k = len(self.folds)
+            train = np.array([sum(test[g] for g in range(k) if g != f) for f in range(k)])
+        else:
+            train = np.array([_products(features, rows) for rows in self.train_rows])
+        return features, spans, test, train
+
+    def fold(self, f: int, start):
+        """(target estimate on fold f, _Calibration of its train rows). An
+        aipw_ate target is refitted from `start`; if the fold raises from it,
+        it is re-run from zero, so it fails with the error of the cold fits."""
+        try:
+            return self._fold(f, start)
+        except DataFuseError:
+            if start is None:
+                raise
+        return self._fold(f, None)
+
+    def _fold(self, f, start):
+        from .functionals import _refit
+
+        inputs, train_rows = self.inputs, self.train_rows[f]
+        if self.test_fit is None:
+            tau_test = _fit_tau(inputs, self.folds[f], start)
+        else:
+            estimates, errors = self.test_fit
+            _raise_error(errors, f)
+            tau_test = estimates[f][_coefficients(inputs.tau)]
+        # the slots in order, so the fold fails as prepare_inputs would
+        estimate, columns, refitted, subset = self.estimate[f], [], [], None
+        for i, (desc, errors, c) in enumerate(zip(self.slots, self.errors, self.coefs)):
+            if not self.refit[f, i]:
+                _raise_error(errors, f)
+                continue
+            if subset is None:
+                subset, estimate = inputs.data.subset(train_rows), estimate.copy()
+            fit = _refit(subset, desc, start if i == 0 else None)
+            estimate[c] = fit.estimate
+            columns.append(fit.influence)
+            refitted.append(np.arange(c.start, c.stop))
+        n_train = train_rows.size
+        if columns:
+            # the refitted slots' influence columns join the features, in
+            # place of their moment maps
+            refitted = np.concatenate(refitted)
+            maps = np.hstack((self.maps[f], np.zeros((estimate.size, refitted.size))))
+            maps[refitted] = 0.0
+            maps[refitted, self.features.shape[0] + np.arange(refitted.size)] = 1.0
+            # products block by block: the influence columns are column
+            # major, and stacking them side by side is a slow strided copy
+            features = self.features.take(train_rows, 1)
+            mixed = np.hstack([features @ phi for phi in columns]) / n_train
+            phi_second = np.block([[phi.T @ eta for eta in columns] for phi in columns]) / n_train
+            second = np.block([[self.second[f], mixed], [mixed.T, phi_second]])
+            moments = _calibration_moments(maps[self.tau], maps[self.beta], second)
+        else:
+            moments = [m[f] for m in self.moments]
+        beta_tilde, sigma_ext = _external(inputs.summaries, inputs.omega_override, n_train)
+        residual = estimate[self.beta] - beta_tilde
+        return tau_test, _Calibration(estimate[self.tau], *moments, residual, sigma_ext)
+
+
+def _calibration_moments(l_tau, l_beta, second):
+    """E(phi phi'), E(phi eta') and E(eta eta') from the influence maps of
+    the target (l_tau) and the bindings (l_beta) on features with second
+    moments `second`; leading axes, if any, index folds."""
+    tau_second = l_tau @ second
+    phi_var = tau_second @ l_tau.swapaxes(-1, -2)
+    gram = l_beta @ second @ l_beta.swapaxes(-1, -2)
+    return (
+        (phi_var + phi_var.swapaxes(-1, -2)) / 2.0,
+        tau_second @ l_beta.swapaxes(-1, -2),
+        (gram + gram.swapaxes(-1, -2)) / 2.0,
+    )
+
+
+def _raise_error(errors, f: int):
+    """Raise the error of a moment form's fit on fold f (_Moments.fit), if any."""
+    if errors[f] is not None:
+        raise errors[f]
 
 
 def _fit_tau(inputs: FusionInputs, rows, start=None) -> np.ndarray:
     from .functionals import _columns, _refit
 
     return _columns(_refit(inputs.data.subset(rows), inputs.tau, start), inputs.tau).estimate
+
+
+def _coefficients(desc):
+    """The coefficients of a fit of `desc` that it names, as an index."""
+    return slice(None) if desc.component is None else [desc.component]
+
+
+def _products(features, rows):
+    """Sums over `rows` of the outer products of the feature vectors, the
+    columns of `features`."""
+    part = features.take(rows, 1)
+    return part @ part.T
 
 
 def estimate_dbs(inputs: FusionInputs, config: DebiasConfig = None, level: float = 0.95):

@@ -17,6 +17,7 @@ from ._linalg import check_full_rank, spd_solve
 from .errors import (
     DegenerateRegressor,
     EmptyArm,
+    NonFiniteValue,
     PropensityDegenerate,
     RankDeficientDesign,
     Separation,
@@ -43,6 +44,14 @@ __all__ = [
 PROPENSITY_TRIM = 0.01
 LOGISTIC_SCORE_TOL = 1e-10
 LOGISTIC_MAX_ITER = 100
+SECOND_MOMENT_FLOOR = 1e-30
+# moment forms (_Moments) are built while their features total at most this
+# many: a design of k columns has k (k + 3) / 2 features, and the fold
+# products grow as the square of the total
+MOMENT_MAX_FEATURES = 80
+# a moment form's influence second moment below this share of the terms it
+# is summed from (round-off then costs more than 4 digits) is refitted
+CANCELLATION_FLOOR = 1e-4
 
 
 def fit_mean(data: InternalDataset, column: str, where=None) -> FunctionalFit:
@@ -53,18 +62,24 @@ def fit_mean(data: InternalDataset, column: str, where=None) -> FunctionalFit:
     if where is None:
         est = float(y.mean())
         infl = (y - est)[:, None]
-        return FunctionalFit(np.array([est]), infl, label=f"mean({column})")
+        return FunctionalFit(np.array([est]), infl, label=_mean_label(column, where))
     mask = data.column(where["column"]) == where["equals"]
     if not np.any(mask):
-        raise EmptyArm(
-            f"no rows with {where['column']} == {where['equals']} for mean({column})"
-        )
+        raise _empty_arm(column, where)
     prob = mask.mean()
     est = float(y[mask].mean())
     infl = (mask * (y - est) / prob)[:, None]
-    return FunctionalFit(
-        np.array([est]), infl, label=f"mean({column}|{where['column']}={where['equals']})"
-    )
+    return FunctionalFit(np.array([est]), infl, label=_mean_label(column, where))
+
+
+def _mean_label(column: str, where) -> str:
+    if where is None:
+        return f"mean({column})"
+    return f"mean({column}|{where['column']}={where['equals']})"
+
+
+def _empty_arm(column: str, where) -> EmptyArm:
+    return EmptyArm(f"no rows with {where['column']} == {where['equals']} for mean({column})")
 
 
 def _ols_fit(design: np.ndarray, y: np.ndarray, context: str):
@@ -75,12 +90,18 @@ def _ols_fit(design: np.ndarray, y: np.ndarray, context: str):
     refinement step (Bjorck's corrected seminormal equations), which keeps
     them as accurate as a QR solve rather than the normal equations.
     """
-    r = check_full_rank(design, RankDeficientDesign, context)
-    coef = dpotrs(r, design.T @ y)[0]
-    coef = coef + dpotrs(r, design.T @ (y - design @ coef))[0]
+    r, coef = _ols_coef(design, y, context)
     resid = y - design @ coef
     infl = design.shape[0] * dpotrs(r, (design * resid[:, None]).T)[0].T
     return coef, infl
+
+
+def _ols_coef(design: np.ndarray, y: np.ndarray, context: str):
+    """The triangular factor r of the design (check_full_rank) and the
+    least-squares coefficients, refined once as in _ols_fit."""
+    r = check_full_rank(design, RankDeficientDesign, context)
+    coef = dpotrs(r, design.T @ y)[0]
+    return r, coef + dpotrs(r, design.T @ (y - design @ coef))[0]
 
 
 def fit_joint_ols(
@@ -93,14 +114,19 @@ def fit_joint_ols(
     equations.
     """
     y = data.column(outcome)
+    design, label = _joint_design(data, outcome, regressors, intercept)
+    coef, infl = _ols_fit(design, y, label)
+    return FunctionalFit(coef, infl, label=label)
+
+
+def _joint_design(data: InternalDataset, outcome: str, regressors, intercept: bool = True):
+    """The design of fit_joint_ols (intercept column first) and its label."""
     cols = [data.column(name) for name in regressors]
     if intercept:
         design = np.column_stack([np.ones(data.n)] + cols)
     else:
         design = np.column_stack(cols)
-    label = f"joint_ols({outcome}~{'+'.join(regressors)}{'+1' if intercept else ''})"
-    coef, infl = _ols_fit(design, y, label)
-    return FunctionalFit(coef, infl, label=label)
+    return design, f"joint_ols({outcome}~{'+'.join(regressors)}{'+1' if intercept else ''})"
 
 
 def fit_marginal_ols(data: InternalDataset, outcome: str, regressor: str) -> FunctionalFit:
@@ -108,13 +134,19 @@ def fit_marginal_ols(data: InternalDataset, outcome: str, regressor: str) -> Fun
     y = data.column(outcome)
     x = data.column(regressor)
     second = float(np.mean(x * x))
-    if second <= 1e-30:
-        raise DegenerateRegressor(f"regressor {regressor!r} has zero second moment")
+    if second <= SECOND_MOMENT_FLOOR:
+        raise _zero_second_moment(regressor)
     coef = float(np.mean(x * y) / second)
     infl = (x * (y - x * coef) / second)[:, None]
-    return FunctionalFit(
-        np.array([coef]), infl, label=f"marginal_ols({outcome}~{regressor})"
-    )
+    return FunctionalFit(np.array([coef]), infl, label=_marginal_label(outcome, regressor))
+
+
+def _marginal_label(outcome: str, regressor: str) -> str:
+    return f"marginal_ols({outcome}~{regressor})"
+
+
+def _zero_second_moment(regressor: str) -> DegenerateRegressor:
+    return DegenerateRegressor(f"regressor {regressor!r} has zero second moment")
 
 
 def _bernoulli_loglik(y: np.ndarray, linpred: np.ndarray) -> float:
@@ -280,3 +312,133 @@ def _columns(fit: FunctionalFit, desc: FunctionalDescriptor) -> FunctionalFit:
         return fit
     j = [desc.component]
     return FunctionalFit._unchecked(fit.estimate[j], fit.influence[:, j], fit.label)
+
+
+class _Moments:
+    """Moment form of a mean, marginal_ols or joint_ols fit.
+
+    Each of these is the least-squares fit of an outcome y on a design V:
+    the indicator of the `where` rows (ones without `where`) for a mean, the
+    regressor for marginal_ols, the joint design for joint_ols. Its
+    coefficients solve E(VV') c = E(Vy) and its influence rows are
+    inv(E VV') V_i e_i. With c0 the full-data coefficients (`center`, fitted
+    here if not given) and e0 = y - V c0, the data-only row features
+    g_i = (V_ia V_ib for a <= b, V_i e0_i) give the fit on any set of rows
+    from their mean there: with A = E(VV') and d = inv(A) E(V e0), the
+    estimate is c0 + d and the influence row is L g_i with
+    L = inv(A) [-D, I], where D g_i = V_i V_i' d. Built around c0, the
+    features stay small where the fit is close, so second moments L S L' of
+    the influence do not cancel large terms. A design of k columns has
+    k (k + 3) / 2 features (_moment_forms caps their total).
+    """
+
+    def __init__(self, data: InternalDataset, desc: FunctionalDescriptor, center=None):
+        args = self.args = desc.args
+        self.kind = desc.kind
+        if desc.kind is FunctionalKind.MEAN:
+            y, where = data.column(args["column"]), args.get("where")
+            if where is None:
+                design = np.ones((data.n, 1))
+            else:
+                design = (data.column(where["column"]) == where["equals"]).astype(float)[:, None]
+            self.label = _mean_label(args["column"], where)
+        elif desc.kind is FunctionalKind.MARGINAL_OLS:
+            y, design = data.column(args["outcome"]), data.column(args["regressor"])[:, None]
+            self.label = _marginal_label(args["outcome"], args["regressor"])
+        else:
+            y = data.column(args["outcome"])
+            design, self.label = _joint_design(data, **args)
+        self.design = design
+        k = design.shape[1]
+        self.center = _ols_coef(design, y, self.label)[1] if center is None else center
+        resid = y - design @ self.center
+        # feature p < P is V_a V_b for the p-th pair a <= b, then feature
+        # P + j is V_j e0; D = (expand d) reshaped to k x P
+        pairs = [(i, j) for i in range(k) for j in range(i, k)]
+        self.features = [design[:, i] * design[:, j] for i, j in pairs]
+        self.features += [design[:, j] * resid for j in range(k)]
+        self.expand = np.array(
+            [[(j, l) in ((a, b), (b, a)) for l in range(k)] for j in range(k) for a, b in pairs],
+            dtype=float,
+        )
+
+    def fit(self, row_sets, totals, products):
+        """The fit on each set of rows in `row_sets`, from the sums over its
+        rows of the features (row i of `totals`) and of their outer products
+        (`products[i]`): (estimates, L, errors, cancelled), one entry per set.
+
+        errors[i] is what the fitter raises on set i, else None: EmptyArm for
+        a `where` that no row meets, DegenerateRegressor for a second moment
+        at most SECOND_MOMENT_FLOOR, RankDeficientDesign from check_full_rank
+        on the rows of a joint design, and NonFiniteValue for a non-finite
+        estimate or influence whose sum of squares (the trace of L P L')
+        overflows. The estimate and L of a set with an error are zero.
+        cancelled[i] is True when, with no error, a diagonal entry of L P L'
+        is below CANCELLATION_FLOOR times the size of the terms it is summed
+        from, (|L| sqrt(diag P))^2: the round-off of those terms is then no
+        longer small against it (as when the rows fit exactly), and the set's
+        influence moments are to be taken from a refit.
+        """
+        k = self.design.shape[1]
+        counts = np.array([rows.size for rows in row_sets], dtype=float)
+        mean = totals / counts[:, None]
+        errors = [None] * len(row_sets)
+        if self.kind is FunctionalKind.JOINT_OLS:
+            # inv(A) = count inv(R'R) with R the triangular factor of the
+            # rows' design, as the fitter solves
+            a_inv, eye = np.zeros((len(row_sets), k, k)), np.eye(k)
+            for i, rows in enumerate(row_sets):
+                try:
+                    r = check_full_rank(self.design.take(rows, 0), RankDeficientDesign, self.label)
+                except RankDeficientDesign as exc:
+                    errors[i] = exc
+                    continue
+                a_inv[i] = counts[i] * dpotrs(r, eye)[0]
+        else:
+            # A is the share of `where` rows for a mean (1 without `where`)
+            # and the regressor's second moment for marginal_ols
+            if self.kind is FunctionalKind.MEAN:
+                bad = mean[:, 0] == 0.0
+            else:
+                bad = mean[:, 0] <= SECOND_MOMENT_FLOOR
+            for i in np.flatnonzero(bad):
+                errors[i] = self._degenerate()
+            with np.errstate(divide="ignore"):
+                a_inv = 1.0 / mean[:, :1, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            shift = (a_inv @ mean[:, -k:, None])[:, :, 0]
+            d = (shift @ self.expand.T).reshape(len(row_sets), k, -1)
+            lmap = np.concatenate((-(a_inv @ d), a_inv), axis=2)
+            estimate = self.center + shift
+            diag = ((lmap @ products) * lmap).sum(axis=2)
+            size = (np.abs(lmap) @ np.sqrt(np.diagonal(products, 0, 1, 2))[:, :, None])[:, :, 0]
+            check = diag.sum(axis=1) + estimate.sum(axis=1)
+            cancelled = (diag < CANCELLATION_FLOOR * size**2).any(axis=1)
+        for i in np.flatnonzero(~np.isfinite(check)):
+            errors[i] = errors[i] or NonFiniteValue(
+                f"fit {self.label!r} has non-finite or overflowing values"
+            )
+        failed = [i for i, error in enumerate(errors) if error is not None]
+        estimate[failed], lmap[failed], cancelled[failed] = 0.0, 0.0, False
+        return estimate, lmap, errors, cancelled
+
+    def _degenerate(self):
+        if self.kind is FunctionalKind.MEAN:
+            return _empty_arm(self.args["column"], self.args["where"])
+        return _zero_second_moment(self.args["regressor"])
+
+
+def _moment_forms(data: InternalDataset, descs, centers):
+    """The _Moments of each descriptor, built around its full-data
+    coefficients in `centers` (None where not known), in order while their
+    features total at most MOMENT_MAX_FEATURES; None for any other
+    descriptor (aipw_ate, or one beyond that width), whose fits are refitted."""
+    forms, room = [], MOMENT_MAX_FEATURES
+    for desc, center in zip(descs, centers):
+        k = desc._base_width()
+        if desc.kind is FunctionalKind.AIPW_ATE or k * (k + 3) // 2 > room:
+            forms.append(None)
+        else:
+            room -= k * (k + 3) // 2
+            forms.append(_Moments(data, desc, center))
+    return forms

@@ -191,11 +191,15 @@ def empirical_moments(tau_fit: FunctionalFit, beta_fit: FunctionalFit):
 def assemble_external(inputs: FusionInputs):
     """Concatenated external estimates and their per-internal-observation
     scaled covariance: block s of sigma_ext is sigma1_s * n / m_s."""
-    summaries, n = inputs.summaries, inputs.n
+    return _external(inputs.summaries, inputs.omega_override, inputs.n)
+
+
+def _external(summaries, omega_override, n: int):
+    """assemble_external for `summaries` against n internal observations."""
     beta_tilde = np.concatenate([np.zeros(0)] + [s.beta for s in summaries])
     rho_coord = np.concatenate([np.zeros(0)] + [np.full(s.q, s.m / n) for s in summaries])
-    if inputs.omega_override is not None:
-        base = inputs.omega_override
+    if omega_override is not None:
+        base = omega_override
     else:
         q = beta_tilde.shape[0]
         base = np.zeros((q, q))

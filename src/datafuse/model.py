@@ -712,8 +712,8 @@ def read_summary_json(path) -> SummaryStatistic:
             obj = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"{path}: invalid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise MalformedInput(f"{path}: not UTF-8 text: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or beyond the int-digit limit
+        raise MalformedInput(f"{path}: invalid JSON: {exc}") from exc
     return summary_from_dict(obj)

@@ -9,12 +9,17 @@ from hypothesis import strategies as st
 from helpers import mean_binding, random_spd, synth_inputs
 
 from datafuse import (
+    FunctionalDescriptor,
+    FunctionalKind,
     FusionInputs,
     Method,
     estimate_crude,
     estimate_eff,
     estimate_int,
+    estimate_orc,
+    prepare_inputs,
     restrict_inputs,
+    validate_dataset,
     validate_summary,
 )
 from datafuse._linalg import sym
@@ -120,3 +125,106 @@ def test_splitting_a_block_diagonal_source_leaves_eff_unchanged(seed, q1, q2):
     )
     np.testing.assert_allclose(one.estimate, two.estimate, rtol=0, atol=TOL)
     np.testing.assert_allclose(one.avar, two.avar, rtol=0, atol=TOL)
+
+
+def _scaled_external(inputs, factor):
+    """The same inputs with every source's covariance scaled by `factor`."""
+    summaries = tuple(
+        validate_summary(s.beta, s.sigma1 * factor, s.m, s.binding, s.source_id)
+        for s in inputs.summaries
+    )
+    return FusionInputs(inputs.tau_fit, inputs.beta_fit, summaries)
+
+
+def _norm(a) -> float:
+    return float(np.linalg.norm(a, 2)) if a.size else 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(_instances())
+def test_sharp_external_summaries_make_eff_the_crude_calibration(instance):
+    # sigma_ext -> 0: the EFF gain cross (sigma_ext + gram)^{-1} tends to the
+    # CRD/KNW coefficient cross gram^{-1}, within the first-order bound
+    # |cross| |sigma_ext| |gram^{-1}|^2 plus the round-off of both solves
+    inputs, _ = instance
+    sharp = _scaled_external(inputs, 1e-12)
+    calib = sharp._calibration
+    eff, coef = estimate_eff(sharp), calib.gram_coef()
+    gram_inv = _norm(np.linalg.inv(calib.gram))
+    cond = _norm(calib.gram) * gram_inv
+    bound = 2.0 * _norm(calib.cross) * _norm(calib.sigma_ext) * gram_inv**2
+    tol = bound + 1e-13 * cond * _norm(coef)
+    assert _norm(eff.gain - coef) <= tol
+    crd = estimate_crude(sharp)
+    assert _norm(eff.estimate - crd.estimate) <= tol * _norm(calib.residual) + 1e-13 * (
+        1.0 + _norm(crd.estimate)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_instances())
+def test_useless_external_summaries_make_eff_the_internal_estimate(instance):
+    # sigma_ext -> infinity: the gain is at most |cross| / lambda_min(sigma_ext),
+    # so the EFF estimate and avar tend to INT's
+    inputs, _ = instance
+    blurred = _scaled_external(inputs, 1e12)
+    calib = blurred._calibration
+    gain_bound = _norm(calib.cross) / np.linalg.eigvalsh(calib.sigma_ext)[0]
+    eff, internal = estimate_eff(blurred), estimate_int(inputs)
+    scale = 1.0 + _norm(internal.estimate)
+    residual_bound = gain_bound * _norm(calib.residual)
+    assert _norm(eff.estimate - internal.estimate) <= residual_bound + 1e-13 * scale
+    cross_bound = gain_bound * _norm(calib.cross)
+    assert _norm(eff.avar - internal.avar) <= cross_bound + 1e-13 * _norm(internal.avar)
+
+
+_Y_MEAN = FunctionalDescriptor(FunctionalKind.MEAN, {"column": "Y"})
+_Y_ON_X = FunctionalDescriptor(FunctionalKind.JOINT_OLS, {"outcome": "Y", "regressors": ["X"]})
+# (descriptor, scale of each coordinate, shift of each coordinate) under Y -> aY + b
+_AFFINE_BINDINGS = (
+    (_Y_MEAN, lambda a, b: ([a], [b])),
+    (FunctionalDescriptor(FunctionalKind.MEAN, {"column": "X"}), lambda a, b: ([1.0], [0.0])),
+    (
+        FunctionalDescriptor(
+            FunctionalKind.MEAN, {"column": "Y", "where": {"column": "T", "equals": 1}}
+        ),
+        lambda a, b: ([a], [b]),
+    ),
+    (_Y_ON_X, lambda a, b: ([a, a], [b, 0.0])),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([_Y_MEAN, _Y_ON_X]))
+def test_estimators_are_affine_equivariant_in_the_outcome(seed, tau):
+    # Y -> aY + b, with each summary mapped the same way, maps every estimate
+    # to a est + b (b on the intercept of a regression) and se to |a| se
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 120))
+    x, t = rng.standard_normal(n), (rng.random(n) < 0.5).astype(float)
+    y = 1.0 + 2.0 * x + t + rng.standard_normal(n)
+    a = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0))
+    b = float(rng.uniform(-100.0, 100.0))
+    chosen = rng.choice(len(_AFFINE_BINDINGS), size=2, replace=False)
+    picks = [_AFFINE_BINDINGS[j] for j in chosen]
+    summaries, moved = [], []
+    for desc, affine in picks:
+        q = desc.width()
+        beta, sigma1, m = rng.standard_normal(q), random_spd(rng, q), int(rng.integers(30, 300))
+        scale, shift = (np.array(v) for v in affine(a, b))
+        summaries.append(validate_summary(beta, sigma1, m, [desc]))
+        moved.append(
+            validate_summary(scale * beta + shift, np.outer(scale, scale) * sigma1, m, [desc])
+        )
+    base = prepare_inputs(validate_dataset({"Y": y, "X": x, "T": t}), tau, summaries)
+    mapped = prepare_inputs(validate_dataset({"Y": a * y + b, "X": x, "T": t}), tau, moved)
+    shift = np.array([b] + [0.0] * (tau.width() - 1))
+    unbiased = [j for j in range(base.q) if rng.random() < 0.5]
+    for estimate in (
+        estimate_int, estimate_crude, estimate_eff, lambda i: estimate_orc(i, unbiased)
+    ):
+        one, two = estimate(base), estimate(mapped)
+        expected = a * one.estimate + shift
+        np.testing.assert_allclose(two.estimate, expected, rtol=0, atol=1e-10 * _norm(expected))
+        se_tol = 1e-10 * abs(a) * _norm(one.se)
+        np.testing.assert_allclose(two.se, abs(a) * one.se, rtol=0, atol=se_tol)

@@ -787,3 +787,42 @@ def test_estimate_fuzzed_debias_config_exits_0_2_or_3(fuzz_files, tmp_path_facto
     else:
         assert out.getvalue() == ""
         _assert_one_json_error(err.getvalue())
+
+
+_HUGE_INT = "1" * 5000  # beyond the interpreter's 4300-digit limit on int()
+_DEEP_LIST = "[" * 100_000 + "]" * 100_000  # beyond the recursion limit
+
+
+@pytest.mark.parametrize("text", [_HUGE_INT, _DEEP_LIST], ids=["huge_int", "deep_list"])
+@pytest.mark.parametrize("reader", ["debias_config", "summary", "simulate_config", "tau"])
+def test_json_beyond_the_parser_limits_exits_2(tmp_path, capsys, reader, text):
+    # each of these used to end in a raw ValueError or RecursionError traceback
+    internal, summary = _write_larger(tmp_path)
+    bad = tmp_path / "bad.json"
+    argv = ["estimate", "--internal", str(internal), "--summary", str(summary),
+            "--tau", TAU_MEAN_Y, "--method", "dbs"]
+    if reader == "debias_config":
+        bad.write_text('{"alpha": %s}' % text)
+        argv += ["--debias-config", str(bad)]
+    elif reader == "summary":
+        bad.write_text(summary.read_text().replace('"m": 50', '"m": %s' % text))
+        argv[argv.index(str(summary))] = str(bad)
+    elif reader == "simulate_config":
+        bad.write_text('{"scenario": "I", "n": %s}' % text)
+        argv = ["simulate", "--config", str(bad)]
+    else:
+        argv[argv.index(TAU_MEAN_Y)] = '{"functional": "mean", "args": {"column": %s}}' % text
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert _assert_one_json_error(err) == "MalformedInput"
+    assert "invalid JSON" in json.loads(err)["error"]["detail"]
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '"I"', "3"])
+def test_simulate_config_that_is_not_an_object_exits_2(tmp_path, capsys, content):
+    # a JSON array used to end in a raw TypeError traceback
+    config = tmp_path / "cfg.json"
+    config.write_text(content)
+    code, out, err = _run(capsys, ["simulate", "--config", str(config), "--scenario", "I"])
+    assert code == 2 and out == ""
+    assert _assert_one_json_error(err) == "MalformedInput"
