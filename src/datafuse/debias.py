@@ -13,11 +13,12 @@ every grid point. Zeros are exact by construction and there is no
 convergence tolerance; NoConvergence is raised only when a path exceeds
 _MAX_KNOTS knots.
 
-Cross-validation folds refit no mean, marginal_ols or joint_ols fit of a
-narrow design: their estimates and influence maps on a fold's rows come from
-per-fold sums of moment features (_FoldFits, functionals._Moments).
-aipw_ate fits, wider designs and fits whose moments on a fold would cancel
-are refitted on the fold's rows.
+A cross-validation fold takes one of two paths (_FoldFits). When every fit
+is a mean, marginal_ols or joint_ols fit of a narrow design and the folds
+partition the rows, the fold's estimates and influence maps come from
+per-fold sums of moment features (functionals._Moments). Otherwise, or when
+a fit's moments on the fold would cancel, the fold is refitted whole on its
+rows.
 """
 
 import math
@@ -45,6 +46,7 @@ from .fusion import (  # noqa: F401
     _Calibration,
     _external,
     _fused,
+    _prepare,
     estimate_crude,
     estimate_eff,
     estimate_int,
@@ -336,14 +338,14 @@ def cv_tune(
     squared distance across folds; ties break toward the smaller C.
     Returns (c_star, trace) with trace a tuple of (C, error) pairs.
 
-    Mean, marginal_ols and joint_ols fits of narrow designs are not
-    refitted: each fold reads them from sums of their moment features over
-    its rows (_FoldFits). Other fits are refitted on the fold's rows, an
-    aipw_ate target with its propensity Newton started from the full-data
-    fit. A fold builds its
-    calibration once, traces one lasso path over the whole grid and
-    evaluates the fused estimate once per distinct selected set, from
-    sub-blocks of that calibration.
+    `folds`, if given, is a list of at least 2 non-empty arrays of row
+    indices. A fold is read whole from sums of moment features over its
+    rows when every fit is a mean, marginal_ols or joint_ols fit of a narrow
+    design and the folds partition the rows; otherwise it is refitted whole,
+    an aipw_ate target with its propensity Newton started from the full-data
+    fit (_FoldFits). A fold builds its calibration once, traces one lasso
+    path over the whole grid and evaluates the fused estimate once per
+    distinct selected set, from sub-blocks of that calibration.
     """
     if inputs.data is None or inputs.tau is None:
         raise MalformedInput(
@@ -360,6 +362,8 @@ def cv_tune(
         folds = kfold_indices(n, k, seed)
     else:
         folds = [_fold_rows(f, n, i) for i, f in enumerate(folds)]
+        if len(folds) < 2:
+            raise MalformedInput(f"cross-validation needs at least 2 folds, got {len(folds)}")
     fits = _FoldFits(inputs, folds)
     errors = np.zeros(len(grid))
     for fold_idx in range(len(folds)):
@@ -387,28 +391,41 @@ class _FoldFits:
     and the calibration of the target and the summary bindings on the other
     rows, its train rows, as prepare_inputs would build it there.
 
-    Slot 0 is the target, then one slot per distinct binding fit (by group
-    key, in binding order). Their coefficients are stacked, slot i's at
-    `coefs[i]`, and `tau` and `beta` index the ones the target and the
-    bindings report. A mean, marginal_ols or joint_ols slot of a narrow
-    design has a moment form (functionals._Moments), built around the
-    full-data fit. Its features, after a row of ones, make the feature
-    matrix G (one row per feature). One product G_f G_f' per fold f gives
-    the row count and the sums of the features and of their outer products
-    over the fold's rows; the train rows' sums are total - fold. The slots'
-    fits on every fold's rows come from those sums at once, with no refit
-    and no influence columns: estimates, influence maps L, and the
+    A fold takes one of two paths, never a mix. It is read from moment sums
+    when every slot has a moment form (functionals._moment_forms) and the
+    folds partition the rows. Slot 0 is the target, then one slot per
+    distinct binding fit (by group key, in binding order); their
+    coefficients are stacked, slot i's at `coefs[i]`, and `tau` and `beta`
+    index the ones the target and the bindings report. The features of the
+    forms, after a row of ones, make the feature matrix G (one row per
+    feature). One product G_f G_f' per fold f gives the row count and the
+    sums of the features and of their outer products over the fold's rows;
+    the train rows' sums are added up from the other folds' products, so
+    nothing cancels. Every fold's fits come from those sums at once, with no
+    refit and no influence columns: estimates, influence maps L, and the
     calibration moments L S L' with S the train rows' second moments of the
-    features. A slot is refitted on a fold's train rows (`refit[f, i]`)
-    when it has no moment form (aipw_ate, a wide joint_ols), when the fold
-    leaves no train rows, or when its moments there would cancel
-    (_Moments.fit); the target's refit starts from the full-data propensity,
-    and the refitted influence columns join the features. If a sum is not
-    finite, every slot is refitted.
+    features. Otherwise the fold is refitted whole (`refit[f]`): the target
+    on the held-out rows (_fit_tau), then prepare_inputs on the train rows,
+    an aipw_ate target started from the full-data propensity and the fold
+    re-run from zero if that raises. That is every fold when a slot has no
+    moment form (aipw_ate, or designs too wide), when the folds overlap or
+    leave rows out, or when a feature sum is not finite; and a fold on whose
+    rows a moment fit cancels (_Moments.fit).
     """
 
     def __init__(self, inputs: FusionInputs, folds):
         from .functionals import _moment_forms
+
+        self.inputs, self.folds = inputs, folds
+        n, k = inputs.n, len(folds)
+        self.train_rows = []
+        for test_rows in folds:
+            train = np.ones(n, dtype=bool)
+            train[test_rows] = False
+            self.train_rows.append(np.flatnonzero(train))
+        self.refit = np.ones(k, dtype=bool)
+        if not np.all(np.bincount(np.concatenate(folds), minlength=n) == 1):
+            return
 
         binding = [desc for s in inputs.summaries for desc in s.binding]
         keys = [desc.group_key() for desc in binding]
@@ -416,10 +433,9 @@ class _FoldFits:
         for desc, key in zip(binding, keys):
             groups.setdefault(key, desc)
         slot_of = {key: 1 + i for i, key in enumerate(groups)}
-        self.inputs, self.folds = inputs, folds
-        self.slots = [inputs.tau, *groups.values()]
-        starts = np.cumsum([0] + [desc._base_width() for desc in self.slots])
-        self.coefs = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
+        slots = [inputs.tau, *groups.values()]
+        starts = np.cumsum([0] + [desc._base_width() for desc in slots])
+        coefs = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
         self.tau = np.arange(starts[1])[_coefficients(inputs.tau)]
         self.beta = np.concatenate(
             [
@@ -427,134 +443,89 @@ class _FoldFits:
                 for desc, key in zip(binding, keys)
             ]
         )
-        n = inputs.n
-        self.partition = np.all(np.bincount(np.concatenate(folds), minlength=n) == 1)
-        self.train_rows = []
-        for test_rows in folds:
-            train = np.ones(n, dtype=bool)
-            train[test_rows] = False
-            self.train_rows.append(np.flatnonzero(train))
-
         # build the moment forms around the full-data fits where inputs holds
         # all of a slot's coefficients
         known = np.full(starts[-1], np.nan)
         known[self.beta] = inputs.beta_fit.estimate
         if inputs.tau_fit.p == self.tau.size:
             known[self.tau] = inputs.tau_fit.estimate
-        centers = [known[c] if np.isfinite(known[c]).all() else None for c in self.coefs]
+        centers = [known[c] if np.isfinite(known[c]).all() else None for c in coefs]
         with np.errstate(over="ignore", invalid="ignore"):
-            forms = _moment_forms(inputs.data, self.slots, centers)
-            self.features, self.spans, test, train = self._sums(forms)
+            forms = _moment_forms(inputs.data, slots, centers)
+            if forms is None:
+                return
+            features = np.array([np.ones(n)] + [g for form in forms for g in form.features])
+            test = np.array([_products(features, rows) for rows in folds])
+            train = np.array([sum(test[g] for g in range(k) if g != f) for f in range(k)])
         if not (np.isfinite(test).all() and np.isfinite(train).all()):
-            forms = [None] * len(forms)
-            self.features, self.spans, test, train = self._sums(forms)
-        # per fold: the stacked estimates and influence maps of the moment
-        # slots (zero where a slot is refitted), the second moments of the
-        # features, and each slot's errors (None where it is refitted); folds
-        # with no train rows are refitted as a whole
-        k, width = len(folds), self.features.shape[0]
-        counts = np.array([rows.size for rows in self.train_rows])
-        fitted = np.flatnonzero(counts)
-        self.refit = np.ones((k, len(self.slots)), dtype=bool)
-        self.test_fit, self.errors = None, []
+            return
+
+        # per fold: the stacked estimates and influence maps of the slots,
+        # and the first error the refit would raise (target on the test rows,
+        # then the slots in order); a fold whose fits cancel is refitted
+        self.refit = np.zeros(k, dtype=bool)
         self.estimate = np.zeros((k, starts[-1]))
-        self.maps = np.zeros((k, starts[-1], width))
-        self.second = train / np.maximum(counts, 1)[:, None, None]
-        train_sets = [self.train_rows[f] for f in fitted]
-        for i, (form, span, c) in enumerate(zip(forms, self.spans, self.coefs)):
-            self.errors.append([None] * k)
-            if form is None:
-                continue
-            sets, sums = train_sets, train[fitted]
+        maps = np.zeros((k, starts[-1], features.shape[0]))
+        at = 1
+        for i, (form, c) in enumerate(zip(forms, coefs)):
+            span = slice(at, at + len(form.features))
+            at = span.stop
+            sets, sums = self.train_rows, train
             if i == 0:  # the target on the test rows too, in the same call
-                sets, sums = folds + sets, np.concatenate((test, sums))
-            estimate, maps, errors, cancelled = form.fit(
+                sets, sums = folds + sets, np.concatenate((test, train))
+            estimate, lmap, errors, cancelled = form.fit(
                 sets, sums[:, 0, span], sums[:, span, span]
             )
             if i == 0:
-                self.test_fit = estimate[:k], errors[:k]
-                estimate, maps, errors, cancelled = (
-                    estimate[k:], maps[k:], errors[k:], cancelled[k:]
+                self.tau_test = estimate[:k, _coefficients(inputs.tau)]
+                self.errors = errors[:k]
+                estimate, lmap, errors, cancelled = (
+                    estimate[k:], lmap[k:], errors[k:], cancelled[k:]
                 )
-            for f, error in zip(fitted, errors):
-                self.errors[i][f] = error
-            self.refit[fitted, i] = cancelled
-            self.estimate[fitted, c], self.maps[fitted, c, span] = estimate, maps
+            self.errors = [first or error for first, error in zip(self.errors, errors)]
+            self.refit |= cancelled
+            self.estimate[:, c], maps[:, c, span] = estimate, lmap
+        counts = np.array([rows.size for rows in self.train_rows])
         self.moments = _calibration_moments(
-            self.maps[:, self.tau], self.maps[:, self.beta], self.second
+            maps[:, self.tau], maps[:, self.beta], train / counts[:, None, None]
         )
 
-    def _sums(self, forms):
-        """The feature matrix of `forms`, each slot's span of it, and the
-        products of each fold's test rows and of its train rows."""
-        spans, columns = [], [np.ones(self.inputs.n)]
-        for form in forms:
-            width = len(form.features) if form else 0
-            spans.append(slice(len(columns), len(columns) + width))
-            columns += form.features if form else []
-        features = np.array(columns)
-        test = np.array([_products(features, rows) for rows in self.folds])
-        if self.partition:
-            # total - fold as the sum of the other folds: nothing cancels
-            k = len(self.folds)
-            train = np.array([sum(test[g] for g in range(k) if g != f) for f in range(k)])
-        else:
-            train = np.array([_products(features, rows) for rows in self.train_rows])
-        return features, spans, test, train
-
     def fold(self, f: int, start):
-        """(target estimate on fold f, _Calibration of its train rows). An
-        aipw_ate target is refitted from `start`; if the fold raises from it,
-        it is re-run from zero, so it fails with the error of the cold fits."""
+        """(target estimate on fold f, _Calibration of its train rows). A
+        refitted fold starts an aipw_ate fit from `start`; if it raises from
+        there, it is re-run from zero, so it fails with the error of the cold
+        fits."""
+        if not self.refit[f]:
+            return self._from_sums(f)
         try:
-            return self._fold(f, start)
+            return self._refitted(f, start)
         except DataFuseError:
             if start is None:
                 raise
-        return self._fold(f, None)
+        return self._refitted(f, None)
 
-    def _fold(self, f, start):
-        from .functionals import _refit
-
-        inputs, train_rows = self.inputs, self.train_rows[f]
-        if self.test_fit is None:
-            tau_test = _fit_tau(inputs, self.folds[f], start)
-        else:
-            estimates, errors = self.test_fit
-            _raise_error(errors, f)
-            tau_test = estimates[f][_coefficients(inputs.tau)]
-        # the slots in order, so the fold fails as prepare_inputs would
-        estimate, columns, refitted, subset = self.estimate[f], [], [], None
-        for i, (desc, errors, c) in enumerate(zip(self.slots, self.errors, self.coefs)):
-            if not self.refit[f, i]:
-                _raise_error(errors, f)
-                continue
-            if subset is None:
-                subset, estimate = inputs.data.subset(train_rows), estimate.copy()
-            fit = _refit(subset, desc, start if i == 0 else None)
-            estimate[c] = fit.estimate
-            columns.append(fit.influence)
-            refitted.append(np.arange(c.start, c.stop))
-        n_train = train_rows.size
-        if columns:
-            # the refitted slots' influence columns join the features, in
-            # place of their moment maps
-            refitted = np.concatenate(refitted)
-            maps = np.hstack((self.maps[f], np.zeros((estimate.size, refitted.size))))
-            maps[refitted] = 0.0
-            maps[refitted, self.features.shape[0] + np.arange(refitted.size)] = 1.0
-            # products block by block: the influence columns are column
-            # major, and stacking them side by side is a slow strided copy
-            features = self.features.take(train_rows, 1)
-            mixed = np.hstack([features @ phi for phi in columns]) / n_train
-            phi_second = np.block([[phi.T @ eta for eta in columns] for phi in columns]) / n_train
-            second = np.block([[self.second[f], mixed], [mixed.T, phi_second]])
-            moments = _calibration_moments(maps[self.tau], maps[self.beta], second)
-        else:
-            moments = [m[f] for m in self.moments]
-        beta_tilde, sigma_ext = _external(inputs.summaries, inputs.omega_override, n_train)
+    def _from_sums(self, f):
+        if self.errors[f] is not None:
+            raise self.errors[f]
+        inputs, estimate = self.inputs, self.estimate[f]
+        beta_tilde, sigma_ext = _external(
+            inputs.summaries, inputs.omega_override, self.train_rows[f].size
+        )
+        moments = [m[f] for m in self.moments]
         residual = estimate[self.beta] - beta_tilde
-        return tau_test, _Calibration(estimate[self.tau], *moments, residual, sigma_ext)
+        return self.tau_test[f], _Calibration(estimate[self.tau], *moments, residual, sigma_ext)
+
+    def _refitted(self, f, start):
+        inputs = self.inputs
+        tau_test = _fit_tau(inputs, self.folds[f], start)
+        train = _prepare(
+            inputs.data.subset(self.train_rows[f]),
+            inputs.tau,
+            inputs.summaries,
+            inputs.omega_override,
+            start,
+        )
+        return tau_test, train._calibration
 
 
 def _calibration_moments(l_tau, l_beta, second):
@@ -569,12 +540,6 @@ def _calibration_moments(l_tau, l_beta, second):
         tau_second @ l_beta.swapaxes(-1, -2),
         (gram + gram.swapaxes(-1, -2)) / 2.0,
     )
-
-
-def _raise_error(errors, f: int):
-    """Raise the error of a moment form's fit on fold f (_Moments.fit), if any."""
-    if errors[f] is not None:
-        raise errors[f]
 
 
 def _fit_tau(inputs: FusionInputs, rows, start=None) -> np.ndarray:

@@ -45,12 +45,12 @@ PROPENSITY_TRIM = 0.01
 LOGISTIC_SCORE_TOL = 1e-10
 LOGISTIC_MAX_ITER = 100
 SECOND_MOMENT_FLOOR = 1e-30
-# moment forms (_Moments) are built while their features total at most this
-# many: a design of k columns has k (k + 3) / 2 features, and the fold
-# products grow as the square of the total
+# cross-validation reads folds from moment forms (_Moments) only when their
+# features total at most this many: a design of k columns has k (k + 3) / 2
+# features, and the fold products grow as the square of the total
 MOMENT_MAX_FEATURES = 80
 # a moment form's influence second moment below this share of the terms it
-# is summed from (round-off then costs more than 4 digits) is refitted
+# is summed from (round-off then costs more than 4 digits) has its fold refitted
 CANCELLATION_FLOOR = 1e-4
 
 
@@ -376,8 +376,8 @@ class _Moments:
         cancelled[i] is True when, with no error, a diagonal entry of L P L'
         is below CANCELLATION_FLOOR times the size of the terms it is summed
         from, (|L| sqrt(diag P))^2: the round-off of those terms is then no
-        longer small against it (as when the rows fit exactly), and the set's
-        influence moments are to be taken from a refit.
+        longer small against it (as when the rows fit exactly), and the
+        set's fits are to be refitted.
         """
         k = self.design.shape[1]
         counts = np.array([rows.size for rows in row_sets], dtype=float)
@@ -430,15 +430,13 @@ class _Moments:
 
 def _moment_forms(data: InternalDataset, descs, centers):
     """The _Moments of each descriptor, built around its full-data
-    coefficients in `centers` (None where not known), in order while their
-    features total at most MOMENT_MAX_FEATURES; None for any other
-    descriptor (aipw_ate, or one beyond that width), whose fits are refitted."""
-    forms, room = [], MOMENT_MAX_FEATURES
-    for desc, center in zip(descs, centers):
-        k = desc._base_width()
-        if desc.kind is FunctionalKind.AIPW_ATE or k * (k + 3) // 2 > room:
-            forms.append(None)
-        else:
-            room -= k * (k + 3) // 2
-            forms.append(_Moments(data, desc, center))
-    return forms
+    coefficients in `centers` (None where not known); None unless every
+    descriptor has one: no aipw_ate fit, and features totalling at most
+    MOMENT_MAX_FEATURES."""
+    widths = [desc._base_width() for desc in descs]
+    if (
+        any(desc.kind is FunctionalKind.AIPW_ATE for desc in descs)
+        or sum(k * (k + 3) // 2 for k in widths) > MOMENT_MAX_FEATURES
+    ):
+        return None
+    return [_Moments(data, desc, center) for desc, center in zip(descs, centers)]

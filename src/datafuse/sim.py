@@ -399,6 +399,11 @@ def run_replications(config: ScenarioConfig, threads: int = 1) -> SimulationResu
     if not kept:
         raise ExcessiveFailures("no replication succeeded")
 
+    if len(kept) < 2:
+        warnings.warn(
+            "one replication: mc_se_bias, mc_se_rmse and mc_se_ase are sample "
+            "deviations over replications, undefined here (NaN)"
+        )
     tau_true = kept[0][1][0]
     p = tau_true.shape[0]
     rows = []
@@ -413,9 +418,9 @@ def run_replications(config: ScenarioConfig, threads: int = 1) -> SimulationResu
             sq = err * err
             rmse = math.sqrt(float(np.mean(sq)))
             bias = float(np.mean(err))
-            mc_bias = float(np.std(err, ddof=1)) / math.sqrt(reps_used)
+            mc_bias = _sample_sd(err) / math.sqrt(reps_used)
             mc_rmse = (
-                float(np.std(sq, ddof=1)) / math.sqrt(reps_used) / (2.0 * rmse)
+                _sample_sd(sq) / math.sqrt(reps_used) / (2.0 * rmse)
                 if rmse > 0.0
                 else 0.0
             )
@@ -432,7 +437,7 @@ def run_replications(config: ScenarioConfig, threads: int = 1) -> SimulationResu
                     cp=100.0 * cov_rate,
                     mc_se_bias=100.0 * mc_bias,
                     mc_se_rmse=100.0 * mc_rmse,
-                    mc_se_ase=100.0 * float(np.std(ses[:, j], ddof=1)) / math.sqrt(reps_used),
+                    mc_se_ase=100.0 * _sample_sd(ses[:, j]) / math.sqrt(reps_used),
                     mc_se_cp=100.0 * math.sqrt(cov_rate * (1.0 - cov_rate) / reps_used),
                     reps=reps_used,
                 )
@@ -458,6 +463,11 @@ def run_replications(config: ScenarioConfig, threads: int = 1) -> SimulationResu
     return SimulationResult(
         config=config, rows=tuple(rows), records=tuple(records), failures=len(failures)
     )
+
+
+def _sample_sd(values) -> float:
+    """Standard deviation with ddof=1; NaN for a single value."""
+    return float(np.std(values, ddof=1)) if values.size > 1 else math.nan
 
 
 # ---------------------------------------------------------------------------

@@ -180,51 +180,55 @@ def test_useless_external_summaries_make_eff_the_internal_estimate(instance):
 
 _Y_MEAN = FunctionalDescriptor(FunctionalKind.MEAN, {"column": "Y"})
 _Y_ON_X = FunctionalDescriptor(FunctionalKind.JOINT_OLS, {"outcome": "Y", "regressors": ["X"]})
-# (descriptor, scale of each coordinate, shift of each coordinate) under Y -> aY + b
+# (descriptor, scale of each coordinate, shift of each coordinate) under
+# Y -> aY + b and X -> cX
 _AFFINE_BINDINGS = (
-    (_Y_MEAN, lambda a, b: ([a], [b])),
-    (FunctionalDescriptor(FunctionalKind.MEAN, {"column": "X"}), lambda a, b: ([1.0], [0.0])),
+    (_Y_MEAN, lambda a, b, c: ([a], [b])),
+    (FunctionalDescriptor(FunctionalKind.MEAN, {"column": "X"}), lambda a, b, c: ([c], [0.0])),
     (
         FunctionalDescriptor(
             FunctionalKind.MEAN, {"column": "Y", "where": {"column": "T", "equals": 1}}
         ),
-        lambda a, b: ([a], [b]),
+        lambda a, b, c: ([a], [b]),
     ),
-    (_Y_ON_X, lambda a, b: ([a, a], [b, 0.0])),
+    (_Y_ON_X, lambda a, b, c: ([a, a / c], [b, 0.0])),
 )
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([_Y_MEAN, _Y_ON_X]))
-def test_estimators_are_affine_equivariant_in_the_outcome(seed, tau):
+@given(st.integers(0, 2**32 - 1), st.sampled_from([_Y_MEAN, _Y_ON_X]), st.booleans())
+def test_estimators_are_affine_equivariant_in_the_outcome(seed, tau, rescale_x):
     # Y -> aY + b, with each summary mapped the same way, maps every estimate
-    # to a est + b (b on the intercept of a regression) and se to |a| se
+    # to a est + b (b on the intercept of a regression) and se to |a| se;
+    # with rescale_x, X -> cX too, which maps X's coefficient and its se to
+    # 1/c times theirs
     rng = np.random.default_rng(seed)
     n = int(rng.integers(30, 120))
     x, t = rng.standard_normal(n), (rng.random(n) < 0.5).astype(float)
     y = 1.0 + 2.0 * x + t + rng.standard_normal(n)
     a = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0))
     b = float(rng.uniform(-100.0, 100.0))
+    c = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0)) if rescale_x else 1.0
     chosen = rng.choice(len(_AFFINE_BINDINGS), size=2, replace=False)
     picks = [_AFFINE_BINDINGS[j] for j in chosen]
     summaries, moved = [], []
     for desc, affine in picks:
         q = desc.width()
         beta, sigma1, m = rng.standard_normal(q), random_spd(rng, q), int(rng.integers(30, 300))
-        scale, shift = (np.array(v) for v in affine(a, b))
+        scale, shift = (np.array(v) for v in affine(a, b, c))
         summaries.append(validate_summary(beta, sigma1, m, [desc]))
         moved.append(
             validate_summary(scale * beta + shift, np.outer(scale, scale) * sigma1, m, [desc])
         )
     base = prepare_inputs(validate_dataset({"Y": y, "X": x, "T": t}), tau, summaries)
-    mapped = prepare_inputs(validate_dataset({"Y": a * y + b, "X": x, "T": t}), tau, moved)
-    shift = np.array([b] + [0.0] * (tau.width() - 1))
+    mapped = prepare_inputs(validate_dataset({"Y": a * y + b, "X": c * x, "T": t}), tau, moved)
+    scale, shift = (np.array(v) for v in next(f for d, f in _AFFINE_BINDINGS if d is tau)(a, b, c))
     unbiased = [j for j in range(base.q) if rng.random() < 0.5]
     for estimate in (
         estimate_int, estimate_crude, estimate_eff, lambda i: estimate_orc(i, unbiased)
     ):
         one, two = estimate(base), estimate(mapped)
-        expected = a * one.estimate + shift
+        expected = scale * one.estimate + shift
         np.testing.assert_allclose(two.estimate, expected, rtol=0, atol=1e-10 * _norm(expected))
-        se_tol = 1e-10 * abs(a) * _norm(one.se)
-        np.testing.assert_allclose(two.se, abs(a) * one.se, rtol=0, atol=se_tol)
+        se = np.abs(scale) * one.se
+        np.testing.assert_allclose(two.se, se, rtol=0, atol=1e-10 * _norm(se))

@@ -664,6 +664,97 @@ def _assert_one_json_error(err: str):
     return payload["error"]["kind"]
 
 
+_FUZZ_NUMBER = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.integers(-2, 5),
+    st.sampled_from([0.0, 1e-300, 1e300, -1e300, float("nan"), float("inf")]),
+)
+# (descriptor, width)
+_FUZZ_BINDINGS = (
+    ({"functional": "mean", "args": ["X"]}, 1),
+    ({"functional": "mean", "args": {"column": "Y", "where": {"column": "T", "equals": 1}}}, 1),
+    ({"functional": "marginal_ols", "args": ["Y", "X"]}, 1),
+    ({"functional": "joint_ols", "args": ["Y", ["X"]]}, 2),
+    ({"functional": "joint_ols", "args": ["Y", ["X", "T"]], "component": 2}, 1),
+    ({"functional": "aipw_ate", "args": ["Y", "T", ["X"]]}, 1),
+)
+
+
+@st.composite
+def _fuzz_summary(draw):
+    """Text of a --summary file: mostly an object with beta, sigma1, m and a
+    binding of matching sizes, each field sometimes of the wrong size, type
+    or value (NaN, infinite, huge, not positive definite), a key missing or
+    a stray one; sometimes JSON that is not an object, or not JSON. The
+    choices come from one seeded generator, so each is drawn about as often
+    as its stated share; the values from hypothesis."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if rng.random() < 0.1:
+        return ["[]", '"summary"', "3", "null", "", "{", '{"m": 4,}'][rng.integers(7)]
+    binding, q = [], 0
+    for _ in range(rng.integers(1, 3)):
+        if rng.random() < 0.2:
+            binding.append(draw(_fuzz_tau()))
+            q += 1
+        else:
+            desc, width = _FUZZ_BINDINGS[rng.integers(len(_FUZZ_BINDINGS))]
+            binding.append(desc)
+            q += width
+    if rng.random() < 0.1:
+        q = max(q + int(rng.choice([-1, 1, 2])), 0)
+    number = _FUZZ_NUMBER if rng.random() < 0.2 else st.floats(-3.0, 3.0)
+    beta = draw(st.lists(number, min_size=q, max_size=q))
+    if rng.random() < 0.7:
+        # positive definite but for odd numbers: a dominant diagonal
+        noise = np.reshape(draw(st.lists(number, min_size=q * q, max_size=q * q)), (q, q))
+        sigma1 = (np.eye(q) * rng.uniform(0.1, 5.0) + 0.05 * (noise + noise.T)).tolist()
+    else:
+        sigma1 = [draw(st.lists(number, min_size=q, max_size=q)) for _ in range(q)]
+    bad_m = [0, -3, 2.5, "40", True, None, 10**30, [40]]
+    obj = {
+        "beta": beta,
+        "sigma1": sigma1,
+        "m": int(rng.integers(1, 200)) if rng.random() < 0.8 else bad_m[rng.integers(len(bad_m))],
+        "binding": binding,
+    }
+    for key in ("beta", "sigma1", "binding"):
+        if rng.random() < 0.05:
+            obj[key] = draw(_FUZZ_VALUES)
+    if rng.random() < 0.5:
+        obj["source_id"] = draw(st.text(max_size=3) if rng.random() < 0.8 else _FUZZ_VALUES)
+    if rng.random() < 0.05:
+        del obj[sorted(obj)[rng.integers(len(obj))]]
+    if rng.random() < 0.05:
+        obj["extra"] = 1
+    return json.dumps(obj)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=_fuzz_summary(),
+    tau=st.sampled_from([
+        {"functional": "mean", "args": ["Y"]},
+        {"functional": "joint_ols", "args": ["Y", ["X", "T"]]},
+    ]),
+    method=st.sampled_from(["int", "eff", "crd", "dbs"]),
+)
+def test_estimate_fuzzed_summary_exits_0_2_or_3(fuzz_files, tmp_path_factory, text, tau, method):
+    # every --summary file gives a result as standard JSON or a typed error:
+    # exit 2 or 3, nothing on stdout, one JSON error line on stderr
+    internal, _ = fuzz_files
+    summary = tmp_path_factory.getbasetemp() / "fuzz_summary.json"
+    summary.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["estimate", "--internal", internal, "--summary", str(summary),
+                     "--tau", json.dumps(tau), "--method", method])
+    assert code in (0, 2, 3)
+    if code == 0:
+        _strict_json(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        _assert_one_json_error(err.getvalue())
+
 def _cli_process(argv):
     """`python -m datafuse.cli argv` in a fresh interpreter, warnings shown as
     Python shows them by default."""
@@ -702,6 +793,19 @@ def test_warnings_reach_stderr_only_when_the_command_succeeds(tmp_path):
     assert "UserWarning: ill-conditioned system (gram): added ridge" in done.stderr
     assert done.stderr.endswith("  warnings.warn(msg)\n")
 
+
+def test_simulate_one_replication_says_its_mc_errors_are_undefined(tmp_path):
+    # one replication has no sample deviation: the NaN columns are named in
+    # one warning, with none of numpy's degrees-of-freedom warnings
+    done = _cli_process(["simulate", "--scenario", "I", "--n", "50", "--m", "50",
+                         "--reps", "1", "--methods", "INT", "--out-dir", str(tmp_path)])
+    assert done.returncode == 0
+    assert "RuntimeWarning" not in done.stderr
+    assert "one replication: mc_se_bias, mc_se_rmse and mc_se_ase" in done.stderr
+    with open(tmp_path / "metrics.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    nan = {key for key, value in row.items() if value == "nan"}
+    assert nan == {"mc_se_bias", "mc_se_rmse", "mc_se_ase"}
 
 def test_simulate_that_cannot_write_its_tables_prints_no_table(tmp_path, capsys):
     # the table used to reach stdout before the out-dir was made

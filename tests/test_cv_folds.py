@@ -192,7 +192,7 @@ def test_feature_sums_that_overflow_fall_back_to_refits():
     x = 1e80 * rng.standard_normal(12)
     inputs = _huge_inputs(x, 2.0 * x + 1e80 * rng.standard_normal(12))
     fits = _FoldFits(inputs, FOLDS_OF_12)
-    assert fits.test_fit is None and fits.refit.all()
+    assert fits.refit.all()
     for f, test_rows in enumerate(FOLDS_OF_12):
         tau_test, calib = _ours(fits, f, None)
         ref_tau, ref_calib = _reference(
@@ -204,8 +204,8 @@ def test_feature_sums_that_overflow_fall_back_to_refits():
 
 
 def test_folds_that_do_not_partition_the_rows_match_refits():
-    # overlapping folds, a repeated row and rows in no fold: the train rows'
-    # sums are taken over the train rows themselves, not as total - fold
+    # overlapping folds, a repeated row and rows in no fold: every fold is
+    # refitted whole on its own rows
     rng = np.random.default_rng(8)
     x1, x2 = rng.standard_normal(40), rng.standard_normal(40)
     data = validate_dataset({"Y": 1.0 + x1 - x2 + rng.standard_normal(40), "X1": x1, "X2": x2})
@@ -215,7 +215,7 @@ def test_folds_that_do_not_partition_the_rows_match_refits():
     inputs = prepare_inputs(data, tau, [summary])
     folds = [np.arange(0, 10), np.arange(5, 15), np.array([20, 20, 21, 22, 23, 24, 25])]
     fits = _FoldFits(inputs, folds)
-    assert not fits.partition
+    assert fits.refit.all()
     for f, test_rows in enumerate(folds):
         got = _ours(fits, f, None)
         ref = _reference(inputs, test_rows, np.setdiff1d(np.arange(40), test_rows), None)
@@ -251,7 +251,7 @@ def test_fold_with_no_train_rows_fails_as_the_refit_does(tau):
 
 def test_fits_beyond_the_feature_cap_are_refitted():
     # a 13-column joint design has 104 moment features, more than
-    # MOMENT_MAX_FEATURES: that target is refitted, the narrow binding is not
+    # MOMENT_MAX_FEATURES: every fold is refitted whole, the narrow binding too
     rng = np.random.default_rng(6)
     n = 60
     columns = {f"X{j}": rng.standard_normal(n) for j in range(12)}
@@ -262,7 +262,7 @@ def test_fits_beyond_the_feature_cap_are_refitted():
     inputs = prepare_inputs(data, tau, [validate_summary([1.0], [[2.0]], 80, binding)])
     folds = kfold_indices(n, 3, 0)
     fits = _FoldFits(inputs, folds)
-    assert fits.test_fit is None and fits.refit[:, 0].all() and not fits.refit[:, 1].any()
+    assert fits.refit.all()
     for f, test_rows in enumerate(folds):
         got = _ours(fits, f, None)
         ref = _reference(inputs, test_rows, np.setdiff1d(np.arange(n), test_rows), None)

@@ -419,6 +419,9 @@ def test_cv_tune_rejects_folds_outside_the_rows():
         [np.array([-1, 0, 1, 2, 3, 4]), np.arange(5, 12)],
         [np.array([0.0, 1.0, 2.0, 3.0]), np.arange(4, 12)],
         [np.array([], dtype=int), np.arange(12)],
+        # fewer than 2 folds
+        [],
+        [np.arange(12)],
     ):
         with pytest.raises(MalformedInput):
             cv_tune(inputs, [1.0], folds=bad)
