@@ -16,9 +16,9 @@ _MAX_KNOTS knots.
 A cross-validation fold takes one of two paths (_FoldFits). When every fit
 is a mean, marginal_ols or joint_ols fit of a narrow design and the folds
 partition the rows, the fold's estimates and influence maps come from
-per-fold sums of moment features (functionals._Moments). Otherwise, or when
-a fit's moments on the fold would cancel, the fold is refitted whole on its
-rows.
+per-fold sums of moment features (functionals._Moments). Otherwise the fold
+is refitted whole on its rows; so is a fold on whose rows a fit would fail
+or its moments would cancel, and it fails with the refit's error.
 """
 
 import math
@@ -246,7 +246,7 @@ def _segment_point(u, v, lam, knot_coord: int) -> list:
 def adaptive_lasso(x, y, weights, lam, *, return_trace: bool = False):
     """Minimizer of ||y - x b||^2 + lam * sum_j w_j |b_j| by the exact homotopy.
 
-    Zeros are exact: a coordinate off the active set is 0.0, never a small
+    lam is a finite number >= 0. Zeros are exact: a coordinate off the active set is 0.0, never a small
     float. Coordinates with infinite weight are pinned at zero and flagged
     with a warning rather than aborting. With return_trace, also returns the
     objective at lam of the path's solution at every knot passed and at lam
@@ -259,7 +259,7 @@ def adaptive_lasso(x, y, weights, lam, *, return_trace: bool = False):
         raise DimensionMismatch(
             f"inconsistent shapes x{x.shape} y{y.shape} weights{weights.shape}"
         )
-    if lam < 0.0:
+    if _real("lambda", lam) < 0.0:
         raise MalformedInput(f"lambda must be >= 0, got {lam}")
     if (weights < 0.0).any():
         raise MalformedInput("weights must be non-negative")
@@ -339,13 +339,17 @@ def cv_tune(
     Returns (c_star, trace) with trace a tuple of (C, error) pairs.
 
     `folds`, if given, is a list of at least 2 non-empty arrays of row
-    indices. A fold is read whole from sums of moment features over its
-    rows when every fit is a mean, marginal_ols or joint_ols fit of a narrow
-    design and the folds partition the rows; otherwise it is refitted whole,
-    an aipw_ate target with its propensity Newton started from the full-data
-    fit (_FoldFits). A fold builds its calibration once, traces one lasso
-    path over the whole grid and evaluates the fused estimate once per
-    distinct selected set, from sub-blocks of that calibration.
+    indices. grid_c is any iterable of positive constants; they, w and
+    alpha > 0 must be finite. A fold is read whole from sums of moment
+    features over its rows when every fit is a mean, marginal_ols or
+    joint_ols fit of a narrow design and the folds partition the rows;
+    otherwise it is refitted whole, an aipw_ate target with its propensity
+    Newton started from the full-data fit (_FoldFits). A fold on whose rows
+    a fit would fail or its moments would cancel is refitted whole too, and
+    fails with the refit's error (as FoldTooSmall). A fold builds its
+    calibration once, traces one lasso path over the whole grid and
+    evaluates the fused estimate once per distinct selected set, from
+    sub-blocks of that calibration.
     """
     if inputs.data is None or inputs.tau is None:
         raise MalformedInput(
@@ -354,9 +358,12 @@ def cv_tune(
         )
     if not inputs.summaries:
         raise DimensionMismatch("cv_tune needs at least one summary")
-    grid = sorted(float(c) for c in grid_c)
+    grid = sorted(_real("grid_c", c) for c in grid_c)
     if not grid or any(c <= 0.0 for c in grid):
         raise MalformedInput("grid_c must be a non-empty list of positive constants")
+    if not _real("alpha", alpha) > 0.0:
+        raise MalformedInput(f"alpha must be positive, got {alpha}")
+    w = _real("w", w)
     n = inputs.n
     if folds is None:
         folds = kfold_indices(n, k, seed)
@@ -372,7 +379,7 @@ def cv_tune(
             x, y = _whiten(calib)
         except DataFuseError as exc:
             raise FoldTooSmall(f"fold {fold_idx}: {exc}") from exc
-        lams = [c * fits.train_rows[fold_idx].size ** (-float(w)) for c in grid]
+        lams = [c * fits.train_rows[fold_idx].size ** -w for c in grid]
         path = _lasso_path(x, y, _adaptive_weights(calib.residual, alpha), lams)
         cache = {}
         for g, zero in enumerate((path == 0.0).tolist()):
@@ -410,7 +417,10 @@ class _FoldFits:
     re-run from zero if that raises. That is every fold when a slot has no
     moment form (aipw_ate, or designs too wide), when the folds overlap or
     leave rows out, or when a feature sum is not finite; and a fold on whose
-    rows a moment fit cancels (_Moments.fit).
+    rows a fit would fail or its moments would cancel (_Moments.fit), so
+    such a fold fails with the refit's error. Of the target on the held-out
+    rows only its estimate is read, so there only a fit that would fail
+    calls for a refit.
     """
 
     def __init__(self, inputs: FusionInputs, folds):
@@ -460,9 +470,9 @@ class _FoldFits:
         if not (np.isfinite(test).all() and np.isfinite(train).all()):
             return
 
-        # per fold: the stacked estimates and influence maps of the slots,
-        # and the first error the refit would raise (target on the test rows,
-        # then the slots in order); a fold whose fits cancel is refitted
+        # per fold: the stacked estimates and influence maps of the slots; a
+        # fold on whose rows a fit would fail or cancel is refitted, and only
+        # the held-out estimate is read from the target on the test rows
         self.refit = np.zeros(k, dtype=bool)
         self.estimate = np.zeros((k, starts[-1]))
         maps = np.zeros((k, starts[-1], features.shape[0]))
@@ -473,17 +483,16 @@ class _FoldFits:
             sets, sums = self.train_rows, train
             if i == 0:  # the target on the test rows too, in the same call
                 sets, sums = folds + sets, np.concatenate((test, train))
-            estimate, lmap, errors, cancelled = form.fit(
+            estimate, lmap, failed, cancelled = form.fit(
                 sets, sums[:, 0, span], sums[:, span, span]
             )
             if i == 0:
                 self.tau_test = estimate[:k, _coefficients(inputs.tau)]
-                self.errors = errors[:k]
-                estimate, lmap, errors, cancelled = (
-                    estimate[k:], lmap[k:], errors[k:], cancelled[k:]
+                self.refit |= failed[:k]
+                estimate, lmap, failed, cancelled = (
+                    estimate[k:], lmap[k:], failed[k:], cancelled[k:]
                 )
-            self.errors = [first or error for first, error in zip(self.errors, errors)]
-            self.refit |= cancelled
+            self.refit |= failed | cancelled
             self.estimate[:, c], maps[:, c, span] = estimate, lmap
         counts = np.array([rows.size for rows in self.train_rows])
         self.moments = _calibration_moments(
@@ -505,8 +514,6 @@ class _FoldFits:
         return self._refitted(f, None)
 
     def _from_sums(self, f):
-        if self.errors[f] is not None:
-            raise self.errors[f]
         inputs, estimate = self.inputs, self.estimate[f]
         beta_tilde, sigma_ext = _external(
             inputs.summaries, inputs.omega_override, self.train_rows[f].size

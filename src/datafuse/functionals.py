@@ -17,7 +17,6 @@ from ._linalg import check_full_rank, spd_solve
 from .errors import (
     DegenerateRegressor,
     EmptyArm,
-    NonFiniteValue,
     PropensityDegenerate,
     RankDeficientDesign,
     Separation,
@@ -62,24 +61,18 @@ def fit_mean(data: InternalDataset, column: str, where=None) -> FunctionalFit:
     if where is None:
         est = float(y.mean())
         infl = (y - est)[:, None]
-        return FunctionalFit(np.array([est]), infl, label=_mean_label(column, where))
+        return FunctionalFit(np.array([est]), infl, label=f"mean({column})")
     mask = data.column(where["column"]) == where["equals"]
     if not np.any(mask):
-        raise _empty_arm(column, where)
+        raise EmptyArm(
+            f"no rows with {where['column']} == {where['equals']} for mean({column})"
+        )
     prob = mask.mean()
     est = float(y[mask].mean())
     infl = (mask * (y - est) / prob)[:, None]
-    return FunctionalFit(np.array([est]), infl, label=_mean_label(column, where))
-
-
-def _mean_label(column: str, where) -> str:
-    if where is None:
-        return f"mean({column})"
-    return f"mean({column}|{where['column']}={where['equals']})"
-
-
-def _empty_arm(column: str, where) -> EmptyArm:
-    return EmptyArm(f"no rows with {where['column']} == {where['equals']} for mean({column})")
+    return FunctionalFit(
+        np.array([est]), infl, label=f"mean({column}|{where['column']}={where['equals']})"
+    )
 
 
 def _ols_fit(design: np.ndarray, y: np.ndarray, context: str):
@@ -135,18 +128,12 @@ def fit_marginal_ols(data: InternalDataset, outcome: str, regressor: str) -> Fun
     x = data.column(regressor)
     second = float(np.mean(x * x))
     if second <= SECOND_MOMENT_FLOOR:
-        raise _zero_second_moment(regressor)
+        raise DegenerateRegressor(f"regressor {regressor!r} has zero second moment")
     coef = float(np.mean(x * y) / second)
     infl = (x * (y - x * coef) / second)[:, None]
-    return FunctionalFit(np.array([coef]), infl, label=_marginal_label(outcome, regressor))
-
-
-def _marginal_label(outcome: str, regressor: str) -> str:
-    return f"marginal_ols({outcome}~{regressor})"
-
-
-def _zero_second_moment(regressor: str) -> DegenerateRegressor:
-    return DegenerateRegressor(f"regressor {regressor!r} has zero second moment")
+    return FunctionalFit(
+        np.array([coef]), infl, label=f"marginal_ols({outcome}~{regressor})"
+    )
 
 
 def _bernoulli_loglik(y: np.ndarray, linpred: np.ndarray) -> float:
@@ -329,11 +316,13 @@ class _Moments:
     L = inv(A) [-D, I], where D g_i = V_i V_i' d. Built around c0, the
     features stay small where the fit is close, so second moments L S L' of
     the influence do not cancel large terms. A design of k columns has
-    k (k + 3) / 2 features (_moment_forms caps their total).
+    k (k + 3) / 2 features (_moment_forms caps their total). The form only
+    flags the sets of rows on which the fitter would fail; the fitter, run on
+    those rows, raises the error.
     """
 
     def __init__(self, data: InternalDataset, desc: FunctionalDescriptor, center=None):
-        args = self.args = desc.args
+        args = desc.args
         self.kind = desc.kind
         if desc.kind is FunctionalKind.MEAN:
             y, where = data.column(args["column"]), args.get("where")
@@ -341,16 +330,14 @@ class _Moments:
                 design = np.ones((data.n, 1))
             else:
                 design = (data.column(where["column"]) == where["equals"]).astype(float)[:, None]
-            self.label = _mean_label(args["column"], where)
         elif desc.kind is FunctionalKind.MARGINAL_OLS:
             y, design = data.column(args["outcome"]), data.column(args["regressor"])[:, None]
-            self.label = _marginal_label(args["outcome"], args["regressor"])
         else:
             y = data.column(args["outcome"])
-            design, self.label = _joint_design(data, **args)
+            design = _joint_design(data, **args)[0]
         self.design = design
         k = design.shape[1]
-        self.center = _ols_coef(design, y, self.label)[1] if center is None else center
+        self.center = _ols_coef(design, y, desc.kind.value)[1] if center is None else center
         resid = y - design @ self.center
         # feature p < P is V_a V_b for the p-th pair a <= b, then feature
         # P + j is V_j e0; D = (expand d) reshaped to k x P
@@ -365,44 +352,39 @@ class _Moments:
     def fit(self, row_sets, totals, products):
         """The fit on each set of rows in `row_sets`, from the sums over its
         rows of the features (row i of `totals`) and of their outer products
-        (`products[i]`): (estimates, L, errors, cancelled), one entry per set.
+        (`products[i]`): (estimates, L, failed, cancelled), one entry per set.
 
-        errors[i] is what the fitter raises on set i, else None: EmptyArm for
-        a `where` that no row meets, DegenerateRegressor for a second moment
-        at most SECOND_MOMENT_FLOOR, RankDeficientDesign from check_full_rank
-        on the rows of a joint design, and NonFiniteValue for a non-finite
-        estimate or influence whose sum of squares (the trace of L P L')
-        overflows. The estimate and L of a set with an error are zero.
-        cancelled[i] is True when, with no error, a diagonal entry of L P L'
-        is below CANCELLATION_FLOOR times the size of the terms it is summed
-        from, (|L| sqrt(diag P))^2: the round-off of those terms is then no
-        longer small against it (as when the rows fit exactly), and the
-        set's fits are to be refitted.
+        failed[i] is True where the fitter would fail on set i: a `where`
+        that no row meets, a second moment at most SECOND_MOMENT_FLOOR, a
+        joint design that check_full_rank rejects on the set's rows, or a
+        non-finite estimate or influence whose sum of squares (the trace of
+        L P L') overflows. The estimate and L of a failed set are zero.
+        cancelled[i] is True when a diagonal entry of L P L' is below
+        CANCELLATION_FLOOR times the size of the terms it is summed from,
+        (|L| sqrt(diag P))^2: the round-off of those terms is then no longer
+        small against it (as when the rows fit exactly). Either way the set's
+        fits are to be refitted.
         """
         k = self.design.shape[1]
         counts = np.array([rows.size for rows in row_sets], dtype=float)
         mean = totals / counts[:, None]
-        errors = [None] * len(row_sets)
         if self.kind is FunctionalKind.JOINT_OLS:
             # inv(A) = count inv(R'R) with R the triangular factor of the
             # rows' design, as the fitter solves
             a_inv, eye = np.zeros((len(row_sets), k, k)), np.eye(k)
+            failed = np.zeros(len(row_sets), dtype=bool)
             for i, rows in enumerate(row_sets):
                 try:
-                    r = check_full_rank(self.design.take(rows, 0), RankDeficientDesign, self.label)
-                except RankDeficientDesign as exc:
-                    errors[i] = exc
+                    r = check_full_rank(self.design.take(rows, 0), RankDeficientDesign)
+                except RankDeficientDesign:
+                    failed[i] = True
                     continue
                 a_inv[i] = counts[i] * dpotrs(r, eye)[0]
         else:
             # A is the share of `where` rows for a mean (1 without `where`)
             # and the regressor's second moment for marginal_ols
-            if self.kind is FunctionalKind.MEAN:
-                bad = mean[:, 0] == 0.0
-            else:
-                bad = mean[:, 0] <= SECOND_MOMENT_FLOOR
-            for i in np.flatnonzero(bad):
-                errors[i] = self._degenerate()
+            floor = 0.0 if self.kind is FunctionalKind.MEAN else SECOND_MOMENT_FLOOR
+            failed = mean[:, 0] <= floor
             with np.errstate(divide="ignore"):
                 a_inv = 1.0 / mean[:, :1, None]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -412,20 +394,10 @@ class _Moments:
             estimate = self.center + shift
             diag = ((lmap @ products) * lmap).sum(axis=2)
             size = (np.abs(lmap) @ np.sqrt(np.diagonal(products, 0, 1, 2))[:, :, None])[:, :, 0]
-            check = diag.sum(axis=1) + estimate.sum(axis=1)
+            failed |= ~np.isfinite(diag.sum(axis=1) + estimate.sum(axis=1))
             cancelled = (diag < CANCELLATION_FLOOR * size**2).any(axis=1)
-        for i in np.flatnonzero(~np.isfinite(check)):
-            errors[i] = errors[i] or NonFiniteValue(
-                f"fit {self.label!r} has non-finite or overflowing values"
-            )
-        failed = [i for i, error in enumerate(errors) if error is not None]
-        estimate[failed], lmap[failed], cancelled[failed] = 0.0, 0.0, False
-        return estimate, lmap, errors, cancelled
-
-    def _degenerate(self):
-        if self.kind is FunctionalKind.MEAN:
-            return _empty_arm(self.args["column"], self.args["where"])
-        return _zero_second_moment(self.args["regressor"])
+        estimate[failed], lmap[failed] = 0.0, 0.0
+        return estimate, lmap, failed, cancelled
 
 
 def _moment_forms(data: InternalDataset, descs, centers):

@@ -42,6 +42,7 @@ from .model import (
     Method,
     SummaryStatistic,
     _readonly,
+    _real,
     expand_binding,
 )
 
@@ -390,12 +391,16 @@ def wald_inference(result: FusionResult, null=0.0, side: str = "upper", level=No
     """z statistics, p-values, and the confidence interval for a result.
 
     side: 'upper' tests against tau > null, 'lower' against tau < null,
-    'two_sided' doubles the smaller tail.
+    'two_sided' doubles the smaller tail. null is a finite number, or one
+    per coordinate.
     """
     if side not in ("upper", "lower", "two_sided"):
         raise DimensionMismatch(f"side must be upper/lower/two_sided, got {side!r}")
     level = result.level if level is None else float(level)
-    null = np.broadcast_to(np.asarray(null, dtype=float), result.estimate.shape)
+    null = np.asarray(null)
+    for value in np.ravel(null).tolist():
+        _real("null", value)
+    null = np.broadcast_to(null.astype(float), result.estimate.shape)
     if np.any(result.se <= 0.0):
         raise ZeroStandardError("standard error is zero; z statistic undefined")
     return _wald(result.estimate, result.se, level, null, side)

@@ -531,27 +531,39 @@ _FUZZ_TYPED = {
 }
 
 
+def _fuzz_rng(draw) -> np.random.Generator:
+    """A numpy generator for a fuzz strategy's choices, seeded from
+    hypothesis. The seed comes from st.randoms: a seed from st.integers is
+    0 or next to its bounds far more often, and each repeated seed repeats
+    all of an example's choices."""
+    return np.random.default_rng(draw(st.randoms(use_true_random=False)).getrandbits(64))
+
+
 @st.composite
 def _fuzz_tau(draw):
     """A --tau descriptor object: a kind (or an unknown one), keyed or
     positional args of about the right count, each mostly of the right type
-    and otherwise any JSON value, maybe a component and maybe a stray key."""
-    kind = draw(st.sampled_from([k.value for k in FunctionalKind] + ["spline"]))
+    and otherwise any JSON value, maybe a component and maybe a stray key.
+    The choices come from one seeded generator, so each is drawn about as
+    often as its stated share; the values from hypothesis."""
+    rng = _fuzz_rng(draw)
+    kinds = [k.value for k in FunctionalKind] + ["spline"]
+    kind = kinds[rng.integers(len(kinds))]
     required, spec = _ARGS[FunctionalKind(kind)] if kind != "spline" else (0, ())
     names = [n for n, _ in spec] + ["junk"]
-    if draw(st.integers(0, 4)):
-        count = draw(st.integers(required, len(spec)))
+    if rng.random() < 0.8:
+        count = rng.integers(required, len(spec) + 1)
     else:
-        count = draw(st.integers(max(required - 1, 0), len(names)))
+        count = rng.integers(max(required - 1, 0), len(names) + 1)
     values = [
-        draw(_FUZZ_TYPED.get(name, _FUZZ_NAMES) if draw(st.integers(0, 9)) else _FUZZ_VALUES)
+        draw(_FUZZ_TYPED.get(name, _FUZZ_NAMES) if rng.random() < 0.9 else _FUZZ_VALUES)
         for name in names[:count]
     ]
-    args = values if draw(st.booleans()) else dict(zip(names, values))
+    args = values if rng.random() < 0.5 else dict(zip(names, values))
     obj = {"functional": kind, "args": args}
-    if draw(st.integers(0, 2)) == 0:
-        obj["component"] = draw(st.integers(-1, 2) if draw(st.integers(0, 4)) else _FUZZ_VALUES)
-    if draw(st.integers(0, 9)) == 0:
+    if rng.random() < 1 / 3:
+        obj["component"] = draw(st.integers(-1, 2) if rng.random() < 0.8 else _FUZZ_VALUES)
+    if rng.random() < 0.1:
         obj["extra"] = 1
     return obj
 
@@ -599,22 +611,22 @@ def test_estimate_fuzzed_tau_exits_0_2_or_3(fuzz_files, tau, method):
 def _fuzz_internal(draw):
     """Bytes of an --internal CSV with columns X, T, Y: up to 24 rows of
     mostly usable data (T mostly 0/1, values sometimes extreme or odd), or
-    one of the malformed files of helpers.csv_files."""
-    if draw(st.integers(0, 2)) == 0:
+    one of the malformed files of helpers.csv_files. The choices come from
+    one seeded generator, the values from hypothesis."""
+    rng = _fuzz_rng(draw)
+    if rng.random() < 1 / 3:
         return draw(csv_files(names=("X", "T", "Y")))
     value = st.one_of(
         st.floats(-10.0, 10.0),
         st.floats(allow_nan=False, allow_infinity=False),
         st.sampled_from([0.0, 1.0, 1e-300, 1e300]),
     ).map(repr)
-    arm = st.sampled_from(["0", "1", "0.0", "1.0"]) if draw(st.integers(0, 4)) else value
-    rows = [
-        [draw(value), draw(arm), draw(value)] for _ in range(draw(st.integers(0, 24)))
-    ]
-    if rows and draw(st.booleans()):
-        row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2))
-        rows[row][col] = draw(st.sampled_from(CSV_ODD_CELLS))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    arm = st.sampled_from(["0", "1", "0.0", "1.0"]) if rng.random() < 0.8 else value
+    rows = [[draw(value), draw(arm), draw(value)] for _ in range(rng.integers(0, 25))]
+    if rows and rng.random() < 0.5:
+        odd = CSV_ODD_CELLS[rng.integers(len(CSV_ODD_CELLS))]
+        rows[rng.integers(len(rows))][rng.integers(3)] = odd
+    eol = ["\n", "\r\n"][rng.integers(2)]
     return (eol.join(["X,T,Y"] + [",".join(r) for r in rows]) + eol).encode("utf-8")
 
 
@@ -688,7 +700,7 @@ def _fuzz_summary(draw):
     a stray one; sometimes JSON that is not an object, or not JSON. The
     choices come from one seeded generator, so each is drawn about as often
     as its stated share; the values from hypothesis."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng = _fuzz_rng(draw)
     if rng.random() < 0.1:
         return ["[]", '"summary"', "3", "null", "", "{", '{"m": 4,}'][rng.integers(7)]
     binding, q = [], 0

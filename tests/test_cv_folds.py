@@ -271,3 +271,43 @@ def test_fits_beyond_the_feature_cap_are_refitted():
         for field in ("tau", "cross", "gram", "residual", "sigma_ext"):
             actual, expected = getattr(got[1], field), getattr(ref[1], field)
             _assert_close(actual, expected, FOLD_RTOL, scales[field], field)
+
+
+def test_folds_whose_fits_would_fail_are_refitted():
+    # fold 0's held-out rows hold no B = 1 row, so the target fails there;
+    # fold 1's train rows hold no C = 1 row, so the binding's joint design is
+    # rank deficient there. Both folds are refitted and fail with the refit's
+    # error. Fold 2's held-out rows fit the target exactly (its moments cancel
+    # there), which does not call for a refit: only the held-out estimate is
+    # read, and it matches the refit's.
+    rng = np.random.default_rng(11)
+    rows = np.arange(30)
+    x1 = rng.standard_normal(30)
+    b = ((rows >= 10) & (rows % 2 == 0)).astype(float)
+    y = 1.0 + x1 + rng.standard_normal(30)
+    y[(rows >= 20) & (b == 1.0)] = 2.0
+    data = validate_dataset({"Y": y, "X1": x1, "B": b, "C": np.isin(rows, [11, 14, 17]) * 1.0})
+    binding = [FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X1", "C"]})]
+    summary = validate_summary(np.zeros(3), np.eye(3), 50, binding)
+    inputs = prepare_inputs(data, TARGETS[1], [summary])
+    folds = [rows[:10], rows[10:20], rows[20:]]
+    fits = _FoldFits(inputs, folds)
+    assert fits.refit.tolist() == [True, True, False]
+    ref_errors = []
+    for f, test_rows in enumerate(folds):
+        train_rows = np.setdiff1d(rows, test_rows)
+        ref, ref_error = _outcome(lambda: _reference(inputs, test_rows, train_rows, None))
+        got, error = _outcome(lambda: _ours(fits, f, None))
+        assert error == ref_error
+        ref_errors.append(ref_error)
+        if ref_error is None:
+            _assert_close(got[0], ref[0], HELD_OUT_RTOL, np.max(np.abs(ref[0])), "held-out")
+            scales = _scales(ref[1])
+            for field in ("tau", "cross", "gram", "residual", "sigma_ext"):
+                actual, expected = getattr(got[1], field), getattr(ref[1], field)
+                _assert_close(actual, expected, FOLD_RTOL, scales[field], field)
+    kinds = [None if e is None else e[0].__name__ for e in ref_errors]
+    assert kinds == ["EmptyArm", "RankDeficientDesign", None]
+    with pytest.raises(FoldTooSmall) as info:
+        cv_tune(inputs, [1.0, 10.0], folds=folds)
+    assert str(info.value) == f"fold 0: {ref_errors[0][1]}"

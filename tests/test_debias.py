@@ -27,6 +27,7 @@ from datafuse import (
     soft_threshold,
     validate_dataset,
     validate_summary,
+    wald_inference,
     whiten,
 )
 from datafuse import functionals
@@ -299,6 +300,36 @@ def test_cv_tune_grid_validation_and_singleton():
     c_star, trace = cv_tune(inputs, [7.0], seed=1)
     assert c_star == 7.0
     assert len(trace) == 1 and trace[0][0] == 7.0
+
+
+_NON_FINITE_TUNING = {
+    "cv_tune-grid_c-nan": lambda inputs: cv_tune(inputs, [1.0, np.nan]),
+    "cv_tune-grid_c-inf-generator": lambda inputs: cv_tune(inputs, (c for c in [np.inf])),
+    "cv_tune-w-nan": lambda inputs: cv_tune(inputs, [1.0], w=np.nan),
+    "cv_tune-alpha-inf": lambda inputs: cv_tune(inputs, [1.0], alpha=np.inf),
+    "cv_tune-alpha-zero": lambda inputs: cv_tune(inputs, [1.0], alpha=0.0),
+    "select_unbiased-lam-nan": lambda inputs: select_unbiased(inputs, np.nan),
+    "adaptive_lasso-lam-inf": lambda inputs: adaptive_lasso(np.eye(2), [1, 1], [1, 1], np.inf),
+    "wald_inference-null-nan": lambda inputs: wald_inference(estimate_int(inputs), null=np.nan),
+    "wald_inference-null-inf-entry": lambda inputs: wald_inference(
+        estimate_int(inputs), null=[np.inf]
+    ),
+}
+
+
+@pytest.mark.parametrize("call", _NON_FINITE_TUNING.values(), ids=_NON_FINITE_TUNING.keys())
+def test_non_finite_tuning_and_test_values_are_malformed(call):
+    # unchecked, these give a NaN c_star, b_hat, z or p (alpha = 0, a plain
+    # lasso) instead of failing
+    with pytest.raises(MalformedInput):
+        call(_mean_cv_inputs(beta_tilde=0.1))
+
+
+def test_cv_tune_takes_any_iterable_grid():
+    inputs = _mean_cv_inputs(beta_tilde=0.05)
+    expected = cv_tune(inputs, [2.0, 5.0, 20.0], seed=3)
+    assert cv_tune(inputs, iter([20.0, 2.0, 5.0]), seed=3) == expected
+    assert cv_tune(inputs, np.array([5.0, 20.0, 2.0]), seed=3) == expected
 
 
 def test_cv_tune_deterministic_and_ties_break_small():
