@@ -69,40 +69,84 @@ CSV_ODD_CELLS = (
 )
 
 
-@st.composite
-def csv_files(draw, names=("X", "Y", "T"), max_rows=6):
+def fuzz_rng(draw) -> np.random.Generator:
+    """A numpy generator seeded from hypothesis, for a fuzz strategy that
+    takes every choice and value from it. Hypothesis builds new examples by
+    mutating earlier ones; with only the seed drawn from hypothesis, two
+    examples differ whenever their seeds do. The seed comes from st.randoms:
+    a seed from st.integers is 0 or next to its bounds far more often."""
+    return np.random.default_rng(draw(st.randoms(use_true_random=False)).getrandbits(64))
+
+
+def pick(rng, options):
+    """One of `options`, uniformly."""
+    return options[rng.integers(len(options))]
+
+
+# finite doubles a uniform draw almost never gives
+_FLOAT_EDGES = (0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 9007199254740992.0, 0.1)
+
+
+def finite_float(rng) -> float:
+    """Any finite double: an edge value, or one of uniformly random bits
+    (every exponent about equally often)."""
+    if rng.random() < 0.2:
+        return pick(rng, _FLOAT_EDGES)
+    while True:
+        value = float(rng.integers(0, 2**64, dtype=np.uint64).view(np.float64))
+        if np.isfinite(value):
+            return value
+
+
+def csv_bytes(rng, names=("X", "Y", "T"), max_rows=6) -> bytes:
     """Bytes of a small CSV: a header of `names` (sometimes altered) and rows
     of numbers in several spellings, with up to two odd cells, odd widths and
     blank lines mixed in; \n, \r\n or \r line ends (sometimes mixed), with
-    or without a final one, sometimes a BOM or a byte that is not UTF-8."""
+    or without a final one, sometimes a BOM or a byte that is not UTF-8.
+    Every choice and value comes from `rng`."""
     header = list(names)
-    if draw(st.integers(0, 4)) == 0:
-        header = draw(st.lists(st.sampled_from(["X", "Y", "T", " X", "", "a b", '"Q"', '"a,b"']), max_size=4))
-    number = st.one_of(
-        st.floats(allow_nan=False, allow_infinity=False).map(repr),
-        st.floats(-1e3, 1e3).map(lambda v: "%.17g" % v),
-        st.integers(-(10**20), 10**20).map(str),
-        st.sampled_from(["0", "1", "0.0", "1.0"]),
-    )
+    if rng.random() < 0.2:
+        options = ["X", "Y", "T", " X", "", "a b", '"Q"', '"a,b"']
+        header = [pick(rng, options) for _ in range(rng.integers(0, 5))]
+
+    def number():
+        kind = rng.integers(4)
+        if kind == 0:
+            return repr(finite_float(rng))
+        if kind == 1:
+            return "%.17g" % rng.uniform(-1e3, 1e3)
+        if kind == 2:
+            digits = "".join(str(d) for d in rng.integers(0, 10, size=rng.integers(1, 21)))
+            return str(int(digits) * pick(rng, (1, -1)))
+        return pick(rng, ["0", "1", "0.0", "1.0"])
+
     rows = []
-    for _ in range(draw(st.integers(0, max_rows))):
-        kind = draw(st.integers(0, 11))
-        width = len(header) if kind > 1 else draw(st.integers(0, len(header) + 1))
-        rows.append([] if kind == 0 else [draw(number) for _ in range(width)])
-    for _ in range(draw(st.integers(0, 2))):
-        row = draw(st.integers(0, len(rows))) if rows else 0
+    for _ in range(rng.integers(0, max_rows + 1)):
+        kind = rng.integers(12)
+        width = len(header) if kind > 1 else rng.integers(0, len(header) + 2)
+        rows.append([] if kind == 0 else [number() for _ in range(width)])
+    for _ in range(rng.integers(0, 3)):
+        row = rng.integers(0, len(rows) + 1)
         if row < len(rows) and rows[row]:
-            rows[row][draw(st.integers(0, len(rows[row]) - 1))] = draw(st.sampled_from(CSV_ODD_CELLS))
-    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    mixed = draw(st.integers(0, 5)) == 0
+            rows[row][rng.integers(len(rows[row]))] = pick(rng, CSV_ODD_CELLS)
+    ends = ["\n", "\r\n", "\r"]
+    eol = pick(rng, ends)
+    mixed = rng.random() < 1 / 6
     text = ",".join(header)
     for row in rows:
-        text += (draw(st.sampled_from(["\n", "\r\n", "\r"])) if mixed else eol) + ",".join(row)
-    text += draw(st.sampled_from(["", eol, eol, eol + eol]))
-    if draw(st.integers(0, 9)) == 0:
+        text += (pick(rng, ends) if mixed else eol) + ",".join(row)
+    text += pick(rng, ["", eol, eol, eol + eol])
+    if rng.random() < 0.1:
         text = "\ufeff" + text
     raw = text.encode("utf-8")
-    if draw(st.integers(0, 19)) == 0:
-        at = draw(st.integers(0, len(raw)))
+    if rng.random() < 0.05:
+        at = rng.integers(0, len(raw) + 1)
         raw = raw[:at] + b"\xff" + raw[at:]
     return raw
+
+
+@st.composite
+def csv_files(draw, names=("X", "Y", "T"), max_rows=6):
+    """csv_bytes as a hypothesis strategy."""
+    return csv_bytes(fuzz_rng(draw), names, max_rows)

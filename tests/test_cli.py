@@ -18,7 +18,7 @@ import datafuse
 from datafuse import FunctionalKind
 from datafuse.cli import main
 from datafuse.model import _ARGS
-from helpers import CSV_ODD_CELLS, csv_files
+from helpers import CSV_ODD_CELLS, csv_bytes, finite_float, fuzz_rng, pick
 
 TAU_MEAN_Y = json.dumps({"functional": "mean", "args": {"column": "Y"}})
 
@@ -514,41 +514,56 @@ def test_bad_config_values_and_seeds_exit_2(tmp_path, capsys, case):
     assert _stderr_kind(err) == "MalformedInput"
 
 
-_FUZZ_NAMES = st.sampled_from(["Y", "X", "T", "Y", "X", "T", "missing"])
-_FUZZ_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(-3.0, 3.0) | _FUZZ_NAMES,
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.sampled_from(["column", "equals", "other"]), inner, max_size=2),
-    max_leaves=4,
-)
-# a value of the right type for each argument name
+# Every fuzz strategy below takes all its choices and values from one
+# seeded numpy generator (helpers.fuzz_rng), each drawn about as often as its
+# stated share.
+_FUZZ_NAMES = ("Y", "X", "T", "Y", "X", "T", "missing")
+
+
+def _fuzz_name(rng):
+    return pick(rng, _FUZZ_NAMES)
+
+
+def _fuzz_value(rng, depth=0):
+    """Any JSON value: null, a bool, an integer in [-2, 3], a float in
+    [-3, 3] or a column name, or up to two levels of lists of up to 3 and
+    objects of up to 2 keys (column, equals, other) of such values."""
+    kind = rng.integers(7 if depth < 2 else 5)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return bool(rng.integers(2))
+    if kind == 2:
+        return int(rng.integers(-2, 4))
+    if kind == 3:
+        return pick(rng, (0.0, -0.0, 3.0, -3.0, float(rng.uniform(-3.0, 3.0))))
+    if kind == 4:
+        return _fuzz_name(rng)
+    if kind == 5:
+        return [_fuzz_value(rng, depth + 1) for _ in range(rng.integers(4))]
+    keys = rng.permutation(["column", "equals", "other"])[: rng.integers(3)]
+    return {str(key): _fuzz_value(rng, depth + 1) for key in keys}
+
+
+def _fuzz_names(rng):
+    return [_fuzz_name(rng) for _ in range(rng.integers(1, 3))]
+
+
+# a value of the right type for each argument name (a column name otherwise)
 _FUZZ_TYPED = {
-    "regressors": st.lists(_FUZZ_NAMES, min_size=1, max_size=2),
-    "covariates": st.lists(_FUZZ_NAMES, min_size=1, max_size=2),
-    "where": st.fixed_dictionaries({"column": _FUZZ_NAMES, "equals": st.sampled_from([0, 1, 0.5])}),
-    "intercept": st.booleans(),
-    "link": st.sampled_from(["identity", "logit"]),
+    "regressors": _fuzz_names,
+    "covariates": _fuzz_names,
+    "where": lambda rng: {"column": _fuzz_name(rng), "equals": pick(rng, (0, 1, 0.5))},
+    "intercept": lambda rng: bool(rng.integers(2)),
+    "link": lambda rng: pick(rng, ("identity", "logit")),
 }
 
 
-def _fuzz_rng(draw) -> np.random.Generator:
-    """A numpy generator for a fuzz strategy's choices, seeded from
-    hypothesis. The seed comes from st.randoms: a seed from st.integers is
-    0 or next to its bounds far more often, and each repeated seed repeats
-    all of an example's choices."""
-    return np.random.default_rng(draw(st.randoms(use_true_random=False)).getrandbits(64))
-
-
-@st.composite
-def _fuzz_tau(draw):
+def _random_tau(rng):
     """A --tau descriptor object: a kind (or an unknown one), keyed or
     positional args of about the right count, each mostly of the right type
-    and otherwise any JSON value, maybe a component and maybe a stray key.
-    The choices come from one seeded generator, so each is drawn about as
-    often as its stated share; the values from hypothesis."""
-    rng = _fuzz_rng(draw)
-    kinds = [k.value for k in FunctionalKind] + ["spline"]
-    kind = kinds[rng.integers(len(kinds))]
+    and otherwise any JSON value, maybe a component and maybe a stray key."""
+    kind = pick(rng, [k.value for k in FunctionalKind] + ["spline"])
     required, spec = _ARGS[FunctionalKind(kind)] if kind != "spline" else (0, ())
     names = [n for n, _ in spec] + ["junk"]
     if rng.random() < 0.8:
@@ -556,16 +571,22 @@ def _fuzz_tau(draw):
     else:
         count = rng.integers(max(required - 1, 0), len(names) + 1)
     values = [
-        draw(_FUZZ_TYPED.get(name, _FUZZ_NAMES) if rng.random() < 0.9 else _FUZZ_VALUES)
+        _FUZZ_TYPED.get(name, _fuzz_name)(rng) if rng.random() < 0.9 else _fuzz_value(rng)
         for name in names[:count]
     ]
     args = values if rng.random() < 0.5 else dict(zip(names, values))
     obj = {"functional": kind, "args": args}
     if rng.random() < 1 / 3:
-        obj["component"] = draw(st.integers(-1, 2) if rng.random() < 0.8 else _FUZZ_VALUES)
+        obj["component"] = int(rng.integers(-1, 3)) if rng.random() < 0.8 else _fuzz_value(rng)
     if rng.random() < 0.1:
         obj["extra"] = 1
     return obj
+
+
+@st.composite
+def _fuzz_tau(draw):
+    """_random_tau as a hypothesis strategy."""
+    return _random_tau(fuzz_rng(draw))
 
 
 @pytest.fixture(scope="module")
@@ -611,22 +632,25 @@ def test_estimate_fuzzed_tau_exits_0_2_or_3(fuzz_files, tau, method):
 def _fuzz_internal(draw):
     """Bytes of an --internal CSV with columns X, T, Y: up to 24 rows of
     mostly usable data (T mostly 0/1, values sometimes extreme or odd), or
-    one of the malformed files of helpers.csv_files. The choices come from
-    one seeded generator, the values from hypothesis."""
-    rng = _fuzz_rng(draw)
+    one of the malformed files of helpers.csv_bytes."""
+    rng = fuzz_rng(draw)
     if rng.random() < 1 / 3:
-        return draw(csv_files(names=("X", "T", "Y")))
-    value = st.one_of(
-        st.floats(-10.0, 10.0),
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.sampled_from([0.0, 1.0, 1e-300, 1e300]),
-    ).map(repr)
-    arm = st.sampled_from(["0", "1", "0.0", "1.0"]) if rng.random() < 0.8 else value
-    rows = [[draw(value), draw(arm), draw(value)] for _ in range(rng.integers(0, 25))]
+        return csv_bytes(rng, names=("X", "T", "Y"))
+
+    def value():
+        kind = rng.integers(3)
+        if kind == 0:
+            return repr(float(rng.uniform(-10.0, 10.0)))
+        if kind == 1:
+            return repr(finite_float(rng))
+        return repr(pick(rng, (0.0, 1.0, 1e-300, 1e300)))
+
+    usable_arms = rng.random() < 0.8
+    arm = (lambda: pick(rng, ("0", "1", "0.0", "1.0"))) if usable_arms else value
+    rows = [[value(), arm(), value()] for _ in range(rng.integers(0, 25))]
     if rows and rng.random() < 0.5:
-        odd = CSV_ODD_CELLS[rng.integers(len(CSV_ODD_CELLS))]
-        rows[rng.integers(len(rows))][rng.integers(3)] = odd
-    eol = ["\n", "\r\n"][rng.integers(2)]
+        rows[rng.integers(len(rows))][rng.integers(3)] = pick(rng, CSV_ODD_CELLS)
+    eol = pick(rng, ("\n", "\r\n"))
     return (eol.join(["X,T,Y"] + [",".join(r) for r in rows]) + eol).encode("utf-8")
 
 
@@ -676,11 +700,21 @@ def _assert_one_json_error(err: str):
     return payload["error"]["kind"]
 
 
-_FUZZ_NUMBER = st.one_of(
-    st.floats(-3.0, 3.0),
-    st.integers(-2, 5),
-    st.sampled_from([0.0, 1e-300, 1e300, -1e300, float("nan"), float("inf")]),
-)
+def _fuzz_number(rng):
+    """A float in [-3, 3], an integer in [-2, 5], or a tiny, huge or
+    non-finite float."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return float(rng.uniform(-3.0, 3.0))
+    if kind == 1:
+        return int(rng.integers(-2, 6))
+    return pick(rng, (0.0, 1e-300, 1e300, -1e300, float("nan"), float("inf")))
+
+
+# characters of a source_id: ASCII, quotes and escapes, controls, non-ASCII
+_FUZZ_CHARS = "aZ0 _-\"\\\x00\n\x7f\xe9\u2003\u4e2d\U0001f600"
+
+
 # (descriptor, width)
 _FUZZ_BINDINGS = (
     ({"functional": "mean", "args": ["X"]}, 1),
@@ -697,45 +731,52 @@ def _fuzz_summary(draw):
     """Text of a --summary file: mostly an object with beta, sigma1, m and a
     binding of matching sizes, each field sometimes of the wrong size, type
     or value (NaN, infinite, huge, not positive definite), a key missing or
-    a stray one; sometimes JSON that is not an object, or not JSON. The
-    choices come from one seeded generator, so each is drawn about as often
-    as its stated share; the values from hypothesis."""
-    rng = _fuzz_rng(draw)
+    a stray one; sometimes JSON that is not an object, or not JSON."""
+    rng = fuzz_rng(draw)
     if rng.random() < 0.1:
-        return ["[]", '"summary"', "3", "null", "", "{", '{"m": 4,}'][rng.integers(7)]
+        return pick(rng, ["[]", '"summary"', "3", "null", "", "{", '{"m": 4,}'])
     binding, q = [], 0
     for _ in range(rng.integers(1, 3)):
         if rng.random() < 0.2:
-            binding.append(draw(_fuzz_tau()))
+            binding.append(_random_tau(rng))
             q += 1
         else:
-            desc, width = _FUZZ_BINDINGS[rng.integers(len(_FUZZ_BINDINGS))]
+            desc, width = pick(rng, _FUZZ_BINDINGS)
             binding.append(desc)
             q += width
     if rng.random() < 0.1:
         q = max(q + int(rng.choice([-1, 1, 2])), 0)
-    number = _FUZZ_NUMBER if rng.random() < 0.2 else st.floats(-3.0, 3.0)
-    beta = draw(st.lists(number, min_size=q, max_size=q))
+    odd_numbers = rng.random() < 0.2
+
+    def numbers(size):
+        if odd_numbers:
+            return [_fuzz_number(rng) for _ in range(size)]
+        return rng.uniform(-3.0, 3.0, size).tolist()
+
+    beta = numbers(q)
     if rng.random() < 0.7:
         # positive definite but for odd numbers: a dominant diagonal
-        noise = np.reshape(draw(st.lists(number, min_size=q * q, max_size=q * q)), (q, q))
+        noise = np.reshape(numbers(q * q), (q, q))
         sigma1 = (np.eye(q) * rng.uniform(0.1, 5.0) + 0.05 * (noise + noise.T)).tolist()
     else:
-        sigma1 = [draw(st.lists(number, min_size=q, max_size=q)) for _ in range(q)]
+        sigma1 = [numbers(q) for _ in range(q)]
     bad_m = [0, -3, 2.5, "40", True, None, 10**30, [40]]
     obj = {
         "beta": beta,
         "sigma1": sigma1,
-        "m": int(rng.integers(1, 200)) if rng.random() < 0.8 else bad_m[rng.integers(len(bad_m))],
+        "m": int(rng.integers(1, 200)) if rng.random() < 0.8 else pick(rng, bad_m),
         "binding": binding,
     }
     for key in ("beta", "sigma1", "binding"):
         if rng.random() < 0.05:
-            obj[key] = draw(_FUZZ_VALUES)
+            obj[key] = _fuzz_value(rng)
     if rng.random() < 0.5:
-        obj["source_id"] = draw(st.text(max_size=3) if rng.random() < 0.8 else _FUZZ_VALUES)
+        if rng.random() < 0.8:
+            obj["source_id"] = "".join(pick(rng, _FUZZ_CHARS) for _ in range(rng.integers(4)))
+        else:
+            obj["source_id"] = _fuzz_value(rng)
     if rng.random() < 0.05:
-        del obj[sorted(obj)[rng.integers(len(obj))]]
+        del obj[pick(rng, sorted(obj))]
     if rng.random() < 0.05:
         obj["extra"] = 1
     return json.dumps(obj)
@@ -767,14 +808,19 @@ def test_estimate_fuzzed_summary_exits_0_2_or_3(fuzz_files, tmp_path_factory, te
         assert out.getvalue() == ""
         _assert_one_json_error(err.getvalue())
 
-def _cli_process(argv):
-    """`python -m datafuse.cli argv` in a fresh interpreter, warnings shown as
-    Python shows them by default."""
+def _python_process(args):
+    """`python args` in a fresh interpreter that imports this datafuse,
+    warnings shown as Python shows them by default."""
     src = str(Path(datafuse.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "datafuse.cli", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def _cli_process(argv):
+    """`python -m datafuse.cli argv` in a fresh interpreter."""
+    return _python_process(["-m", "datafuse.cli", *argv])
 
 
 def test_warnings_reach_stderr_only_when_the_command_succeeds(tmp_path):
@@ -804,6 +850,53 @@ def test_warnings_reach_stderr_only_when_the_command_succeeds(tmp_path):
     assert done.stderr.startswith(f"{linalg}:")
     assert "UserWarning: ill-conditioned system (gram): added ridge" in done.stderr
     assert done.stderr.endswith("  warnings.warn(msg)\n")
+
+
+# Run in a fresh interpreter: the scipy subpackages loaded by a bare
+# `import scipy`, then after importing the CLI and after each named command.
+_SCIPY_LOADED = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted({name.split(".")[1] for name in sys.modules if name.startswith("scipy.")})
+
+import scipy
+stages = {"scipy": loaded()}
+from datafuse import cli
+stages["import"] = loaded()
+for stage, argv in json.loads(sys.argv[1]).items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    stages[stage] = loaded() if code == 0 else f"exit {code}"
+print(json.dumps(stages))
+"""
+
+
+def test_commands_load_only_scipy_linalg_and_special(tmp_path):
+    # scipy.integrate (with optimize, sparse, spatial and fft behind it) once
+    # cost every command about a third of its start-up time
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(1000)
+    y = 1.0 + x + rng.standard_normal(1000)
+    internal = tmp_path / "internal.csv"
+    internal.write_text("X,Y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x, y)))
+    _, summary = _write_example(tmp_path, beta=0.0)
+    commands = {
+        "estimate dbs": ["estimate", "--internal", str(internal), "--summary", str(summary),
+                         "--tau", TAU_MEAN_Y, "--method", "dbs"],
+        **{f"simulate {scenario}": ["simulate", "--scenario", scenario, "--n", "200",
+                                    "--m", "400", "--reps", "2"]
+           for scenario in ("I", "II_biased")},
+    }
+    done = _python_process(["-c", _SCIPY_LOADED, json.dumps(commands)])
+    assert done.returncode == 0, done.stderr
+    stages = json.loads(done.stdout)
+    allowed = set(stages.pop("scipy")) | {"linalg", "special"}
+    assert list(stages) == ["import", *commands]
+    for stage, names in stages.items():
+        assert isinstance(names, list), (stage, names)
+        assert "integrate" not in names, stage
+        assert set(names) <= allowed, (stage, sorted(set(names) - allowed))
 
 
 def test_simulate_one_replication_says_its_mc_errors_are_undefined(tmp_path):
@@ -900,6 +993,108 @@ def test_estimate_fuzzed_debias_config_exits_0_2_or_3(fuzz_files, tmp_path_facto
     assert code in (0, 2, 3)
     if code == 0:
         _strict_json(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        _assert_one_json_error(err.getvalue())
+
+
+# a value of about the admissible range for each simulate config key, kept
+# small so a run takes milliseconds; scenario, n, m and reps are always set
+# (the defaults are 1000 replications of n = m = 1000)
+_SIM_TYPED = {
+    "scenario": lambda rng: pick(rng, ("I", "II_biased", "II_unbiased")),
+    "n": lambda rng: int(rng.integers(1, 61)),
+    "m": lambda rng: int(rng.integers(1, 61)),
+    "reps": lambda rng: int(rng.integers(1, 4)),
+    "seed": lambda rng: pick(rng, (0, 2**64 - 1, int(rng.integers(0, 2**63)))),
+    "methods": lambda rng: [
+        pick(rng, ("INT", "CRD", "EFF", "KNW", "ORC", "DBS", "INT", "EFF", "DBS", "IVW", "XYZ"))
+        for _ in range(rng.integers(0, 3))
+    ],
+    "level": lambda rng: float(rng.uniform(0.5, 1.0)) if rng.random() < 0.9 else pick(rng, (0, 1)),
+    "tau": lambda rng: rng.uniform(-2.0, 2.0, pick(rng, (2, 2, 2, 2, 1, 3))).tolist(),
+    "debias": lambda rng: {
+        key: value(rng) for key, value in (
+            ("k", lambda r: int(r.integers(2, 6))),
+            ("alpha", lambda r: float(r.uniform(0.5, 2.0))),
+            ("lambda_fixed", lambda r: float(r.uniform(0.0, 2.0))),
+            ("grid_c", lambda r: r.uniform(0.1, 10.0, r.integers(1, 4)).tolist()),
+        )
+        if rng.random() < 0.3
+    },
+}
+_SIM_ALWAYS = ("scenario", "n", "m", "reps")
+
+
+def _toml(value) -> str:
+    """`value` as TOML: a table's keys as lines, nested tables inline. None,
+    which TOML cannot hold, is written as the bare word null, which makes
+    the file invalid."""
+    if isinstance(value, dict):
+        items = [f"{key} = {_toml(item)}" for key, item in value.items()]
+        return "{" + ", ".join(items) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(_toml(item) for item in value) + "]"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)  # nan, inf and -inf are TOML floats too
+    return json.dumps(value)
+
+
+@st.composite
+def _fuzz_simulate_config(draw):
+    """(suffix, text, threads) of a simulate --config file, JSON or TOML,
+    and a --threads value of 1 or 2. The file holds an object with a
+    scenario, n, m, reps and some of the other keys, each mostly admissible
+    and small and otherwise any JSON value, maybe an out_dir (a usable one
+    or one under a file) or a stray key; sometimes it is not an object, or
+    does not parse."""
+    rng = fuzz_rng(draw)
+    suffix, threads = pick(rng, (".json", ".toml")), pick(rng, ("1", "2"))
+    if rng.random() < 0.05:
+        return suffix, pick(rng, ["[]", '"I"', "3", "", "{", "scenario = "]), threads
+    config = {}
+    for key, typed in _SIM_TYPED.items():
+        if key in _SIM_ALWAYS or rng.random() < 0.4:
+            config[key] = typed(rng) if rng.random() < 0.95 else _fuzz_value(rng)
+    if rng.random() < 0.2:
+        config["out_dir"] = pick(rng, ("run", "blocker/run", 5))
+    if rng.random() < 0.05:
+        config["extra"] = 1
+    if suffix == ".json":
+        return suffix, json.dumps(config), threads
+    return suffix, "".join(f"{key} = {_toml(value)}\n" for key, value in config.items()), threads
+
+
+_TABLE_HEADER = ["method", "m", "param", "bias", "rmse", "ase", "cp"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_fuzz_simulate_config())
+def test_simulate_fuzzed_config_exits_0_2_or_3(tmp_path_factory, case):
+    # every --config file gives the metrics table on stdout and no error, or
+    # a typed error: exit 2 or 3, nothing on stdout, one JSON error line on
+    # stderr
+    suffix, text, threads = case
+    root = tmp_path_factory.getbasetemp() / "fuzz_simulate"
+    root.mkdir(exist_ok=True)
+    (root / "blocker").write_text("")
+    text = text.replace('"run"', json.dumps(str(root / "run")))
+    text = text.replace('"blocker/run"', json.dumps(str(root / "blocker" / "run")))
+    path = root / f"config{suffix}"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["simulate", "--config", str(path), "--threads", threads])
+    assert code in (0, 2, 3)
+    if code == 0:
+        header, rule, *rows = out.getvalue().splitlines()
+        assert header.split() == _TABLE_HEADER and set(rule) == {"-"}
+        assert rows and all(len(row.split()) == len(_TABLE_HEADER) for row in rows)
+        assert not any(line.startswith('{"error"') for line in err.getvalue().splitlines())
     else:
         assert out.getvalue() == ""
         _assert_one_json_error(err.getvalue())

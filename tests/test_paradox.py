@@ -1,0 +1,119 @@
+"""The paper's exact claims about biased summaries, as properties.
+
+EFF trusts every summary: a bias delta in the external estimate beta~ moves
+its estimate by exactly gain @ delta and leaves its variance alone, which is
+why a small bias ruins its coverage. DBS estimates the bias and fuses only
+the coordinates it finds unbiased: a coordinate it leaves out cannot move
+its estimate, and when it selects the truly unbiased set it is the oracle
+ORC itself.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from datafuse import (
+    DebiasConfig,
+    FusionInputs,
+    ScenarioConfig,
+    estimate_dbs,
+    estimate_eff,
+    run_replications,
+    validate_summary,
+)
+from helpers import fuzz_rng, pick, synth_inputs
+
+
+def _shifted(inputs: FusionInputs, delta) -> FusionInputs:
+    """`inputs` with every summary's beta~ moved by its part of `delta`."""
+    summaries, at = [], 0
+    for s in inputs.summaries:
+        beta = s.beta + delta[at : at + s.q]
+        summaries.append(validate_summary(beta, s.sigma1, s.m, s.binding, s.source_id))
+        at += s.q
+    return FusionInputs(tau_fit=inputs.tau_fit, beta_fit=inputs.beta_fit, summaries=summaries)
+
+
+def _splits(rng, q: int) -> list:
+    """A random partition of q coordinates into source blocks."""
+    cuts = sorted(rng.choice(np.arange(1, q), size=rng.integers(0, q), replace=False))
+    return np.diff([0, *cuts, q]).tolist()
+
+
+@st.composite
+def _inputs_and_shift(draw):
+    """Synthetic inputs (p 1-3, q 1-4 in 1-q sources) and a bias delta of
+    about 1e-3, 1 or 1e3 on every coordinate, or on one coordinate only."""
+    rng = fuzz_rng(draw)
+    p, q = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    inputs = synth_inputs(rng, n=int(rng.integers(q + 10, 120)), p=p, q=q, splits=_splits(rng, q))
+    delta = rng.standard_normal(q) * pick(rng, (1e-3, 1.0, 1e3))
+    if rng.random() < 0.3:
+        delta *= np.arange(q) == rng.integers(q)
+    return inputs, delta
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_inputs_and_shift())
+def test_a_summary_bias_moves_eff_by_exactly_the_gain_times_the_bias(case):
+    inputs, delta = case
+    base, moved = estimate_eff(inputs), estimate_eff(_shifted(inputs, delta))
+    np.testing.assert_array_equal(moved.avar, base.avar)
+    np.testing.assert_array_equal(moved.gain, base.gain)
+    # round-off of tau_int - gain @ (beta_int - beta~ - delta) against its terms
+    calib = inputs._calibration
+    terms = np.abs(base.gain) @ (np.abs(calib.residual) + np.abs(delta))
+    scale = 1.0 + np.max(np.abs(calib.tau) + terms)
+    np.testing.assert_allclose(
+        moved.estimate - base.estimate, base.gain @ delta, rtol=0.0, atol=1e-12 * scale
+    )
+
+
+@st.composite
+def _inputs_lambda_and_outlier(draw):
+    """Synthetic inputs (p 1-2, q 2-4) whose coordinate j carries a bias of
+    20-100 external standard errors, a second such bias on j, and a fixed
+    lambda."""
+    rng = fuzz_rng(draw)
+    p, q = int(rng.integers(1, 3)), int(rng.integers(2, 5))
+    inputs = synth_inputs(rng, n=int(rng.integers(q + 20, 120)), p=p, q=q, splits=_splits(rng, q))
+    j = int(rng.integers(q))
+    sd = np.sqrt(inputs._calibration.sigma_ext[j, j] / inputs.n)
+
+    def outlier():
+        return (np.arange(q) == j) * rng.choice([-1.0, 1.0]) * rng.uniform(20.0, 100.0) * sd
+
+    lam = float(10.0 ** rng.uniform(-1.0, 1.0))
+    return _shifted(inputs, outlier()), outlier(), j, lam
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_inputs_lambda_and_outlier())
+def test_a_coordinate_dbs_leaves_out_does_not_move_its_estimate(case):
+    inputs, second, j, lam = case
+    config = DebiasConfig(lambda_fixed=lam)
+    base, base_sel = estimate_dbs(inputs, config)
+    moved, moved_sel = estimate_dbs(_shifted(inputs, second), config)
+    # with the selection unchanged and j outside it, the same coordinates
+    # are fused with the same sub-blocks of the calibration
+    assume(base_sel.selected == moved_sel.selected and j not in base_sel.selected)
+    np.testing.assert_array_equal(moved.estimate, base.estimate)
+    np.testing.assert_array_equal(moved.se, base.se)
+
+
+def test_dbs_is_orc_whenever_it_selects_the_truly_unbiased_set():
+    # bit for bit, on every replication where the selection is right
+    for scenario, unbiased in (("II_biased", "0"), ("II_unbiased", "0;1")):
+        config = ScenarioConfig(scenario=scenario, n=1000, m=4000, reps=200, seed=13,
+                                methods=("ORC", "DBS"))
+        records = run_replications(config).records
+        by_key = {(r["method"], r["rep"], r["param"]): r for r in records}
+        hits = 0
+        for (method, rep, param), dbs in by_key.items():
+            if method != "DBS" or dbs["selected"] != unbiased:
+                continue
+            orc = by_key[("ORC", rep, param)]
+            assert (dbs["estimate"], dbs["se"]) == (orc["estimate"], orc["se"]), (scenario, rep)
+            hits += 1
+        # the selection is right on most replications (about 94-97% at this n)
+        assert hits >= 0.85 * 2 * config.reps, (scenario, hits)

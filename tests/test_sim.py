@@ -25,6 +25,24 @@ from datafuse.errors import ExcessiveFailures, IoError, MalformedInput, RankDefi
 # scenario I generator
 
 
+def test_scenario1_beta_true_by_quadrature():
+    # the literals solve the normal equations of Y on (1, X, T) with the
+    # moments t_k = E[X^k expit(1 - X)] by adaptive quadrature
+    from scipy.integrate import quad
+
+    def moment(k):
+        density = lambda u: u**k * expit(1.0 - u) * math.exp(-u * u / 2.0) / math.sqrt(2.0 * math.pi)
+        return quad(density, -np.inf, np.inf)[0]
+
+    t0, t1, t2, t3 = (moment(k) for k in range(4))
+    design_mom = np.array([[1.0, 0.0, t0], [0.0, 1.0, t1], [t0, t1, t0]])
+    response_mom = np.array([1.0 + t2, 1.0 + t3, t0 + t1 + t2])
+    np.testing.assert_allclose(
+        scenario1_beta_true(), np.linalg.solve(design_mom, response_mom), rtol=1e-12, atol=0.0
+    )
+    assert abs(t0 - 0.6967346701436938) < 1e-12
+
+
 def test_scenario1_beta_true_against_monte_carlo():
     t0, t1, t2 = scenario1_beta_true()
     rng = np.random.default_rng(77)
