@@ -17,6 +17,7 @@ from ._linalg import check_full_rank, spd_solve
 from .errors import (
     DegenerateRegressor,
     EmptyArm,
+    MalformedInput,
     PropensityDegenerate,
     RankDeficientDesign,
     Separation,
@@ -26,6 +27,7 @@ from .model import (
     FunctionalFit,
     FunctionalKind,
     InternalDataset,
+    _real,
 )
 
 __all__ = [
@@ -137,33 +139,67 @@ def fit_marginal_ols(data: InternalDataset, outcome: str, regressor: str) -> Fun
 
 
 def _bernoulli_loglik(y: np.ndarray, linpred: np.ndarray) -> float:
-    return float(np.sum(y * linpred - np.logaddexp(0.0, linpred)))
+    # log(1 + e^eta) as max(eta, 0) + log1p(e^-|eta|), the terms summed per
+    # row: np.logaddexp gives the same values at several times the cost
+    terms = np.abs(linpred)
+    np.negative(terms, out=terms)
+    np.exp(terms, out=terms)
+    np.log1p(terms, out=terms)
+    terms += np.maximum(linpred, 0.0)
+    return float(np.sum(y * linpred - terms))
 
 
-def _newton_logistic(design: np.ndarray, y: np.ndarray, context: str, start=None) -> np.ndarray:
-    """Damped Newton MLE from `start` (zero if None); stops when
-    max |score| < 1e-10 or after 100 iterations."""
+def _pinned(prob: np.ndarray, ones: np.ndarray, zeros: np.ndarray, probes) -> bool:
+    """Whether every row of class 1 (mask `ones`) has probability above
+    1 - 1e-8 and every row of class 0 (`zeros`) below 1e-8; an empty class
+    passes. `probes` holds one row of each class, or None for an empty one:
+    a probe row that is not pinned (or is NaN) settles the check at once."""
+    one, zero = probes
+    if one is not None and not prob[one] > 1.0 - 1e-8:
+        return False
+    if zero is not None and not prob[zero] < 1e-8:
+        return False
+    return bool(np.all(prob[ones] > 1.0 - 1e-8) and np.all(prob[zeros] < 1e-8))
+
+
+def _newton_logistic(design: np.ndarray, y: np.ndarray, context: str, start=None):
+    """Damped Newton MLE from `start` (zero if None): (coef, prob), prob the
+    fitted probabilities expit(design @ coef) of the last iteration.
+
+    Stops when max |score| < 1e-10, or warns after 100 iterations. A step
+    is halved until the log-likelihood is finite and falls short of the
+    current one by at most 1e-12 (1 + |loglik|): a slack relative to the
+    log-likelihood, which is summed over the rows, so that round-off near
+    the optimum does not reject every step. Raises Separation when the
+    probabilities are pinned at 0/1 (checked first on one probe row per
+    class), when no halving improves, or when the coefficients diverge.
+    """
     check_full_rank(design, RankDeficientDesign, context)
+    ones, zeros = y == 1.0, y == 0.0
+    probes = tuple(
+        int(rows[0]) if rows.size else None
+        for rows in (np.flatnonzero(ones), np.flatnonzero(zeros))
+    )
     coef = np.zeros(design.shape[1]) if start is None else start
     linpred = design @ coef
     loglik = _bernoulli_loglik(y, linpred)
     for _ in range(LOGISTIC_MAX_ITER):
         prob = expit(linpred)
-        pinned = np.all(prob[y == 1.0] > 1.0 - 1e-8) and np.all(prob[y == 0.0] < 1e-8)
-        if pinned:
+        if _pinned(prob, ones, zeros, probes):
             raise Separation(f"fitted probabilities pinned at 0/1 ({context})")
         score = design.T @ (y - prob)
         if np.max(np.abs(score)) < LOGISTIC_SCORE_TOL:
-            return coef
+            return coef, prob
         weight = prob * (1.0 - prob)
         hessian = design.T @ (design * weight[:, None])
         step = spd_solve(hessian, score, Separation, context=context)
+        floor = loglik - 1e-12 * (1.0 + abs(loglik))
         scale = 1.0
         for _ in range(60):
             cand = coef + scale * step
             cand_linpred = design @ cand
             cand_loglik = _bernoulli_loglik(y, cand_linpred)
-            if np.isfinite(cand_loglik) and cand_loglik >= loglik - 1e-12:
+            if np.isfinite(cand_loglik) and cand_loglik >= floor:
                 break
             scale /= 2.0
         else:
@@ -172,7 +208,7 @@ def _newton_logistic(design: np.ndarray, y: np.ndarray, context: str, start=None
         if not np.all(np.isfinite(coef)) or np.max(np.abs(coef)) > 1e4:
             raise Separation(f"coefficients diverged ({context})")
     warnings.warn(f"logistic fit stopped at iteration cap ({context})")
-    return coef
+    return coef, expit(linpred)
 
 
 def fit_logistic(
@@ -191,7 +227,7 @@ def fit_logistic(
         design = np.column_stack([np.ones(data.n)] + cols)
     else:
         design = np.column_stack(cols)
-    return _newton_logistic(design, y, f"logistic({response})")
+    return _newton_logistic(design, y, f"logistic({response})")[0]
 
 
 def fit_aipw_ate(
@@ -205,8 +241,11 @@ def fit_aipw_ate(
 
     Propensity: logistic in the covariates. Outcome: linear in the
     covariates within each arm. Fitted propensities are trimmed to
-    [trim, 1 - trim] before weighting.
+    [trim, 1 - trim] before weighting; trim must be a number in [0, 0.5).
     """
+    trim = _real("trim", trim)
+    if not 0.0 <= trim < 0.5:
+        raise MalformedInput(f"trim must be in [0, 0.5), got {trim!r}")
     return _fit_aipw(data, outcome, treatment, covariates, trim)
 
 
@@ -227,14 +266,15 @@ def _fit_aipw(data, outcome, treatment, covariates, trim=PROPENSITY_TRIM, start=
     if start is not None and start.shape != (design.shape[1],):
         start = None
     try:
-        prop_coef = _newton_logistic(design, t, f"propensity({treatment})", start)
+        prop_coef, prop = _newton_logistic(design, t, f"propensity({treatment})", start)
     except Separation as exc:
         raise PropensityDegenerate(str(exc)) from exc
-    prop = np.clip(expit(design @ prop_coef), trim, 1.0 - trim)
+    prop = np.clip(prop, trim, 1.0 - trim)
 
     mu = np.empty((data.n, 2))
     for arm, mask in ((0, ~treated), (1, treated)):
-        coef, _ = _ols_fit(design[mask], y[mask], f"outcome model arm {arm}")
+        rows = design.compress(mask, axis=0)
+        coef = _ols_coef(rows, y.compress(mask), f"outcome model arm {arm}")[1]
         mu[:, arm] = design @ coef
 
     transform = (

@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from datafuse import (
     fit_logistic,
     fit_marginal_ols,
     fit_mean,
+    gen_scenario1,
     validate_dataset,
 )
 from datafuse import functionals
@@ -27,6 +29,7 @@ from datafuse.model import _ARGS
 from datafuse.errors import (
     DegenerateRegressor,
     EmptyArm,
+    MalformedInput,
     MissingColumn,
     PropensityDegenerate,
     RankDeficientDesign,
@@ -238,6 +241,30 @@ def test_logistic_recovery_within_wald_bands():
     assert abs(coef[1] + 1.0) <= 3.0 * se[1]
 
 
+@pytest.mark.parametrize("seed", [2, 5])
+def test_logistic_line_search_slack_scales_with_loglik(monkeypatch, seed):
+    # |loglik| is about 53,000 on these 10^5 rows, so one ulp of it exceeds
+    # an absolute slack of 1e-12: near the optimum every full step then
+    # rounded below the slack and was halved to nothing until the cap
+    data = gen_scenario1(100000, 10, np.random.default_rng([seed, 9]))[0]
+    loglik = functionals._bernoulli_loglik
+    calls = []
+
+    def counting(y, linpred):
+        calls.append(1)
+        return loglik(y, linpred)
+
+    monkeypatch.setattr(functionals, "_bernoulli_loglik", counting)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        coef = fit_logistic(data, "T", ["X", "X2"])
+    assert [str(w.message) for w in caught] == []
+    assert len(calls) <= 10
+    t = data.column("T")
+    design = np.column_stack([np.ones(data.n), data.column("X"), data.column("X2")])
+    assert np.abs(design.T @ (t - expit(design @ coef))).max() < 1e-10
+
+
 def test_logistic_separation():
     data = _data(T=[0.0, 0.0, 1.0, 1.0], X=[-2.0, -1.0, 1.0, 2.0])
     with pytest.raises(Separation):
@@ -289,6 +316,25 @@ def test_aipw_empty_arm():
             "T",
             ["X"],
         )
+
+
+def _trim_data():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(200)
+    t = (rng.random(200) < expit(x)).astype(float)
+    return _data(Y=x + t + rng.standard_normal(200), T=t, X=x)
+
+
+@pytest.mark.parametrize("trim", [0.5, 0.7, 1.0, -0.5, -1e-300, math.nan, math.inf, True, "0.1"])
+def test_aipw_rejects_trim_outside_half_open_unit_half(trim):
+    with pytest.raises(MalformedInput, match="trim"):
+        fit_aipw_ate(_trim_data(), "Y", "T", ["X"], trim=trim)
+
+
+def test_aipw_accepts_trim_in_half_open_unit_half():
+    data = _trim_data()
+    estimates = [fit_aipw_ate(data, "Y", "T", ["X"], trim=trim).estimate[0] for trim in (0, 0.2, 0.49)]
+    assert len(set(estimates)) == 3
 
 
 def test_aipw_separated_propensity():

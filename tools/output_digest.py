@@ -1,0 +1,115 @@
+"""SHA-256 digests of the outputs of a fixed set of datafuse commands.
+
+Usage, from the repository root:
+
+    python3 tools/output_digest.py > digests.txt
+
+Runs in process, through `datafuse.cli.main`, with BLAS pinned to one
+thread:
+
+- `simulate --reps 200 --seed 7` for scenarios I, II_biased and
+  II_unbiased (other settings at their defaults): stdout, stderr,
+  metrics.csv and metrics_per_rep.csv;
+- `estimate --method int|crd|eff|dbs` on an n = 20000 Scenario I CSV that
+  the script writes (external m = 20000), with the aipw_ate target of
+  Scenario I: stdout and stderr.
+
+Prints one line per output, "<sha256>  <command>/<output>", and one for
+the written CSV. In stderr the path of the source tree (where warnings name
+their file) reads "<src>" and that of the temporary directory "<tmp>", so
+runs from checkouts in different directories compare equal. A change that
+claims to leave every output unchanged should leave this output unchanged:
+diff it between the parent checkout and the change. The digests depend on
+the numpy and BLAS build, so compare runs on one machine only. Exits 1 if
+any command fails.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from datafuse import cli, gen_scenario1, write_internal_csv, write_summary_json  # noqa: E402
+
+SCENARIOS = ("I", "II_biased", "II_unbiased")
+METHODS = ("int", "crd", "eff", "dbs")
+SIM_ARGS = ("--reps", "200", "--seed", "7")
+ESTIMATE_N = 20000
+ESTIMATE_SEED = 7
+TAU = json.dumps(
+    {"functional": "aipw_ate",
+     "args": {"outcome": "Y", "treatment": "T", "covariates": ["X", "X2"]}}
+)
+
+
+def run(argv: list, tmp: Path) -> tuple:
+    """(exit code, stdout, stderr) of `datafuse <argv>`, in process; `tmp`
+    is the temporary directory the command writes to."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    stderr = err.getvalue().replace(str(SRC), "<src>").replace(str(tmp), "<tmp>")
+    return code, out.getvalue(), stderr
+
+
+def digest(data) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def report(name: str, argv: list, tmp: Path, files=()) -> bool:
+    """Run `datafuse <argv>` and print the digests of its stdout, its stderr
+    and, if it succeeds, of `files`. Returns whether it succeeded."""
+    code, stdout, stderr = run(argv, tmp)
+    print(f"{digest(stdout)}  {name}/stdout")
+    print(f"{digest(stderr)}  {name}/stderr")
+    if code != 0:
+        print(f"{name} exited {code}: {stderr.strip()}", file=sys.stderr)
+        return False
+    for path in files:
+        print(f"{digest(path.read_bytes())}  {name}/{path.name}")
+    return True
+
+
+def main() -> int:
+    ok = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for scenario in SCENARIOS:
+            out_dir = tmp / scenario
+            argv = ["simulate", "--scenario", scenario, *SIM_ARGS, "--out-dir", str(out_dir)]
+            files = (out_dir / "metrics.csv", out_dir / "metrics_per_rep.csv")
+            ok.append(report(f"simulate-{scenario}", argv, tmp, files))
+
+        internal, summary, _ = gen_scenario1(
+            ESTIMATE_N, ESTIMATE_N, np.random.default_rng(ESTIMATE_SEED)
+        )
+        csv_path, summary_path = tmp / "internal.csv", tmp / "summary.json"
+        write_internal_csv(internal, csv_path)
+        write_summary_json(summary, summary_path)
+        print(f"{digest(csv_path.read_bytes())}  inputs/{csv_path.name}")
+        for method in METHODS:
+            argv = [
+                "estimate", "--internal", str(csv_path), "--summary", str(summary_path),
+                "--tau", TAU, "--method", method,
+            ]
+            ok.append(report(f"estimate-{method}", argv, tmp))
+    return 0 if all(ok) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
