@@ -84,15 +84,19 @@ def check_full_rank(design, error: type, context: str = ""):
     """Triangular factor r of the QR factorization of a full-rank design.
 
     r'r equals design'design, so r serves as its upper Cholesky factor.
-    Raises `error` unless rows >= columns >= 1 and the 1-norm reciprocal
-    condition estimate of r exceeds RANK_RCOND.
+    Raises `error` unless rows >= columns >= 1, no column is zero, and the
+    1-norm reciprocal condition estimate of r with each column divided by
+    its largest |entry| exceeds RANK_RCOND: rescaling a column of the
+    design rescales that column of r, so the test does not depend on the
+    columns' units, and the division cannot overflow.
     """
     design = np.asarray(design, dtype=float)
     rows, cols = design.shape
     if cols == 0 or rows < cols:
         raise error(f"design matrix is rank deficient{_ctx(context)}")
     r = np.triu(dgeqrf(design)[0][:cols])
-    if not dtrcon(r)[0] > RANK_RCOND:
+    scale = np.abs(r).max(axis=0)
+    if not (scale.all() and dtrcon(r / scale)[0] > RANK_RCOND):
         raise error(f"design matrix is rank deficient{_ctx(context)}")
     return r
 

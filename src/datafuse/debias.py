@@ -17,8 +17,9 @@ A cross-validation fold takes one of two paths (_FoldFits). When every fit
 is a mean, marginal_ols or joint_ols fit of a narrow design and the folds
 partition the rows, the fold's estimates and influence maps come from
 per-fold sums of moment features (functionals._Moments). Otherwise the fold
-is refitted whole on its rows; so is a fold on whose rows a fit would fail
-or its moments would cancel, and it fails with the refit's error.
+is refitted whole on its rows; so is a fold whose sums flag a fit or whose
+moments would cancel. The sums flag a superset of the folds on which a
+fitter fails, so the refit decides, and a fold fails only with its error.
 """
 
 import math
@@ -344,12 +345,12 @@ def cv_tune(
     features over its rows when every fit is a mean, marginal_ols or
     joint_ols fit of a narrow design and the folds partition the rows;
     otherwise it is refitted whole, an aipw_ate target with its propensity
-    Newton started from the full-data fit (_FoldFits). A fold on whose rows
-    a fit would fail or its moments would cancel is refitted whole too, and
-    fails with the refit's error (as FoldTooSmall). A fold builds its
-    calibration once, traces one lasso path over the whole grid and
-    evaluates the fused estimate once per distinct selected set, from
-    sub-blocks of that calibration.
+    Newton started from the full-data fit (_FoldFits). So is a fold whose
+    sums flag a fit (more folds than the fitters reject) or whose moments
+    would cancel, which fails only with the refit's error (as FoldTooSmall).
+    A fold builds its calibration once, traces one lasso path over the
+    whole grid and evaluates the fused estimate once per distinct selected
+    set, from sub-blocks of that calibration.
     """
     if inputs.data is None or inputs.tau is None:
         raise MalformedInput(
@@ -416,11 +417,12 @@ class _FoldFits:
     an aipw_ate target started from the full-data propensity and the fold
     re-run from zero if that raises. That is every fold when a slot has no
     moment form (aipw_ate, or designs too wide), when the folds overlap or
-    leave rows out, or when a feature sum is not finite; and a fold on whose
-    rows a fit would fail or its moments would cancel (_Moments.fit), so
-    such a fold fails with the refit's error. Of the target on the held-out
-    rows only its estimate is read, so there only a fit that would fail
-    calls for a refit.
+    leave rows out, or when a feature sum is not finite; and a fold whose
+    sums flag a fit or whose moments would cancel (_Moments.fit). The sums
+    flag a superset of the folds on which a fitter fails, and the refit
+    decides, so a fold fails only with the refit's error. Of the target on
+    the held-out rows only its estimate is read, so there only a flagged
+    fit calls for a refit.
     """
 
     def __init__(self, inputs: FusionInputs, folds):
@@ -471,8 +473,8 @@ class _FoldFits:
             return
 
         # per fold: the stacked estimates and influence maps of the slots; a
-        # fold on whose rows a fit would fail or cancel is refitted, and only
-        # the held-out estimate is read from the target on the test rows
+        # fold whose sums flag a fit or cancel is refitted, and only the
+        # held-out estimate is read from the target on the test rows
         self.refit = np.zeros(k, dtype=bool)
         self.estimate = np.zeros((k, starts[-1]))
         maps = np.zeros((k, starts[-1], features.shape[0]))
@@ -480,11 +482,11 @@ class _FoldFits:
         for i, (form, c) in enumerate(zip(forms, coefs)):
             span = slice(at, at + len(form.features))
             at = span.stop
-            sets, sums = self.train_rows, train
-            if i == 0:  # the target on the test rows too, in the same call
-                sets, sums = folds + sets, np.concatenate((test, train))
+            # the target on the test rows too, in the same call; feature 0 is
+            # ones, so sums[:, 0, 0] counts each set's rows
+            sums = np.concatenate((test, train)) if i == 0 else train
             estimate, lmap, failed, cancelled = form.fit(
-                sets, sums[:, 0, span], sums[:, span, span]
+                sums[:, 0, 0], sums[:, 0, span], sums[:, span, span]
             )
             if i == 0:
                 self.tau_test = estimate[:k, _coefficients(inputs.tau)]
@@ -494,9 +496,8 @@ class _FoldFits:
                 )
             self.refit |= failed | cancelled
             self.estimate[:, c], maps[:, c, span] = estimate, lmap
-        counts = np.array([rows.size for rows in self.train_rows])
         self.moments = _calibration_moments(
-            maps[:, self.tau], maps[:, self.beta], train / counts[:, None, None]
+            maps[:, self.tau], maps[:, self.beta], train / train[:, :1, :1]
         )
 
     def fold(self, f: int, start):

@@ -356,14 +356,13 @@ class _Moments:
     L = inv(A) [-D, I], where D g_i = V_i V_i' d. Built around c0, the
     features stay small where the fit is close, so second moments L S L' of
     the influence do not cancel large terms. A design of k columns has
-    k (k + 3) / 2 features (_moment_forms caps their total). The form only
-    flags the sets of rows on which the fitter would fail; the fitter, run on
-    those rows, raises the error.
+    k (k + 3) / 2 features (_moment_forms caps their total). The form reads
+    only sums, and flags a superset of the sets of rows on which the fitter
+    would fail; the fitter, run on those rows, decides and raises the error.
     """
 
     def __init__(self, data: InternalDataset, desc: FunctionalDescriptor, center=None):
         args = desc.args
-        self.kind = desc.kind
         if desc.kind is FunctionalKind.MEAN:
             y, where = data.column(args["column"]), args.get("where")
             if where is None:
@@ -375,61 +374,57 @@ class _Moments:
         else:
             y = data.column(args["outcome"])
             design = _joint_design(data, **args)[0]
-        self.design = design
         k = design.shape[1]
         self.center = _ols_coef(design, y, desc.kind.value)[1] if center is None else center
         resid = y - design @ self.center
-        # feature p < P is V_a V_b for the p-th pair a <= b, then feature
-        # P + j is V_j e0; D = (expand d) reshaped to k x P
-        pairs = [(i, j) for i in range(k) for j in range(i, k)]
-        self.features = [design[:, i] * design[:, j] for i, j in pairs]
+        # feature p < P is V_a V_b for the p-th pair a <= b, (a, b) column p
+        # of `pairs`, then feature P + j is V_j e0
+        pairs = [(a, b) for a in range(k) for b in range(a, k)]
+        self.pairs = np.array(pairs).T
+        self.features = [design[:, a] * design[:, b] for a, b in pairs]
         self.features += [design[:, j] * resid for j in range(k)]
-        self.expand = np.array(
-            [[(j, l) in ((a, b), (b, a)) for l in range(k)] for j in range(k) for a, b in pairs],
-            dtype=float,
-        )
 
-    def fit(self, row_sets, totals, products):
-        """The fit on each set of rows in `row_sets`, from the sums over its
-        rows of the features (row i of `totals`) and of their outer products
-        (`products[i]`): (estimates, L, failed, cancelled), one entry per set.
+    def fit(self, counts, totals, products):
+        """The fit on each of several sets of rows, from its row count
+        (`counts[i]`) and the sums over its rows of the features (row i of
+        `totals`) and of their outer products (`products[i]`): (estimates,
+        L, failed, cancelled), one entry per set.
 
-        failed[i] is True where the fitter would fail on set i: a `where`
-        that no row meets, a second moment at most SECOND_MOMENT_FLOOR, a
-        joint design that check_full_rank rejects on the set's rows, or a
-        non-finite estimate or influence whose sum of squares (the trace of
-        L P L') overflows. The estimate and L of a failed set are zero.
-        cancelled[i] is True when a diagonal entry of L P L' is below
-        CANCELLATION_FLOOR times the size of the terms it is summed from,
-        (|L| sqrt(diag P))^2: the round-off of those terms is then no longer
-        small against it (as when the rows fit exactly). Either way the set's
-        fits are to be refitted.
+        One rule serves every kind; a mean or marginal_ols fit is its case
+        k = 1. failed[i] is True where A = E(VV') on set i has a diagonal
+        entry at most SECOND_MOMENT_FLOOR (a `where` that no row meets, a
+        zero second moment), where A scaled to unit diagonal has
+        lambda_min <= CANCELLATION_FLOOR lambda_max (a design that is rank
+        deficient, or near it, in any units of its columns), or where the
+        estimate or the influence's sum of squares (the trace of L P L') is
+        not finite. That flags every set the fitter rejects, and more: the
+        fitter accepts a design of that condition number or less. The
+        estimate and L of a failed set are zero. cancelled[i] is True when a
+        diagonal entry of L P L' is below CANCELLATION_FLOOR times the size
+        of the terms it is summed from, (|L| sqrt(diag P))^2: the round-off
+        of those terms is then no longer small against it (as when the rows
+        fit exactly). Either way the set's fits are to be refitted.
         """
-        k = self.design.shape[1]
-        counts = np.array([rows.size for rows in row_sets], dtype=float)
+        sets, k = len(counts), self.center.shape[0]
+        eye, (a, b) = np.eye(k), self.pairs
+        pair = np.arange(a.size)
         mean = totals / counts[:, None]
-        if self.kind is FunctionalKind.JOINT_OLS:
-            # inv(A) = count inv(R'R) with R the triangular factor of the
-            # rows' design, as the fitter solves
-            a_inv, eye = np.zeros((len(row_sets), k, k)), np.eye(k)
-            failed = np.zeros(len(row_sets), dtype=bool)
-            for i, rows in enumerate(row_sets):
-                try:
-                    r = check_full_rank(self.design.take(rows, 0), RankDeficientDesign)
-                except RankDeficientDesign:
-                    failed[i] = True
-                    continue
-                a_inv[i] = counts[i] * dpotrs(r, eye)[0]
-        else:
-            # A is the share of `where` rows for a mean (1 without `where`)
-            # and the regressor's second moment for marginal_ols
-            floor = 0.0 if self.kind is FunctionalKind.MEAN else SECOND_MOMENT_FLOOR
-            failed = mean[:, 0] <= floor
-            with np.errstate(divide="ignore"):
-                a_inv = 1.0 / mean[:, :1, None]
+        gram = np.empty((sets, k, k))
+        gram[:, a, b] = gram[:, b, a] = mean[:, : a.size]
+        second = np.diagonal(gram, 0, 1, 2)  # a view: it follows the sets set to eye
+        failed = (second <= SECOND_MOMENT_FLOOR).any(axis=1)
+        gram[failed] = eye
+        scale = 1.0 / np.sqrt(second)
+        unit = np.linalg.eigvalsh(gram * scale[:, :, None] * scale[:, None, :])
+        failed |= unit[:, 0] <= CANCELLATION_FLOOR * unit[:, -1]
+        gram[failed] = eye
+        a_inv = np.linalg.inv(gram)
         with np.errstate(over="ignore", invalid="ignore"):
             shift = (a_inv @ mean[:, -k:, None])[:, :, 0]
-            d = (shift @ self.expand.T).reshape(len(row_sets), k, -1)
+            # D, with D g = V V' shift: column p, for the pair (a, b), holds
+            # shift_b in row a and shift_a in row b
+            d = np.zeros((sets, k, a.size))
+            d[:, a, pair], d[:, b, pair] = shift[:, b], shift[:, a]
             lmap = np.concatenate((-(a_inv @ d), a_inv), axis=2)
             estimate = self.center + shift
             diag = ((lmap @ products) * lmap).sum(axis=2)

@@ -278,11 +278,9 @@ def _where(kind, key, where):
         not isinstance(where, Mapping)
         or set(where) != {"column", "equals"}
         or not isinstance(where["column"], str)
-        or not isinstance(where["equals"], (int, float))
-        or isinstance(where["equals"], bool)
     ):
         raise MalformedInput("mean 'where' must be {'column': name, 'equals': number}")
-    return {"column": where["column"], "equals": float(where["equals"])}
+    return {"column": where["column"], "equals": _real("mean 'where' equals", where["equals"])}
 
 
 def _link(kind, key, link):
@@ -373,7 +371,7 @@ def validate_summary(
     try:
         beta = np.atleast_1d(np.asarray(beta, dtype=float))
         sigma1 = np.asarray(sigma1, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"summary beta and sigma1 must be numeric arrays: {exc}") from None
     if sigma1.ndim == 0:
         sigma1 = sigma1.reshape(1, 1)
@@ -394,6 +392,7 @@ def validate_summary(
         raise NotPSD(f"sigma1 has eigenvalue {min_eigenvalue(sigma1):.3e} < {PSD_TOL}")
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m <= 0:
         raise DimensionMismatch(f"m must be a positive integer, got {m!r}")
+    _real("m", m)  # an integer beyond the float range is malformed
     binding = tuple(binding)
     for desc in binding:
         if not isinstance(desc, FunctionalDescriptor):

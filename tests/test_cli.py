@@ -701,14 +701,14 @@ def _assert_one_json_error(err: str):
 
 
 def _fuzz_number(rng):
-    """A float in [-3, 3], an integer in [-2, 5], or a tiny, huge or
-    non-finite float."""
+    """A float in [-3, 3], an integer in [-2, 5], a tiny, huge or non-finite
+    float, or an integer beyond the float range."""
     kind = rng.integers(3)
     if kind == 0:
         return float(rng.uniform(-3.0, 3.0))
     if kind == 1:
         return int(rng.integers(-2, 6))
-    return pick(rng, (0.0, 1e-300, 1e300, -1e300, float("nan"), float("inf")))
+    return pick(rng, (0.0, 1e-300, 1e300, -1e300, float("nan"), float("inf"), 10**400))
 
 
 # characters of a source_id: ASCII, quotes and escapes, controls, non-ASCII
@@ -757,10 +757,13 @@ def _fuzz_summary(draw):
     if rng.random() < 0.7:
         # positive definite but for odd numbers: a dominant diagonal
         noise = np.reshape(numbers(q * q), (q, q))
-        sigma1 = (np.eye(q) * rng.uniform(0.1, 5.0) + 0.05 * (noise + noise.T)).tolist()
+        try:
+            sigma1 = (np.eye(q) * rng.uniform(0.1, 5.0) + 0.05 * (noise + noise.T)).tolist()
+        except OverflowError:  # an integer beyond the float range: the numbers as drawn
+            sigma1 = noise.tolist()
     else:
         sigma1 = [numbers(q) for _ in range(q)]
-    bad_m = [0, -3, 2.5, "40", True, None, 10**30, [40]]
+    bad_m = [0, -3, 2.5, "40", True, None, 10**30, 10**400, [40]]
     obj = {
         "beta": beta,
         "sigma1": sigma1,
@@ -1127,6 +1130,23 @@ def test_json_beyond_the_parser_limits_exits_2(tmp_path, capsys, reader, text):
     assert code == 2 and out == ""
     assert _assert_one_json_error(err) == "MalformedInput"
     assert "invalid JSON" in json.loads(err)["error"]["detail"]
+
+
+@pytest.mark.parametrize("field", ["where_equals", "beta", "m"])
+def test_integers_beyond_the_float_range_exit_2(tmp_path, capsys, field):
+    # each of these used to end in a raw OverflowError traceback
+    internal, summary = _write_larger(tmp_path)
+    obj, tau, huge = json.loads(summary.read_text()), TAU_MEAN_Y, 10**400
+    if field == "where_equals":
+        where = {"column": "X", "equals": huge}
+        tau = json.dumps({"functional": "mean", "args": {"column": "Y", "where": where}})
+    else:
+        obj[field] = [huge] if field == "beta" else huge
+    summary.write_text(json.dumps(obj))
+    code, out, err = _run(capsys, ["estimate", "--internal", str(internal),
+                                   "--summary", str(summary), "--tau", tau, "--method", "eff"])
+    assert code == 2 and out == ""
+    assert _assert_one_json_error(err) == "MalformedInput"
 
 
 @pytest.mark.parametrize("content", ["[1, 2]", '"I"', "3"])

@@ -31,6 +31,8 @@ from datafuse import (
     whiten,
 )
 from datafuse import functionals
+from datafuse.debias import _FoldFits, _fit_tau
+from datafuse.fusion import _prepare
 from datafuse.errors import (
     DimensionMismatch,
     FoldTooSmall,
@@ -441,6 +443,52 @@ def test_cv_tune_reruns_a_failing_warm_fold_cold(monkeypatch):
             cv_tune(case, [1.0], k=2, folds=folds)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("slot", ["binding", "target"])
+def test_folds_with_an_ill_conditioned_design_are_refitted(slot):
+    # X2 = X1 + 1e-3 noise: the joint design of X1 and X2 has full rank, but
+    # its second moment scaled to unit diagonal has condition number about
+    # 1e6, more than the sums are trusted with. As the binding, on every
+    # row, it has every fold refitted whole. As the target, on fold 0's
+    # held-out rows only, where only the estimate would be read, it has fold
+    # 0 refitted; the other folds stay on the sums.
+    rng = np.random.default_rng(23)
+    n = 150
+    x1 = rng.standard_normal(n)
+    close = np.arange(n) < (n if slot == "binding" else 50)
+    x2 = np.where(close, x1 + 1e-3 * rng.standard_normal(n), rng.standard_normal(n))
+    data = validate_dataset({"Y": x1 + x2 + rng.standard_normal(n), "X1": x1, "X2": x2})
+    joint = FunctionalDescriptor(
+        FunctionalKind.JOINT_OLS, {"outcome": "Y", "regressors": ["X1", "X2"]}
+    )
+    mean = FunctionalDescriptor(FunctionalKind.MEAN, {"column": "X1"})
+    tau, binding = (mean, joint) if slot == "binding" else (joint, mean)
+    q = binding.width()
+    inputs = prepare_inputs(data, tau, [validate_summary(np.zeros(q), np.eye(q), 500, [binding])])
+    folds = [np.arange(0, 50), np.arange(50, 100), np.arange(100, 150)]
+    fits = _FoldFits(inputs, folds)
+    assert fits.refit.tolist() == [True, slot == "binding", slot == "binding"]
+    for f in np.flatnonzero(fits.refit):
+        tau_test, calib = fits.fold(f, None)
+        ref = _prepare(data.subset(fits.train_rows[f]), tau, inputs.summaries)._calibration
+        assert np.array_equal(tau_test, _fit_tau(inputs, folds[f]))
+        for field in ("tau", "phi_var", "cross", "gram", "residual", "sigma_ext"):
+            assert np.array_equal(getattr(calib, field), getattr(ref, field)), field
+    c_star, trace = cv_tune(inputs, DebiasConfig().grid_c, folds=folds)
+    assert c_star in DebiasConfig().grid_c and np.all(np.isfinite([e for _, e in trace]))
+
+
+def test_scenario_ii_folds_are_read_from_sums():
+    # the well-posed folds of a Scenario II dataset are all read from moment
+    # sums, none refitted
+    internal, summary, _ = gen_scenario2(1000, 4000, True, np.random.default_rng(3))
+    tau = FunctionalDescriptor(
+        FunctionalKind.JOINT_OLS,
+        {"outcome": "Y", "regressors": ["X1", "X2"], "intercept": False},
+    )
+    inputs = prepare_inputs(internal, tau, [summary])
+    assert not _FoldFits(inputs, kfold_indices(1000, 3, 0)).refit.any()
 
 
 def test_cv_tune_rejects_folds_outside_the_rows():

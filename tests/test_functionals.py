@@ -154,6 +154,20 @@ def test_ols_fit_rank_threshold():
     assert np.all(np.isfinite(infl))
 
 
+def test_rank_check_does_not_depend_on_column_units():
+    # a covariate on a scale of 1e11 used to be rejected as rank deficient;
+    # rescaled columns leave the check and the fitted numbers as they were
+    rng = np.random.default_rng(59)
+    x = rng.standard_normal(200)
+    y = 1.0 + x + rng.standard_normal(200)
+    base = fit_joint_ols(_data(Y=y, X=x), "Y", ["X"])
+    scaled = fit_joint_ols(_data(Y=y, X=1e11 * x), "Y", ["X"])
+    np.testing.assert_allclose(scaled.estimate * [1.0, 1e11], base.estimate, rtol=1e-12)
+    for z in (2e11 * x, np.zeros(200)):  # exactly collinear, then a zero column
+        with pytest.raises(RankDeficientDesign):
+            fit_joint_ols(_data(Y=y, X=1e11 * x, Z=z), "Y", ["X", "Z"])
+
+
 def test_marginal_ols_values():
     x = np.array([1.0, 2.0, 3.0])
     fit = fit_marginal_ols(_data(Y=np.array([2.0, 1.0, 4.0]), X=x), "Y", "X")

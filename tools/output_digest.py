@@ -12,10 +12,13 @@ thread:
   metrics.csv and metrics_per_rep.csv;
 - `estimate --method int|crd|eff|dbs` on an n = 20000 Scenario I CSV that
   the script writes (external m = 20000), with the aipw_ate target of
-  Scenario I: stdout and stderr.
+  Scenario I: stdout and stderr;
+- `estimate --method dbs` on an n = 20000 Scenario II_biased CSV (external
+  m = 80000), with the joint_ols target of Scenario II: stdout, which holds
+  the cross-validation trace of folds read from moment sums, and stderr.
 
 Prints one line per output, "<sha256>  <command>/<output>", and one for
-the written CSV. In stderr the path of the source tree (where warnings name
+each written CSV. In stderr the path of the source tree (where warnings name
 their file) reads "<src>" and that of the temporary directory "<tmp>", so
 runs from checkouts in different directories compare equal. A change that
 claims to leave every output unchanged should leave this output unchanged:
@@ -42,7 +45,13 @@ import numpy as np
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from datafuse import cli, gen_scenario1, write_internal_csv, write_summary_json  # noqa: E402
+from datafuse import (  # noqa: E402
+    cli,
+    gen_scenario1,
+    gen_scenario2,
+    write_internal_csv,
+    write_summary_json,
+)
 
 SCENARIOS = ("I", "II_biased", "II_unbiased")
 METHODS = ("int", "crd", "eff", "dbs")
@@ -52,6 +61,10 @@ ESTIMATE_SEED = 7
 TAU = json.dumps(
     {"functional": "aipw_ate",
      "args": {"outcome": "Y", "treatment": "T", "covariates": ["X", "X2"]}}
+)
+TAU_II = json.dumps(
+    {"functional": "joint_ols",
+     "args": {"outcome": "Y", "regressors": ["X1", "X2"], "intercept": False}}
 )
 
 
@@ -95,20 +108,35 @@ def main() -> int:
             files = (out_dir / "metrics.csv", out_dir / "metrics_per_rep.csv")
             ok.append(report(f"simulate-{scenario}", argv, tmp, files))
 
-        internal, summary, _ = gen_scenario1(
-            ESTIMATE_N, ESTIMATE_N, np.random.default_rng(ESTIMATE_SEED)
-        )
-        csv_path, summary_path = tmp / "internal.csv", tmp / "summary.json"
-        write_internal_csv(internal, csv_path)
-        write_summary_json(summary, summary_path)
-        print(f"{digest(csv_path.read_bytes())}  inputs/{csv_path.name}")
+        rng = np.random.default_rng(ESTIMATE_SEED)
+        csv_path, summary_path = write_inputs(tmp, "", *gen_scenario1(ESTIMATE_N, ESTIMATE_N, rng))
         for method in METHODS:
             argv = [
                 "estimate", "--internal", str(csv_path), "--summary", str(summary_path),
                 "--tau", TAU, "--method", method,
             ]
             ok.append(report(f"estimate-{method}", argv, tmp))
+
+        rng = np.random.default_rng(ESTIMATE_SEED)
+        inputs = gen_scenario2(ESTIMATE_N, 4 * ESTIMATE_N, True, rng)
+        csv_path, summary_path = write_inputs(tmp, "_II", *inputs)
+        argv = [
+            "estimate", "--internal", str(csv_path), "--summary", str(summary_path),
+            "--tau", TAU_II, "--method", "dbs",
+        ]
+        ok.append(report("estimate-II_biased-dbs", argv, tmp))
     return 0 if all(ok) else 1
+
+
+def write_inputs(tmp: Path, suffix: str, internal, summary, _truth) -> tuple:
+    """Write `internal` and `summary` to `tmp`, print the CSV's digest, and
+    return the two paths."""
+    csv_path = tmp / f"internal{suffix}.csv"
+    summary_path = tmp / f"summary{suffix}.json"
+    write_internal_csv(internal, csv_path)
+    write_summary_json(summary, summary_path)
+    print(f"{digest(csv_path.read_bytes())}  inputs/{csv_path.name}")
+    return csv_path, summary_path
 
 
 if __name__ == "__main__":
