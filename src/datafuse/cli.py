@@ -104,11 +104,7 @@ def _parse_descriptor(text: str) -> dict:
     except OSError:  # not a usable path, e.g. a name too long for the file system
         is_file = False
     if is_file:
-        try:
-            with open(text, encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, ValueError, RecursionError) as exc:
-            raise MalformedInput(f"cannot parse descriptor file {text}: {exc}") from exc
+        return _load_config_file(text, toml=False)
     raise MalformedInput(f"--tau/--beta value is neither JSON nor an existing file: {text!r}")
 
 

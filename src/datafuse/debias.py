@@ -36,6 +36,7 @@ from .errors import (
     FoldTooSmall,
     MalformedInput,
     NoConvergence,
+    NonFiniteValue,
     NotPositiveDefinite,
     RankDeficientDesign,
 )
@@ -143,15 +144,6 @@ def _adaptive_weights(discrepancy, alpha) -> np.ndarray:
         return np.abs(discrepancy) ** (-float(alpha))
 
 
-def soft_threshold(z: float, t: float) -> float:
-    return np.sign(z) * max(abs(z) - t, 0.0)
-
-
-def _penalty(b, weights, lam) -> float:
-    finite = np.isfinite(weights)
-    return lam * float(np.sum(weights[finite] * np.abs(b[finite])))
-
-
 def _lasso_path(x, y, weights, lams, knots=None) -> np.ndarray:
     """Minimizers of ||y - x b||^2 + lam * sum_j w_j |b_j|, one row per
     entry of `lams` (any order), by the exact homotopy in lam.
@@ -244,14 +236,13 @@ def _segment_point(u, v, lam, knot_coord: int) -> list:
     return b
 
 
-def adaptive_lasso(x, y, weights, lam, *, return_trace: bool = False):
+def adaptive_lasso(x, y, weights, lam):
     """Minimizer of ||y - x b||^2 + lam * sum_j w_j |b_j| by the exact homotopy.
 
-    lam is a finite number >= 0. Zeros are exact: a coordinate off the active set is 0.0, never a small
-    float. Coordinates with infinite weight are pinned at zero and flagged
-    with a warning rather than aborting. With return_trace, also returns the
-    objective at lam of the path's solution at every knot passed and at lam
-    itself; it never increases along the path.
+    x and y are finite and lam is a finite number >= 0. Zeros are exact: a
+    coordinate off the active set is 0.0, never a small float. Coordinates
+    with infinite weight are pinned at zero and flagged with a warning
+    rather than aborting.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -260,9 +251,11 @@ def adaptive_lasso(x, y, weights, lam, *, return_trace: bool = False):
         raise DimensionMismatch(
             f"inconsistent shapes x{x.shape} y{y.shape} weights{weights.shape}"
         )
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFiniteValue("adaptive lasso: x and y must be finite")
     if _real("lambda", lam) < 0.0:
         raise MalformedInput(f"lambda must be >= 0, got {lam}")
-    if (weights < 0.0).any():
+    if not (weights >= 0.0).all():
         raise MalformedInput("weights must be non-negative")
     pinned = ~np.isfinite(weights)
     if pinned.any():
@@ -270,15 +263,7 @@ def adaptive_lasso(x, y, weights, lam, *, return_trace: bool = False):
             f"coordinates {np.flatnonzero(pinned).tolist()} have infinite weight; "
             "pinned at zero"
         )
-    knots = [] if return_trace else None
-    b = _lasso_path(x, y, weights, [float(lam)], knots)[0]
-    if not return_trace:
-        return b
-    trace = []
-    for point in knots + [b]:
-        resid = y - x @ point
-        trace.append(float(resid @ resid) + _penalty(point, weights, lam))
-    return b, trace
+    return _lasso_path(x, y, weights, [float(lam)])[0]
 
 
 def select_unbiased(inputs: FusionInputs, lam: float, alpha: float = 2.0) -> SelectionResult:

@@ -65,10 +65,6 @@ class UnsupportedFunctional(ValidationError):
     """Functional kind or argument combination is not implemented."""
 
 
-class NonPositiveVariance(ValidationError):
-    """A variance passed to inverse-variance weighting is not positive."""
-
-
 class EmptyArm(ValidationError):
     """A treatment arm or subset required by a fit has no observations."""
 
@@ -107,10 +103,6 @@ class SingularCalibration(NumericalError):
 
 class SingularGram(NumericalError):
     """Influence second-moment matrix could not be inverted."""
-
-
-class SingularJointCovariance(NumericalError):
-    """Stacked influence covariance could not be inverted."""
 
 
 class NotPositiveDefinite(NumericalError):

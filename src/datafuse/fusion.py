@@ -28,10 +28,9 @@ from ._linalg import spd_solve, sym
 from .errors import (
     DimensionMismatch,
     MalformedInput,
-    NonPositiveVariance,
+    NonFiniteValue,
     SingularCalibration,
     SingularGram,
-    SingularJointCovariance,
     ZeroStandardError,
 )
 from .model import (
@@ -55,8 +54,6 @@ __all__ = [
     "estimate_crude",
     "estimate_knw",
     "efficiency_bound",
-    "ivw_reduce",
-    "cd_minimize_check",
     "wald_inference",
     "restrict_inputs",
 ]
@@ -334,57 +331,26 @@ def estimate_knw(inputs: FusionInputs, beta_true, level: float = 0.95) -> Fusion
 def efficiency_bound(phi_var, cross, gram, sigma1, rho: float) -> np.ndarray:
     """Semiparametric bound E(phi phi') - cross (sigma1/rho + gram)^{-1} cross'.
 
-    Single-source form; `rho` is m/n. The first argument carries E(phi phi'),
-    which the bound needs alongside the calibration pieces.
+    Single-source form; `rho` is m/n, a finite positive number. The first
+    argument carries E(phi phi'), which the bound needs alongside the
+    calibration pieces. The four arrays are p x p, p x q, q x q and q x q,
+    with finite entries.
     """
-    phi_var = np.atleast_2d(np.asarray(phi_var, dtype=float))
-    cross = np.atleast_2d(np.asarray(cross, dtype=float))
-    gram = np.atleast_2d(np.asarray(gram, dtype=float))
-    sigma1 = np.atleast_2d(np.asarray(sigma1, dtype=float))
-    if rho <= 0.0:
+    arrays = [np.atleast_2d(np.asarray(a, dtype=float)) for a in (phi_var, cross, gram, sigma1)]
+    phi_var, cross, gram, sigma1 = arrays
+    p, q = cross.shape[0], cross.shape[-1]
+    if [a.shape for a in arrays] != [(p, p), (p, q), (q, q), (q, q)]:
+        raise DimensionMismatch(
+            f"inconsistent shapes {[a.shape for a in arrays]}, expected p x p, p x q, "
+            "q x q and q x q"
+        )
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NonFiniteValue("efficiency bound: inputs must be finite")
+    if _real("rho", rho) <= 0.0:
         raise DimensionMismatch(f"rho must be positive, got {rho}")
     calib = sigma1 / rho + gram
     gain = spd_solve(calib, cross.T, SingularCalibration, context="bound").T
     return sym(phi_var - gain @ cross.T)
-
-
-def ivw_reduce(tau_int: float, var_int: float, beta_tilde: float, var_ext: float) -> float:
-    """Inverse-variance weighted average of two estimates of the same scalar."""
-    if not (var_int > 0.0) or not (var_ext > 0.0):
-        raise NonPositiveVariance(
-            f"variances must be positive, got {var_int!r}, {var_ext!r}"
-        )
-    w_int, w_ext = 1.0 / var_int, 1.0 / var_ext
-    return (tau_int * w_int + beta_tilde * w_ext) / (w_int + w_ext)
-
-
-def cd_minimize_check(inputs: FusionInputs):
-    """Minimizer of the stacked calibration quadratic.
-
-    Solves for (tau, beta) minimizing
-        (v - theta)' Sigma^{-1} (v - theta)
-          + (beta_tilde - beta)' sigma_ext^{-1} (beta_tilde - beta)
-    with v = (tau_int, beta_int) and Sigma the joint influence covariance.
-    The tau component reproduces the fused estimator; exposed as an
-    independent numerical check of that identity.
-    """
-    p, q = inputs.p, inputs.q
-    cross, gram = empirical_moments(inputs.tau_fit, inputs.beta_fit)
-    beta_tilde, sigma_ext = assemble_external(inputs)
-    joint = np.block([[_phi_var(inputs.tau_fit), cross], [cross.T, gram]])
-    w_joint = spd_solve(
-        joint, np.eye(p + q), SingularJointCovariance, context="joint covariance"
-    )
-    w_ext = spd_solve(
-        sigma_ext, np.eye(q), SingularJointCovariance, context="external covariance"
-    )
-    v = np.concatenate([inputs.tau_fit.estimate, inputs.beta_fit.estimate])
-    lhs = w_joint.copy()
-    lhs[p:, p:] += w_ext
-    rhs = w_joint @ v
-    rhs[p:] += w_ext @ beta_tilde
-    theta = np.linalg.solve(sym(lhs), rhs)
-    return theta[:p], theta[p:]
 
 
 def wald_inference(result: FusionResult, null=0.0, side: str = "upper", level=None):

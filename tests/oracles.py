@@ -1,12 +1,20 @@
-"""Reference copies of the propensity Newton and the AIPW fit.
+"""Reference implementations that tests check the library against.
 
-These are the fitters as they were before their discarded and recomputed
-passes were removed: the log-likelihood through np.logaddexp, the
-separation check over every row on every iteration, the probabilities
-recomputed from the coefficient, and each outcome arm fitted with its
-influence. Only the line search's slack differs from that version: it is
-relative to the log-likelihood, as in datafuse.functionals. The fitters in
-datafuse.functionals must give bit-equal results and raise the same errors.
+- The propensity Newton and the AIPW fit, as they were before their
+  discarded and recomputed passes were removed: the log-likelihood through
+  np.logaddexp, the separation check over every row on every iteration,
+  the probabilities recomputed from the coefficient, and each outcome arm
+  fitted with its influence. Only the line search's slack differs from
+  that version: it is relative to the log-likelihood, as in
+  datafuse.functionals. The fitters in datafuse.functionals must give
+  bit-equal results and raise the same errors.
+- The paper's identities: cd_minimize_check, the minimizer of the stacked
+  calibration quadratic, whose tau part is the EFF estimate; and
+  ivw_reduce, inverse-variance weighting, which EFF reduces to when the
+  summary is of the target functional itself.
+- The lasso oracles: soft_threshold, the coordinate update of a
+  coordinate-descent lasso, and lasso_trace, the objective along the
+  homotopy path that datafuse.debias._lasso_path follows.
 """
 
 import warnings
@@ -14,9 +22,11 @@ import warnings
 import numpy as np
 from scipy.special import expit
 
-from datafuse._linalg import check_full_rank, spd_solve
+from datafuse._linalg import check_full_rank, spd_solve, sym
+from datafuse.debias import _lasso_path
 from datafuse.errors import EmptyArm, PropensityDegenerate, RankDeficientDesign, Separation
 from datafuse.functionals import LOGISTIC_MAX_ITER, LOGISTIC_SCORE_TOL, PROPENSITY_TRIM, _ols_fit
+from datafuse.fusion import _phi_var, assemble_external, empirical_moments
 from datafuse.model import FunctionalFit
 
 
@@ -100,3 +110,67 @@ def _fit_aipw(data, outcome, treatment, covariates, trim=PROPENSITY_TRIM, start=
     )
     object.__setattr__(fit, "_propensity", prop_coef)
     return fit
+
+
+# ---------------------------------------------------------------------------
+# the paper's identities
+
+
+def ivw_reduce(tau_int: float, var_int: float, beta_tilde: float, var_ext: float) -> float:
+    """Inverse-variance weighted average of two estimates of the same scalar."""
+    if not (var_int > 0.0) or not (var_ext > 0.0):
+        raise ValueError(f"variances must be positive, got {var_int!r}, {var_ext!r}")
+    w_int, w_ext = 1.0 / var_int, 1.0 / var_ext
+    return (tau_int * w_int + beta_tilde * w_ext) / (w_int + w_ext)
+
+
+def cd_minimize_check(inputs):
+    """Minimizer of the stacked calibration quadratic.
+
+    Solves for (tau, beta) minimizing
+        (v - theta)' Sigma^{-1} (v - theta)
+          + (beta_tilde - beta)' sigma_ext^{-1} (beta_tilde - beta)
+    with v = (tau_int, beta_int) and Sigma the joint influence covariance.
+    The tau component reproduces the fused estimator.
+    """
+    p, q = inputs.p, inputs.q
+    cross, gram = empirical_moments(inputs.tau_fit, inputs.beta_fit)
+    beta_tilde, sigma_ext = assemble_external(inputs)
+    joint = np.block([[_phi_var(inputs.tau_fit), cross], [cross.T, gram]])
+    w_joint = spd_solve(joint, np.eye(p + q), context="joint covariance")
+    w_ext = spd_solve(sigma_ext, np.eye(q), context="external covariance")
+    v = np.concatenate([inputs.tau_fit.estimate, inputs.beta_fit.estimate])
+    lhs = w_joint.copy()
+    lhs[p:, p:] += w_ext
+    rhs = w_joint @ v
+    rhs[p:] += w_ext @ beta_tilde
+    theta = np.linalg.solve(sym(lhs), rhs)
+    return theta[:p], theta[p:]
+
+
+# ---------------------------------------------------------------------------
+# the lasso
+
+
+def soft_threshold(z: float, t: float) -> float:
+    return np.sign(z) * max(abs(z) - t, 0.0)
+
+
+def _penalty(b, weights, lam) -> float:
+    finite = np.isfinite(weights)
+    return lam * float(np.sum(weights[finite] * np.abs(b[finite])))
+
+
+def lasso_trace(x, y, weights, lam):
+    """(b, trace): the homotopy's minimizer of ||y - x b||^2 +
+    lam * sum_j w_j |b_j|, and the objective at lam of the path's solution
+    at every knot passed and at lam itself; it never increases along the
+    path."""
+    x, y, weights = (np.asarray(a, dtype=float) for a in (x, y, weights))
+    knots = []
+    b = _lasso_path(x, y, weights, [float(lam)], knots)[0]
+    trace = []
+    for point in knots + [b]:
+        resid = y - x @ point
+        trace.append(float(resid @ resid) + _penalty(point, weights, lam))
+    return b, trace

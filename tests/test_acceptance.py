@@ -12,20 +12,19 @@ import numpy as np
 import pytest
 
 from helpers import centered, random_spd, synth_inputs
+from oracles import cd_minimize_check, ivw_reduce
 
 from datafuse import (
     FunctionalDescriptor,
     FunctionalKind,
     ScenarioConfig,
     adaptive_lasso,
-    cd_minimize_check,
     efficiency_bound,
     empirical_moments,
     estimate_eff,
     estimate_int,
     export_tables,
     gen_scenario2,
-    ivw_reduce,
     prepare_inputs,
     restrict_inputs,
     run_replications,

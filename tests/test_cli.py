@@ -415,6 +415,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert code == 3 and _stderr_kind(err) == "RankDeficientDesign"
 
 
+@pytest.mark.parametrize("option", ["--tau", "--beta"])
+def test_descriptor_path_that_cannot_be_read_is_an_io_error(tmp_path, capsys, option):
+    # a directory, like any unreadable --summary or --config path; it used
+    # to be MalformedInput ("cannot parse descriptor file")
+    internal, summary = _write_example(tmp_path)
+    argv = ["estimate", "--internal", str(internal), "--summary", str(summary),
+            "--tau", TAU_MEAN_Y, option, str(tmp_path)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == "" and _assert_one_json_error(err) == "IoError"
+
+
 def test_estimate_level_outside_unit_interval(tmp_path, capsys):
     internal, summary = _write_example(tmp_path)
     for method, level in (("eff", "1.5"), ("int", "0"), ("crd", "-0.5")):

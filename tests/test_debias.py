@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import mean_binding, synth_inputs
+from oracles import lasso_trace, soft_threshold
 
 from datafuse import (
     DebiasConfig,
@@ -14,6 +15,7 @@ from datafuse import (
     Method,
     adaptive_lasso,
     cv_tune,
+    efficiency_bound,
     estimate_dbs,
     estimate_eff,
     estimate_int,
@@ -24,7 +26,6 @@ from datafuse import (
     prepare_inputs,
     restrict_inputs,
     select_unbiased,
-    soft_threshold,
     validate_dataset,
     validate_summary,
     wald_inference,
@@ -37,6 +38,7 @@ from datafuse.errors import (
     DimensionMismatch,
     FoldTooSmall,
     MalformedInput,
+    NonFiniteValue,
     PropensityDegenerate,
 )
 
@@ -157,7 +159,7 @@ def test_lasso_objective_trace_non_increasing():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((25, 4))
     y = rng.standard_normal(25)
-    _, trace = adaptive_lasso(x, y, np.ones(4), 0.8, return_trace=True)
+    _, trace = lasso_trace(x, y, np.ones(4), 0.8)
     assert len(trace) >= 1
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
@@ -193,6 +195,17 @@ def test_lasso_input_validation():
         adaptive_lasso(x, np.ones(3), np.ones(2), 0.1)
     with pytest.raises(DimensionMismatch):
         adaptive_lasso(x, y, np.ones(3), 0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("arg", ["x", "y"])
+def test_lasso_rejects_non_finite_x_or_y(arg, bad):
+    # unchecked, a NaN in x or y gave a wrong b with no error
+    rng = np.random.default_rng(15)
+    args = {"x": rng.standard_normal((6, 2)), "y": rng.standard_normal(6)}
+    args[arg].flat[0] = bad
+    with pytest.raises(NonFiniteValue):
+        adaptive_lasso(args["x"], args["y"], np.ones(2), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +325,11 @@ _NON_FINITE_TUNING = {
     "cv_tune-alpha-zero": lambda inputs: cv_tune(inputs, [1.0], alpha=0.0),
     "select_unbiased-lam-nan": lambda inputs: select_unbiased(inputs, np.nan),
     "adaptive_lasso-lam-inf": lambda inputs: adaptive_lasso(np.eye(2), [1, 1], [1, 1], np.inf),
+    "adaptive_lasso-weight-nan": lambda inputs: adaptive_lasso(
+        np.eye(2), [1, 1], [np.nan, 1], 0.1
+    ),
+    "efficiency_bound-rho-nan": lambda inputs: efficiency_bound(1.0, 0.5, 1.0, 1.0, np.nan),
+    "efficiency_bound-rho-inf": lambda inputs: efficiency_bound(1.0, 0.5, 1.0, 1.0, np.inf),
     "wald_inference-null-nan": lambda inputs: wald_inference(estimate_int(inputs), null=np.nan),
     "wald_inference-null-inf-entry": lambda inputs: wald_inference(
         estimate_int(inputs), null=[np.inf]
@@ -321,8 +339,8 @@ _NON_FINITE_TUNING = {
 
 @pytest.mark.parametrize("call", _NON_FINITE_TUNING.values(), ids=_NON_FINITE_TUNING.keys())
 def test_non_finite_tuning_and_test_values_are_malformed(call):
-    # unchecked, these give a NaN c_star, b_hat, z or p (alpha = 0, a plain
-    # lasso) instead of failing
+    # unchecked, these give a NaN c_star, b_hat, bound, z or p (alpha = 0, a
+    # plain lasso; a NaN weight pins its coordinate) instead of failing
     with pytest.raises(MalformedInput):
         call(_mean_cv_inputs(beta_tilde=0.1))
 

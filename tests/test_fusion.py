@@ -6,20 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import centered, mean_binding, random_spd, synth_inputs
+from oracles import cd_minimize_check, ivw_reduce
 
 from datafuse import (
     FunctionalDescriptor,
     FunctionalFit,
     FunctionalKind,
     FusionInputs,
-    cd_minimize_check,
     efficiency_bound,
     empirical_moments,
     estimate_crude,
     estimate_eff,
     estimate_int,
     estimate_knw,
-    ivw_reduce,
     prepare_inputs,
     restrict_inputs,
     validate_dataset,
@@ -28,7 +27,7 @@ from datafuse import (
 )
 from datafuse.errors import (
     DimensionMismatch,
-    NonPositiveVariance,
+    NonFiniteValue,
     ZeroStandardError,
 )
 from datafuse.fusion import assemble_external
@@ -255,6 +254,30 @@ def test_bound_vanishing_rho_recovers_internal_variance():
         efficiency_bound(phi_var, cross, gram, np.eye(2), 0.0)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (np.eye(2), np.ones((3, 1)), 1.0, 1.0, 1.0),
+        (np.eye(2), np.ones((2, 1)), np.eye(2), 1.0, 1.0),
+        (1.0, 0.5, 1.0, np.eye(2), 1.0),
+        (np.eye(2), np.ones((2, 2, 1)), 1.0, 1.0, 1.0),
+    ],
+)
+def test_bound_rejects_inconsistent_shapes(args):
+    # the first used to raise numpy's own ValueError
+    with pytest.raises(DimensionMismatch):
+        efficiency_bound(*args)
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_bound_rejects_non_finite_entries(position):
+    # a NaN used to give a NaN bound with no error
+    args = [np.eye(2), np.full((2, 1), 0.5), np.eye(1), np.eye(1)]
+    args[position].flat[0] = np.nan
+    with pytest.raises(NonFiniteValue):
+        efficiency_bound(*args, 1.0)
+
+
 def test_bound_psd_ordering_and_sigma_monotonicity():
     rng = np.random.default_rng(20)
     for _ in range(100):
@@ -312,9 +335,9 @@ def test_ivw_identity_when_binding_equals_target():
 
 
 def test_ivw_rejects_bad_variances():
-    with pytest.raises(NonPositiveVariance):
+    with pytest.raises(ValueError):
         ivw_reduce(1.0, 0.0, 2.0, 1.0)
-    with pytest.raises(NonPositiveVariance):
+    with pytest.raises(ValueError):
         ivw_reduce(1.0, 1.0, 2.0, -1.0)
     assert ivw_reduce(1.0, 1.0, 3.0, 1.0) == 2.0
 

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import soft_threshold
+
 from datafuse import (
     DebiasConfig,
     FunctionalDescriptor,
@@ -25,7 +27,6 @@ from datafuse import (
     prepare_inputs,
     restrict_inputs,
     select_unbiased,
-    soft_threshold,
     whiten,
 )
 from datafuse.debias import _fit_tau, _lasso_path
