@@ -267,9 +267,12 @@ def adaptive_lasso(x, y, weights, lam):
 
 
 def select_unbiased(inputs: FusionInputs, lam: float, alpha: float = 2.0) -> SelectionResult:
-    """Estimate summary biases and return the selected (exactly zero) set."""
+    """Estimate summary biases and return the selected (exactly zero) set;
+    alpha is a finite number > 0."""
     if not inputs.summaries:
         raise DimensionMismatch("select_unbiased needs at least one summary")
+    if not _real("alpha", alpha) > 0.0:
+        raise MalformedInput(f"alpha must be positive, got {alpha}")
     x, y = whiten(inputs)
     b_hat = adaptive_lasso(x, y, _adaptive_weights(inputs._calibration.residual, alpha), lam)
     selected = tuple(int(j) for j in np.flatnonzero(b_hat == 0.0))
@@ -285,8 +288,9 @@ def estimate_orc(inputs: FusionInputs, unbiased_set, level: float = 0.95):
 
 def kfold_indices(n: int, k: int, seed) -> list:
     """Balanced folds (sizes differ by at most one) from a seeded shuffle;
-    k is an integer >= 2 and seed an integer >= 0 or a numpy SeedSequence."""
-    if _integer("k", k, 2) > n:
+    n is an integer >= k, k an integer >= 2 and seed an integer >= 0 or a
+    numpy SeedSequence."""
+    if _integer("k", k, 2) > _integer("n", n, 0):
         raise MalformedInput(f"cannot split {n} rows into {k} folds")
     rng = np.random.default_rng(_seed(seed))
     return [np.sort(part) for part in np.array_split(rng.permutation(n), k)]
@@ -387,7 +391,7 @@ class _FoldFits:
     A fold takes one of two paths, never a mix. It is read from moment sums
     when every slot has a moment form (functionals._moment_forms) and the
     folds partition the rows. Slot 0 is the target, then one slot per
-    distinct binding fit (by group key, in binding order); their
+    distinct binding fit (functionals._distinct_fits); their
     coefficients are stacked, slot i's at `coefs[i]`, and `tau` and `beta`
     index the ones the target and the bindings report. The features of the
     forms, after a row of ones, make the feature matrix G (one row per
@@ -411,7 +415,7 @@ class _FoldFits:
     """
 
     def __init__(self, inputs: FusionInputs, folds):
-        from .functionals import _moment_forms
+        from .functionals import _distinct_fits, _moment_forms
 
         self.inputs, self.folds = inputs, folds
         n, k = inputs.n, len(folds)
@@ -425,20 +429,14 @@ class _FoldFits:
             return
 
         binding = [desc for s in inputs.summaries for desc in s.binding]
-        keys = [desc.group_key() for desc in binding]
-        groups = {}
-        for desc, key in zip(binding, keys):
-            groups.setdefault(key, desc)
-        slot_of = {key: 1 + i for i, key in enumerate(groups)}
-        slots = [inputs.tau, *groups.values()]
+        distinct, slot_of = _distinct_fits(binding)
+        slots = [inputs.tau, *distinct]
         starts = np.cumsum([0] + [desc._base_width() for desc in slots])
         coefs = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
-        self.tau = np.arange(starts[1])[_coefficients(inputs.tau)]
-        self.beta = np.concatenate(
-            [
-                np.arange(starts[slot_of[key]], starts[slot_of[key] + 1])[_coefficients(desc)]
-                for desc, key in zip(binding, keys)
-            ]
+        self.tau = np.array(inputs.tau._coefficients())
+        self.beta = np.array(
+            [starts[1 + i] + j for desc, i in zip(binding, slot_of) for j in desc._coefficients()],
+            dtype=int,
         )
         # build the moment forms around the full-data fits where inputs holds
         # all of a slot's coefficients
@@ -474,7 +472,7 @@ class _FoldFits:
                 sums[:, 0, 0], sums[:, 0, span], sums[:, span, span]
             )
             if i == 0:
-                self.tau_test = estimate[:k, _coefficients(inputs.tau)]
+                self.tau_test = estimate[:k, self.tau]
                 self.refit |= failed[:k]
                 estimate, lmap, failed, cancelled = (
                     estimate[k:], lmap[k:], failed[k:], cancelled[k:]
@@ -539,11 +537,6 @@ def _fit_tau(inputs: FusionInputs, rows, start=None) -> np.ndarray:
     from .functionals import _columns, _refit
 
     return _columns(_refit(inputs.data.subset(rows), inputs.tau, start), inputs.tau).estimate
-
-
-def _coefficients(desc):
-    """The coefficients of a fit of `desc` that it names, as an index."""
-    return slice(None) if desc.component is None else [desc.component]
 
 
 def _products(features, rows):

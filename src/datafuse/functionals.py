@@ -109,19 +109,16 @@ def fit_joint_ols(
     equations.
     """
     y = data.column(outcome)
-    design, label = _joint_design(data, outcome, regressors, intercept)
-    coef, infl = _ols_fit(design, y, label)
+    label = f"joint_ols({outcome}~{'+'.join(regressors)}{'+1' if intercept else ''})"
+    coef, infl = _ols_fit(_joint_design(data, regressors, intercept), y, label)
     return FunctionalFit(coef, infl, label=label)
 
 
-def _joint_design(data: InternalDataset, outcome: str, regressors, intercept: bool = True):
-    """The design of fit_joint_ols (intercept column first) and its label."""
-    cols = [data.column(name) for name in regressors]
-    if intercept:
-        design = np.column_stack([np.ones(data.n)] + cols)
-    else:
-        design = np.column_stack(cols)
-    return design, f"joint_ols({outcome}~{'+'.join(regressors)}{'+1' if intercept else ''})"
+def _joint_design(data: InternalDataset, regressors, intercept: bool = True) -> np.ndarray:
+    """The named columns as a design, after an intercept column if `intercept`:
+    that of fit_joint_ols, fit_logistic and the aipw_ate propensity."""
+    ones = [np.ones(data.n)] if intercept else []
+    return np.column_stack(ones + [data.column(name) for name in regressors])
 
 
 def fit_marginal_ols(data: InternalDataset, outcome: str, regressor: str) -> FunctionalFit:
@@ -222,11 +219,7 @@ def fit_logistic(
     y = data.column(response)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise Separation(f"response {response!r} is not binary")
-    cols = [data.column(name) for name in covariates]
-    if intercept:
-        design = np.column_stack([np.ones(data.n)] + cols)
-    else:
-        design = np.column_stack(cols)
+    design = _joint_design(data, covariates, intercept)
     return _newton_logistic(design, y, f"logistic({response})")[0]
 
 
@@ -260,8 +253,7 @@ def _fit_aipw(data, outcome, treatment, covariates, trim=PROPENSITY_TRIM, start=
     treated = t == 1.0
     if not np.any(treated) or not np.any(~treated):
         raise EmptyArm("one treatment arm has no observations")
-    cols = [data.column(name) for name in covariates]
-    design = np.column_stack([np.ones(data.n)] + cols)
+    design = _joint_design(data, covariates)
 
     if start is not None and start.shape != (design.shape[1],):
         start = None
@@ -324,20 +316,29 @@ def evaluate_binding(data: InternalDataset, binding):
     then slices the shared fit. Returns (estimates, influence matrix) with
     one column per summary coordinate, ordered as the binding lists them.
     """
-    keys = [desc.group_key() for desc in binding]
-    fits = {}
-    for desc, key in zip(binding, keys):
-        if key not in fits:
-            fits[key] = fit_functional(data, desc)
-    parts = [_columns(fits[key], desc) for desc, key in zip(binding, keys)]
+    distinct, slots = _distinct_fits(binding)
+    fits = [fit_functional(data, desc) for desc in distinct]
+    parts = [_columns(fits[i], desc) for desc, i in zip(binding, slots)]
     return np.concatenate([f.estimate for f in parts]), np.hstack([f.influence for f in parts])
 
 
+def _distinct_fits(binding):
+    """(distinct, slots): the first descriptor of each group key in binding
+    order, and for each descriptor of `binding` the index in `distinct` of
+    the fit it reads."""
+    index, distinct, slots = {}, [], []
+    for desc in binding:
+        slots.append(index.setdefault(desc.group_key(), len(distinct)))
+        if slots[-1] == len(distinct):
+            distinct.append(desc)
+    return distinct, slots
+
+
 def _columns(fit: FunctionalFit, desc: FunctionalDescriptor) -> FunctionalFit:
-    """The coefficients of `fit` that `desc` names: all of them, or its component."""
-    if desc.component is None:
+    """The coefficients of `fit` that `desc` reports (its _coefficients)."""
+    j = desc._coefficients()
+    if len(j) == fit.p:
         return fit
-    j = [desc.component]
     return FunctionalFit._unchecked(fit.estimate[j], fit.influence[:, j], fit.label)
 
 
@@ -373,7 +374,7 @@ class _Moments:
             y, design = data.column(args["outcome"]), data.column(args["regressor"])[:, None]
         else:
             y = data.column(args["outcome"])
-            design = _joint_design(data, **args)[0]
+            design = _joint_design(data, args["regressors"], args.get("intercept", True))
         k = design.shape[1]
         self.center = _ols_coef(design, y, desc.kind.value)[1] if center is None else center
         resid = y - design @ self.center

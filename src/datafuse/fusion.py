@@ -260,7 +260,14 @@ def _build_result(
 
 
 def _coordinates(keep, q: int) -> list:
-    """`keep` as a sorted list of distinct summary coordinates in [0, q)."""
+    """`keep`, an iterable of integers (not bools), as a sorted list of
+    distinct summary coordinates in [0, q)."""
+    try:
+        keep = list(keep)
+    except TypeError:
+        raise MalformedInput(f"coordinate subset must be iterable, got {keep!r}") from None
+    if not all(isinstance(j, (int, np.integer)) and not isinstance(j, bool) for j in keep):
+        raise MalformedInput(f"coordinate subset must hold integers, got {keep!r}")
     keep = sorted(int(j) for j in keep)
     if len(set(keep)) != len(keep) or any(j < 0 or j >= q for j in keep):
         raise DimensionMismatch(f"invalid coordinate subset {keep} for q={q}")
@@ -315,17 +322,28 @@ def estimate_crude(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
 
 
 def estimate_knw(inputs: FusionInputs, beta_true, level: float = 0.95) -> FusionResult:
-    """Calibration against the known true beta (simulation benchmark)."""
-    beta_true = np.atleast_1d(np.asarray(beta_true, dtype=float))
-    if beta_true.shape[0] != inputs.q:
-        raise DimensionMismatch(
-            f"beta_true has length {beta_true.shape[0]}, expected {inputs.q}"
-        )
+    """Calibration against the known true beta (simulation benchmark), a
+    vector of q finite numbers."""
+    beta_true = np.atleast_1d(_finite_array("beta_true", beta_true))
+    if beta_true.shape != (inputs.q,):
+        raise DimensionMismatch(f"beta_true has shape {beta_true.shape}, expected ({inputs.q},)")
     calib, warn = inputs._calibration, []
     coef = calib.gram_coef(warn)
     estimate = calib.tau - coef @ (inputs.beta_fit.estimate - beta_true)
     avar = calib.phi_var - coef @ calib.cross.T
     return _build_result(Method.KNW, inputs, coef, estimate, avar, level, warn)
+
+
+def _finite_array(name: str, values) -> np.ndarray:
+    """`values` as a float array if every entry is a finite real number (not
+    a bool), else MalformedInput."""
+    try:
+        values = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise MalformedInput(f"{name} must be an array of numbers, got {values!r}") from None
+    for value in values.ravel().tolist():
+        _real(name, value)
+    return values.astype(float)
 
 
 def efficiency_bound(phi_var, cross, gram, sigma1, rho: float) -> np.ndarray:
@@ -358,15 +376,19 @@ def wald_inference(result: FusionResult, null=0.0, side: str = "upper", level=No
 
     side: 'upper' tests against tau > null, 'lower' against tau < null,
     'two_sided' doubles the smaller tail. null is a finite number, or one
-    per coordinate.
+    per coordinate: an array that broadcasts to the estimate.
     """
     if side not in ("upper", "lower", "two_sided"):
         raise DimensionMismatch(f"side must be upper/lower/two_sided, got {side!r}")
     level = result.level if level is None else float(level)
-    null = np.asarray(null)
-    for value in np.ravel(null).tolist():
-        _real("null", value)
-    null = np.broadcast_to(null.astype(float), result.estimate.shape)
+    null = _finite_array("null", null)
+    try:
+        null = np.broadcast_to(null, result.estimate.shape)
+    except ValueError:
+        raise DimensionMismatch(
+            f"null of shape {null.shape} does not broadcast to the estimate's "
+            f"{result.estimate.shape}"
+        ) from None
     if np.any(result.se <= 0.0):
         raise ZeroStandardError("standard error is zero; z statistic undefined")
     return _wald(result.estimate, result.se, level, null, side)

@@ -88,9 +88,6 @@ class InternalDataset:
 
     columns: Mapping[str, np.ndarray]
     n: int
-    outcome: Optional[str] = None
-    treatment: Optional[str] = None
-    covariates: tuple = ()
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -103,16 +100,10 @@ class InternalDataset:
         return tuple(self.columns)
 
     def subset(self, idx) -> "InternalDataset":
-        """Row subset (used by cross-validation folds); roles carry over."""
+        """Row subset (used by cross-validation folds)."""
         idx = np.asarray(idx)
         cols = {name: _readonly(arr[idx]) for name, arr in self.columns.items()}
-        return InternalDataset(
-            columns=cols,
-            n=int(idx.size),
-            outcome=self.outcome,
-            treatment=self.treatment,
-            covariates=self.covariates,
-        )
+        return InternalDataset(columns=cols, n=int(idx.size))
 
 
 def validate_dataset(
@@ -123,8 +114,9 @@ def validate_dataset(
 ) -> InternalDataset:
     """Build an InternalDataset from raw columns, enforcing the contract.
 
-    Columns must share a common length n >= 2, contain only finite numbers,
-    and a declared treatment column must take values in {0, 1}.
+    Columns must share a common length n >= 2 and contain only finite
+    numbers. The roles are checked, not stored: each named column must
+    exist, and a declared treatment column must take values in {0, 1}.
     """
     if not raw:
         raise RaggedColumns("dataset has no columns")
@@ -154,13 +146,7 @@ def validate_dataset(
             raise NonBinaryTreatment(
                 f"treatment column {treatment!r} has values outside {{0, 1}}"
             )
-    return InternalDataset(
-        columns=cols,
-        n=int(n),
-        outcome=outcome,
-        treatment=treatment,
-        covariates=tuple(covariates),
-    )
+    return InternalDataset(columns=cols, n=int(n))
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +200,16 @@ class FunctionalDescriptor:
             return len(self.args["regressors"]) + int(intercept)
         return 1
 
+    def _coefficients(self) -> range:
+        """The coefficients of this descriptor's fit that it reports: its
+        component, or all of them."""
+        if self.component is not None:
+            return range(self.component, self.component + 1)
+        return range(self._base_width())
+
     def width(self) -> int:
         """Number of summary coordinates this descriptor contributes."""
-        return 1 if self.component is not None else self._base_width()
+        return len(self._coefficients())
 
     def group_key(self) -> str:
         """Canonical key identifying the underlying fit (ignores component)."""
@@ -332,13 +325,7 @@ def binding_width(binding: Sequence[FunctionalDescriptor]) -> int:
 
 def expand_binding(binding: Sequence[FunctionalDescriptor]):
     """One (descriptor, coefficient index) pair per summary coordinate."""
-    out = []
-    for desc in binding:
-        if desc.component is not None:
-            out.append((desc, desc.component))
-        else:
-            out.extend((desc, j) for j in range(desc._base_width()))
-    return out
+    return [(desc, j) for desc in binding for j in desc._coefficients()]
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,16 @@ def test_select_unbiased_needs_summaries():
         cv_tune(inputs, [1.0])
 
 
+def test_a_summary_with_no_coordinates_leaves_dbs_at_the_internal_estimate():
+    # cross-validation raised numpy's ValueError (np.concatenate of no arrays)
+    data = validate_dataset({"Y": np.arange(12.0) % 5})
+    tau = FunctionalDescriptor(FunctionalKind.MEAN, {"column": "Y"})
+    inputs = prepare_inputs(data, tau, [validate_summary([], np.zeros((0, 0)), 10, [])])
+    result, selection = estimate_dbs(inputs)
+    assert selection.selected == ()
+    np.testing.assert_array_equal(result.estimate, estimate_int(inputs).estimate)
+
+
 def test_estimate_orc_paths():
     rng = np.random.default_rng(15)
     inputs = synth_inputs(rng, n=50, p=1, q=3)
@@ -253,6 +263,29 @@ def test_estimate_orc_paths():
     assert empty.method is Method.ORC
     np.testing.assert_allclose(empty.estimate, internal.estimate, atol=1e-14)
     assert any("internal-only" in w for w in empty.warnings)
+
+
+# int() used to coerce these: 0.5 fused coordinate 0, True coordinate 1 and a
+# float array its entries; a string raised a raw ValueError and None or an
+# integer a raw TypeError
+_UNCHECKED_COORDINATE_SETS = {
+    "float": [0.5],
+    "bool": [True],
+    "float-array": np.array([0.0]),
+    "string": "ab",
+    "none": None,
+    "integer": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "keep", _UNCHECKED_COORDINATE_SETS.values(), ids=_UNCHECKED_COORDINATE_SETS.keys()
+)
+@pytest.mark.parametrize("call", [estimate_orc, restrict_inputs], ids=lambda f: f.__name__)
+def test_coordinate_sets_are_checked_not_coerced(call, keep):
+    inputs = synth_inputs(np.random.default_rng(15), n=50, p=1, q=3)
+    with pytest.raises(MalformedInput):
+        call(inputs, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +315,12 @@ def test_kfold_rejects_fractional_k_and_negative_seed():
         kfold_indices(10, 2.5, seed=0)
     with pytest.raises(MalformedInput):
         kfold_indices(10, 3, seed=-1)
+
+
+def test_kfold_rejects_a_non_integer_row_count():
+    # n=10.0 raised numpy's AxisError
+    with pytest.raises(MalformedInput):
+        kfold_indices(10.0, 2, seed=0)
 
 
 def _mean_cv_inputs(beta_tilde, n=12, seed=21):
@@ -324,6 +363,9 @@ _NON_FINITE_TUNING = {
     "cv_tune-alpha-inf": lambda inputs: cv_tune(inputs, [1.0], alpha=np.inf),
     "cv_tune-alpha-zero": lambda inputs: cv_tune(inputs, [1.0], alpha=0.0),
     "select_unbiased-lam-nan": lambda inputs: select_unbiased(inputs, np.nan),
+    "select_unbiased-alpha-negative": lambda inputs: select_unbiased(inputs, 0.1, alpha=-1.0),
+    "select_unbiased-alpha-zero": lambda inputs: select_unbiased(inputs, 0.1, alpha=0),
+    "select_unbiased-alpha-inf": lambda inputs: select_unbiased(inputs, 0.1, alpha=np.inf),
     "adaptive_lasso-lam-inf": lambda inputs: adaptive_lasso(np.eye(2), [1, 1], [1, 1], np.inf),
     "adaptive_lasso-weight-nan": lambda inputs: adaptive_lasso(
         np.eye(2), [1, 1], [np.nan, 1], 0.1
@@ -343,6 +385,12 @@ def test_non_finite_tuning_and_test_values_are_malformed(call):
     # plain lasso; a NaN weight pins its coordinate) instead of failing
     with pytest.raises(MalformedInput):
         call(_mean_cv_inputs(beta_tilde=0.1))
+
+
+def test_select_unbiased_names_a_nan_alpha():
+    # a NaN alpha made NaN weights, reported as "weights must be non-negative"
+    with pytest.raises(MalformedInput, match="alpha"):
+        select_unbiased(_mean_cv_inputs(beta_tilde=0.1), 0.1, alpha=np.nan)
 
 
 def test_cv_tune_takes_any_iterable_grid():

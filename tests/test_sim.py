@@ -82,7 +82,6 @@ def test_gen_scenario1_structure():
     rng = np.random.default_rng(3)
     internal, summary, truth = gen_scenario1(200, 500, rng)
     assert internal.n == 200
-    assert internal.outcome == "Y" and internal.treatment == "T"
     assert set(internal.names) == {"X", "X2", "T", "Y"}
     np.testing.assert_allclose(
         internal.column("X2"), internal.column("X") ** 2, atol=1e-12

@@ -15,7 +15,13 @@ thread:
   Scenario I: stdout and stderr;
 - `estimate --method dbs` on an n = 20000 Scenario II_biased CSV (external
   m = 80000), with the joint_ols target of Scenario II: stdout, which holds
-  the cross-validation trace of folds read from moment sums, and stderr.
+  the cross-validation trace of folds read from moment sums, and stderr;
+- `estimate --method dbs` on the same CSV and target with two summaries
+  whose bindings share one fit and name its components: the first reports
+  component 0 of the target's joint_ols(Y~X1+X2) fit and a marginal_ols
+  slope of Y on X2 (shifted by 0.1, a bias), the second component 1 of the
+  joint fit. Each is fitted on its own external Scenario II sample of
+  m = 80000 rows. Its folds too are read from moment sums.
 
 Prints one line per output, "<sha256>  <command>/<output>", and one for
 each written CSV. In stderr the path of the source tree (where warnings name
@@ -46,9 +52,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from datafuse import (  # noqa: E402
+    FunctionalDescriptor,
     cli,
+    evaluate_binding,
     gen_scenario1,
     gen_scenario2,
+    validate_summary,
     write_internal_csv,
     write_summary_json,
 )
@@ -62,9 +71,16 @@ TAU = json.dumps(
     {"functional": "aipw_ate",
      "args": {"outcome": "Y", "treatment": "T", "covariates": ["X", "X2"]}}
 )
-TAU_II = json.dumps(
-    {"functional": "joint_ols",
-     "args": {"outcome": "Y", "regressors": ["X1", "X2"], "intercept": False}}
+JOINT_II = {
+    "functional": "joint_ols",
+    "args": {"outcome": "Y", "regressors": ["X1", "X2"], "intercept": False},
+}
+TAU_II = json.dumps(JOINT_II)
+# the bindings of the shared-fit summaries (write_component_summaries)
+COMPONENT_BINDINGS = (
+    [{**JOINT_II, "component": 0},
+     {"functional": "marginal_ols", "args": {"outcome": "Y", "regressor": "X2"}}],
+    [{**JOINT_II, "component": 1}],
 )
 
 
@@ -125,6 +141,11 @@ def main() -> int:
             "--tau", TAU_II, "--method", "dbs",
         ]
         ok.append(report("estimate-II_biased-dbs", argv, tmp))
+
+        argv = ["estimate", "--internal", str(csv_path), "--tau", TAU_II, "--method", "dbs"]
+        for path in write_component_summaries(tmp):
+            argv += ["--summary", str(path)]
+        ok.append(report("estimate-II_biased-dbs-components", argv, tmp))
     return 0 if all(ok) else 1
 
 
@@ -137,6 +158,27 @@ def write_inputs(tmp: Path, suffix: str, internal, summary, _truth) -> tuple:
     write_summary_json(summary, summary_path)
     print(f"{digest(csv_path.read_bytes())}  inputs/{csv_path.name}")
     return csv_path, summary_path
+
+
+def write_component_summaries(tmp: Path) -> list:
+    """Write one summary per binding of COMPONENT_BINDINGS, each fitted on
+    its own external Scenario II sample of 4 * ESTIMATE_N rows (sigma1 the
+    second moment of its influence), the first with 0.1 added to its last
+    coordinate; return their paths."""
+    m = 4 * ESTIMATE_N
+    paths = []
+    for i, binding in enumerate(COMPONENT_BINDINGS):
+        descs = [FunctionalDescriptor.from_json(obj) for obj in binding]
+        rng = np.random.default_rng(ESTIMATE_SEED + 1 + i)
+        external = gen_scenario2(m, m, False, rng)[0]
+        beta, eta = evaluate_binding(external, descs)
+        if i == 0:
+            beta[-1] += 0.1
+        sigma1 = eta.T @ eta / m
+        summary = validate_summary(beta, (sigma1 + sigma1.T) / 2.0, m, descs, f"components-{i}")
+        paths.append(tmp / f"summary_components_{i}.json")
+        write_summary_json(summary, paths[-1])
+    return paths
 
 
 if __name__ == "__main__":
