@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dposv
 
 from ._linalg import inv_sqrt_spd
 from .errors import (
@@ -159,7 +158,8 @@ def _lasso_path(x, y, weights, lams, knots=None) -> np.ndarray:
     RankDeficientDesign if the active columns are linearly dependent.
     """
     # q is small (one coordinate per summary statistic), so the bookkeeping
-    # runs on Python floats; LAPACK factors the active block at each knot
+    # and the triangular solves run on Python floats; numpy factors the
+    # active block at each knot
     gram = (x.T @ x).tolist()
     r = (x.T @ y).tolist()
     q = len(r)
@@ -178,13 +178,13 @@ def _lasso_path(x, y, weights, lams, knots=None) -> np.ndarray:
         # b(lam) = u - lam v, exactly zero off the active set
         u, v = [0.0] * q, [0.0] * q
         if active:
-            _, sol, info = dposv(
-                [[gram[i][j] for j in active] for i in active],
-                [[r[i], h[i] * sign[i]] for i in active],
-            )
-            if info != 0:
-                raise RankDeficientDesign("adaptive lasso: active columns are collinear")
-            for i, (ui, vi) in zip(active, sol.tolist()):
+            try:
+                low = np.linalg.cholesky([[gram[i][j] for j in active] for i in active]).tolist()
+            except np.linalg.LinAlgError:  # the block is not positive definite
+                raise RankDeficientDesign("adaptive lasso: active columns are collinear") from None
+            us = _cholesky_solve(low, [r[i] for i in active])
+            vs = _cholesky_solve(low, [h[i] * sign[i] for i in active])
+            for i, ui, vi in zip(active, us, vs):
                 u[i], v[i] = ui, vi
         # The next knot is the largest root below `top` at which a coordinate
         # starts to change state as lam decreases. The coordinate that changed
@@ -225,6 +225,18 @@ def _lasso_path(x, y, weights, lams, knots=None) -> np.ndarray:
             sign[who] = new_sign
         top = lo
     raise NoConvergence(f"lasso path did not finish within {_MAX_KNOTS} knots")
+
+
+def _cholesky_solve(low, b) -> list:
+    """x with L L' x = b, for L lower triangular (a list of rows) and b a list."""
+    k = len(b)
+    y = []
+    for i in range(k):
+        y.append((b[i] - sum(low[i][j] * y[j] for j in range(i))) / low[i][i])
+    x = [0.0] * k
+    for i in reversed(range(k)):
+        x[i] = (y[i] - sum(low[j][i] * x[j] for j in range(i + 1, k))) / low[i][i]
+    return x
 
 
 def _segment_point(u, v, lam, knot_coord: int) -> list:

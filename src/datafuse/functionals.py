@@ -10,10 +10,8 @@ it stays consistent when either nuisance model is correct.
 import warnings
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
-from scipy.special import expit
 
-from ._linalg import check_full_rank, spd_solve
+from ._linalg import check_full_rank, logistic, spd_solve
 from .errors import (
     DegenerateRegressor,
     EmptyArm,
@@ -65,7 +63,7 @@ def fit_mean(data: InternalDataset, column: str, where=None) -> FunctionalFit:
         infl = (y - est)[:, None]
         return FunctionalFit(np.array([est]), infl, label=f"mean({column})")
     mask = data.column(where["column"]) == where["equals"]
-    if not np.any(mask):
+    if not mask.any():
         raise EmptyArm(
             f"no rows with {where['column']} == {where['equals']} for mean({column})"
         )
@@ -80,23 +78,25 @@ def fit_mean(data: InternalDataset, column: str, where=None) -> FunctionalFit:
 def _ols_fit(design: np.ndarray, y: np.ndarray, context: str):
     """Coefficients and influence rows inv(E VV') V_i e_i for a linear fit.
 
-    One QR of the design gives R with R'R = V'V. The influence row is
-    n R^{-1} R^{-T} V_i e_i; the coefficients solve R'R coef = V'y with one
-    refinement step (Bjorck's corrected seminormal equations), which keeps
-    them as accurate as a QR solve rather than the normal equations.
+    One QR of the design gives R with R'R = V'V, and inv(V'V) is
+    R^{-1} R^{-T}. The influence row is n inv(V'V) V_i e_i; the coefficients
+    solve R'R coef = V'y with one refinement step (Bjorck's corrected
+    seminormal equations), which keeps them as accurate as a QR solve rather
+    than the normal equations.
     """
-    r, coef = _ols_coef(design, y, context)
+    gram_inv, coef = _ols_coef(design, y, context)
     resid = y - design @ coef
-    infl = design.shape[0] * dpotrs(r, (design * resid[:, None]).T)[0].T
-    return coef, infl
+    gram_inv *= design.shape[0]
+    return coef, (design * resid[:, None]) @ gram_inv
 
 
 def _ols_coef(design: np.ndarray, y: np.ndarray, context: str):
-    """The triangular factor r of the design (check_full_rank) and the
+    """inv(V'V) for the design V, from R^{-1} of check_full_rank, and the
     least-squares coefficients, refined once as in _ols_fit."""
-    r = check_full_rank(design, RankDeficientDesign, context)
-    coef = dpotrs(r, design.T @ y)[0]
-    return r, coef + dpotrs(r, design.T @ (y - design @ coef))[0]
+    r_inv = check_full_rank(design, RankDeficientDesign, context)
+    gram_inv = r_inv @ r_inv.T
+    coef = gram_inv @ (design.T @ y)
+    return gram_inv, coef + gram_inv @ (design.T @ (y - design @ coef))
 
 
 def fit_joint_ols(
@@ -125,10 +125,10 @@ def fit_marginal_ols(data: InternalDataset, outcome: str, regressor: str) -> Fun
     """Slope of the no-intercept regression of outcome on one regressor."""
     y = data.column(outcome)
     x = data.column(regressor)
-    second = float(np.mean(x * x))
+    second = float((x * x).mean())
     if second <= SECOND_MOMENT_FLOOR:
         raise DegenerateRegressor(f"regressor {regressor!r} has zero second moment")
-    coef = float(np.mean(x * y) / second)
+    coef = float((x * y).mean() / second)
     infl = (x * (y - x * coef) / second)[:, None]
     return FunctionalFit(
         np.array([coef]), infl, label=f"marginal_ols({outcome}~{regressor})"
@@ -143,7 +143,7 @@ def _bernoulli_loglik(y: np.ndarray, linpred: np.ndarray) -> float:
     np.exp(terms, out=terms)
     np.log1p(terms, out=terms)
     terms += np.maximum(linpred, 0.0)
-    return float(np.sum(y * linpred - terms))
+    return float((y * linpred - terms).sum())
 
 
 def _pinned(prob: np.ndarray, ones: np.ndarray, zeros: np.ndarray, probes) -> bool:
@@ -156,12 +156,12 @@ def _pinned(prob: np.ndarray, ones: np.ndarray, zeros: np.ndarray, probes) -> bo
         return False
     if zero is not None and not prob[zero] < 1e-8:
         return False
-    return bool(np.all(prob[ones] > 1.0 - 1e-8) and np.all(prob[zeros] < 1e-8))
+    return bool((prob[ones] > 1.0 - 1e-8).all() and (prob[zeros] < 1e-8).all())
 
 
 def _newton_logistic(design: np.ndarray, y: np.ndarray, context: str, start=None):
     """Damped Newton MLE from `start` (zero if None): (coef, prob), prob the
-    fitted probabilities expit(design @ coef) of the last iteration.
+    fitted probabilities logistic(design @ coef) of the last iteration.
 
     Stops when max |score| < 1e-10, or warns after 100 iterations. A step
     is halved until the log-likelihood is finite and falls short of the
@@ -181,11 +181,11 @@ def _newton_logistic(design: np.ndarray, y: np.ndarray, context: str, start=None
     linpred = design @ coef
     loglik = _bernoulli_loglik(y, linpred)
     for _ in range(LOGISTIC_MAX_ITER):
-        prob = expit(linpred)
+        prob = logistic(linpred)
         if _pinned(prob, ones, zeros, probes):
             raise Separation(f"fitted probabilities pinned at 0/1 ({context})")
         score = design.T @ (y - prob)
-        if np.max(np.abs(score)) < LOGISTIC_SCORE_TOL:
+        if abs(score).max() < LOGISTIC_SCORE_TOL:
             return coef, prob
         weight = prob * (1.0 - prob)
         hessian = design.T @ (design * weight[:, None])
@@ -202,10 +202,10 @@ def _newton_logistic(design: np.ndarray, y: np.ndarray, context: str, start=None
         else:
             raise Separation(f"no improving Newton step ({context})")
         coef, linpred, loglik = cand, cand_linpred, cand_loglik
-        if not np.all(np.isfinite(coef)) or np.max(np.abs(coef)) > 1e4:
+        if not np.isfinite(coef).all() or abs(coef).max() > 1e4:
             raise Separation(f"coefficients diverged ({context})")
     warnings.warn(f"logistic fit stopped at iteration cap ({context})")
-    return coef, expit(linpred)
+    return coef, logistic(linpred)
 
 
 def fit_logistic(
@@ -217,7 +217,7 @@ def fit_logistic(
     Separation when the likelihood has no finite maximizer.
     """
     y = data.column(response)
-    if not np.all((y == 0.0) | (y == 1.0)):
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise Separation(f"response {response!r} is not binary")
     design = _joint_design(data, covariates, intercept)
     return _newton_logistic(design, y, f"logistic({response})")[0]
@@ -248,10 +248,10 @@ def _fit_aipw(data, outcome, treatment, covariates, trim=PROPENSITY_TRIM, start=
     `_propensity`, a start for refits of the same model on other rows."""
     y = data.column(outcome)
     t = data.column(treatment)
-    if not np.all((t == 0.0) | (t == 1.0)):
+    if not ((t == 0.0) | (t == 1.0)).all():
         raise EmptyArm(f"treatment {treatment!r} is not binary")
     treated = t == 1.0
-    if not np.any(treated) or not np.any(~treated):
+    if treated.all() or not treated.any():
         raise EmptyArm("one treatment arm has no observations")
     design = _joint_design(data, covariates)
 

@@ -18,11 +18,12 @@ fold estimate. On the empty set the gain is p x 0, so the internal-only
 estimate (INT) is EFF with no summary coordinate.
 """
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from ._linalg import spd_solve, sym
 from .errors import (
@@ -212,22 +213,25 @@ def _phi_var(tau_fit: FunctionalFit) -> np.ndarray:
     return sym(tau_fit.influence.T @ tau_fit.influence / tau_fit.n)
 
 
-def _wald(estimate, se, level: float, null=0.0, side: str = "upper"):
+_SQRT_HALF = math.sqrt(0.5)
+_NORMAL = NormalDist()
+
+
+def _wald(estimate, se, level, null=0.0, side: str = "upper"):
     """(z, p, ci): z = (estimate - null) / se, NaN where se is 0; p its tail
-    probability on `side` by ndtr (Cephes, abs error below 1e-15 and the same
-    on every platform); ci the `level` interval estimate -/+ z_crit * se."""
+    probability on `side`, P(Z > x) = erfc(x / sqrt 2) / 2 (doubled at
+    x = |z| for two_sided); ci the `level` interval estimate -/+ z_crit * se,
+    z_crit the normal quantile at (1 + level) / 2. `level` must be a number
+    in (0, 1), else MalformedInput."""
+    level = _real("level", level)
     if not 0.0 < level < 1.0:
         raise MalformedInput(f"level must be in (0, 1), got {level}")
-    zcrit = float(ndtri(0.5 + level / 2.0))
+    zcrit = _NORMAL.inv_cdf(0.5 + level / 2.0)
     ci = np.column_stack([estimate - zcrit * se, estimate + zcrit * se])
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0.0, (estimate - null) / se, np.nan)
-    if side == "upper":
-        p = ndtr(-z)
-    elif side == "lower":
-        p = ndtr(z)
-    else:
-        p = 2.0 * ndtr(-np.abs(z))
+    x, share = (z, 0.5) if side == "upper" else (-z, 0.5) if side == "lower" else (abs(z), 1.0)
+    p = np.array([share * math.erfc(v * _SQRT_HALF) for v in x.tolist()])
     return z, p, ci
 
 
@@ -239,9 +243,9 @@ def _build_result(
     avar = sym(avar)
     # negative round-off on the diagonal is clipped here; anything beyond
     # tolerance is rejected by the FusionResult constructor below
-    se = np.sqrt(np.maximum(np.diag(avar), 0.0) / inputs.n)
+    se = np.sqrt(np.maximum(avar.diagonal(), 0.0) / inputs.n)
     _, p_one, ci = _wald(estimate, se, level)
-    if np.any(se == 0.0):
+    if (se == 0.0).any():
         warn = warn + ["zero standard error: one-sided p set to NaN"]
     if note:
         warn = warn + [note]
@@ -336,9 +340,10 @@ def estimate_knw(inputs: FusionInputs, beta_true, level: float = 0.95) -> Fusion
 
 def _finite_array(name: str, values) -> np.ndarray:
     """`values` as a float array if every entry is a finite real number (not
-    a bool), else MalformedInput."""
+    a bool, also inside a list), else MalformedInput."""
     try:
-        values = np.asarray(values)
+        # an object array keeps each entry's type: [True, 1.0] holds a bool
+        values = np.asarray(values, dtype=object)
     except ValueError:  # ragged nesting
         raise MalformedInput(f"{name} must be an array of numbers, got {values!r}") from None
     for value in values.ravel().tolist():
@@ -380,7 +385,7 @@ def wald_inference(result: FusionResult, null=0.0, side: str = "upper", level=No
     """
     if side not in ("upper", "lower", "two_sided"):
         raise DimensionMismatch(f"side must be upper/lower/two_sided, got {side!r}")
-    level = result.level if level is None else float(level)
+    level = result.level if level is None else level
     null = _finite_array("null", null)
     try:
         null = np.broadcast_to(null, result.estimate.shape)

@@ -137,6 +137,8 @@ def validate_dataset(
         cols[name] = _readonly(arr)
     if n is None or n < 2:
         raise RaggedColumns(f"dataset needs at least 2 rows, got {n}")
+    if isinstance(covariates, (str, bytes)):
+        raise MalformedInput(f"covariates must be a list of column names, got {covariates!r}")
     for role_name in filter(None, [outcome, treatment, *covariates]):
         if role_name not in cols:
             raise MissingColumn(f"role refers to missing column {role_name!r}")
@@ -431,14 +433,14 @@ class FunctionalFit:
         n = max(influence.shape[0], 1)  # no rows: zero sums, nothing to reject
         with np.errstate(over="ignore"):
             squares = np.einsum("ij,ij->j", influence, influence)
-        if not (np.all(np.isfinite(squares)) and np.all(np.isfinite(estimate))):
+        if not (np.isfinite(squares).all() and np.isfinite(estimate).all()):
             raise NonFiniteValue(f"fit {self.label!r} has non-finite or overflowing values")
         # finite sums of squares: every value is finite, so one pass over
         # the columns gives their means and standard deviations
         means = np.einsum("ij->j", influence) / n
         stds = np.sqrt(np.maximum(squares / n - means * means, 0.0))
         bad = np.abs(means) > MEAN_ZERO_TOL * (stds + 1.0)
-        if np.any(bad):
+        if bad.any():
             raise DimensionMismatch(
                 f"influence columns {np.flatnonzero(bad).tolist()} of "
                 f"{self.label!r} are not mean-zero"
@@ -493,9 +495,9 @@ class FusionResult:
 
     def __post_init__(self):
         avar = np.asarray(self.avar, dtype=float)
-        if not np.all(np.isfinite(avar)):
+        if not np.isfinite(avar).all():
             raise NonFiniteValue("avar is not finite: the influence moments overflow")
-        scale = AVAR_TOL * (1.0 + (np.max(np.abs(avar)) if avar.size else 0.0))
+        scale = AVAR_TOL * (1.0 + (abs(avar).max() if avar.size else 0.0))
         if max_asymmetry(avar) > scale:
             raise DimensionMismatch("avar is not symmetric")
         if min_eigenvalue(avar) < -scale:

@@ -20,9 +20,8 @@
 import warnings
 
 import numpy as np
-from scipy.special import expit
 
-from datafuse._linalg import check_full_rank, spd_solve, sym
+from datafuse._linalg import check_full_rank, logistic, spd_solve, sym
 from datafuse.debias import _lasso_path
 from datafuse.errors import EmptyArm, PropensityDegenerate, RankDeficientDesign, Separation
 from datafuse.functionals import LOGISTIC_MAX_ITER, LOGISTIC_SCORE_TOL, PROPENSITY_TRIM, _ols_fit
@@ -42,7 +41,7 @@ def _newton_logistic(design: np.ndarray, y: np.ndarray, context: str, start=None
     linpred = design @ coef
     loglik = _bernoulli_loglik(y, linpred)
     for _ in range(LOGISTIC_MAX_ITER):
-        prob = expit(linpred)
+        prob = logistic(linpred)
         pinned = np.all(prob[y == 1.0] > 1.0 - 1e-8) and np.all(prob[y == 0.0] < 1e-8)
         if pinned:
             raise Separation(f"fitted probabilities pinned at 0/1 ({context})")
@@ -89,7 +88,7 @@ def _fit_aipw(data, outcome, treatment, covariates, trim=PROPENSITY_TRIM, start=
         prop_coef = _newton_logistic(design, t, f"propensity({treatment})", start)
     except Separation as exc:
         raise PropensityDegenerate(str(exc)) from exc
-    prop = np.clip(expit(design @ prop_coef), trim, 1.0 - trim)
+    prop = np.clip(logistic(design @ prop_coef), trim, 1.0 - trim)
 
     mu = np.empty((data.n, 2))
     for arm, mask in ((0, ~treated), (1, treated)):

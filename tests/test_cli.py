@@ -1,5 +1,6 @@
 """Command-line interface: flags, files, exit codes, stderr contract."""
 
+import ast
 import contextlib
 import csv
 import io
@@ -866,18 +867,16 @@ def test_warnings_reach_stderr_only_when_the_command_succeeds(tmp_path):
     assert done.stderr.endswith("  warnings.warn(msg)\n")
 
 
-# Run in a fresh interpreter: the scipy subpackages loaded by a bare
-# `import scipy`, then after importing the CLI and after each named command.
+# Run in a fresh interpreter: the scipy modules loaded after importing the
+# CLI and after each named command.
 _SCIPY_LOADED = """
 import contextlib, io, json, sys
 
 def loaded():
-    return sorted({name.split(".")[1] for name in sys.modules if name.startswith("scipy.")})
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
-import scipy
-stages = {"scipy": loaded()}
 from datafuse import cli
-stages["import"] = loaded()
+stages = {"import": loaded()}
 for stage, argv in json.loads(sys.argv[1]).items():
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
@@ -886,9 +885,9 @@ print(json.dumps(stages))
 """
 
 
-def test_commands_load_only_scipy_linalg_and_special(tmp_path):
-    # scipy.integrate (with optimize, sparse, spatial and fft behind it) once
-    # cost every command about a third of its start-up time
+def test_commands_load_no_scipy(tmp_path):
+    # importing scipy.linalg.lapack and scipy.special once cost every command
+    # about two thirds of its start-up CPU; scipy is now a test dependency
     rng = np.random.default_rng(5)
     x = rng.standard_normal(1000)
     y = 1.0 + x + rng.standard_normal(1000)
@@ -905,12 +904,20 @@ def test_commands_load_only_scipy_linalg_and_special(tmp_path):
     done = _python_process(["-c", _SCIPY_LOADED, json.dumps(commands)])
     assert done.returncode == 0, done.stderr
     stages = json.loads(done.stdout)
-    allowed = set(stages.pop("scipy")) | {"linalg", "special"}
-    assert list(stages) == ["import", *commands]
-    for stage, names in stages.items():
-        assert isinstance(names, list), (stage, names)
-        assert "integrate" not in names, stage
-        assert set(names) <= allowed, (stage, sorted(set(names) - allowed))
+    assert stages == {stage: [] for stage in ("import", *commands)}
+
+
+def test_no_library_module_imports_scipy():
+    package = Path(datafuse.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "scipy"], (path.name, node.lineno)
 
 
 def test_simulate_one_replication_says_its_mc_errors_are_undefined(tmp_path):

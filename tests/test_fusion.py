@@ -233,6 +233,30 @@ def test_knw_checks_beta_true(beta_true, error):
         estimate_knw(inputs, beta_true)
 
 
+@pytest.mark.parametrize(
+    "values", [[True, 1.0], [0.0, np.True_], np.array([True, False])],
+    ids=["bool-in-list", "numpy-bool-in-list", "bool-array"],
+)
+def test_bools_are_not_numbers_inside_a_list_either(values):
+    # np.asarray cast [True, 1.0] to floats, while a bool array was rejected
+    inputs = synth_inputs(np.random.default_rng(12), n=40, p=1, q=2)
+    with pytest.raises(MalformedInput):
+        estimate_knw(inputs, values)
+    with pytest.raises(MalformedInput):
+        wald_inference(_inference_result([1.0, 2.0], [0.5, 0.5]), null=values)
+
+
+@pytest.mark.parametrize("level", ["ab", b"x", 10**400], ids=["str", "bytes", "huge-int"])
+def test_level_must_be_a_number(level):
+    # a string level was compared with `<` (TypeError) or read by float()
+    # (ValueError), and float() overflowed on 10**400 (OverflowError)
+    inputs = synth_inputs(np.random.default_rng(13), n=40, p=1, q=2)
+    with pytest.raises(MalformedInput):
+        estimate_eff(inputs, level)
+    with pytest.raises(MalformedInput):
+        wald_inference(estimate_int(inputs), 0.0, "upper", level)
+
+
 def test_eff_avar_never_exceeds_internal():
     rng = np.random.default_rng(14)
     for _ in range(50):

@@ -113,6 +113,15 @@ def test_validate_dataset_missing_role():
         validate_dataset({"A": [1.0, 2.0]}, covariates=("C",))
 
 
+@pytest.mark.parametrize("covariates", ["X2", b"X2"], ids=["str", "bytes"])
+def test_validate_dataset_rejects_a_bare_string_of_covariates(covariates):
+    # a string was read as a list of its characters (MissingColumn 'X')
+    raw = {"Y": [1.0, 2.0, 3.0], "X2": [0.0, 1.0, 0.5]}
+    with pytest.raises(MalformedInput, match="covariates must be a list of column names"):
+        validate_dataset(raw, outcome="Y", covariates=covariates)
+    assert validate_dataset(raw, outcome="Y", covariates=["X2"]).n == 3
+
+
 def test_dataset_columns_read_only():
     data = validate_dataset({"A": [1.0, 2.0]})
     with pytest.raises(ValueError):
