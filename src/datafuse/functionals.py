@@ -4,7 +4,9 @@ Each fitter returns a FunctionalFit whose influence columns average to zero
 exactly (up to round-off) because the estimating equations are solved
 exactly. The treatment-effect fitter is augmented inverse propensity
 weighting with a logistic propensity and per-arm linear outcome models, so
-it stays consistent when either nuisance model is correct.
+it stays consistent when either nuisance model is correct. Each fitter checks
+its arguments with the rules of the descriptor table (model._ARGS), so it
+accepts exactly the arguments a descriptor does.
 """
 
 import warnings
@@ -25,7 +27,11 @@ from .model import (
     FunctionalFit,
     FunctionalKind,
     InternalDataset,
+    _bool,
+    _col,
+    _cols,
     _real,
+    _where,
 )
 
 __all__ = [
@@ -57,6 +63,7 @@ def fit_mean(data: InternalDataset, column: str, where=None) -> FunctionalFit:
     """Mean of a column, optionally restricted to rows where another
     column equals a value (influence uses the ratio form, so the columns
     stay mean-zero over the full sample)."""
+    column, where = _col("mean", "column", column), _where("mean", "where", where)
     y = data.column(column)
     if where is None:
         est = float(y.mean())
@@ -108,6 +115,9 @@ def fit_joint_ols(
     rows are inv(E VV') V_i e_i, whose sample mean vanishes by the normal
     equations.
     """
+    outcome = _col("joint_ols", "outcome", outcome)
+    regressors = _cols("joint_ols", "regressors", regressors)
+    intercept = _bool("joint_ols", "intercept", intercept)
     y = data.column(outcome)
     label = f"joint_ols({outcome}~{'+'.join(regressors)}{'+1' if intercept else ''})"
     coef, infl = _ols_fit(_joint_design(data, regressors, intercept), y, label)
@@ -123,6 +133,8 @@ def _joint_design(data: InternalDataset, regressors, intercept: bool = True) -> 
 
 def fit_marginal_ols(data: InternalDataset, outcome: str, regressor: str) -> FunctionalFit:
     """Slope of the no-intercept regression of outcome on one regressor."""
+    outcome = _col("marginal_ols", "outcome", outcome)
+    regressor = _col("marginal_ols", "regressor", regressor)
     y = data.column(outcome)
     x = data.column(regressor)
     second = float((x * x).mean())
@@ -216,6 +228,9 @@ def fit_logistic(
     Returns the coefficient vector (intercept first when present); raises
     Separation when the likelihood has no finite maximizer.
     """
+    response = _col("logistic", "response", response)
+    covariates = _cols("logistic", "covariates", covariates)
+    intercept = _bool("logistic", "intercept", intercept)
     y = data.column(response)
     if not ((y == 0.0) | (y == 1.0)).all():
         raise Separation(f"response {response!r} is not binary")
@@ -236,6 +251,9 @@ def fit_aipw_ate(
     covariates within each arm. Fitted propensities are trimmed to
     [trim, 1 - trim] before weighting; trim must be a number in [0, 0.5).
     """
+    outcome = _col("aipw_ate", "outcome", outcome)
+    treatment = _col("aipw_ate", "treatment", treatment)
+    covariates = _cols("aipw_ate", "covariates", covariates)
     trim = _real("trim", trim)
     if not 0.0 <= trim < 0.5:
         raise MalformedInput(f"trim must be in [0, 0.5), got {trim!r}")

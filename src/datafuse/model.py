@@ -115,8 +115,9 @@ def validate_dataset(
     """Build an InternalDataset from raw columns, enforcing the contract.
 
     Columns must share a common length n >= 2 and contain only finite
-    numbers. The roles are checked, not stored: each named column must
-    exist, and a declared treatment column must take values in {0, 1}.
+    numbers. The roles are checked, not stored: each is a column name (a
+    str) that must exist, and a declared treatment column must take values
+    in {0, 1}.
     """
     if not raw:
         raise RaggedColumns("dataset has no columns")
@@ -139,7 +140,10 @@ def validate_dataset(
         raise RaggedColumns(f"dataset needs at least 2 rows, got {n}")
     if isinstance(covariates, (str, bytes)):
         raise MalformedInput(f"covariates must be a list of column names, got {covariates!r}")
-    for role_name in filter(None, [outcome, treatment, *covariates]):
+    roles = [role for role in (outcome, treatment) if role is not None] + list(covariates)
+    for role_name in roles:
+        if not isinstance(role_name, str):
+            raise MalformedInput(f"a role must be a column name, got {role_name!r}")
         if role_name not in cols:
             raise MissingColumn(f"role refers to missing column {role_name!r}")
     if treatment is not None:
@@ -248,25 +252,25 @@ class FunctionalDescriptor:
         return cls(kind=kind, args=args, component=component)
 
 
-def _col(kind, key, value):
+def _col(owner, key, value):
     if not isinstance(value, str):
-        raise MalformedInput(f"{kind.value} requires string arg {key!r}")
+        raise MalformedInput(f"{owner} requires string arg {key!r}")
     return value
 
 
-def _cols(kind, key, value):
+def _cols(owner, key, value):
     if not (isinstance(value, (list, tuple)) and value and all(isinstance(v, str) for v in value)):
-        raise MalformedInput(f"{kind.value} requires non-empty name list {key!r}")
+        raise MalformedInput(f"{owner} requires non-empty name list {key!r}")
     return list(value)
 
 
-def _bool(kind, key, value):
+def _bool(owner, key, value):
     if not isinstance(value, bool):
-        raise MalformedInput(f"{kind.value} {key!r} must be a boolean")
+        raise MalformedInput(f"{owner} {key!r} must be a boolean")
     return value
 
 
-def _where(kind, key, where):
+def _where(owner, key, where):
     if where is None:
         return None
     if (
@@ -278,7 +282,7 @@ def _where(kind, key, where):
     return {"column": where["column"], "equals": _real("mean 'where' equals", where["equals"])}
 
 
-def _link(kind, key, link):
+def _link(owner, key, link):
     if link != "identity":
         raise UnsupportedFunctional(f"glm_marginal link {link!r} is not implemented")
     return link
@@ -286,7 +290,9 @@ def _link(kind, key, link):
 
 # Each kind's arguments in positional order as (name, check), after the number
 # of leading ones that are required. The names are the keyword names of the
-# kind's fitter; a check returns the canonical value or raises.
+# kind's fitter, which runs the same checks on its arguments; a check, given
+# the name of the kind (or fitter) it serves, returns the canonical value or
+# raises MalformedInput.
 _ARGS = {
     FunctionalKind.MEAN: (1, (("column", _col), ("where", _where))),
     FunctionalKind.JOINT_OLS: (2, (("outcome", _col), ("regressors", _cols), ("intercept", _bool))),
@@ -307,7 +313,7 @@ def _validate_args(kind: FunctionalKind, args: Mapping) -> dict:
     out = dict(args)
     for i, (name, check) in enumerate(spec):
         if i < required or name in out:
-            out[name] = check(kind, name, out.get(name))
+            out[name] = check(kind.value, name, out.get(name))
             if out[name] is None:  # a null `where`, the same as none
                 del out[name]
     return out
@@ -585,42 +591,50 @@ def _read_columns_fast(path):
     None when that parse might differ from it; the caller then runs it.
 
     Taken only when the header line has no quote character, the body is not
-    empty, no line is longer than the csv module's field limit, no byte is
-    0x1c-0x1f (whitespace to loadtxt, not to float()) and loadtxt returns
-    one row of header width per line of the body: loadtxt skips blank
-    lines, which the csv reader returns as empty (ragged) rows. Otherwise
-    loadtxt reads a number exactly when float() does, to the same bits.
+    empty, no run of bytes between two \\n is longer than the csv module's
+    field limit, no byte is 0x1c-0x1f (whitespace to loadtxt, not to
+    float()) and loadtxt returns one row of header width per line of the
+    body: loadtxt skips blank lines, which the csv reader returns as empty
+    (ragged) rows. Otherwise loadtxt reads a number exactly when float()
+    does, to the same bits. The bytes read are the only copy of the file
+    held: every check searches or counts them in place, and loadtxt decodes
+    them line by line from a BytesIO that shares them.
     """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
         if any(sep in raw for sep in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
             return None
+        # a csv line, so each of its fields, lies between two \n: a window
+        # of `limit` bytes after each \n found must hold another (or the end)
+        limit, last = csv.field_size_limit(), -1
+        while len(raw) - last > limit:
+            last = raw.rfind(b"\n", last + 1, last + limit + 1)
+            if last < 0:
+                return None
         # line ends as the csv reader sees them: \n, \r and \r\n
-        codes = np.frombuffer(raw, np.uint8)
-        ends = codes == 10
-        if b"\r" in raw:
-            cr = codes == 13
-            cr[:-1] &= ~ends[1:]  # the \r of a \r\n ends no line of its own
-            ends |= cr
-        ends = np.flatnonzero(ends)
-        if ends.size == 0:
+        ends = [i for i in (raw.find(b"\n"), raw.find(b"\r")) if i >= 0]
+        if not ends:
             return None
-        if np.max(np.diff(ends, append=len(raw))) > csv.field_size_limit():
-            return None
-        header_line = raw[: ends[0]].removesuffix(b"\r").decode("utf-8")
+        end = min(ends)
+        start = end + 1 + raw.startswith(b"\r\n", end)
+        header_line = raw[:end].decode("utf-8")
         if '"' in header_line:
             return None
         header = next(csv.reader([header_line]))
         if not header or len(set(header)) != len(header):
             return None
-        body = raw[ends[0] + 1 :].decode("utf-8")
-        if not body.strip("\r\n"):  # loadtxt warns on finding no rows
+        breaks = raw.count(b"\n", start) + raw.count(b"\r", start)
+        if breaks == len(raw) - start:  # loadtxt warns on finding no rows
             return None
-        values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2, dtype=float)
+        lines = breaks - raw.count(b"\r\n", start) + (not raw.endswith((b"\n", b"\r")))
+        body = io.BytesIO(raw)
+        body.seek(start)
+        values = np.loadtxt(
+            body, delimiter=",", comments=None, ndmin=2, dtype=float, encoding="utf-8"
+        )
     except (OSError, ValueError, csv.Error):
         return None
-    lines = ends.size - 1 + int(ends[-1] != len(raw) - 1)
     if values.shape != (lines, len(header)):
         return None
     return {name: values[:, j] for j, name in enumerate(header)}

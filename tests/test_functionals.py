@@ -27,6 +27,7 @@ from datafuse import functionals
 from datafuse.functionals import _FITTERS, _ols_fit
 from datafuse.model import _ARGS
 from datafuse.errors import (
+    DataFuseError,
     DegenerateRegressor,
     EmptyArm,
     MalformedInput,
@@ -437,6 +438,64 @@ def test_every_kind_has_a_fitter_taking_its_table_arguments():
         # the table's required arguments are the fitter's ones without a default
         no_default = [n for n, p in params.items() if p.default is inspect.Parameter.empty]
         assert no_default == names[:required]
+
+
+def _fit_data():
+    rng = np.random.default_rng(5)
+    x1, x2 = rng.standard_normal(40), rng.standard_normal(40)
+    t = (rng.random(40) < 0.5).astype(float)
+    return _data(Y=x1 + t + rng.standard_normal(40), T=t, X1=x1, X2=x2)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [(("T", "X1"), {}), (("T", ["X1"]), {"intercept": "no"}), ((["T"], ["X1"]), {})],
+    ids=["str-covariates", "str-intercept", "list-response"],
+)
+def test_fit_logistic_checks_its_arguments(args, kwargs):
+    # the string was read as columns "X" and "1" (MissingColumn 'X'), the
+    # others raised a raw TypeError or were accepted
+    with pytest.raises(MalformedInput):
+        fit_logistic(_fit_data(), *args, **kwargs)
+
+
+_ODD_ARGS = (
+    "Y", "X1", ["X1"], ("X1", "X2"), [], ["X1", 2], True, "no", None, 5, b"X1",
+    [[1.0]], {"column": "T"}, {"column": "T", "equals": 1}, {"column": "T", "equals": True},
+)
+_VALID_ARGS = {
+    FunctionalKind.MEAN: {"column": "Y"},
+    FunctionalKind.JOINT_OLS: {"outcome": "Y", "regressors": ["X1"]},
+    FunctionalKind.MARGINAL_OLS: {"outcome": "Y", "regressor": "X1"},
+    FunctionalKind.AIPW_ATE: {"outcome": "Y", "treatment": "T", "covariates": ["X1"]},
+}
+
+
+@pytest.mark.parametrize("kind", list(_VALID_ARGS), ids=lambda kind: kind.value)
+def test_fitters_accept_exactly_what_a_descriptor_does(kind):
+    # one odd value in one argument: the fitter raises MalformedInput exactly
+    # when a descriptor with the same arguments does (another error, such as
+    # a missing column, means the arguments passed the checks). At the parent
+    # a string of covariates read as columns "X" and "1", regressors=True, a
+    # list column and an int or key-less where raised raw errors, and
+    # intercept="no" was accepted
+    data = _fit_data()
+    for name, _ in _ARGS[kind][1]:
+        for value in _ODD_ARGS:
+            args = {**_VALID_ARGS[kind], name: value}
+            try:
+                FunctionalDescriptor(kind, args)
+                described = True
+            except MalformedInput:
+                described = False
+            try:
+                _FITTERS[kind](data, **args)
+                fitted = True
+            except MalformedInput:
+                fitted = False
+            except DataFuseError:
+                fitted = True
+            assert fitted == described, (kind, name, value)
 
 
 def test_evaluate_binding_mean_column():

@@ -3,6 +3,7 @@
 import importlib
 import json
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,20 @@ def test_validate_dataset_rejects_a_bare_string_of_covariates(covariates):
     with pytest.raises(MalformedInput, match="covariates must be a list of column names"):
         validate_dataset(raw, outcome="Y", covariates=covariates)
     assert validate_dataset(raw, outcome="Y", covariates=["X2"]).n == 3
+
+
+@pytest.mark.parametrize(
+    "roles",
+    [{"outcome": {}}, {"outcome": b"Y"}, {"treatment": [1]}, {"treatment": 1.0},
+     {"covariates": ["X2", {}]}, {"covariates": [None]}],
+    ids=["empty-dict-outcome", "bytes-outcome", "list-treatment", "float-treatment",
+         "dict-covariate", "none-covariate"],
+)
+def test_validate_dataset_rejects_a_role_that_is_not_a_string(roles):
+    # an empty dict was dropped unchecked and a list raised a raw TypeError
+    raw = {"Y": [1.0, 2.0, 3.0], "X2": [0.0, 1.0, 0.5]}
+    with pytest.raises(MalformedInput, match="a role must be a column name"):
+        validate_dataset(raw, **roles)
 
 
 def test_dataset_columns_read_only():
@@ -553,6 +568,25 @@ def test_fast_csv_parse_takes_ordinary_files(tmp_path):
     for raw in (lf + b"\n", lf.replace(b",0\n", b',"0"\n', 1), lf.replace(b"\n", b"\r")):
         path.write_bytes(raw)
         assert _read_columns_fast(path) is None
+
+
+def test_fast_csv_parse_holds_one_copy_of_the_file(tmp_path):
+    # the bytes read and the parsed columns, not a decoded copy of the text
+    rng = np.random.default_rng(13)
+    data = validate_dataset({name: rng.standard_normal(20_000) for name in "YTXZ"})
+    crlf = tmp_path / "crlf.csv"
+    write_internal_csv(data, crlf)
+    lf = tmp_path / "lf.csv"
+    lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+    for path in (crlf, lf):
+        tracemalloc.start()
+        try:
+            fast = _read_columns_fast(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fast is not None and _same_columns(fast, _read_columns_csv(path))
+        assert peak <= 2.5 * path.stat().st_size, (path.name, peak, path.stat().st_size)
 
 
 def test_csv_field_over_the_csv_limit_is_malformed_input(tmp_path):

@@ -13,6 +13,10 @@ thread:
 - `estimate --method int|crd|eff|dbs` on an n = 20000 Scenario I CSV that
   the script writes (external m = 20000), with the aipw_ate target of
   Scenario I: stdout and stderr;
+- `estimate --method dbs` on two rewrites of that CSV: one with LF line
+  ends and no final line end (the loadtxt path's other line-end branch),
+  one with a quoted header (parsed by the csv loop instead of loadtxt):
+  stdout and stderr, which must equal those of the unchanged file;
 - `estimate --method dbs` on an n = 20000 Scenario II_biased CSV (external
   m = 80000), with the joint_ols target of Scenario II: stdout, which holds
   the cross-validation trace of folds read from moment sums, and stderr;
@@ -132,6 +136,15 @@ def main() -> int:
                 "--tau", TAU, "--method", method,
             ]
             ok.append(report(f"estimate-{method}", argv, tmp))
+        rewrites = (("lf-no-final-newline", lf_no_final_end), ("quoted-header", quote_header))
+        for name, rewrite in rewrites:
+            path = tmp / f"internal_{name}.csv"
+            path.write_bytes(rewrite(csv_path.read_bytes()))
+            argv = [
+                "estimate", "--internal", str(path), "--summary", str(summary_path),
+                "--tau", TAU, "--method", "dbs",
+            ]
+            ok.append(report(f"estimate-dbs-{name}", argv, tmp))
 
         rng = np.random.default_rng(ESTIMATE_SEED)
         inputs = gen_scenario2(ESTIMATE_N, 4 * ESTIMATE_N, True, rng)
@@ -158,6 +171,17 @@ def write_inputs(tmp: Path, suffix: str, internal, summary, _truth) -> tuple:
     write_summary_json(summary, summary_path)
     print(f"{digest(csv_path.read_bytes())}  inputs/{csv_path.name}")
     return csv_path, summary_path
+
+
+def lf_no_final_end(raw: bytes) -> bytes:
+    """A CSV written with CRLF line ends, with LF ones and no final one."""
+    return raw.replace(b"\r\n", b"\n").removesuffix(b"\n")
+
+
+def quote_header(raw: bytes) -> bytes:
+    """A CSV written with CRLF line ends, with each header name quoted."""
+    header, body = raw.split(b"\r\n", 1)
+    return b",".join(b'"%s"' % name for name in header.split(b",")) + b"\r\n" + body
 
 
 def write_component_summaries(tmp: Path) -> list:
