@@ -357,7 +357,7 @@ def _columns(fit: FunctionalFit, desc: FunctionalDescriptor) -> FunctionalFit:
     j = desc._coefficients()
     if len(j) == fit.p:
         return fit
-    return FunctionalFit._unchecked(fit.estimate[j], fit.influence[:, j], fit.label)
+    return FunctionalFit(fit.estimate[j], fit.influence[:, j], fit.label)
 
 
 class _Moments:

@@ -35,6 +35,7 @@ from .errors import (
     ZeroStandardError,
 )
 from .model import (
+    MEAN_ZERO_TOL,
     FunctionalDescriptor,
     FunctionalFit,
     FusionResult,
@@ -67,7 +68,9 @@ class FusionInputs:
     `data` and `tau` keep references to the originating dataset and
     functional so cross-validation can refit on row subsets; they are not
     used by the plain estimators. The calibration every estimator reads is
-    computed once, here.
+    computed once, here, and its influence is checked here: moments that
+    overflow raise NonFiniteValue, and a column of either fit whose mean is
+    beyond MEAN_ZERO_TOL * (std + 1) raises DimensionMismatch.
     """
 
     tau_fit: FunctionalFit
@@ -95,12 +98,24 @@ class FusionInputs:
                     f"omega_override shape {omega.shape}, expected {(q, q)}"
                 )
             object.__setattr__(self, "omega_override", omega)
-        cross, gram = empirical_moments(self.tau_fit, self.beta_fit)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross, gram = empirical_moments(self.tau_fit, self.beta_fit)
+            phi_var = _phi_var(self.tau_fit)
+        if not all(np.isfinite(a).all() for a in (phi_var, cross, gram)):
+            raise NonFiniteValue("influence moments are not finite (overflow, or no rows)")
+        # every fitter's estimating equations zero its influence means exactly
+        for fit, second in ((self.tau_fit, phi_var), (self.beta_fit, gram)):
+            means = np.einsum("ij->j", fit.influence) / fit.n
+            stds = np.sqrt(np.maximum(second.diagonal() - means * means, 0.0))
+            bad = np.abs(means) > MEAN_ZERO_TOL * (stds + 1.0)
+            if bad.any():
+                raise DimensionMismatch(
+                    f"influence columns {np.flatnonzero(bad).tolist()} of {fit.label!r} "
+                    "are not mean-zero"
+                )
         beta_tilde, sigma_ext = assemble_external(self)
         residual = self.beta_fit.estimate - beta_tilde
-        calib = _Calibration(
-            self.tau_fit.estimate, _phi_var(self.tau_fit), cross, gram, residual, sigma_ext
-        )
+        calib = _Calibration(self.tau_fit.estimate, phi_var, cross, gram, residual, sigma_ext)
         object.__setattr__(self, "_calibration", calib)
 
     @property
@@ -166,7 +181,7 @@ def _prepare(data, tau, summaries, omega_override=None, start=None) -> FusionInp
         beta_int, eta = evaluate_binding(data, binding)
     else:
         beta_int, eta = np.zeros(0), np.zeros((data.n, 0))
-    beta_fit = FunctionalFit._unchecked(beta_int, eta, label="binding")
+    beta_fit = FunctionalFit(beta_int, eta, label="binding")
     return FusionInputs(
         tau_fit=tau_fit,
         beta_fit=beta_fit,
@@ -404,8 +419,8 @@ def restrict_inputs(inputs: FusionInputs, keep) -> FusionInputs:
 
     Summaries are re-sliced coordinate-wise (bindings become per-component
     descriptors); sources losing all coordinates are dropped. A principal
-    submatrix of a validated covariance is again symmetric PSD, and columns
-    of a validated fit stay centered, so neither is validated again.
+    submatrix of a validated covariance is again symmetric PSD, so the
+    summaries are not validated again.
     """
     keep = _coordinates(keep, inputs.q)
     new_summaries = []
@@ -428,7 +443,7 @@ def restrict_inputs(inputs: FusionInputs, keep) -> FusionInputs:
     omega = inputs.omega_override
     if omega is not None:
         omega = omega[np.ix_(keep, keep)]
-    beta_fit = FunctionalFit._unchecked(
+    beta_fit = FunctionalFit(
         inputs.beta_fit.estimate[keep],
         inputs.beta_fit.influence[:, keep],
         label=inputs.beta_fit.label,

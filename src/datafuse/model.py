@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Optional, Sequence
@@ -413,12 +414,10 @@ def validate_summary(
 class FunctionalFit:
     """Point estimate plus per-observation influence columns.
 
-    Influence columns must be (numerically) centered: the estimating
-    equations of every fitter zero them out exactly, so a violation here
-    means the fit itself is wrong. One pass over the columns checks it: a
-    mean beyond MEAN_ZERO_TOL * (std + 1) raises DimensionMismatch, and a
-    non-finite estimate or influence, or influence whose column sums of
-    squares overflow, raises NonFiniteValue. With no rows it passes.
+    A non-finite estimate or influence raises NonFiniteValue, and influence
+    whose shape does not match the estimate DimensionMismatch. Whether the
+    columns are centered is checked where they enter a calibration
+    (fusion.FusionInputs), which is the only consumer that needs it.
     """
 
     estimate: np.ndarray
@@ -436,33 +435,10 @@ class FunctionalFit:
                 f"influence shape {influence.shape} does not match "
                 f"estimate length {estimate.shape[0]}"
             )
-        n = max(influence.shape[0], 1)  # no rows: zero sums, nothing to reject
-        with np.errstate(over="ignore"):
-            squares = np.einsum("ij,ij->j", influence, influence)
-        if not (np.isfinite(squares).all() and np.isfinite(estimate).all()):
-            raise NonFiniteValue(f"fit {self.label!r} has non-finite or overflowing values")
-        # finite sums of squares: every value is finite, so one pass over
-        # the columns gives their means and standard deviations
-        means = np.einsum("ij->j", influence) / n
-        stds = np.sqrt(np.maximum(squares / n - means * means, 0.0))
-        bad = np.abs(means) > MEAN_ZERO_TOL * (stds + 1.0)
-        if bad.any():
-            raise DimensionMismatch(
-                f"influence columns {np.flatnonzero(bad).tolist()} of "
-                f"{self.label!r} are not mean-zero"
-            )
+        if not (np.isfinite(estimate).all() and np.isfinite(influence).all()):
+            raise NonFiniteValue(f"fit {self.label!r} has non-finite values")
         object.__setattr__(self, "estimate", _readonly(estimate))
         object.__setattr__(self, "influence", _readonly(influence))
-
-    @classmethod
-    def _unchecked(cls, estimate, influence, label: str = "") -> "FunctionalFit":
-        """Fit from columns of already validated fits, which keep every
-        property __post_init__ checks; skips its O(n q) pass."""
-        fit = object.__new__(cls)
-        object.__setattr__(fit, "estimate", _readonly(estimate))
-        object.__setattr__(fit, "influence", _readonly(influence))
-        object.__setattr__(fit, "label", label)
-        return fit
 
     @property
     def n(self) -> int:
@@ -641,34 +617,36 @@ def _read_columns_fast(path):
 
 
 def _read_columns_csv(path) -> dict:
-    """Columns of the CSV as lists of floats, one csv row and float() per cell."""
+    """Columns of the CSV as float arrays, one csv row and float() per cell,
+    streamed into one array('d') per column. The first fault met raises: the
+    text is decoded a chunk at a time, before the chunk's rows are parsed."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            rows = csv.reader(fh)
+            header = next(rows, None)
+            if header is None:
+                raise MalformedInput(f"{path}: empty file")
+            if len(set(header)) != len(header):
+                raise MalformedInput(f"{path}: duplicate column names")
+            width = len(header)
+            columns = [array("d") for _ in header]
+            for i, row in enumerate(rows, start=2):
+                if len(row) != width:
+                    raise RaggedColumns(f"{path}: row {i} has {len(row)} fields, expected {width}")
+                for name, column, cell in zip(header, columns, row):
+                    try:
+                        column.append(float(cell))
+                    except ValueError:
+                        raise MalformedInput(
+                            f"{path}: row {i}, column {name!r}: not a number: {cell!r}"
+                        ) from None
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise MalformedInput(f"{path}: not UTF-8 text: {exc}") from None
     except csv.Error as exc:
         raise MalformedInput(f"{path}: {exc}") from None
-    if not rows:
-        raise MalformedInput(f"{path}: empty file")
-    header = rows[0]
-    if len(set(header)) != len(header):
-        raise MalformedInput(f"{path}: duplicate column names")
-    width = len(header)
-    data = {name: [] for name in header}
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise RaggedColumns(f"{path}: row {i} has {len(row)} fields, expected {width}")
-        for name, cell in zip(header, row):
-            try:
-                data[name].append(float(cell))
-            except ValueError:
-                raise MalformedInput(
-                    f"{path}: row {i}, column {name!r}: not a number: {cell!r}"
-                ) from None
-    return data
+    return {name: np.frombuffer(column) for name, column in zip(header, columns)}
 
 
 def summary_to_dict(summary: SummaryStatistic) -> dict:

@@ -7,6 +7,12 @@ marginal slopes are reported externally, optionally with the second
 regressor measured with error (attenuating its slope, i.e. a biased
 summary).
 
+An external summary is computed as a study would report it, by the
+package's own fitters: the external sample is fitted with the binding's
+descriptors (functionals.evaluate_binding), and sigma1 is the second moment
+E(eta eta') of those fits' influence columns, which for least squares is
+the sandwich covariance of the sqrt(m)-scaled estimate.
+
 Replications draw from one substream per replication (spawned from a root
 seed), so results are identical for any thread count and any method
 subset.
@@ -65,6 +71,7 @@ __all__ = [
 
 SCENARIOS = ("I", "II_biased", "II_unbiased")
 FAILURE_ABORT_RATE = 0.01
+_MAX_SIZE = int(np.iinfo(np.intp).max)
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +107,6 @@ def scenario1_beta_true() -> tuple:
     return (1.2308473257178896, 0.6065715380059552, 0.5931467625504476)
 
 
-def _sandwich(design: np.ndarray, resid: np.ndarray) -> np.ndarray:
-    """Covariance of the sqrt(m)-scaled least-squares estimator."""
-    m = design.shape[0]
-    bread = design.T @ design / m
-    meat = (design * resid[:, None]).T @ (design * resid[:, None]) / m
-    inv_bread = np.linalg.inv(bread)
-    return inv_bread @ meat @ inv_bread
-
-
 def gen_scenario1(n: int, m: int, rng: np.random.Generator):
     """Internal dataset, external joint-OLS summary, and the truth record.
 
@@ -123,23 +121,19 @@ def gen_scenario1(n: int, m: int, rng: np.random.Generator):
         covariates=("X", "X2"),
     )
     xe, te, ye = _scenario1_draw(m, rng)
-    design = np.column_stack([np.ones(m), xe, te])
-    if m < design.shape[1]:
-        # numpy's solve need not fail on the singular normal matrix
-        raise RankDeficientDesign(f"scenario I external design has {m} rows, needs 3")
-    try:
-        coef = np.linalg.solve(design.T @ design, design.T @ ye)
-        sigma1 = _sandwich(design, ye - design @ coef)
-    except np.linalg.LinAlgError as exc:
-        # a small external sample can lack one arm or have too few rows
-        raise RankDeficientDesign(f"scenario I external design: {exc}") from None
     binding = (
         FunctionalDescriptor(
             FunctionalKind.JOINT_OLS,
             {"outcome": "Y", "regressors": ["X", "T"], "intercept": True},
         ),
     )
-    summary = validate_summary(coef, sigma1, m, binding, source_id="scenario1-external-ols")
+    try:
+        summary = _external_summary(
+            {"X": xe, "T": te, "Y": ye}, m, binding, "scenario1-external-ols"
+        )
+    except RankDeficientDesign as exc:
+        # a small external sample can lack one arm or have too few rows
+        raise RankDeficientDesign(f"scenario I external design: {exc}") from None
     truth = {
         "tau": np.array([1.0]),
         "beta": np.array(scenario1_beta_true()),
@@ -177,18 +171,12 @@ def gen_scenario2(
     )
     x_ext, y_ext = draw(m)
     x2_obs = x_ext[:, 1] + rng.standard_normal(m) if biased else x_ext[:, 1]
-    regressors = np.column_stack([x_ext[:, 0], x2_obs])
-    second = np.mean(regressors * regressors, axis=0)
-    coef = np.mean(regressors * y_ext[:, None], axis=0) / second
-    scores = regressors * (y_ext[:, None] - regressors * coef)
-    meat = scores.T @ scores / m
-    sigma1 = meat / np.outer(second, second)
     binding = (
         FunctionalDescriptor(FunctionalKind.MARGINAL_OLS, {"outcome": "Y", "regressor": "X1"}),
         FunctionalDescriptor(FunctionalKind.MARGINAL_OLS, {"outcome": "Y", "regressor": "X2"}),
     )
-    summary = validate_summary(
-        coef, sigma1, m, binding, source_id="scenario2-external-marginals"
+    summary = _external_summary(
+        {"X1": x_ext[:, 0], "X2": x2_obs, "Y": y_ext}, m, binding, "scenario2-external-marginals"
     )
     beta_true = np.array([tau1 + 0.6 * tau2, tau2 + 0.6 * tau1])
     truth = {
@@ -198,6 +186,18 @@ def gen_scenario2(
         "b_star": np.array([0.0, -beta_true[1] / 2.0 if biased else 0.0]),
     }
     return internal, summary, truth
+
+
+def _external_summary(columns: dict, m: int, binding, source_id: str) -> SummaryStatistic:
+    """The summary an external study of the m generated rows `columns`
+    reports: the package's fits of `binding` on them, and sigma1 =
+    E(eta eta') of their influence, the covariance of the sqrt(m)-scaled
+    estimates (the sandwich, for these least-squares fits)."""
+    # resolved per call, as fusion._prepare does, so bench/layers.py traces it
+    from .functionals import evaluate_binding
+
+    beta, eta = evaluate_binding(InternalDataset(columns=columns, n=m), binding)
+    return validate_summary(beta, eta.T @ eta / m, m, binding, source_id=source_id)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,10 @@ class ScenarioConfig:
                 f"scenario must be one of {SCENARIOS}, got {self.scenario!r}"
             )
         for name, low in (("n", 1), ("m", 1), ("reps", 1), ("seed", 0)):
-            _integer(name, getattr(self, name), low)
+            value = _integer(name, getattr(self, name), low)
+            # a size is an array length: numpy refuses one beyond its index type
+            if name != "seed" and value > _MAX_SIZE:
+                raise MalformedInput(f"{name} must be at most {_MAX_SIZE}, got {value!r}")
         if not isinstance(self.methods, (list, tuple)):
             raise MalformedInput(f"methods must be a list of names, got {self.methods!r}")
         methods = tuple(self.methods) or _DEFAULT_METHODS[self.scenario]

@@ -15,6 +15,11 @@
 - The lasso oracles: soft_threshold, the coordinate update of a
   coordinate-descent lasso, and lasso_trace, the objective along the
   homotopy path that datafuse.debias._lasso_path follows.
+- The scenarios' external summaries as the simulation generators once
+  computed them by hand: joint_ols_summary, the normal-equation
+  coefficients with the sandwich covariance, and marginal_slopes_summary,
+  the marginal slopes with meat / outer(second, second). The generators
+  now fit with the package's fitters, which must give the same numbers.
 """
 
 import warnings
@@ -173,3 +178,28 @@ def lasso_trace(x, y, weights, lam):
         resid = y - x @ point
         trace.append(float(resid @ resid) + _penalty(point, weights, lam))
     return b, trace
+
+
+# ---------------------------------------------------------------------------
+# the scenarios' external summaries
+
+
+def joint_ols_summary(design: np.ndarray, y: np.ndarray):
+    """(coef, sigma1): least squares of y on `design` by the normal
+    equations, and the sandwich covariance of the sqrt(m)-scaled estimate."""
+    m = design.shape[0]
+    coef = np.linalg.solve(design.T @ design, design.T @ y)
+    resid = y - design @ coef
+    inv_bread = np.linalg.inv(design.T @ design / m)
+    meat = (design * resid[:, None]).T @ (design * resid[:, None]) / m
+    return coef, inv_bread @ meat @ inv_bread
+
+
+def marginal_slopes_summary(regressors: np.ndarray, y: np.ndarray):
+    """(coef, sigma1): the no-intercept slope of y on each column of
+    `regressors` alone, and the covariance of the sqrt(m)-scaled slopes."""
+    m = regressors.shape[0]
+    second = np.mean(regressors * regressors, axis=0)
+    coef = np.mean(regressors * y[:, None], axis=0) / second
+    scores = regressors * (y[:, None] - regressors * coef)
+    return coef, (scores.T @ scores / m) / np.outer(second, second)

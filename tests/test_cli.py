@@ -476,6 +476,17 @@ def test_simulate_singular_external_design_counts_as_failure(tmp_path, capsys):
     assert "scenario I external design" in json.loads(err)["error"]["detail"]
 
 
+def test_simulate_size_beyond_the_index_type_exits_2(tmp_path, capsys):
+    # numpy would refuse the array length before allocating; the run exited 1
+    # with a raw ValueError traceback
+    code, out, err = _run(
+        capsys,
+        ["simulate", "--scenario", "I", "--n", "100000000000000000000000000000",
+         "--reps", "2", "--out-dir", str(tmp_path / "run")],
+    )
+    assert code == 2 and out == "" and _stderr_kind(err) == "MalformedInput"
+
+
 _BAD_DEBIAS = [
     {"k": "3"}, {"k": 2.5}, {"alpha": "x"}, {"w": None}, {"lambda_fixed": "x"},
     {"grid_c": 5}, {"grid_c": ["a"]}, {"seed": "abc"},

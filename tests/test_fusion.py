@@ -1,5 +1,7 @@
 """Fusion estimators: closed-form instances, identities, limits, inference."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from datafuse.errors import (
     ZeroStandardError,
 )
 from datafuse.fusion import assemble_external
+from datafuse.model import MEAN_ZERO_TOL
 
 
 def _semi_supervised_inputs(beta_tilde=1.0, sigma1=1.25, m=4):
@@ -79,6 +82,107 @@ def test_empirical_moments_phi_equals_eta():
     np.testing.assert_allclose(cross, gram, atol=1e-14)
     with pytest.raises(DimensionMismatch):
         empirical_moments(fit, FunctionalFit([0.0], centered(rng, 29, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the centering check, where influence enters a calibration
+
+ROLES = ("tau", "beta")
+
+
+def _calibrate(influence, role):
+    """FusionInputs with `influence` as the influence of its target fit (role
+    "tau", no summary) or of its binding fit (role "beta", one summary
+    coordinate per column)."""
+    influence = np.asarray(influence, dtype=float)
+    n, q = influence.shape
+    fit = FunctionalFit(np.ones(q), influence, label=role)
+    if role == "tau":
+        return FusionInputs(fit, FunctionalFit(np.zeros(0), np.zeros((n, 0))), ())
+    summary = validate_summary(np.zeros(q), np.eye(q), 100, mean_binding(q))
+    return FusionInputs(FunctionalFit([0.0], np.zeros((n, 1))), fit, (summary,))
+
+
+def test_fusion_inputs_reject_uncentered_influence():
+    good = FunctionalFit([1.0], np.array([[-1.0], [0.0], [1.0]]))
+    assert good.n == 3 and good.p == 1
+    # built without complaint: the check is made where the fit is calibrated
+    bad = FunctionalFit([1.0], np.array([[1.0], [2.0], [3.0]]))
+    for role in ROLES:
+        _calibrate(good.influence, role)
+        with pytest.raises(DimensionMismatch, match="not mean-zero"):
+            _calibrate(bad.influence, role)
+
+
+def _two_pass_check(estimate, influence):
+    """The centering check as np.mean and np.std compute it: the error type
+    it raises (None if it passes) and each column's distance from its
+    boundary, relative to that boundary."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.sum(influence * influence, axis=0)
+    if not np.all(np.isfinite(estimate)) or not np.all(np.isfinite(squares)):
+        return NonFiniteValue, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        means, stds = influence.mean(axis=0), influence.std(axis=0)
+        bound = MEAN_ZERO_TOL * (stds + 1.0)
+        distance = np.abs(np.abs(means) - bound) / bound
+    return (DimensionMismatch if np.any(np.abs(means) > bound) else None), distance
+
+
+@st.composite
+def _influence_columns(draw):
+    n = draw(st.integers(1, 40))
+    q = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = rng.standard_normal((n, q)) * 10.0 ** draw(st.floats(-8.0, 8.0))
+    cols -= cols.mean(axis=0)
+    kind = draw(st.sampled_from(["centered", "boundary", "offset", "huge", "non-finite"]))
+    bound = MEAN_ZERO_TOL * (cols.std(axis=0) + 1.0)
+    if kind == "boundary":
+        cols += bound * draw(st.floats(0.5, 1.5)) * rng.choice([-1.0, 1.0], size=q)
+    elif kind == "offset":
+        cols += 10.0 ** draw(st.floats(-12.0, 12.0)) * rng.choice([-1.0, 1.0], size=q)
+    elif kind == "huge":
+        cols[rng.integers(n), rng.integers(q)] = draw(st.sampled_from([1e155, -1e200, 1.7e308]))
+    elif kind == "non-finite":
+        cols[rng.integers(n), rng.integers(q)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return cols
+
+
+@settings(max_examples=400, deadline=None)
+@given(influence=_influence_columns())
+def test_centering_check_decides_as_the_two_pass_check(influence):
+    # a column sum and the diagonal of the influence's second moments give
+    # the decision of np.mean and np.std except within round-off of the
+    # boundary; non-finite values (where the fit is built) and second
+    # moments that overflow are rejected as non-finite, with no warning
+    expected, distance = _two_pass_check(np.ones(influence.shape[1]), influence)
+    for role in ROLES:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _calibrate(influence, role)
+            outcome = None
+        except (DimensionMismatch, NonFiniteValue) as exc:
+            outcome = type(exc)
+        if outcome is not expected:
+            assert expected is not NonFiniteValue and outcome is not NonFiniteValue
+            assert np.min(distance) < 1e-6
+
+
+def test_centering_check_examples():
+    for role in ROLES:
+        # a single row passes only if it is within the tolerance of zero
+        _calibrate(np.array([[0.5e-8]]), role)
+        with pytest.raises(DimensionMismatch):
+            _calibrate(np.array([[2e-8]]), role)
+        # a large common offset is no longer hidden by cancellation
+        with pytest.raises(DimensionMismatch):
+            _calibrate(np.array([[1e9 + 1.0], [1e9 - 1.0]]), role)
+        # squares overflow: rejected as non-finite, whatever the means
+        for influence in ([[1e200], [-1e200]], [[1e300], [1e300], [-1e300]], [[1.7e308]] * 2):
+            with pytest.raises(NonFiniteValue):
+                _calibrate(np.array(influence), role)
 
 
 def test_assemble_external_blockdiag_scaling():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import joint_ols_summary, marginal_slopes_summary
 from scipy.special import expit
 
 import datafuse.sim as sim_module
@@ -153,6 +154,66 @@ def test_gen_scenario2_attenuation_and_correlation():
 
 
 # ---------------------------------------------------------------------------
+# the external summaries
+
+
+def _redraw_scenario1(n, m, seed):
+    """Scenario I's internal columns and external (design, y), drawn as
+    gen_scenario1 draws them from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    x, t, y = sim_module._scenario1_draw(n, rng)
+    xe, te, ye = sim_module._scenario1_draw(m, rng)
+    internal = {"X": x, "X2": x * x, "T": t, "Y": y}
+    return internal, np.column_stack([np.ones(m), xe, te]), ye
+
+
+def _redraw_scenario2(n, m, biased, seed, tau=(1.0, 1.0)):
+    """Scenario II's internal columns and external (regressors, y), drawn as
+    gen_scenario2 draws them from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    chol = np.array([[1.0, 0.0], [0.6, 0.8]])
+
+    def draw(size):
+        xs = rng.standard_normal((size, 2)) @ chol.T
+        return xs, xs[:, 0] * tau[0] + xs[:, 1] * tau[1] + 2.0 * rng.standard_normal(size)
+
+    x_int, y_int = draw(n)
+    x_ext, y_ext = draw(m)
+    x2_obs = x_ext[:, 1] + rng.standard_normal(m) if biased else x_ext[:, 1]
+    internal = {"X1": x_int[:, 0], "X2": x_int[:, 1], "Y": y_int}
+    return internal, np.column_stack([x_ext[:, 0], x2_obs]), y_ext
+
+
+_SUMMARY_CASES = [(50, 10, 1), (200, 37, 2), (1000, 1000, 3), (300, 4000, 4), (20, 2500, 5)]
+
+
+@pytest.mark.parametrize("n, m, seed", _SUMMARY_CASES)
+def test_gen_scenario1_summary_matches_the_sandwich(n, m, seed):
+    internal, summary, _ = gen_scenario1(n, m, np.random.default_rng(seed))
+    columns, design, y = _redraw_scenario1(n, m, seed)
+    for name, values in columns.items():
+        np.testing.assert_array_equal(internal.column(name), values)
+    coef, sigma1 = joint_ols_summary(design, y)
+    np.testing.assert_allclose(summary.beta, coef, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(summary.sigma1, sigma1, rtol=1e-10, atol=0.0)
+    assert summary.m == m
+
+
+@pytest.mark.parametrize("biased", [True, False], ids=["biased", "unbiased"])
+@pytest.mark.parametrize("n, m, seed", _SUMMARY_CASES)
+def test_gen_scenario2_summary_matches_the_marginal_slopes(n, m, seed, biased):
+    tau = (1.0, 1.0) if biased else (2.0, 0.5)
+    internal, summary, _ = gen_scenario2(n, m, biased, np.random.default_rng(seed), tau)
+    columns, regressors, y = _redraw_scenario2(n, m, biased, seed, tau)
+    for name, values in columns.items():
+        np.testing.assert_array_equal(internal.column(name), values)
+    coef, sigma1 = marginal_slopes_summary(regressors, y)
+    np.testing.assert_allclose(summary.beta, coef, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(summary.sigma1, sigma1, rtol=1e-10, atol=0.0)
+    assert summary.m == m
+
+
+# ---------------------------------------------------------------------------
 # configuration
 
 
@@ -194,6 +255,18 @@ def test_scenario_config_from_dict():
         ScenarioConfig.from_dict({"scenario": "I", "shape": 3})
     with pytest.raises(MalformedInput):
         ScenarioConfig.from_dict(["I"])
+
+
+@pytest.mark.parametrize("name", ["n", "m", "reps"])
+def test_scenario_config_rejects_sizes_beyond_the_index_type(name):
+    # numpy raised a raw ValueError (n, m) or OverflowError (reps) before
+    # allocating anything; the config now stops them first
+    with pytest.raises(MalformedInput, match=f"{name} must be at most"):
+        ScenarioConfig.from_dict({"scenario": "I", name: 10**400})
+    top = int(np.iinfo(np.intp).max)
+    with pytest.raises(MalformedInput):
+        ScenarioConfig.from_dict({"scenario": "I", name: top + 1})
+    assert getattr(ScenarioConfig.from_dict({"scenario": "I", name: top}), name) == top
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,8 @@ runs from checkouts in different directories compare equal. A change that
 claims to leave every output unchanged should leave this output unchanged:
 diff it between the parent checkout and the change. The digests depend on
 the numpy and BLAS build, so compare runs on one machine only. Exits 1 if
-any command fails.
+any command fails. `outputs` yields the outputs themselves, which
+tools/compare_outputs.py compares number by number.
 """
 
 import os
@@ -94,7 +95,9 @@ def run(argv: list, tmp: Path) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    stderr = err.getvalue().replace(str(SRC), "<src>").replace(str(tmp), "<tmp>")
+    # the source tree imported, which warnings name
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    stderr = err.getvalue().replace(src, "<src>").replace(str(tmp), "<tmp>")
     return code, out.getvalue(), stderr
 
 
@@ -104,72 +107,80 @@ def digest(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def report(name: str, argv: list, tmp: Path, files=()) -> bool:
-    """Run `datafuse <argv>` and print the digests of its stdout, its stderr
-    and, if it succeeds, of `files`. Returns whether it succeeded."""
+def command(name: str, argv: list, tmp: Path, failures: list, files=()):
+    """Run `datafuse <argv>` and yield its stdout, its stderr and, if it
+    succeeds, `files`, each as (name, output); if it fails, append `name`
+    to `failures`."""
     code, stdout, stderr = run(argv, tmp)
-    print(f"{digest(stdout)}  {name}/stdout")
-    print(f"{digest(stderr)}  {name}/stderr")
+    yield f"{name}/stdout", stdout
+    yield f"{name}/stderr", stderr
     if code != 0:
         print(f"{name} exited {code}: {stderr.strip()}", file=sys.stderr)
-        return False
+        failures.append(name)
+        return
     for path in files:
-        print(f"{digest(path.read_bytes())}  {name}/{path.name}")
-    return True
+        yield f"{name}/{path.name}", path.read_bytes()
+
+
+def outputs(tmp: Path, failures: list):
+    """The command set, run in `tmp`: yields (name, output) for every output
+    in order, a str or bytes, and appends each failing command's name to
+    `failures`."""
+    for scenario in SCENARIOS:
+        out_dir = tmp / scenario
+        argv = ["simulate", "--scenario", scenario, *SIM_ARGS, "--out-dir", str(out_dir)]
+        files = (out_dir / "metrics.csv", out_dir / "metrics_per_rep.csv")
+        yield from command(f"simulate-{scenario}", argv, tmp, failures, files)
+
+    rng = np.random.default_rng(ESTIMATE_SEED)
+    csv_path, summary_path = write_inputs(tmp, "", *gen_scenario1(ESTIMATE_N, ESTIMATE_N, rng))
+    yield f"inputs/{csv_path.name}", csv_path.read_bytes()
+    for method in METHODS:
+        argv = [
+            "estimate", "--internal", str(csv_path), "--summary", str(summary_path),
+            "--tau", TAU, "--method", method,
+        ]
+        yield from command(f"estimate-{method}", argv, tmp, failures)
+    rewrites = (("lf-no-final-newline", lf_no_final_end), ("quoted-header", quote_header))
+    for name, rewrite in rewrites:
+        path = tmp / f"internal_{name}.csv"
+        path.write_bytes(rewrite(csv_path.read_bytes()))
+        argv = [
+            "estimate", "--internal", str(path), "--summary", str(summary_path),
+            "--tau", TAU, "--method", "dbs",
+        ]
+        yield from command(f"estimate-dbs-{name}", argv, tmp, failures)
+
+    rng = np.random.default_rng(ESTIMATE_SEED)
+    inputs = gen_scenario2(ESTIMATE_N, 4 * ESTIMATE_N, True, rng)
+    csv_path, summary_path = write_inputs(tmp, "_II", *inputs)
+    yield f"inputs/{csv_path.name}", csv_path.read_bytes()
+    argv = [
+        "estimate", "--internal", str(csv_path), "--summary", str(summary_path),
+        "--tau", TAU_II, "--method", "dbs",
+    ]
+    yield from command("estimate-II_biased-dbs", argv, tmp, failures)
+
+    argv = ["estimate", "--internal", str(csv_path), "--tau", TAU_II, "--method", "dbs"]
+    for path in write_component_summaries(tmp):
+        argv += ["--summary", str(path)]
+    yield from command("estimate-II_biased-dbs-components", argv, tmp, failures)
 
 
 def main() -> int:
-    ok = []
+    failures = []
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        for scenario in SCENARIOS:
-            out_dir = tmp / scenario
-            argv = ["simulate", "--scenario", scenario, *SIM_ARGS, "--out-dir", str(out_dir)]
-            files = (out_dir / "metrics.csv", out_dir / "metrics_per_rep.csv")
-            ok.append(report(f"simulate-{scenario}", argv, tmp, files))
-
-        rng = np.random.default_rng(ESTIMATE_SEED)
-        csv_path, summary_path = write_inputs(tmp, "", *gen_scenario1(ESTIMATE_N, ESTIMATE_N, rng))
-        for method in METHODS:
-            argv = [
-                "estimate", "--internal", str(csv_path), "--summary", str(summary_path),
-                "--tau", TAU, "--method", method,
-            ]
-            ok.append(report(f"estimate-{method}", argv, tmp))
-        rewrites = (("lf-no-final-newline", lf_no_final_end), ("quoted-header", quote_header))
-        for name, rewrite in rewrites:
-            path = tmp / f"internal_{name}.csv"
-            path.write_bytes(rewrite(csv_path.read_bytes()))
-            argv = [
-                "estimate", "--internal", str(path), "--summary", str(summary_path),
-                "--tau", TAU, "--method", "dbs",
-            ]
-            ok.append(report(f"estimate-dbs-{name}", argv, tmp))
-
-        rng = np.random.default_rng(ESTIMATE_SEED)
-        inputs = gen_scenario2(ESTIMATE_N, 4 * ESTIMATE_N, True, rng)
-        csv_path, summary_path = write_inputs(tmp, "_II", *inputs)
-        argv = [
-            "estimate", "--internal", str(csv_path), "--summary", str(summary_path),
-            "--tau", TAU_II, "--method", "dbs",
-        ]
-        ok.append(report("estimate-II_biased-dbs", argv, tmp))
-
-        argv = ["estimate", "--internal", str(csv_path), "--tau", TAU_II, "--method", "dbs"]
-        for path in write_component_summaries(tmp):
-            argv += ["--summary", str(path)]
-        ok.append(report("estimate-II_biased-dbs-components", argv, tmp))
-    return 0 if all(ok) else 1
+        for name, data in outputs(Path(tmp), failures):
+            print(f"{digest(data)}  {name}")
+    return 1 if failures else 0
 
 
 def write_inputs(tmp: Path, suffix: str, internal, summary, _truth) -> tuple:
-    """Write `internal` and `summary` to `tmp`, print the CSV's digest, and
-    return the two paths."""
+    """Write `internal` and `summary` to `tmp` and return the two paths."""
     csv_path = tmp / f"internal{suffix}.csv"
     summary_path = tmp / f"summary{suffix}.json"
     write_internal_csv(internal, csv_path)
     write_summary_json(summary, summary_path)
-    print(f"{digest(csv_path.read_bytes())}  inputs/{csv_path.name}")
     return csv_path, summary_path
 
 
