@@ -8,6 +8,7 @@ DATAFUSE_SEED serves as a fallback seed when --seed is absent.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -39,6 +40,7 @@ class _Parser(argparse.ArgumentParser):
         raise MalformedInput(message)
 
 
+@functools.cache  # one parser per process: parse_args keeps no state in it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="datafuse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -41,6 +41,7 @@ PSD_TOL = -1e-10
 MEAN_ZERO_TOL = 1e-8
 AVAR_TOL = 1e-8
 FLOAT_FMT = "%.17g"
+_CENSUS_WINDOW = 1 << 16  # bytes per step of _line_ends
 
 
 def _readonly(values) -> np.ndarray:
@@ -103,7 +104,9 @@ class InternalDataset:
     def subset(self, idx) -> "InternalDataset":
         """Row subset (used by cross-validation folds)."""
         idx = np.asarray(idx)
-        cols = {name: _readonly(arr[idx]) for name, arr in self.columns.items()}
+        cols = {name: arr[idx] for name, arr in self.columns.items()}  # new arrays
+        for col in cols.values():
+            col.setflags(write=False)
         return InternalDataset(columns=cols, n=int(idx.size))
 
 
@@ -573,8 +576,9 @@ def _read_columns_fast(path):
     body: loadtxt skips blank lines, which the csv reader returns as empty
     (ragged) rows. Otherwise loadtxt reads a number exactly when float()
     does, to the same bits. The bytes read are the only copy of the file
-    held: every check searches or counts them in place, and loadtxt decodes
-    them line by line from a BytesIO that shares them.
+    held: every check searches them in place or counts them a window at a
+    time, and loadtxt decodes them line by line from a BytesIO that shares
+    them.
     """
     try:
         with open(path, "rb") as fh:
@@ -600,10 +604,9 @@ def _read_columns_fast(path):
         header = next(csv.reader([header_line]))
         if not header or len(set(header)) != len(header):
             return None
-        breaks = raw.count(b"\n", start) + raw.count(b"\r", start)
+        breaks, lines = _line_ends(raw, start)
         if breaks == len(raw) - start:  # loadtxt warns on finding no rows
             return None
-        lines = breaks - raw.count(b"\r\n", start) + (not raw.endswith((b"\n", b"\r")))
         body = io.BytesIO(raw)
         body.seek(start)
         values = np.loadtxt(
@@ -614,6 +617,22 @@ def _read_columns_fast(path):
     if values.shape != (lines, len(header)):
         return None
     return {name: values[:, j] for j, name in enumerate(header)}
+
+
+def _line_ends(raw: bytes, start: int) -> tuple:
+    """(breaks, lines) of raw[start:]: breaks counts its \\n and \\r bytes,
+    lines the csv reader's lines (\\n, \\r and \\r\\n each end one, and an
+    unterminated last line counts). One pass over fixed windows of the bytes,
+    each reaching one byte into the next so that a \\r\\n across an edge is
+    seen once; no array larger than a window is made."""
+    buf = np.frombuffer(raw, np.uint8)
+    breaks = pairs = 0
+    for lo in range(start, len(raw), _CENSUS_WINDOW):
+        window = buf[lo : lo + _CENSUS_WINDOW + 1]
+        lf, cr = window == 10, window == 13
+        breaks += np.count_nonzero((lf | cr)[:_CENSUS_WINDOW])
+        pairs += np.count_nonzero(cr[:-1] & lf[1:])
+    return breaks, breaks - pairs + (not raw.endswith((b"\n", b"\r")))
 
 
 def _read_columns_csv(path) -> dict:

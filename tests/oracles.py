@@ -20,6 +20,8 @@
   coefficients with the sandwich covariance, and marginal_slopes_summary,
   the marginal slopes with meat / outer(second, second). The generators
   now fit with the package's fitters, which must give the same numbers.
+- line_ends_by_count, the CSV fast path's line-end counts as three
+  bytes.count scans; datafuse.model._line_ends must return the same pair.
 """
 
 import warnings
@@ -203,3 +205,15 @@ def marginal_slopes_summary(regressors: np.ndarray, y: np.ndarray):
     coef = np.mean(regressors * y[:, None], axis=0) / second
     scores = regressors * (y[:, None] - regressors * coef)
     return coef, (scores.T @ scores / m) / np.outer(second, second)
+
+
+# ---------------------------------------------------------------------------
+# the CSV fast path's line-end counts
+
+
+def line_ends_by_count(raw: bytes, start: int) -> tuple:
+    """(breaks, lines) of raw[start:]: its \\n and \\r bytes, and the csv
+    reader's lines, an unterminated last line included."""
+    breaks = raw.count(b"\n", start) + raw.count(b"\r", start)
+    lines = breaks - raw.count(b"\r\n", start) + (not raw.endswith((b"\n", b"\r")))
+    return breaks, lines

@@ -49,6 +49,12 @@ def report(capsys):
     return _report
 
 
+def _gap(value: float) -> str:
+    """A gap as printed: below 1e-12 it is round-off, whose digits move
+    with any change to the order of floating-point operations."""
+    return "<1e-12" if value < 1e-12 else f"{value:.2e}"
+
+
 def _row(result, method, param=0):
     for row in result.rows:
         if row.method == method and row.param == param:
@@ -227,7 +233,9 @@ def test_criterion_7_minimizer_equivalence(report):
         gap = float(np.max(np.abs(tau_part - estimate_eff(inputs).estimate)))
         worst = max(worst, gap)
     ok = worst <= 1e-8
-    detail = f"joint minimizer vs fused estimate, worst gap {worst:.2e} over 100 instances (<=1e-8)"
+    detail = (
+        f"joint minimizer vs fused estimate, worst gap {_gap(worst)} over 100 instances (<=1e-8)"
+    )
     assert report(7, ok, detail)
 
 
@@ -247,7 +255,9 @@ def test_criterion_8_ivw_reduction(report):
         pooled = ivw_reduce(float(y.mean()), float(np.var(y)) / n, beta_tilde, s1 / m)
         worst = max(worst, abs(estimate_eff(inputs).estimate[0] - pooled))
     ok = worst <= 1e-10
-    detail = f"shared-functional fusion vs inverse-variance pooling, worst gap {worst:.2e} (<=1e-10)"
+    detail = (
+        f"shared-functional fusion vs inverse-variance pooling, worst gap {_gap(worst)} (<=1e-10)"
+    )
     assert report(8, ok, detail)
 
 
@@ -336,7 +346,7 @@ def test_criterion_10_adaptive_lasso_oracle(report):
     ok = oracle_gap <= 1e-6 and subgrad_worst <= 1e-8 and ls_gap <= 1e-8 and zeros_exact
     detail = (
         f"grid-oracle objective gap {oracle_gap:.2e} (<=1e-6); subgradient slack"
-        f" {subgrad_worst:.2e} (<=1e-8); lambda=0 vs least squares {ls_gap:.2e};"
+        f" {_gap(subgrad_worst)} (<=1e-8); lambda=0 vs least squares {_gap(ls_gap)};"
         f" lambda=inf all-zero {zeros_exact}"
     )
     assert report(10, ok, detail)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import datafuse
-from datafuse import FunctionalKind
+from datafuse import FunctionalKind, cli
 from datafuse.cli import main
 from datafuse.model import _ARGS
 from helpers import CSV_ODD_CELLS, csv_bytes, finite_float, fuzz_rng, pick
@@ -242,6 +242,26 @@ def test_estimate_env_seed(tmp_path, capsys, monkeypatch):
     # explicit --seed wins, the broken variable is never parsed
     code, explicit, _ = _run(capsys, argv + ["--seed", "11"])
     assert code == 0 and explicit == flagged
+
+
+def test_the_shared_parser_carries_no_state_between_calls(tmp_path, capsys):
+    # main parses with one parser per process; each call, after calls with
+    # other flags or an argv error, prints what a freshly built parser gives
+    internal, summary = _write_example(tmp_path)
+    other = tmp_path / "other.json"
+    other.write_text(summary.read_text().replace('"beta": [1.0]', '"beta": [1.5]'))
+    base = ["estimate", "--internal", str(internal), "--tau", TAU_MEAN_Y]
+    two = base + ["--summary", str(summary), "--summary", str(other)]
+    one = base + ["--summary", str(other)]
+    calls = (two, one, base + ["--method", "nope"], one, two)
+    shared = [_run(capsys, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(_run(capsys, argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0]
+    assert shared[0][1] != shared[1][1]
 
 
 def test_estimate_ate_with_control_mean_summary(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Data types, validation, and serialization round-trips."""
 
+import csv
 import importlib
 import json
 import pkgutil
@@ -7,11 +8,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import datafuse
+import datafuse.model as model
 from helpers import csv_files
+from oracles import line_ends_by_count
 from datafuse import (
     FunctionalDescriptor,
     FunctionalFit,
@@ -43,9 +46,11 @@ from datafuse.errors import (
 )
 from datafuse.model import (
     _ARGS,
+    _CENSUS_WINDOW,
     _bool,
     _col,
     _cols,
+    _line_ends,
     _link,
     _read_columns_csv,
     _read_columns_fast,
@@ -78,6 +83,12 @@ def test_validate_dataset_subset_keeps_roles():
     sub = data.subset([2, 0])
     assert sub.n == 2
     np.testing.assert_array_equal(sub.column("Y"), [3.0, 1.0])
+    # each column is its own read-only float copy
+    for name in ("Y", "T"):
+        col = sub.column(name)
+        assert col.dtype == float and not np.shares_memory(col, data.column(name))
+        with pytest.raises(ValueError):
+            col[0] = 9.0
 
 
 def test_validate_dataset_nonbinary_treatment():
@@ -497,6 +508,83 @@ def test_fast_csv_parse_takes_ordinary_files(tmp_path):
     for raw in (lf + b"\n", lf.replace(b",0\n", b',"0"\n', 1), lf.replace(b"\n", b"\r")):
         path.write_bytes(raw)
         assert _read_columns_fast(path) is None
+
+
+_PIECES = st.sampled_from(
+    [b"\n", b"\r", b"\r\n", b"\n\r", b"\r\r", b"1.5", b",", b"\x00", b"\xff"]
+)
+
+
+@st.composite
+def _line_end_bytes(draw):
+    """(raw, start): a repeated pattern of line ends and other bytes, short or
+    one to three census windows long, with pieces written over it at random
+    offsets and at the last byte of a window."""
+    start = draw(st.integers(0, 4))
+    long = st.integers(_CENSUS_WINDOW - 2, 3 * _CENSUS_WINDOW + 2)
+    size = draw(st.one_of(st.integers(0, 40), long))
+    pattern = b"".join(draw(st.lists(_PIECES, min_size=1, max_size=6)))
+    raw = bytearray((pattern * (size // len(pattern) + 1))[:size])
+    edges = st.sampled_from([start + k * _CENSUS_WINDOW - 1 for k in (1, 2, 3)])
+    for _ in range(draw(st.integers(0, 8))):
+        at = draw(st.one_of(st.integers(0, size), edges))
+        piece = draw(_PIECES)
+        raw[at : at + len(piece)] = piece
+    return bytes(raw[:size]), start
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_line_end_bytes())
+@example(case=(b"x" * (_CENSUS_WINDOW - 1) + b"\r\n" + b"x", 0))
+@example(case=(b"ab" + b"x" * (_CENSUS_WINDOW - 1) + b"\r\n", 2))
+@example(case=(b"x" * (_CENSUS_WINDOW - 1) + b"\r", 0))
+def test_line_end_census_counts_as_bytes_count(case):
+    raw, start = case
+    assert _line_ends(raw, start) == line_ends_by_count(raw, start)
+
+
+def _with_crlf_across_a_window_edge(crlf: bytes) -> bytes:
+    """`crlf` with zeros before its first data cell, as many as put a \\r\\n
+    across the edge of the census's first window."""
+    start = crlf.index(b"\r\n") + 2
+    before = crlf.rindex(b"\r", start, start + _CENSUS_WINDOW - 1)
+    raw = crlf[:start] + b"0" * (start + _CENSUS_WINDOW - 1 - before) + crlf[start:]
+    assert raw[start + _CENSUS_WINDOW - 1 : start + _CENSUS_WINDOW + 1] == b"\r\n"
+    return raw
+
+
+def test_fast_csv_parse_decides_as_with_bytes_count(tmp_path, monkeypatch):
+    # the census leaves every accept/decline decision and every parsed bit
+    # of the fast path as the three bytes.count scans gave them
+    rng = np.random.default_rng(17)
+    data = validate_dataset(
+        {"T": np.tile([0.0, 1.0], 1500), "X": rng.standard_normal(3000) * 1e5}
+    )
+    path = tmp_path / "written.csv"
+    write_internal_csv(data, path)
+    crlf = path.read_bytes()  # about two census windows
+    lf = crlf.replace(b"\r\n", b"\n")
+    rows = lf.split(b"\n")
+    taken = [
+        crlf, lf, lf.rstrip(b"\n"), crlf.rstrip(b"\r\n"), b"\xef\xbb\xbf" + lf,
+        _with_crlf_across_a_window_edge(crlf),
+    ]
+    edges = [
+        lf.replace(b"\n", b"\r"),
+        crlf.rstrip(b"\n"),
+        lf + b"\n",
+        b"\n".join(rows[:700] + [b""] + rows[700:]),
+        *(lf.replace(b"\n", b"\n" + bytes([c]), 2) for c in range(0x1C, 0x20)),
+        b"X\n1\n0." + b"0" * (csv.field_size_limit() + 1) + b"1\n",
+    ]
+    for i, raw in enumerate(taken + edges):
+        path.write_bytes(raw)
+        got = _read_columns_fast(path)
+        with monkeypatch.context() as patched:
+            patched.setattr(model, "_line_ends", line_ends_by_count)
+            want = _read_columns_fast(path)
+        assert got is not None or i >= len(taken), i
+        assert (want is None) == (got is None) and (got is None or _same_columns(got, want)), i
 
 
 def test_fast_csv_parse_holds_one_copy_of_the_file(tmp_path):

@@ -1,0 +1,54 @@
+"""tools/compare_outputs.py: the verdict on one output of two checkouts."""
+
+import json
+import math
+import re
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import compare_outputs  # noqa: E402
+
+
+def _estimate_json(z: float) -> str:
+    p = 0.5 * math.erfc(z / math.sqrt(2.0))  # as datafuse.fusion computes an upper tail
+    return json.dumps(
+        {
+            "method": "CRD",
+            "estimate": [0.75],
+            "p_one_sided": [p],
+            "test": {"null": 0.0, "side": "upper", "z": [z], "p": [p]},
+        },
+        indent=2,
+    )
+
+
+def _reported(text: str) -> list:
+    return [float(r) for r in re.findall(r"max rel diff (\S+)", text)]
+
+
+def test_extreme_p_values_are_compared_by_their_normal_quantile():
+    # z = 37.17 moved by 7.65e-15 relative moves its p of 1.04e-302 by about
+    # z^2 times as much; the quantiles move as z did
+    z = 37.17
+    this, other = _estimate_json(z), _estimate_json(z * (1 + 7.65e-15))
+    p_this, p_other = json.loads(this)["p_one_sided"][0], json.loads(other)["p_one_sided"][0]
+    assert p_this < 1e-301 and abs(p_this - p_other) / p_this > 1e-11
+    differs, text = compare_outputs.verdict(this, other)
+    assert not differs
+    numbers, p_values = _reported(text)
+    assert 7e-15 < numbers < 8e-15  # z
+    assert 7e-15 < p_values < 8e-15, text
+    assert text.endswith("over 2")
+
+
+def test_p_values_that_differ_are_still_reported():
+    this = _estimate_json(1.5)
+    differs, text = compare_outputs.verdict(this, _estimate_json(2.0))
+    assert not differs and _reported(text)[1] > 0.1
+    obj = json.loads(this)
+    obj["test"]["p"] = [None]
+    assert compare_outputs.verdict(this, json.dumps(obj, indent=2))[0]
+    # text that is not JSON is compared token by token, as before
+    assert compare_outputs.verdict("a,1.0\n", "a,1.5\n") == (False, "max rel diff 0.333 over 1 numbers")
+    assert compare_outputs.verdict("a,1.0\n", "b,1.0\n")[0]

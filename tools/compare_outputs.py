@@ -12,7 +12,13 @@ one line per output, "<command>/<output>: <verdict>", where the verdict is
 
 - "identical" when the two outputs are the same text;
 - "max rel diff <r> over <k> numbers" when they differ only in numbers with
-  a decimal point or an exponent, r the largest |a - b| / max(|a|, |b|);
+  a decimal point or an exponent, r the largest |a - b| / max(|a|, |b|).
+  In a JSON output the p-values ("p_one_sided" and the "test" entry's "p")
+  are compared apart, by their normal quantiles z = NormalDist().inv_cdf(p),
+  and any that differ are reported after "; p-values by normal quantile:"
+  in the same form: a tail p's relative error is about z^2 times that of z,
+  so round-off in an extreme p, such as 9.29e-303 at z = -37.17, would hide
+  every other move;
 - "DIFFERS at token <i>: <this> != <other>" otherwise: in the text between
   numbers (a header, a method name, a warning) or in an integer (a selected
   set, a coverage flag, a count, a line number).
@@ -30,6 +36,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from statistics import NormalDist
 
 TOOLS = Path(__file__).resolve().parent
 ROOT = TOOLS.parent
@@ -70,6 +77,46 @@ def verdict(this: str, other: str) -> tuple:
     """(differs, text) for one output on the two sides."""
     if this == other:
         return False, "identical"
+    a_p, this = _split_p_values(this)
+    b_p, other = _split_p_values(other)
+    differs, text = _number_verdict(this, other)
+    if differs or not (a_p or b_p):
+        return differs, text
+    if len(a_p) != len(b_p) or any((a is None) != (b is None) for a, b in zip(a_p, b_p)):
+        return True, f"DIFFERS in p-values: {a_p} != {b_p}"
+    worst, count = 0.0, 0
+    for a, b in zip(a_p, b_p):
+        if a != b:
+            worst = max(worst, _rel_diff(_quantile(a), _quantile(b)))
+            count += 1
+    if count == 0:
+        return False, text
+    return False, f"{text}; p-values by normal quantile: max rel diff {worst:.3g} over {count}"
+
+
+def _split_p_values(text: str) -> tuple:
+    """(p-values, rest of the text) of an output that is a JSON object:
+    its "p_one_sided" list and the "test" entry's "p" list, and the object
+    without them, dumped as estimate dumps it. Other text comes back whole."""
+    try:
+        obj = json.loads(text)
+    except ValueError:
+        return [], text
+    if not isinstance(obj, dict):
+        return [], text
+    p_values = list(obj.pop("p_one_sided", []))
+    if isinstance(obj.get("test"), dict):
+        p_values += obj["test"].pop("p", [])
+    return p_values, json.dumps(obj, indent=2)
+
+
+def _quantile(p: float) -> float:
+    """NormalDist().inv_cdf(p), or p itself at 0 and 1, where it is infinite."""
+    return NormalDist().inv_cdf(p) if 0.0 < p < 1.0 else p
+
+
+def _number_verdict(this: str, other: str) -> tuple:
+    """verdict's token by token comparison of two texts."""
     worst, count = 0.0, 0
     a_parts, b_parts = NUMBER.split(this), NUMBER.split(other)
     a_nums, b_nums = NUMBER.findall(this), NUMBER.findall(other)
@@ -80,14 +127,17 @@ def verdict(this: str, other: str) -> tuple:
         if a_is_num and b_is_num and (_is_float(a) or _is_float(b)):
             x, y = float(a), float(b)
             if math.isfinite(x) and math.isfinite(y):
-                if x != y:
-                    worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+                worst = max(worst, _rel_diff(x, y))
                 count += 1
                 continue
         return True, f"DIFFERS at token {i}: {a!r} != {b!r}"
     if len(a_nums) != len(b_nums):
         return True, f"DIFFERS: {len(a_nums)} numbers != {len(b_nums)}"
     return False, f"max rel diff {worst:.3g} over {count} numbers"
+
+
+def _rel_diff(x: float, y: float) -> float:
+    return 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
 
 
 def _interleave(parts: list, numbers: list):
