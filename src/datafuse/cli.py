@@ -230,8 +230,6 @@ def _cmd_simulate(args) -> tuple:
         cfg["seed"] = seed
     if args.out_dir is not None:
         cfg["out_dir"] = args.out_dir
-    if args.threads < 1:
-        raise MalformedInput(f"--threads must be >= 1, got {args.threads}")
 
     config = ScenarioConfig.from_dict(cfg)
     result = run_replications(config, threads=args.threads)

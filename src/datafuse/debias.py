@@ -24,7 +24,7 @@ fitter fails, so the refit decides, and a fold fails only with its error.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -116,7 +116,7 @@ class DebiasConfig:
     def from_dict(cls, obj) -> "DebiasConfig":
         if not isinstance(obj, dict):
             raise MalformedInput("debias config must be a table/object")
-        extra = set(obj) - {"alpha", "w", "grid_c", "k", "seed", "lambda_fixed"}
+        extra = set(obj) - {f.name for f in fields(cls)}
         if extra:
             raise MalformedInput(f"unknown debias config keys {sorted(extra)}")
         return cls(**obj)

@@ -13,17 +13,16 @@ descriptors (functionals.evaluate_binding), and sigma1 is the second moment
 E(eta eta') of those fits' influence columns, which for least squares is
 the sandwich covariance of the sqrt(m)-scaled estimate.
 
-Replications draw from one substream per replication (spawned from a root
-seed), so results are identical for any thread count and any method
-subset.
+Replications run one after another in the calling thread, each drawing
+from its own substream (spawned from a root seed), so results are
+identical for any `threads` cap and any method subset.
 """
 
 import csv
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -74,6 +73,28 @@ FAILURE_ABORT_RATE = 0.01
 _MAX_SIZE = int(np.iinfo(np.intp).max)
 
 
+def _size(name: str, value) -> None:
+    """Check that `value` is an integer >= 1 that numpy takes as an array length."""
+    if _integer(name, value, 1) > _MAX_SIZE:
+        raise MalformedInput(f"{name} must be at most {_MAX_SIZE}, got {value!r}")
+
+
+def _tau(value) -> tuple:
+    """`value`, a list or tuple of two real numbers, as a tuple of floats."""
+    tau = _reals("tau", value)
+    if len(tau) != 2:
+        raise MalformedInput("tau must have two components")
+    return tau
+
+
+def _check_draw(n, m, rng) -> None:
+    """Check the sizes n and m and the numpy Generator of a generator call."""
+    _size("n", n)
+    _size("m", m)
+    if not isinstance(rng, np.random.Generator):
+        raise MalformedInput(f"rng must be a numpy Generator, got {rng!r}")
+
+
 # ---------------------------------------------------------------------------
 # generators
 
@@ -113,6 +134,7 @@ def gen_scenario1(n: int, m: int, rng: np.random.Generator):
     The internal sample is drawn before the external one, so with a fixed
     substream the internal data do not depend on m.
     """
+    _check_draw(n, m, rng)
     x, t, y = _scenario1_draw(n, rng)
     internal = validate_dataset(
         {"X": x, "X2": x * x, "T": t, "Y": y},
@@ -155,7 +177,8 @@ def gen_scenario2(
     additive N(0,1) measurement error, attenuating its marginal slope by
     1/2; the first summary coordinate stays unbiased.
     """
-    tau1, tau2 = float(tau[0]), float(tau[1])
+    _check_draw(n, m, rng)
+    tau1, tau2 = _tau(tau)
     chol = np.array([[1.0, 0.0], [0.6, 0.8]])
 
     def draw(size):
@@ -232,11 +255,9 @@ class ScenarioConfig:
             raise MalformedInput(
                 f"scenario must be one of {SCENARIOS}, got {self.scenario!r}"
             )
-        for name, low in (("n", 1), ("m", 1), ("reps", 1), ("seed", 0)):
-            value = _integer(name, getattr(self, name), low)
-            # a size is an array length: numpy refuses one beyond its index type
-            if name != "seed" and value > _MAX_SIZE:
-                raise MalformedInput(f"{name} must be at most {_MAX_SIZE}, got {value!r}")
+        for name in ("n", "m", "reps"):
+            _size(name, getattr(self, name))
+        _integer("seed", self.seed, 0)
         if not isinstance(self.methods, (list, tuple)):
             raise MalformedInput(f"methods must be a list of names, got {self.methods!r}")
         methods = tuple(self.methods) or _DEFAULT_METHODS[self.scenario]
@@ -249,10 +270,7 @@ class ScenarioConfig:
         object.__setattr__(self, "methods", tuple(seen))
         if not 0.0 < _real("level", self.level) < 1.0:
             raise MalformedInput(f"level must be in (0, 1), got {self.level}")
-        tau = _reals("tau", self.tau)
-        if len(tau) != 2:
-            raise MalformedInput("tau must have two components")
-        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "tau", _tau(self.tau))
         if self.out_dir is not None and not isinstance(self.out_dir, (str, os.PathLike)):
             raise MalformedInput(f"out_dir must be a path, got {self.out_dir!r}")
 
@@ -260,11 +278,7 @@ class ScenarioConfig:
     def from_dict(cls, obj) -> "ScenarioConfig":
         if not isinstance(obj, dict):
             raise MalformedInput("config must be a table/object")
-        known = {
-            "scenario", "n", "m", "reps", "seed", "methods", "level", "tau",
-            "debias", "out_dir",
-        }
-        extra = set(obj) - known
+        extra = set(obj) - {f.name for f in fields(cls)}
         if extra:
             raise MalformedInput(f"unknown config keys {sorted(extra)}")
         kwargs = dict(obj)
@@ -343,44 +357,26 @@ def _replicate(config: ScenarioConfig, rep_seed: np.random.SeedSequence):
     return truth["tau"], out
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (the affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _pool_size(threads: int, reps: int, cpus: int) -> int:
-    """Workers for `reps` replications at `--threads threads`: no more than
-    there are replications or usable CPUs, and at least one."""
-    return max(1, min(threads, reps, cpus))
-
-
 def run_replications(config: ScenarioConfig, threads: int = 1) -> SimulationResult:
     """Run the configured replications and aggregate the reference metrics.
 
     A replication on which any method raises a package error is dropped
     from every method (paired comparisons stay paired) with a warning;
     if 1% or more of the replications fail, the whole run aborts.
+    `threads` (an integer >= 1) caps the workers; one loop in the calling
+    thread meets any cap, and ran faster than a thread pool.
     """
-    seeds = np.random.SeedSequence(config.seed).spawn(config.reps)
-
-    def worker(args):
-        rep, seed = args
+    if not isinstance(config, ScenarioConfig):
+        raise MalformedInput(f"config must be a ScenarioConfig, got {config!r}")
+    _integer("threads", threads, 1)
+    kept = []
+    failures = []
+    for rep, seed in enumerate(np.random.SeedSequence(config.seed).spawn(config.reps)):
         try:
-            return rep, _replicate(config, seed), None
+            kept.append((rep, _replicate(config, seed)))
         except DataFuseError as exc:
-            return rep, None, exc
+            failures.append((rep, exc))
 
-    jobs = list(enumerate(seeds))
-    workers = _pool_size(threads, config.reps, _usable_cpus())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(worker, jobs))
-    else:
-        outcomes = [worker(job) for job in jobs]
-
-    failures = [(rep, exc) for rep, _, exc in outcomes if exc is not None]
     if len(failures) >= FAILURE_ABORT_RATE * config.reps:
         raise ExcessiveFailures(
             f"{len(failures)}/{config.reps} replications failed; first: {failures[0][1]}"
@@ -390,7 +386,6 @@ def run_replications(config: ScenarioConfig, threads: int = 1) -> SimulationResu
             f"excluded {len(failures)} failed replication(s) from all methods: "
             f"first failure (rep {failures[0][0]}): {failures[0][1]}"
         )
-    kept = [(rep, payload) for rep, payload, exc in outcomes if exc is None]
     if len(kept) < 2:
         warnings.warn(
             "one replication: mc_se_bias, mc_se_rmse and mc_se_ase are sample "
@@ -485,6 +480,10 @@ def export_tables(result: SimulationResult, path) -> tuple:
     """Write the aggregated metrics CSV at `path` plus a companion
     long-format CSV of per-replication estimates (suffix _per_rep.csv).
     Returns both paths."""
+    if not isinstance(result, SimulationResult):
+        raise MalformedInput(f"result must be a SimulationResult, got {result!r}")
+    if not isinstance(path, (str, os.PathLike)):
+        raise MalformedInput(f"path must be a path, got {path!r}")
     if not result.rows:
         raise MalformedInput("no metrics rows to export")
     path = Path(path)

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -153,6 +154,31 @@ def test_gen_scenario2_attenuation_and_correlation():
     assert abs(clean.beta[1] - 1.6) < 0.02
 
 
+_TOO_BIG = sim_module._MAX_SIZE + 1
+
+
+# each call is checked before it draws, so no size here is ever allocated
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rng: gen_scenario1("50", 50, rng),
+        lambda rng: gen_scenario1(1.5, 50, rng),
+        lambda rng: gen_scenario1(50, _TOO_BIG, rng),
+        lambda rng: gen_scenario1(50, 50, None),
+        lambda rng: gen_scenario2(-1, 50, True, rng),
+        lambda rng: gen_scenario2(_TOO_BIG, 50, True, rng),
+        lambda rng: gen_scenario2(50, 50, True, None),
+        lambda rng: gen_scenario2(50, 50, True, rng, tau=("a", "b")),
+        lambda rng: gen_scenario2(50, 50, True, rng, tau=(1.0,)),
+    ],
+    ids=["n-str", "n-float", "m-too-big", "rng-none", "n-negative", "n-too-big", "rng-none-2",
+         "tau-str", "tau-short"],
+)
+def test_generators_reject_bad_arguments(call):
+    with pytest.raises(MalformedInput):
+        call(np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # the external summaries
 
@@ -282,15 +308,40 @@ def test_run_replications_deterministic_across_threads():
     assert serial.failures == 0
 
 
-def test_pool_size_caps_workers_at_reps_and_cpus():
-    # arithmetic only: no pool is started
-    assert sim_module._pool_size(1, 200, 8) == 1
-    assert sim_module._pool_size(4, 200, 8) == 4
-    assert sim_module._pool_size(4, 3, 8) == 3
-    assert sim_module._pool_size(64, 200, 2) == 2
-    assert sim_module._pool_size(10**9, 10**9, 2) == 2
-    assert sim_module._pool_size(0, 5, 2) == 1
-    assert sim_module._usable_cpus() >= 1
+def test_run_replications_runs_every_rep_in_the_callers_thread(monkeypatch):
+    cfg = ScenarioConfig(scenario="I", n=200, m=100, reps=6, seed=3, methods=("INT",))
+    original = sim_module._replicate
+    idents = []
+
+    def recording(config, rep_seed):
+        idents.append(threading.get_ident())
+        return original(config, rep_seed)
+
+    monkeypatch.setattr(sim_module, "_replicate", recording)
+    run_replications(cfg, threads=4)
+    assert idents == [threading.get_ident()] * cfg.reps
+
+
+_SMALL_CONFIG = ScenarioConfig(scenario="I", n=200, m=100, reps=2, seed=3, methods=("INT",))
+
+
+@pytest.mark.parametrize(
+    "config, threads",
+    [
+        ({"scenario": "I", "n": 200, "m": 100, "reps": 2}, 1),
+        (_SMALL_CONFIG, "2"),
+        (_SMALL_CONFIG, None),
+        (_SMALL_CONFIG, 0),
+        (_SMALL_CONFIG, -3),
+        (_SMALL_CONFIG, 2.5),
+        (_SMALL_CONFIG, True),
+    ],
+    ids=["config-dict", "threads-str", "threads-none", "threads-0", "threads-neg", "threads-float",
+         "threads-bool"],
+)
+def test_run_replications_rejects_bad_arguments(config, threads):
+    with pytest.raises(MalformedInput):
+        run_replications(config, threads=threads)
 
 
 def test_run_replications_method_subset_preserves_streams():
@@ -379,6 +430,18 @@ def test_export_tables_errors(tmp_path):
         export_tables(replace(result, rows=()), tmp_path / "x.csv")
     with pytest.raises(IoError):
         export_tables(result, tmp_path / "absent" / "x.csv")
+
+
+@pytest.mark.parametrize("path", [None, 5, b"x.csv"], ids=["none", "int", "bytes"])
+def test_export_tables_rejects_a_path_that_is_not_one(path):
+    with pytest.raises(MalformedInput, match="path must be a path"):
+        export_tables(run_replications(_SMALL_CONFIG), path)
+
+
+def test_export_tables_rejects_a_result_that_is_not_one(tmp_path):
+    rows = run_replications(_SMALL_CONFIG).rows
+    with pytest.raises(MalformedInput, match="result must be a SimulationResult"):
+        export_tables({"rows": rows}, tmp_path / "x.csv")
 
 
 def test_format_table_layout():
