@@ -126,9 +126,17 @@ def fit_joint_ols(
 
 def _joint_design(data: InternalDataset, regressors, intercept: bool = True) -> np.ndarray:
     """The named columns as a design, after an intercept column if `intercept`:
-    that of fit_joint_ols, fit_logistic and the aipw_ate propensity."""
+    that of fit_joint_ols, fit_logistic and the aipw_ate propensity.
+
+    The design is column-major (Fortran order): every pass over it (the
+    Newton Hessian's design * weight[:, None] and design.T products, the OLS
+    influence, the _Moments features) reads whole columns, which are then
+    contiguous. Row-major, one Newton Hessian of three columns at n = 20,000
+    took 159 us against 47 us, its broadcast product 99 against 22 us (a
+    2-core Xeon VM, numpy 2.4 on OpenBLAS 0.3.31).
+    """
     ones = [np.ones(data.n)] if intercept else []
-    return np.column_stack(ones + [data.column(name) for name in regressors])
+    return np.array(ones + [data.column(name) for name in regressors]).T
 
 
 def fit_marginal_ols(data: InternalDataset, outcome: str, regressor: str) -> FunctionalFit:
@@ -281,17 +289,15 @@ def _fit_aipw(data, outcome, treatment, covariates, trim=PROPENSITY_TRIM, start=
         raise PropensityDegenerate(str(exc)) from exc
     prop = np.clip(prop, trim, 1.0 - trim)
 
-    mu = np.empty((data.n, 2))
+    mu = np.empty((2, data.n))
     for arm, mask in ((0, ~treated), (1, treated)):
-        rows = design.compress(mask, axis=0)
+        # the arm's rows selected along the contiguous axis stay column-major
+        rows = design.T.compress(mask, axis=1).T
         coef = _ols_coef(rows, y.compress(mask), f"outcome model arm {arm}")[1]
-        mu[:, arm] = design @ coef
+        mu[arm] = design @ coef
 
     transform = (
-        t / prop * (y - mu[:, 1])
-        - (1.0 - t) / (1.0 - prop) * (y - mu[:, 0])
-        + mu[:, 1]
-        - mu[:, 0]
+        t / prop * (y - mu[1]) - (1.0 - t) / (1.0 - prop) * (y - mu[0]) + mu[1] - mu[0]
     )
     est = float(transform.mean())
     fit = FunctionalFit(

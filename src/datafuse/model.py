@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 from array import array
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -538,8 +539,16 @@ def _none_if_nan(x):
 # serialization
 
 
+def _path(path) -> None:
+    """Check that `path` is a str or os.PathLike: open() also takes an int
+    (True among them) as a file descriptor, and closes it when done."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise MalformedInput(f"path must be a path, got {path!r}")
+
+
 def write_internal_csv(dataset: InternalDataset, path):
     """UTF-8 CSV with a header row; floats keep 17 significant digits."""
+    _path(path)
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -559,6 +568,7 @@ def read_internal_csv(
 ) -> InternalDataset:
     """Dataset from a UTF-8 CSV with a header row of distinct names and one
     number per cell (anything Python's float() reads, then validated)."""
+    _path(path)
     data = _read_columns_fast(path)
     if data is None:
         data = _read_columns_csv(path)
@@ -697,6 +707,7 @@ def summary_from_dict(obj) -> SummaryStatistic:
 
 
 def write_summary_json(summary: SummaryStatistic, path):
+    _path(path)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(summary_to_dict(summary), fh, indent=2)
@@ -706,6 +717,7 @@ def write_summary_json(summary: SummaryStatistic, path):
 
 
 def read_summary_json(path) -> SummaryStatistic:
+    _path(path)
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)

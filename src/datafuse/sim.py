@@ -48,6 +48,7 @@ from .model import (
     Method,
     SummaryStatistic,
     _integer,
+    _path,
     _real,
     _reals,
     validate_dataset,
@@ -71,12 +72,17 @@ __all__ = [
 SCENARIOS = ("I", "II_biased", "II_unbiased")
 FAILURE_ABORT_RATE = 0.01
 _MAX_SIZE = int(np.iinfo(np.intp).max)
+# numpy sizes an array only when its byte count fits in intp, and the widest
+# float64 array of n or m rows that a scenario allocates has ten values per
+# row (Scenario II's DBS moment features, with the ones column)
+_MAX_ROWS = _MAX_SIZE // (8 * 10)
 
 
-def _size(name: str, value) -> None:
-    """Check that `value` is an integer >= 1 that numpy takes as an array length."""
-    if _integer(name, value, 1) > _MAX_SIZE:
-        raise MalformedInput(f"{name} must be at most {_MAX_SIZE}, got {value!r}")
+def _size(name: str, value, cap: int = _MAX_SIZE) -> None:
+    """Check that `value` is an integer from 1 to `cap`: an array length
+    numpy takes, or with cap=_MAX_ROWS a row count it can size arrays of."""
+    if _integer(name, value, 1) > cap:
+        raise MalformedInput(f"{name} must be at most {cap}, got {value!r}")
 
 
 def _tau(value) -> tuple:
@@ -89,8 +95,8 @@ def _tau(value) -> tuple:
 
 def _check_draw(n, m, rng) -> None:
     """Check the sizes n and m and the numpy Generator of a generator call."""
-    _size("n", n)
-    _size("m", m)
+    _size("n", n, _MAX_ROWS)
+    _size("m", m, _MAX_ROWS)
     if not isinstance(rng, np.random.Generator):
         raise MalformedInput(f"rng must be a numpy Generator, got {rng!r}")
 
@@ -255,8 +261,9 @@ class ScenarioConfig:
             raise MalformedInput(
                 f"scenario must be one of {SCENARIOS}, got {self.scenario!r}"
             )
-        for name in ("n", "m", "reps"):
-            _size(name, getattr(self, name))
+        _size("n", self.n, _MAX_ROWS)
+        _size("m", self.m, _MAX_ROWS)
+        _size("reps", self.reps)
         _integer("seed", self.seed, 0)
         if not isinstance(self.methods, (list, tuple)):
             raise MalformedInput(f"methods must be a list of names, got {self.methods!r}")
@@ -482,8 +489,7 @@ def export_tables(result: SimulationResult, path) -> tuple:
     Returns both paths."""
     if not isinstance(result, SimulationResult):
         raise MalformedInput(f"result must be a SimulationResult, got {result!r}")
-    if not isinstance(path, (str, os.PathLike)):
-        raise MalformedInput(f"path must be a path, got {path!r}")
+    _path(path)
     if not result.rows:
         raise MalformedInput("no metrics rows to export")
     path = Path(path)
@@ -505,7 +511,10 @@ def export_tables(result: SimulationResult, path) -> tuple:
 
 
 def format_table(rows) -> str:
-    """Human-readable metrics table (values already scaled by 100)."""
+    """Human-readable metrics table (values already scaled by 100) of a
+    list or tuple of MetricsRow."""
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, MetricsRow) for r in rows):
+        raise MalformedInput("rows must be a list or tuple of MetricsRow")
     header = f"{'method':<8}{'m':>8}{'param':>7}{'bias':>10}{'rmse':>10}{'ase':>10}{'cp':>8}"
     lines = [header, "-" * len(header)]
     for row in rows:

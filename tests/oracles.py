@@ -87,7 +87,8 @@ def _fit_aipw(data, outcome, treatment, covariates, trim=PROPENSITY_TRIM, start=
     if not np.any(treated) or not np.any(~treated):
         raise EmptyArm("one treatment arm has no observations")
     cols = [data.column(name) for name in covariates]
-    design = np.column_stack([np.ones(data.n)] + cols)
+    # column-major, as datafuse.functionals._joint_design builds it
+    design = np.array([np.ones(data.n)] + cols).T
 
     if start is not None and start.shape != (design.shape[1],):
         start = None
@@ -99,7 +100,9 @@ def _fit_aipw(data, outcome, treatment, covariates, trim=PROPENSITY_TRIM, start=
 
     mu = np.empty((data.n, 2))
     for arm, mask in ((0, ~treated), (1, treated)):
-        coef, _ = _ols_fit(design[mask], y[mask], f"outcome model arm {arm}")
+        # the arm's rows stay column-major; design.T[:, mask].T would not
+        rows = design.T.compress(mask, axis=1).T
+        coef, _ = _ols_fit(rows, y[mask], f"outcome model arm {arm}")
         mu[:, arm] = design @ coef
 
     transform = (

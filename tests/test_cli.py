@@ -386,6 +386,15 @@ def test_simulate_config_files(tmp_path, capsys):
 # failure contract
 
 
+@pytest.mark.parametrize("flag", ["--n", "--m"])
+def test_simulate_rejects_rows_no_array_can_hold(capsys, flag):
+    # numpy ended this in a raw "array is too big" (exit 1); it is stopped
+    # before anything is drawn
+    argv = ["simulate", "--scenario", "I", flag, "9223372036854775807", "--reps", "2"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and _stderr_kind(err) == "MalformedInput" and out == ""
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     internal, summary = _write_example(tmp_path)
 

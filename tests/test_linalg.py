@@ -8,7 +8,7 @@ import pytest
 from helpers import centered, mean_binding
 
 from datafuse import FunctionalFit, FusionInputs, estimate_eff, validate_summary
-from datafuse._linalg import COND_LIMIT, RIDGE_SCALE, spd_solve
+from datafuse._linalg import COND_LIMIT, RIDGE_SCALE, inv_sqrt_spd, spd_solve
 from datafuse.errors import SingularCalibration, SingularGram
 
 
@@ -45,6 +45,22 @@ def test_spd_solve_zero_trace_raises_callers_error():
         spd_solve(np.zeros((3, 3)), np.ones(3), SingularGram)
     with pytest.raises(SingularCalibration):
         spd_solve(np.diag([1.0, -1.0]), np.ones(2), SingularCalibration)
+
+
+def test_spd_solve_raises_when_the_ridge_leaves_it_singular():
+    # a negative eigenvalue far beyond the ridge (1e-10 * trace / dim): the
+    # ridge is added and warned about, and the system is still singular
+    with pytest.warns(UserWarning, match="ill-conditioned system"):
+        with pytest.raises(SingularCalibration, match=r"^singular system \(probe\)$"):
+            spd_solve(np.diag([1.0, -0.5]), np.ones(2), SingularCalibration, context="probe")
+
+
+def test_inv_sqrt_spd_rejects_a_matrix_that_is_not_psd():
+    with pytest.raises(SingularGram, match=r"^matrix is not positive semidefinite \(probe\)$"):
+        inv_sqrt_spd(np.diag([1.0, -1.0]), error=SingularGram, context="probe")
+    # an eigenvalue within the -1e-10 tolerance is floored instead
+    root = inv_sqrt_spd(np.diag([4.0, -1e-11]), floor=1e-12)
+    np.testing.assert_allclose(root, np.diag([0.5, 1e6]), rtol=1e-12)
 
 
 def test_spd_solve_well_conditioned_matches_numpy():

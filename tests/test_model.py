@@ -3,6 +3,7 @@
 import csv
 import importlib
 import json
+import os
 import pkgutil
 import tracemalloc
 
@@ -717,6 +718,61 @@ def test_summary_json_io_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(MalformedInput):
         read_summary_json(bad)
+
+
+def _io_case(tmp_path):
+    """A dataset and a summary, each written to tmp_path, with their paths."""
+    data = validate_dataset({"Y": [1.0, 2.0, 4.0], "X": [0.5, -1.0, 3.0]})
+    summary = validate_summary(
+        [1.0], [[1.0]], 10, [FunctionalDescriptor(FunctionalKind.MEAN, {"column": "Y"})]
+    )
+    csv_path, json_path = tmp_path / "internal.csv", tmp_path / "summary.json"
+    write_internal_csv(data, csv_path)
+    write_summary_json(summary, json_path)
+    return data, summary, csv_path, json_path
+
+
+@pytest.mark.parametrize("bad", [None, 3.5, "fd"])
+@pytest.mark.parametrize("reader", ["csv", "json"])
+def test_readers_take_only_paths(tmp_path, reader, bad):
+    """A reader given anything but a str or os.PathLike raises
+    MalformedInput: None and 3.5 reached open() as a raw TypeError, and an
+    int was read as a file descriptor (here one open on the very file)."""
+    _, _, csv_path, json_path = _io_case(tmp_path)
+    read, path = {"csv": (read_internal_csv, csv_path), "json": (read_summary_json, json_path)}[
+        reader
+    ]
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        with pytest.raises(MalformedInput, match="path must be a path"):
+            read(fd if bad == "fd" else bad)
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.parametrize("bad", [None, True, 1, "fd"])
+@pytest.mark.parametrize("writer", ["csv", "json"])
+def test_writers_take_only_paths(tmp_path, writer, bad):
+    """A writer given anything but a str or os.PathLike raises MalformedInput
+    and leaves the file descriptor an int would name open and unwritten:
+    open() took True and 1 as stdout's descriptor, wrote to it and closed it.
+    Descriptor 1 is restored whatever happens."""
+    data, summary, _, _ = _io_case(tmp_path)
+    write, obj = {"csv": (write_internal_csv, data), "json": (write_summary_json, summary)}[writer]
+    target = tmp_path / "target"
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+    stdout = os.dup(1)
+    try:
+        with pytest.raises(MalformedInput, match="path must be a path"):
+            write(obj, fd if bad == "fd" else bad)
+        os.fstat(1)  # stdout still open
+        os.fstat(fd)
+        assert target.stat().st_size == 0
+    finally:
+        os.dup2(stdout, 1)
+        os.close(stdout)
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------

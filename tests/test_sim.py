@@ -179,6 +179,27 @@ def test_generators_reject_bad_arguments(call):
         call(np.random.default_rng(0))
 
 
+# sizes numpy takes as a length but cannot size a float64 array of (numpy's
+# raw "array is too big"); above the row cap, so none is ever allocated
+_UNSIZABLE = (2**63 - 1, 2**60, sim_module._MAX_ROWS + 1)
+
+
+@pytest.mark.parametrize("size", _UNSIZABLE)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda size, rng: gen_scenario1(size, 50, rng),
+        lambda size, rng: gen_scenario1(50, size, rng),
+        lambda size, rng: gen_scenario2(size, 50, True, rng),
+        lambda size, rng: gen_scenario2(50, size, False, rng),
+    ],
+    ids=["I-n", "I-m", "II-n", "II-m"],
+)
+def test_generators_reject_rows_no_array_can_hold(call, size):
+    with pytest.raises(MalformedInput, match="must be at most"):
+        call(size, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # the external summaries
 
@@ -286,10 +307,12 @@ def test_scenario_config_from_dict():
 @pytest.mark.parametrize("name", ["n", "m", "reps"])
 def test_scenario_config_rejects_sizes_beyond_the_index_type(name):
     # numpy raised a raw ValueError (n, m) or OverflowError (reps) before
-    # allocating anything; the config now stops them first
+    # allocating anything; the config now stops them first. The largest n or
+    # m accepted is the row cap, below which numpy can size every array of
+    # that many rows
     with pytest.raises(MalformedInput, match=f"{name} must be at most"):
         ScenarioConfig.from_dict({"scenario": "I", name: 10**400})
-    top = int(np.iinfo(np.intp).max)
+    top = int(np.iinfo(np.intp).max) if name == "reps" else sim_module._MAX_ROWS
     with pytest.raises(MalformedInput):
         ScenarioConfig.from_dict({"scenario": "I", name: top + 1})
     assert getattr(ScenarioConfig.from_dict({"scenario": "I", name: top}), name) == top
@@ -442,6 +465,12 @@ def test_export_tables_rejects_a_result_that_is_not_one(tmp_path):
     rows = run_replications(_SMALL_CONFIG).rows
     with pytest.raises(MalformedInput, match="result must be a SimulationResult"):
         export_tables({"rows": rows}, tmp_path / "x.csv")
+
+
+@pytest.mark.parametrize("rows", [[1], None, "INT", (None,)], ids=["int", "none", "str", "none-1"])
+def test_format_table_rejects_rows_that_are_not_metrics_rows(rows):
+    with pytest.raises(MalformedInput, match="rows must be a list or tuple of MetricsRow"):
+        format_table(rows)
 
 
 def test_format_table_layout():
