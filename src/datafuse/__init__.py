@@ -28,14 +28,12 @@ from .functionals import (
     fit_aipw_ate,
     fit_functional,
     fit_joint_ols,
-    fit_logistic,
     fit_marginal_ols,
     fit_mean,
 )
 from .fusion import (
     FusionInputs,
     efficiency_bound,
-    empirical_moments,
     estimate_crude,
     estimate_eff,
     estimate_int,
@@ -55,8 +53,6 @@ from .model import (
     expand_binding,
     read_internal_csv,
     read_summary_json,
-    summary_from_dict,
-    summary_to_dict,
     validate_dataset,
     validate_summary,
     write_internal_csv,
@@ -71,7 +67,6 @@ from .sim import (
     gen_scenario1,
     gen_scenario2,
     run_replications,
-    scenario1_beta_true,
 )
 
 __version__ = "0.1.0"
@@ -97,7 +92,6 @@ __all__ = [
     "adaptive_lasso",
     "cv_tune",
     "efficiency_bound",
-    "empirical_moments",
     "estimate_crude",
     "estimate_dbs",
     "estimate_eff",
@@ -110,7 +104,6 @@ __all__ = [
     "fit_aipw_ate",
     "fit_functional",
     "fit_joint_ols",
-    "fit_logistic",
     "fit_marginal_ols",
     "fit_mean",
     "format_table",
@@ -122,10 +115,7 @@ __all__ = [
     "read_summary_json",
     "restrict_inputs",
     "run_replications",
-    "scenario1_beta_true",
     "select_unbiased",
-    "summary_from_dict",
-    "summary_to_dict",
     "validate_dataset",
     "validate_summary",
     "wald_inference",

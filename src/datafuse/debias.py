@@ -45,6 +45,7 @@ from .model import Method, SelectionResult, _integer, _real, _reals, _seed
 from .fusion import (  # noqa: F401
     FusionInputs,
     _Calibration,
+    _check_inputs,
     _external,
     _fused,
     _prepare,
@@ -129,6 +130,7 @@ def whiten(inputs: FusionInputs):
     floored at 1e-12) and Y = X (beta_tilde - beta_int), so that
     ||Y - X b||^2 reproduces the quadratic form exactly.
     """
+    _check_inputs(inputs)
     return _whiten(inputs._calibration)
 
 
@@ -281,6 +283,7 @@ def adaptive_lasso(x, y, weights, lam):
 def select_unbiased(inputs: FusionInputs, lam: float, alpha: float = 2.0) -> SelectionResult:
     """Estimate summary biases and return the selected (exactly zero) set;
     alpha is a finite number > 0."""
+    _check_inputs(inputs)
     if not inputs.summaries:
         raise DimensionMismatch("select_unbiased needs at least one summary")
     if not _real("alpha", alpha) > 0.0:
@@ -293,6 +296,7 @@ def select_unbiased(inputs: FusionInputs, lam: float, alpha: float = 2.0) -> Sel
 
 def estimate_orc(inputs: FusionInputs, unbiased_set, level: float = 0.95):
     """Fused estimate restricted to coordinates known to be unbiased."""
+    _check_inputs(inputs)
     return _fused(
         inputs, unbiased_set, Method.ORC, level, "empty unbiased set: internal-only estimate"
     )
@@ -353,6 +357,7 @@ def cv_tune(
     whole grid and evaluates the fused estimate once per distinct selected
     set, from sub-blocks of that calibration.
     """
+    _check_inputs(inputs)
     if inputs.data is None or inputs.tau is None:
         raise MalformedInput(
             "cross-validation needs inputs carrying the dataset and tau descriptor "
@@ -511,9 +516,7 @@ class _FoldFits:
 
     def _from_sums(self, f):
         inputs, estimate = self.inputs, self.estimate[f]
-        beta_tilde, sigma_ext = _external(
-            inputs.summaries, inputs.omega_override, self.train_rows[f].size
-        )
+        beta_tilde, sigma_ext = _external(inputs.summaries, self.train_rows[f].size)
         moments = [m[f] for m in self.moments]
         residual = estimate[self.beta] - beta_tilde
         return self.tau_test[f], _Calibration(estimate[self.tau], *moments, residual, sigma_ext)
@@ -521,13 +524,8 @@ class _FoldFits:
     def _refitted(self, f, start):
         inputs = self.inputs
         tau_test = _fit_tau(inputs, self.folds[f], start)
-        train = _prepare(
-            inputs.data.subset(self.train_rows[f]),
-            inputs.tau,
-            inputs.summaries,
-            inputs.omega_override,
-            start,
-        )
+        data = inputs.data.subset(self.train_rows[f])
+        train = _prepare(data, inputs.tau, inputs.summaries, start)
         return tau_test, train._calibration
 
 
@@ -564,6 +562,7 @@ def estimate_dbs(inputs: FusionInputs, config: DebiasConfig = None, level: float
     Returns (FusionResult, SelectionResult). With an empty selection the
     estimate falls back to the internal-only fit, flagged in warnings.
     """
+    _check_inputs(inputs)
     config = DebiasConfig() if config is None else config
     cv_trace = ()
     if config.lambda_fixed is not None:

@@ -40,7 +40,6 @@ __all__ = [
     "fit_mean",
     "fit_joint_ols",
     "fit_marginal_ols",
-    "fit_logistic",
     "fit_aipw_ate",
     "fit_functional",
     "evaluate_binding",
@@ -126,7 +125,7 @@ def fit_joint_ols(
 
 def _joint_design(data: InternalDataset, regressors, intercept: bool = True) -> np.ndarray:
     """The named columns as a design, after an intercept column if `intercept`:
-    that of fit_joint_ols, fit_logistic and the aipw_ate propensity.
+    that of fit_joint_ols and of the aipw_ate propensity.
 
     The design is column-major (Fortran order): every pass over it (the
     Newton Hessian's design * weight[:, None] and design.T products, the OLS
@@ -226,24 +225,6 @@ def _newton_logistic(design: np.ndarray, y: np.ndarray, context: str, start=None
             raise Separation(f"coefficients diverged ({context})")
     warnings.warn(f"logistic fit stopped at iteration cap ({context})")
     return coef, logistic(linpred)
-
-
-def fit_logistic(
-    data: InternalDataset, response: str, covariates, intercept: bool = True
-) -> np.ndarray:
-    """Logistic regression coefficients of a binary response.
-
-    Returns the coefficient vector (intercept first when present); raises
-    Separation when the likelihood has no finite maximizer.
-    """
-    response = _col("logistic", "response", response)
-    covariates = _cols("logistic", "covariates", covariates)
-    intercept = _bool("logistic", "intercept", intercept)
-    y = data.column(response)
-    if not ((y == 0.0) | (y == 1.0)).all():
-        raise Separation(f"response {response!r} is not binary")
-    design = _joint_design(data, covariates, intercept)
-    return _newton_logistic(design, y, f"logistic({response})")[0]
 
 
 def fit_aipw_ate(

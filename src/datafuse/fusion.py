@@ -8,8 +8,9 @@ where the gain solves (sigma_ext + gram) gain' = cross' built from the
 empirical influence moments cross = E(phi eta') and gram = E(eta eta') and
 the scaled external covariance sigma_ext. Its asymptotic variance is the
 plug-in efficiency bound E(phi phi') - gain cross'. Several sources stack
-block-diagonally; each block s is scaled by n / m_s, so everything is
-expressed per internal observation.
+block-diagonally, always: summaries of different sources are independent,
+so the cross blocks are zero. Each block s is scaled by n / m_s, so
+everything is expressed per internal observation.
 
 These pieces form the calibration, computed once when a FusionInputs is
 built. EFF on a subset of the summary coordinates reads its sub-blocks: that
@@ -50,7 +51,6 @@ from .model import (
 __all__ = [
     "FusionInputs",
     "prepare_inputs",
-    "empirical_moments",
     "estimate_int",
     "estimate_eff",
     "estimate_crude",
@@ -76,7 +76,6 @@ class FusionInputs:
     tau_fit: FunctionalFit
     beta_fit: FunctionalFit
     summaries: tuple
-    omega_override: Optional[np.ndarray] = None
     data: Optional[InternalDataset] = None
     tau: Optional[FunctionalDescriptor] = None
 
@@ -91,16 +90,11 @@ class FusionInputs:
             raise DimensionMismatch(
                 f"summaries cover {q} coordinates, beta fit has {self.beta_fit.p}"
             )
-        if self.omega_override is not None:
-            omega = np.asarray(self.omega_override, dtype=float)
-            if omega.shape != (q, q):
-                raise DimensionMismatch(
-                    f"omega_override shape {omega.shape}, expected {(q, q)}"
-                )
-            object.__setattr__(self, "omega_override", omega)
+        phi, eta, n = self.tau_fit.influence, self.beta_fit.influence, self.n
         with np.errstate(over="ignore", invalid="ignore"):
-            cross, gram = empirical_moments(self.tau_fit, self.beta_fit)
-            phi_var = _phi_var(self.tau_fit)
+            cross = phi.T @ eta / n
+            gram = sym(eta.T @ eta / n)
+            phi_var = sym(phi.T @ phi / n)
         if not all(np.isfinite(a).all() for a in (phi_var, cross, gram)):
             raise NonFiniteValue("influence moments are not finite (overflow, or no rows)")
         # every fitter's estimating equations zero its influence means exactly
@@ -113,7 +107,7 @@ class FusionInputs:
                     f"influence columns {np.flatnonzero(bad).tolist()} of {fit.label!r} "
                     "are not mean-zero"
                 )
-        beta_tilde, sigma_ext = assemble_external(self)
+        beta_tilde, sigma_ext = _external(self.summaries, n)
         residual = self.beta_fit.estimate - beta_tilde
         calib = _Calibration(self.tau_fit.estimate, phi_var, cross, gram, residual, sigma_ext)
         object.__setattr__(self, "_calibration", calib)
@@ -164,13 +158,12 @@ def prepare_inputs(
     data: InternalDataset,
     tau: FunctionalDescriptor,
     summaries: Sequence[SummaryStatistic],
-    omega_override=None,
 ) -> FusionInputs:
     """Fit the target functional and all summary bindings on one dataset."""
-    return _prepare(data, tau, summaries, omega_override)
+    return _prepare(data, tau, summaries)
 
 
-def _prepare(data, tau, summaries, omega_override=None, start=None) -> FusionInputs:
+def _prepare(data, tau, summaries, start=None) -> FusionInputs:
     """prepare_inputs, with the target refitted from `start` (functionals._refit)."""
     from .functionals import _columns, _refit, evaluate_binding
 
@@ -186,46 +179,30 @@ def _prepare(data, tau, summaries, omega_override=None, start=None) -> FusionInp
         tau_fit=tau_fit,
         beta_fit=beta_fit,
         summaries=summaries,
-        omega_override=omega_override,
         data=data,
         tau=tau,
     )
 
 
-def empirical_moments(tau_fit: FunctionalFit, beta_fit: FunctionalFit):
-    """cross = E(phi eta') (p x q) and gram = E(eta eta') (q x q)."""
-    if tau_fit.n != beta_fit.n:
-        raise DimensionMismatch("influence matrices have different row counts")
-    n = tau_fit.n
-    cross = tau_fit.influence.T @ beta_fit.influence / n
-    gram = sym(beta_fit.influence.T @ beta_fit.influence / n)
-    return cross, gram
-
-
-def assemble_external(inputs: FusionInputs):
-    """Concatenated external estimates and their per-internal-observation
-    scaled covariance: block s of sigma_ext is sigma1_s * n / m_s."""
-    return _external(inputs.summaries, inputs.omega_override, inputs.n)
-
-
-def _external(summaries, omega_override, n: int):
-    """assemble_external for `summaries` against n internal observations."""
+def _external(summaries, n: int):
+    """Concatenated external estimates and their covariance scaled to n
+    internal observations: block-diagonal, block s sigma1_s * n / m_s."""
     beta_tilde = np.concatenate([np.zeros(0)] + [s.beta for s in summaries])
     rho_coord = np.concatenate([np.zeros(0)] + [np.full(s.q, s.m / n) for s in summaries])
-    if omega_override is not None:
-        base = omega_override
-    else:
-        q = beta_tilde.shape[0]
-        base = np.zeros((q, q))
-        at = 0
-        for s in summaries:
-            base[at : at + s.q, at : at + s.q] = s.sigma1
-            at += s.q
+    q = beta_tilde.shape[0]
+    base = np.zeros((q, q))
+    at = 0
+    for s in summaries:
+        base[at : at + s.q, at : at + s.q] = s.sigma1
+        at += s.q
     return beta_tilde, sym(base / np.sqrt(np.outer(rho_coord, rho_coord)))
 
 
-def _phi_var(tau_fit: FunctionalFit) -> np.ndarray:
-    return sym(tau_fit.influence.T @ tau_fit.influence / tau_fit.n)
+def _check_inputs(inputs) -> None:
+    """MalformedInput unless `inputs` is a FusionInputs: the first argument
+    of every estimator and of the functions that read a calibration."""
+    if not isinstance(inputs, FusionInputs):
+        raise MalformedInput(f"inputs must be a FusionInputs, got {inputs!r}")
 
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -274,7 +251,6 @@ def _build_result(
         level=level,
         p_one_sided=p_one,
         warnings=tuple(warn),
-        working_covariance=inputs.omega_override is not None,
     )
 
 
@@ -311,6 +287,7 @@ def _fused(
 
 def estimate_int(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
     """Internal-only estimate: EFF on no summary coordinate, avar = E(phi phi')."""
+    _check_inputs(inputs)
     return _fused(inputs, (), Method.INT, level)
 
 
@@ -320,6 +297,7 @@ def estimate_eff(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
     Shifts the internal estimate along the calibration residual
     beta_int - beta_tilde and reports the plug-in bound as avar.
     """
+    _check_inputs(inputs)
     if not inputs.summaries:
         raise DimensionMismatch("estimate_eff needs at least one summary")
     return _fused(inputs, range(inputs.q), Method.EFF, level)
@@ -331,6 +309,7 @@ def estimate_crude(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
     Consistent, but its variance E(phi phi') + A (sigma_ext - gram) A' can
     exceed the internal-only variance when the external sample is small.
     """
+    _check_inputs(inputs)
     if not inputs.summaries:
         raise DimensionMismatch("estimate_crude needs at least one summary")
     calib, warn = inputs._calibration, []
@@ -343,6 +322,7 @@ def estimate_crude(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
 def estimate_knw(inputs: FusionInputs, beta_true, level: float = 0.95) -> FusionResult:
     """Calibration against the known true beta (simulation benchmark), a
     vector of q finite numbers."""
+    _check_inputs(inputs)
     beta_true = np.atleast_1d(_finite_array("beta_true", beta_true))
     if beta_true.shape != (inputs.q,):
         raise DimensionMismatch(f"beta_true has shape {beta_true.shape}, expected ({inputs.q},)")
@@ -422,6 +402,7 @@ def restrict_inputs(inputs: FusionInputs, keep) -> FusionInputs:
     submatrix of a validated covariance is again symmetric PSD, so the
     summaries are not validated again.
     """
+    _check_inputs(inputs)
     keep = _coordinates(keep, inputs.q)
     new_summaries = []
     at = 0
@@ -440,9 +421,6 @@ def restrict_inputs(inputs: FusionInputs, keep) -> FusionInputs:
                 )
             )
         at += s.q
-    omega = inputs.omega_override
-    if omega is not None:
-        omega = omega[np.ix_(keep, keep)]
     beta_fit = FunctionalFit(
         inputs.beta_fit.estimate[keep],
         inputs.beta_fit.influence[:, keep],
@@ -452,7 +430,6 @@ def restrict_inputs(inputs: FusionInputs, keep) -> FusionInputs:
         tau_fit=inputs.tau_fit,
         beta_fit=beta_fit,
         summaries=tuple(new_summaries),
-        omega_override=omega,
         data=inputs.data,
         tau=inputs.tau,
     )

@@ -332,10 +332,6 @@ def _args_from_list(kind: FunctionalKind, args: list) -> dict:
     return dict(zip((name for name, _ in spec), args))
 
 
-def binding_width(binding: Sequence[FunctionalDescriptor]) -> int:
-    return sum(d.width() for d in binding)
-
-
 def expand_binding(binding: Sequence[FunctionalDescriptor]):
     """One (descriptor, coefficient index) pair per summary coordinate."""
     return [(desc, j) for desc in binding for j in desc._coefficients()]
@@ -397,10 +393,9 @@ def validate_summary(
     for desc in binding:
         if not isinstance(desc, FunctionalDescriptor):
             raise MalformedInput(f"binding entry {desc!r} is not a descriptor")
-    if binding_width(binding) != q:
-        raise DimensionMismatch(
-            f"binding covers {binding_width(binding)} coordinates, beta has {q}"
-        )
+    width = sum(d.width() for d in binding)
+    if width != q:
+        raise DimensionMismatch(f"binding covers {width} coordinates, beta has {q}")
     return SummaryStatistic(
         beta=_readonly(beta),
         sigma1=_readonly(sigma1),
@@ -466,7 +461,7 @@ class Method(str, Enum):
 class FusionResult:
     """Estimate, its plug-in avar, se, the calibration gain, and the Wald
     interval and one-sided p built from them. The influence moments behind
-    the gain are not kept; fusion.empirical_moments gives them."""
+    the gain are not kept."""
 
     method: Method
     estimate: np.ndarray
@@ -477,7 +472,6 @@ class FusionResult:
     level: float
     p_one_sided: np.ndarray
     warnings: tuple = ()
-    working_covariance: bool = False
 
     def __post_init__(self):
         avar = np.asarray(self.avar, dtype=float)
@@ -499,7 +493,7 @@ class FusionResult:
             "avar": self.avar.tolist(),
             "gain": self.gain.tolist(),
             "warnings": list(self.warnings),
-            "working_covariance": self.working_covariance,
+            "working_covariance": False,  # always false; bench/reference.json has the key
         }
 
 
@@ -678,7 +672,7 @@ def _read_columns_csv(path) -> dict:
     return {name: np.frombuffer(column) for name, column in zip(header, columns)}
 
 
-def summary_to_dict(summary: SummaryStatistic) -> dict:
+def _summary_to_dict(summary: SummaryStatistic) -> dict:
     return {
         "beta": summary.beta.tolist(),
         "sigma1": summary.sigma1.tolist(),
@@ -688,7 +682,7 @@ def summary_to_dict(summary: SummaryStatistic) -> dict:
     }
 
 
-def summary_from_dict(obj) -> SummaryStatistic:
+def _summary_from_dict(obj) -> SummaryStatistic:
     if not isinstance(obj, Mapping):
         raise MalformedInput("summary JSON must be an object")
     missing = {"beta", "sigma1", "m", "binding"} - set(obj)
@@ -710,7 +704,7 @@ def write_summary_json(summary: SummaryStatistic, path):
     _path(path)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(summary_to_dict(summary), fh, indent=2)
+            json.dump(_summary_to_dict(summary), fh, indent=2)
             fh.write("\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
@@ -727,4 +721,4 @@ def read_summary_json(path) -> SummaryStatistic:
         raise MalformedInput(f"{path}: not UTF-8 text: {exc}") from None
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, or beyond the int-digit limit
         raise MalformedInput(f"{path}: invalid JSON: {exc}") from exc
-    return summary_from_dict(obj)
+    return _summary_from_dict(obj)

@@ -63,7 +63,6 @@ __all__ = [
     "SimulationResult",
     "gen_scenario1",
     "gen_scenario2",
-    "scenario1_beta_true",
     "run_replications",
     "export_tables",
     "format_table",
@@ -114,24 +113,21 @@ def _scenario1_draw(size: int, rng: np.random.Generator):
     return x, t, y
 
 
-def scenario1_beta_true() -> tuple:
-    """Population least-squares coefficients of Y on (1, X, T) in Scenario I.
-
-    With X standard normal, E[T | X] = expit(1 - X) and
-    Y = 1 + X + T X^2 + noise, the normal equations E[V V'] b = E[V Y] for
-    V = (1, X, T) read
-
-        [[1,   0,   t_0],       [1 + t_2,
-         [0,   1,   t_1],  b =   1 + t_3,
-         [t_0, t_1, t_0]]        t_0 + t_1 + t_2]
-
-    in the moments t_k = E[X^k expit(1 - X)] = E[T X^k], k = 0..3 (t_0 is
-    about 0.6967, the marginal treatment probability). The t_k have no closed
-    form; the values returned are the solution of this system with the t_k
-    by adaptive quadrature, to the last bit, and tests/test_sim.py derives
-    them again.
-    """
-    return (1.2308473257178896, 0.6065715380059552, 0.5931467625504476)
+# Population least-squares coefficients of Y on (1, X, T) in Scenario I.
+# With X standard normal, E[T | X] = expit(1 - X) and
+# Y = 1 + X + T X^2 + noise, the normal equations E[V V'] b = E[V Y] for
+# V = (1, X, T) read
+#
+#     [[1,   0,   t_0],       [1 + t_2,
+#      [0,   1,   t_1],  b =   1 + t_3,
+#      [t_0, t_1, t_0]]        t_0 + t_1 + t_2]
+#
+# in the moments t_k = E[X^k expit(1 - X)] = E[T X^k], k = 0..3 (t_0 is
+# about 0.6967, the marginal treatment probability). The t_k have no closed
+# form; these values are the solution of this system with the t_k by
+# adaptive quadrature, to the last bit, and tests/test_sim.py derives them
+# again.
+_SCENARIO1_BETA_TRUE = (1.2308473257178896, 0.6065715380059552, 0.5931467625504476)
 
 
 def gen_scenario1(n: int, m: int, rng: np.random.Generator):
@@ -164,7 +160,7 @@ def gen_scenario1(n: int, m: int, rng: np.random.Generator):
         raise RankDeficientDesign(f"scenario I external design: {exc}") from None
     truth = {
         "tau": np.array([1.0]),
-        "beta": np.array(scenario1_beta_true()),
+        "beta": np.array(_SCENARIO1_BETA_TRUE),
         "unbiased": (0, 1, 2),
     }
     return internal, summary, truth

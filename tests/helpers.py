@@ -8,6 +8,7 @@ from datafuse import (
     FunctionalFit,
     FunctionalKind,
     FusionInputs,
+    functionals,
     validate_summary,
 )
 
@@ -21,6 +22,14 @@ def centered(rng, n, k):
 def random_spd(rng, q, jitter=0.5):
     w = rng.standard_normal((q, q))
     return w @ w.T + jitter * np.eye(q)
+
+
+def logistic_coef(data, response, covariates):
+    """Logistic regression coefficients of `response` on an intercept and
+    `covariates`, by the propensity Newton of the aipw_ate fitter (looked up
+    at call time, so a patched one is used)."""
+    design = functionals._joint_design(data, covariates)
+    return functionals._newton_logistic(design, data.column(response), f"logistic({response})")[0]
 
 
 def mean_binding(q, prefix="c"):

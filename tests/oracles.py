@@ -8,6 +8,10 @@
   that version: it is relative to the log-likelihood, as in
   datafuse.functionals. The fitters in datafuse.functionals must give
   bit-equal results and raise the same errors.
+- The calibration's pieces, summed without the library: influence_moments,
+  the second moments of two fits' influence columns, and
+  external_covariance, the stacked summaries with their block-diagonal
+  covariance scaled to n internal observations.
 - The paper's identities: cd_minimize_check, the minimizer of the stacked
   calibration quadratic, whose tau part is the EFF estimate; and
   ivw_reduce, inverse-variance weighting, which EFF reduces to when the
@@ -32,7 +36,6 @@ from datafuse._linalg import check_full_rank, logistic, spd_solve, sym
 from datafuse.debias import _lasso_path
 from datafuse.errors import EmptyArm, PropensityDegenerate, RankDeficientDesign, Separation
 from datafuse.functionals import LOGISTIC_MAX_ITER, LOGISTIC_SCORE_TOL, PROPENSITY_TRIM, _ols_fit
-from datafuse.fusion import _phi_var, assemble_external, empirical_moments
 from datafuse.model import FunctionalFit
 
 
@@ -122,6 +125,30 @@ def _fit_aipw(data, outcome, treatment, covariates, trim=PROPENSITY_TRIM, start=
 
 
 # ---------------------------------------------------------------------------
+# the calibration's pieces
+
+
+def influence_moments(tau_fit, beta_fit):
+    """(E(phi phi'), E(phi eta'), E(eta eta')): sums over the rows of the
+    outer products of the two fits' influence rows, over n."""
+    phi, eta = tau_fit.influence, beta_fit.influence
+    n = phi.shape[0]
+    return tuple(np.einsum("ij,ik->jk", a, b) / n for a, b in ((phi, phi), (phi, eta), (eta, eta)))
+
+
+def external_covariance(summaries, n):
+    """(beta_tilde, sigma_ext): the summaries' estimates stacked, and a
+    block-diagonal matrix whose block s is sigma1_s * n / m_s."""
+    beta_tilde = np.concatenate([np.zeros(0)] + [s.beta for s in summaries])
+    sigma_ext = np.zeros((beta_tilde.size, beta_tilde.size))
+    at = 0
+    for s in summaries:
+        sigma_ext[at : at + s.q, at : at + s.q] = s.sigma1 * (n / s.m)
+        at += s.q
+    return beta_tilde, sigma_ext
+
+
+# ---------------------------------------------------------------------------
 # the paper's identities
 
 
@@ -143,9 +170,9 @@ def cd_minimize_check(inputs):
     The tau component reproduces the fused estimator.
     """
     p, q = inputs.p, inputs.q
-    cross, gram = empirical_moments(inputs.tau_fit, inputs.beta_fit)
-    beta_tilde, sigma_ext = assemble_external(inputs)
-    joint = np.block([[_phi_var(inputs.tau_fit), cross], [cross.T, gram]])
+    phi_var, cross, gram = influence_moments(inputs.tau_fit, inputs.beta_fit)
+    beta_tilde, sigma_ext = external_covariance(inputs.summaries, inputs.n)
+    joint = np.block([[phi_var, cross], [cross.T, gram]])
     w_joint = spd_solve(joint, np.eye(p + q), context="joint covariance")
     w_ext = spd_solve(sigma_ext, np.eye(q), context="external covariance")
     v = np.concatenate([inputs.tau_fit.estimate, inputs.beta_fit.estimate])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import centered, random_spd, synth_inputs
-from oracles import cd_minimize_check, ivw_reduce
+from oracles import cd_minimize_check, external_covariance, influence_moments, ivw_reduce
 
 from datafuse import (
     FunctionalDescriptor,
@@ -20,7 +20,6 @@ from datafuse import (
     ScenarioConfig,
     adaptive_lasso,
     efficiency_bound,
-    empirical_moments,
     estimate_eff,
     estimate_int,
     export_tables,
@@ -32,7 +31,6 @@ from datafuse import (
     validate_summary,
     wald_inference,
 )
-from datafuse.fusion import assemble_external
 
 M_GRID = (200, 500, 1000, 2000)
 CP_LO, CP_HI = 92.5, 97.5
@@ -377,8 +375,8 @@ def test_criterion_12_no_gain_entry(report):
     phi2 = inputs.tau_fit.influence[:, 1]
     eta1 = inputs.beta_fit.influence[:, 0]
     se_cross = float(np.std(phi2 * eta1, ddof=1)) / np.sqrt(n)
-    _, sigma_ext = assemble_external(inputs)
-    _, gram = empirical_moments(inputs.tau_fit, inputs.beta_fit)
+    _, sigma_ext = external_covariance(inputs.summaries, inputs.n)
+    _, _, gram = influence_moments(inputs.tau_fit, inputs.beta_fit)
     khat = float(sigma_ext[0, 0] + gram[0, 0])
     limit = (2.0 * se_cross) ** 2 / khat
     ok = abs(correction[1, 1]) <= limit

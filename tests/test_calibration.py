@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import mean_binding, random_spd, synth_inputs
+from oracles import external_covariance, influence_moments
 
 from datafuse import (
     FunctionalDescriptor,
@@ -23,7 +24,7 @@ from datafuse import (
     validate_summary,
 )
 from datafuse._linalg import sym
-from datafuse.fusion import _fused, assemble_external, empirical_moments
+from datafuse.fusion import _fused
 
 TOL = 1e-12
 
@@ -47,15 +48,14 @@ def _assert_loewner_le(small, large):
 
 
 def _numpy_eff(inputs):
-    """EFF estimate and avar by plain numpy from the public moment builders."""
-    cross, gram = empirical_moments(inputs.tau_fit, inputs.beta_fit)
-    beta_tilde, sigma_ext = assemble_external(inputs)
+    """EFF estimate and avar by plain numpy from the oracle's moments."""
+    phi_var, cross, gram = influence_moments(inputs.tau_fit, inputs.beta_fit)
+    beta_tilde, sigma_ext = external_covariance(inputs.summaries, inputs.n)
     calib = sigma_ext + gram
-    phi = inputs.tau_fit.influence
     estimate = inputs.tau_fit.estimate - cross @ np.linalg.solve(
         calib, inputs.beta_fit.estimate - beta_tilde
     )
-    return estimate, phi.T @ phi / inputs.n - cross @ np.linalg.solve(calib, cross.T)
+    return estimate, phi_var - cross @ np.linalg.solve(calib, cross.T)
 
 
 def _assert_matches_restricted(inputs, keep):

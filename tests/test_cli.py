@@ -407,12 +407,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     code, _, err = _run(capsys, ["simulate", "--scenario", "I", "--threads", "0"])
     assert code == 2 and _stderr_kind(err) == "MalformedInput"
 
+    code, _, err = _run(capsys, ["simulate", "--scenario", "II_biased", "--tau", "1,x"])
+    assert code == 2 and _stderr_kind(err) == "MalformedInput"
+
     code, _, err = _run(
         capsys,
         ["estimate", "--internal", str(internal),
          "--summary", str(tmp_path / "missing.json"), "--tau", TAU_MEAN_Y],
     )
     assert code == 2 and _stderr_kind(err) == "IoError"
+
+    code, out, err = _run(
+        capsys,
+        ["estimate", "--internal", str(internal), "--summary", str(summary),
+         "--tau", TAU_MEAN_Y, "--out", str(tmp_path)],
+    )
+    assert code == 2 and out == "" and _stderr_kind(err) == "IoError"
 
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("X,Y\n1.0,2.0\nout,4.0\n")

@@ -64,7 +64,7 @@ def _cases(draw):
     """(inputs, folds): an internal dataset of 6-80 rows whose outcome is
     linear in X1, X2 and a sparse binary B up to noise as small as 1e-6
     (near-perfect fits), a target, 1-3 summary sources of 1-2 bindings each,
-    sometimes a working covariance, and 2-4 folds, some too small to fit and
+    and 2-4 folds, some too small to fit and
     some whose train rows fit a slot exactly. Every choice is drawn from one
     seeded generator, so each kind is drawn about equally often."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -82,10 +82,8 @@ def _cases(draw):
         beta = rng.standard_normal(q)
         m = int(rng.integers(20, 400))
         summaries.append(validate_summary(beta, random_spd(rng, q), m, binding))
-    q = sum(s.q for s in summaries)
-    omega = random_spd(rng, q) if rng.random() < 0.5 else None
     try:
-        inputs = prepare_inputs(data, TARGETS[rng.integers(len(TARGETS))], summaries, omega)
+        inputs = prepare_inputs(data, TARGETS[rng.integers(len(TARGETS))], summaries)
     except DataFuseError:
         assume(False)
     return inputs, kfold_indices(n, int(rng.integers(2, 5)), int(rng.integers(1000)))
@@ -97,7 +95,7 @@ def _reference(inputs, test_rows, train_rows, start):
     try:
         tau_test = _fit_tau(inputs, test_rows, start)
         data = inputs.data.subset(train_rows)
-        train = _prepare(data, inputs.tau, inputs.summaries, inputs.omega_override, start)
+        train = _prepare(data, inputs.tau, inputs.summaries, start)
     except DataFuseError:
         if start is None:
             raise

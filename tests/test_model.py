@@ -25,8 +25,6 @@ from datafuse import (
     SelectionResult,
     read_internal_csv,
     read_summary_json,
-    summary_from_dict,
-    summary_to_dict,
     validate_dataset,
     validate_summary,
     write_internal_csv,
@@ -55,8 +53,9 @@ from datafuse.model import (
     _link,
     _read_columns_csv,
     _read_columns_fast,
+    _summary_from_dict,
+    _summary_to_dict,
     _where,
-    binding_width,
     expand_binding,
 )
 
@@ -297,7 +296,7 @@ def test_expand_binding_enumerates_components():
     mean = FunctionalDescriptor(FunctionalKind.MEAN, {"column": "X"})
     pairs = expand_binding([joint, mean])
     assert [c for _, c in pairs] == [0, 1, 0]
-    assert binding_width([joint, mean]) == 3
+    assert joint.width() + mean.width() == 3
     only = expand_binding([joint.with_component(1)])
     assert only == [(joint.with_component(1), 1)]
 
@@ -342,6 +341,9 @@ def test_validate_summary_shape_and_m_errors():
         validate_summary([1.0], [[1.0]], True, _mean_binding(1))
     with pytest.raises(DimensionMismatch):
         validate_summary([1.0, 2.0], np.eye(2), 50, _mean_binding(1))
+    # a 1 x 1 beta passes every other check
+    with pytest.raises(DimensionMismatch, match="vector"):
+        validate_summary([[1.0]], [[1.0]], 50, _mean_binding(1))
 
 
 def test_validate_summary_binding_and_finiteness():
@@ -393,6 +395,9 @@ def test_fusion_result_rejects_bad_avar():
         _result([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(NotPositiveDefinite):
         _result([[1.0, 2.0], [2.0, 1.0]])
+    for avar in ([[np.nan]], [[1.0, np.inf], [np.inf, 1.0]]):
+        with pytest.raises(NonFiniteValue, match="avar"):
+            _result(avar)
 
 
 def test_fusion_result_json_dict():
@@ -679,14 +684,14 @@ def test_summary_json_round_trip(tmp_path):
 
 def test_summary_dict_requires_keys():
     with pytest.raises(MalformedInput):
-        summary_from_dict({"beta": [1.0], "sigma1": [[1.0]], "m": 10})
+        _summary_from_dict({"beta": [1.0], "sigma1": [[1.0]], "m": 10})
     with pytest.raises(MalformedInput):
-        summary_from_dict([1, 2, 3])
+        _summary_from_dict([1, 2, 3])
     with pytest.raises(MalformedInput):
-        summary_from_dict(
+        _summary_from_dict(
             {"beta": [1.0], "sigma1": [[1.0]], "m": 10, "binding": "mean"}
         )
-    ok = summary_from_dict(
+    ok = _summary_from_dict(
         {
             "beta": [1.0],
             "sigma1": [[1.0]],
@@ -694,7 +699,7 @@ def test_summary_dict_requires_keys():
             "binding": [{"functional": "mean", "args": {"column": "X"}}],
         }
     )
-    assert summary_to_dict(ok)["source_id"] == ""
+    assert _summary_to_dict(ok)["source_id"] == ""
 
 
 def test_summary_source_id_null_and_non_string():
@@ -704,11 +709,11 @@ def test_summary_source_id_null_and_non_string():
         "m": 10,
         "binding": [{"functional": "mean", "args": {"column": "X"}}],
     }
-    assert summary_from_dict({**base, "source_id": None}).source_id == ""
-    assert summary_from_dict({**base, "source_id": "study-b"}).source_id == "study-b"
+    assert _summary_from_dict({**base, "source_id": None}).source_id == ""
+    assert _summary_from_dict({**base, "source_id": "study-b"}).source_id == "study-b"
     for bad in (3, ["a"], {"id": "a"}, True):
         with pytest.raises(MalformedInput):
-            summary_from_dict({**base, "source_id": bad})
+            _summary_from_dict({**base, "source_id": bad})
 
 
 def test_summary_json_io_errors(tmp_path):
@@ -718,6 +723,15 @@ def test_summary_json_io_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(MalformedInput):
         read_summary_json(bad)
+
+
+def test_writers_raise_io_error_on_a_directory(tmp_path):
+    data = validate_dataset({"Y": [1.0, 2.0]})
+    summary = validate_summary([1.0], [[1.0]], 10, _mean_binding(1))
+    with pytest.raises(IoError, match="cannot write"):
+        write_internal_csv(data, tmp_path)
+    with pytest.raises(IoError, match="cannot write"):
+        write_summary_json(summary, tmp_path)
 
 
 def _io_case(tmp_path):

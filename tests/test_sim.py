@@ -18,7 +18,6 @@ from datafuse import (
     gen_scenario1,
     gen_scenario2,
     run_replications,
-    scenario1_beta_true,
 )
 from datafuse.errors import ExcessiveFailures, IoError, MalformedInput, RankDeficientDesign
 
@@ -40,13 +39,16 @@ def test_scenario1_beta_true_by_quadrature():
     design_mom = np.array([[1.0, 0.0, t0], [0.0, 1.0, t1], [t0, t1, t0]])
     response_mom = np.array([1.0 + t2, 1.0 + t3, t0 + t1 + t2])
     np.testing.assert_allclose(
-        scenario1_beta_true(), np.linalg.solve(design_mom, response_mom), rtol=1e-12, atol=0.0
+        sim_module._SCENARIO1_BETA_TRUE,
+        np.linalg.solve(design_mom, response_mom),
+        rtol=1e-12,
+        atol=0.0,
     )
     assert abs(t0 - 0.6967346701436938) < 1e-12
 
 
 def test_scenario1_beta_true_against_monte_carlo():
-    t0, t1, t2 = scenario1_beta_true()
+    t0, t1, t2 = sim_module._SCENARIO1_BETA_TRUE
     rng = np.random.default_rng(77)
     n = 400_000
     x = rng.standard_normal(n)
@@ -92,7 +94,7 @@ def test_gen_scenario1_structure():
     assert summary.binding[0].kind.value == "joint_ols"
     np.testing.assert_array_equal(truth["tau"], [1.0])
     assert truth["unbiased"] == (0, 1, 2)
-    np.testing.assert_allclose(truth["beta"], scenario1_beta_true(), atol=1e-12)
+    np.testing.assert_allclose(truth["beta"], sim_module._SCENARIO1_BETA_TRUE, atol=1e-12)
 
 
 def test_gen_scenario1_internal_independent_of_m():
