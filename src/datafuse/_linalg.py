@@ -7,6 +7,12 @@ positive or the exact eigenvalue ratio lam_min / lam_max is below
 1 / COND_LIMIT (1e-12), every eigenvalue is shifted by the ridge
 1e-10 * trace/dim, which adds it to the diagonal, and a warning is recorded
 before solving.
+
+spd_solve and inv_sqrt_spd also take a stack of matrices, with leading batch
+axes, and apply their rules to each matrix of the stack in order: each
+ridged matrix warns with the same text as on its own, and the first matrix
+that fails raises the error it raises on its own. numpy's eigh and matmul
+work matrix by matrix, so each result equals that of the matrix on its own.
 """
 
 import warnings
@@ -24,8 +30,16 @@ _LOWER = {}
 
 
 def sym(a):
-    """Symmetrize, killing round-off asymmetry from products."""
-    return (a + a.T) / 2.0
+    """Symmetrize, killing round-off asymmetry from products (of each
+    matrix of a stack)."""
+    return (a + a.swapaxes(-1, -2)) / 2.0
+
+
+def matvec(a, x):
+    """a @ x for each matrix of a stack `a` (..., m, n) and vector of a stack
+    `x` (..., n). On one matrix it equals a @ x bit for bit: numpy's matmul
+    multiplies a matrix by a one-column matrix as by a vector."""
+    return (a @ x[..., None])[..., 0]
 
 
 def max_asymmetry(a) -> float:
@@ -55,18 +69,26 @@ def spd_solve(a, b, error: type = NumericalError, sink: list | None = None, cont
     Falls back to a ridge-inflated diagonal when lam_min <= 0 or the exact
     ratio lam_min / lam_max is below 1 / COND_LIMIT, warning through
     `warnings` and appending the message to `sink` when given; the ridge
-    shifts every eigenvalue, so a is factored once. Raises `error` if the
-    trace is not positive, if lam_min is still not positive after the
-    ridge, or if a is not finite.
+    shifts every eigenvalue, so a is factored once. Raises `error` if a is
+    not finite, if the trace is not positive, or if lam_min is still not
+    positive after the ridge. For a stack a (..., d, d), b is a stack of
+    vectors (..., d) or of matrices (..., d, r), and each system is solved
+    by these rules.
     """
     a = sym(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)
-    dim = a.shape[0]
+    dim = a.shape[-1]
     if dim == 0:
         return np.zeros_like(b)
-    lam, vecs = _eigh(a, error, context)
-    if not (lam[0] > 0.0 and lam[0] >= lam[-1] / COND_LIMIT):
-        trace = float(a.trace())
+    lam, vecs = _eigh(a)
+    # one row of eigenvalues per matrix (a view), checked in order
+    rows, finite = lam.reshape(-1, dim), np.isfinite(lam).all()
+    for i, (low, high) in enumerate(zip(rows[:, 0].tolist(), rows[:, -1].tolist())):
+        if not (finite or np.isfinite(rows[i]).all()):
+            raise error(f"matrix is not finite{_ctx(context)}")
+        if low > 0.0 and low >= high / COND_LIMIT:
+            continue
+        trace = float(a.reshape(-1, dim, dim)[i].trace())
         if not trace > 0.0:
             raise error(f"matrix is not positive definite{_ctx(context)}")
         ridge = RIDGE_SCALE * trace / dim
@@ -74,27 +96,34 @@ def spd_solve(a, b, error: type = NumericalError, sink: list | None = None, cont
         warnings.warn(msg)
         if sink is not None:
             sink.append(msg)
-        lam = lam + ridge
-        if not lam[0] > 0.0:
+        rows[i] += ridge
+        if not rows[i, 0] > 0.0:
             raise error(f"singular system{_ctx(context)}")
-    coef = vecs.T @ b
-    coef /= lam if coef.ndim == 1 else lam[:, None]
-    return vecs @ coef
+    vector = b.ndim == a.ndim - 1
+    coef = vecs.swapaxes(-1, -2) @ (b[..., None] if vector else b)
+    coef /= lam[..., None]
+    x = vecs @ coef
+    return x[..., 0] if vector else x
 
 
 def inv_sqrt_spd(a, floor: float = 1e-12, error: type = NumericalError, context: str = ""):
-    """Symmetric inverse square root via eigendecomposition.
+    """Symmetric inverse square root via eigendecomposition, of a matrix or
+    of each matrix of a stack.
 
     Eigenvalues below -1e-10 are rejected, as is a matrix that is not
     finite; small ones are floored at `floor` rather than projected away so
     the result is always well defined.
     """
     a = sym(np.asarray(a, dtype=float))
-    vals, vecs = _eigh(a, error, context)
-    if vals.size and vals[0] < -1e-10:
-        raise error(f"matrix is not positive semidefinite{_ctx(context)}")
+    vals, vecs = _eigh(a)
+    if not np.isfinite(vals).all() or (vals[..., :1] < -1e-10).any():
+        for row in vals.reshape(-1, vals.shape[-1]):  # the first matrix that fails raises
+            if not np.isfinite(row).all():
+                raise error(f"matrix is not finite{_ctx(context)}")
+            if row.size and row[0] < -1e-10:
+                raise error(f"matrix is not positive semidefinite{_ctx(context)}")
     vals = np.maximum(vals, floor)
-    return (vecs / np.sqrt(vals)) @ vecs.T
+    return (vecs / np.sqrt(vals)[..., None, :]) @ vecs.swapaxes(-1, -2)
 
 
 def check_full_rank(design, error: type, context: str = ""):
@@ -132,16 +161,18 @@ def check_full_rank(design, error: type, context: str = ""):
     raise error(f"design matrix is rank deficient{_ctx(context)}")
 
 
-def _eigh(a, error: type, context: str):
-    """np.linalg.eigh(a), raising `error` if a holds NaN or inf: numpy builds
-    either raise LinAlgError on such a matrix or return NaN eigenvalues."""
+def _eigh(a):
+    """np.linalg.eigh(a), with NaN eigenvalues for a matrix (of a stack)
+    that holds NaN or inf: numpy builds either return those or raise
+    LinAlgError, then for the whole stack, which is taken apart here."""
     try:
-        lam, vecs = np.linalg.eigh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError:
-        lam = None
-    if lam is None or not np.isfinite(lam).all():
-        raise error(f"matrix is not finite{_ctx(context)}")
-    return lam, vecs
+        if a.ndim > 2:
+            parts = [_eigh(m) for m in a.reshape(-1, *a.shape[-2:])]
+            lam = np.array([p[0] for p in parts]).reshape(a.shape[:-1])
+            return lam, np.array([p[1] for p in parts]).reshape(a.shape)
+    return np.full(a.shape[:-1], np.nan), np.zeros(a.shape)
 
 
 def _ctx(context: str) -> str:

@@ -20,15 +20,19 @@ per-fold sums of moment features (functionals._Moments). Otherwise the fold
 is refitted whole on its rows; so is a fold whose sums flag a fit or whose
 moments would cancel. The sums flag a superset of the folds on which a
 fitter fails, so the refit decides, and a fold fails only with its error.
+The folds' calibrations are then one _Calibration with a leading fold axis:
+cv_tune whitens them with one stacked eigendecomposition and fuses all the
+folds that select one set with one batched solve.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, fields
+from itertools import accumulate, compress
 
 import numpy as np
 
-from ._linalg import inv_sqrt_spd
+from ._linalg import inv_sqrt_spd, matvec
 from .errors import (
     DataFuseError,
     DimensionMismatch,
@@ -135,8 +139,9 @@ def whiten(inputs: FusionInputs):
 
 
 def _whiten(calib):
+    """whiten's (X, Y) of a _Calibration, stacked as its batch axes are."""
     x = inv_sqrt_spd(calib.sigma_ext + calib.gram, EIG_FLOOR, NotPositiveDefinite, "whiten")
-    return x, x @ -calib.residual
+    return x, matvec(x, -calib.residual)
 
 
 def _adaptive_weights(discrepancy, alpha) -> np.ndarray:
@@ -172,7 +177,7 @@ def _lasso_path(x, y, weights, lams, knots=None) -> np.ndarray:
     # +-1 for a penalized coordinate on the active set, else 0
     sign = [0.0] * q
     order = sorted(range(len(lams)), key=lambda i: -lams[i])
-    out = np.zeros((len(lams), q))
+    out = [None] * len(lams)
     done, top = 0, math.inf
     # the coordinate that changed state at `top`, and its sign before that
     changed, changed_sign = -1, 0.0
@@ -215,7 +220,7 @@ def _lasso_path(x, y, weights, lams, knots=None) -> np.ndarray:
             out[order[done]] = _segment_point(u, v, lam, who if lam == lo else -1)
             done += 1
         if done == len(order):
-            return out
+            return np.array(out, dtype=float).reshape(len(lams), q)
         if knots is not None:
             knots.append(np.array(_segment_point(u, v, lo, who)))
         changed, changed_sign = who, sign[who]
@@ -308,8 +313,10 @@ def kfold_indices(n: int, k: int, seed) -> list:
     numpy SeedSequence."""
     if _integer("k", k, 2) > _integer("n", n, 0):
         raise MalformedInput(f"cannot split {n} rows into {k} folds")
-    rng = np.random.default_rng(_seed(seed))
-    return [np.sort(part) for part in np.array_split(rng.permutation(n), k)]
+    perm = np.random.default_rng(_seed(seed)).permutation(n)
+    # np.array_split's parts: the first n % k hold one row more
+    bounds = [f * (n // k) + min(f, n % k) for f in range(k + 1)]
+    return [np.sort(perm[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _fold_rows(fold, n: int, fold_idx: int) -> np.ndarray:
@@ -353,9 +360,14 @@ def cv_tune(
     Newton started from the full-data fit (_FoldFits). So is a fold whose
     sums flag a fit (more folds than the fitters reject) or whose moments
     would cancel, which fails only with the refit's error (as FoldTooSmall).
-    A fold builds its calibration once, traces one lasso path over the
-    whole grid and evaluates the fused estimate once per distinct selected
-    set, from sub-blocks of that calibration.
+
+    The folds run as one stacked computation: their calibrations are one
+    _Calibration with a leading fold axis, whitened with one stacked
+    eigendecomposition; each fold traces one lasso path over the whole
+    grid, and the fused estimates of every fold that selects a set come
+    from one batched solve per distinct selected set. Each stage runs on
+    the folds before the first that has failed one, so the first failing
+    fold raises its error, as with the folds run one by one.
     """
     _check_inputs(inputs)
     if inputs.data is None or inputs.tau is None:
@@ -379,31 +391,68 @@ def cv_tune(
         if len(folds) < 2:
             raise MalformedInput(f"cross-validation needs at least 2 folds, got {len(folds)}")
     fits = _FoldFits(inputs, folds)
-    errors = np.zeros(len(grid))
-    for fold_idx in range(len(folds)):
+    tau_test, calib, failure = fits.stacked(inputs.tau_fit._propensity)
+    stop = len(tau_test)
+    try:
+        x, y = _whiten(calib)
+    except DataFuseError:
+        for f in range(stop):
+            try:
+                _whiten(calib[f])
+            except DataFuseError as exc:
+                stop, failure = f, _fold_error(f, exc)
+                break
+        x, y = _whiten(calib[:stop])
+    weights, coords = _adaptive_weights(calib.residual, alpha), range(inputs.q)
+    keys = []  # per fold, the selected set at each grid point
+    for f in range(stop):
+        lams = [c * fits.train_rows[f].size ** -w for c in grid]
         try:
-            tau_test, calib = fits.fold(fold_idx, inputs.tau_fit._propensity)
-            x, y = _whiten(calib)
+            path = _lasso_path(x[f], y[f], weights[f], lams)
         except DataFuseError as exc:
-            raise FoldTooSmall(f"fold {fold_idx}: {exc}") from exc
-        lams = [c * fits.train_rows[fold_idx].size ** -w for c in grid]
-        path = _lasso_path(x, y, _adaptive_weights(calib.residual, alpha), lams)
-        cache = {}
-        for g, zero in enumerate((path == 0.0).tolist()):
-            key = tuple(j for j, z in enumerate(zero) if z)
-            if key not in cache:
-                diff = tau_test - calib.restrict(key).fuse()[1]
-                cache[key] = float(diff @ diff) / len(folds)
-            errors[g] += cache[key]
+            stop, failure = f, exc
+            break
+        keys.append([tuple(compress(coords, zero)) for zero in (path == 0.0).tolist()])
+    selecting = {}  # each distinct selected set: the folds that select it, in order
+    for f, row in enumerate(keys):
+        for key in dict.fromkeys(row):
+            selecting.setdefault(key, []).append(f)
+    sq_error = {}
+    for key, fs in selecting.items():
+        try:
+            estimates = (calib[fs] if len(fs) < len(tau_test) else calib).restrict(key).fuse()[1]
+        except DataFuseError:
+            # one (fold, set) at a time, in order: the first that fails raises
+            for f, row in enumerate(keys):
+                for one in dict.fromkeys(row):
+                    calib[f].restrict(one).fuse()
+            raise
+        for f, estimate in zip(fs, estimates):
+            diff = tau_test[f] - estimate
+            sq_error[f, key] = float(diff @ diff) / len(folds)
+    if failure is not None:
+        raise failure
+    errors = np.zeros(len(grid))
+    for f, row in enumerate(keys):
+        errors += [sq_error[f, key] for key in row]
     best = int(np.argmin(errors))
     trace = tuple((grid[g], float(errors[g])) for g in range(len(grid)))
     return grid[best], trace
 
 
+def _fold_error(f: int, exc: DataFuseError) -> FoldTooSmall:
+    """FoldTooSmall for fold f, which failed with `exc` (its cause)."""
+    error = FoldTooSmall(f"fold {f}: {exc}")
+    error.__cause__ = exc
+    return error
+
+
 class _FoldFits:
     """The fits of cv_tune's folds: the target on each fold's held-out rows,
     and the calibration of the target and the summary bindings on the other
-    rows, its train rows, as prepare_inputs would build it there.
+    rows, its train rows, as prepare_inputs would build it there. `stacked`
+    gives them all, with the calibrations as one _Calibration whose leading
+    axis indexes folds; `fold` gives one.
 
     A fold takes one of two paths, never a mix. It is read from moment sums
     when every slot has a moment form (functionals._moment_forms) and the
@@ -418,12 +467,16 @@ class _FoldFits:
     nothing cancels. Every fold's fits come from those sums at once, with no
     refit and no influence columns: estimates, influence maps L, and the
     calibration moments L S L' with S the train rows' second moments of the
-    features. Otherwise the fold is refitted whole (`refit[f]`): the target
-    on the held-out rows (_fit_tau), then prepare_inputs on the train rows,
-    an aipw_ate target started from the full-data propensity and the fold
-    re-run from zero if that raises. That is every fold when a slot has no
-    moment form (aipw_ate, or designs too wide), when the folds overlap or
-    leave rows out, or when a feature sum is not finite; and a fold whose
+    features. The slots of one design width share one _Moments.fit call,
+    over the sets of rows of all of them: the target's held-out and train
+    rows of every fold, and the other slots' train rows. The calibrations
+    of all folds are built from the sums at once, as one stacked
+    _Calibration. Otherwise the fold is refitted whole (`refit[f]`): the
+    target on the held-out rows (_fit_tau), then prepare_inputs on the train
+    rows, an aipw_ate target started from the full-data propensity and the
+    fold re-run from zero if that raises. That is every fold when a slot has
+    no moment form (aipw_ate, or designs too wide), when the folds overlap
+    or leave rows out, or when a feature sum is not finite; and a fold whose
     sums flag a fit or whose moments would cancel (_Moments.fit). The sums
     flag a superset of the folds on which a fitter fails, and the refit
     decides, so a fold fails only with the refit's error. Of the target on
@@ -432,7 +485,7 @@ class _FoldFits:
     """
 
     def __init__(self, inputs: FusionInputs, folds):
-        from .functionals import _distinct_fits, _moment_forms
+        from .functionals import _distinct_fits, _moment_forms, _Moments
 
         self.inputs, self.folds = inputs, folds
         n, k = inputs.n, len(folds)
@@ -448,7 +501,8 @@ class _FoldFits:
         binding = [desc for s in inputs.summaries for desc in s.binding]
         distinct, slot_of = _distinct_fits(binding)
         slots = [inputs.tau, *distinct]
-        starts = np.cumsum([0] + [desc._base_width() for desc in slots])
+        widths = [desc._base_width() for desc in slots]
+        starts = list(accumulate(widths, initial=0))
         coefs = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
         self.tau = np.array(inputs.tau._coefficients())
         self.beta = np.array(
@@ -463,7 +517,7 @@ class _FoldFits:
             known[self.tau] = inputs.tau_fit.estimate
         centers = [known[c] if np.isfinite(known[c]).all() else None for c in coefs]
         with np.errstate(over="ignore", invalid="ignore"):
-            forms = _moment_forms(inputs.data, slots, centers)
+            forms = _moment_forms(inputs.data, slots, widths, centers)
             if forms is None:
                 return
             features = np.array([np.ones(n)] + [g for form in forms for g in form.features])
@@ -472,33 +526,63 @@ class _FoldFits:
         if not (np.isfinite(test).all() and np.isfinite(train).all()):
             return
 
+        # the sets of rows of each slot: for the target the test rows too, of
+        # which only the estimate is read; feature 0 is ones, so sums[:, 0, 0]
+        # counts each set's rows
+        sets = [np.concatenate((test, train))] + [train] * len(distinct)
+        spans = list(accumulate([len(form.features) for form in forms], initial=1))
+        spans = [slice(a, b) for a, b in zip(spans[:-1], spans[1:])]
         # per fold: the stacked estimates and influence maps of the slots; a
-        # fold whose sums flag a fit or cancel is refitted, and only the
-        # held-out estimate is read from the target on the test rows
+        # fold whose sums flag a fit or cancel is refitted
         self.refit = np.zeros(k, dtype=bool)
-        self.estimate = np.zeros((k, starts[-1]))
+        estimates = np.zeros((k, starts[-1]))
         maps = np.zeros((k, starts[-1], features.shape[0]))
-        at = 1
-        for i, (form, c) in enumerate(zip(forms, coefs)):
-            span = slice(at, at + len(form.features))
-            at = span.stop
-            # the target on the test rows too, in the same call; feature 0 is
-            # ones, so sums[:, 0, 0] counts each set's rows
-            sums = np.concatenate((test, train)) if i == 0 else train
-            estimate, lmap, failed, cancelled = form.fit(
-                sums[:, 0, 0], sums[:, 0, span], sums[:, span, span]
+        for width in dict.fromkeys(widths):
+            group = [i for i in range(len(slots)) if widths[i] == width]
+            fitted = _Moments.fit(
+                np.concatenate([np.repeat(forms[i].center[None], len(sets[i]), 0) for i in group]),
+                np.concatenate([sets[i][:, 0, 0] for i in group]),
+                np.concatenate([sets[i][:, 0, spans[i]] for i in group]),
+                np.concatenate([sets[i][:, spans[i], spans[i]] for i in group]),
             )
-            if i == 0:
-                self.tau_test = estimate[:k, self.tau]
-                self.refit |= failed[:k]
-                estimate, lmap, failed, cancelled = (
-                    estimate[k:], lmap[k:], failed[k:], cancelled[k:]
-                )
-            self.refit |= failed | cancelled
-            self.estimate[:, c], maps[:, c, span] = estimate, lmap
-        self.moments = _calibration_moments(
+            at = 0
+            for i in group:
+                estimate, lmap, failed, cancelled = (a[at : at + len(sets[i])] for a in fitted)
+                at += len(sets[i])
+                if i == 0:
+                    self.tau_test = estimate[:k, self.tau]
+                    self.refit |= failed[:k]
+                    estimate, lmap, failed, cancelled = (
+                        a[k:] for a in (estimate, lmap, failed, cancelled)
+                    )
+                self.refit |= failed | cancelled
+                estimates[:, coefs[i]], maps[:, coefs[i], spans[i]] = estimate, lmap
+        moments = _calibration_moments(
             maps[:, self.tau], maps[:, self.beta], train / train[:, :1, :1]
         )
+        beta_tilde, sigma_ext = _external(inputs.summaries, [rows.size for rows in self.train_rows])
+        self.calibration = _Calibration(
+            estimates[:, self.tau], *moments, estimates[:, self.beta] - beta_tilde, sigma_ext
+        )
+
+    def stacked(self, start):
+        """(held-out estimates, _Calibration, failure) of the folds before the
+        first whose fits fail, stacked along a leading fold axis; `failure`
+        is that fold's error as FoldTooSmall, or None. Raises it when that is
+        fold 0. A refitted fold starts as in `fold`."""
+        if not self.refit.any():
+            return self.tau_test, self.calibration, None
+        parts, failure = [], None
+        for f in range(len(self.folds)):
+            try:
+                parts.append(self.fold(f, start))
+            except DataFuseError as exc:
+                failure = _fold_error(f, exc)
+                break
+        if not parts:
+            raise failure
+        tau_test = np.array([tau for tau, _ in parts])
+        return tau_test, _Calibration.stack([calib for _, calib in parts]), failure
 
     def fold(self, f: int, start):
         """(target estimate on fold f, _Calibration of its train rows). A
@@ -506,20 +590,13 @@ class _FoldFits:
         there, it is re-run from zero, so it fails with the error of the cold
         fits."""
         if not self.refit[f]:
-            return self._from_sums(f)
+            return self.tau_test[f], self.calibration[f]
         try:
             return self._refitted(f, start)
         except DataFuseError:
             if start is None:
                 raise
         return self._refitted(f, None)
-
-    def _from_sums(self, f):
-        inputs, estimate = self.inputs, self.estimate[f]
-        beta_tilde, sigma_ext = _external(inputs.summaries, self.train_rows[f].size)
-        moments = [m[f] for m in self.moments]
-        residual = estimate[self.beta] - beta_tilde
-        return self.tau_test[f], _Calibration(estimate[self.tau], *moments, residual, sigma_ext)
 
     def _refitted(self, f, start):
         inputs = self.inputs

@@ -9,6 +9,7 @@ its arguments with the rules of the descriptor table (model._ARGS), so it
 accepts exactly the arguments a descriptor does.
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -365,6 +366,8 @@ class _Moments:
     k (k + 3) / 2 features (_moment_forms caps their total). The form reads
     only sums, and flags a superset of the sets of rows on which the fitter
     would fail; the fitter, run on those rows, decides and raises the error.
+    The fit reads a form only through its width k and its center, so forms
+    of one width are fitted together, each set with its own center.
     """
 
     def __init__(self, data: InternalDataset, desc: FunctionalDescriptor, center=None):
@@ -383,15 +386,15 @@ class _Moments:
         k = design.shape[1]
         self.center = _ols_coef(design, y, desc.kind.value)[1] if center is None else center
         resid = y - design @ self.center
-        # feature p < P is V_a V_b for the p-th pair a <= b, (a, b) column p
-        # of `pairs`, then feature P + j is V_j e0
-        pairs = [(a, b) for a in range(k) for b in range(a, k)]
-        self.pairs = np.array(pairs).T
-        self.features = [design[:, a] * design[:, b] for a, b in pairs]
+        # feature p < P is V_a V_b for the p-th pair (a, b) of _pairs(k),
+        # then feature P + j is V_j e0
+        self.features = [design[:, a] * design[:, b] for a, b in zip(*_pairs(k))]
         self.features += [design[:, j] * resid for j in range(k)]
 
-    def fit(self, counts, totals, products):
-        """The fit on each of several sets of rows, from its row count
+    @staticmethod
+    def fit(centers, counts, totals, products):
+        """The fit on each of several sets of rows, from the center of its
+        form (row i of `centers`, all of one width k), its row count
         (`counts[i]`) and the sums over its rows of the features (row i of
         `totals`) and of their outer products (`products[i]`): (estimates,
         L, failed, cancelled), one entry per set.
@@ -411,8 +414,8 @@ class _Moments:
         of those terms is then no longer small against it (as when the rows
         fit exactly). Either way the set's fits are to be refitted.
         """
-        sets, k = len(counts), self.center.shape[0]
-        eye, (a, b) = np.eye(k), self.pairs
+        sets, k = centers.shape
+        eye, (a, b) = np.eye(k), _pairs(k)
         pair = np.arange(a.size)
         mean = totals / counts[:, None]
         gram = np.empty((sets, k, k))
@@ -432,7 +435,7 @@ class _Moments:
             d = np.zeros((sets, k, a.size))
             d[:, a, pair], d[:, b, pair] = shift[:, b], shift[:, a]
             lmap = np.concatenate((-(a_inv @ d), a_inv), axis=2)
-            estimate = self.center + shift
+            estimate = centers + shift
             diag = ((lmap @ products) * lmap).sum(axis=2)
             size = (np.abs(lmap) @ np.sqrt(np.diagonal(products, 0, 1, 2))[:, :, None])[:, :, 0]
             failed |= ~np.isfinite(diag.sum(axis=1) + estimate.sum(axis=1))
@@ -441,12 +444,20 @@ class _Moments:
         return estimate, lmap, failed, cancelled
 
 
-def _moment_forms(data: InternalDataset, descs, centers):
-    """The _Moments of each descriptor, built around its full-data
-    coefficients in `centers` (None where not known); None unless every
-    descriptor has one: no aipw_ate fit, and features totalling at most
-    MOMENT_MAX_FEATURES."""
-    widths = [desc._base_width() for desc in descs]
+@functools.lru_cache(maxsize=None)
+def _pairs(k: int) -> np.ndarray:
+    """The pairs a <= b of range(k) in row-major order, as the columns of a
+    read-only 2 x k (k + 1) / 2 array (np.triu_indices(k), computed once)."""
+    pairs = np.array([(a, b) for a in range(k) for b in range(a, k)]).T
+    pairs.setflags(write=False)
+    return pairs
+
+
+def _moment_forms(data: InternalDataset, descs, widths, centers):
+    """The _Moments of each descriptor, of base width `widths[i]`, built
+    around its full-data coefficients in `centers` (None where not known);
+    None unless every descriptor has one: no aipw_ate fit, and features
+    totalling at most MOMENT_MAX_FEATURES."""
     if (
         any(desc.kind is FunctionalKind.AIPW_ATE for desc in descs)
         or sum(k * (k + 3) // 2 for k in widths) > MOMENT_MAX_FEATURES

@@ -17,16 +17,22 @@ built. EFF on a subset of the summary coordinates reads its sub-blocks: that
 is the oracle (ORC), the debiased estimator (DBS) and every cross-validation
 fold estimate. On the empty set the gain is p x 0, so the internal-only
 estimate (INT) is EFF with no summary coordinate.
+
+A calibration may carry leading batch axes: a FusionInputs holds one, with
+none, and cross-validation stacks its k folds' calibrations along one axis
+of length k and fuses them all with one batched solve per selected set. The
+same code serves both, and each calibration of a stack gives what it gives
+on its own.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import spd_solve, sym
+from ._linalg import matvec, spd_solve, sym
 from .errors import (
     DimensionMismatch,
     MalformedInput,
@@ -80,11 +86,15 @@ class FusionInputs:
     tau: Optional[FunctionalDescriptor] = None
 
     def __post_init__(self):
+        _check_type("tau_fit", self.tau_fit, FunctionalFit)
+        _check_type("beta_fit", self.beta_fit, FunctionalFit)
+        _check_type("data", self.data, InternalDataset, optional=True)
+        _check_type("tau", self.tau, FunctionalDescriptor, optional=True)
+        object.__setattr__(self, "summaries", _summaries(self.summaries))
         if self.tau_fit.n != self.beta_fit.n:
             raise DimensionMismatch(
                 f"tau influence has {self.tau_fit.n} rows, beta has {self.beta_fit.n}"
             )
-        object.__setattr__(self, "summaries", tuple(self.summaries))
         q = sum(s.q for s in self.summaries)
         if q != self.beta_fit.p:
             raise DimensionMismatch(
@@ -127,31 +137,49 @@ class FusionInputs:
 
 @dataclass(frozen=True)
 class _Calibration:
-    """What the estimators read from a FusionInputs (q = summary coordinates)."""
+    """What the estimators read from a FusionInputs (q = summary coordinates).
 
-    tau: np.ndarray  # tau_int, length p
-    phi_var: np.ndarray  # E(phi phi'), p x p
-    cross: np.ndarray  # E(phi eta'), p x q
-    gram: np.ndarray  # E(eta eta'), q x q
-    residual: np.ndarray  # beta_int - beta_tilde, length q
-    sigma_ext: np.ndarray  # scaled external covariance, q x q
+    Every field may carry the same leading batch axes (shown as ...), one
+    calibration per index: a FusionInputs holds one, with no batch axis, and
+    cross-validation stacks its folds' along one axis. Indexing a batch
+    axis (calib[f], calib[[0, 2]]) selects calibrations, and every method
+    acts on each calibration of the batch.
+    """
+
+    tau: np.ndarray  # tau_int, ... x p
+    phi_var: np.ndarray  # E(phi phi'), ... x p x p
+    cross: np.ndarray  # E(phi eta'), ... x p x q
+    gram: np.ndarray  # E(eta eta'), ... x q x q
+    residual: np.ndarray  # beta_int - beta_tilde, ... x q
+    sigma_ext: np.ndarray  # scaled external covariance, ... x q x q
+
+    def __getitem__(self, index) -> "_Calibration":
+        return _Calibration(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    @staticmethod
+    def stack(calibs) -> "_Calibration":
+        """Calibrations of one shape stacked along a new leading batch axis."""
+        names = [f.name for f in fields(_Calibration)]
+        return _Calibration(*(np.stack([getattr(c, name) for c in calibs]) for name in names))
 
     def restrict(self, keep) -> "_Calibration":
         """Sub-blocks on the summary coordinates `keep` (indices in [0, q))."""
-        gram, sigma_ext = (a.take(keep, 0).take(keep, 1) for a in (self.gram, self.sigma_ext))
-        cross, residual = self.cross.take(keep, 1), self.residual.take(keep)
+        gram, sigma_ext = (a.take(keep, -2).take(keep, -1) for a in (self.gram, self.sigma_ext))
+        cross, residual = self.cross.take(keep, -1), self.residual.take(keep, -1)
         return _Calibration(self.tau, self.phi_var, cross, gram, residual, sigma_ext)
 
     def fuse(self, sink: list | None = None):
         """(gain, estimate, avar) of EFF on every coordinate held; with none
         the gain is p x 0 and this is tau_int with avar E(phi phi')."""
         lhs = self.sigma_ext + self.gram
-        gain = spd_solve(lhs, self.cross.T, SingularCalibration, sink, "calibration").T
-        return gain, self.tau - gain @ self.residual, self.phi_var - gain @ self.cross.T
+        cross_t = self.cross.swapaxes(-1, -2)
+        gain = spd_solve(lhs, cross_t, SingularCalibration, sink, "calibration").swapaxes(-1, -2)
+        return gain, self.tau - matvec(gain, self.residual), self.phi_var - gain @ cross_t
 
     def gram_coef(self, sink: list | None = None) -> np.ndarray:
         """cross gram^{-1}, the coefficient of CRD and KNW."""
-        return spd_solve(self.gram, self.cross.T, SingularGram, sink, "gram").T
+        cross_t = self.cross.swapaxes(-1, -2)
+        return spd_solve(self.gram, cross_t, SingularGram, sink, "gram").swapaxes(-1, -2)
 
 
 def prepare_inputs(
@@ -160,7 +188,27 @@ def prepare_inputs(
     summaries: Sequence[SummaryStatistic],
 ) -> FusionInputs:
     """Fit the target functional and all summary bindings on one dataset."""
-    return _prepare(data, tau, summaries)
+    _check_type("data", data, InternalDataset)
+    _check_type("tau", tau, FunctionalDescriptor)
+    return _prepare(data, tau, _summaries(summaries))
+
+
+def _check_type(name: str, value, kind: type, optional: bool = False) -> None:
+    """MalformedInput unless `value` is a `kind` (or None, if `optional`)."""
+    if not (isinstance(value, kind) or (optional and value is None)):
+        also = " or None" if optional else ""
+        raise MalformedInput(f"{name} must be a {kind.__name__}{also}, got {value!r}")
+
+
+def _summaries(summaries) -> tuple:
+    """`summaries` as a tuple, if it is an iterable of SummaryStatistic."""
+    try:
+        found = tuple(summaries)
+    except TypeError:
+        found = None
+    if found is None or not all(isinstance(s, SummaryStatistic) for s in found):
+        raise MalformedInput(f"summaries must be a list of SummaryStatistic, got {summaries!r}")
+    return found
 
 
 def _prepare(data, tau, summaries, start=None) -> FusionInputs:
@@ -184,25 +232,26 @@ def _prepare(data, tau, summaries, start=None) -> FusionInputs:
     )
 
 
-def _external(summaries, n: int):
+def _external(summaries, n):
     """Concatenated external estimates and their covariance scaled to n
-    internal observations: block-diagonal, block s sigma1_s * n / m_s."""
+    internal observations: block-diagonal, block s sigma1_s * n / m_s. An
+    array of sample sizes n gives one covariance per size, stacked."""
     beta_tilde = np.concatenate([np.zeros(0)] + [s.beta for s in summaries])
-    rho_coord = np.concatenate([np.zeros(0)] + [np.full(s.q, s.m / n) for s in summaries])
+    m_coord = np.concatenate([np.zeros(0)] + [np.full(s.q, float(s.m)) for s in summaries])
+    rho_coord = m_coord / np.asarray(n, dtype=float)[..., None]
     q = beta_tilde.shape[0]
     base = np.zeros((q, q))
     at = 0
     for s in summaries:
         base[at : at + s.q, at : at + s.q] = s.sigma1
         at += s.q
-    return beta_tilde, sym(base / np.sqrt(np.outer(rho_coord, rho_coord)))
+    return beta_tilde, sym(base / np.sqrt(rho_coord[..., :, None] * rho_coord[..., None, :]))
 
 
 def _check_inputs(inputs) -> None:
     """MalformedInput unless `inputs` is a FusionInputs: the first argument
     of every estimator and of the functions that read a calibration."""
-    if not isinstance(inputs, FusionInputs):
-        raise MalformedInput(f"inputs must be a FusionInputs, got {inputs!r}")
+    _check_type("inputs", inputs, FusionInputs)
 
 
 _SQRT_HALF = math.sqrt(0.5)

@@ -474,7 +474,13 @@ class FusionResult:
     warnings: tuple = ()
 
     def __post_init__(self):
-        avar = np.asarray(self.avar, dtype=float)
+        try:
+            avar = np.asarray(self.avar)
+        except ValueError:  # ragged nesting
+            avar = None
+        if avar is None or avar.dtype.kind not in "iuf":
+            raise MalformedInput(f"avar must be an array of numbers, got {self.avar!r}")
+        avar = np.asarray(avar, dtype=float)
         if not np.isfinite(avar).all():
             raise NonFiniteValue("avar is not finite: the influence moments overflow")
         scale = AVAR_TOL * (1.0 + (abs(avar).max() if avar.size else 0.0))

@@ -31,15 +31,17 @@ from datafuse import (
     wald_inference,
     whiten,
 )
-from datafuse import functionals
+from datafuse import debias, functionals
 from datafuse.debias import _FoldFits, _fit_tau
 from datafuse.fusion import _prepare
 from datafuse.errors import (
     DimensionMismatch,
     FoldTooSmall,
     MalformedInput,
+    NoConvergence,
     NonFiniteValue,
     PropensityDegenerate,
+    RankDeficientDesign,
 )
 
 
@@ -210,6 +212,24 @@ def test_lasso_rejects_non_finite_x_or_y(arg, bad):
 
 # ---------------------------------------------------------------------------
 # selection
+
+
+def test_lasso_rejects_collinear_active_columns():
+    # two equal columns of zero weight are active from the start, and their
+    # block of x'x, [[1, 1], [1, 1]], has no Cholesky factor
+    x = np.array([[1.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(RankDeficientDesign, match="collinear"):
+        adaptive_lasso(x, np.array([1.0, 2.0]), np.zeros(2), 0.5)
+
+
+def test_lasso_path_stops_at_the_knot_cap(monkeypatch):
+    # the path down to lam = 0 has three segments, split at the knots
+    # lam = 6 and 2: a cap of two stops it before the last
+    monkeypatch.setattr(debias, "_MAX_KNOTS", 2)
+    with pytest.raises(NoConvergence, match="within 2 knots"):
+        adaptive_lasso(np.eye(2), np.array([3.0, 1.0]), np.ones(2), 0.0)
+    monkeypatch.setattr(debias, "_MAX_KNOTS", 3)
+    assert adaptive_lasso(np.eye(2), np.array([3.0, 1.0]), np.ones(2), 0.0).tolist() == [3.0, 1.0]
 
 
 def test_select_unbiased_zeroes_small_discrepancy():

@@ -283,6 +283,51 @@ def test_functions_of_fusion_inputs_reject_anything_else(name, bad):
         fn(bad, *args)
 
 
+def _fit_and_summary():
+    fit = FunctionalFit([0.0], np.array([[1.0], [-1.0]]))
+    return fit, validate_summary([0.0], [[1.0]], 10, mean_binding(1))
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("tau_fit", None),
+        ("beta_fit", "ab"),
+        ("summaries", None),
+        ("summaries", "ab"),
+        ("summaries", [None]),
+        ("data", 1.5),
+        ("tau", {}),
+    ],
+    ids=["tau-fit-None", "beta-fit-str", "summaries-None", "summaries-str", "summary-None",
+         "data-float", "tau-dict"],
+)
+def test_fusion_inputs_reject_arguments_of_the_wrong_type(field, bad):
+    # each raised a raw AttributeError or TypeError on its first read
+    fit, summary = _fit_and_summary()
+    args = dict(tau_fit=fit, beta_fit=fit, summaries=(summary,))
+    FusionInputs(**args)
+    with pytest.raises(MalformedInput, match=field.split("_")[0]):
+        FusionInputs(**dict(args, **{field: bad}))
+    with pytest.raises(MalformedInput, match="tau_fit"):
+        FusionInputs(None, None, ())
+
+
+@pytest.mark.parametrize(
+    "position, bad",
+    [(0, None), (1, None), (2, [None]), (2, "ab"), (2, None), (1, "mean")],
+    ids=["data-None", "tau-None", "summary-None", "summaries-str", "summaries-None", "tau-str"],
+)
+def test_prepare_inputs_rejects_arguments_of_the_wrong_type(position, bad):
+    # data or tau of None and a summary of None or "a" raised AttributeError,
+    # summaries of None TypeError
+    inputs = _semi_supervised_inputs()
+    args = [inputs.data, inputs.tau, list(inputs.summaries)]
+    args[position] = bad
+    with pytest.raises(MalformedInput, match=("data", "tau", "summaries")[position]):
+        prepare_inputs(*args)
+
+
 def test_crude_exact_cancellation():
     # sigma_ext equal to gram: the crude variance equals the internal one
     rng = np.random.default_rng(8)
@@ -675,11 +720,14 @@ def test_wald_errors():
     [
         ([0.0, 1.0, 2.0], DimensionMismatch),
         ([[0.0], [1.0]], DimensionMismatch),
+        # ragged lists stack as an object array of two lists, whose entries
+        # _real rejects as not numbers: this case does not reach the
+        # ragged-nesting guard of _finite_array
         ([[0.0], [1.0, 2.0]], MalformedInput),
-        # numpy cannot stack these even as objects
+        # numpy cannot stack these even as objects: the ragged-nesting guard
         ([np.ones((2, 2)), np.ones((2, 3))], MalformedInput),
     ],
-    ids=["too-long", "column", "ragged", "ragged-arrays"],
+    ids=["too-long", "column", "list-entries", "ragged-arrays"],
 )
 def test_wald_null_must_be_numbers_that_broadcast_to_the_estimate(null, error):
     # numpy's ValueError, from np.broadcast_to or (ragged) np.asarray

@@ -6,6 +6,7 @@ import json
 import os
 import pkgutil
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -398,6 +399,18 @@ def test_fusion_result_rejects_bad_avar():
     for avar in ([[np.nan]], [[1.0, np.inf], [np.inf, 1.0]]):
         with pytest.raises(NonFiniteValue, match="avar"):
             _result(avar)
+
+
+@pytest.mark.parametrize(
+    "avar", [None, "ab", [["a"]], [[True]], [[1.0], [1.0, 2.0]]],
+    ids=["None", "str", "str-entries", "bool", "ragged"],
+)
+def test_fusion_result_rejects_an_avar_that_is_not_numbers(avar):
+    # None read as NaN and raised NonFiniteValue, "the influence moments
+    # overflow"; a string raised numpy's ValueError
+    base = _result(np.eye(1))
+    with pytest.raises(MalformedInput, match="avar must be an array of numbers"):
+        replace(base, avar=avar)
 
 
 def test_fusion_result_json_dict():

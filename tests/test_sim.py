@@ -425,6 +425,20 @@ def test_run_replications_excludes_rare_failures_pairwise(monkeypatch):
     assert all(row.reps == 149 for row in result.rows)
 
 
+def test_an_rmse_of_zero_has_a_zero_monte_carlo_error(monkeypatch):
+    # every replication estimates tau exactly, so the rmse is 0 and the delta
+    # method's sd(err^2) / (2 rmse) would divide 0 by 0
+    cfg = ScenarioConfig(scenario="I", n=200, m=100, reps=3, seed=3, methods=("INT",))
+
+    def exact(config, rep_seed):
+        tau = np.array([1.0])
+        return tau, {"INT": (tau.copy(), np.array([0.1]), np.array([True]), None)}
+
+    monkeypatch.setattr(sim_module, "_replicate", exact)
+    (row,) = run_replications(cfg).rows
+    assert (row.bias, row.rmse, row.mc_se_rmse) == (0.0, 0.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # output
 
