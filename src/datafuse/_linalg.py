@@ -15,6 +15,7 @@ that fails raises the error it raises on its own. numpy's eigh and matmul
 work matrix by matrix, so each result equals that of the matrix on its own.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -83,10 +84,10 @@ def spd_solve(a, b, error: type = NumericalError, sink: list | None = None, cont
     lam, vecs = _eigh(a)
     # one row of eigenvalues per matrix (a view), checked in order
     rows, finite = lam.reshape(-1, dim), np.isfinite(lam).all()
-    for i, (low, high) in enumerate(zip(rows[:, 0].tolist(), rows[:, -1].tolist())):
-        if not (finite or np.isfinite(rows[i]).all()):
+    for i, row in enumerate(rows.tolist()):
+        if not (finite or np.isfinite(row).all()):
             raise error(f"matrix is not finite{_ctx(context)}")
-        if low > 0.0 and low >= high / COND_LIMIT:
+        if row[0] > 0.0 and row[0] >= row[-1] / COND_LIMIT:
             continue
         trace = float(a.reshape(-1, dim, dim)[i].trace())
         if not trace > 0.0:
@@ -116,12 +117,13 @@ def inv_sqrt_spd(a, floor: float = 1e-12, error: type = NumericalError, context:
     """
     a = sym(np.asarray(a, dtype=float))
     vals, vecs = _eigh(a)
-    if not np.isfinite(vals).all() or (vals[..., :1] < -1e-10).any():
-        for row in vals.reshape(-1, vals.shape[-1]):  # the first matrix that fails raises
-            if not np.isfinite(row).all():
-                raise error(f"matrix is not finite{_ctx(context)}")
-            if row.size and row[0] < -1e-10:
-                raise error(f"matrix is not positive semidefinite{_ctx(context)}")
+    finite = np.isfinite(vals).all()
+    # one row of eigenvalues per matrix, checked in order
+    for row in vals.reshape(math.prod(vals.shape[:-1]), vals.shape[-1]).tolist():
+        if not (finite or np.isfinite(row).all()):
+            raise error(f"matrix is not finite{_ctx(context)}")
+        if row and row[0] < -1e-10:
+            raise error(f"matrix is not positive semidefinite{_ctx(context)}")
     vals = np.maximum(vals, floor)
     return (vecs / np.sqrt(vals)[..., None, :]) @ vecs.swapaxes(-1, -2)
 
