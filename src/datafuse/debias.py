@@ -396,6 +396,7 @@ def cv_tune(
     try:
         x, y = _whiten(calib)
     except DataFuseError:
+        # whitened one at a time, the first fold that fails stops the others
         for f in range(stop):
             try:
                 _whiten(calib[f])
