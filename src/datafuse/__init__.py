@@ -50,7 +50,6 @@ from .model import (
     Method,
     SelectionResult,
     SummaryStatistic,
-    expand_binding,
     read_internal_csv,
     read_summary_json,
     validate_dataset,
@@ -99,7 +98,6 @@ __all__ = [
     "estimate_knw",
     "estimate_orc",
     "evaluate_binding",
-    "expand_binding",
     "export_tables",
     "fit_aipw_ate",
     "fit_functional",

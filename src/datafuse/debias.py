@@ -22,7 +22,9 @@ moments would cancel. The sums flag a superset of the folds on which a
 fitter fails, so the refit decides, and a fold fails only with its error.
 The folds' calibrations are then one _Calibration with a leading fold axis:
 cv_tune whitens them with one stacked eigendecomposition and fuses all the
-folds that select one set with one batched solve.
+folds that select one set with one batched solve. Should that stacked pass
+raise, cv_tune replays it one fold at a time, so the first failing fold
+raises its own error.
 """
 
 import math
@@ -361,13 +363,14 @@ def cv_tune(
     sums flag a fit (more folds than the fitters reject) or whose moments
     would cancel, which fails only with the refit's error (as FoldTooSmall).
 
-    The folds run as one stacked computation: their calibrations are one
-    _Calibration with a leading fold axis, whitened with one stacked
+    The folds run as one stacked pass (_cv_errors): their calibrations are
+    one _Calibration with a leading fold axis, whitened with one stacked
     eigendecomposition; each fold traces one lasso path over the whole
     grid, and the fused estimates of every fold that selects a set come
-    from one batched solve per distinct selected set. Each stage runs on
-    the folds before the first that has failed one, so the first failing
-    fold raises its error, as with the folds run one by one.
+    from one batched solve per distinct selected set. If that pass raises
+    any DataFuseError, the same pass is run again one fold at a time, in
+    order, and the first fold that fails raises its own error, as with the
+    folds run one by one; if none fails alone, the stacked error is raised.
     """
     _check_inputs(inputs)
     if inputs.data is None or inputs.tau is None:
@@ -391,54 +394,51 @@ def cv_tune(
         if len(folds) < 2:
             raise MalformedInput(f"cross-validation needs at least 2 folds, got {len(folds)}")
     fits = _FoldFits(inputs, folds)
-    tau_test, calib, failure = fits.stacked(inputs.tau_fit._propensity)
-    stop = len(tau_test)
     try:
-        x, y = _whiten(calib)
+        errors = _cv_errors(fits, slice(None), grid, w, alpha)
     except DataFuseError:
-        # whitened one at a time, the first fold that fails stops the others
-        for f in range(stop):
-            try:
-                _whiten(calib[f])
-            except DataFuseError as exc:
-                stop, failure = f, _fold_error(f, exc)
-                break
-        x, y = _whiten(calib[:stop])
-    weights, coords = _adaptive_weights(calib.residual, alpha), range(inputs.q)
-    keys = []  # per fold, the selected set at each grid point
-    for f in range(stop):
-        lams = [c * fits.train_rows[f].size ** -w for c in grid]
-        try:
-            path = _lasso_path(x[f], y[f], weights[f], lams)
-        except DataFuseError as exc:
-            stop, failure = f, exc
-            break
-        keys.append([tuple(compress(coords, zero)) for zero in (path == 0.0).tolist()])
-    selecting = {}  # each distinct selected set: the folds that select it, in order
-    for f, row in enumerate(keys):
-        for key in dict.fromkeys(row):
-            selecting.setdefault(key, []).append(f)
-    sq_error = {}
-    for key, fs in selecting.items():
-        try:
-            estimates = (calib[fs] if len(fs) < len(tau_test) else calib).restrict(key).fuse()[1]
-        except DataFuseError:
-            # one (fold, set) at a time, in order: the first that fails raises
-            for f, row in enumerate(keys):
-                for one in dict.fromkeys(row):
-                    calib[f].restrict(one).fuse()
-            raise
-        for f, estimate in zip(fs, estimates):
-            diff = tau_test[f] - estimate
-            sq_error[f, key] = float(diff @ diff) / len(folds)
-    if failure is not None:
-        raise failure
-    errors = np.zeros(len(grid))
-    for f, row in enumerate(keys):
-        errors += [sq_error[f, key] for key in row]
+        # replayed one fold at a time, in order, the first fold that fails
+        # raises its own error; should none fail alone, the stacked error does
+        for f in range(len(folds)):
+            _cv_errors(fits, slice(f, f + 1), grid, w, alpha)
+        raise
     best = int(np.argmin(errors))
     trace = tuple((grid[g], float(errors[g])) for g in range(len(grid)))
     return grid[best], trace
+
+
+def _cv_errors(fits, fs: slice, grid, w: float, alpha: float) -> np.ndarray:
+    """The summed squared errors at each grid point of the folds of slice
+    `fs`, each divided by the number of folds: their fits stacked, whitened
+    at once, one lasso path per fold and one batched fuse per selected set.
+    A failing refit or whitening raises FoldTooSmall (the first fold of the
+    slice for the whitening); a lasso path or fuse error is raised as it is."""
+    folds = range(len(fits.folds))[fs]
+    tau_test, calib = fits.stacked(fs)
+    try:
+        x, y = _whiten(calib)
+    except DataFuseError as exc:
+        raise _fold_error(folds[0], exc)
+    weights, coords = _adaptive_weights(calib.residual, alpha), range(fits.inputs.q)
+    keys = []  # per fold, the selected set at each grid point
+    for i, f in enumerate(folds):
+        lams = [c * fits.train_rows[f].size ** -w for c in grid]
+        path = _lasso_path(x[i], y[i], weights[i], lams)
+        keys.append([tuple(compress(coords, zero)) for zero in (path == 0.0).tolist()])
+    selecting = {}  # each distinct selected set: the folds that select it, in order
+    for i, row in enumerate(keys):
+        for key in dict.fromkeys(row):
+            selecting.setdefault(key, []).append(i)
+    sq_error = {}
+    for key, held in selecting.items():
+        estimates = (calib[held] if len(held) < len(keys) else calib).restrict(key).fuse()[1]
+        for i, estimate in zip(held, estimates):
+            diff = tau_test[i] - estimate
+            sq_error[i, key] = float(diff @ diff) / len(fits.folds)
+    errors = np.zeros(len(grid))
+    for i, row in enumerate(keys):
+        errors += [sq_error[i, key] for key in row]
+    return errors
 
 
 def _fold_error(f: int, exc: DataFuseError) -> FoldTooSmall:
@@ -452,8 +452,8 @@ class _FoldFits:
     """The fits of cv_tune's folds: the target on each fold's held-out rows,
     and the calibration of the target and the summary bindings on the other
     rows, its train rows, as prepare_inputs would build it there. `stacked`
-    gives them all, with the calibrations as one _Calibration whose leading
-    axis indexes folds; `fold` gives one.
+    gives those of a slice of folds, with the calibrations as one
+    _Calibration whose leading axis indexes folds; `fold` gives one.
 
     A fold takes one of two paths, never a mix. It is read from moment sums
     when every slot has a moment form (functionals._moment_forms) and the
@@ -566,32 +566,29 @@ class _FoldFits:
             estimates[:, self.tau], *moments, estimates[:, self.beta] - beta_tilde, sigma_ext
         )
 
-    def stacked(self, start):
-        """(held-out estimates, _Calibration, failure) of the folds before the
-        first whose fits fail, stacked along a leading fold axis; `failure`
-        is that fold's error as FoldTooSmall, or None. Raises it when that is
-        fold 0. A refitted fold starts as in `fold`."""
-        if not self.refit.any():
-            return self.tau_test, self.calibration, None
-        parts, failure = [], None
-        for f in range(len(self.folds)):
+    def stacked(self, fs: slice):
+        """(held-out estimates, _Calibration) of the folds of slice `fs`,
+        stacked along a leading fold axis. Raises the first failing fold's
+        error as FoldTooSmall."""
+        if not self.refit[fs].any():
+            return self.tau_test[fs], self.calibration[fs]
+        parts = []
+        for f in range(len(self.folds))[fs]:
             try:
-                parts.append(self.fold(f, start))
+                parts.append(self.fold(f))
             except DataFuseError as exc:
-                failure = _fold_error(f, exc)
-                break
-        if not parts:
-            raise failure
+                raise _fold_error(f, exc)
         tau_test = np.array([tau for tau, _ in parts])
-        return tau_test, _Calibration.stack([calib for _, calib in parts]), failure
+        return tau_test, _Calibration.stack([calib for _, calib in parts])
 
-    def fold(self, f: int, start):
+    def fold(self, f: int):
         """(target estimate on fold f, _Calibration of its train rows). A
-        refitted fold starts an aipw_ate fit from `start`; if it raises from
-        there, it is re-run from zero, so it fails with the error of the cold
-        fits."""
+        refitted fold starts an aipw_ate fit from the full-data propensity;
+        if it raises from there, it is re-run from zero, so it fails with the
+        error of the cold fits."""
         if not self.refit[f]:
             return self.tau_test[f], self.calibration[f]
+        start = self.inputs.tau_fit._propensity
         try:
             return self._refitted(f, start)
         except DataFuseError:

@@ -29,8 +29,10 @@ from .model import (
     FunctionalKind,
     InternalDataset,
     _bool,
+    _check_type,
     _col,
     _cols,
+    _items,
     _real,
     _where,
 )
@@ -63,6 +65,7 @@ def fit_mean(data: InternalDataset, column: str, where=None) -> FunctionalFit:
     """Mean of a column, optionally restricted to rows where another
     column equals a value (influence uses the ratio form, so the columns
     stay mean-zero over the full sample)."""
+    _check_type("data", data, InternalDataset)
     column, where = _col("mean", "column", column), _where("mean", "where", where)
     y = data.column(column)
     if where is None:
@@ -115,6 +118,7 @@ def fit_joint_ols(
     rows are inv(E VV') V_i e_i, whose sample mean vanishes by the normal
     equations.
     """
+    _check_type("data", data, InternalDataset)
     outcome = _col("joint_ols", "outcome", outcome)
     regressors = _cols("joint_ols", "regressors", regressors)
     intercept = _bool("joint_ols", "intercept", intercept)
@@ -141,6 +145,7 @@ def _joint_design(data: InternalDataset, regressors, intercept: bool = True) -> 
 
 def fit_marginal_ols(data: InternalDataset, outcome: str, regressor: str) -> FunctionalFit:
     """Slope of the no-intercept regression of outcome on one regressor."""
+    _check_type("data", data, InternalDataset)
     outcome = _col("marginal_ols", "outcome", outcome)
     regressor = _col("marginal_ols", "regressor", regressor)
     y = data.column(outcome)
@@ -241,6 +246,7 @@ def fit_aipw_ate(
     covariates within each arm. Fitted propensities are trimmed to
     [trim, 1 - trim] before weighting; trim must be a number in [0, 0.5).
     """
+    _check_type("data", data, InternalDataset)
     outcome = _col("aipw_ate", "outcome", outcome)
     treatment = _col("aipw_ate", "treatment", treatment)
     covariates = _cols("aipw_ate", "covariates", covariates)
@@ -304,6 +310,7 @@ def fit_functional(data: InternalDataset, desc: FunctionalDescriptor) -> Functio
 
     A descriptor's argument names are its fitter's keyword names.
     """
+    _check_type("desc", desc, FunctionalDescriptor)
     return _FITTERS[desc.kind](data, **desc.args)
 
 
@@ -320,12 +327,18 @@ def evaluate_binding(data: InternalDataset, binding):
 
     Descriptors sharing kind and args are fitted once; component selection
     then slices the shared fit. Returns (estimates, influence matrix) with
-    one column per summary coordinate, ordered as the binding lists them.
+    one column per summary coordinate, ordered as the binding lists them;
+    an empty binding has none.
     """
+    _check_type("data", data, InternalDataset)
+    binding = _items("binding", binding, FunctionalDescriptor)
     distinct, slots = _distinct_fits(binding)
     fits = [fit_functional(data, desc) for desc in distinct]
     parts = [_columns(fits[i], desc) for desc, i in zip(binding, slots)]
-    return np.concatenate([f.estimate for f in parts]), np.hstack([f.influence for f in parts])
+    return (
+        np.concatenate([np.zeros(0)] + [f.estimate for f in parts]),
+        np.hstack([np.zeros((data.n, 0))] + [f.influence for f in parts]),
+    )
 
 
 def _distinct_fits(binding):

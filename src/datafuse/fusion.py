@@ -49,9 +49,10 @@ from .model import (
     InternalDataset,
     Method,
     SummaryStatistic,
+    _check_type,
+    _items,
     _readonly,
     _real,
-    expand_binding,
 )
 
 __all__ = [
@@ -90,7 +91,8 @@ class FusionInputs:
         _check_type("beta_fit", self.beta_fit, FunctionalFit)
         _check_type("data", self.data, InternalDataset, optional=True)
         _check_type("tau", self.tau, FunctionalDescriptor, optional=True)
-        object.__setattr__(self, "summaries", _summaries(self.summaries))
+        summaries = _items("summaries", self.summaries, SummaryStatistic)
+        object.__setattr__(self, "summaries", summaries)
         if self.tau_fit.n != self.beta_fit.n:
             raise DimensionMismatch(
                 f"tau influence has {self.tau_fit.n} rows, beta has {self.beta_fit.n}"
@@ -190,25 +192,7 @@ def prepare_inputs(
     """Fit the target functional and all summary bindings on one dataset."""
     _check_type("data", data, InternalDataset)
     _check_type("tau", tau, FunctionalDescriptor)
-    return _prepare(data, tau, _summaries(summaries))
-
-
-def _check_type(name: str, value, kind: type, optional: bool = False) -> None:
-    """MalformedInput unless `value` is a `kind` (or None, if `optional`)."""
-    if not (isinstance(value, kind) or (optional and value is None)):
-        also = " or None" if optional else ""
-        raise MalformedInput(f"{name} must be a {kind.__name__}{also}, got {value!r}")
-
-
-def _summaries(summaries) -> tuple:
-    """`summaries` as a tuple, if it is an iterable of SummaryStatistic."""
-    try:
-        found = tuple(summaries)
-    except TypeError:
-        found = None
-    if found is None or not all(isinstance(s, SummaryStatistic) for s in found):
-        raise MalformedInput(f"summaries must be a list of SummaryStatistic, got {summaries!r}")
-    return found
+    return _prepare(data, tau, _items("summaries", summaries, SummaryStatistic))
 
 
 def _prepare(data, tau, summaries, start=None) -> FusionInputs:
@@ -217,11 +201,7 @@ def _prepare(data, tau, summaries, start=None) -> FusionInputs:
 
     summaries = tuple(summaries)
     tau_fit = _columns(_refit(data, tau, start), tau)
-    binding = [desc for s in summaries for desc in s.binding]
-    if binding:
-        beta_int, eta = evaluate_binding(data, binding)
-    else:
-        beta_int, eta = np.zeros(0), np.zeros((data.n, 0))
+    beta_int, eta = evaluate_binding(data, [desc for s in summaries for desc in s.binding])
     beta_fit = FunctionalFit(beta_int, eta, label="binding")
     return FusionInputs(
         tau_fit=tau_fit,
@@ -427,6 +407,7 @@ def wald_inference(result: FusionResult, null=0.0, side: str = "upper", level=No
     'two_sided' doubles the smaller tail. null is a finite number, or one
     per coordinate: an array that broadcasts to the estimate.
     """
+    _check_type("result", result, FusionResult)
     if side not in ("upper", "lower", "two_sided"):
         raise DimensionMismatch(f"side must be upper/lower/two_sided, got {side!r}")
     level = result.level if level is None else level
@@ -458,8 +439,9 @@ def restrict_inputs(inputs: FusionInputs, keep) -> FusionInputs:
     for s in inputs.summaries:
         local = [j - at for j in keep if at <= j < at + s.q]
         if local:
-            expanded = expand_binding(s.binding)
-            new_binding = [expanded[j][0].with_component(expanded[j][1]) for j in local]
+            # one (descriptor, coefficient) pair per coordinate of the source
+            coords = [(desc, j) for desc in s.binding for j in desc._coefficients()]
+            new_binding = [coords[j][0].with_component(coords[j][1]) for j in local]
             new_summaries.append(
                 SummaryStatistic(
                     beta=_readonly(s.beta[local]),

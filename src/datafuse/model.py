@@ -81,6 +81,24 @@ def _reals(name: str, values) -> tuple:
     return tuple(_real(name, v) for v in values)
 
 
+def _check_type(name: str, value, kind: type, optional: bool = False) -> None:
+    """MalformedInput unless `value` is a `kind` (or None, if `optional`)."""
+    if not (isinstance(value, kind) or (optional and value is None)):
+        also = " or None" if optional else ""
+        raise MalformedInput(f"{name} must be a {kind.__name__}{also}, got {value!r}")
+
+
+def _items(name: str, values, kind: type) -> tuple:
+    """`values` as a tuple, if it is an iterable of `kind`s."""
+    try:
+        found = tuple(values)
+    except TypeError:
+        found = None
+    if found is None or not all(isinstance(v, kind) for v in found):
+        raise MalformedInput(f"{name} must be a list of {kind.__name__}, got {values!r}")
+    return found
+
+
 # ---------------------------------------------------------------------------
 # datasets
 
@@ -191,7 +209,7 @@ class FunctionalDescriptor:
     component: Optional[int] = None
 
     def __post_init__(self):
-        kind = FunctionalKind(self.kind)
+        kind = _kind(self.kind)
         args = _validate_args(kind, self.args)
         if kind is FunctionalKind.GLM_MARGINAL:
             args.pop("link", None)
@@ -244,17 +262,19 @@ class FunctionalDescriptor:
         extra = set(obj) - {"functional", "args", "component"}
         if extra:
             raise MalformedInput(f"unknown descriptor keys {sorted(extra)}")
-        try:
-            kind = FunctionalKind(obj["functional"])
-        except ValueError:
-            raise MalformedInput(f"unknown functional kind {obj['functional']!r}") from None
+        kind = _kind(obj["functional"])
         args = obj.get("args", {})
         if isinstance(args, (list, tuple)):
             args = _args_from_list(kind, list(args))
-        elif not isinstance(args, Mapping):
-            raise MalformedInput("descriptor 'args' must be an object or a list")
         component = obj.get("component")
         return cls(kind=kind, args=args, component=component)
+
+
+def _kind(value) -> FunctionalKind:
+    try:
+        return FunctionalKind(value)
+    except ValueError:
+        raise MalformedInput(f"unknown functional kind {value!r}") from None
 
 
 def _col(owner, key, value):
@@ -312,6 +332,8 @@ def _validate_args(kind: FunctionalKind, args: Mapping) -> dict:
     the kind's table entry; a missing required argument fails its check and
     an optional one whose check returns None is dropped."""
     required, spec = _ARGS[kind]
+    if not isinstance(args, Mapping):
+        raise MalformedInput(f"{kind.value} args must be a mapping of names, got {args!r}")
     extra = set(args) - {name for name, _ in spec}
     if extra:
         raise MalformedInput(f"{kind.value} got unexpected args {sorted(extra)}")
@@ -330,11 +352,6 @@ def _args_from_list(kind: FunctionalKind, args: list) -> dict:
     if not required <= len(args) <= len(spec):
         raise MalformedInput(f"positional args {args!r} do not fit {kind.value}")
     return dict(zip((name for name, _ in spec), args))
-
-
-def expand_binding(binding: Sequence[FunctionalDescriptor]):
-    """One (descriptor, coefficient index) pair per summary coordinate."""
-    return [(desc, j) for desc in binding for j in desc._coefficients()]
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +406,7 @@ def validate_summary(
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m <= 0:
         raise DimensionMismatch(f"m must be a positive integer, got {m!r}")
     _real("m", m)  # an integer beyond the float range is malformed
-    binding = tuple(binding)
-    for desc in binding:
-        if not isinstance(desc, FunctionalDescriptor):
-            raise MalformedInput(f"binding entry {desc!r} is not a descriptor")
+    binding = _items("binding", binding, FunctionalDescriptor)
     width = sum(d.width() for d in binding)
     if width != q:
         raise DimensionMismatch(f"binding covers {width} coordinates, beta has {q}")
@@ -548,6 +562,7 @@ def _path(path) -> None:
 
 def write_internal_csv(dataset: InternalDataset, path):
     """UTF-8 CSV with a header row; floats keep 17 significant digits."""
+    _check_type("dataset", dataset, InternalDataset)
     _path(path)
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -707,6 +722,7 @@ def _summary_from_dict(obj) -> SummaryStatistic:
 
 
 def write_summary_json(summary: SummaryStatistic, path):
+    _check_type("summary", summary, SummaryStatistic)
     _path(path)
     try:
         with open(path, "w", encoding="utf-8") as fh:

@@ -41,7 +41,6 @@ PUBLIC = {
     "estimate_knw",
     "estimate_orc",
     "evaluate_binding",
-    "expand_binding",
     "export_tables",
     "fit_aipw_ate",
     "fit_functional",
@@ -70,6 +69,7 @@ REMOVED = (
     "assemble_external",
     "binding_width",
     "empirical_moments",
+    "expand_binding",
     "fit_logistic",
     "scenario1_beta_true",
     "summary_from_dict",
@@ -80,7 +80,7 @@ PACKAGE = Path(datafuse.__file__).resolve().parent
 
 
 def test_all_is_the_public_api():
-    assert len(datafuse.__all__) == len(set(datafuse.__all__)) == 50
+    assert len(datafuse.__all__) == len(set(datafuse.__all__)) == 49
     assert set(datafuse.__all__) == PUBLIC
     for name in datafuse.__all__:
         assert getattr(datafuse, name) is not None, name

@@ -126,8 +126,8 @@ def _assert_close(actual, expected, rtol, scale, what):
     assert np.max(np.abs(actual - expected), initial=0.0) <= rtol * scale, what
 
 
-def _ours(fits, f, start):
-    tau_test, calib = fits.fold(f, start)
+def _ours(fits, f):
+    tau_test, calib = fits.fold(f)
     _whiten(calib)
     return tau_test, calib
 
@@ -142,7 +142,7 @@ def test_folds_from_moment_sums_match_refits(case):
     for f, test_rows in enumerate(folds):
         train_rows = np.setdiff1d(np.arange(inputs.n), test_rows)
         ref, ref_error = _outcome(lambda: _reference(inputs, test_rows, train_rows, start))
-        got, error = _outcome(lambda: _ours(fits, f, start))
+        got, error = _outcome(lambda: _ours(fits, f))
         assert error == ref_error
         if ref_error is not None:
             first_failure = first_failure or f"fold {f}: {ref_error[1]}"
@@ -192,7 +192,7 @@ def test_feature_sums_that_overflow_fall_back_to_refits():
     fits = _FoldFits(inputs, FOLDS_OF_12)
     assert fits.refit.all()
     for f, test_rows in enumerate(FOLDS_OF_12):
-        tau_test, calib = _ours(fits, f, None)
+        tau_test, calib = _ours(fits, f)
         ref_tau, ref_calib = _reference(
             inputs, test_rows, np.setdiff1d(np.arange(12), test_rows), None
         )
@@ -215,7 +215,7 @@ def test_folds_that_do_not_partition_the_rows_match_refits():
     fits = _FoldFits(inputs, folds)
     assert fits.refit.all()
     for f, test_rows in enumerate(folds):
-        got = _ours(fits, f, None)
+        got = _ours(fits, f)
         ref = _reference(inputs, test_rows, np.setdiff1d(np.arange(40), test_rows), None)
         _assert_close(got[0], ref[0], HELD_OUT_RTOL, np.max(np.abs(ref[0])), "held-out estimate")
         scales = _scales(ref[1])
@@ -262,7 +262,7 @@ def test_fits_beyond_the_feature_cap_are_refitted():
     fits = _FoldFits(inputs, folds)
     assert fits.refit.all()
     for f, test_rows in enumerate(folds):
-        got = _ours(fits, f, None)
+        got = _ours(fits, f)
         ref = _reference(inputs, test_rows, np.setdiff1d(np.arange(n), test_rows), None)
         assert np.array_equal(got[0], ref[0])
         scales = _scales(ref[1])
@@ -295,7 +295,7 @@ def test_folds_whose_fits_would_fail_are_refitted():
     for f, test_rows in enumerate(folds):
         train_rows = np.setdiff1d(rows, test_rows)
         ref, ref_error = _outcome(lambda: _reference(inputs, test_rows, train_rows, None))
-        got, error = _outcome(lambda: _ours(fits, f, None))
+        got, error = _outcome(lambda: _ours(fits, f))
         assert error == ref_error
         ref_errors.append(ref_error)
         if ref_error is None:

@@ -554,7 +554,7 @@ def test_folds_with_an_ill_conditioned_design_are_refitted(slot):
     fits = _FoldFits(inputs, folds)
     assert fits.refit.tolist() == [True, slot == "binding", slot == "binding"]
     for f in np.flatnonzero(fits.refit):
-        tau_test, calib = fits.fold(f, None)
+        tau_test, calib = fits.fold(f)
         ref = _prepare(data.subset(fits.train_rows[f]), tau, inputs.summaries)._calibration
         assert np.array_equal(tau_test, _fit_tau(inputs, folds[f]))
         for field in ("tau", "phi_var", "cross", "gram", "residual", "sigma_ext"):

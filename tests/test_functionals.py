@@ -516,6 +516,37 @@ def test_evaluate_binding_matches_componentwise_fit():
     np.testing.assert_allclose(eta_parts, full.influence[:, [2, 0]], atol=1e-12)
 
 
+_MEAN_Y = FunctionalDescriptor(FunctionalKind.MEAN, {"column": "Y"})
+_OBJECT_ARGUMENTS = {
+    "fit_functional-data": (fit_functional, (None, _MEAN_Y), "data"),
+    "fit_functional-desc": (fit_functional, ("data", None), "desc"),
+    "evaluate_binding-data": (evaluate_binding, (None, [_MEAN_Y]), "data"),
+    "evaluate_binding-entry": (evaluate_binding, ("data", [None]), "binding"),
+    "evaluate_binding-None": (evaluate_binding, ("data", None), "binding"),
+    "evaluate_binding-descriptor": (evaluate_binding, ("data", _MEAN_Y), "binding"),
+    "fit_mean": (fit_mean, (None, "Y"), "data"),
+    "fit_joint_ols": (fit_joint_ols, (None, "Y", ["X"]), "data"),
+    "fit_marginal_ols": (fit_marginal_ols, (None, "Y", "X"), "data"),
+    "fit_aipw_ate": (fit_aipw_ate, (None, "Y", "T", ["X"]), "data"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OBJECT_ARGUMENTS))
+def test_fitters_reject_object_arguments_of_the_wrong_type(name):
+    # each raised a raw AttributeError or TypeError on its first read
+    fn, args, what = _OBJECT_ARGUMENTS[name]
+    data = _data(Y=[1.0, 2.0, 4.0], X=[0.5, 1.0, 3.0], T=[0.0, 1.0, 1.0])
+    args = [data if a == "data" else a for a in args]
+    with pytest.raises(MalformedInput, match=f"^{what} must be"):
+        fn(*args)
+
+
+def test_evaluate_binding_of_no_descriptor_has_no_column():
+    # an empty binding raised a raw ValueError (nothing to concatenate)
+    beta, eta = evaluate_binding(_data(Y=[1.0, 2.0, 4.0]), [])
+    assert beta.shape == (0,) and eta.shape == (3, 0)
+
+
 def test_null_where_is_the_mean_without_one(monkeypatch):
     keyed = FunctionalDescriptor.from_json(
         {"functional": "mean", "args": {"column": "Y", "where": None}}

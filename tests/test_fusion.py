@@ -436,6 +436,12 @@ def test_bools_are_not_numbers_inside_a_list_either(values):
         wald_inference(_inference_result([1.0, 2.0], [0.5, 0.5]), null=values)
 
 
+def test_wald_inference_rejects_what_is_not_a_result():
+    # None raised a raw AttributeError on its first read
+    with pytest.raises(MalformedInput, match="^result must be a FusionResult"):
+        wald_inference(None)
+
+
 @pytest.mark.parametrize("level", ["ab", b"x", 10**400], ids=["str", "bytes", "huge-int"])
 def test_level_must_be_a_number(level):
     # a string level was compared with `<` (TypeError) or read by float()
@@ -774,6 +780,35 @@ def test_restrict_inputs_two_sources():
         restrict_inputs(inputs, (0, 3))
     with pytest.raises(DimensionMismatch):
         restrict_inputs(inputs, (0, 0))
+
+
+def test_restrict_inputs_slices_bindings_by_component():
+    # one summary coordinate per (descriptor, coefficient) pair: a joint fit
+    # gives one per coefficient, a mean one, and a descriptor that already
+    # reports one component keeps it
+    rng = np.random.default_rng(35)
+    a, x = rng.standard_normal(40), rng.standard_normal(40)
+    data = validate_dataset({"Y": a + rng.standard_normal(40), "A": a, "X": x})
+    joint = FunctionalDescriptor(
+        FunctionalKind.JOINT_OLS, {"outcome": "Y", "regressors": ["A"], "intercept": True}
+    )
+    mean = FunctionalDescriptor(FunctionalKind.MEAN, {"column": "X"})
+    summaries = [
+        validate_summary(np.zeros(3), np.eye(3), 100, [joint, mean]),
+        validate_summary([0.0], [[1.0]], 100, [joint.with_component(1)]),
+    ]
+    inputs = prepare_inputs(data, mean, summaries)
+    kept = restrict_inputs(inputs, (0, 1, 2, 3))
+    assert [s.binding for s in kept.summaries] == [
+        (joint.with_component(0), joint.with_component(1), mean.with_component(0)),
+        (joint.with_component(1),),
+    ]
+    kept = restrict_inputs(inputs, (1, 3))
+    assert [s.binding for s in kept.summaries] == [
+        (joint.with_component(1),),
+        (joint.with_component(1),),
+    ]
+    np.testing.assert_array_equal(kept.beta_fit.estimate, inputs.beta_fit.estimate[[1, 3]])
 
 
 def test_restrict_to_all_coordinates_is_identity():

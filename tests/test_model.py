@@ -57,7 +57,6 @@ from datafuse.model import (
     _summary_from_dict,
     _summary_to_dict,
     _where,
-    expand_binding,
 )
 
 
@@ -290,16 +289,29 @@ def test_keyed_and_positional_args_read_the_same_table(case):
             FunctionalDescriptor.from_json({"functional": kind.value, "args": bad})
 
 
-def test_expand_binding_enumerates_components():
-    joint = FunctionalDescriptor(
-        FunctionalKind.JOINT_OLS, {"outcome": "Y", "regressors": ["A"], "intercept": True}
-    )
-    mean = FunctionalDescriptor(FunctionalKind.MEAN, {"column": "X"})
-    pairs = expand_binding([joint, mean])
-    assert [c for _, c in pairs] == [0, 1, 0]
-    assert joint.width() + mean.width() == 3
-    only = expand_binding([joint.with_component(1)])
-    assert only == [(joint.with_component(1), 1)]
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FunctionalDescriptor(None),
+        lambda: FunctionalDescriptor("mean", None),
+        lambda: validate_summary([1.0], [[1.0]], 1, None),
+    ],
+    ids=["kind-None", "args-None", "binding-None"],
+)
+def test_descriptors_and_summaries_reject_objects_of_the_wrong_type(call):
+    # a kind of None raised a raw ValueError, args or a binding of None a
+    # raw TypeError
+    with pytest.raises(MalformedInput):
+        call()
+
+
+@pytest.mark.parametrize("writer", [write_internal_csv, write_summary_json],
+                         ids=lambda f: f.__name__)
+def test_writers_reject_what_they_do_not_write(writer, tmp_path):
+    # each raised a raw AttributeError on its first read of None
+    with pytest.raises(MalformedInput, match="^(dataset|summary) must be"):
+        writer(None, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

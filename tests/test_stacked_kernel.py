@@ -5,6 +5,7 @@ which runs its folds as one stack, fails with the first failing fold's
 error as the folds run one by one would."""
 
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -216,26 +217,25 @@ def test_cv_tune_raises_for_the_first_failing_fold(case):
         if expected is not None:
             break
     stacked, lasso_path = _FoldFits.stacked, debias._lasso_path
+    pending = []  # the folds of the current pass whose lasso path is still to run
 
-    def failing_fits(self, start):
-        tau_test, calib, _ = stacked(self, start)
+    def failing_fits(self, fs):
+        folds = range(k)[fs]
+        if fit in folds:
+            raise _fold_error(fit, EmptyArm("no rows (synthetic)"))
+        tau_test, calib = stacked(self, fs)
         gram, residual = calib.gram.copy(), calib.residual.copy()
-        if fuse is not None:
-            gram[fuse], residual[fuse] = -calib.sigma_ext[fuse], 0.0
-        gram[sorted(indefinite)] = -10.0 * np.eye(2)
-        calib = _Calibration(calib.tau, calib.phi_var, calib.cross, gram, residual,
-                             calib.sigma_ext)
-        if fit is None:
-            return tau_test, calib, None
-        if fit == 0:
-            raise _fold_error(0, EmptyArm("no rows (synthetic)"))
-        return tau_test[:fit], calib[:fit], _fold_error(fit, EmptyArm("no rows (synthetic)"))
-
-    calls = []
+        for i, f in enumerate(folds):
+            if f == fuse:
+                gram[i], residual[i] = -calib.sigma_ext[i], 0.0
+            if f in indefinite:
+                gram[i] = -10.0 * np.eye(2)
+        pending[:] = folds
+        return tau_test, _Calibration(calib.tau, calib.phi_var, calib.cross, gram, residual,
+                                      calib.sigma_ext)
 
     def failing_path(*args):
-        calls.append(None)
-        if len(calls) - 1 == lasso:
+        if pending.pop(0) == lasso:
             raise NoConvergence("path (synthetic)")
         return lasso_path(*args)
 
@@ -279,20 +279,22 @@ def test_cv_tune_reports_the_first_fold_whose_fused_estimate_fails():
     folds = kfold_indices(inputs.n, 3, 0)
     stacked = _FoldFits.stacked
     zeros = {0: [[0.0, 1.0]] * 2, 1: [[0.0, 0.0]] * 2, 2: [[0.0, 1.0]] * 2}
+    pending = []  # the folds of the current pass whose lasso path is still to run
 
-    def fits(self, start):
-        tau_test, calib, failure = stacked(self, start)
+    def fits(self, fs):
+        tau_test, calib = stacked(self, fs)
         gram = calib.gram.copy()
-        gram[1] = np.diag([1.0, -5e-11]) - calib.sigma_ext[1]
-        gram[2] = np.diag([0.0, 1.0]) - calib.sigma_ext[2]
+        for i, f in enumerate(range(3)[fs]):
+            if f == 1:
+                gram[i] = np.diag([1.0, -5e-11]) - calib.sigma_ext[i]
+            elif f == 2:
+                gram[i] = np.diag([0.0, 1.0]) - calib.sigma_ext[i]
+        pending[:] = range(3)[fs]
         return tau_test, _Calibration(calib.tau, calib.phi_var, calib.cross, gram,
-                                      calib.residual, calib.sigma_ext), failure
-
-    calls = []
+                                      calib.residual, calib.sigma_ext)
 
     def path(*args):
-        calls.append(None)
-        return np.array(zeros[len(calls) - 1])
+        return np.array(zeros[pending.pop(0)])
 
     with mock.patch.object(_FoldFits, "stacked", fits), mock.patch.object(
         debias, "_lasso_path", path
@@ -318,3 +320,55 @@ def test_a_batched_fuse_failure_that_no_single_fold_repeats_still_raises():
     with mock.patch.object(fusion, "spd_solve", batched_only):
         with pytest.raises(SingularCalibration, match=r"^batched only \(synthetic\)$"):
             cv_tune(inputs, [1.0, 10.0], k=3)
+
+
+
+def test_a_stacked_failure_that_every_fold_passes_alone_is_raised():
+    # the solve fails only for a stack of two or more folds: the replay, one
+    # fold at a time, passes every fold, so the stacked pass's error is
+    # raised
+    from datafuse import fusion
+
+    solve = fusion.spd_solve
+
+    def stacks_only(a, *args):
+        if np.ndim(a) > 2 and len(a) > 1:
+            raise SingularCalibration(f"stack of {len(a)} (synthetic)")
+        return solve(a, *args)
+
+    inputs = _cv_inputs()
+    with mock.patch.object(fusion, "spd_solve", stacks_only):
+        with pytest.raises(SingularCalibration, match=r"^stack of 3 \(synthetic\)$"):
+            cv_tune(inputs, [1.0, 10.0], k=3)
+
+def test_cv_tune_ridges_each_fold_as_the_folds_run_one_by_one():
+    # two summary coordinates of one column with a singular covariance: every
+    # fold's calibration system on both coordinates is singular, so its
+    # fused estimate adds a ridge and warns; the stacked pass warns once per
+    # (fold, set) as the folds run one at a time do
+    rng = np.random.default_rng(4)
+    x1, x2 = rng.standard_normal(60), rng.standard_normal(60)
+    data = validate_dataset({"Y": x1 + x2 + rng.standard_normal(60), "X1": x1, "X2": x2})
+    tau = FunctionalDescriptor(FunctionalKind.MEAN, {"column": "Y"})
+    binding = [FunctionalDescriptor(FunctionalKind.MEAN, {"column": "X1"})] * 2
+    summary = validate_summary([0.1, 0.1], np.ones((2, 2)), 80, binding)
+    inputs = prepare_inputs(data, tau, [summary])
+    grid = [0.01, 0.1, 1.0, 10.0]
+    folds = kfold_indices(inputs.n, 3, 0)
+    fits = _FoldFits(inputs, folds)
+    with warnings.catch_warnings(record=True) as reference:
+        warnings.simplefilter("always")
+        for f in range(len(folds)):
+            calib = fits.fold(f)[1]
+            x, y = _whiten(calib)
+            weights = debias._adaptive_weights(calib.residual, 2.0)
+            lams = [c * fits.train_rows[f].size ** -1.0 for c in grid]
+            path = debias._lasso_path(x, y, weights, lams)
+            for key in dict.fromkeys(tuple(np.flatnonzero(row == 0.0)) for row in path):
+                calib.restrict(list(key)).fuse()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cv_tune(inputs, grid, folds=folds)
+    ridges = Counter(str(w.message) for w in reference)
+    assert len(ridges) == len(folds) and all("added ridge" in m for m in ridges)
+    assert Counter(str(w.message) for w in caught) == ridges
