@@ -26,7 +26,6 @@ from .model import (
     _real,
     read_internal_csv,
     read_summary_json,
-    validate_summary,
 )
 from .fusion import estimate_crude, estimate_eff, estimate_int  # noqa: F401
 from .fusion import prepare_inputs, wald_inference
@@ -54,11 +53,6 @@ def _build_parser() -> _Parser:
     est.add_argument(
         "--tau", required=True,
         help="target functional descriptor: inline JSON or a path to a JSON file",
-    )
-    est.add_argument(
-        "--beta", default=None,
-        help="optional binding override (JSON list of descriptors); "
-        "only valid with a single summary",
     )
     est.add_argument("--method", choices=_EST_METHODS, default="eff")
     est.add_argument("--level", type=float, default=0.95)
@@ -100,14 +94,14 @@ def _parse_descriptor(text: str) -> dict:
     except json.JSONDecodeError:
         pass
     except (ValueError, RecursionError) as exc:  # JSON beyond the int-digit or nesting limit
-        raise MalformedInput(f"--tau/--beta value: invalid JSON: {exc}") from exc
+        raise MalformedInput(f"--tau value: invalid JSON: {exc}") from exc
     try:
         is_file = Path(text).exists()
     except OSError:  # not a usable path, e.g. a name too long for the file system
         is_file = False
     if is_file:
         return _load_config_file(text, toml=False)
-    raise MalformedInput(f"--tau/--beta value is neither JSON nor an existing file: {text!r}")
+    raise MalformedInput(f"--tau value is neither JSON nor an existing file: {text!r}")
 
 
 def _roles_from_tau(desc: FunctionalDescriptor) -> dict:
@@ -118,14 +112,6 @@ def _cmd_estimate(args) -> tuple:
     tau_desc = FunctionalDescriptor.from_json(_parse_descriptor(args.tau))
     data = read_internal_csv(args.internal, **_roles_from_tau(tau_desc))
     summaries = [read_summary_json(p) for p in args.summary]
-    if args.beta is not None:
-        if len(summaries) != 1:
-            raise MalformedInput("--beta override requires exactly one --summary")
-        obj = _parse_descriptor(args.beta)
-        entries = obj if isinstance(obj, list) else [obj]
-        binding = [FunctionalDescriptor.from_json(e) for e in entries]
-        s = summaries[0]
-        summaries = [validate_summary(s.beta, s.sigma1, s.m, binding, s.source_id)]
 
     null = _real("--null", args.null)
     seed = args.seed if args.seed is not None else _env_seed()

@@ -29,7 +29,7 @@ raises its own error.
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import accumulate, compress
 
 import numpy as np
@@ -45,13 +45,13 @@ from .errors import (
     NotPositiveDefinite,
     RankDeficientDesign,
 )
-from .model import Method, SelectionResult, _integer, _real, _reals, _seed
+from .model import Method, SelectionResult, _check_type, _config_keys
+from .model import _integer, _real, _reals, _seed
 # prepare_inputs and restrict_inputs stay bound for bench/layers.py, which
 # patches them here
 from .fusion import (  # noqa: F401
     FusionInputs,
     _Calibration,
-    _check_inputs,
     _external,
     _fused,
     _prepare,
@@ -121,12 +121,7 @@ class DebiasConfig:
 
     @classmethod
     def from_dict(cls, obj) -> "DebiasConfig":
-        if not isinstance(obj, dict):
-            raise MalformedInput("debias config must be a table/object")
-        extra = set(obj) - {f.name for f in fields(cls)}
-        if extra:
-            raise MalformedInput(f"unknown debias config keys {sorted(extra)}")
-        return cls(**obj)
+        return cls(**_config_keys("debias config", obj, cls))
 
 
 def whiten(inputs: FusionInputs):
@@ -136,7 +131,7 @@ def whiten(inputs: FusionInputs):
     floored at 1e-12) and Y = X (beta_tilde - beta_int), so that
     ||Y - X b||^2 reproduces the quadratic form exactly.
     """
-    _check_inputs(inputs)
+    _check_type("inputs", inputs, FusionInputs)
     return _whiten(inputs._calibration)
 
 
@@ -290,7 +285,7 @@ def adaptive_lasso(x, y, weights, lam):
 def select_unbiased(inputs: FusionInputs, lam: float, alpha: float = 2.0) -> SelectionResult:
     """Estimate summary biases and return the selected (exactly zero) set;
     alpha is a finite number > 0."""
-    _check_inputs(inputs)
+    _check_type("inputs", inputs, FusionInputs)
     if not inputs.summaries:
         raise DimensionMismatch("select_unbiased needs at least one summary")
     if not _real("alpha", alpha) > 0.0:
@@ -303,7 +298,7 @@ def select_unbiased(inputs: FusionInputs, lam: float, alpha: float = 2.0) -> Sel
 
 def estimate_orc(inputs: FusionInputs, unbiased_set, level: float = 0.95):
     """Fused estimate restricted to coordinates known to be unbiased."""
-    _check_inputs(inputs)
+    _check_type("inputs", inputs, FusionInputs)
     return _fused(
         inputs, unbiased_set, Method.ORC, level, "empty unbiased set: internal-only estimate"
     )
@@ -372,7 +367,7 @@ def cv_tune(
     order, and the first fold that fails raises its own error, as with the
     folds run one by one; if none fails alone, the stacked error is raised.
     """
-    _check_inputs(inputs)
+    _check_type("inputs", inputs, FusionInputs)
     if inputs.data is None or inputs.tau is None:
         raise MalformedInput(
             "cross-validation needs inputs carrying the dataset and tau descriptor "
@@ -637,7 +632,7 @@ def estimate_dbs(inputs: FusionInputs, config: DebiasConfig = None, level: float
     Returns (FusionResult, SelectionResult). With an empty selection the
     estimate falls back to the internal-only fit, flagged in warnings.
     """
-    _check_inputs(inputs)
+    _check_type("inputs", inputs, FusionInputs)
     config = DebiasConfig() if config is None else config
     cv_trace = ()
     if config.lambda_fixed is not None:

@@ -61,10 +61,6 @@ class MalformedInput(ValidationError):
     """Input file or descriptor does not parse to the documented schema."""
 
 
-class UnsupportedFunctional(ValidationError):
-    """Functional kind or argument combination is not implemented."""
-
-
 class EmptyArm(ValidationError):
     """A treatment arm or subset required by a fit has no observations."""
 

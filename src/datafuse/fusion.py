@@ -26,7 +26,7 @@ on its own.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from statistics import NormalDist
 from typing import Optional, Sequence
 
@@ -228,12 +228,6 @@ def _external(summaries, n):
     return beta_tilde, sym(base / np.sqrt(rho_coord[..., :, None] * rho_coord[..., None, :]))
 
 
-def _check_inputs(inputs) -> None:
-    """MalformedInput unless `inputs` is a FusionInputs: the first argument
-    of every estimator and of the functions that read a calibration."""
-    _check_type("inputs", inputs, FusionInputs)
-
-
 _SQRT_HALF = math.sqrt(0.5)
 _NORMAL = NormalDist()
 
@@ -316,7 +310,7 @@ def _fused(
 
 def estimate_int(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
     """Internal-only estimate: EFF on no summary coordinate, avar = E(phi phi')."""
-    _check_inputs(inputs)
+    _check_type("inputs", inputs, FusionInputs)
     return _fused(inputs, (), Method.INT, level)
 
 
@@ -326,7 +320,7 @@ def estimate_eff(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
     Shifts the internal estimate along the calibration residual
     beta_int - beta_tilde and reports the plug-in bound as avar.
     """
-    _check_inputs(inputs)
+    _check_type("inputs", inputs, FusionInputs)
     if not inputs.summaries:
         raise DimensionMismatch("estimate_eff needs at least one summary")
     return _fused(inputs, range(inputs.q), Method.EFF, level)
@@ -338,7 +332,7 @@ def estimate_crude(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
     Consistent, but its variance E(phi phi') + A (sigma_ext - gram) A' can
     exceed the internal-only variance when the external sample is small.
     """
-    _check_inputs(inputs)
+    _check_type("inputs", inputs, FusionInputs)
     if not inputs.summaries:
         raise DimensionMismatch("estimate_crude needs at least one summary")
     calib, warn = inputs._calibration, []
@@ -351,7 +345,7 @@ def estimate_crude(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
 def estimate_knw(inputs: FusionInputs, beta_true, level: float = 0.95) -> FusionResult:
     """Calibration against the known true beta (simulation benchmark), a
     vector of q finite numbers."""
-    _check_inputs(inputs)
+    _check_type("inputs", inputs, FusionInputs)
     beta_true = np.atleast_1d(_finite_array("beta_true", beta_true))
     if beta_true.shape != (inputs.q,):
         raise DimensionMismatch(f"beta_true has shape {beta_true.shape}, expected ({inputs.q},)")
@@ -432,7 +426,7 @@ def restrict_inputs(inputs: FusionInputs, keep) -> FusionInputs:
     submatrix of a validated covariance is again symmetric PSD, so the
     summaries are not validated again.
     """
-    _check_inputs(inputs)
+    _check_type("inputs", inputs, FusionInputs)
     keep = _coordinates(keep, inputs.q)
     new_summaries = []
     at = 0
@@ -441,7 +435,7 @@ def restrict_inputs(inputs: FusionInputs, keep) -> FusionInputs:
         if local:
             # one (descriptor, coefficient) pair per coordinate of the source
             coords = [(desc, j) for desc in s.binding for j in desc._coefficients()]
-            new_binding = [coords[j][0].with_component(coords[j][1]) for j in local]
+            new_binding = [replace(coords[j][0], component=coords[j][1]) for j in local]
             new_summaries.append(
                 SummaryStatistic(
                     beta=_readonly(s.beta[local]),

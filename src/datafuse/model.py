@@ -16,7 +16,7 @@ import json
 import math
 import os
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
@@ -34,7 +34,6 @@ from .errors import (
     NotPSD,
     NotPositiveDefinite,
     RaggedColumns,
-    UnsupportedFunctional,
 )
 
 SYMMETRY_TOL = 1e-10
@@ -89,14 +88,26 @@ def _check_type(name: str, value, kind: type, optional: bool = False) -> None:
 
 
 def _items(name: str, values, kind: type) -> tuple:
-    """`values` as a tuple, if it is an iterable of `kind`s."""
+    """`values` as a tuple, if it is an iterable of `kind`s (a bool is not
+    read as an int)."""
     try:
         found = tuple(values)
     except TypeError:
         found = None
-    if found is None or not all(isinstance(v, kind) for v in found):
+    if found is None or not all(isinstance(v, kind) and not isinstance(v, bool) for v in found):
         raise MalformedInput(f"{name} must be a list of {kind.__name__}, got {values!r}")
     return found
+
+
+def _config_keys(prefix: str, obj, cls: type) -> dict:
+    """A copy of `obj` if it is a dict whose keys all name fields of the
+    dataclass `cls`; `prefix` names the config in the messages."""
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"{prefix} must be a table/object")
+    extra = set(obj) - {f.name for f in fields(cls)}
+    if extra:
+        raise MalformedInput(f"unknown {prefix} keys {sorted(extra)}")
+    return dict(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -187,21 +198,18 @@ class FunctionalKind(str, Enum):
     JOINT_OLS = "joint_ols"
     MARGINAL_OLS = "marginal_ols"
     AIPW_ATE = "aipw_ate"
-    GLM_MARGINAL = "glm_marginal"
 
 
 @dataclass(frozen=True, eq=True)
 class FunctionalDescriptor:
     """Names a functional kind plus the column arguments it acts on.
 
-    Each kind's arguments, their positional order and which are required are
-    in one table, `_ARGS`; their names are the keyword names of the kind's
-    fitter. Unknown or missing arguments raise MalformedInput.
+    Each kind's arguments and which are required are in one table, `_ARGS`;
+    their names are the keyword names of the kind's fitter. Unknown or
+    missing arguments raise MalformedInput.
     `component` optionally restricts a multi-coefficient fit (joint OLS) to a
     single 0-based coefficient (an integer, not a bool): a summary then
     reports part of a fit, and a target estimates that one coefficient.
-    `glm_marginal` with the identity link is stored as the `marginal_ols` it
-    equals; any other link raises UnsupportedFunctional.
     """
 
     kind: FunctionalKind
@@ -210,12 +218,8 @@ class FunctionalDescriptor:
 
     def __post_init__(self):
         kind = _kind(self.kind)
-        args = _validate_args(kind, self.args)
-        if kind is FunctionalKind.GLM_MARGINAL:
-            args.pop("link", None)
-            kind = FunctionalKind.MARGINAL_OLS
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "args", _validate_args(kind, self.args))
         if self.component is not None:
             component = int(_integer("component", self.component, 0))
             width = self._base_width()
@@ -246,9 +250,6 @@ class FunctionalDescriptor:
             {"functional": self.kind.value, "args": self.args}, sort_keys=True
         )
 
-    def with_component(self, component: int) -> "FunctionalDescriptor":
-        return replace(self, component=component)
-
     def to_json(self) -> dict:
         out = {"functional": self.kind.value, "args": dict(self.args)}
         if self.component is not None:
@@ -262,12 +263,7 @@ class FunctionalDescriptor:
         extra = set(obj) - {"functional", "args", "component"}
         if extra:
             raise MalformedInput(f"unknown descriptor keys {sorted(extra)}")
-        kind = _kind(obj["functional"])
-        args = obj.get("args", {})
-        if isinstance(args, (list, tuple)):
-            args = _args_from_list(kind, list(args))
-        component = obj.get("component")
-        return cls(kind=kind, args=args, component=component)
+        return cls(obj["functional"], obj.get("args", {}), obj.get("component"))
 
 
 def _kind(value) -> FunctionalKind:
@@ -307,23 +303,16 @@ def _where(owner, key, where):
     return {"column": where["column"], "equals": _real("mean 'where' equals", where["equals"])}
 
 
-def _link(owner, key, link):
-    if link != "identity":
-        raise UnsupportedFunctional(f"glm_marginal link {link!r} is not implemented")
-    return link
-
-
-# Each kind's arguments in positional order as (name, check), after the number
-# of leading ones that are required. The names are the keyword names of the
-# kind's fitter, which runs the same checks on its arguments; a check, given
-# the name of the kind (or fitter) it serves, returns the canonical value or
-# raises MalformedInput.
+# Each kind's arguments as (name, check), after the number of leading ones
+# that are required. The names are the keyword names of the kind's fitter,
+# which runs the same checks on its arguments; a check, given the name of the
+# kind (or fitter) it serves, returns the canonical value or raises
+# MalformedInput.
 _ARGS = {
     FunctionalKind.MEAN: (1, (("column", _col), ("where", _where))),
     FunctionalKind.JOINT_OLS: (2, (("outcome", _col), ("regressors", _cols), ("intercept", _bool))),
     FunctionalKind.MARGINAL_OLS: (2, (("outcome", _col), ("regressor", _col))),
     FunctionalKind.AIPW_ATE: (3, (("outcome", _col), ("treatment", _col), ("covariates", _cols))),
-    FunctionalKind.GLM_MARGINAL: (2, (("outcome", _col), ("regressor", _col), ("link", _link))),
 }
 
 
@@ -344,14 +333,6 @@ def _validate_args(kind: FunctionalKind, args: Mapping) -> dict:
             if out[name] is None:  # a null `where`, the same as none
                 del out[name]
     return out
-
-
-def _args_from_list(kind: FunctionalKind, args: list) -> dict:
-    """Positional args accepted on parse; canonical form is the keyed object."""
-    required, spec = _ARGS[kind]
-    if not required <= len(args) <= len(spec):
-        raise MalformedInput(f"positional args {args!r} do not fit {kind.value}")
-    return dict(zip((name for name, _ in spec), args))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +500,12 @@ class FusionResult:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Adaptive-lasso output: bias estimates and the selected (zero) set."""
+    """Adaptive-lasso output: bias estimates and the selected (zero) set.
+
+    `b_hat` is a vector of finite numbers, `lam` and `alpha` are finite
+    numbers and `selected` is a list of int, else MalformedInput; a
+    `selected` other than the exact zeros of `b_hat` is a DimensionMismatch.
+    """
 
     b_hat: np.ndarray
     selected: tuple
@@ -528,9 +514,16 @@ class SelectionResult:
     cv_trace: tuple = ()
 
     def __post_init__(self):
-        b = np.asarray(self.b_hat, dtype=float)
+        try:
+            b = np.asarray(self.b_hat, dtype=float)
+        except (TypeError, ValueError):  # not numbers, or ragged
+            b = None
+        if b is None or b.ndim != 1 or not np.isfinite(b).all():
+            raise MalformedInput(f"b_hat must be a vector of finite numbers, got {self.b_hat!r}")
+        _real("lam", self.lam)
+        _real("alpha", self.alpha)
         zeros = tuple(int(j) for j in np.flatnonzero(b == 0.0))
-        if tuple(self.selected) != zeros:
+        if _items("selected", self.selected, int) != zeros:
             raise DimensionMismatch(
                 f"selected {self.selected} does not equal exact zeros {zeros}"
             )

@@ -22,7 +22,7 @@ import csv
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -47,6 +47,8 @@ from .model import (
     InternalDataset,
     Method,
     SummaryStatistic,
+    _check_type,
+    _config_keys,
     _integer,
     _path,
     _real,
@@ -279,12 +281,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, obj) -> "ScenarioConfig":
-        if not isinstance(obj, dict):
-            raise MalformedInput("config must be a table/object")
-        extra = set(obj) - {f.name for f in fields(cls)}
-        if extra:
-            raise MalformedInput(f"unknown config keys {sorted(extra)}")
-        kwargs = dict(obj)
+        kwargs = _config_keys("config", obj, cls)
         if "debias" in kwargs:
             kwargs["debias"] = DebiasConfig.from_dict(kwargs["debias"])
         return cls(**kwargs)
@@ -369,8 +366,7 @@ def run_replications(config: ScenarioConfig, threads: int = 1) -> SimulationResu
     `threads` (an integer >= 1) caps the workers; one loop in the calling
     thread meets any cap, and ran faster than a thread pool.
     """
-    if not isinstance(config, ScenarioConfig):
-        raise MalformedInput(f"config must be a ScenarioConfig, got {config!r}")
+    _check_type("config", config, ScenarioConfig)
     _integer("threads", threads, 1)
     kept = []
     failures = []
@@ -483,8 +479,7 @@ def export_tables(result: SimulationResult, path) -> tuple:
     """Write the aggregated metrics CSV at `path` plus a companion
     long-format CSV of per-replication estimates (suffix _per_rep.csv).
     Returns both paths."""
-    if not isinstance(result, SimulationResult):
-        raise MalformedInput(f"result must be a SimulationResult, got {result!r}")
+    _check_type("result", result, SimulationResult)
     _path(path)
     if not result.rows:
         raise MalformedInput("no metrics rows to export")

@@ -128,31 +128,32 @@ def test_estimate_matching_summary_collapses_to_internal(tmp_path, capsys):
     assert obj["se"][0] < 0.75
 
 
-def test_estimate_beta_override(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "spelling", ["tau-list-args", "summary-list-args", "tau-glm_marginal", "beta-option"]
+)
+def test_estimate_takes_one_spelling_of_each_input(tmp_path, capsys, spelling):
+    # each was a second spelling of an input whose keyed form exits 0 on
+    # these files: args as a list in the table's order, glm_marginal for
+    # marginal_ols, and --beta for the summary's binding
     internal, summary = _write_example(tmp_path)
-    argv = ["estimate", "--internal", str(internal), "--summary", str(summary),
-            "--tau", TAU_MEAN_Y,
-            "--beta", json.dumps([{"functional": "mean", "args": {"column": "X"}}])]
-    code, out, _ = _run(capsys, argv)
-    assert code == 0
-    assert json.loads(out)["estimate"] == pytest.approx([2.2], abs=1e-12)
-
-    # width of the override must match the summary vector
-    bad = argv[:-1] + [json.dumps([
-        {"functional": "mean", "args": {"column": "X"}},
-        {"functional": "mean", "args": {"column": "Y"}},
-    ])]
-    code, _, err = _run(capsys, bad)
-    assert code == 2 and _stderr_kind(err) == "DimensionMismatch"
-
-    # override refuses multiple summaries
-    code, _, err = _run(
+    tau = {"functional": "mean", "args": {"column": "Y"}}
+    extra = []
+    if spelling == "tau-list-args":
+        tau["args"] = ["Y"]
+    elif spelling == "summary-list-args":
+        obj = json.loads(summary.read_text())
+        obj["binding"] = [{"functional": "mean", "args": ["X"]}]
+        summary.write_text(json.dumps(obj))
+    elif spelling == "tau-glm_marginal":
+        tau = {"functional": "glm_marginal", "args": {"outcome": "Y", "regressor": "X"}}
+    else:
+        extra = ["--beta", json.dumps([{"functional": "mean", "args": {"column": "X"}}])]
+    code, out, err = _run(
         capsys,
         ["estimate", "--internal", str(internal), "--summary", str(summary),
-         "--summary", str(summary), "--tau", TAU_MEAN_Y,
-         "--beta", json.dumps({"functional": "mean", "args": {"column": "X"}})],
+         "--tau", json.dumps(tau), *extra],
     )
-    assert code == 2 and _stderr_kind(err) == "MalformedInput"
+    assert code == 2 and out == "" and _assert_one_json_error(err) == "MalformedInput"
 
 
 def test_estimate_table_format(tmp_path, capsys):
@@ -455,7 +456,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert code == 3 and _stderr_kind(err) == "RankDeficientDesign"
 
 
-@pytest.mark.parametrize("option", ["--tau", "--beta"])
+@pytest.mark.parametrize("option", ["--tau"])
 def test_descriptor_path_that_cannot_be_read_is_an_io_error(tmp_path, capsys, option):
     # a directory, like any unreadable --summary or --config path; it used
     # to be MalformedInput ("cannot parse descriptor file")
@@ -617,14 +618,14 @@ _FUZZ_TYPED = {
     "covariates": _fuzz_names,
     "where": lambda rng: {"column": _fuzz_name(rng), "equals": pick(rng, (0, 1, 0.5))},
     "intercept": lambda rng: bool(rng.integers(2)),
-    "link": lambda rng: pick(rng, ("identity", "logit")),
 }
 
 
 def _random_tau(rng):
-    """A --tau descriptor object: a kind (or an unknown one), keyed or
-    positional args of about the right count, each mostly of the right type
-    and otherwise any JSON value, maybe a component and maybe a stray key."""
+    """A --tau descriptor object: a kind (or an unknown one), args keyed by
+    name (a list of the values now and then) of about the right count, each
+    mostly of the right type and otherwise any JSON value, maybe a component
+    and maybe a stray key."""
     kind = pick(rng, [k.value for k in FunctionalKind] + ["spline"])
     required, spec = _ARGS[FunctionalKind(kind)] if kind != "spline" else (0, ())
     names = [n for n, _ in spec] + ["junk"]
@@ -636,7 +637,7 @@ def _random_tau(rng):
         _FUZZ_TYPED.get(name, _fuzz_name)(rng) if rng.random() < 0.9 else _fuzz_value(rng)
         for name in names[:count]
     ]
-    args = values if rng.random() < 0.5 else dict(zip(names, values))
+    args = values if rng.random() < 0.05 else dict(zip(names, values))
     obj = {"functional": kind, "args": args}
     if rng.random() < 1 / 3:
         obj["component"] = int(rng.integers(-1, 3)) if rng.random() < 0.8 else _fuzz_value(rng)
@@ -673,13 +674,14 @@ def fuzz_files(tmp_path_factory):
 @given(tau=_fuzz_tau(), method=st.sampled_from(["int", "eff", "crd", "dbs"]))
 def test_estimate_fuzzed_tau_exits_0_2_or_3(fuzz_files, tau, method):
     # every --tau gives a result (one coefficient when a component is set) or
-    # a typed error: exit 2 or 3, nothing on stdout, one JSON error on stderr
+    # a typed error: exit 2 or 3, nothing on stdout, one JSON error on stderr.
+    # Args that are a list, not keyed by name, exit 2
     internal, summary = fuzz_files
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["estimate", "--internal", internal, "--summary", summary,
                      "--tau", json.dumps(tau), "--method", method])
-    assert code in (0, 2, 3)
+    assert code in ((2,) if isinstance(tau["args"], list) else (0, 2, 3))
     if code == 0:
         result = json.loads(out.getvalue())
         if tau.get("component") is not None:
@@ -720,9 +722,9 @@ def _fuzz_internal(draw):
 @given(
     raw=_fuzz_internal(),
     tau=st.sampled_from([
-        {"functional": "aipw_ate", "args": ["Y", "T", ["X"]]},
-        {"functional": "mean", "args": ["Y"]},
-        {"functional": "joint_ols", "args": ["Y", ["X", "T"]]},
+        {"functional": "aipw_ate", "args": {"outcome": "Y", "treatment": "T", "covariates": ["X"]}},
+        {"functional": "mean", "args": {"column": "Y"}},
+        {"functional": "joint_ols", "args": {"outcome": "Y", "regressors": ["X", "T"]}},
     ]),
     method=st.sampled_from(["int", "eff", "dbs"]),
 )
@@ -779,12 +781,14 @@ _FUZZ_CHARS = "aZ0 _-\"\\\x00\n\x7f\xe9\u2003\u4e2d\U0001f600"
 
 # (descriptor, width)
 _FUZZ_BINDINGS = (
-    ({"functional": "mean", "args": ["X"]}, 1),
+    ({"functional": "mean", "args": {"column": "X"}}, 1),
     ({"functional": "mean", "args": {"column": "Y", "where": {"column": "T", "equals": 1}}}, 1),
-    ({"functional": "marginal_ols", "args": ["Y", "X"]}, 1),
-    ({"functional": "joint_ols", "args": ["Y", ["X"]]}, 2),
-    ({"functional": "joint_ols", "args": ["Y", ["X", "T"]], "component": 2}, 1),
-    ({"functional": "aipw_ate", "args": ["Y", "T", ["X"]]}, 1),
+    ({"functional": "marginal_ols", "args": {"outcome": "Y", "regressor": "X"}}, 1),
+    ({"functional": "joint_ols", "args": {"outcome": "Y", "regressors": ["X"]}}, 2),
+    ({"functional": "joint_ols", "args": {"outcome": "Y", "regressors": ["X", "T"]},
+      "component": 2}, 1),
+    ({"functional": "aipw_ate", "args": {"outcome": "Y", "treatment": "T", "covariates": ["X"]}},
+     1),
 )
 
 
@@ -851,8 +855,8 @@ def _fuzz_summary(draw):
 @given(
     text=_fuzz_summary(),
     tau=st.sampled_from([
-        {"functional": "mean", "args": ["Y"]},
-        {"functional": "joint_ols", "args": ["Y", ["X", "T"]]},
+        {"functional": "mean", "args": {"column": "Y"}},
+        {"functional": "joint_ols", "args": {"outcome": "Y", "regressors": ["X", "T"]}},
     ]),
     method=st.sampled_from(["int", "eff", "crd", "dbs"]),
 )
@@ -889,7 +893,7 @@ def _cli_process(argv):
 
 
 def test_warnings_reach_stderr_only_when_the_command_succeeds(tmp_path):
-    tau = json.dumps({"functional": "mean", "args": ["Y"]})
+    tau = TAU_MEAN_Y
     # the mean of Y overflows (a numpy RuntimeWarning), then the fit is rejected
     internal = tmp_path / "overflow.csv"
     internal.write_text("X,Y\n0.0,1e+300\n1.0,1.797693124862316e+308\n")
@@ -905,7 +909,7 @@ def test_warnings_reach_stderr_only_when_the_command_succeeds(tmp_path):
     summary = tmp_path / "twin.json"
     summary.write_text(json.dumps({
         "beta": [1.0, 1.0], "sigma1": [[1.0, 0.0], [0.0, 1.0]], "m": 4,
-        "binding": [{"functional": "mean", "args": [col]} for col in ("X", "X2")],
+        "binding": [{"functional": "mean", "args": {"column": col}} for col in ("X", "X2")],
     }))
     done = _cli_process(["estimate", "--internal", str(internal), "--summary", str(summary),
                          "--tau", tau, "--method", "crd"])

@@ -1,5 +1,7 @@
 """Adaptive-lasso bias selection: solver optimality, tuning, and estimators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -687,7 +689,7 @@ def test_target_component_selects_one_coefficient():
     summary = validate_summary([0.01], [[1.0]], 1000, [mean_x])
     tau = FunctionalDescriptor(FunctionalKind.JOINT_OLS, {"outcome": "Y", "regressors": ["X"]})
     full = prepare_inputs(data, tau, [summary])
-    part = prepare_inputs(data, tau.with_component(1), [summary])
+    part = prepare_inputs(data, replace(tau, component=1), [summary])
     for run in (estimate_int, lambda inputs: estimate_dbs(inputs)[0]):
         whole, one = run(full), run(part)
         assert one.estimate.shape == (1,) and one.se.shape == (1,)

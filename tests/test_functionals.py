@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from datafuse.errors import (
     PropensityDegenerate,
     RankDeficientDesign,
     Separation,
-    UnsupportedFunctional,
 )
 
 
@@ -405,26 +405,18 @@ def test_fit_functional_dispatch():
         FunctionalKind.JOINT_OLS, {"outcome": "Y", "regressors": ["X"], "intercept": True}
     )
     np.testing.assert_allclose(fit_functional(data, desc).estimate, [0.7, 1.2], atol=1e-12)
-    glm = FunctionalDescriptor(
-        FunctionalKind.GLM_MARGINAL, {"outcome": "Y", "regressor": "X", "link": "identity"}
-    )
-    assert glm == FunctionalDescriptor(
+    marginal = FunctionalDescriptor(
         FunctionalKind.MARGINAL_OLS, {"outcome": "Y", "regressor": "X"}
     )
     np.testing.assert_allclose(
-        fit_functional(data, glm).estimate,
+        fit_functional(data, marginal).estimate,
         fit_marginal_ols(data, "Y", "X").estimate,
         atol=1e-14,
     )
-    with pytest.raises(UnsupportedFunctional):
-        FunctionalDescriptor(
-            FunctionalKind.GLM_MARGINAL, {"outcome": "Y", "regressor": "X", "link": "logit"}
-        )
 
 
 def test_every_kind_has_a_fitter_taking_its_table_arguments():
-    # glm_marginal is the one alias: its descriptor is stored as marginal_ols
-    assert set(_FITTERS) == set(FunctionalKind) - {FunctionalKind.GLM_MARGINAL}
+    assert set(_FITTERS) == set(FunctionalKind)
     for kind, fitter in _FITTERS.items():
         required, spec = _ARGS[kind]
         params = dict(inspect.signature(fitter).parameters)
@@ -510,7 +502,7 @@ def test_evaluate_binding_matches_componentwise_fit():
     np.testing.assert_allclose(beta, full.estimate, atol=1e-12)
     np.testing.assert_allclose(eta, full.influence, atol=1e-12)
     # per-component descriptors reuse the same underlying fit
-    parts = [joint.with_component(j) for j in (2, 0)]
+    parts = [replace(joint, component=j) for j in (2, 0)]
     beta_parts, eta_parts = evaluate_binding(data, parts)
     np.testing.assert_allclose(beta_parts, full.estimate[[2, 0]], atol=1e-12)
     np.testing.assert_allclose(eta_parts, full.influence[:, [2, 0]], atol=1e-12)
@@ -548,17 +540,17 @@ def test_evaluate_binding_of_no_descriptor_has_no_column():
 
 
 def test_null_where_is_the_mean_without_one(monkeypatch):
-    keyed = FunctionalDescriptor.from_json(
+    null = FunctionalDescriptor.from_json(
         {"functional": "mean", "args": {"column": "Y", "where": None}}
     )
-    positional = FunctionalDescriptor.from_json({"functional": "mean", "args": ["Y"]})
-    assert keyed == positional
-    assert keyed.group_key() == positional.group_key()
-    assert json.dumps(keyed.to_json()) == json.dumps(positional.to_json())
+    none = FunctionalDescriptor.from_json({"functional": "mean", "args": {"column": "Y"}})
+    assert null == none
+    assert null.group_key() == none.group_key()
+    assert json.dumps(null.to_json()) == json.dumps(none.to_json())
     fits = []
     real = functionals.fit_functional
     monkeypatch.setattr(functionals, "fit_functional", lambda *a: fits.append(a) or real(*a))
-    beta, _ = evaluate_binding(_data(Y=[1.0, 2.0, 6.0]), [keyed, positional])
+    beta, _ = evaluate_binding(_data(Y=[1.0, 2.0, 6.0]), [null, none])
     assert len(fits) == 1
     np.testing.assert_array_equal(beta, [3.0, 3.0])
 

@@ -1,6 +1,7 @@
 """Fusion estimators: closed-form instances, identities, limits, inference."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -680,8 +681,6 @@ def test_limits_in_external_precision():
 def _inference_result(estimate, se):
     inputs = _semi_supervised_inputs()
     base = estimate_int(inputs)
-    from dataclasses import replace
-
     est = np.asarray(estimate, dtype=float)
     se_arr = np.asarray(se, dtype=float)
     return replace(
@@ -793,20 +792,21 @@ def test_restrict_inputs_slices_bindings_by_component():
         FunctionalKind.JOINT_OLS, {"outcome": "Y", "regressors": ["A"], "intercept": True}
     )
     mean = FunctionalDescriptor(FunctionalKind.MEAN, {"column": "X"})
+    joint0, joint1 = (replace(joint, component=j) for j in (0, 1))
     summaries = [
         validate_summary(np.zeros(3), np.eye(3), 100, [joint, mean]),
-        validate_summary([0.0], [[1.0]], 100, [joint.with_component(1)]),
+        validate_summary([0.0], [[1.0]], 100, [joint1]),
     ]
     inputs = prepare_inputs(data, mean, summaries)
     kept = restrict_inputs(inputs, (0, 1, 2, 3))
     assert [s.binding for s in kept.summaries] == [
-        (joint.with_component(0), joint.with_component(1), mean.with_component(0)),
-        (joint.with_component(1),),
+        (joint0, joint1, replace(mean, component=0)),
+        (joint1,),
     ]
     kept = restrict_inputs(inputs, (1, 3))
     assert [s.binding for s in kept.summaries] == [
-        (joint.with_component(1),),
-        (joint.with_component(1),),
+        (joint1,),
+        (joint1,),
     ]
     np.testing.assert_array_equal(kept.beta_fit.estimate, inputs.beta_fit.estimate[[1, 3]])
 

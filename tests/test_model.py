@@ -51,7 +51,6 @@ from datafuse.model import (
     _col,
     _cols,
     _line_ends,
-    _link,
     _read_columns_csv,
     _read_columns_fast,
     _summary_from_dict,
@@ -168,15 +167,13 @@ def test_descriptor_json_round_trip():
 
 
 def test_descriptor_positional_args():
-    desc = FunctionalDescriptor.from_json(
-        {"functional": "marginal_ols", "args": ["Y", "X1"]}
-    )
-    assert desc.args == {"outcome": "Y", "regressor": "X1"}
-    joint = FunctionalDescriptor.from_json(
-        {"functional": "joint_ols", "args": ["Y", ["X"], False]}
-    )
-    assert joint.args == {"outcome": "Y", "regressors": ["X"], "intercept": False}
-    assert joint.width() == 1
+    # args are an object keyed by name; a list in the table's order was
+    # read as one before
+    for args in (["Y", "X1"], ("Y", "X1")):
+        with pytest.raises(MalformedInput, match="args must be a mapping of names"):
+            FunctionalDescriptor.from_json({"functional": "marginal_ols", "args": args})
+    with pytest.raises(MalformedInput, match="args must be a mapping of names"):
+        FunctionalDescriptor.from_json({"functional": "joint_ols", "args": ["Y", ["X"], False]})
 
 
 def test_descriptor_requires_functional_key():
@@ -218,21 +215,24 @@ _JOINT = {"functional": "joint_ols", "args": {"outcome": "Y", "regressors": ["X"
 @pytest.mark.parametrize(
     "obj, component",
     [
-        ({"functional": "mean", "args": ["Y", None, "junk"]}, None),
-        ({"functional": "joint_ols", "args": ["Y", ["X"], True, "junk"]}, None),
-        ({"functional": "marginal_ols", "args": ["Y", "X1", "junk"]}, None),
-        ({"functional": "aipw_ate", "args": ["Y", "T", ["X"], "junk"]}, None),
-        ({"functional": "glm_marginal", "args": ["Y", "X", "identity", "junk"]}, None),
+        ({"functional": "mean", "args": {"column": "Y", "where": None, "junk": 1}}, None),
+        ({**_JOINT, "args": {**_JOINT["args"], "intercept": True, "junk": 1}}, None),
+        ({"functional": "marginal_ols", "args": {"outcome": "Y", "regressor": "X", "junk": 1}},
+         None),
+        ({"functional": "aipw_ate",
+          "args": {"outcome": "Y", "treatment": "T", "covariates": ["X"], "junk": 1}}, None),
+        ({"functional": "glm_marginal", "args": {"outcome": "Y", "regressor": "X"}}, None),
         ({"functional": "mean", "args": {"column": "Y"}, "extra": 1}, None),
         ({**_JOINT, "componnet": 1}, None),
         ({**_JOINT, "component": True}, None),
         ({**_JOINT, "component": np.int64(1)}, 1),
     ],
-    ids=["mean-extra", "joint-extra", "marginal-extra", "aipw-extra", "glm-extra",
+    ids=["mean-extra", "joint-extra", "marginal-extra", "aipw-extra", "glm-kind",
          "unknown-key", "typo-key", "bool-component", "numpy-component"],
 )
 def test_descriptor_parse_rejects_malformed_input(obj, component):
-    # component None: the input is malformed; else the component it reads as
+    # component None: the input is malformed; else the component it reads as.
+    # glm_marginal was marginal_ols under another name
     if component is None:
         with pytest.raises(MalformedInput):
             FunctionalDescriptor.from_json(obj)
@@ -250,13 +250,12 @@ _VALID = {
     _where: st.none() | st.fixed_dictionaries(
         {"column": _NAMES, "equals": st.integers(-2, 2) | st.floats(-2.0, 2.0)}
     ),
-    _link: st.just("identity"),
 }
 
 
 @st.composite
 def _descriptor_cases(draw):
-    """(kind, valid values of its table arguments in positional order, the
+    """(kind, valid values of its table arguments in the table's order, the
     number of them given, component or None)."""
     kind = draw(st.sampled_from(list(FunctionalKind)))
     required, spec = _ARGS[kind]
@@ -271,22 +270,21 @@ def _descriptor_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_descriptor_cases())
-def test_keyed_and_positional_args_read_the_same_table(case):
+def test_keyed_args_read_the_table(case):
     kind, values, count, component = case
     names = [name for name, _ in _ARGS[kind][1]]
     extra = {} if component is None else {"component": component}
     keyed = {"functional": kind.value, "args": dict(zip(names, values[:count])), **extra}
-    positional = {"functional": kind.value, "args": values[:count], **extra}
     desc = FunctionalDescriptor.from_json(keyed)
-    assert FunctionalDescriptor.from_json(positional) == desc
     text = json.dumps(desc.to_json())
     again = FunctionalDescriptor.from_json(json.loads(text))
     assert again == desc and json.dumps(again.to_json()) == text
     assert again.group_key() == desc.group_key()
     required = _ARGS[kind][0]
     for bad in (values[: required - 1], values + ["junk"]):
+        args = dict(zip(names + ["junk"], bad))
         with pytest.raises(MalformedInput):
-            FunctionalDescriptor.from_json({"functional": kind.value, "args": bad})
+            FunctionalDescriptor.from_json({"functional": kind.value, "args": args})
 
 
 @pytest.mark.parametrize(
@@ -441,6 +439,32 @@ def test_selection_result_zero_set_consistency():
         SelectionResult(b_hat=np.array([0.0, 1.5]), selected=(1,), lam=0.1, alpha=2.0)
     with pytest.raises(DimensionMismatch):
         SelectionResult(b_hat=np.array([1e-14, 1.5]), selected=(0,), lam=0.1, alpha=2.0)
+
+
+_SELECTION = {"b_hat": np.array([0.0, 1.5]), "selected": (0,), "lam": 0.1, "alpha": 2.0}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"selected": None},
+        {"selected": (0.0,)},
+        {"b_hat": np.array([1.0, 0.0]), "selected": (True,)},
+        {"lam": None},
+        {"lam": float("nan")},
+        {"alpha": "x"},
+        {"b_hat": None},
+        {"b_hat": [0.0, "x"]},
+    ],
+    ids=["selected-None", "selected-float", "selected-bool", "lam-None", "lam-nan", "alpha-str",
+         "b_hat-None", "b_hat-str"],
+)
+def test_selection_result_rejects_malformed_arguments(bad):
+    # at the parent selected=None and a b_hat with a string raised a raw
+    # TypeError or ValueError, b_hat=None a DimensionMismatch, and the others
+    # were accepted (a bool in selected was written to JSON as true)
+    with pytest.raises(MalformedInput):
+        SelectionResult(**{**_SELECTION, **bad})
 
 
 # ---------------------------------------------------------------------------

@@ -304,42 +304,32 @@ def test_cv_tune_reports_the_first_fold_whose_fused_estimate_fails():
             cv_tune(inputs, [1.0, 10.0], folds=folds)
 
 
-def test_a_batched_fuse_failure_that_no_single_fold_repeats_still_raises():
-    # the one-at-a-time pass raises the first failing (fold, set); should it
-    # find none, the batched error is raised as it was
-    from datafuse import fusion
-
-    solve = fusion.spd_solve
-
-    def batched_only(a, *args):
-        if np.ndim(a) > 2:
-            raise SingularCalibration("batched only (synthetic)")
-        return solve(a, *args)
-
-    inputs = _cv_inputs()
-    with mock.patch.object(fusion, "spd_solve", batched_only):
-        with pytest.raises(SingularCalibration, match=r"^batched only \(synthetic\)$"):
-            cv_tune(inputs, [1.0, 10.0], k=3)
-
-
-
 def test_a_stacked_failure_that_every_fold_passes_alone_is_raised():
-    # the solve fails only for a stack of two or more folds: the replay, one
-    # fold at a time, passes every fold, so the stacked pass's error is
-    # raised
+    # the solve fails only for a stack of two or more folds: the replay runs
+    # each of the three folds alone, in order, and every one passes, so the
+    # stacked pass's error is raised
     from datafuse import fusion
 
-    solve = fusion.spd_solve
+    solve, passes = fusion.spd_solve, debias._cv_errors
+    slices = []
 
     def stacks_only(a, *args):
         if np.ndim(a) > 2 and len(a) > 1:
             raise SingularCalibration(f"stack of {len(a)} (synthetic)")
         return solve(a, *args)
 
+    def recorded(fits, fs, *args):
+        slices.append(fs)
+        return passes(fits, fs, *args)
+
     inputs = _cv_inputs()
-    with mock.patch.object(fusion, "spd_solve", stacks_only):
+    with mock.patch.object(fusion, "spd_solve", stacks_only), mock.patch.object(
+        debias, "_cv_errors", recorded
+    ):
         with pytest.raises(SingularCalibration, match=r"^stack of 3 \(synthetic\)$"):
             cv_tune(inputs, [1.0, 10.0], k=3)
+    assert slices == [slice(None), slice(0, 1), slice(1, 2), slice(2, 3)]
+
 
 def test_cv_tune_ridges_each_fold_as_the_folds_run_one_by_one():
     # two summary coordinates of one column with a singular covariance: every
