@@ -304,6 +304,25 @@ def test_cv_tune_reports_the_first_fold_whose_fused_estimate_fails():
             cv_tune(inputs, [1.0, 10.0], folds=folds)
 
 
+def test_a_batched_fuse_failure_that_no_single_fold_repeats_still_raises():
+    # the solve fails for every stack, one fold's included: the replay, one
+    # fold at a time, raises the first fold's error, which carries the stacked
+    # pass's message
+    from datafuse import fusion
+
+    solve = fusion.spd_solve
+
+    def batched_only(a, *args):
+        if np.ndim(a) > 2:
+            raise SingularCalibration("batched only (synthetic)")
+        return solve(a, *args)
+
+    inputs = _cv_inputs()
+    with mock.patch.object(fusion, "spd_solve", batched_only):
+        with pytest.raises(SingularCalibration, match=r"^batched only \(synthetic\)$"):
+            cv_tune(inputs, [1.0, 10.0], k=3)
+
+
 def test_a_stacked_failure_that_every_fold_passes_alone_is_raised():
     # the solve fails only for a stack of two or more folds: the replay runs
     # each of the three folds alone, in order, and every one passes, so the
