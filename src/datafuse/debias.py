@@ -24,12 +24,15 @@ The folds' calibrations are then one _Calibration with a leading fold axis:
 cv_tune whitens them with one stacked eigendecomposition and fuses all the
 folds that select one set with one batched solve. Should that stacked pass
 raise, cv_tune replays it one fold at a time, so the first failing fold
-raises its own error.
+raises its own error. The folds of several inputs (a chunk of simulated
+replications) stack the same way, along one axis of all their folds
+(_tune, _estimate_dbs); one input is the case of one.
 """
 
 import math
+import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate, compress
 
 import numpy as np
@@ -52,6 +55,7 @@ from .model import _integer, _real, _reals, _seed
 from .fusion import (  # noqa: F401
     FusionInputs,
     _Calibration,
+    _estimates,
     _external,
     _fused,
     _prepare,
@@ -76,6 +80,9 @@ __all__ = [
 
 _MAX_KNOTS = 1000
 EIG_FLOOR = 1e-12
+# _estimate_dbs's tuning of one input, handed to the cv_tune call it makes
+# next on that input in the same thread (see cv_tune)
+_HANDOFF = threading.local()
 
 
 def _default_grid() -> tuple:
@@ -285,23 +292,39 @@ def adaptive_lasso(x, y, weights, lam):
 def select_unbiased(inputs: FusionInputs, lam: float, alpha: float = 2.0) -> SelectionResult:
     """Estimate summary biases and return the selected (exactly zero) set;
     alpha is a finite number > 0."""
-    _check_type("inputs", inputs, FusionInputs)
-    if not inputs.summaries:
-        raise DimensionMismatch("select_unbiased needs at least one summary")
+    return _select([inputs], [lam], alpha)[0]
+
+
+def _select(inputs, lams, alpha) -> list:
+    """select_unbiased of each FusionInputs of the list `inputs` at its
+    penalty lams[r]: its checks per input, one stacked whitening of their
+    calibrations, then one adaptive_lasso per input."""
+    for one in inputs:
+        _check_type("inputs", one, FusionInputs)
+        if not one.summaries:
+            raise DimensionMismatch("select_unbiased needs at least one summary")
     if not _real("alpha", alpha) > 0.0:
         raise MalformedInput(f"alpha must be positive, got {alpha}")
-    x, y = whiten(inputs)
-    b_hat = adaptive_lasso(x, y, _adaptive_weights(inputs._calibration.residual, alpha), lam)
-    selected = tuple(int(j) for j in np.flatnonzero(b_hat == 0.0))
-    return SelectionResult(b_hat=b_hat, selected=selected, lam=float(lam), alpha=float(alpha))
+    calib = _Calibration.stack([one._calibration for one in inputs])
+    x, y = _whiten(calib)
+    weights = _adaptive_weights(calib.residual, alpha)
+    out = []
+    for r, lam in enumerate(lams):
+        b_hat = adaptive_lasso(x[r], y[r], weights[r], lam)
+        selected = tuple(int(j) for j in np.flatnonzero(b_hat == 0.0))
+        out.append(
+            SelectionResult(b_hat=b_hat, selected=selected, lam=float(lam), alpha=float(alpha))
+        )
+    return out
 
 
 def estimate_orc(inputs: FusionInputs, unbiased_set, level: float = 0.95):
     """Fused estimate restricted to coordinates known to be unbiased."""
-    _check_type("inputs", inputs, FusionInputs)
-    return _fused(
-        inputs, unbiased_set, Method.ORC, level, "empty unbiased set: internal-only estimate"
-    )
+    return _fused([inputs], [unbiased_set], Method.ORC, level, _ORC_NOTE)[0]
+
+
+_ORC_NOTE = "empty unbiased set: internal-only estimate"
+_DBS_NOTE = "empty selection: internal-only estimate"
 
 
 def kfold_indices(n: int, k: int, seed) -> list:
@@ -366,7 +389,22 @@ def cv_tune(
     any DataFuseError, the same pass is run again one fold at a time, in
     order, and the first fold that fails raises its own error, as with the
     folds run one by one; if none fails alone, the stacked error is raised.
+
+    estimate_dbs tunes its inputs through _tune, the folds of several inputs
+    at once, and then calls cv_tune on each input, which returns the result
+    handed to it for that input (_HANDOFF): each input's tuning stays one
+    call of cv_tune, the layer bench/layers.py times.
     """
+    handed = _HANDOFF.__dict__.pop("tuned", None)
+    if handed is not None and handed[0] is inputs:
+        return handed[1]
+    grid, w, folds = _cv_setup(inputs, grid_c, w, alpha, k, seed, folds)
+    return _tune([inputs], [folds], grid, w, alpha)[0]
+
+
+def _cv_setup(inputs, grid_c, w, alpha, k, seed, folds):
+    """cv_tune's checks of its arguments: (sorted grid, w, folds), the folds
+    drawn by kfold_indices unless given."""
     _check_type("inputs", inputs, FusionInputs)
     if inputs.data is None or inputs.tau is None:
         raise MalformedInput(
@@ -383,41 +421,51 @@ def cv_tune(
     w = _real("w", w)
     n = inputs.n
     if folds is None:
-        folds = kfold_indices(n, k, seed)
-    else:
-        folds = [_fold_rows(f, n, i) for i, f in enumerate(folds)]
-        if len(folds) < 2:
-            raise MalformedInput(f"cross-validation needs at least 2 folds, got {len(folds)}")
+        return grid, w, kfold_indices(n, k, seed)
+    folds = [_fold_rows(f, n, i) for i, f in enumerate(folds)]
+    if len(folds) < 2:
+        raise MalformedInput(f"cross-validation needs at least 2 folds, got {len(folds)}")
+    return grid, w, folds
+
+
+def _tune(inputs, folds, grid, w: float, alpha: float) -> list:
+    """cv_tune of each FusionInputs of the list `inputs` (one target and one
+    binding) on its folds folds[r], checked: (c_star, trace) per input. The
+    folds of all of them run as one stacked pass; should it raise any
+    DataFuseError, it is run again one fold at a time, in order, and the
+    first fold that fails raises its own error; should none fail alone, the
+    stacked error is raised."""
     fits = _FoldFits(inputs, folds)
     try:
         errors = _cv_errors(fits, slice(None), grid, w, alpha)
     except DataFuseError:
-        # replayed one fold at a time, in order, the first fold that fails
-        # raises its own error; should none fail alone, the stacked error does
-        for f in range(len(folds)):
-            _cv_errors(fits, slice(f, f + 1), grid, w, alpha)
+        for g in range(len(fits.where)):
+            _cv_errors(fits, slice(g, g + 1), grid, w, alpha)
         raise
-    best = int(np.argmin(errors))
-    trace = tuple((grid[g], float(errors[g])) for g in range(len(grid)))
-    return grid[best], trace
+    out = []
+    for row in errors:
+        best = int(np.argmin(row))
+        out.append((grid[best], tuple((grid[g], float(row[g])) for g in range(len(grid)))))
+    return out
 
 
 def _cv_errors(fits, fs: slice, grid, w: float, alpha: float) -> np.ndarray:
-    """The summed squared errors at each grid point of the folds of slice
-    `fs`, each divided by the number of folds: their fits stacked, whitened
-    at once, one lasso path per fold and one batched fuse per selected set.
-    A failing refit or whitening raises FoldTooSmall (the first fold of the
-    slice for the whitening); a lasso path or fuse error is raised as it is."""
-    folds = range(len(fits.folds))[fs]
+    """Per input of `fits`, the summed squared errors at each grid point of
+    its folds in slice `fs` of the folds of all inputs, each divided by the
+    input's number of folds: their fits stacked, whitened at once, one lasso
+    path per fold and one batched fuse per selected set. A failing refit or
+    whitening raises FoldTooSmall (the first fold of the slice for the
+    whitening); a lasso path or fuse error is raised as it is."""
+    folds = range(len(fits.where))[fs]
     tau_test, calib = fits.stacked(fs)
     try:
         x, y = _whiten(calib)
     except DataFuseError as exc:
-        raise _fold_error(folds[0], exc)
-    weights, coords = _adaptive_weights(calib.residual, alpha), range(fits.inputs.q)
+        raise _fold_error(fits.where[folds[0]][1], exc)
+    weights, coords = _adaptive_weights(calib.residual, alpha), range(calib.residual.shape[-1])
     keys = []  # per fold, the selected set at each grid point
-    for i, f in enumerate(folds):
-        lams = [c * fits.train_rows[f].size ** -w for c in grid]
+    for i, g in enumerate(folds):
+        lams = [c * fits.train_size[g] ** -w for c in grid]
         path = _lasso_path(x[i], y[i], weights[i], lams)
         keys.append([tuple(compress(coords, zero)) for zero in (path == 0.0).tolist()])
     selecting = {}  # each distinct selected set: the folds that select it, in order
@@ -429,10 +477,10 @@ def _cv_errors(fits, fs: slice, grid, w: float, alpha: float) -> np.ndarray:
         estimates = (calib[held] if len(held) < len(keys) else calib).restrict(key).fuse()[1]
         for i, estimate in zip(held, estimates):
             diff = tau_test[i] - estimate
-            sq_error[i, key] = float(diff @ diff) / len(fits.folds)
-    errors = np.zeros(len(grid))
+            sq_error[i, key] = float(diff @ diff) / len(fits.folds[fits.where[folds[i]][0]])
+    errors = np.zeros((len(fits.inputs), len(grid)))
     for i, row in enumerate(keys):
-        errors += [sq_error[i, key] for key in row]
+        errors[fits.where[folds[i]][0]] += [sq_error[i, key] for key in row]
     return errors
 
 
@@ -444,99 +492,113 @@ def _fold_error(f: int, exc: DataFuseError) -> FoldTooSmall:
 
 
 class _FoldFits:
-    """The fits of cv_tune's folds: the target on each fold's held-out rows,
-    and the calibration of the target and the summary bindings on the other
-    rows, its train rows, as prepare_inputs would build it there. `stacked`
-    gives those of a slice of folds, with the calibrations as one
-    _Calibration whose leading axis indexes folds; `fold` gives one.
+    """The fits of cv_tune's folds, for each FusionInputs of the list
+    `inputs` (one target and one binding) on its folds folds[r]: the target
+    on each fold's held-out rows, and the calibration of the target and the
+    summary bindings on the other rows, its train rows, as prepare_inputs
+    would build it there. The folds of all inputs are numbered in order:
+    fold g is fold `where[g][1]` of input `where[g][0]`. `stacked` gives
+    those of a slice of folds, with the calibrations as one _Calibration
+    whose leading axis indexes folds; `fold` gives one.
 
     A fold takes one of two paths, never a mix. It is read from moment sums
     when every slot has a moment form (functionals._moment_forms) and the
-    folds partition the rows. Slot 0 is the target, then one slot per
-    distinct binding fit (functionals._distinct_fits); their
+    folds of its input partition the rows. Slot 0 is the target, then one
+    slot per distinct binding fit (functionals._distinct_fits); their
     coefficients are stacked, slot i's at `coefs[i]`, and `tau` and `beta`
-    index the ones the target and the bindings report. The features of the
-    forms, after a row of ones, make the feature matrix G (one row per
-    feature). One product G_f G_f' per fold f gives the row count and the
-    sums of the features and of their outer products over the fold's rows;
-    the train rows' sums are added up from the other folds' products, so
-    nothing cancels. Every fold's fits come from those sums at once, with no
-    refit and no influence columns: estimates, influence maps L, and the
-    calibration moments L S L' with S the train rows' second moments of the
-    features. The slots of one design width share one _Moments.fit call,
-    over the sets of rows of all of them: the target's held-out and train
-    rows of every fold, and the other slots' train rows. The calibrations
-    of all folds are built from the sums at once, as one stacked
-    _Calibration. Otherwise the fold is refitted whole (`refit[f]`): the
-    target on the held-out rows (_fit_tau), then prepare_inputs on the train
-    rows, an aipw_ate target started from the full-data propensity and the
-    fold re-run from zero if that raises. That is every fold when a slot has
-    no moment form (aipw_ate, or designs too wide), when the folds overlap
-    or leave rows out, or when a feature sum is not finite; and a fold whose
-    sums flag a fit or whose moments would cancel (_Moments.fit). The sums
-    flag a superset of the folds on which a fitter fails, and the refit
-    decides, so a fold fails only with the refit's error. Of the target on
-    the held-out rows only its estimate is read, so there only a flagged
-    fit calls for a refit.
+    index the ones the target and the bindings report. The features of an
+    input's forms, after a row of ones, make its feature matrix G (one row
+    per feature). One product G_f G_f' per fold f gives the row count and
+    the sums of the features and of their outer products over the fold's
+    rows; the train rows' sums are added up from the other folds' products,
+    so nothing cancels, and G is dropped. Every fold's fits come from those
+    sums at once, with no refit and no influence columns: estimates,
+    influence maps L, and the calibration moments L S L' with S the train
+    rows' second moments of the features. The slots of one design width
+    share one _Moments.fit call, over the sets of rows of all of them and
+    of every input: the target's held-out and train rows of every fold, and
+    the other slots' train rows. The calibrations of all folds are built
+    from the sums at once, as one stacked _Calibration. Otherwise the fold
+    is refitted whole (`refit[g]`): the target on the held-out rows
+    (_fit_tau), then prepare_inputs on the train rows, an aipw_ate target
+    started from the full-data propensity and the fold re-run from zero if
+    that raises. That is every fold when a slot has no moment form
+    (aipw_ate, or designs too wide); every fold of an input whose folds
+    overlap or leave rows out, or whose feature sums are not finite; and a
+    fold whose sums flag a fit or whose moments would cancel
+    (_Moments.fit). The sums flag a superset of the folds on which a fitter
+    fails, and the refit decides, so a fold fails only with the refit's
+    error. Of the target on the held-out rows only its estimate is read, so
+    there only a flagged fit calls for a refit.
     """
 
-    def __init__(self, inputs: FusionInputs, folds):
+    def __init__(self, inputs, folds):
         from .functionals import _distinct_fits, _moment_forms, _Moments
 
         self.inputs, self.folds = inputs, folds
-        n, k = inputs.n, len(folds)
-        self.train_rows = []
-        for test_rows in folds:
-            train = np.ones(n, dtype=bool)
-            train[test_rows] = False
-            self.train_rows.append(np.flatnonzero(train))
-        self.refit = np.ones(k, dtype=bool)
-        if not np.all(np.bincount(np.concatenate(folds), minlength=n) == 1):
-            return
+        self.where = [(r, f) for r, part in enumerate(folds) for f in range(len(part))]
+        self.test_rows = [rows for part in folds for rows in part]
+        self.train_size = [int(self._train(g).sum()) for g in range(len(self.where))]
+        self.refit = np.ones(len(self.where), dtype=bool)
 
-        binding = [desc for s in inputs.summaries for desc in s.binding]
+        binding = [desc for s in inputs[0].summaries for desc in s.binding]
         distinct, slot_of = _distinct_fits(binding)
-        slots = [inputs.tau, *distinct]
+        slots = [inputs[0].tau, *distinct]
         widths = [desc._base_width() for desc in slots]
         starts = list(accumulate(widths, initial=0))
         coefs = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
-        self.tau = np.array(inputs.tau._coefficients())
+        self.tau = np.array(inputs[0].tau._coefficients())
         self.beta = np.array(
             [starts[1 + i] + j for desc, i in zip(binding, slot_of) for j in desc._coefficients()],
             dtype=int,
         )
-        # build the moment forms around the full-data fits where inputs holds
-        # all of a slot's coefficients
-        known = np.full(starts[-1], np.nan)
-        known[self.beta] = inputs.beta_fit.estimate
-        if inputs.tau_fit.p == self.tau.size:
-            known[self.tau] = inputs.tau_fit.estimate
-        centers = [known[c] if np.isfinite(known[c]).all() else None for c in coefs]
-        with np.errstate(over="ignore", invalid="ignore"):
-            forms = _moment_forms(inputs.data, slots, widths, centers)
-            if forms is None:
-                return
-            features = np.array([np.ones(n)] + [g for form in forms for g in form.features])
-            test = np.array([_products(features, rows) for rows in folds])
-            train = np.array([sum(test[g] for g in range(k) if g != f) for f in range(k)])
-        if not (np.isfinite(test).all() and np.isfinite(train).all()):
+        # per input read from sums: its folds' products, their train sums and
+        # the centers of its forms
+        summed = {}
+        for r, one in enumerate(inputs):
+            if not np.all(np.bincount(np.concatenate(folds[r]), minlength=one.n) == 1):
+                continue
+            # build the moment forms around the full-data fits where the
+            # inputs hold all of a slot's coefficients
+            known = np.full(starts[-1], np.nan)
+            known[self.beta] = one.beta_fit.estimate
+            if one.tau_fit.p == self.tau.size:
+                known[self.tau] = one.tau_fit.estimate
+            centers = [known[c] if np.isfinite(known[c]).all() else None for c in coefs]
+            with np.errstate(over="ignore", invalid="ignore"):
+                forms = _moment_forms(one.data, slots, widths, centers)
+                if forms is None:
+                    return
+                features = np.array([np.ones(one.n)] + [g for form in forms for g in form.features])
+                test = np.array([_products(features, rows) for rows in folds[r]])
+                k = len(test)
+                train = np.array([sum(test[g] for g in range(k) if g != f) for f in range(k)])
+            if np.isfinite(test).all() and np.isfinite(train).all():
+                summed[r] = test, train, [np.repeat(form.center[None], k, 0) for form in forms]
+            # the features of each slot, the same for every input
+            spans = list(accumulate([len(form.features) for form in forms], initial=1))
+        if not summed:
             return
 
-        # the sets of rows of each slot: for the target the test rows too, of
-        # which only the estimate is read; feature 0 is ones, so sums[:, 0, 0]
-        # counts each set's rows
+        # the folds read from sums, and the sets of rows of each slot: for the
+        # target the test rows too, of which only the estimate is read;
+        # feature 0 is ones, so sums[:, 0, 0] counts each set's rows
+        live = [g for g, (r, _) in enumerate(self.where) if r in summed]
+        k = len(live)
+        test, train = (np.concatenate([summed[r][i] for r in summed]) for i in (0, 1))
         sets = [np.concatenate((test, train))] + [train] * len(distinct)
-        spans = list(accumulate([len(form.features) for form in forms], initial=1))
+        centers = [np.concatenate([summed[r][2][i] for r in summed]) for i in range(len(slots))]
+        centers[0] = np.concatenate((centers[0], centers[0]))
         spans = [slice(a, b) for a, b in zip(spans[:-1], spans[1:])]
         # per fold: the stacked estimates and influence maps of the slots; a
         # fold whose sums flag a fit or cancel is refitted
-        self.refit = np.zeros(k, dtype=bool)
+        refit = np.zeros(k, dtype=bool)
         estimates = np.zeros((k, starts[-1]))
-        maps = np.zeros((k, starts[-1], features.shape[0]))
+        maps = np.zeros((k, starts[-1], test.shape[-1]))
         for width in dict.fromkeys(widths):
             group = [i for i in range(len(slots)) if widths[i] == width]
             fitted = _Moments.fit(
-                np.concatenate([np.repeat(forms[i].center[None], len(sets[i]), 0) for i in group]),
+                np.concatenate([centers[i] for i in group]),
                 np.concatenate([sets[i][:, 0, 0] for i in group]),
                 np.concatenate([sets[i][:, 0, spans[i]] for i in group]),
                 np.concatenate([sets[i][:, spans[i], spans[i]] for i in group]),
@@ -546,19 +608,32 @@ class _FoldFits:
                 estimate, lmap, failed, cancelled = (a[at : at + len(sets[i])] for a in fitted)
                 at += len(sets[i])
                 if i == 0:
-                    self.tau_test = estimate[:k, self.tau]
-                    self.refit |= failed[:k]
+                    tau_test = estimate[:k, self.tau]
+                    refit |= failed[:k]
                     estimate, lmap, failed, cancelled = (
                         a[k:] for a in (estimate, lmap, failed, cancelled)
                     )
-                self.refit |= failed | cancelled
+                refit |= failed | cancelled
                 estimates[:, coefs[i]], maps[:, coefs[i], spans[i]] = estimate, lmap
         moments = _calibration_moments(
             maps[:, self.tau], maps[:, self.beta], train / train[:, :1, :1]
         )
-        beta_tilde, sigma_ext = _external(inputs.summaries, [rows.size for rows in self.train_rows])
+        # each input's summaries, scaled to its folds' train rows
+        external = [_external(inputs[r].summaries, summed[r][1][:, 0, 0]) for r in summed]
+        beta_tilde = np.concatenate(
+            [np.repeat(beta[None], len(folds[r]), 0) for r, (beta, _) in zip(summed, external)]
+        )
+        calib = _Calibration(
+            estimates[:, self.tau],
+            *moments,
+            estimates[:, self.beta] - beta_tilde,
+            np.concatenate([sigma_ext for _, sigma_ext in external]),
+        )
+        # the folds of the inputs not read from sums hold zeros, never read
+        self.refit[live] = refit
+        self.tau_test = _scatter(tau_test, live, len(self.where))
         self.calibration = _Calibration(
-            estimates[:, self.tau], *moments, estimates[:, self.beta] - beta_tilde, sigma_ext
+            *(_scatter(getattr(calib, f.name), live, len(self.where)) for f in fields(calib))
         )
 
     def stacked(self, fs: slice):
@@ -568,35 +643,53 @@ class _FoldFits:
         if not self.refit[fs].any():
             return self.tau_test[fs], self.calibration[fs]
         parts = []
-        for f in range(len(self.folds))[fs]:
+        for g in range(len(self.where))[fs]:
             try:
-                parts.append(self.fold(f))
+                parts.append(self.fold(g))
             except DataFuseError as exc:
-                raise _fold_error(f, exc)
+                raise _fold_error(self.where[g][1], exc)
         tau_test = np.array([tau for tau, _ in parts])
         return tau_test, _Calibration.stack([calib for _, calib in parts])
 
-    def fold(self, f: int):
-        """(target estimate on fold f, _Calibration of its train rows). A
+    def fold(self, g: int):
+        """(target estimate on fold g, _Calibration of its train rows). A
         refitted fold starts an aipw_ate fit from the full-data propensity;
         if it raises from there, it is re-run from zero, so it fails with the
         error of the cold fits."""
-        if not self.refit[f]:
-            return self.tau_test[f], self.calibration[f]
-        start = self.inputs.tau_fit._propensity
+        if not self.refit[g]:
+            return self.tau_test[g], self.calibration[g]
+        start = self.inputs[self.where[g][0]].tau_fit._propensity
         try:
-            return self._refitted(f, start)
+            return self._refitted(g, start)
         except DataFuseError:
             if start is None:
                 raise
-        return self._refitted(f, None)
+        return self._refitted(g, None)
 
-    def _refitted(self, f, start):
-        inputs = self.inputs
-        tau_test = _fit_tau(inputs, self.folds[f], start)
-        data = inputs.data.subset(self.train_rows[f])
+    def train_rows(self, g: int) -> np.ndarray:
+        """The train rows of fold g: the rows of its input it does not hold."""
+        return np.flatnonzero(self._train(g))
+
+    def _train(self, g):
+        train = np.ones(self.inputs[self.where[g][0]].n, dtype=bool)
+        train[self.test_rows[g]] = False
+        return train
+
+    def _refitted(self, g, start):
+        inputs = self.inputs[self.where[g][0]]
+        tau_test = _fit_tau(inputs, self.test_rows[g], start)
+        data = inputs.data.subset(self.train_rows(g))
         train = _prepare(data, inputs.tau, inputs.summaries, start)
         return tau_test, train._calibration
+
+
+def _scatter(values, at, size: int) -> np.ndarray:
+    """`values` as the rows `at` of `size` rows, the others zero."""
+    if len(at) == size:
+        return values
+    out = np.zeros((size,) + values.shape[1:])
+    out[at] = values
+    return out
 
 
 def _calibration_moments(l_tau, l_beta, second):
@@ -632,41 +725,70 @@ def estimate_dbs(inputs: FusionInputs, config: DebiasConfig = None, level: float
     Returns (FusionResult, SelectionResult). With an empty selection the
     estimate falls back to the internal-only fit, flagged in warnings.
     """
-    _check_type("inputs", inputs, FusionInputs)
+    return _estimate_dbs([inputs], config, level)[0]
+
+
+def _estimate_dbs(inputs, config=None, level=0.95, seeds=None) -> list:
+    """estimate_dbs of each FusionInputs of the list `inputs`, its folds
+    drawn from seeds[r] (config.seed for every input if None): the checks of
+    cv_tune and select_unbiased per input, then the cross-validation of all
+    of them as one stacked pass (_tune), one stacked whitening and one
+    stacked fuse per selected set. Each input's tuning is handed to the
+    cv_tune call made on that input, as on its own, which returns it."""
+    for one in inputs:
+        _check_type("inputs", one, FusionInputs)
     config = DebiasConfig() if config is None else config
-    cv_trace = ()
+    seeds = [config.seed] * len(inputs) if seeds is None else seeds
+    traces = [()] * len(inputs)
     if config.lambda_fixed is not None:
-        lam = float(config.lambda_fixed)
+        lams = [float(config.lambda_fixed)] * len(inputs)
     else:
-        c_star, cv_trace = cv_tune(
-            inputs, config.grid_c, config.w, config.alpha, config.k, config.seed
+        lams = [None] * len(inputs)
+        setups = [
+            _cv_setup(one, config.grid_c, config.w, config.alpha, config.k, seed, None)
+            for one, seed in zip(inputs, seeds)
+        ]
+        grid, w = setups[0][:2]
+        tuned = _tune(inputs, [folds for _, _, folds in setups], grid, w, config.alpha)
+        for r, (one, seed) in enumerate(zip(inputs, seeds)):
+            _HANDOFF.tuned = one, tuned[r]
+            c_star, traces[r] = cv_tune(one, config.grid_c, config.w, config.alpha, config.k, seed)
+            lams[r] = c_star * one.n ** (-config.w)
+    selections = [
+        SelectionResult(
+            b_hat=base.b_hat, selected=base.selected, lam=lam, alpha=config.alpha, cv_trace=trace
         )
-        lam = c_star * inputs.n ** (-config.w)
-    base = select_unbiased(inputs, lam, config.alpha)
-    selection = SelectionResult(
-        b_hat=base.b_hat,
-        selected=base.selected,
-        lam=lam,
-        alpha=config.alpha,
-        cv_trace=cv_trace,
-    )
-    result = _fused(
-        inputs, selection.selected, Method.DBS, level, "empty selection: internal-only estimate"
-    )
-    return result, selection
+        for base, lam, trace in zip(_select(inputs, lams, config.alpha), lams, traces)
+    ]
+    results = _fused(inputs, [s.selected for s in selections], Method.DBS, level, _DBS_NOTE)
+    return list(zip(results, selections))
 
 
 def _run_method(method, inputs, level=0.95, *, beta_true=None, unbiased=None, debias=None):
     """Run the estimator of `method`: (FusionResult, SelectionResult or None).
 
     KNW reads `beta_true`, ORC `unbiased` and DBS `debias` (a DebiasConfig);
-    only DBS returns a selection.
+    only DBS returns a selection. This is _run_methods on one input.
     """
+    return _run_methods(
+        method, [inputs], level, beta_true=[beta_true], unbiased=[unbiased], debias=debias
+    )[0]
+
+
+def _run_methods(
+    method, inputs, level=0.95, *, beta_true=None, unbiased=None, debias=None, seeds=None
+):
+    """_run_method on each FusionInputs of the list `inputs`, which share one
+    target and binding: KNW reads beta_true[r], ORC unbiased[r], and DBS
+    draws input r's folds from seeds[r] (debias.seed if None). Each input
+    gets the checks of the method's estimator, in order; the fuses are then
+    one stack per method and kept set. A warning of a stack is recorded in
+    each of its results, so a caller that needs each input's own warnings
+    runs again one input at a time when a stack warns (run_replications)."""
     if method is Method.DBS:
-        return estimate_dbs(inputs, debias, level)
-    if method is Method.KNW:
-        return estimate_knw(inputs, beta_true, level), None
+        return _estimate_dbs(inputs, debias, level, seeds)
     if method is Method.ORC:
-        return estimate_orc(inputs, unbiased, level), None
-    plain = {Method.INT: estimate_int, Method.CRD: estimate_crude, Method.EFF: estimate_eff}
-    return plain[method](inputs, level), None
+        results = _fused(inputs, unbiased, method, level, _ORC_NOTE)
+    else:
+        results = _estimates(method, inputs, level, beta_true)
+    return [(result, None) for result in results]

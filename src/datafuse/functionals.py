@@ -19,6 +19,7 @@ from .errors import (
     DegenerateRegressor,
     EmptyArm,
     MalformedInput,
+    NonBinaryTreatment,
     PropensityDegenerate,
     RankDeficientDesign,
     Separation,
@@ -263,7 +264,7 @@ def _fit_aipw(data, outcome, treatment, covariates, trim=PROPENSITY_TRIM, start=
     y = data.column(outcome)
     t = data.column(treatment)
     if not ((t == 0.0) | (t == 1.0)).all():
-        raise EmptyArm(f"treatment {treatment!r} is not binary")
+        raise NonBinaryTreatment(f"treatment {treatment!r} is not binary")
     treated = t == 1.0
     if treated.all() or not treated.any():
         raise EmptyArm("one treatment arm has no observations")
@@ -422,10 +423,12 @@ class _Moments:
         not finite. That flags every set the fitter rejects, and more: the
         fitter accepts a design of that condition number or less. The
         estimate and L of a failed set are zero. cancelled[i] is True when a
-        diagonal entry of L P L' is below CANCELLATION_FLOOR times the size
-        of the terms it is summed from, (|L| sqrt(diag P))^2: the round-off
-        of those terms is then no longer small against it (as when the rows
-        fit exactly). Either way the set's fits are to be refitted.
+        diagonal entry of L P L' is at most CANCELLATION_FLOOR times the
+        size of the terms it is summed from, (|L| sqrt(diag P))^2: the
+        round-off of those terms is then no longer small against it, or
+        both are zero (as when the rows fit exactly: the fitter's influence
+        is then round-off, which the sums do not see). Either way the set's
+        fits are to be refitted.
         """
         sets, k = centers.shape
         eye, (a, b) = np.eye(k), _pairs(k)
@@ -452,7 +455,7 @@ class _Moments:
             diag = ((lmap @ products) * lmap).sum(axis=2)
             size = (np.abs(lmap) @ np.sqrt(np.diagonal(products, 0, 1, 2))[:, :, None])[:, :, 0]
             failed |= ~np.isfinite(diag.sum(axis=1) + estimate.sum(axis=1))
-            cancelled = (diag < CANCELLATION_FLOOR * size**2).any(axis=1)
+            cancelled = (diag <= CANCELLATION_FLOOR * size**2).any(axis=1)
         estimate[failed], lmap[failed] = 0.0, 0.0
         return estimate, lmap, failed, cancelled
 

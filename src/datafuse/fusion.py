@@ -20,9 +20,12 @@ estimate (INT) is EFF with no summary coordinate.
 
 A calibration may carry leading batch axes: a FusionInputs holds one, with
 none, and cross-validation stacks its k folds' calibrations along one axis
-of length k and fuses them all with one batched solve per selected set. The
-same code serves both, and each calibration of a stack gives what it gives
-on its own.
+of length k and fuses them all with one batched solve per selected set.
+The estimators take a list of FusionInputs in the same way (_fused,
+_estimates): a simulation runs each method once for a chunk of
+replications, with their calibrations stacked, and one input is the list
+of one. The same code serves all of these, and each calibration of a stack
+gives what it gives on its own.
 """
 
 import math
@@ -292,26 +295,35 @@ def _coordinates(keep, q: int) -> list:
     return keep
 
 
-def _fused(
-    inputs: FusionInputs, keep, method: Method, level: float = 0.95, empty_note: str = ""
-) -> FusionResult:
-    """EFF on the summary coordinates `keep` (global, 0-based), tagged `method`.
+def _fused(inputs, keeps, method: Method, level: float = 0.95, empty_note: str = "") -> list:
+    """EFF of each FusionInputs of the list `inputs` on its summary
+    coordinates keeps[r] (global, 0-based), tagged `method`: one
+    FusionResult per input. The inputs that keep one set are fused as one
+    stack, and a warning of the stack is recorded in each of its results.
 
     On the empty set this is the internal-only estimate, flagged by
     `empty_note`.
     """
-    keep = _coordinates(keep, inputs.q)
-    calib = inputs._calibration.restrict(keep)
-    warn: list = []
-    gain, estimate, avar = calib.fuse(warn)
-    note = "" if keep else empty_note
-    return _build_result(method, inputs, gain, estimate, avar, level, warn, note)
+    for one in inputs:
+        _check_type("inputs", one, FusionInputs)
+    keeps = [tuple(_coordinates(keep, one.q)) for one, keep in zip(inputs, keeps)]
+    results = [None] * len(inputs)
+    for keep in dict.fromkeys(keeps):
+        reps = [r for r in range(len(inputs)) if keeps[r] == keep]
+        calib = _Calibration.stack([inputs[r]._calibration for r in reps]).restrict(list(keep))
+        warn: list = []
+        gain, estimate, avar = calib.fuse(warn)
+        note = "" if keep else empty_note
+        for i, r in enumerate(reps):
+            results[r] = _build_result(
+                method, inputs[r], gain[i], estimate[i], avar[i], level, warn, note
+            )
+    return results
 
 
 def estimate_int(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
     """Internal-only estimate: EFF on no summary coordinate, avar = E(phi phi')."""
-    _check_type("inputs", inputs, FusionInputs)
-    return _fused(inputs, (), Method.INT, level)
+    return _estimates(Method.INT, [inputs], level)[0]
 
 
 def estimate_eff(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
@@ -320,10 +332,7 @@ def estimate_eff(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
     Shifts the internal estimate along the calibration residual
     beta_int - beta_tilde and reports the plug-in bound as avar.
     """
-    _check_type("inputs", inputs, FusionInputs)
-    if not inputs.summaries:
-        raise DimensionMismatch("estimate_eff needs at least one summary")
-    return _fused(inputs, range(inputs.q), Method.EFF, level)
+    return _estimates(Method.EFF, [inputs], level)[0]
 
 
 def estimate_crude(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
@@ -332,28 +341,49 @@ def estimate_crude(inputs: FusionInputs, level: float = 0.95) -> FusionResult:
     Consistent, but its variance E(phi phi') + A (sigma_ext - gram) A' can
     exceed the internal-only variance when the external sample is small.
     """
-    _check_type("inputs", inputs, FusionInputs)
-    if not inputs.summaries:
-        raise DimensionMismatch("estimate_crude needs at least one summary")
-    calib, warn = inputs._calibration, []
-    coef = calib.gram_coef(warn)
-    estimate = calib.tau - coef @ calib.residual
-    avar = calib.phi_var + coef @ (calib.sigma_ext - calib.gram) @ coef.T
-    return _build_result(Method.CRD, inputs, coef, estimate, avar, level, warn)
+    return _estimates(Method.CRD, [inputs], level)[0]
 
 
 def estimate_knw(inputs: FusionInputs, beta_true, level: float = 0.95) -> FusionResult:
     """Calibration against the known true beta (simulation benchmark), a
     vector of q finite numbers."""
-    _check_type("inputs", inputs, FusionInputs)
-    beta_true = np.atleast_1d(_finite_array("beta_true", beta_true))
-    if beta_true.shape != (inputs.q,):
-        raise DimensionMismatch(f"beta_true has shape {beta_true.shape}, expected ({inputs.q},)")
-    calib, warn = inputs._calibration, []
+    return _estimates(Method.KNW, [inputs], level, [beta_true])[0]
+
+
+def _estimates(method: Method, inputs, level: float = 0.95, beta_true=None) -> list:
+    """The estimate_* function of `method` (INT, EFF, CRD or KNW, the last
+    against beta_true[r]) on each FusionInputs of the list `inputs`: its
+    checks per input, in order, then the calibrations of all of them as one
+    stack (_fused's for INT and EFF), a warning of which is recorded in
+    each result."""
+    if method is Method.INT:
+        return _fused(inputs, [()] * len(inputs), method, level)
+    known = []
+    for r, one in enumerate(inputs):
+        _check_type("inputs", one, FusionInputs)
+        if method is Method.KNW:
+            beta = np.atleast_1d(_finite_array("beta_true", beta_true[r]))
+            if beta.shape != (one.q,):
+                raise DimensionMismatch(f"beta_true has shape {beta.shape}, expected ({one.q},)")
+            known.append(one.beta_fit.estimate - beta)
+        elif not one.summaries:
+            name = "estimate_eff" if method is Method.EFF else "estimate_crude"
+            raise DimensionMismatch(f"{name} needs at least one summary")
+    if method is Method.EFF:
+        return _fused(inputs, [range(one.q) for one in inputs], method, level)
+    calib, warn = _Calibration.stack([one._calibration for one in inputs]), []
     coef = calib.gram_coef(warn)
-    estimate = calib.tau - coef @ (inputs.beta_fit.estimate - beta_true)
-    avar = calib.phi_var - coef @ calib.cross.T
-    return _build_result(Method.KNW, inputs, coef, estimate, avar, level, warn)
+    coef_t = coef.swapaxes(-1, -2)
+    if method is Method.CRD:
+        estimate = calib.tau - matvec(coef, calib.residual)
+        avar = calib.phi_var + coef @ (calib.sigma_ext - calib.gram) @ coef_t
+    else:
+        estimate = calib.tau - matvec(coef, np.array(known))
+        avar = calib.phi_var - coef @ calib.cross.swapaxes(-1, -2)
+    return [
+        _build_result(method, one, coef[r], estimate[r], avar[r], level, warn)
+        for r, one in enumerate(inputs)
+    ]
 
 
 def _finite_array(name: str, values) -> np.ndarray:

@@ -245,10 +245,13 @@ class FunctionalDescriptor:
         return len(self._coefficients())
 
     def group_key(self) -> str:
-        """Canonical key identifying the underlying fit (ignores component)."""
-        return json.dumps(
-            {"functional": self.kind.value, "args": self.args}, sort_keys=True
-        )
+        """Canonical key identifying the underlying fit (ignores component),
+        computed on the first call and kept: the descriptor is frozen."""
+        key = self.__dict__.get("_group_key")
+        if key is None:
+            key = json.dumps({"functional": self.kind.value, "args": self.args}, sort_keys=True)
+            object.__setattr__(self, "_group_key", key)
+        return key
 
     def to_json(self) -> dict:
         out = {"functional": self.kind.value, "args": dict(self.args)}
@@ -546,11 +549,12 @@ def _none_if_nan(x):
 # serialization
 
 
-def _path(path) -> None:
-    """Check that `path` is a str or os.PathLike: open() also takes an int
-    (True among them) as a file descriptor, and closes it when done."""
+def _path(path, name: str = "path") -> None:
+    """Check that `path`, the argument `name`, is a str or os.PathLike:
+    open() also takes an int (True among them) as a file descriptor, and
+    closes it when done."""
     if not isinstance(path, (str, os.PathLike)):
-        raise MalformedInput(f"path must be a path, got {path!r}")
+        raise MalformedInput(f"{name} must be a path, got {path!r}")
 
 
 def write_internal_csv(dataset: InternalDataset, path):

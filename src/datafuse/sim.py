@@ -13,16 +13,23 @@ descriptors (functionals.evaluate_binding), and sigma1 is the second moment
 E(eta eta') of those fits' influence columns, which for least squares is
 the sandwich covariance of the sqrt(m)-scaled estimate.
 
-Replications run one after another in the calling thread, each drawing
-from its own substream (spawned from a root seed), so results are
-identical for any `threads` cap and any method subset.
+Replications run in the calling thread in chunks of _CHUNK. Each draws
+from its own substreams (spawned from a root seed) and builds its inputs
+alone; each method then runs once for the whole chunk, with the chunk's
+cross-validation folds, whitenings and fuses stacked along leading batch
+axes (debias._run_methods). A chunk whose stacked pass raises a package
+error or warns runs again one replication at a time, so every result,
+error and warning is the replication's own, in replication order; the
+warnings are recorded and emitted again when the replications are done,
+as one replication at a time emits them (_warn_again). Results are therefore
+identical for any chunk size, any `threads` cap and any method subset.
 """
 
 import csv
 import math
-import os
+import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -31,8 +38,8 @@ import numpy as np
 from ._linalg import logistic
 
 # The estimate_* names stay bound for bench/layers.py, which patches them here;
-# estimators are called through debias._run_method.
-from .debias import DebiasConfig, _run_method, estimate_dbs, estimate_orc  # noqa: F401
+# estimators are called through debias._run_methods.
+from .debias import DebiasConfig, _run_methods, estimate_dbs, estimate_orc  # noqa: F401
 from .errors import (
     DataFuseError,
     ExcessiveFailures,
@@ -77,6 +84,8 @@ _MAX_SIZE = int(np.iinfo(np.intp).max)
 # float64 array of n or m rows that a scenario allocates has ten values per
 # row (Scenario II's DBS moment features, with the ones column)
 _MAX_ROWS = _MAX_SIZE // (8 * 10)
+# replications per chunk (run_replications)
+_CHUNK = 16
 
 
 def _size(name: str, value, cap: int = _MAX_SIZE) -> None:
@@ -276,8 +285,8 @@ class ScenarioConfig:
         if not 0.0 < _real("level", self.level) < 1.0:
             raise MalformedInput(f"level must be in (0, 1), got {self.level}")
         object.__setattr__(self, "tau", _tau(self.tau))
-        if self.out_dir is not None and not isinstance(self.out_dir, (str, os.PathLike)):
-            raise MalformedInput(f"out_dir must be a path, got {self.out_dir!r}")
+        if self.out_dir is not None:
+            _path(self.out_dir, "out_dir")
 
     @classmethod
     def from_dict(cls, obj) -> "ScenarioConfig":
@@ -330,51 +339,116 @@ def _tau_descriptor(scenario: str) -> FunctionalDescriptor:
     )
 
 
-def _replicate(config: ScenarioConfig, rep_seed: np.random.SeedSequence):
-    data_seed, cv_seed = rep_seed.spawn(2)
-    rng = np.random.default_rng(data_seed)
-    if config.scenario == "I":
-        internal, summary, truth = gen_scenario1(config.n, config.m, rng)
-    else:
-        internal, summary, truth = gen_scenario2(
-            config.n, config.m, config.scenario == "II_biased", rng, config.tau
-        )
-    inputs = prepare_inputs(internal, _tau_descriptor(config.scenario), [summary])
-    debias = replace(config.debias, seed=cv_seed) if "DBS" in config.methods else None
-    out = {}
+def _replicate(config: ScenarioConfig, rep_seeds) -> list:
+    """The replications of `rep_seeds`, one chunk, each rep's pair of
+    SeedSequences (data, folds): per rep (tau, {method: (estimate, se,
+    covered, selected)}). Each rep draws from its own substreams and builds
+    its inputs alone; each method then runs on the inputs of every rep at
+    once (debias._run_methods). Raises the first DataFuseError."""
+    tau = _tau_descriptor(config.scenario)
+    truths, inputs = [], []
+    for data_seed, _ in rep_seeds:
+        rng = np.random.default_rng(data_seed)
+        if config.scenario == "I":
+            internal, summary, truth = gen_scenario1(config.n, config.m, rng)
+        else:
+            internal, summary, truth = gen_scenario2(
+                config.n, config.m, config.scenario == "II_biased", rng, config.tau
+            )
+        inputs.append(prepare_inputs(internal, tau, [summary]))
+        truths.append(truth)
+    outs = [{} for _ in rep_seeds]
     for name in config.methods:
-        result, selection = _run_method(
+        done = _run_methods(
             Method(name),
             inputs,
             config.level,
-            beta_true=truth["beta"],
-            unbiased=truth["unbiased"],
-            debias=debias,
+            beta_true=[truth["beta"] for truth in truths],
+            unbiased=[truth["unbiased"] for truth in truths],
+            debias=config.debias,
+            seeds=[cv_seed for _, cv_seed in rep_seeds],
         )
-        covered = (result.ci[:, 0] <= truth["tau"]) & (truth["tau"] <= result.ci[:, 1])
-        selected = selection.selected if selection is not None else None
-        out[name] = (result.estimate, result.se, covered, selected)
-    return truth["tau"], out
+        for out, truth, (result, selection) in zip(outs, truths, done):
+            covered = (result.ci[:, 0] <= truth["tau"]) & (truth["tau"] <= result.ci[:, 1])
+            selected = selection.selected if selection is not None else None
+            out[name] = (result.estimate, result.se, covered, selected)
+    return [(truth["tau"], out) for truth, out in zip(truths, outs)]
+
+
+def _run_chunk(config: ScenarioConfig, rep_seeds, caught: list) -> list:
+    """Per rep of `rep_seeds`: its replication, or the DataFuseError it fails
+    with; `caught` records every warning. The reps run as one chunk
+    (_replicate); should that raise a DataFuseError or warn, its warnings
+    are dropped and the reps run again one at a time, so each rep's result,
+    error and warnings are those it has alone, in rep order."""
+    if len(rep_seeds) > 1:
+        mark = len(caught)
+        try:
+            done = _replicate(config, rep_seeds)
+        except DataFuseError:
+            done = None
+        if done is not None and len(caught) == mark:
+            return done
+        del caught[mark:]
+    outcomes = []
+    for rep_seed in rep_seeds:
+        try:
+            outcomes.append(_replicate(config, [rep_seed])[0])
+        except DataFuseError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _warn_again(caught) -> None:
+    """Emit the recorded warnings `caught` again, in order, as the modules
+    that emitted them would: under the caller's filters and with each
+    module's record of the warnings it has shown (Python's default filter
+    shows a repeated warning once)."""
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for w in caught:
+        module = modules.get(w.filename)
+        found = module is not None
+        warnings.warn_explicit(
+            w.message,
+            w.category,
+            w.filename,
+            w.lineno,
+            module=module.__name__ if found else None,
+            registry=module.__dict__.setdefault("__warningregistry__", {}) if found else None,
+            module_globals=module.__dict__ if found else None,
+        )
 
 
 def run_replications(config: ScenarioConfig, threads: int = 1) -> SimulationResult:
     """Run the configured replications and aggregate the reference metrics.
 
-    A replication on which any method raises a package error is dropped
-    from every method (paired comparisons stay paired) with a warning;
-    if 1% or more of the replications fail, the whole run aborts.
-    `threads` (an integer >= 1) caps the workers; one loop in the calling
-    thread meets any cap, and ran faster than a thread pool.
+    The replications run in chunks of _CHUNK in the calling thread, each
+    chunk as one stacked pass; a chunk that raises or warns runs again one
+    replication at a time (_run_chunk). Their warnings are recorded and
+    emitted again when they are done, as one replication at a time emits
+    them. A replication on which any method raises a
+    package error is dropped from every method (paired comparisons stay
+    paired) with a warning; if 1% or more of the replications fail, the
+    whole run aborts. `threads` (an integer >= 1) caps the workers; one
+    loop in the calling thread meets any cap, and ran faster than a thread
+    pool.
     """
     _check_type("config", config, ScenarioConfig)
     _integer("threads", threads, 1)
     kept = []
     failures = []
-    for rep, seed in enumerate(np.random.SeedSequence(config.seed).spawn(config.reps)):
-        try:
-            kept.append((rep, _replicate(config, seed)))
-        except DataFuseError as exc:
-            failures.append((rep, exc))
+    seeds = np.random.SeedSequence(config.seed).spawn(config.reps)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for start in range(0, config.reps, _CHUNK):
+            # each rep's substreams, spawned once, so that a rep run again draws the same
+            chunk = [seed.spawn(2) for seed in seeds[start : start + _CHUNK]]
+            for rep, outcome in enumerate(_run_chunk(config, chunk, caught), start):
+                if isinstance(outcome, DataFuseError):
+                    failures.append((rep, outcome))
+                else:
+                    kept.append((rep, outcome))
+    _warn_again(caught)
 
     if len(failures) >= FAILURE_ABORT_RATE * config.reps:
         raise ExcessiveFailures(

@@ -34,7 +34,13 @@ import numpy as np
 
 from datafuse._linalg import check_full_rank, logistic, spd_solve, sym
 from datafuse.debias import _lasso_path
-from datafuse.errors import EmptyArm, PropensityDegenerate, RankDeficientDesign, Separation
+from datafuse.errors import (
+    EmptyArm,
+    NonBinaryTreatment,
+    PropensityDegenerate,
+    RankDeficientDesign,
+    Separation,
+)
 from datafuse.functionals import LOGISTIC_MAX_ITER, LOGISTIC_SCORE_TOL, PROPENSITY_TRIM, _ols_fit
 from datafuse.model import FunctionalFit
 
@@ -85,7 +91,7 @@ def _fit_aipw(data, outcome, treatment, covariates, trim=PROPENSITY_TRIM, start=
     y = data.column(outcome)
     t = data.column(treatment)
     if not np.all((t == 0.0) | (t == 1.0)):
-        raise EmptyArm(f"treatment {treatment!r} is not binary")
+        raise NonBinaryTreatment(f"treatment {treatment!r} is not binary")
     treated = t == 1.0
     if not np.any(treated) or not np.any(~treated):
         raise EmptyArm("one treatment arm has no observations")

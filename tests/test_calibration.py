@@ -59,7 +59,7 @@ def _numpy_eff(inputs):
 
 
 def _assert_matches_restricted(inputs, keep):
-    fused = _fused(inputs, keep, Method.EFF)
+    (fused,) = _fused([inputs], [keep], Method.EFF)
     restricted = restrict_inputs(inputs, keep)
     ref = estimate_eff(restricted)
     for field in ("estimate", "avar", "gain"):
@@ -89,7 +89,7 @@ def test_subset_eff_matches_restricted_inputs(instance):
 def test_empty_subset_is_the_internal_only_formula(instance):
     inputs, _ = instance
     phi = inputs.tau_fit.influence
-    for result in (_fused(inputs, (), Method.INT), estimate_int(inputs)):
+    for result in (*_fused([inputs], [()], Method.INT), estimate_int(inputs)):
         assert np.array_equal(result.estimate, inputs.tau_fit.estimate)
         assert np.array_equal(result.avar, sym(phi.T @ phi / inputs.n))
         assert result.gain.shape == (inputs.p, 0)

@@ -23,7 +23,7 @@ from datafuse import (
     validate_dataset,
     validate_summary,
 )
-from datafuse.debias import _FoldFits, _fit_tau, _whiten
+from datafuse.debias import _FoldFits, _fit_tau, _tune, _whiten
 from datafuse.errors import DataFuseError, FoldTooSmall
 from datafuse.fusion import _prepare
 
@@ -137,7 +137,7 @@ def _ours(fits, f):
 def test_folds_from_moment_sums_match_refits(case):
     inputs, folds = case
     start = inputs.tau_fit._propensity
-    fits = _FoldFits(inputs, folds)
+    fits = _FoldFits([inputs], [folds])
     first_failure = None
     for f, test_rows in enumerate(folds):
         train_rows = np.setdiff1d(np.arange(inputs.n), test_rows)
@@ -189,7 +189,7 @@ def test_feature_sums_that_overflow_fall_back_to_refits():
     rng = np.random.default_rng(4)
     x = 1e80 * rng.standard_normal(12)
     inputs = _huge_inputs(x, 2.0 * x + 1e80 * rng.standard_normal(12))
-    fits = _FoldFits(inputs, FOLDS_OF_12)
+    fits = _FoldFits([inputs], [FOLDS_OF_12])
     assert fits.refit.all()
     for f, test_rows in enumerate(FOLDS_OF_12):
         tau_test, calib = _ours(fits, f)
@@ -212,7 +212,7 @@ def test_folds_that_do_not_partition_the_rows_match_refits():
     tau = FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X1", "X2"], "intercept": False})
     inputs = prepare_inputs(data, tau, [summary])
     folds = [np.arange(0, 10), np.arange(5, 15), np.array([20, 20, 21, 22, 23, 24, 25])]
-    fits = _FoldFits(inputs, folds)
+    fits = _FoldFits([inputs], [folds])
     assert fits.refit.all()
     for f, test_rows in enumerate(folds):
         got = _ours(fits, f)
@@ -222,6 +222,38 @@ def test_folds_that_do_not_partition_the_rows_match_refits():
         for field in ("tau", "cross", "gram", "residual", "sigma_ext"):
             actual, expected = getattr(got[1], field), getattr(ref[1], field)
             _assert_close(actual, expected, FOLD_RTOL, scales[field], field)
+
+
+def test_each_input_of_a_stack_has_the_folds_it_has_alone():
+    # three inputs of one target and binding, the second with a row in no
+    # fold: its folds are refitted and the others' read from sums, and every
+    # fold, and each input's tuning, equals what the input gives alone
+    rng = np.random.default_rng(8)
+    tau = FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X1", "X2"], "intercept": False})
+    binding = [FunctionalDescriptor(_K, {"outcome": "Y", "regressor": x}) for x in ("X1", "X2")]
+    inputs, folds = [], []
+    for r in range(3):
+        x1, x2 = rng.standard_normal(60), rng.standard_normal(60)
+        data = validate_dataset({"Y": x1 + x2 + rng.standard_normal(60), "X1": x1, "X2": x2})
+        summary = validate_summary(1.0 + 0.1 * rng.standard_normal(2), random_spd(rng, 2), 200,
+                                   binding)
+        inputs.append(prepare_inputs(data, tau, [summary]))
+        folds.append(kfold_indices(60, 3, r))
+    folds[1][0] = folds[1][0][1:]
+    fits = _FoldFits(inputs, folds)
+    assert fits.refit.tolist() == [False] * 3 + [True] * 3 + [False] * 3
+    g = 0
+    for one, part in zip(inputs, folds):
+        alone = _FoldFits([one], [part])
+        for f in range(len(part)):
+            got, want = fits.fold(g), alone.fold(f)
+            assert np.array_equal(got[0], want[0])
+            for field in ("tau", "phi_var", "cross", "gram", "residual", "sigma_ext"):
+                assert np.array_equal(getattr(got[1], field), getattr(want[1], field)), field
+            g += 1
+    grid = [1.0, 3.0, 10.0]
+    alone = [cv_tune(one, grid, folds=part) for one, part in zip(inputs, folds)]
+    assert _tune(inputs, folds, grid, 1.0, 2.0) == alone
 
 
 # fitters on no rows warn (numpy's mean of an empty slice) before they fail
@@ -259,7 +291,7 @@ def test_fits_beyond_the_feature_cap_are_refitted():
     binding = [FunctionalDescriptor(_K, {"outcome": "Y", "regressor": "X0"})]
     inputs = prepare_inputs(data, tau, [validate_summary([1.0], [[2.0]], 80, binding)])
     folds = kfold_indices(n, 3, 0)
-    fits = _FoldFits(inputs, folds)
+    fits = _FoldFits([inputs], [folds])
     assert fits.refit.all()
     for f, test_rows in enumerate(folds):
         got = _ours(fits, f)
@@ -289,7 +321,7 @@ def test_folds_whose_fits_would_fail_are_refitted():
     summary = validate_summary(np.zeros(3), np.eye(3), 50, binding)
     inputs = prepare_inputs(data, TARGETS[1], [summary])
     folds = [rows[:10], rows[10:20], rows[20:]]
-    fits = _FoldFits(inputs, folds)
+    fits = _FoldFits([inputs], [folds])
     assert fits.refit.tolist() == [True, True, False]
     ref_errors = []
     for f, test_rows in enumerate(folds):

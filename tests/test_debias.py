@@ -1,5 +1,8 @@
 """Adaptive-lasso bias selection: solver optimality, tuning, and estimators."""
 
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -553,11 +556,11 @@ def test_folds_with_an_ill_conditioned_design_are_refitted(slot):
     q = binding.width()
     inputs = prepare_inputs(data, tau, [validate_summary(np.zeros(q), np.eye(q), 500, [binding])])
     folds = [np.arange(0, 50), np.arange(50, 100), np.arange(100, 150)]
-    fits = _FoldFits(inputs, folds)
+    fits = _FoldFits([inputs], [folds])
     assert fits.refit.tolist() == [True, slot == "binding", slot == "binding"]
     for f in np.flatnonzero(fits.refit):
         tau_test, calib = fits.fold(f)
-        ref = _prepare(data.subset(fits.train_rows[f]), tau, inputs.summaries)._calibration
+        ref = _prepare(data.subset(fits.train_rows(f)), tau, inputs.summaries)._calibration
         assert np.array_equal(tau_test, _fit_tau(inputs, folds[f]))
         for field in ("tau", "phi_var", "cross", "gram", "residual", "sigma_ext"):
             assert np.array_equal(getattr(calib, field), getattr(ref, field)), field
@@ -574,7 +577,45 @@ def test_scenario_ii_folds_are_read_from_sums():
         {"outcome": "Y", "regressors": ["X1", "X2"], "intercept": False},
     )
     inputs = prepare_inputs(internal, tau, [summary])
-    assert not _FoldFits(inputs, kfold_indices(1000, 3, 0)).refit.any()
+    assert not _FoldFits([inputs], [kfold_indices(1000, 3, 0)]).refit.any()
+
+
+def test_estimate_dbs_from_threads_sharing_inputs_matches_serial(monkeypatch):
+    # estimate_dbs hands each tuning to its cv_tune call within one thread,
+    # so threads running other configs on the same inputs never see it, even
+    # with a wrapper that yields between the two (as bench/layers.py's do)
+    internal, summary, _ = gen_scenario2(300, 1200, True, np.random.default_rng(8))
+    tau = FunctionalDescriptor(
+        FunctionalKind.JOINT_OLS,
+        {"outcome": "Y", "regressors": ["X1", "X2"], "intercept": False},
+    )
+    inputs = prepare_inputs(internal, tau, [summary])
+    configs = [DebiasConfig(grid_c=(c, 4.0 * c), seed=i) for i, c in enumerate((0.5, 2.0, 8.0))]
+    want = [estimate_dbs(inputs, config)[1].cv_trace for config in configs]
+    cv_tune = debias.cv_tune
+
+    def yielding(*args, **kwargs):
+        time.sleep(1e-4)
+        return cv_tune(*args, **kwargs)
+
+    monkeypatch.setattr(debias, "cv_tune", yielding)
+    got = {}
+
+    def work(i):
+        got[i] = [estimate_dbs(inputs, configs[i])[1].cv_trace for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(configs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [got[i] for i in range(len(configs))] == [[trace] * 20 for trace in want]
 
 
 def test_cv_tune_rejects_folds_outside_the_rows():

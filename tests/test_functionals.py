@@ -33,6 +33,7 @@ from datafuse.errors import (
     EmptyArm,
     MalformedInput,
     MissingColumn,
+    NonBinaryTreatment,
     PropensityDegenerate,
     RankDeficientDesign,
     Separation,
@@ -329,6 +330,14 @@ def test_aipw_empty_arm():
             "T",
             ["X"],
         )
+
+
+def test_aipw_non_binary_treatment():
+    # validate_dataset checks a treatment it is given the role of; a dataset
+    # validated without roles reaches the fitter's own check
+    data = validate_dataset({"Y": [1.0, 2.0, 3.0], "T": [0.0, 0.5, 1.0], "X": [0.1, 0.2, 0.3]})
+    with pytest.raises(NonBinaryTreatment, match=r"^treatment 'T' is not binary$"):
+        fit_aipw_ate(data, "Y", "T", ["X"])
 
 
 def _trim_data():

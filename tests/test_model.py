@@ -242,6 +242,36 @@ def test_descriptor_parse_rejects_malformed_input(obj, component):
     assert json.loads(json.dumps(desc.to_json()))["component"] == component
 
 
+@pytest.mark.parametrize("obj", [{}, {"args": {"column": "Y"}}, None, ["mean"]])
+def test_descriptor_without_functional_is_malformed(obj):
+    with pytest.raises(MalformedInput, match=r"^descriptor must be an object with 'functional': "):
+        FunctionalDescriptor.from_json(obj)
+
+
+@pytest.mark.parametrize("value", [1, "yes", 0.0])
+def test_intercept_that_is_not_a_boolean_is_malformed(value):
+    args = {"outcome": "Y", "regressors": ["X"], "intercept": value}
+    with pytest.raises(MalformedInput, match=r"^joint_ols 'intercept' must be a boolean$"):
+        FunctionalDescriptor.from_json({"functional": "joint_ols", "args": args})
+
+
+def test_group_key_is_the_canonical_json_made_once(monkeypatch):
+    desc = FunctionalDescriptor(
+        FunctionalKind.JOINT_OLS, {"regressors": ["X"], "outcome": "Y"}, component=0
+    )
+    dumps, calls = json.dumps, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted)
+    want = '{"args": {"outcome": "Y", "regressors": ["X"]}, "functional": "joint_ols"}'
+    assert [desc.group_key() for _ in range(3)] == [want] * 3
+    assert len(calls) == 1
+    assert replace(desc, component=None).group_key() == want and len(calls) == 2
+
+
 _NAMES = st.sampled_from(["Y", "X", "T", "Z1"])
 _VALID = {
     _col: _NAMES,

@@ -3,12 +3,14 @@
 import csv
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from oracles import joint_ols_summary, marginal_slopes_summary
 from scipy.special import expit
 
+import datafuse.debias as debias_module
 import datafuse.sim as sim_module
 from datafuse import (
     DebiasConfig,
@@ -287,6 +289,10 @@ def test_scenario_config_defaults_and_errors():
         ScenarioConfig(scenario="I", methods=("GMM",))
     with pytest.raises(MalformedInput):
         ScenarioConfig(scenario="I", methods=("IVW",))
+    for out_dir in (3, True):
+        with pytest.raises(MalformedInput, match=rf"^out_dir must be a path, got {out_dir!r}$"):
+            ScenarioConfig(scenario="I", out_dir=out_dir)
+    assert ScenarioConfig(scenario="I", out_dir="out").out_dir == "out"
 
 
 def test_scenario_config_from_dict():
@@ -336,15 +342,17 @@ def test_run_replications_deterministic_across_threads():
 def test_run_replications_runs_every_rep_in_the_callers_thread(monkeypatch):
     cfg = ScenarioConfig(scenario="I", n=200, m=100, reps=6, seed=3, methods=("INT",))
     original = sim_module._replicate
-    idents = []
+    calls = []
 
-    def recording(config, rep_seed):
-        idents.append(threading.get_ident())
-        return original(config, rep_seed)
+    def recording(config, rep_seeds):
+        calls.append((threading.get_ident(), len(rep_seeds)))
+        return original(config, rep_seeds)
 
     monkeypatch.setattr(sim_module, "_replicate", recording)
+    monkeypatch.setattr(sim_module, "_CHUNK", 4)
     run_replications(cfg, threads=4)
-    assert idents == [threading.get_ident()] * cfg.reps
+    # every rep, in chunks of four, in the calling thread
+    assert calls == [(threading.get_ident(), 4), (threading.get_ident(), 2)]
 
 
 _SMALL_CONFIG = ScenarioConfig(scenario="I", n=200, m=100, reps=2, seed=3, methods=("INT",))
@@ -410,16 +418,15 @@ def test_run_replications_aborts_on_excessive_failures():
 def test_run_replications_excludes_rare_failures_pairwise(monkeypatch):
     cfg = ScenarioConfig(scenario="I", n=200, m=100, reps=150, seed=7, methods=("INT", "EFF"))
     original = sim_module._replicate
-    state = {"count": 0}
 
-    def flaky(config, rep_seed):
-        state["count"] += 1
-        if state["count"] == 3:
+    def flaky(config, rep_seeds):
+        # rep 2 fails, in its chunk and again when the chunk's reps run alone
+        if any(data_seed.spawn_key[0] == 2 for data_seed, _ in rep_seeds):
             raise ExcessiveFailures("synthetic replication failure")
-        return original(config, rep_seed)
+        return original(config, rep_seeds)
 
     monkeypatch.setattr(sim_module, "_replicate", flaky)
-    with pytest.warns(UserWarning, match="excluded 1 failed replication"):
+    with pytest.warns(UserWarning, match=r"excluded 1 failed replication.*\(rep 2\)"):
         result = run_replications(cfg, threads=1)
     assert result.failures == 1
     assert all(row.reps == 149 for row in result.rows)
@@ -430,13 +437,89 @@ def test_an_rmse_of_zero_has_a_zero_monte_carlo_error(monkeypatch):
     # method's sd(err^2) / (2 rmse) would divide 0 by 0
     cfg = ScenarioConfig(scenario="I", n=200, m=100, reps=3, seed=3, methods=("INT",))
 
-    def exact(config, rep_seed):
+    def exact(config, rep_seeds):
         tau = np.array([1.0])
-        return tau, {"INT": (tau.copy(), np.array([0.1]), np.array([True]), None)}
+        return [
+            (tau, {"INT": (tau.copy(), np.array([0.1]), np.array([True]), None)})
+            for _ in rep_seeds
+        ]
 
     monkeypatch.setattr(sim_module, "_replicate", exact)
     (row,) = run_replications(cfg).rows
     assert (row.bias, row.rmse, row.mc_se_rmse) == (0.0, 0.0, 0.0)
+
+
+_CHUNK_CASES = {
+    "I": ScenarioConfig(scenario="I", n=200, m=100, reps=40, seed=3),
+    "II_biased": ScenarioConfig(scenario="II_biased", n=200, m=400, reps=40, seed=5),
+    "II_unbiased": ScenarioConfig(scenario="II_unbiased", n=200, m=400, reps=40, seed=6),
+    # rep 82's cross-validation fails on a fold, so its chunk runs again rep by rep
+    "failing-rep": ScenarioConfig(
+        scenario="I", n=60, m=30, reps=150, seed=0, methods=("INT", "DBS"),
+        debias=DebiasConfig(k=2),
+    ),
+    # with adaptive_lasso warning on some reps (below), chunks warn and run again
+    "warning": ScenarioConfig(scenario="II_biased", n=200, m=400, reps=40, seed=5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHUNK_CASES))
+def test_outputs_and_warnings_do_not_depend_on_the_chunk_size(monkeypatch, tmp_path, case):
+    cfg = _CHUNK_CASES[case]
+    if case == "warning":
+        lasso = debias_module.adaptive_lasso
+
+        def warning_lasso(x, y, weights, lam):
+            if y[0] > 0.0:  # a warning of the rep's own data, in or out of a chunk
+                warnings.warn(f"synthetic: whitened response {y[0]!r}")
+            return lasso(x, y, weights, lam)
+
+        monkeypatch.setattr(debias_module, "adaptive_lasso", warning_lasso)
+    runs = []
+    for chunk in (1, 7, 32, cfg.reps):
+        monkeypatch.setattr(sim_module, "_CHUNK", chunk)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_replications(cfg)
+        paths = export_tables(result, tmp_path / f"chunk{chunk}.csv")
+        runs.append(
+            (
+                result.rows,
+                result.records,
+                result.failures,
+                [(w.category, str(w.message)) for w in caught],
+                [path.read_bytes() for path in paths],
+            )
+        )
+    assert all(run == runs[0] for run in runs[1:])
+    failures, caught = runs[0][2], runs[0][3]
+    assert failures == (1 if case == "failing-rep" else 0)
+    if case == "warning":
+        assert 0 < len(caught) < cfg.reps and all("synthetic" in str(m) for _, m in caught)
+    else:
+        assert len(caught) == failures
+
+
+def test_a_repeated_warning_is_shown_once_whatever_the_chunk_size(monkeypatch):
+    # Python's default filter shows a warning once per place that emits it;
+    # a run's warnings are emitted again at its end, as the replications run
+    # one at a time emit them, so chunks that run again do not repeat it
+    lasso = debias_module.adaptive_lasso
+
+    def warning_lasso(x, y, weights, lam):
+        if y[0] > 0.0:
+            warnings.warn("synthetic: positive whitened response")
+        return lasso(x, y, weights, lam)
+
+    monkeypatch.setattr(debias_module, "adaptive_lasso", warning_lasso)
+    cfg = _CHUNK_CASES["warning"]
+    for chunk in (1, 7, cfg.reps):
+        monkeypatch.setattr(sim_module, "_CHUNK", chunk)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            run_replications(cfg)
+        assert [str(w.message) for w in caught] == ["synthetic: positive whitened response"]
+        assert caught[0].filename == __file__
 
 
 # ---------------------------------------------------------------------------

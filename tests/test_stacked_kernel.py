@@ -364,14 +364,14 @@ def test_cv_tune_ridges_each_fold_as_the_folds_run_one_by_one():
     inputs = prepare_inputs(data, tau, [summary])
     grid = [0.01, 0.1, 1.0, 10.0]
     folds = kfold_indices(inputs.n, 3, 0)
-    fits = _FoldFits(inputs, folds)
+    fits = _FoldFits([inputs], [folds])
     with warnings.catch_warnings(record=True) as reference:
         warnings.simplefilter("always")
         for f in range(len(folds)):
             calib = fits.fold(f)[1]
             x, y = _whiten(calib)
             weights = debias._adaptive_weights(calib.residual, 2.0)
-            lams = [c * fits.train_rows[f].size ** -1.0 for c in grid]
+            lams = [c * fits.train_size[f] ** -1.0 for c in grid]
             path = debias._lasso_path(x, y, weights, lams)
             for key in dict.fromkeys(tuple(np.flatnonzero(row == 0.0)) for row in path):
                 calib.restrict(list(key)).fuse()
