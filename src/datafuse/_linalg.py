@@ -4,9 +4,9 @@ Every solve of a symmetric positive (semi)definite system in this package
 goes through spd_solve so the ridge fallback policy lives in one place: one
 eigendecomposition a = V diag(lam) V' decides and solves. When lam_min is not
 positive or the exact eigenvalue ratio lam_min / lam_max is below
-1 / COND_LIMIT (1e-12), every eigenvalue is shifted by the ridge
-1e-10 * trace/dim, which adds it to the diagonal, and a warning is recorded
-before solving.
+1 / COND_LIMIT, every eigenvalue is shifted by the ridge
+RIDGE_SCALE * trace/dim, which adds it to the diagonal, and a warning is
+recorded before solving.
 
 spd_solve and inv_sqrt_spd also take a stack of matrices, with leading batch
 axes, and apply their rules to each matrix of the stack in order: each
@@ -22,9 +22,22 @@ import numpy as np
 
 from .errors import NumericalError
 
-COND_LIMIT = 1e12
-RIDGE_SCALE = 1e-10
-RANK_RCOND = 1e-10
+# The threshold of every numerical guard of the package, defined here only:
+# each says whether it is absolute or relative (to what) and which guards read it.
+COND_LIMIT = 1e12  # relative, lam_max / lam_min: spd_solve ridges a matrix beyond it
+RIDGE_SCALE = 1e-10  # relative, to trace / dim: the ridge spd_solve adds to the diagonal
+RANK_RCOND = 1e-10  # relative, rcond of R with unit-scaled columns: check_full_rank
+PSD_TOL = -1e-10  # absolute, least eigenvalue: inv_sqrt_spd and model.validate_summary
+EIG_FLOOR = 1e-12  # absolute: inv_sqrt_spd (debias.whiten) floors eigenvalues at it
+SYMMETRY_TOL = 1e-10  # absolute, max |sigma1 - sigma1'|: model.validate_summary
+AVAR_TOL = 1e-8  # relative, to 1 + max |avar|: FusionResult's symmetry and PSD checks
+MEAN_ZERO_TOL = 1e-8  # relative, to a column's std + 1: FusionInputs' influence means
+LOGISTIC_SCORE_TOL = 1e-10  # absolute, max |score|: functionals._newton_logistic stops
+LOGLIK_SLACK = 1e-12  # relative, to 1 + |loglik|: the steps _newton_logistic accepts
+DIVERGENCE_BOUND = 1e4  # absolute, max |coef|: _newton_logistic's divergence test
+PINNED_PROB = 1e-8  # absolute, distance from 0 or 1: functionals._pinned's probabilities
+SECOND_MOMENT_FLOOR = 1e-30  # absolute: fit_marginal_ols and _Moments.fit, second moments
+CANCELLATION_FLOOR = 1e-4  # relative: _Moments.fit's failed (to lam_max), cancelled (to terms)
 
 # the strictly lower triangle of a k x k matrix as a boolean mask, by k
 _LOWER = {}
@@ -107,13 +120,13 @@ def spd_solve(a, b, error: type = NumericalError, sink: list | None = None, cont
     return x[..., 0] if vector else x
 
 
-def inv_sqrt_spd(a, floor: float = 1e-12, error: type = NumericalError, context: str = ""):
+def inv_sqrt_spd(a, error: type = NumericalError, context: str = ""):
     """Symmetric inverse square root via eigendecomposition, of a matrix or
     of each matrix of a stack.
 
-    Eigenvalues below -1e-10 are rejected, as is a matrix that is not
-    finite; small ones are floored at `floor` rather than projected away so
-    the result is always well defined.
+    Eigenvalues below PSD_TOL are rejected, as is a matrix that is not
+    finite; small ones are floored at EIG_FLOOR rather than projected away
+    so the result is always well defined.
     """
     a = sym(np.asarray(a, dtype=float))
     vals, vecs = _eigh(a)
@@ -122,9 +135,9 @@ def inv_sqrt_spd(a, floor: float = 1e-12, error: type = NumericalError, context:
     for row in vals.reshape(math.prod(vals.shape[:-1]), vals.shape[-1]).tolist():
         if not (finite or np.isfinite(row).all()):
             raise error(f"matrix is not finite{_ctx(context)}")
-        if row and row[0] < -1e-10:
+        if row and row[0] < PSD_TOL:
             raise error(f"matrix is not positive semidefinite{_ctx(context)}")
-    vals = np.maximum(vals, floor)
+    vals = np.maximum(vals, EIG_FLOOR)
     return (vecs / np.sqrt(vals)[..., None, :]) @ vecs.swapaxes(-1, -2)
 
 

@@ -17,8 +17,8 @@ from dataclasses import replace
 from pathlib import Path
 
 # The estimate_* names stay bound for bench/layers.py, which patches them here;
-# estimators are called through debias._run_method.
-from .debias import DebiasConfig, _run_method, estimate_dbs  # noqa: F401
+# estimators are called through debias._run_methods, on a list of one input.
+from .debias import DebiasConfig, _run_methods, estimate_dbs  # noqa: F401
 from .errors import DataFuseError, IoError, MalformedInput, ZeroStandardError
 from .model import (
     FunctionalDescriptor,
@@ -118,7 +118,7 @@ def _cmd_estimate(args) -> tuple:
     inputs = prepare_inputs(data, tau_desc, summaries)
     method = Method(args.method.upper())
     debias_cfg = _debias_config(args.debias_config, seed) if method is Method.DBS else None
-    result, selection = _run_method(method, inputs, args.level, debias=debias_cfg)
+    result, selection = _run_methods(method, [inputs], args.level, debias=debias_cfg)[0]
 
     out = result.to_json_dict()
     try:

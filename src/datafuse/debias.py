@@ -79,7 +79,6 @@ __all__ = [
 ]
 
 _MAX_KNOTS = 1000
-EIG_FLOOR = 1e-12
 # _estimate_dbs's tuning of one input, handed to the cv_tune call it makes
 # next on that input in the same thread (see cv_tune)
 _HANDOFF = threading.local()
@@ -135,7 +134,7 @@ def whiten(inputs: FusionInputs):
     """Whitened design and response of the calibration quadratic.
 
     X is the symmetric inverse square root of sigma_ext + gram (eigenvalues
-    floored at 1e-12) and Y = X (beta_tilde - beta_int), so that
+    floored at _linalg.EIG_FLOOR) and Y = X (beta_tilde - beta_int), so that
     ||Y - X b||^2 reproduces the quadratic form exactly.
     """
     _check_type("inputs", inputs, FusionInputs)
@@ -144,7 +143,7 @@ def whiten(inputs: FusionInputs):
 
 def _whiten(calib):
     """whiten's (X, Y) of a _Calibration, stacked as its batch axes are."""
-    x = inv_sqrt_spd(calib.sigma_ext + calib.gram, EIG_FLOOR, NotPositiveDefinite, "whiten")
+    x = inv_sqrt_spd(calib.sigma_ext + calib.gram, NotPositiveDefinite, "whiten")
     return x, matvec(x, -calib.residual)
 
 
@@ -764,27 +763,18 @@ def _estimate_dbs(inputs, config=None, level=0.95, seeds=None) -> list:
     return list(zip(results, selections))
 
 
-def _run_method(method, inputs, level=0.95, *, beta_true=None, unbiased=None, debias=None):
-    """Run the estimator of `method`: (FusionResult, SelectionResult or None).
-
-    KNW reads `beta_true`, ORC `unbiased` and DBS `debias` (a DebiasConfig);
-    only DBS returns a selection. This is _run_methods on one input.
-    """
-    return _run_methods(
-        method, [inputs], level, beta_true=[beta_true], unbiased=[unbiased], debias=debias
-    )[0]
-
-
 def _run_methods(
     method, inputs, level=0.95, *, beta_true=None, unbiased=None, debias=None, seeds=None
 ):
-    """_run_method on each FusionInputs of the list `inputs`, which share one
-    target and binding: KNW reads beta_true[r], ORC unbiased[r], and DBS
-    draws input r's folds from seeds[r] (debias.seed if None). Each input
-    gets the checks of the method's estimator, in order; the fuses are then
-    one stack per method and kept set. A warning of a stack is recorded in
-    each of its results, so a caller that needs each input's own warnings
-    runs again one input at a time when a stack warns (run_replications)."""
+    """(FusionResult, SelectionResult or None) of the estimator of `method`
+    on each FusionInputs of the list `inputs` (of one for `estimate`), which
+    share one target and binding; only DBS selects. KNW reads beta_true[r],
+    ORC unbiased[r], and DBS the DebiasConfig `debias`, drawing input r's
+    folds from seeds[r] (debias.seed if None). Each input gets the checks of
+    the method's estimator, in order; the fuses are then one stack per method
+    and kept set. A warning of a stack is recorded in each of its results, so
+    a caller that needs each input's own warnings runs again one input at a
+    time when a stack warns (run_replications)."""
     if method is Method.DBS:
         return _estimate_dbs(inputs, debias, level, seeds)
     if method is Method.ORC:

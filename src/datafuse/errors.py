@@ -46,7 +46,7 @@ class AsymmetricCovariance(ValidationError):
 
 
 class NotPSD(ValidationError):
-    """Covariance matrix has an eigenvalue below -1e-10."""
+    """Covariance matrix has an eigenvalue below _linalg.PSD_TOL."""
 
 
 class DimensionMismatch(ValidationError):

@@ -14,7 +14,8 @@ import warnings
 
 import numpy as np
 
-from ._linalg import check_full_rank, logistic, spd_solve
+from ._linalg import CANCELLATION_FLOOR, DIVERGENCE_BOUND, LOGISTIC_SCORE_TOL, LOGLIK_SLACK
+from ._linalg import PINNED_PROB, SECOND_MOMENT_FLOOR, check_full_rank, logistic, spd_solve
 from .errors import (
     DegenerateRegressor,
     EmptyArm,
@@ -50,16 +51,11 @@ __all__ = [
 ]
 
 PROPENSITY_TRIM = 0.01
-LOGISTIC_SCORE_TOL = 1e-10
 LOGISTIC_MAX_ITER = 100
-SECOND_MOMENT_FLOOR = 1e-30
 # cross-validation reads folds from moment forms (_Moments) only when their
 # features total at most this many: a design of k columns has k (k + 3) / 2
 # features, and the fold products grow as the square of the total
 MOMENT_MAX_FEATURES = 80
-# a moment form's influence second moment below this share of the terms it
-# is summed from (round-off then costs more than 4 digits) has its fold refitted
-CANCELLATION_FLOOR = 1e-4
 
 
 def fit_mean(data: InternalDataset, column: str, where=None) -> FunctionalFit:
@@ -174,28 +170,30 @@ def _bernoulli_loglik(y: np.ndarray, linpred: np.ndarray) -> float:
 
 def _pinned(prob: np.ndarray, ones: np.ndarray, zeros: np.ndarray, probes) -> bool:
     """Whether every row of class 1 (mask `ones`) has probability above
-    1 - 1e-8 and every row of class 0 (`zeros`) below 1e-8; an empty class
-    passes. `probes` holds one row of each class, or None for an empty one:
-    a probe row that is not pinned (or is NaN) settles the check at once."""
+    1 - PINNED_PROB and every row of class 0 (`zeros`) below PINNED_PROB; an
+    empty class passes. `probes` holds one row of each class, or None for an
+    empty one: a probe row that is not pinned (or is NaN) settles the check
+    at once."""
     one, zero = probes
-    if one is not None and not prob[one] > 1.0 - 1e-8:
+    if one is not None and not prob[one] > 1.0 - PINNED_PROB:
         return False
-    if zero is not None and not prob[zero] < 1e-8:
+    if zero is not None and not prob[zero] < PINNED_PROB:
         return False
-    return bool((prob[ones] > 1.0 - 1e-8).all() and (prob[zeros] < 1e-8).all())
+    return bool((prob[ones] > 1.0 - PINNED_PROB).all() and (prob[zeros] < PINNED_PROB).all())
 
 
 def _newton_logistic(design: np.ndarray, y: np.ndarray, context: str, start=None):
     """Damped Newton MLE from `start` (zero if None): (coef, prob), prob the
     fitted probabilities logistic(design @ coef) of the last iteration.
 
-    Stops when max |score| < 1e-10, or warns after 100 iterations. A step
-    is halved until the log-likelihood is finite and falls short of the
-    current one by at most 1e-12 (1 + |loglik|): a slack relative to the
-    log-likelihood, which is summed over the rows, so that round-off near
-    the optimum does not reject every step. Raises Separation when the
-    probabilities are pinned at 0/1 (checked first on one probe row per
-    class), when no halving improves, or when the coefficients diverge.
+    Stops when max |score| < LOGISTIC_SCORE_TOL, or warns after
+    LOGISTIC_MAX_ITER iterations. A step is halved until the log-likelihood
+    is finite and falls short of the current one by at most LOGLIK_SLACK
+    (1 + |loglik|): a slack relative to the log-likelihood, which is summed
+    over the rows, so that round-off near the optimum does not reject every
+    step. Raises Separation when the probabilities are pinned at 0/1
+    (checked first on one probe row per class), when no halving improves,
+    or when the coefficients diverge (max |coef| > DIVERGENCE_BOUND).
     """
     check_full_rank(design, RankDeficientDesign, context)
     ones, zeros = y == 1.0, y == 0.0
@@ -216,7 +214,7 @@ def _newton_logistic(design: np.ndarray, y: np.ndarray, context: str, start=None
         weight = prob * (1.0 - prob)
         hessian = design.T @ (design * weight[:, None])
         step = spd_solve(hessian, score, Separation, context=context)
-        floor = loglik - 1e-12 * (1.0 + abs(loglik))
+        floor = loglik - LOGLIK_SLACK * (1.0 + abs(loglik))
         scale = 1.0
         for _ in range(60):
             cand = coef + scale * step
@@ -228,7 +226,7 @@ def _newton_logistic(design: np.ndarray, y: np.ndarray, context: str, start=None
         else:
             raise Separation(f"no improving Newton step ({context})")
         coef, linpred, loglik = cand, cand_linpred, cand_loglik
-        if not np.isfinite(coef).all() or abs(coef).max() > 1e4:
+        if not np.isfinite(coef).all() or abs(coef).max() > DIVERGENCE_BOUND:
             raise Separation(f"coefficients diverged ({context})")
     warnings.warn(f"logistic fit stopped at iteration cap ({context})")
     return coef, logistic(linpred)

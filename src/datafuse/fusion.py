@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import matvec, spd_solve, sym
+from ._linalg import MEAN_ZERO_TOL, matvec, spd_solve, sym
 from .errors import (
     DimensionMismatch,
     MalformedInput,
@@ -45,7 +45,6 @@ from .errors import (
     ZeroStandardError,
 )
 from .model import (
-    MEAN_ZERO_TOL,
     FunctionalDescriptor,
     FunctionalFit,
     FusionResult,

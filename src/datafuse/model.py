@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._linalg import max_asymmetry, min_eigenvalue
+from ._linalg import AVAR_TOL, PSD_TOL, SYMMETRY_TOL, max_asymmetry, min_eigenvalue
 from .errors import (
     AsymmetricCovariance,
     DimensionMismatch,
@@ -36,10 +36,6 @@ from .errors import (
     RaggedColumns,
 )
 
-SYMMETRY_TOL = 1e-10
-PSD_TOL = -1e-10
-MEAN_ZERO_TOL = 1e-8
-AVAR_TOL = 1e-8
 FLOAT_FMT = "%.17g"
 _CENSUS_WINDOW = 1 << 16  # bytes per step of _line_ends
 
@@ -381,12 +377,12 @@ def validate_summary(
         )
     if not np.all(np.isfinite(beta)) or not np.all(np.isfinite(sigma1)):
         raise NonFiniteValue("summary contains non-finite values")
-    if max_asymmetry(sigma1) > SYMMETRY_TOL:
-        raise AsymmetricCovariance(
-            f"sigma1 asymmetry {max_asymmetry(sigma1):.3e} exceeds {SYMMETRY_TOL}"
-        )
-    if min_eigenvalue(sigma1) < PSD_TOL:
-        raise NotPSD(f"sigma1 has eigenvalue {min_eigenvalue(sigma1):.3e} < {PSD_TOL}")
+    asymmetry = max_asymmetry(sigma1)
+    if asymmetry > SYMMETRY_TOL:
+        raise AsymmetricCovariance(f"sigma1 asymmetry {asymmetry:.3e} exceeds {SYMMETRY_TOL}")
+    least = min_eigenvalue(sigma1)
+    if least < PSD_TOL:
+        raise NotPSD(f"sigma1 has eigenvalue {least:.3e} < {PSD_TOL}")
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m <= 0:
         raise DimensionMismatch(f"m must be a positive integer, got {m!r}")
     _real("m", m)  # an integer beyond the float range is malformed

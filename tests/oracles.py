@@ -32,6 +32,7 @@ import warnings
 
 import numpy as np
 
+from datafuse._linalg import DIVERGENCE_BOUND, LOGISTIC_SCORE_TOL, LOGLIK_SLACK, PINNED_PROB
 from datafuse._linalg import check_full_rank, logistic, spd_solve, sym
 from datafuse.debias import _lasso_path
 from datafuse.errors import (
@@ -41,7 +42,7 @@ from datafuse.errors import (
     RankDeficientDesign,
     Separation,
 )
-from datafuse.functionals import LOGISTIC_MAX_ITER, LOGISTIC_SCORE_TOL, PROPENSITY_TRIM, _ols_fit
+from datafuse.functionals import LOGISTIC_MAX_ITER, PROPENSITY_TRIM, _ols_fit
 from datafuse.model import FunctionalFit
 
 
@@ -51,14 +52,14 @@ def _bernoulli_loglik(y: np.ndarray, linpred: np.ndarray) -> float:
 
 def _newton_logistic(design: np.ndarray, y: np.ndarray, context: str, start=None) -> np.ndarray:
     """Damped Newton MLE from `start` (zero if None); stops when
-    max |score| < 1e-10 or after 100 iterations."""
+    max |score| < LOGISTIC_SCORE_TOL or after LOGISTIC_MAX_ITER iterations."""
     check_full_rank(design, RankDeficientDesign, context)
     coef = np.zeros(design.shape[1]) if start is None else start
     linpred = design @ coef
     loglik = _bernoulli_loglik(y, linpred)
     for _ in range(LOGISTIC_MAX_ITER):
         prob = logistic(linpred)
-        pinned = np.all(prob[y == 1.0] > 1.0 - 1e-8) and np.all(prob[y == 0.0] < 1e-8)
+        pinned = np.all(prob[y == 1.0] > 1.0 - PINNED_PROB) and np.all(prob[y == 0.0] < PINNED_PROB)
         if pinned:
             raise Separation(f"fitted probabilities pinned at 0/1 ({context})")
         score = design.T @ (y - prob)
@@ -67,18 +68,19 @@ def _newton_logistic(design: np.ndarray, y: np.ndarray, context: str, start=None
         weight = prob * (1.0 - prob)
         hessian = design.T @ (design * weight[:, None])
         step = spd_solve(hessian, score, Separation, context=context)
+        floor = loglik - LOGLIK_SLACK * (1.0 + abs(loglik))
         scale = 1.0
         for _ in range(60):
             cand = coef + scale * step
             cand_linpred = design @ cand
             cand_loglik = _bernoulli_loglik(y, cand_linpred)
-            if np.isfinite(cand_loglik) and cand_loglik >= loglik - 1e-12 * (1.0 + abs(loglik)):
+            if np.isfinite(cand_loglik) and cand_loglik >= floor:
                 break
             scale /= 2.0
         else:
             raise Separation(f"no improving Newton step ({context})")
         coef, linpred, loglik = cand, cand_linpred, cand_loglik
-        if not np.all(np.isfinite(coef)) or np.max(np.abs(coef)) > 1e4:
+        if not np.all(np.isfinite(coef)) or np.max(np.abs(coef)) > DIVERGENCE_BOUND:
             raise Separation(f"coefficients diverged ({context})")
     warnings.warn(f"logistic fit stopped at iteration cap ({context})")
     return coef

@@ -437,9 +437,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     code, _, err = _run(
         capsys,
         ["estimate", "--internal", str(internal), "--summary", str(summary),
-         "--tau", "not json and not a file"],
+         "--tau", "nofile{"],
     )
-    assert code == 2 and _stderr_kind(err) == "MalformedInput"
+    assert code == 2 and json.loads(err)["error"] == {
+        "kind": "MalformedInput",
+        "detail": "--tau value is neither JSON nor an existing file: 'nofile{'",
+    }
 
     code, _, err = _run(capsys, ["estimate", "--frobnicate"])
     assert code == 2 and _stderr_kind(err) == "MalformedInput"
@@ -998,6 +1001,8 @@ def test_simulate_that_cannot_write_its_tables_prints_no_table(tmp_path, capsys)
     )
     assert code == 2 and out == ""
     assert _assert_one_json_error(err) == "IoError"
+    # the out-dir is made first, and its failure is named as such
+    assert json.loads(err)["error"]["detail"].startswith(f"cannot create {blocker / 'run'}: ")
 
 
 @pytest.mark.parametrize(

@@ -646,7 +646,8 @@ def test_debias_config_defaults_and_validation():
         DebiasConfig(w=0.5)
     with pytest.raises(MalformedInput):
         DebiasConfig(w=1.6, alpha=2.0)
-    with pytest.raises(MalformedInput):
+    # w's range (0.5, (alpha + 1) / 2) is empty at alpha = 0: alpha is named first
+    with pytest.raises(MalformedInput, match=r"^alpha must be positive, got 0\.0$"):
         DebiasConfig(alpha=0.0)
     with pytest.raises(MalformedInput):
         DebiasConfig(k=1)

@@ -32,6 +32,7 @@ from datafuse import (
     wald_inference,
     whiten,
 )
+from datafuse._linalg import MEAN_ZERO_TOL
 from datafuse.errors import (
     DimensionMismatch,
     MalformedInput,
@@ -39,7 +40,6 @@ from datafuse.errors import (
     ZeroStandardError,
 )
 from datafuse.fusion import _external
-from datafuse.model import MEAN_ZERO_TOL
 
 
 def _semi_supervised_inputs(beta_tilde=1.0, sigma1=1.25, m=4):

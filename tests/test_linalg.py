@@ -8,7 +8,7 @@ import pytest
 from helpers import centered, mean_binding
 
 from datafuse import FunctionalFit, FusionInputs, estimate_eff, validate_summary
-from datafuse._linalg import COND_LIMIT, RIDGE_SCALE, inv_sqrt_spd, spd_solve
+from datafuse._linalg import COND_LIMIT, EIG_FLOOR, PSD_TOL, RIDGE_SCALE, inv_sqrt_spd, spd_solve
 from datafuse.errors import SingularCalibration, SingularGram
 
 
@@ -58,9 +58,9 @@ def test_spd_solve_raises_when_the_ridge_leaves_it_singular():
 def test_inv_sqrt_spd_rejects_a_matrix_that_is_not_psd():
     with pytest.raises(SingularGram, match=r"^matrix is not positive semidefinite \(probe\)$"):
         inv_sqrt_spd(np.diag([1.0, -1.0]), error=SingularGram, context="probe")
-    # an eigenvalue within the -1e-10 tolerance is floored instead
-    root = inv_sqrt_spd(np.diag([4.0, -1e-11]), floor=1e-12)
-    np.testing.assert_allclose(root, np.diag([0.5, 1e6]), rtol=1e-12)
+    # an eigenvalue within the PSD_TOL tolerance is floored at EIG_FLOOR instead
+    root = inv_sqrt_spd(np.diag([4.0, PSD_TOL / 10]))
+    np.testing.assert_allclose(root, np.diag([0.5, EIG_FLOOR**-0.5]), rtol=1e-12)
 
 
 def test_spd_solve_well_conditioned_matches_numpy():

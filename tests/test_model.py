@@ -101,7 +101,7 @@ def test_validate_dataset_ragged():
 
 
 def test_validate_dataset_empty_and_short():
-    with pytest.raises(RaggedColumns):
+    with pytest.raises(RaggedColumns, match=r"^dataset has no columns$"):
         validate_dataset({})
     with pytest.raises(RaggedColumns):
         validate_dataset({"A": [1.0]})

@@ -133,10 +133,8 @@ def test_spd_solve_of_a_stack_is_each_matrix_solved_alone(case, vector_rhs):
 @given(_stacks(nan=True))
 def test_inv_sqrt_spd_of_a_stack_is_each_matrix_alone(case):
     _, a, kinds = case
-    stacked = _run(lambda: (inv_sqrt_spd(a, 1e-12, NotPositiveDefinite, "probe"),))
-    alone = _one_by_one(
-        lambda i: (inv_sqrt_spd(a[i], 1e-12, NotPositiveDefinite, "probe"),), len(a)
-    )
+    stacked = _run(lambda: (inv_sqrt_spd(a, NotPositiveDefinite, "probe"),))
+    alone = _one_by_one(lambda i: (inv_sqrt_spd(a[i], NotPositiveDefinite, "probe"),), len(a))
     _assert_matches(stacked, alone)
     assert (stacked[2] is None) == (kinds.count("plain") + kinds.count("ridge") == len(kinds))
 
