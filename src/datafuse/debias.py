@@ -678,7 +678,8 @@ class _FoldFits:
         inputs = self.inputs[self.where[g][0]]
         tau_test = _fit_tau(inputs, self.test_rows[g], start)
         data = inputs.data.subset(self.train_rows(g))
-        train = _prepare(data, inputs.tau, inputs.summaries, start)
+        stack = None if start is None else start[None]
+        train = _prepare([data], inputs.tau, [inputs.summaries], stack)[0]
         return tau_test, train._calibration
 
 

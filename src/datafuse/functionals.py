@@ -10,6 +10,7 @@ accepts exactly the arguments a descriptor does.
 """
 
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -125,19 +126,25 @@ def fit_joint_ols(
     return FunctionalFit(coef, infl, label=label)
 
 
-def _joint_design(data: InternalDataset, regressors, intercept: bool = True) -> np.ndarray:
+def _joint_design(data, regressors, intercept: bool = True) -> np.ndarray:
     """The named columns as a design, after an intercept column if `intercept`:
-    that of fit_joint_ols and of the aipw_ate propensity.
+    that of fit_joint_ols and of the aipw_ate propensity. `data` is one
+    dataset, or a list of datasets of one row count, whose designs are then
+    built as one stack (B, n, k) in one buffer.
 
-    The design is column-major (Fortran order): every pass over it (the
+    Each design is column-major (Fortran order): every pass over it (the
     Newton Hessian's design * weight[:, None] and design.T products, the OLS
     influence, the _Moments features) reads whole columns, which are then
     contiguous. Row-major, one Newton Hessian of three columns at n = 20,000
     took 159 us against 47 us, its broadcast product 99 against 22 us (a
     2-core Xeon VM, numpy 2.4 on OpenBLAS 0.3.31).
     """
-    ones = [np.ones(data.n)] if intercept else []
-    return np.array(ones + [data.column(name) for name in regressors]).T
+    lone = isinstance(data, InternalDataset)
+    datas = [data] if lone else data
+    ones = [np.ones(datas[0].n)] if intercept else []
+    columns = np.array([ones + [one.column(name) for name in regressors] for one in datas])
+    design = columns.swapaxes(1, 2)
+    return design[0] if lone else design
 
 
 def fit_marginal_ols(data: InternalDataset, outcome: str, regressor: str) -> FunctionalFit:
@@ -157,7 +164,9 @@ def fit_marginal_ols(data: InternalDataset, outcome: str, regressor: str) -> Fun
     )
 
 
-def _bernoulli_loglik(y: np.ndarray, linpred: np.ndarray) -> float:
+def _bernoulli_loglik(y: np.ndarray, linpred: np.ndarray) -> list:
+    """The log-likelihood of each fit of a stack (the last axis indexes rows),
+    as a list of floats."""
     # log(1 + e^eta) as max(eta, 0) + log1p(e^-|eta|), the terms summed per
     # row: np.logaddexp gives the same values at several times the cost
     terms = np.abs(linpred)
@@ -165,7 +174,7 @@ def _bernoulli_loglik(y: np.ndarray, linpred: np.ndarray) -> float:
     np.exp(terms, out=terms)
     np.log1p(terms, out=terms)
     terms += np.maximum(linpred, 0.0)
-    return float((y * linpred - terms).sum())
+    return (y * linpred - terms).sum(axis=-1).tolist()
 
 
 def _pinned(prob: np.ndarray, ones: np.ndarray, zeros: np.ndarray, probes) -> bool:
@@ -183,53 +192,110 @@ def _pinned(prob: np.ndarray, ones: np.ndarray, zeros: np.ndarray, probes) -> bo
 
 
 def _newton_logistic(design: np.ndarray, y: np.ndarray, context: str, start=None):
-    """Damped Newton MLE from `start` (zero if None): (coef, prob), prob the
-    fitted probabilities logistic(design @ coef) of the last iteration.
+    """Damped Newton MLE of each design of a stack from `start` (zero if
+    None): (coef, prob), prob the fitted probabilities logistic(design @ coef)
+    of the last iteration.
 
-    Stops when max |score| < LOGISTIC_SCORE_TOL, or warns after
-    LOGISTIC_MAX_ITER iterations. A step is halved until the log-likelihood
-    is finite and falls short of the current one by at most LOGLIK_SLACK
-    (1 + |loglik|): a slack relative to the log-likelihood, which is summed
-    over the rows, so that round-off near the optimum does not reject every
-    step. Raises Separation when the probabilities are pinned at 0/1
-    (checked first on one probe row per class), when no halving improves,
-    or when the coefficients diverge (max |coef| > DIVERGENCE_BOUND).
+    `design` is a stack (B, n, k), `y` the stack (B, n) of 0/1 responses and
+    `start` None or a stack (B, k); one design (n, k), with y (n,) and start
+    (k,), is the stack of one and gives coef (k,) and prob (n,). The fits run
+    in lockstep, the Hessians solved as one stack (spd_solve), and each fit
+    keeps its own rules, so each gives the coef, prob, error and warnings it
+    gives alone: it stops, and is frozen, when max |score| <
+    LOGISTIC_SCORE_TOL, or warns after LOGISTIC_MAX_ITER iterations. A step
+    is halved until the log-likelihood is finite and falls short of the
+    fit's current one by at most LOGLIK_SLACK (1 + |loglik|): a slack
+    relative to the log-likelihood, which is summed over the rows, so that
+    round-off near the optimum does not reject every step. Raises Separation
+    when the probabilities are pinned at 0/1 (checked first on one probe row
+    per class), when no halving improves, or when the coefficients diverge
+    (max |coef| > DIVERGENCE_BOUND): the first error the lockstep meets, by
+    iteration, then by stage, then by place in the stack. The arrays are
+    narrowed to the running fits only when a fit stops, so a stack of one
+    indexes nothing.
     """
-    check_full_rank(design, RankDeficientDesign, context)
-    ones, zeros = y == 1.0, y == 0.0
-    probes = tuple(
-        int(rows[0]) if rows.size else None
-        for rows in (np.flatnonzero(ones), np.flatnonzero(zeros))
-    )
-    coef = np.zeros(design.shape[1]) if start is None else start
-    linpred = design @ coef
+    lone = design.ndim == 2
+    if lone:
+        design, y = design[None], y[None]
+        start = None if start is None else start[None]
+    fits, n, k = design.shape
+    for one in design:
+        check_full_rank(one, RankDeficientDesign, context)
+    # per fit, the arguments of _pinned: its class masks and the first row
+    # of each class (argmax stops at the first True), None for an empty class
+    classes = []
+    for ones, zeros in zip(y == 1.0, y == 0.0):
+        one, zero = int(ones.argmax()), int(zeros.argmax())
+        classes.append((ones, zeros, (one if ones[one] else None, zero if zeros[zero] else None)))
+    # coefficients, scores and steps are columns (fits, k, 1): the products
+    # with the designs are then plain matmuls
+    coef = np.zeros((fits, k, 1)) if start is None else start[..., None]
+    places = list(range(fits))  # the running fits' places in the stack
+    stopped = []  # (places, coef, prob) of the fits that stopped, by iteration
+    linpred = (design @ coef)[..., 0]
     loglik = _bernoulli_loglik(y, linpred)
     for _ in range(LOGISTIC_MAX_ITER):
         prob = logistic(linpred)
-        if _pinned(prob, ones, zeros, probes):
-            raise Separation(f"fitted probabilities pinned at 0/1 ({context})")
-        score = design.T @ (y - prob)
-        if abs(score).max() < LOGISTIC_SCORE_TOL:
-            return coef, prob
-        weight = prob * (1.0 - prob)
-        hessian = design.T @ (design * weight[:, None])
-        step = spd_solve(hessian, score, Separation, context=context)
-        floor = loglik - LOGLIK_SLACK * (1.0 + abs(loglik))
-        scale = 1.0
-        for _ in range(60):
-            cand = coef + scale * step
-            cand_linpred = design @ cand
-            cand_loglik = _bernoulli_loglik(y, cand_linpred)
-            if np.isfinite(cand_loglik) and cand_loglik >= floor:
+        for i, b in enumerate(places):
+            if _pinned(prob[i], *classes[b]):
+                raise Separation(f"fitted probabilities pinned at 0/1 ({context})")
+        score = design.swapaxes(-1, -2) @ (y - prob)[..., None]
+        # max |score| < LOGISTIC_SCORE_TOL, each entry compared (NaN fails)
+        stop = [all([abs(s) < LOGISTIC_SCORE_TOL for s, in fit]) for fit in score.tolist()]
+        if any(stop):
+            if all(stop):
+                stopped.append((places, coef, prob))
                 break
-            scale /= 2.0
-        else:
-            raise Separation(f"no improving Newton step ({context})")
-        coef, linpred, loglik = cand, cand_linpred, cand_loglik
-        if not np.isfinite(coef).all() or abs(coef).max() > DIVERGENCE_BOUND:
+            done = [i for i, s in enumerate(stop) if s]
+            keep = [i for i, s in enumerate(stop) if not s]
+            stopped.append(([places[i] for i in done], coef[done], prob[done]))
+            places, loglik = [places[i] for i in keep], [loglik[i] for i in keep]
+            design, y, coef, prob, score = (a[keep] for a in (design, y, coef, prob, score))
+        weight = prob * (1.0 - prob)
+        hessian = design.swapaxes(-1, -2) @ (design * weight[..., None])
+        step = spd_solve(hessian, score, Separation, context=context)
+        coef, linpred, loglik = _damped_step(design, y, coef, step, loglik, context)
+        # NaN or inf in any fit's coefficients makes the maximum fail the test
+        if not abs(coef).max() <= DIVERGENCE_BOUND:
             raise Separation(f"coefficients diverged ({context})")
-    warnings.warn(f"logistic fit stopped at iteration cap ({context})")
-    return coef, logistic(linpred)
+    else:
+        for _ in places:
+            warnings.warn(f"logistic fit stopped at iteration cap ({context})")
+        stopped.append((places, coef, logistic(linpred)))
+    if len(stopped) == 1:
+        coef, prob = stopped[0][1:]
+    else:
+        coef, prob = np.empty((fits, k, 1)), np.empty((fits, n))
+        for at, part_coef, part_prob in stopped:
+            coef[at], prob[at] = part_coef, part_prob
+    return (coef[0, :, 0], prob[0]) if lone else (coef[..., 0], prob)
+
+
+def _damped_step(design, y, coef, step, loglik, context):
+    """(coef, linpred, loglik) after each fit's Newton step `step`, halved
+    until its log-likelihood is finite and at least its floor (see
+    _newton_logistic); a fit short of its floor is tried again alone, the
+    others keep their step. Every fit still short has been halved as often,
+    so one scale serves them all. Raises Separation after 60 tries."""
+    floor = [value - LOGLIK_SLACK * (1.0 + abs(value)) for value in loglik]
+    cand = coef + step
+    linpred = (design @ cand)[..., 0]
+    cand_loglik = _bernoulli_loglik(y, linpred)
+    short, scale = range(len(loglik)), 1.0
+    for tries in range(60):
+        if tries:
+            scale /= 2.0
+            part = slice(None) if len(short) == len(loglik) else short
+            cand[part] = coef[part] + scale * step[part]
+            linpred[part] = (design[part] @ cand[part])[..., 0]
+            for i, value in zip(short, _bernoulli_loglik(y[part], linpred[part])):
+                cand_loglik[i] = value
+        short = [
+            i for i in short if not (math.isfinite(cand_loglik[i]) and cand_loglik[i] >= floor[i])
+        ]
+        if not short:
+            return cand, linpred, cand_loglik
+    raise Separation(f"no improving Newton step ({context})")
 
 
 def fit_aipw_ate(
@@ -257,43 +323,53 @@ def fit_aipw_ate(
 
 def _fit_aipw(data, outcome, treatment, covariates, trim=PROPENSITY_TRIM, start=None):
     """fit_aipw_ate with the propensity Newton started at `start` (zero if
-    None or of another length). The fit keeps its propensity coefficient as
-    `_propensity`, a start for refits of the same model on other rows."""
-    y = data.column(outcome)
-    t = data.column(treatment)
-    if not ((t == 0.0) | (t == 1.0)).all():
-        raise NonBinaryTreatment(f"treatment {treatment!r} is not binary")
-    treated = t == 1.0
-    if treated.all() or not treated.any():
-        raise EmptyArm("one treatment arm has no observations")
+    None or of another shape). The fit keeps its propensity coefficient as
+    `_propensity`, a start for refits of the same model on other rows.
+
+    `data` may also be a list of datasets of one row count, with `start`
+    None or a stack (B, k): their propensities are then fitted as one stack
+    (_newton_logistic, each fit as it is alone) and their fits returned as a
+    list. The outcome models stay per dataset: their arms' rows differ."""
+    lone = isinstance(data, InternalDataset)
+    if lone:
+        data, start = [data], None if start is None else start[None]
+    treatments, treated = [one.column(treatment) for one in data], []
+    for t in treatments:
+        if not ((t == 0.0) | (t == 1.0)).all():
+            raise NonBinaryTreatment(f"treatment {treatment!r} is not binary")
+        treated.append(t == 1.0)
+        if treated[-1].all() or not treated[-1].any():
+            raise EmptyArm("one treatment arm has no observations")
     design = _joint_design(data, covariates)
 
-    if start is not None and start.shape != (design.shape[1],):
+    if start is not None and start.shape != design.shape[::2]:
         start = None
+    # a stack of one is a view of its treatment, not a copy
+    stack = np.array(treatments) if len(treatments) > 1 else treatments[0][None]
     try:
-        prop_coef, prop = _newton_logistic(design, t, f"propensity({treatment})", start)
+        prop_coef, prop = _newton_logistic(design, stack, f"propensity({treatment})", start)
     except Separation as exc:
         raise PropensityDegenerate(str(exc)) from exc
     prop = np.clip(prop, trim, 1.0 - trim)
 
-    mu = np.empty((2, data.n))
-    for arm, mask in ((0, ~treated), (1, treated)):
-        # the arm's rows selected along the contiguous axis stay column-major
-        rows = design.T.compress(mask, axis=1).T
-        coef = _ols_coef(rows, y.compress(mask), f"outcome model arm {arm}")[1]
-        mu[arm] = design @ coef
-
-    transform = (
-        t / prop * (y - mu[1]) - (1.0 - t) / (1.0 - prop) * (y - mu[0]) + mu[1] - mu[0]
-    )
-    est = float(transform.mean())
-    fit = FunctionalFit(
-        np.array([est]),
-        (transform - est)[:, None],
-        label=f"aipw_ate({outcome}~{treatment}|{'+'.join(covariates)})",
-    )
-    object.__setattr__(fit, "_propensity", prop_coef)
-    return fit
+    fits = []
+    for one, rows, t, p, coef, ones in zip(data, design, treatments, prop, prop_coef, treated):
+        y = one.column(outcome)
+        mu = np.empty((2, one.n))
+        for arm, mask in ((0, ~ones), (1, ones)):
+            # the arm's rows selected along the contiguous axis stay column-major
+            arm_rows = rows.T.compress(mask, axis=1).T
+            mu[arm] = rows @ _ols_coef(arm_rows, y.compress(mask), f"outcome model arm {arm}")[1]
+        transform = t / p * (y - mu[1]) - (1.0 - t) / (1.0 - p) * (y - mu[0]) + mu[1] - mu[0]
+        est = float(transform.mean())
+        fit = FunctionalFit(
+            np.array([est]),
+            (transform - est)[:, None],
+            label=f"aipw_ate({outcome}~{treatment}|{'+'.join(covariates)})",
+        )
+        object.__setattr__(fit, "_propensity", coef)
+        fits.append(fit)
+    return fits[0] if lone else fits
 
 
 _FITTERS = {
@@ -313,12 +389,19 @@ def fit_functional(data: InternalDataset, desc: FunctionalDescriptor) -> Functio
     return _FITTERS[desc.kind](data, **desc.args)
 
 
-def _refit(data: InternalDataset, desc: FunctionalDescriptor, start=None) -> FunctionalFit:
+def _refit(data, desc: FunctionalDescriptor, start=None):
     """fit_functional, with the propensity Newton of an aipw_ate fit started
-    at `start`, the `_propensity` of a fit of the same model on other rows."""
-    if start is None or desc.kind is not FunctionalKind.AIPW_ATE:
+    at `start`, the `_propensity` of a fit of the same model on other rows.
+    On a list of datasets of one row count, with `start` None or their
+    stack (B, k), a list of fits: those of an aipw_ate target from one
+    stacked propensity Newton (_fit_aipw)."""
+    if desc.kind is FunctionalKind.AIPW_ATE and (
+        start is not None or not isinstance(data, InternalDataset)
+    ):
+        return _fit_aipw(data, **desc.args, start=start)
+    if isinstance(data, InternalDataset):
         return fit_functional(data, desc)
-    return _fit_aipw(data, **desc.args, start=start)
+    return [fit_functional(one, desc) for one in data]
 
 
 def evaluate_binding(data: InternalDataset, binding):

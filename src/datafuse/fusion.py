@@ -194,24 +194,31 @@ def prepare_inputs(
     """Fit the target functional and all summary bindings on one dataset."""
     _check_type("data", data, InternalDataset)
     _check_type("tau", tau, FunctionalDescriptor)
-    return _prepare(data, tau, _items("summaries", summaries, SummaryStatistic))
+    return _prepare([data], tau, [_items("summaries", summaries, SummaryStatistic)])[0]
 
 
-def _prepare(data, tau, summaries, start=None) -> FusionInputs:
-    """prepare_inputs, with the target refitted from `start` (functionals._refit)."""
+def _prepare(datas, tau, summaries, start=None) -> list:
+    """prepare_inputs on each dataset of the list `datas` (of one row count)
+    with its summaries summaries[r]: one FusionInputs per dataset. The
+    targets are fitted together (functionals._refit: an aipw_ate target by
+    one stacked propensity Newton), from `start`, None or the stack (B, k)
+    of their propensity starts; the bindings per dataset."""
     from .functionals import _columns, _refit, evaluate_binding
 
-    summaries = tuple(summaries)
-    tau_fit = _columns(_refit(data, tau, start), tau)
-    beta_int, eta = evaluate_binding(data, [desc for s in summaries for desc in s.binding])
-    beta_fit = FunctionalFit(beta_int, eta, label="binding")
-    return FusionInputs(
-        tau_fit=tau_fit,
-        beta_fit=beta_fit,
-        summaries=summaries,
-        data=data,
-        tau=tau,
-    )
+    inputs = []
+    for data, tau_fit, own in zip(datas, _refit(datas, tau, start), summaries):
+        own = tuple(own)
+        beta_int, eta = evaluate_binding(data, [desc for s in own for desc in s.binding])
+        inputs.append(
+            FusionInputs(
+                tau_fit=_columns(tau_fit, tau),
+                beta_fit=FunctionalFit(beta_int, eta, label="binding"),
+                summaries=own,
+                data=data,
+                tau=tau,
+            )
+        )
+    return inputs
 
 
 def _external(summaries, n):

@@ -14,8 +14,10 @@ E(eta eta') of those fits' influence columns, which for least squares is
 the sandwich covariance of the sqrt(m)-scaled estimate.
 
 Replications run in the calling thread in chunks of _CHUNK. Each draws
-from its own substreams (spawned from a root seed) and builds its inputs
-alone; each method then runs once for the whole chunk, with the chunk's
+from its own substreams (spawned from a root seed) and builds its summary
+and binding fits alone; the chunk's targets are fitted together
+(fusion._prepare: an aipw_ate target's propensities as one stacked Newton),
+and each method then runs once for the whole chunk, with the chunk's
 cross-validation folds, whitenings and fuses stacked along leading batch
 axes (debias._run_methods). A chunk whose stacked pass raises a package
 error or warns runs again one replication at a time, so every result,
@@ -37,8 +39,9 @@ import numpy as np
 
 from ._linalg import logistic
 
-# The estimate_* names stay bound for bench/layers.py, which patches them here;
-# estimators are called through debias._run_methods.
+# The estimate_* and prepare_inputs names stay bound for bench/layers.py, which
+# patches them here; estimators are called through debias._run_methods, and a
+# chunk's inputs are built by fusion._prepare.
 from .debias import DebiasConfig, _run_methods, estimate_dbs, estimate_orc  # noqa: F401
 from .errors import (
     DataFuseError,
@@ -63,8 +66,8 @@ from .model import (
     validate_dataset,
     validate_summary,
 )
+from .fusion import _prepare, prepare_inputs  # noqa: F401
 from .fusion import estimate_crude, estimate_eff, estimate_int, estimate_knw  # noqa: F401
-from .fusion import prepare_inputs
 
 __all__ = [
     "ScenarioConfig",
@@ -342,11 +345,13 @@ def _tau_descriptor(scenario: str) -> FunctionalDescriptor:
 def _replicate(config: ScenarioConfig, rep_seeds) -> list:
     """The replications of `rep_seeds`, one chunk, each rep's pair of
     SeedSequences (data, folds): per rep (tau, {method: (estimate, se,
-    covered, selected)}). Each rep draws from its own substreams and builds
-    its inputs alone; each method then runs on the inputs of every rep at
-    once (debias._run_methods). Raises the first DataFuseError."""
-    tau = _tau_descriptor(config.scenario)
-    truths, inputs = [], []
+    covered, selected)}). Each rep draws from its own substreams; the
+    chunk's inputs are built by one fusion._prepare call, whose targets are
+    fitted together (an aipw_ate target's propensities by one stacked
+    Newton, each fit as it is alone), and each method then runs on the
+    inputs of every rep at once (debias._run_methods). Raises the first
+    DataFuseError."""
+    internals, summaries, truths = [], [], []
     for data_seed, _ in rep_seeds:
         rng = np.random.default_rng(data_seed)
         if config.scenario == "I":
@@ -355,8 +360,10 @@ def _replicate(config: ScenarioConfig, rep_seeds) -> list:
             internal, summary, truth = gen_scenario2(
                 config.n, config.m, config.scenario == "II_biased", rng, config.tau
             )
-        inputs.append(prepare_inputs(internal, tau, [summary]))
+        internals.append(internal)
+        summaries.append([summary])
         truths.append(truth)
+    inputs = _prepare(internals, _tau_descriptor(config.scenario), summaries)
     outs = [{} for _ in rep_seeds]
     for name in config.methods:
         done = _run_methods(

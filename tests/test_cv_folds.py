@@ -102,7 +102,8 @@ def _reference(inputs, test_rows, train_rows, start):
     try:
         tau_test = _fit_tau(inputs, test_rows, start)
         data = inputs.data.subset(train_rows)
-        train = _prepare(data, inputs.tau, inputs.summaries, start)
+        stack = None if start is None else start[None]
+        train = _prepare([data], inputs.tau, [inputs.summaries], stack)[0]
     except DataFuseError:
         if start is None:
             raise

@@ -560,7 +560,7 @@ def test_folds_with_an_ill_conditioned_design_are_refitted(slot):
     assert fits.refit.tolist() == [True, slot == "binding", slot == "binding"]
     for f in np.flatnonzero(fits.refit):
         tau_test, calib = fits.fold(f)
-        ref = _prepare(data.subset(fits.train_rows(f)), tau, inputs.summaries)._calibration
+        ref = _prepare([data.subset(fits.train_rows(f))], tau, [inputs.summaries])[0]._calibration
         assert np.array_equal(tau_test, _fit_tau(inputs, folds[f]))
         for field in ("tau", "phi_var", "cross", "gram", "residual", "sigma_ext"):
             assert np.array_equal(getattr(calib, field), getattr(ref, field)), field

@@ -11,6 +11,7 @@ from oracles import joint_ols_summary, marginal_slopes_summary
 from scipy.special import expit
 
 import datafuse.debias as debias_module
+import datafuse.functionals as functionals_module
 import datafuse.sim as sim_module
 from datafuse import (
     DebiasConfig,
@@ -460,6 +461,11 @@ _CHUNK_CASES = {
     ),
     # with adaptive_lasso warning on some reps (below), chunks warn and run again
     "warning": ScenarioConfig(scenario="II_biased", n=200, m=400, reps=40, seed=5),
+    # rep 9's propensity is pinned at 0/1, so the chunk's stacked Newton raises
+    "failing-fit": ScenarioConfig(scenario="I", n=24, m=100, reps=150, seed=3),
+    # with the Newton capped at 7 iterations (below), 4 reps' propensity fits
+    # warn inside the chunk's stacked Newton
+    "newton-warning": ScenarioConfig(scenario="I", n=200, m=100, reps=40, seed=3),
 }
 
 
@@ -475,6 +481,8 @@ def test_outputs_and_warnings_do_not_depend_on_the_chunk_size(monkeypatch, tmp_p
             return lasso(x, y, weights, lam)
 
         monkeypatch.setattr(debias_module, "adaptive_lasso", warning_lasso)
+    if case == "newton-warning":
+        monkeypatch.setattr(functionals_module, "LOGISTIC_MAX_ITER", 7)
     runs = []
     for chunk in (1, 7, 32, cfg.reps):
         monkeypatch.setattr(sim_module, "_CHUNK", chunk)
@@ -493,9 +501,12 @@ def test_outputs_and_warnings_do_not_depend_on_the_chunk_size(monkeypatch, tmp_p
         )
     assert all(run == runs[0] for run in runs[1:])
     failures, caught = runs[0][2], runs[0][3]
-    assert failures == (1 if case == "failing-rep" else 0)
-    if case == "warning":
-        assert 0 < len(caught) < cfg.reps and all("synthetic" in str(m) for _, m in caught)
+    assert failures == (1 if case in ("failing-rep", "failing-fit") else 0)
+    if case == "failing-fit":
+        assert "rep 9): fitted probabilities pinned" in caught[0][1]
+    if case in ("warning", "newton-warning"):
+        marker = "synthetic" if case == "warning" else "logistic fit stopped at iteration cap"
+        assert 0 < len(caught) < cfg.reps and all(marker in str(m) for _, m in caught)
     else:
         assert len(caught) == failures
 
