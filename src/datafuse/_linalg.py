@@ -143,7 +143,7 @@ def inv_sqrt_spd(a, error: type = NumericalError, context: str = ""):
 
 def check_full_rank(design, error: type, context: str = ""):
     """Inverse of the triangular factor R of the QR factorization of a
-    full-rank design.
+    full-rank design, or of each design of a stack (..., rows, columns).
 
     R'R equals design'design, so inv(R) inv(R)' is its inverse. Raises
     `error` unless rows >= columns >= 1, no column is zero, and the exact
@@ -151,25 +151,29 @@ def check_full_rank(design, error: type, context: str = ""):
     largest |entry| exceeds RANK_RCOND: rescaling a column of the design
     rescales that column of R, so the test does not depend on the columns'
     units, and the division cannot overflow. inv(R) is the scaled matrix's
-    inverse with row j divided by column j's scale.
+    inverse with row j divided by column j's scale. Each design of a stack
+    has its own scales and its own test, and the stack raises if one of
+    them would raise alone; numpy's qr and inv factor a stack matrix by
+    matrix, so each result equals that of the design on its own.
     """
     design = np.asarray(design, dtype=float)
-    rows, cols = design.shape
+    rows, cols = design.shape[-2:]
     if cols > 0 and rows >= cols:
         lower = _LOWER.get(cols)
         if lower is None:
             lower = _LOWER[cols] = np.tri(cols, k=-1, dtype=bool)
         try:
             # R is the upper triangle of the leading rows of the Householder
-            # QR's output, which mode "raw" returns transposed
-            r = np.linalg.qr(design, mode="raw")[0].T[:cols]
-            r[lower] = 0.0
-            scale = abs(r).max(axis=0)
+            # QR's output, which mode "raw" returns with its last two axes swapped
+            r = np.linalg.qr(design, mode="raw")[0].swapaxes(-1, -2)[..., :cols, :]
+            r[..., lower] = 0.0
+            scale = abs(r).max(axis=-2)
             if scale.all():
-                r /= scale
+                r /= scale[..., None, :]
                 r_inv = np.linalg.inv(r)
-                if abs(r).sum(axis=0).max() * abs(r_inv).sum(axis=0).max() < 1.0 / RANK_RCOND:
-                    r_inv /= scale[:, None]
+                norms = abs(r).sum(axis=-2).max(axis=-1) * abs(r_inv).sum(axis=-2).max(axis=-1)
+                if (norms < 1.0 / RANK_RCOND).all():
+                    r_inv /= scale[..., :, None]
                     return r_inv
         except np.linalg.LinAlgError:
             pass

@@ -16,7 +16,8 @@ import warnings
 import numpy as np
 
 from ._linalg import CANCELLATION_FLOOR, DIVERGENCE_BOUND, LOGISTIC_SCORE_TOL, LOGLIK_SLACK
-from ._linalg import PINNED_PROB, SECOND_MOMENT_FLOOR, check_full_rank, logistic, spd_solve
+from ._linalg import PINNED_PROB, SECOND_MOMENT_FLOOR, check_full_rank, logistic, matvec
+from ._linalg import spd_solve
 from .errors import (
     DegenerateRegressor,
     EmptyArm,
@@ -84,27 +85,34 @@ def fit_mean(data: InternalDataset, column: str, where=None) -> FunctionalFit:
 
 
 def _ols_fit(design: np.ndarray, y: np.ndarray, context: str):
-    """Coefficients and influence rows inv(E VV') V_i e_i for a linear fit.
+    """Coefficients and influence rows inv(E VV') V_i e_i for a linear fit,
+    of one design or of each design of a stack (..., n, k), with y (..., n).
 
     One QR of the design gives R with R'R = V'V, and inv(V'V) is
     R^{-1} R^{-T}. The influence row is n inv(V'V) V_i e_i; the coefficients
     solve R'R coef = V'y with one refinement step (Bjorck's corrected
     seminormal equations), which keeps them as accurate as a QR solve rather
-    than the normal equations.
+    than the normal equations. numpy's matmul multiplies a stack matrix by
+    matrix, so each fit of a stack equals the fit of its design alone.
     """
     gram_inv, coef = _ols_coef(design, y, context)
-    resid = y - design @ coef
-    gram_inv *= design.shape[0]
-    return coef, (design * resid[:, None]) @ gram_inv
+    resid = y - matvec(design, coef)
+    gram_inv *= design.shape[-2]
+    return coef, (design * resid[..., None]) @ gram_inv
 
 
 def _ols_coef(design: np.ndarray, y: np.ndarray, context: str):
-    """inv(V'V) for the design V, from R^{-1} of check_full_rank, and the
-    least-squares coefficients, refined once as in _ols_fit."""
+    """inv(V'V) for the design V (or each of a stack), from R^{-1} of
+    check_full_rank, and the least-squares coefficients, refined once as in
+    _ols_fit."""
     r_inv = check_full_rank(design, RankDeficientDesign, context)
-    gram_inv = r_inv @ r_inv.T
-    coef = gram_inv @ (design.T @ y)
-    return gram_inv, coef + gram_inv @ (design.T @ (y - design @ coef))
+    gram_inv = r_inv @ r_inv.swapaxes(-1, -2)
+    # y and the coefficients as columns (..., n, 1) and (..., k, 1): numpy's
+    # matmul multiplies by a one-column matrix as by a vector, bit for bit
+    design_t, y = design.swapaxes(-1, -2), y[..., None]
+    coef = gram_inv @ (design_t @ y)
+    coef += gram_inv @ (design_t @ (y - design @ coef))
+    return gram_inv, coef[..., 0]
 
 
 def fit_joint_ols(
@@ -120,10 +128,25 @@ def fit_joint_ols(
     outcome = _col("joint_ols", "outcome", outcome)
     regressors = _cols("joint_ols", "regressors", regressors)
     intercept = _bool("joint_ols", "intercept", intercept)
-    y = data.column(outcome)
+    return _joint_ols([data], outcome, regressors, intercept)[0]
+
+
+def _joint_ols(datas, outcome, regressors, intercept=True) -> list:
+    """fit_joint_ols on each dataset of the list `datas` (of one row count),
+    its arguments already checked: the designs as one stack (_ols_fit), one
+    FunctionalFit per dataset."""
     label = f"joint_ols({outcome}~{'+'.join(regressors)}{'+1' if intercept else ''})"
-    coef, infl = _ols_fit(_joint_design(data, regressors, intercept), y, label)
-    return FunctionalFit(coef, infl, label=label)
+    design = _joint_design(datas, regressors, intercept)
+    coef, infl = _ols_fit(design, _stacked(datas, outcome), label)
+    return [FunctionalFit(c, i, label=label) for c, i in zip(coef, infl)]
+
+
+def _stacked(datas, name: str) -> np.ndarray:
+    """Column `name` of each dataset of a list (of one row count), as the rows
+    of one (B, n) array: for a list of one a view of its column, not a copy."""
+    if len(datas) == 1:
+        return datas[0].column(name)[None]
+    return np.array([one.column(name) for one in datas])
 
 
 def _joint_design(data, regressors, intercept: bool = True) -> np.ndarray:
@@ -152,16 +175,23 @@ def fit_marginal_ols(data: InternalDataset, outcome: str, regressor: str) -> Fun
     _check_type("data", data, InternalDataset)
     outcome = _col("marginal_ols", "outcome", outcome)
     regressor = _col("marginal_ols", "regressor", regressor)
-    y = data.column(outcome)
-    x = data.column(regressor)
-    second = float((x * x).mean())
-    if second <= SECOND_MOMENT_FLOOR:
+    return _marginal_ols([data], outcome, regressor)[0]
+
+
+def _marginal_ols(datas, outcome, regressor) -> list:
+    """fit_marginal_ols on each dataset of the list `datas` (of one row
+    count), its arguments already checked, as one stack: each row's sums
+    are those of its dataset alone, and the stack raises if one regressor
+    has a zero second moment. One FunctionalFit per dataset."""
+    y, x, n = _stacked(datas, outcome), _stacked(datas, regressor), datas[0].n
+    # the row means, as np.mean takes them: a sum, then a division by n
+    second = (x * x).sum(axis=-1) / n
+    if (second <= SECOND_MOMENT_FLOOR).any():
         raise DegenerateRegressor(f"regressor {regressor!r} has zero second moment")
-    coef = float((x * y).mean() / second)
-    infl = (x * (y - x * coef) / second)[:, None]
-    return FunctionalFit(
-        np.array([coef]), infl, label=f"marginal_ols({outcome}~{regressor})"
-    )
+    coef = (x * y).sum(axis=-1) / n / second
+    infl = x * (y - x * coef[:, None]) / second[:, None]
+    label = f"marginal_ols({outcome}~{regressor})"
+    return [FunctionalFit(c[None], i[:, None], label=label) for c, i in zip(coef, infl)]
 
 
 def _bernoulli_loglik(y: np.ndarray, linpred: np.ndarray) -> list:
@@ -219,8 +249,7 @@ def _newton_logistic(design: np.ndarray, y: np.ndarray, context: str, start=None
         design, y = design[None], y[None]
         start = None if start is None else start[None]
     fits, n, k = design.shape
-    for one in design:
-        check_full_rank(one, RankDeficientDesign, context)
+    check_full_rank(design, RankDeficientDesign, context)
     # per fit, the arguments of _pinned: its class masks and the first row
     # of each class (argmax stops at the first True), None for an empty class
     classes = []
@@ -394,14 +423,24 @@ def _refit(data, desc: FunctionalDescriptor, start=None):
     at `start`, the `_propensity` of a fit of the same model on other rows.
     On a list of datasets of one row count, with `start` None or their
     stack (B, k), a list of fits: those of an aipw_ate target from one
-    stacked propensity Newton (_fit_aipw)."""
+    stacked propensity Newton (_fit_aipw), those of a joint_ols or
+    marginal_ols fit from one stacked least-squares fit, and those of a
+    mean one dataset at a time."""
     if desc.kind is FunctionalKind.AIPW_ATE and (
         start is not None or not isinstance(data, InternalDataset)
     ):
         return _fit_aipw(data, **desc.args, start=start)
     if isinstance(data, InternalDataset):
         return fit_functional(data, desc)
-    return [fit_functional(one, desc) for one in data]
+    if desc.kind is FunctionalKind.MEAN:
+        return [fit_functional(one, desc) for one in data]
+    return _STACKED_FITTERS[desc.kind](data, **desc.args)
+
+
+_STACKED_FITTERS = {
+    FunctionalKind.JOINT_OLS: _joint_ols,
+    FunctionalKind.MARGINAL_OLS: _marginal_ols,
+}
 
 
 def evaluate_binding(data: InternalDataset, binding):
@@ -414,13 +453,29 @@ def evaluate_binding(data: InternalDataset, binding):
     """
     _check_type("data", data, InternalDataset)
     binding = _items("binding", binding, FunctionalDescriptor)
+    estimates, influence = _evaluate_bindings([data], binding)
+    return estimates[0], influence[0]
+
+
+def _evaluate_bindings(datas, binding):
+    """evaluate_binding on each dataset of the list `datas` (of one row
+    count): (estimates (B, q), influence (B, n, q)), row b that of
+    datas[b]. Each distinct fit is fitted on the whole list at once
+    (_refit), and each descriptor's columns are written into the result
+    in place."""
     distinct, slots = _distinct_fits(binding)
-    fits = [fit_functional(data, desc) for desc in distinct]
-    parts = [_columns(fits[i], desc) for desc, i in zip(binding, slots)]
-    return (
-        np.concatenate([np.zeros(0)] + [f.estimate for f in parts]),
-        np.hstack([np.zeros((data.n, 0))] + [f.influence for f in parts]),
-    )
+    fits = [_refit(datas, desc) for desc in distinct]
+    parts = [(fits[i], desc._coefficients()) for desc, i in zip(binding, slots)]
+    q = sum(len(j) for _, j in parts)
+    estimates, influence = np.empty((len(datas), q)), np.empty((len(datas), datas[0].n, q))
+    at = 0
+    for part, j in parts:
+        cols = slice(at, at + len(j))
+        for b, fit in enumerate(part):
+            estimates[b, cols] = fit.estimate[j.start : j.stop]
+            influence[b, :, cols] = fit.influence[:, j.start : j.stop]
+        at = cols.stop
+    return estimates, influence
 
 
 def _distinct_fits(binding):

@@ -24,8 +24,12 @@ of length k and fuses them all with one batched solve per selected set.
 The estimators take a list of FusionInputs in the same way (_fused,
 _estimates): a simulation runs each method once for a chunk of
 replications, with their calibrations stacked, and one input is the list
-of one. The same code serves all of these, and each calibration of a stack
-gives what it gives on its own.
+of one. The results of a stack are assembled at once (_build_results: one
+se and one Wald interval pass over the stack), each still built by its own
+FusionResult constructor. The inputs of a chunk are built together as well
+(_prepare): its targets, and its bindings' least-squares fits as one stack
+of designs per distinct fit. The same code serves all of these, and each
+calibration of a stack gives what it gives on its own.
 """
 
 import math
@@ -201,24 +205,31 @@ def _prepare(datas, tau, summaries, start=None) -> list:
     """prepare_inputs on each dataset of the list `datas` (of one row count)
     with its summaries summaries[r]: one FusionInputs per dataset. The
     targets are fitted together (functionals._refit: an aipw_ate target by
-    one stacked propensity Newton), from `start`, None or the stack (B, k)
-    of their propensity starts; the bindings per dataset."""
-    from .functionals import _columns, _refit, evaluate_binding
+    one stacked propensity Newton, a least-squares one as one stacked fit),
+    from `start`, None or the stack (B, k) of their propensity starts; then
+    the bindings, the datasets of one binding together, each of its
+    distinct fits once for all of them (functionals._evaluate_bindings)."""
+    from .functionals import _columns, _evaluate_bindings, _refit
 
-    inputs = []
-    for data, tau_fit, own in zip(datas, _refit(datas, tau, start), summaries):
-        own = tuple(own)
-        beta_int, eta = evaluate_binding(data, [desc for s in own for desc in s.binding])
-        inputs.append(
-            FusionInputs(
-                tau_fit=_columns(tau_fit, tau),
-                beta_fit=FunctionalFit(beta_int, eta, label="binding"),
-                summaries=own,
-                data=data,
-                tau=tau,
-            )
+    summaries = [tuple(own) for own in summaries]
+    bindings = [[desc for s in own for desc in s.binding] for own in summaries]
+    keys = [tuple((desc.group_key(), desc.component) for desc in b) for b in bindings]
+    tau_fits, beta_fits = _refit(datas, tau, start), [None] * len(datas)
+    for key in dict.fromkeys(keys):
+        reps = [r for r, own in enumerate(keys) if own == key]
+        beta, eta = _evaluate_bindings([datas[r] for r in reps], bindings[reps[0]])
+        for r, one_beta, one_eta in zip(reps, beta, eta):
+            beta_fits[r] = FunctionalFit(one_beta, one_eta, label="binding")
+    return [
+        FusionInputs(
+            tau_fit=_columns(tau_fit, tau),
+            beta_fit=beta_fit,
+            summaries=own,
+            data=data,
+            tau=tau,
         )
-    return inputs
+        for data, tau_fit, beta_fit, own in zip(datas, tau_fits, beta_fits, summaries)
+    ]
 
 
 def _external(summaries, n):
@@ -245,45 +256,54 @@ def _wald(estimate, se, level, null=0.0, side: str = "upper"):
     """(z, p, ci): z = (estimate - null) / se, NaN where se is 0; p its tail
     probability on `side`, P(Z > x) = erfc(x / sqrt 2) / 2 (doubled at
     x = |z| for two_sided); ci the `level` interval estimate -/+ z_crit * se,
-    z_crit the normal quantile at (1 + level) / 2. `level` must be a number
+    z_crit the normal quantile at (1 + level) / 2, along a new last axis.
+    estimate and se may carry leading batch axes. `level` must be a number
     in (0, 1), else MalformedInput."""
     level = _real("level", level)
     if not 0.0 < level < 1.0:
         raise MalformedInput(f"level must be in (0, 1), got {level}")
     zcrit = _NORMAL.inv_cdf(0.5 + level / 2.0)
-    ci = np.column_stack([estimate - zcrit * se, estimate + zcrit * se])
+    ci = np.stack([estimate - zcrit * se, estimate + zcrit * se], axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0.0, (estimate - null) / se, np.nan)
     x, share = (z, 0.5) if side == "upper" else (-z, 0.5) if side == "lower" else (abs(z), 1.0)
-    p = np.array([share * math.erfc(v * _SQRT_HALF) for v in x.tolist()])
-    return z, p, ci
+    p = np.array([share * math.erfc(v * _SQRT_HALF) for v in x.ravel().tolist()])
+    return z, p.reshape(x.shape), ci
 
 
-def _build_result(
-    method: Method, inputs: FusionInputs, gain, estimate, avar, level: float, warn: list,
-    note: str = "",
-) -> FusionResult:
-    """FusionResult with se and CIs; a non-empty `note` is the last warning."""
+def _build_results(
+    method: Method, ns, gain, estimate, avar, level: float, warn: list, note: str = ""
+) -> list:
+    """One FusionResult, with se and CIs, per fit of a stack: its row count
+    ns[r] and gain[r], estimate[r] and avar[r], the arrays stacked along a
+    leading axis. The se and Wald intervals of the stack are computed at
+    once, and each result is built by its own constructor. Each result's
+    warnings are `warn`, then a zero-se warning if its se has a zero, then
+    a non-empty `note`."""
     avar = sym(avar)
     # negative round-off on the diagonal is clipped here; anything beyond
     # tolerance is rejected by the FusionResult constructor below
-    se = np.sqrt(np.maximum(avar.diagonal(), 0.0) / inputs.n)
+    n = np.array(ns, dtype=float)[:, None]
+    se = np.sqrt(np.maximum(np.diagonal(avar, 0, -2, -1), 0.0) / n)
     _, p_one, ci = _wald(estimate, se, level)
-    if (se == 0.0).any():
-        warn = warn + ["zero standard error: one-sided p set to NaN"]
-    if note:
-        warn = warn + [note]
-    return FusionResult(
-        method=method,
-        estimate=estimate,
-        avar=avar,
-        se=se,
-        gain=gain,
-        ci=ci,
-        level=level,
-        p_one_sided=p_one,
-        warnings=tuple(warn),
-    )
+    zero = (se == 0.0).any(axis=-1).tolist()
+    tail = [note] if note else []
+    return [
+        FusionResult(
+            method=method,
+            estimate=estimate[r],
+            avar=avar[r],
+            se=se[r],
+            gain=gain[r],
+            ci=ci[r],
+            level=level,
+            p_one_sided=p_one[r],
+            warnings=tuple(
+                warn + (["zero standard error: one-sided p set to NaN"] if zero[r] else []) + tail
+            ),
+        )
+        for r in range(len(ns))
+    ]
 
 
 def _coordinates(keep, q: int) -> list:
@@ -319,11 +339,10 @@ def _fused(inputs, keeps, method: Method, level: float = 0.95, empty_note: str =
         calib = _Calibration.stack([inputs[r]._calibration for r in reps]).restrict(list(keep))
         warn: list = []
         gain, estimate, avar = calib.fuse(warn)
-        note = "" if keep else empty_note
-        for i, r in enumerate(reps):
-            results[r] = _build_result(
-                method, inputs[r], gain[i], estimate[i], avar[i], level, warn, note
-            )
+        ns, note = [inputs[r].n for r in reps], "" if keep else empty_note
+        built = _build_results(method, ns, gain, estimate, avar, level, warn, note)
+        for r, result in zip(reps, built):
+            results[r] = result
     return results
 
 
@@ -386,10 +405,7 @@ def _estimates(method: Method, inputs, level: float = 0.95, beta_true=None) -> l
     else:
         estimate = calib.tau - matvec(coef, np.array(known))
         avar = calib.phi_var - coef @ calib.cross.swapaxes(-1, -2)
-    return [
-        _build_result(method, one, coef[r], estimate[r], avar[r], level, warn)
-        for r, one in enumerate(inputs)
-    ]
+    return _build_results(method, [one.n for one in inputs], coef, estimate, avar, level, warn)
 
 
 def _finite_array(name: str, values) -> np.ndarray:

@@ -195,6 +195,10 @@ class FunctionalKind(str, Enum):
     MARGINAL_OLS = "marginal_ols"
     AIPW_ATE = "aipw_ate"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise MalformedInput(f"unknown functional kind {value!r}")
+
 
 @dataclass(frozen=True, eq=True)
 class FunctionalDescriptor:
@@ -213,7 +217,7 @@ class FunctionalDescriptor:
     component: Optional[int] = None
 
     def __post_init__(self):
-        kind = _kind(self.kind)
+        kind = FunctionalKind(self.kind)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "args", _validate_args(kind, self.args))
         if self.component is not None:
@@ -263,13 +267,6 @@ class FunctionalDescriptor:
         if extra:
             raise MalformedInput(f"unknown descriptor keys {sorted(extra)}")
         return cls(obj["functional"], obj.get("args", {}), obj.get("component"))
-
-
-def _kind(value) -> FunctionalKind:
-    try:
-        return FunctionalKind(value)
-    except ValueError:
-        raise MalformedInput(f"unknown functional kind {value!r}") from None
 
 
 def _col(owner, key, value):
@@ -449,6 +446,10 @@ class Method(str, Enum):
     KNW = "KNW"
     DBS = "DBS"
     ORC = "ORC"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise MalformedInput(f"unknown method {value!r}")
 
 
 @dataclass(frozen=True)

@@ -14,17 +14,19 @@ E(eta eta') of those fits' influence columns, which for least squares is
 the sandwich covariance of the sqrt(m)-scaled estimate.
 
 Replications run in the calling thread in chunks of _CHUNK. Each draws
-from its own substreams (spawned from a root seed) and builds its summary
-and binding fits alone; the chunk's targets are fitted together
-(fusion._prepare: an aipw_ate target's propensities as one stacked Newton),
-and each method then runs once for the whole chunk, with the chunk's
-cross-validation folds, whitenings and fuses stacked along leading batch
-axes (debias._run_methods). A chunk whose stacked pass raises a package
-error or warns runs again one replication at a time, so every result,
-error and warning is the replication's own, in replication order; the
-warnings are recorded and emitted again when the replications are done,
-as one replication at a time emits them (_warn_again). Results are therefore
-identical for any chunk size, any `threads` cap and any method subset.
+from its own substreams (spawned from a root seed) and builds its external
+summary alone; the chunk's targets and binding fits are fitted together
+(fusion._prepare: an aipw_ate target's propensities as one stacked Newton,
+each least-squares fit as one stack of designs), and each method then runs
+once for the whole chunk, with the chunk's cross-validation folds,
+whitenings and fuses stacked along leading batch axes and its results
+assembled per stack (debias._run_methods). A chunk whose stacked pass
+raises a package error or warns runs again one replication at a time, so
+every result, error and warning is the replication's own, in replication
+order; the warnings are recorded and emitted again when the replications
+are done, as one replication at a time emits them (_warn_again). Results
+are therefore identical for any chunk size, any `threads` cap and any
+method subset.
 """
 
 import csv
@@ -345,12 +347,13 @@ def _tau_descriptor(scenario: str) -> FunctionalDescriptor:
 def _replicate(config: ScenarioConfig, rep_seeds) -> list:
     """The replications of `rep_seeds`, one chunk, each rep's pair of
     SeedSequences (data, folds): per rep (tau, {method: (estimate, se,
-    covered, selected)}). Each rep draws from its own substreams; the
-    chunk's inputs are built by one fusion._prepare call, whose targets are
-    fitted together (an aipw_ate target's propensities by one stacked
-    Newton, each fit as it is alone), and each method then runs on the
-    inputs of every rep at once (debias._run_methods). Raises the first
-    DataFuseError."""
+    covered, selected)}). Each rep draws from its own substreams and builds
+    its external summary; the chunk's inputs are built by one
+    fusion._prepare call, whose targets and binding fits are fitted
+    together (an aipw_ate target's propensities by one stacked Newton, each
+    least-squares fit as one stack, each fit as it is alone), and each
+    method then runs on the inputs of every rep at once
+    (debias._run_methods). Raises the first DataFuseError."""
     internals, summaries, truths = [], [], []
     for data_seed, _ in rep_seeds:
         rng = np.random.default_rng(data_seed)

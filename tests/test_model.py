@@ -185,6 +185,22 @@ def test_descriptor_requires_functional_key():
         FunctionalDescriptor.from_json({"functional": "mean", "args": 3})
 
 
+@pytest.mark.parametrize(
+    "enum, value, message",
+    [
+        (FunctionalKind, "bogus", "unknown functional kind 'bogus'"),
+        (FunctionalKind, None, "unknown functional kind None"),
+        (Method, "xyz", "unknown method 'xyz'"),
+    ],
+)
+def test_an_unknown_enum_value_is_malformed_input(enum, value, message):
+    """The enums raise the package's own error on a value they do not hold,
+    not the bare ValueError of Python's Enum."""
+    with pytest.raises(MalformedInput) as caught:
+        enum(value)
+    assert str(caught.value) == message
+
+
 def test_descriptor_arg_validation():
     with pytest.raises(MalformedInput):
         FunctionalDescriptor(FunctionalKind.MEAN, {"column": "X", "rows": [1]})
