@@ -16,10 +16,13 @@ _MAX_KNOTS knots.
 A cross-validation fold takes one of two paths (_FoldFits). When every fit
 is a mean, marginal_ols or joint_ols fit of a narrow design and the folds
 partition the rows, the fold's estimates and influence maps come from
-per-fold sums of moment features (functionals._Moments). Otherwise the fold
-is refitted whole on its rows; so is a fold whose sums flag a fit or whose
-moments would cancel. The sums flag a superset of the folds on which a
-fitter fails, so the refit decides, and a fold fails only with its error.
+per-fold sums of moment features (functionals._Moments). The inputs of one
+row count and fold sizes write their features into one buffer, each
+input's rows in fold order, so that a fold's rows are one block of it and
+its sums one batched product (_fold_sums). Otherwise the fold is refitted
+whole on its rows; so is a fold whose sums flag a fit or whose moments
+would cancel. The sums flag a superset of the folds on which a fitter
+fails, so the refit decides, and a fold fails only with its error.
 The folds' calibrations are then one _Calibration with a leading fold axis:
 cv_tune whitens them with one stacked eigendecomposition and fuses all the
 folds that select one set with one batched solve. Should that stacked pass
@@ -501,49 +504,68 @@ class _FoldFits:
     whose leading axis indexes folds; `fold` gives one.
 
     A fold takes one of two paths, never a mix. It is read from moment sums
-    when every slot has a moment form (functionals._moment_forms) and the
-    folds of its input partition the rows. Slot 0 is the target, then one
-    slot per distinct binding fit (functionals._distinct_fits); their
-    coefficients are stacked, slot i's at `coefs[i]`, and `tau` and `beta`
-    index the ones the target and the bindings report. The features of an
-    input's forms, after a row of ones, make its feature matrix G (one row
-    per feature). One product G_f G_f' per fold f gives the row count and
-    the sums of the features and of their outer products over the fold's
-    rows; the train rows' sums are added up from the other folds' products,
-    so nothing cancels, and G is dropped. Every fold's fits come from those
-    sums at once, with no refit and no influence columns: estimates,
-    influence maps L, and the calibration moments L S L' with S the train
-    rows' second moments of the features. The slots of one design width
-    share one _Moments.fit call, over the sets of rows of all of them and
-    of every input: the target's held-out and train rows of every fold, and
-    the other slots' train rows. The calibrations of all folds are built
-    from the sums at once, as one stacked _Calibration. Otherwise the fold
-    is refitted whole (`refit[g]`): the target on the held-out rows
-    (_fit_tau), then prepare_inputs on the train rows, an aipw_ate target
-    started from the full-data propensity and the fold re-run from zero if
-    that raises. That is every fold when a slot has no moment form
-    (aipw_ate, or designs too wide); every fold of an input whose folds
-    overlap or leave rows out, or whose feature sums are not finite; and a
-    fold whose sums flag a fit or whose moments would cancel
-    (_Moments.fit). The sums flag a superset of the folds on which a fitter
+    when every slot has a moment form (functionals._moment_eligible, tested
+    before anything is built) and the folds of its input partition the
+    rows. Slot 0 is the target, then one slot per distinct binding fit
+    (functionals._distinct_fits); their coefficients are stacked, slot i's
+    at `coefs[i]`, and `tau` and `beta` index the ones the target and the
+    bindings report. The features of an input's forms, after a row of ones,
+    make its feature matrix G (one row per feature). The inputs of one row
+    count and one set of fold sizes form a group (one input, as `estimate`
+    has, is a group of one), whose matrices G are one buffer (B, F, n),
+    each input's columns in the order of its folds' rows (_fold_sums):
+    fold f's columns G_f are then one block of the buffer, and one batched
+    product per fold gives each input's G_f G_f', the row count and the
+    sums of the features and of their outer products over the fold's rows,
+    as the input alone gives them. The train rows' sums are added up from
+    the other folds' products in fold order, so nothing cancels, and the
+    buffer is dropped. Every fold's fits come from those sums at once, with
+    no refit and no influence columns: estimates, influence maps L, and the
+    calibration moments L S L' with S the train rows' second moments of the
+    features. The slots of one design width share one _Moments.fit call,
+    over the sets of rows of all of them and of every input: the target's
+    held-out and train rows of every fold, and the other slots' train rows.
+    The calibrations of all folds are built from the sums at once, as one
+    stacked _Calibration. Otherwise the fold is refitted whole (`refit[g]`):
+    the target on the held-out rows (_fit_tau), then prepare_inputs on the
+    train rows, an aipw_ate target started from the full-data propensity
+    and the fold re-run from zero if that raises. That is every fold when a
+    slot has no moment form (aipw_ate, or designs too wide); every fold of
+    an input whose folds overlap or leave rows out, or whose feature sums
+    are not finite; and a fold whose sums flag a fit or whose moments would
+    cancel (_Moments.fit). The sums flag a superset of the folds on which a fitter
     fails, and the refit decides, so a fold fails only with the refit's
     error. Of the target on the held-out rows only its estimate is read, so
     there only a flagged fit calls for a refit.
     """
 
     def __init__(self, inputs, folds):
-        from .functionals import _distinct_fits, _moment_forms, _Moments
+        from .functionals import _distinct_fits, _moment_eligible, _Moments
 
         self.inputs, self.folds = inputs, folds
         self.where = [(r, f) for r, part in enumerate(folds) for f in range(len(part))]
         self.test_rows = [rows for part in folds for rows in part]
-        self.train_size = [int(self._train(g).sum()) for g in range(len(self.where))]
         self.refit = np.ones(len(self.where), dtype=bool)
+        # each fold's train rows number n less its distinct rows; the inputs
+        # whose folds partition the rows, which may be read from sums, in
+        # groups of one row count and fold sizes
+        self.train_size, groups = [], {}
+        for r, (one, part) in enumerate(zip(inputs, folds)):
+            if (np.bincount(np.concatenate(part), minlength=one.n) == 1).all():
+                self.train_size += [one.n - len(rows) for rows in part]
+                groups.setdefault((one.n, tuple(len(rows) for rows in part)), []).append(r)
+            else:
+                self.train_size += [
+                    one.n - int(np.count_nonzero(np.bincount(rows, minlength=one.n)))
+                    for rows in part
+                ]
 
         binding = [desc for s in inputs[0].summaries for desc in s.binding]
         distinct, slot_of = _distinct_fits(binding)
         slots = [inputs[0].tau, *distinct]
         widths = [desc._base_width() for desc in slots]
+        if not _moment_eligible(slots, widths):
+            return
         starts = list(accumulate(widths, initial=0))
         coefs = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
         self.tau = np.array(inputs[0].tau._coefficients())
@@ -551,44 +573,48 @@ class _FoldFits:
             [starts[1 + i] + j for desc, i in zip(binding, slot_of) for j in desc._coefficients()],
             dtype=int,
         )
-        # per input read from sums: its folds' products, their train sums and
-        # the centers of its forms
-        summed = {}
-        for r, one in enumerate(inputs):
-            if not np.all(np.bincount(np.concatenate(folds[r]), minlength=one.n) == 1):
-                continue
+        # the rows of the feature matrix: ones, then the features of each slot
+        spans = list(accumulate([k * (k + 3) // 2 for k in widths], initial=1))
+        spans = [slice(a, b) for a, b in zip(spans[:-1], spans[1:])]
+        # each group's sums are built at once
+        first = list(accumulate(map(len, folds), initial=0))
+        live, parts = [], []
+        for (_, sizes), members in groups.items():
             # build the moment forms around the full-data fits where the
             # inputs hold all of a slot's coefficients
-            known = np.full(starts[-1], np.nan)
-            known[self.beta] = one.beta_fit.estimate
-            if one.tau_fit.p == self.tau.size:
-                known[self.tau] = one.tau_fit.estimate
-            centers = [known[c] if np.isfinite(known[c]).all() else None for c in coefs]
-            with np.errstate(over="ignore", invalid="ignore"):
-                forms = _moment_forms(one.data, slots, widths, centers)
-                if forms is None:
-                    return
-                features = np.array([np.ones(one.n)] + [g for form in forms for g in form.features])
-                test = np.array([_products(features, rows) for rows in folds[r]])
-                k = len(test)
-                train = np.array([sum(test[g] for g in range(k) if g != f) for f in range(k)])
-            if np.isfinite(test).all() and np.isfinite(train).all():
-                summed[r] = test, train, [np.repeat(form.center[None], k, 0) for form in forms]
-            # the features of each slot, the same for every input
-            spans = list(accumulate([len(form.features) for form in forms], initial=1))
-        if not summed:
+            known = np.full((len(members), starts[-1]), np.nan)
+            known[:, self.beta] = [inputs[r].beta_fit.estimate for r in members]
+            for b, r in enumerate(members):
+                if inputs[r].tau_fit.p == self.tau.size:
+                    known[b, self.tau] = inputs[r].tau_fit.estimate
+            centers = [known[:, c] if np.isfinite(known[:, c]).all() else None for c in coefs]
+            test, train, centers = _fold_sums(
+                [inputs[r].data for r in members], [folds[r] for r in members], sizes, slots,
+                centers, spans,
+            )
+            # each input's summaries, scaled to its folds' train rows
+            beta_tilde, sigma_ext = _external(
+                [inputs[r].summaries for r in members], train[:, :, 0, 0]
+            )
+            # the folds of an input whose sums are not finite are refitted
+            finite = np.isfinite(test).all(axis=(1, 2, 3)) & np.isfinite(train).all(axis=(1, 2, 3))
+            keep = np.repeat(finite, len(sizes))
+            live += compress([first[r] + f for r in members for f in range(len(sizes))], keep)
+            per_fold = (test, train, sigma_ext)
+            parts.append(
+                [a.reshape((keep.size,) + a.shape[2:])[keep] for a in per_fold]
+                + [np.repeat(a, len(sizes), 0)[keep] for a in (beta_tilde, *centers)]
+            )
+        if not live:
             return
 
         # the folds read from sums, and the sets of rows of each slot: for the
         # target the test rows too, of which only the estimate is read;
         # feature 0 is ones, so sums[:, 0, 0] counts each set's rows
-        live = [g for g, (r, _) in enumerate(self.where) if r in summed]
+        test, train, sigma_ext, beta_tilde, *centers = (np.concatenate(a) for a in zip(*parts))
         k = len(live)
-        test, train = (np.concatenate([summed[r][i] for r in summed]) for i in (0, 1))
         sets = [np.concatenate((test, train))] + [train] * len(distinct)
-        centers = [np.concatenate([summed[r][2][i] for r in summed]) for i in range(len(slots))]
         centers[0] = np.concatenate((centers[0], centers[0]))
-        spans = [slice(a, b) for a, b in zip(spans[:-1], spans[1:])]
         # per fold: the stacked estimates and influence maps of the slots; a
         # fold whose sums flag a fit or cancel is refitted
         refit = np.zeros(k, dtype=bool)
@@ -617,16 +643,8 @@ class _FoldFits:
         moments = _calibration_moments(
             maps[:, self.tau], maps[:, self.beta], train / train[:, :1, :1]
         )
-        # each input's summaries, scaled to its folds' train rows
-        external = [_external(inputs[r].summaries, summed[r][1][:, 0, 0]) for r in summed]
-        beta_tilde = np.concatenate(
-            [np.repeat(beta[None], len(folds[r]), 0) for r, (beta, _) in zip(summed, external)]
-        )
         calib = _Calibration(
-            estimates[:, self.tau],
-            *moments,
-            estimates[:, self.beta] - beta_tilde,
-            np.concatenate([sigma_ext for _, sigma_ext in external]),
+            estimates[:, self.tau], *moments, estimates[:, self.beta] - beta_tilde, sigma_ext
         )
         # the folds of the inputs not read from sums hold zeros, never read
         self.refit[live] = refit
@@ -667,12 +685,9 @@ class _FoldFits:
 
     def train_rows(self, g: int) -> np.ndarray:
         """The train rows of fold g: the rows of its input it does not hold."""
-        return np.flatnonzero(self._train(g))
-
-    def _train(self, g):
         train = np.ones(self.inputs[self.where[g][0]].n, dtype=bool)
         train[self.test_rows[g]] = False
-        return train
+        return np.flatnonzero(train)
 
     def _refitted(self, g, start):
         inputs = self.inputs[self.where[g][0]]
@@ -683,9 +698,9 @@ class _FoldFits:
         return tau_test, train._calibration
 
 
-def _scatter(values, at, size: int) -> np.ndarray:
+def _scatter(values, at: list, size: int) -> np.ndarray:
     """`values` as the rows `at` of `size` rows, the others zero."""
-    if len(at) == size:
+    if at == list(range(size)):
         return values
     out = np.zeros((size,) + values.shape[1:])
     out[at] = values
@@ -712,11 +727,41 @@ def _fit_tau(inputs: FusionInputs, rows, start=None) -> np.ndarray:
     return _columns(_refit(inputs.data.subset(rows), inputs.tau, start), inputs.tau).estimate
 
 
-def _products(features, rows):
-    """Sums over `rows` of the outer products of the feature vectors, the
-    columns of `features`."""
-    part = features.take(rows, 1)
-    return part @ part.T
+def _fold_sums(datas, folds, sizes, slots, centers, spans):
+    """The feature sums of the folds of datasets of one row count whose folds
+    folds[b], of sizes `sizes`, partition their rows: (test, train, centers),
+    test[b, f] and train[b, f] the sums of the outer products of the feature
+    vectors over fold f's held-out rows and over its train rows, and
+    centers[i] the stack of the centers of slot i's forms (those given, or
+    the full-data fits where None). A feature vector is a one, then the
+    features of each slot's form, slot i's at spans[i].
+
+    The features of all datasets are written into one buffer (B, F, n), each
+    dataset's rows in fold order, so that each fold's rows are one block of
+    columns: the products of fold f are one batched product of its blocks,
+    each the product a dataset's fold gives alone, and a train sum adds the
+    other folds' products in fold order, so nothing cancels."""
+    from .functionals import _Moments
+
+    n, k, width = datas[0].n, len(sizes), spans[-1].stop
+    # the flat positions, in a stack (B, n), of each dataset's rows in fold order
+    rows = np.array([np.concatenate(part) for part in folds]) + n * np.arange(len(datas))[:, None]
+    features = np.empty((len(datas), width, n))
+    features[:, 0] = 1.0
+    test = np.empty((len(datas), k, width, width))
+    bounds = list(accumulate(sizes, initial=0))
+    centers = list(centers)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one form at a time: only its centers outlive it
+        for i, span in enumerate(spans):
+            form = _Moments(datas, slots[i], centers[i])
+            form.features(features[:, span], rows)
+            centers[i] = form.center
+        for f, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            block = features[..., a:b]
+            np.matmul(block, block.swapaxes(-1, -2), out=test[:, f])
+        train = np.stack([sum(test[:, g] for g in range(k) if g != f) for f in range(k)], 1)
+    return test, train, centers
 
 
 def estimate_dbs(inputs: FusionInputs, config: DebiasConfig = None, level: float = 0.95):

@@ -499,7 +499,8 @@ def _columns(fit: FunctionalFit, desc: FunctionalDescriptor) -> FunctionalFit:
 
 
 class _Moments:
-    """Moment form of a mean, marginal_ols or joint_ols fit.
+    """Moment forms of a mean, marginal_ols or joint_ols fit, one per dataset
+    of a list of datasets of one row count.
 
     Each of these is the least-squares fit of an outcome y on a design V:
     the indicator of the `where` rows (ones without `where`) for a mean, the
@@ -513,33 +514,52 @@ class _Moments:
     L = inv(A) [-D, I], where D g_i = V_i V_i' d. Built around c0, the
     features stay small where the fit is close, so second moments L S L' of
     the influence do not cancel large terms. A design of k columns has
-    k (k + 3) / 2 features (_moment_forms caps their total). The form reads
+    k (k + 3) / 2 features (_moment_eligible caps their total). The form reads
     only sums, and flags a superset of the sets of rows on which the fitter
     would fail; the fitter, run on those rows, decides and raises the error.
     The fit reads a form only through its width k and its center, so forms
     of one width are fitted together, each set with its own center.
+
+    The datasets' designs are one stack (B, n, k) and `center` None or the
+    stack (B, k) of their centers: each dataset's center, e0 and features
+    are those it has alone (the products V c0 are one matrix-vector product
+    per design, as numpy's matmul makes it for one).
     """
 
-    def __init__(self, data: InternalDataset, desc: FunctionalDescriptor, center=None):
+    def __init__(self, datas, desc: FunctionalDescriptor, center=None):
         args = desc.args
         if desc.kind is FunctionalKind.MEAN:
-            y, where = data.column(args["column"]), args.get("where")
+            y, where = _stacked(datas, args["column"]), args.get("where")
             if where is None:
-                design = np.ones((data.n, 1))
+                design = np.ones((len(datas), datas[0].n, 1))
             else:
-                design = (data.column(where["column"]) == where["equals"]).astype(float)[:, None]
+                design = (_stacked(datas, where["column"]) == where["equals"]).astype(float)
+                design = design[..., None]
         elif desc.kind is FunctionalKind.MARGINAL_OLS:
-            y, design = data.column(args["outcome"]), data.column(args["regressor"])[:, None]
+            y, design = _stacked(datas, args["outcome"]), _stacked(datas, args["regressor"])
+            design = design[..., None]
         else:
-            y = data.column(args["outcome"])
-            design = _joint_design(data, args["regressors"], args.get("intercept", True))
-        k = design.shape[1]
+            y = _stacked(datas, args["outcome"])
+            design = _joint_design(datas, args["regressors"], args.get("intercept", True))
         self.center = _ols_coef(design, y, desc.kind.value)[1] if center is None else center
-        resid = y - design @ self.center
-        # feature p < P is V_a V_b for the p-th pair (a, b) of _pairs(k),
-        # then feature P + j is V_j e0
-        self.features = [design[:, a] * design[:, b] for a, b in zip(*_pairs(k))]
-        self.features += [design[:, j] * resid for j in range(k)]
+        # the factors of the features, each (B, n): the design's columns, then e0
+        self.factors = [design[..., j] for j in range(design.shape[-1])]
+        self.factors.append(y - matvec(design, self.center))
+
+    def features(self, out, rows) -> None:
+        """Write the features of each dataset into out (B, P, n), its rows
+        in the order of `rows`: row b of `rows` holds the flat indices, into
+        a stack (B, n), of dataset b's rows. Feature p < P is V_a V_b for the
+        p-th pair (a, b) of _pairs(k), then feature P + j is V_j e0. e0 is
+        formed in row order and reordered with the design's columns: BLAS
+        may round a row's V c0 by its place in the design."""
+        factors = [np.take(factor, rows) for factor in self.factors]
+        k = len(factors) - 1
+        pairs = _pairs(k)
+        for p, (a, b) in enumerate(zip(*pairs)):
+            np.multiply(factors[a], factors[b], out=out[:, p])
+        for j in range(k):
+            np.multiply(factors[j], factors[k], out=out[:, pairs.shape[1] + j])
 
     @staticmethod
     def fit(centers, counts, totals, products):
@@ -605,14 +625,11 @@ def _pairs(k: int) -> np.ndarray:
     return pairs
 
 
-def _moment_forms(data: InternalDataset, descs, widths, centers):
-    """The _Moments of each descriptor, of base width `widths[i]`, built
-    around its full-data coefficients in `centers` (None where not known);
-    None unless every descriptor has one: no aipw_ate fit, and features
-    totalling at most MOMENT_MAX_FEATURES."""
-    if (
-        any(desc.kind is FunctionalKind.AIPW_ATE for desc in descs)
-        or sum(k * (k + 3) // 2 for k in widths) > MOMENT_MAX_FEATURES
-    ):
-        return None
-    return [_Moments(data, desc, center) for desc, center in zip(descs, centers)]
+def _moment_eligible(descs, widths) -> bool:
+    """Whether descriptors of base widths `widths` all have a moment form
+    (_Moments): no aipw_ate fit, and features totalling at most
+    MOMENT_MAX_FEATURES."""
+    return (
+        all(desc.kind is not FunctionalKind.AIPW_ATE for desc in descs)
+        and sum(k * (k + 3) // 2 for k in widths) <= MOMENT_MAX_FEATURES
+    )

@@ -235,17 +235,33 @@ def _prepare(datas, tau, summaries, start=None) -> list:
 def _external(summaries, n):
     """Concatenated external estimates and their covariance scaled to n
     internal observations: block-diagonal, block s sigma1_s * n / m_s. An
-    array of sample sizes n gives one covariance per size, stacked."""
-    beta_tilde = np.concatenate([np.zeros(0)] + [s.beta for s in summaries])
-    m_coord = np.concatenate([np.zeros(0)] + [np.full(s.q, float(s.m)) for s in summaries])
-    rho_coord = m_coord / np.asarray(n, dtype=float)[..., None]
-    q = beta_tilde.shape[0]
-    base = np.zeros((q, q))
+    array of sample sizes n gives one covariance per size, stacked.
+
+    `summaries` may also be a list of B lists of summaries of one binding,
+    one list per input, with n of shape (B, ...): the estimates (B, q) and
+    covariances (B, ..., q, q) are then each input's alone, stacked."""
+    lone = not summaries or isinstance(summaries[0], SummaryStatistic)
+    stack = [summaries] if lone else summaries
+    n = np.asarray(n, dtype=float)
+    if lone:
+        n = n[None]
+    q = sum(s.q for s in stack[0])
+    beta_tilde, m_coord = np.zeros((len(stack), q)), np.zeros((len(stack), q))
+    base = np.zeros((len(stack), q, q))
     at = 0
-    for s in summaries:
-        base[at : at + s.q, at : at + s.q] = s.sigma1
-        at += s.q
-    return beta_tilde, sym(base / np.sqrt(rho_coord[..., :, None] * rho_coord[..., None, :]))
+    for source in zip(*stack):
+        block = slice(at, at + source[0].q)
+        beta_tilde[:, block] = [s.beta for s in source]
+        m_coord[:, block] = [[float(s.m)] for s in source]
+        base[:, block, block] = [s.sigma1 for s in source]
+        at = block.stop
+    # m and sigma1 broadcast over the axes of n past the inputs'
+    shape = (len(stack),) + (1,) * (n.ndim - 1)
+    rho_coord = m_coord.reshape(shape + (q,)) / n[..., None]
+    sigma_ext = sym(
+        base.reshape(shape + (q, q)) / np.sqrt(rho_coord[..., :, None] * rho_coord[..., None, :])
+    )
+    return (beta_tilde[0], sigma_ext[0]) if lone else (beta_tilde, sigma_ext)
 
 
 _SQRT_HALF = math.sqrt(0.5)

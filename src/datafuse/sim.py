@@ -84,13 +84,15 @@ __all__ = [
 
 SCENARIOS = ("I", "II_biased", "II_unbiased")
 FAILURE_ABORT_RATE = 0.01
-_MAX_SIZE = int(np.iinfo(np.intp).max)
-# numpy sizes an array only when its byte count fits in intp, and the widest
-# float64 array of n or m rows that a scenario allocates has ten values per
-# row (Scenario II's DBS moment features, with the ones column)
-_MAX_ROWS = _MAX_SIZE // (8 * 10)
 # replications per chunk (run_replications)
 _CHUNK = 16
+_MAX_SIZE = int(np.iinfo(np.intp).max)
+# numpy sizes an array only when its byte count fits in intp. The widest
+# float64 array of n or m rows that a scenario allocates holds ten values
+# per row for each replication of a chunk: Scenario II's DBS moment
+# features with the ones row, one buffer for the chunk (debias._fold_sums).
+# The chunk's stacked designs, (_CHUNK, n, 3) at most, are narrower.
+_MAX_ROWS = _MAX_SIZE // (8 * 10 * _CHUNK)
 
 
 def _size(name: str, value, cap: int = _MAX_SIZE) -> None:

@@ -18,9 +18,12 @@ from datafuse import (
     ScenarioConfig,
     estimate_dbs,
     estimate_eff,
+    gen_scenario2,
+    prepare_inputs,
     run_replications,
     validate_summary,
 )
+from datafuse.sim import _tau_descriptor
 from helpers import fuzz_rng, pick, synth_inputs
 
 
@@ -117,3 +120,34 @@ def test_dbs_is_orc_whenever_it_selects_the_truly_unbiased_set():
             hits += 1
         # the selection is right on most replications (about 94-97% at this n)
         assert hits >= 0.85 * 2 * config.reps, (scenario, hits)
+
+
+def _coverage_under_a_local_bias(c, seed=2210, reps=200, n=1000, m=4000) -> dict:
+    """Coverage (%) of param 1 by EFF and DBS over II_unbiased replications
+    whose second summary coordinate is shifted by c / sqrt(n): each rep
+    draws its data and its folds from its own pair of seeds, as
+    run_replications does."""
+    hits = {"EFF": 0, "DBS": 0}
+    for data_seed, cv_seed in (s.spawn(2) for s in np.random.SeedSequence(seed).spawn(reps)):
+        internal, summary, truth = gen_scenario2(n, m, False, np.random.default_rng(data_seed))
+        beta = summary.beta + np.array([0.0, c / np.sqrt(n)])
+        shifted = validate_summary(beta, summary.sigma1, summary.m, summary.binding)
+        inputs = prepare_inputs(internal, _tau_descriptor("II_unbiased"), [shifted])
+        for name, result in (
+            ("EFF", estimate_eff(inputs)),
+            ("DBS", estimate_dbs(inputs, DebiasConfig(seed=cv_seed))[0]),
+        ):
+            low, high = result.ci[1]
+            hits[name] += bool(low <= truth["tau"][1] <= high)
+    return {name: 100.0 * count / reps for name, count in hits.items()}
+
+
+def test_dbs_keeps_its_coverage_where_a_local_bias_ruins_effs():
+    # the bias paradox: a summary bias of c / sqrt(n) moves EFF by a fixed
+    # multiple of its standard error, so at c = 32 its interval misses the
+    # truth on nearly every replication; DBS detects the biased coordinate
+    # and leaves it out. Without a bias (c = 0) DBS keeps its nominal 95%
+    unbiased, biased = _coverage_under_a_local_bias(0.0), _coverage_under_a_local_bias(32.0)
+    assert 92.5 <= unbiased["DBS"] <= 97.5, unbiased
+    assert 92.5 <= biased["DBS"] <= 97.5, biased
+    assert biased["EFF"] < 10.0, biased

@@ -327,6 +327,12 @@ def test_scenario_config_rejects_sizes_beyond_the_index_type(name):
     assert getattr(ScenarioConfig.from_dict({"scenario": "I", name: top}), name) == top
 
 
+def test_the_row_cap_sizes_a_chunks_moment_feature_buffer():
+    # ten float64 values per row and replication of a chunk, at the largest
+    # n accepted, is a byte count numpy can size
+    assert 8 * 10 * sim_module._CHUNK * sim_module._MAX_ROWS <= np.iinfo(np.intp).max
+
+
 # ---------------------------------------------------------------------------
 # replication loop
 
