@@ -185,8 +185,15 @@ def test_generators_reject_bad_arguments(call):
 
 
 # sizes numpy takes as a length but cannot size a float64 array of (numpy's
-# raw "array is too big"); above the row cap, so none is ever allocated
-_UNSIZABLE = (2**63 - 1, 2**60, sim_module._MAX_ROWS + 1)
+# raw "array is too big"); above the row cap, so none is ever allocated. The
+# last two are the first row counts past one replication's ten-value feature
+# buffer and past a whole chunk's
+_UNSIZABLE = (
+    2**63 - 1,
+    2**60,
+    sim_module._MAX_SIZE // (8 * 10) + 1,
+    sim_module._MAX_ROWS + 1,
+)
 
 
 @pytest.mark.parametrize("size", _UNSIZABLE)
