@@ -691,9 +691,9 @@ class _FoldFits:
 
     def _refitted(self, g, start):
         inputs = self.inputs[self.where[g][0]]
-        tau_test = _fit_tau(inputs, self.test_rows[g], start)
-        data = inputs.data.subset(self.train_rows(g))
         stack = None if start is None else start[None]
+        tau_test = _fit_tau(inputs, self.test_rows[g], stack)
+        data = inputs.data.subset(self.train_rows(g))
         train = _prepare([data], inputs.tau, [inputs.summaries], stack)[0]
         return tau_test, train._calibration
 
@@ -722,9 +722,10 @@ def _calibration_moments(l_tau, l_beta, second):
 
 
 def _fit_tau(inputs: FusionInputs, rows, start=None) -> np.ndarray:
+    """The target's estimate on `rows`, any propensity started at `start` (a stack of one)."""
     from .functionals import _columns, _refit
 
-    return _columns(_refit(inputs.data.subset(rows), inputs.tau, start), inputs.tau).estimate
+    return _columns(_refit([inputs.data.subset(rows)], inputs.tau, start)[0], inputs.tau).estimate
 
 
 def _fold_sums(datas, folds, sizes, slots, centers, spans):

@@ -32,13 +32,9 @@ from .model import (
     FunctionalFit,
     FunctionalKind,
     InternalDataset,
-    _bool,
     _check_type,
-    _col,
-    _cols,
     _items,
     _real,
-    _where,
 )
 
 __all__ = [
@@ -64,24 +60,38 @@ def fit_mean(data: InternalDataset, column: str, where=None) -> FunctionalFit:
     """Mean of a column, optionally restricted to rows where another
     column equals a value (influence uses the ratio form, so the columns
     stay mean-zero over the full sample)."""
+    return _fit_one(data, FunctionalKind.MEAN, column=column, where=where)
+
+
+def _fit_one(data, kind: FunctionalKind, **args) -> FunctionalFit:
+    """The fit of `kind` on the dataset `data` alone, its arguments checked
+    by the descriptor they make (model._ARGS): a public fitter accepts
+    exactly what a descriptor does."""
     _check_type("data", data, InternalDataset)
-    column, where = _col("mean", "column", column), _where("mean", "where", where)
-    y = data.column(column)
-    if where is None:
-        est = float(y.mean())
-        infl = (y - est)[:, None]
-        return FunctionalFit(np.array([est]), infl, label=f"mean({column})")
-    mask = data.column(where["column"]) == where["equals"]
-    if not mask.any():
-        raise EmptyArm(
-            f"no rows with {where['column']} == {where['equals']} for mean({column})"
-        )
-    prob = mask.mean()
-    est = float(y[mask].mean())
-    infl = (mask * (y - est) / prob)[:, None]
-    return FunctionalFit(
-        np.array([est]), infl, label=f"mean({column}|{where['column']}={where['equals']})"
-    )
+    return _refit([data], FunctionalDescriptor(kind, args))[0]
+
+
+def _means(datas, column, where=None) -> list:
+    """fit_mean on each dataset of the list `datas`, one dataset at a time
+    (each sum is np.mean's of its own column), its arguments checked."""
+    fits = []
+    for data in datas:
+        y = data.column(column)
+        if where is None:
+            est = float(y.mean())
+            fits.append(FunctionalFit(np.array([est]), (y - est)[:, None], label=f"mean({column})"))
+            continue
+        mask = data.column(where["column"]) == where["equals"]
+        if not mask.any():
+            raise EmptyArm(
+                f"no rows with {where['column']} == {where['equals']} for mean({column})"
+            )
+        prob = mask.mean()
+        est = float(y[mask].mean())
+        infl = (mask * (y - est) / prob)[:, None]
+        label = f"mean({column}|{where['column']}={where['equals']})"
+        fits.append(FunctionalFit(np.array([est]), infl, label=label))
+    return fits
 
 
 def _ols_fit(design: np.ndarray, y: np.ndarray, context: str):
@@ -124,11 +134,8 @@ def fit_joint_ols(
     rows are inv(E VV') V_i e_i, whose sample mean vanishes by the normal
     equations.
     """
-    _check_type("data", data, InternalDataset)
-    outcome = _col("joint_ols", "outcome", outcome)
-    regressors = _cols("joint_ols", "regressors", regressors)
-    intercept = _bool("joint_ols", "intercept", intercept)
-    return _joint_ols([data], outcome, regressors, intercept)[0]
+    args = {"outcome": outcome, "regressors": regressors, "intercept": intercept}
+    return _fit_one(data, FunctionalKind.JOINT_OLS, **args)
 
 
 def _joint_ols(datas, outcome, regressors, intercept=True) -> list:
@@ -149,11 +156,11 @@ def _stacked(datas, name: str) -> np.ndarray:
     return np.array([one.column(name) for one in datas])
 
 
-def _joint_design(data, regressors, intercept: bool = True) -> np.ndarray:
-    """The named columns as a design, after an intercept column if `intercept`:
-    that of fit_joint_ols and of the aipw_ate propensity. `data` is one
-    dataset, or a list of datasets of one row count, whose designs are then
-    built as one stack (B, n, k) in one buffer.
+def _joint_design(datas, regressors, intercept: bool = True) -> np.ndarray:
+    """The named columns of each dataset of the list `datas` (of one row
+    count) as a design, after an intercept column if `intercept`: that of
+    fit_joint_ols and of the aipw_ate propensity. The designs are one stack
+    (B, n, k) in one buffer.
 
     Each design is column-major (Fortran order): every pass over it (the
     Newton Hessian's design * weight[:, None] and design.T products, the OLS
@@ -162,20 +169,14 @@ def _joint_design(data, regressors, intercept: bool = True) -> np.ndarray:
     took 159 us against 47 us, its broadcast product 99 against 22 us (a
     2-core Xeon VM, numpy 2.4 on OpenBLAS 0.3.31).
     """
-    lone = isinstance(data, InternalDataset)
-    datas = [data] if lone else data
     ones = [np.ones(datas[0].n)] if intercept else []
     columns = np.array([ones + [one.column(name) for name in regressors] for one in datas])
-    design = columns.swapaxes(1, 2)
-    return design[0] if lone else design
+    return columns.swapaxes(1, 2)
 
 
 def fit_marginal_ols(data: InternalDataset, outcome: str, regressor: str) -> FunctionalFit:
     """Slope of the no-intercept regression of outcome on one regressor."""
-    _check_type("data", data, InternalDataset)
-    outcome = _col("marginal_ols", "outcome", outcome)
-    regressor = _col("marginal_ols", "regressor", regressor)
-    return _marginal_ols([data], outcome, regressor)[0]
+    return _fit_one(data, FunctionalKind.MARGINAL_OLS, outcome=outcome, regressor=regressor)
 
 
 def _marginal_ols(datas, outcome, regressor) -> list:
@@ -227,9 +228,9 @@ def _newton_logistic(design: np.ndarray, y: np.ndarray, context: str, start=None
     of the last iteration.
 
     `design` is a stack (B, n, k), `y` the stack (B, n) of 0/1 responses and
-    `start` None or a stack (B, k); one design (n, k), with y (n,) and start
-    (k,), is the stack of one and gives coef (k,) and prob (n,). The fits run
-    in lockstep, the Hessians solved as one stack (spd_solve), and each fit
+    `start` None or a stack (B, k), and coef (B, k) and prob (B, n) are
+    stacked the same way; one design is the stack of one. The fits run in
+    lockstep, the Hessians solved as one stack (spd_solve), and each fit
     keeps its own rules, so each gives the coef, prob, error and warnings it
     gives alone: it stops, and is frozen, when max |score| <
     LOGISTIC_SCORE_TOL, or warns after LOGISTIC_MAX_ITER iterations. A step
@@ -244,10 +245,6 @@ def _newton_logistic(design: np.ndarray, y: np.ndarray, context: str, start=None
     narrowed to the running fits only when a fit stops, so a stack of one
     indexes nothing.
     """
-    lone = design.ndim == 2
-    if lone:
-        design, y = design[None], y[None]
-        start = None if start is None else start[None]
     fits, n, k = design.shape
     check_full_rank(design, RankDeficientDesign, context)
     # per fit, the arguments of _pinned: its class masks and the first row
@@ -297,7 +294,7 @@ def _newton_logistic(design: np.ndarray, y: np.ndarray, context: str, start=None
         coef, prob = np.empty((fits, k, 1)), np.empty((fits, n))
         for at, part_coef, part_prob in stopped:
             coef[at], prob[at] = part_coef, part_prob
-    return (coef[0, :, 0], prob[0]) if lone else (coef[..., 0], prob)
+    return coef[..., 0], prob
 
 
 def _damped_step(design, y, coef, step, loglik, context):
@@ -341,48 +338,41 @@ def fit_aipw_ate(
     [trim, 1 - trim] before weighting; trim must be a number in [0, 0.5).
     """
     _check_type("data", data, InternalDataset)
-    outcome = _col("aipw_ate", "outcome", outcome)
-    treatment = _col("aipw_ate", "treatment", treatment)
-    covariates = _cols("aipw_ate", "covariates", covariates)
+    args = {"outcome": outcome, "treatment": treatment, "covariates": covariates}
+    desc = FunctionalDescriptor(FunctionalKind.AIPW_ATE, args)
     trim = _real("trim", trim)
     if not 0.0 <= trim < 0.5:
         raise MalformedInput(f"trim must be in [0, 0.5), got {trim!r}")
-    return _fit_aipw(data, outcome, treatment, covariates, trim)
+    return _fit_aipw([data], **desc.args, trim=trim)[0]
 
 
-def _fit_aipw(data, outcome, treatment, covariates, trim=PROPENSITY_TRIM, start=None):
-    """fit_aipw_ate with the propensity Newton started at `start` (zero if
-    None or of another shape). The fit keeps its propensity coefficient as
-    `_propensity`, a start for refits of the same model on other rows.
-
-    `data` may also be a list of datasets of one row count, with `start`
-    None or a stack (B, k): their propensities are then fitted as one stack
-    (_newton_logistic, each fit as it is alone) and their fits returned as a
-    list. The outcome models stay per dataset: their arms' rows differ."""
-    lone = isinstance(data, InternalDataset)
-    if lone:
-        data, start = [data], None if start is None else start[None]
-    treatments, treated = [one.column(treatment) for one in data], []
-    for t in treatments:
-        if not ((t == 0.0) | (t == 1.0)).all():
+def _fit_aipw(datas, outcome, treatment, covariates, trim=PROPENSITY_TRIM, start=None) -> list:
+    """fit_aipw_ate on each dataset of the list `datas` (of one row count),
+    its arguments checked: the propensities as one stacked Newton
+    (_newton_logistic, each fit as it is alone) started at `start`, None or
+    a stack (B, k) (zero if None or of another shape), and the outcome
+    models per dataset, as their arms' rows differ. Each fit keeps its
+    propensity coefficient as `_propensity`, a start for refits of the same
+    model on other rows."""
+    treatments = _stacked(datas, treatment)
+    treated = treatments == 1.0
+    for t, ones in zip(treatments, treated):
+        if not ((t == 0.0) | ones).all():
             raise NonBinaryTreatment(f"treatment {treatment!r} is not binary")
-        treated.append(t == 1.0)
-        if treated[-1].all() or not treated[-1].any():
+        if ones.all() or not ones.any():
             raise EmptyArm("one treatment arm has no observations")
-    design = _joint_design(data, covariates)
+    design = _joint_design(datas, covariates)
 
     if start is not None and start.shape != design.shape[::2]:
         start = None
-    # a stack of one is a view of its treatment, not a copy
-    stack = np.array(treatments) if len(treatments) > 1 else treatments[0][None]
     try:
-        prop_coef, prop = _newton_logistic(design, stack, f"propensity({treatment})", start)
+        prop_coef, prop = _newton_logistic(design, treatments, f"propensity({treatment})", start)
     except Separation as exc:
         raise PropensityDegenerate(str(exc)) from exc
     prop = np.clip(prop, trim, 1.0 - trim)
 
     fits = []
-    for one, rows, t, p, coef, ones in zip(data, design, treatments, prop, prop_coef, treated):
+    for one, rows, t, p, coef, ones in zip(datas, design, treatments, prop, prop_coef, treated):
         y = one.column(outcome)
         mu = np.empty((2, one.n))
         for arm, mask in ((0, ~ones), (1, ones)):
@@ -398,14 +388,16 @@ def _fit_aipw(data, outcome, treatment, covariates, trim=PROPENSITY_TRIM, start=
         )
         object.__setattr__(fit, "_propensity", coef)
         fits.append(fit)
-    return fits[0] if lone else fits
+    return fits
 
 
+# each kind's fitter of a list of datasets of one row count, its arguments
+# checked: one fit per dataset, each as the dataset gives it alone
 _FITTERS = {
-    FunctionalKind.MEAN: fit_mean,
-    FunctionalKind.JOINT_OLS: fit_joint_ols,
-    FunctionalKind.MARGINAL_OLS: fit_marginal_ols,
-    FunctionalKind.AIPW_ATE: fit_aipw_ate,
+    FunctionalKind.MEAN: _means,
+    FunctionalKind.JOINT_OLS: _joint_ols,
+    FunctionalKind.MARGINAL_OLS: _marginal_ols,
+    FunctionalKind.AIPW_ATE: _fit_aipw,
 }
 
 
@@ -415,32 +407,18 @@ def fit_functional(data: InternalDataset, desc: FunctionalDescriptor) -> Functio
     A descriptor's argument names are its fitter's keyword names.
     """
     _check_type("desc", desc, FunctionalDescriptor)
-    return _FITTERS[desc.kind](data, **desc.args)
+    _check_type("data", data, InternalDataset)
+    return _refit([data], desc)[0]
 
 
-def _refit(data, desc: FunctionalDescriptor, start=None):
-    """fit_functional, with the propensity Newton of an aipw_ate fit started
-    at `start`, the `_propensity` of a fit of the same model on other rows.
-    On a list of datasets of one row count, with `start` None or their
-    stack (B, k), a list of fits: those of an aipw_ate target from one
-    stacked propensity Newton (_fit_aipw), those of a joint_ols or
-    marginal_ols fit from one stacked least-squares fit, and those of a
-    mean one dataset at a time."""
-    if desc.kind is FunctionalKind.AIPW_ATE and (
-        start is not None or not isinstance(data, InternalDataset)
-    ):
-        return _fit_aipw(data, **desc.args, start=start)
-    if isinstance(data, InternalDataset):
-        return fit_functional(data, desc)
-    if desc.kind is FunctionalKind.MEAN:
-        return [fit_functional(one, desc) for one in data]
-    return _STACKED_FITTERS[desc.kind](data, **desc.args)
-
-
-_STACKED_FITTERS = {
-    FunctionalKind.JOINT_OLS: _joint_ols,
-    FunctionalKind.MARGINAL_OLS: _marginal_ols,
-}
+def _refit(datas, desc: FunctionalDescriptor, start=None) -> list:
+    """The fits of `desc` on each dataset of the list `datas` (of one row
+    count), by its kind's fitter (_FITTERS); an aipw_ate fit's propensity
+    Newton started at `start`, None or the stack (B, k) of the `_propensity`
+    of fits of the same model on other rows."""
+    if desc.kind is FunctionalKind.AIPW_ATE and start is not None:
+        return _fit_aipw(datas, **desc.args, start=start)
+    return _FITTERS[desc.kind](datas, **desc.args)
 
 
 def evaluate_binding(data: InternalDataset, binding):

@@ -125,9 +125,9 @@ class FusionInputs:
                     f"influence columns {np.flatnonzero(bad).tolist()} of {fit.label!r} "
                     "are not mean-zero"
                 )
-        beta_tilde, sigma_ext = _external(self.summaries, n)
-        residual = self.beta_fit.estimate - beta_tilde
-        calib = _Calibration(self.tau_fit.estimate, phi_var, cross, gram, residual, sigma_ext)
+        beta_tilde, sigma_ext = _external([self.summaries], [n])
+        residual = self.beta_fit.estimate - beta_tilde[0]
+        calib = _Calibration(self.tau_fit.estimate, phi_var, cross, gram, residual, sigma_ext[0])
         object.__setattr__(self, "_calibration", calib)
 
     @property
@@ -233,35 +233,28 @@ def _prepare(datas, tau, summaries, start=None) -> list:
 
 
 def _external(summaries, n):
-    """Concatenated external estimates and their covariance scaled to n
-    internal observations: block-diagonal, block s sigma1_s * n / m_s. An
-    array of sample sizes n gives one covariance per size, stacked.
-
-    `summaries` may also be a list of B lists of summaries of one binding,
-    one list per input, with n of shape (B, ...): the estimates (B, q) and
-    covariances (B, ..., q, q) are then each input's alone, stacked."""
-    lone = not summaries or isinstance(summaries[0], SummaryStatistic)
-    stack = [summaries] if lone else summaries
+    """For each of B inputs, its summaries summaries[b] (the lists of one
+    binding) and its internal sample sizes n[b] (n of shape (B, ...)): the
+    concatenated external estimates (B, q) and their covariances scaled to
+    each size (B, ..., q, q), block-diagonal, block s sigma1_s * n / m_s."""
     n = np.asarray(n, dtype=float)
-    if lone:
-        n = n[None]
-    q = sum(s.q for s in stack[0])
-    beta_tilde, m_coord = np.zeros((len(stack), q)), np.zeros((len(stack), q))
-    base = np.zeros((len(stack), q, q))
+    q = sum(s.q for s in summaries[0])
+    beta_tilde, m_coord = np.zeros((len(summaries), q)), np.zeros((len(summaries), q))
+    base = np.zeros((len(summaries), q, q))
     at = 0
-    for source in zip(*stack):
+    for source in zip(*summaries):
         block = slice(at, at + source[0].q)
         beta_tilde[:, block] = [s.beta for s in source]
         m_coord[:, block] = [[float(s.m)] for s in source]
         base[:, block, block] = [s.sigma1 for s in source]
         at = block.stop
     # m and sigma1 broadcast over the axes of n past the inputs'
-    shape = (len(stack),) + (1,) * (n.ndim - 1)
+    shape = (len(summaries),) + (1,) * (n.ndim - 1)
     rho_coord = m_coord.reshape(shape + (q,)) / n[..., None]
     sigma_ext = sym(
         base.reshape(shape + (q, q)) / np.sqrt(rho_coord[..., :, None] * rho_coord[..., None, :])
     )
-    return (beta_tilde[0], sigma_ext[0]) if lone else (beta_tilde, sigma_ext)
+    return beta_tilde, sigma_ext
 
 
 _SQRT_HALF = math.sqrt(0.5)

@@ -8,6 +8,8 @@ from datafuse import (
     FunctionalFit,
     FunctionalKind,
     FusionInputs,
+    InternalDataset,
+    SummaryStatistic,
     functionals,
     validate_summary,
 )
@@ -24,12 +26,31 @@ def random_spd(rng, q, jitter=0.5):
     return w @ w.T + jitter * np.eye(q)
 
 
+def stack_of_one(kernel, *args, **kwargs):
+    """`kernel`, a private kernel of datafuse that takes only stacks, on one
+    input: each dataset, array or tuple of summaries among the arguments is
+    passed as the stack of one (a list of one, or the array with a leading
+    axis of length one), and the one entry of the result (of each part of a
+    tuple result) is returned."""
+
+    def one(arg):
+        if isinstance(arg, InternalDataset) or (
+            isinstance(arg, tuple) and all(isinstance(s, SummaryStatistic) for s in arg)
+        ):
+            return [arg]
+        return arg[None] if isinstance(arg, np.ndarray) else arg
+
+    out = kernel(*map(one, args), **{name: one(arg) for name, arg in kwargs.items()})
+    return tuple(part[0] for part in out) if isinstance(out, tuple) else out[0]
+
+
 def logistic_coef(data, response, covariates):
     """Logistic regression coefficients of `response` on an intercept and
     `covariates`, by the propensity Newton of the aipw_ate fitter (looked up
     at call time, so a patched one is used)."""
-    design = functionals._joint_design(data, covariates)
-    return functionals._newton_logistic(design, data.column(response), f"logistic({response})")[0]
+    design = stack_of_one(functionals._joint_design, data, covariates)
+    newton = functionals._newton_logistic
+    return stack_of_one(newton, design, data.column(response), f"logistic({response})")[0]
 
 
 def mean_binding(q, prefix="c"):

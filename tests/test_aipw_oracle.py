@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import logistic_coef, pick
+from helpers import logistic_coef, pick, stack_of_one
 
 from datafuse import fit_joint_ols, functionals, validate_dataset
 from datafuse._linalg import logistic
@@ -129,7 +129,8 @@ def test_newton_and_aipw_match_the_reference(seed):
     t = data.column("T")
 
     newton_start = _newton_start(start, design)
-    got, error, shown = _outcome(functionals._newton_logistic, design, t, "p", newton_start)
+    newton = functionals._newton_logistic
+    got, error, shown = _outcome(stack_of_one, newton, design, t, "p", newton_start)
     want, want_error, want_shown = _outcome(oracles._newton_logistic, design, t, "p", newton_start)
     assert (error, shown) == (want_error, want_shown)
     if want is not None:
@@ -138,7 +139,7 @@ def test_newton_and_aipw_match_the_reference(seed):
         _same_bits(prob, logistic(design @ want))
 
     args = (data, "Y", "T", covariates, functionals.PROPENSITY_TRIM, start)
-    got, error, shown = _outcome(functionals._fit_aipw, *args)
+    got, error, shown = _outcome(stack_of_one, functionals._fit_aipw, *args)
     want, want_error, want_shown = _outcome(oracles._fit_aipw, *args)
     assert (error, shown) == (want_error, want_shown)
     if want is not None:
@@ -170,7 +171,9 @@ def test_cases_reach_every_outcome(monkeypatch):
     for seed in range(400):
         data, _, design, start = _case(seed)
         start = _newton_start(start, design)
-        _, error, shown = _outcome(functionals._newton_logistic, design, data.column("T"), "p", start)
+        _, error, shown = _outcome(
+            stack_of_one, functionals._newton_logistic, design, data.column("T"), "p", start
+        )
         seen.add("fit" if error is None else error[1].split(" (")[0])
         seen.update(message.split(" (")[0] for _, message in shown)
     assert probe_only
@@ -222,7 +225,7 @@ def test_fits_are_column_major_and_match_row_major_designs(seed):
     AIPW fit agree within 1e-12 of their largest entry with the same fits
     on row-major copies of those designs."""
     data, covariates, start = _well_posed_case(seed)
-    assert functionals._joint_design(data, covariates).flags.f_contiguous
+    assert stack_of_one(functionals._joint_design, data, covariates).flags.f_contiguous
     build, ols_coef, newton = (
         functionals._joint_design,
         functionals._ols_coef,
@@ -243,7 +246,10 @@ def test_fits_are_column_major_and_match_row_major_designs(seed):
     fits = (
         (fit_joint_ols, (data, "Y", covariates)),
         (logistic_coef, (data, "T", covariates)),
-        (functionals._fit_aipw, (data, "Y", "T", covariates, functionals.PROPENSITY_TRIM, start)),
+        (
+            stack_of_one,
+            (functionals._fit_aipw, data, "Y", "T", covariates, functionals.PROPENSITY_TRIM, start),
+        ),
     )
     for fit, args in fits:
         layouts.clear()

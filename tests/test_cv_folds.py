@@ -105,9 +105,9 @@ def _reference(inputs, test_rows, train_rows, start):
     """The held-out target estimate and the whitened train-rows calibration,
     by refits on the fold's rows."""
     try:
-        tau_test = _fit_tau(inputs, test_rows, start)
-        data = inputs.data.subset(train_rows)
         stack = None if start is None else start[None]
+        tau_test = _fit_tau(inputs, test_rows, stack)
+        data = inputs.data.subset(train_rows)
         train = _prepare([data], inputs.tau, [inputs.summaries], stack)[0]
     except DataFuseError:
         if start is None:

@@ -424,19 +424,34 @@ def test_fit_functional_dispatch():
     )
 
 
+# each kind's public fitter
+_PUBLIC = {
+    FunctionalKind.MEAN: fit_mean,
+    FunctionalKind.JOINT_OLS: fit_joint_ols,
+    FunctionalKind.MARGINAL_OLS: fit_marginal_ols,
+    FunctionalKind.AIPW_ATE: fit_aipw_ate,
+}
+
+
 def test_every_kind_has_a_fitter_taking_its_table_arguments():
-    assert set(_FITTERS) == set(FunctionalKind)
-    for kind, fitter in _FITTERS.items():
+    # the public fitter of one dataset and the fitter of a list of datasets
+    # (_FITTERS) of each kind
+    assert set(_FITTERS) == set(FunctionalKind) == set(_PUBLIC)
+    for kind in FunctionalKind:
         required, spec = _ARGS[kind]
-        params = dict(inspect.signature(fitter).parameters)
-        assert next(iter(params)) == "data"
-        del params["data"]
         names = [name for name, _ in spec]
-        extra = {"trim"} if kind is FunctionalKind.AIPW_ATE else set()
-        assert set(params) == set(names) | extra
-        # the table's required arguments are the fitter's ones without a default
-        no_default = [n for n, p in params.items() if p.default is inspect.Parameter.empty]
-        assert no_default == names[:required]
+        aipw = kind is FunctionalKind.AIPW_ATE
+        for fitter, first, extra in (
+            (_PUBLIC[kind], "data", {"trim"} if aipw else set()),
+            (_FITTERS[kind], "datas", {"trim", "start"} if aipw else set()),
+        ):
+            params = dict(inspect.signature(fitter).parameters)
+            assert next(iter(params)) == first
+            del params[first]
+            assert set(params) == set(names) | extra
+            # the table's required arguments are the fitter's ones without a default
+            no_default = [n for n, p in params.items() if p.default is inspect.Parameter.empty]
+            assert no_default == names[:required]
 
 
 def _fit_data():
@@ -476,7 +491,7 @@ def test_fitters_accept_exactly_what_a_descriptor_does(kind):
             except MalformedInput:
                 described = False
             try:
-                _FITTERS[kind](data, **args)
+                _PUBLIC[kind](data, **args)
                 fitted = True
             except MalformedInput:
                 fitted = False
@@ -557,8 +572,10 @@ def test_null_where_is_the_mean_without_one(monkeypatch):
     assert null.group_key() == none.group_key()
     assert json.dumps(null.to_json()) == json.dumps(none.to_json())
     fits = []
-    real = functionals.fit_functional
-    monkeypatch.setattr(functionals, "fit_functional", lambda *a: fits.append(a) or real(*a))
+    real = functionals._FITTERS[FunctionalKind.MEAN]
+    monkeypatch.setitem(
+        functionals._FITTERS, FunctionalKind.MEAN, lambda *a, **k: fits.append(a) or real(*a, **k)
+    )
     beta, _ = evaluate_binding(_data(Y=[1.0, 2.0, 6.0]), [null, none])
     assert len(fits) == 1
     np.testing.assert_array_equal(beta, [3.0, 3.0])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import centered, mean_binding, random_spd, synth_inputs
+from helpers import centered, mean_binding, random_spd, stack_of_one, synth_inputs
 from oracles import cd_minimize_check, influence_moments, ivw_reduce
 
 from datafuse import (
@@ -204,7 +204,7 @@ def test_centering_check_examples():
 def test_assemble_external_blockdiag_scaling():
     rng = np.random.default_rng(6)
     inputs = synth_inputs(rng, n=40, p=1, q=3, splits=[2, 1])
-    beta_tilde, sigma_ext = _external(inputs.summaries, inputs.n)
+    beta_tilde, sigma_ext = stack_of_one(_external, inputs.summaries, np.array(inputs.n))
     s0, s1 = inputs.summaries
     np.testing.assert_array_equal(beta_tilde, np.concatenate([s0.beta, s1.beta]))
     np.testing.assert_allclose(

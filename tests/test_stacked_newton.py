@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pick
+from helpers import pick, stack_of_one
 
 from datafuse import functionals, gen_scenario1
 from datafuse._linalg import logistic
@@ -73,8 +73,8 @@ def _stack(seed, fits):
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    start[b] = functionals._newton_logistic(
-                        columns[b].T[half], y[b, half], "start"
+                    start[b] = stack_of_one(
+                        functionals._newton_logistic, columns[b].T[half], y[b, half], "start"
                     )[0]
                 warm = True
             except DataFuseError:
@@ -82,15 +82,18 @@ def _stack(seed, fits):
     return columns.swapaxes(1, 2), y, start if warm else None
 
 
-def _outcome(*args):
-    """(value, error, warnings) of functionals._newton_logistic(*args): the
-    (coef, prob) or None, the error's (type, message) or None, and the
-    (category, message) of each warning other than numpy's RuntimeWarnings,
-    which numpy emits once per operation, on a stack as on one design."""
+def _outcome(*args, alone=False):
+    """(value, error, warnings) of functionals._newton_logistic(*args), on
+    the stack of one if `alone`: the (coef, prob) or None, the error's
+    (type, message) or None, and the (category, message) of each warning
+    other than numpy's RuntimeWarnings, which numpy emits once per
+    operation, on a stack as on one design."""
+    newton = functionals._newton_logistic
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            value, error = functionals._newton_logistic(*args), None
+            value = stack_of_one(newton, *args) if alone else newton(*args)
+            error = None
         except DataFuseError as exc:
             value, error = None, (type(exc), str(exc))
     shown = [(w.category, str(w.message)) for w in caught if w.category is not RuntimeWarning]
@@ -103,7 +106,7 @@ def _fits(seed, fits, cap):
     with mock.patch.object(functionals, "LOGISTIC_MAX_ITER", cap):
         stacked = _outcome(design, y, "p", start)
         alone = [
-            _outcome(design[b], y[b], "p", None if start is None else start[b])
+            _outcome(design[b], y[b], "p", None if start is None else start[b], alone=True)
             for b in range(fits)
         ]
     return stacked, alone
@@ -149,7 +152,7 @@ def test_stacks_reach_every_outcome(monkeypatch):
             del solves[:], logliks[:]
             with mock.patch.object(functionals, "LOGISTIC_MAX_ITER", cap):
                 value, error, shown = _outcome(
-                    design[b], y[b], "p", None if start is None else start[b]
+                    design[b], y[b], "p", None if start is None else start[b], alone=True
                 )
             seen.add("fit" if error is None else error[1].split(" (")[0])
             seen.update(message.split(" (")[0] for _, message in shown)
@@ -192,9 +195,8 @@ def test_each_aipw_fit_of_a_list_is_its_lone_fit(seed, fits, spread):
         alone = []
         for b, one in enumerate(data):
             try:
-                alone.append(
-                    functionals._fit_aipw(one, *args, start=None if start is None else start[b])
-                )
+                one_start = None if start is None else start[b]
+                alone.append(stack_of_one(functionals._fit_aipw, one, *args, start=one_start))
             except DataFuseError:
                 alone.append(None)
         if None in alone:
