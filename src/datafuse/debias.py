@@ -53,8 +53,8 @@ from .errors import (
 )
 from .model import Method, SelectionResult, _check_type, _config_keys
 from .model import _integer, _real, _reals, _seed
-# prepare_inputs and restrict_inputs stay bound for bench/layers.py, which
-# patches them here
+# estimate_eff, estimate_int, prepare_inputs and restrict_inputs stay bound
+# for bench/layers.py, which patches them here
 from .fusion import (  # noqa: F401
     FusionInputs,
     _Calibration,
@@ -62,10 +62,8 @@ from .fusion import (  # noqa: F401
     _external,
     _fused,
     _prepare,
-    estimate_crude,
     estimate_eff,
     estimate_int,
-    estimate_knw,
     prepare_inputs,
     restrict_inputs,
 )
@@ -415,7 +413,10 @@ def _cv_setup(inputs, grid_c, w, alpha, k, seed, folds):
         )
     if not inputs.summaries:
         raise DimensionMismatch("cv_tune needs at least one summary")
-    grid = sorted(_real("grid_c", c) for c in grid_c)
+    try:
+        grid = sorted(_real("grid_c", c) for c in grid_c)
+    except TypeError:  # not iterable
+        raise MalformedInput(f"grid_c must be a list of numbers, got {grid_c!r}") from None
     if not grid or any(c <= 0.0 for c in grid):
         raise MalformedInput("grid_c must be a non-empty list of positive constants")
     if not _real("alpha", alpha) > 0.0:
@@ -424,6 +425,10 @@ def _cv_setup(inputs, grid_c, w, alpha, k, seed, folds):
     n = inputs.n
     if folds is None:
         return grid, w, kfold_indices(n, k, seed)
+    try:
+        folds = list(folds)
+    except TypeError:  # not iterable
+        raise MalformedInput(f"folds must be a list of row index arrays, got {folds!r}") from None
     folds = [_fold_rows(f, n, i) for i, f in enumerate(folds)]
     if len(folds) < 2:
         raise MalformedInput(f"cross-validation needs at least 2 folds, got {len(folds)}")
@@ -783,6 +788,7 @@ def _estimate_dbs(inputs, config=None, level=0.95, seeds=None) -> list:
     cv_tune call made on that input, as on its own, which returns it."""
     for one in inputs:
         _check_type("inputs", one, FusionInputs)
+    _check_type("config", config, DebiasConfig, optional=True)
     config = DebiasConfig() if config is None else config
     seeds = [config.seed] * len(inputs) if seeds is None else seeds
     traces = [()] * len(inputs)

@@ -4,9 +4,15 @@ Each fitter returns a FunctionalFit whose influence columns average to zero
 exactly (up to round-off) because the estimating equations are solved
 exactly. The treatment-effect fitter is augmented inverse propensity
 weighting with a logistic propensity and per-arm linear outcome models, so
-it stays consistent when either nuisance model is correct. Each fitter checks
-its arguments with the rules of the descriptor table (model._ARGS), so it
-accepts exactly the arguments a descriptor does.
+it stays consistent when either nuisance model is correct.
+
+Each functional kind has one fitter, of a list of datasets of one row count
+(_FITTERS), which gives each dataset the fit it has alone: the designs of
+the least-squares fits and the propensity Newton run as one stack, and
+means one dataset at a time. _refit is the one dispatch to them. A fit of
+one dataset is the list of one: the public fitters and fit_functional check
+their arguments, the public fitters by building the kind's descriptor (the
+rules of model._ARGS), so a fitter accepts exactly what a descriptor does.
 """
 
 import functools

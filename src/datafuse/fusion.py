@@ -28,8 +28,10 @@ of one. The results of a stack are assembled at once (_build_results: one
 se and one Wald interval pass over the stack), each still built by its own
 FusionResult constructor. The inputs of a chunk are built together as well
 (_prepare): its targets, and its bindings' least-squares fits as one stack
-of designs per distinct fit. The same code serves all of these, and each
-calibration of a stack gives what it gives on its own.
+of designs per distinct fit, and their external summaries are scaled as one
+stack (_external). The same code serves all of these, each takes only the
+stack, one input being the stack of one, and each calibration of a stack
+gives what it gives on its own.
 """
 
 import math
@@ -56,6 +58,7 @@ from .model import (
     Method,
     SummaryStatistic,
     _check_type,
+    _floats,
     _items,
     _readonly,
     _real,
@@ -438,7 +441,8 @@ def efficiency_bound(phi_var, cross, gram, sigma1, rho: float) -> np.ndarray:
     calibration pieces. The four arrays are p x p, p x q, q x q and q x q,
     with finite entries.
     """
-    arrays = [np.atleast_2d(np.asarray(a, dtype=float)) for a in (phi_var, cross, gram, sigma1)]
+    given = {"phi_var": phi_var, "cross": cross, "gram": gram, "sigma1": sigma1}
+    arrays = [np.atleast_2d(_floats(name, a)) for name, a in given.items()]
     phi_var, cross, gram, sigma1 = arrays
     p, q = cross.shape[0], cross.shape[-1]
     if [a.shape for a in arrays] != [(p, p), (p, q), (q, q), (q, q)]:

@@ -64,6 +64,15 @@ def _real(name: str, value) -> float:
     raise MalformedInput(f"{name} must be a finite number, got {value!r}")
 
 
+def _floats(name: str, values) -> np.ndarray:
+    """`values` as a float array, MalformedInput if they are not numbers (a
+    string, a ragged nesting); NaN and inf are kept."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedInput(f"{name} must be an array of numbers, got {values!r}") from None
+
+
 def _seed(value):
     """`value` if it is an integer >= 0 or a numpy SeedSequence."""
     return value if isinstance(value, np.random.SeedSequence) else _integer("seed", value, 0)
@@ -149,12 +158,14 @@ def validate_dataset(
     str) that must exist, and a declared treatment column must take values
     in {0, 1}.
     """
+    if not isinstance(raw, Mapping):
+        raise MalformedInput(f"raw must be a mapping of column names to values, got {raw!r}")
     if not raw:
         raise RaggedColumns("dataset has no columns")
     cols = {}
     n = None
     for name, values in raw.items():
-        arr = np.asarray(values, dtype=float)
+        arr = _floats(f"column {name!r}", values)
         if arr.ndim != 1:
             raise RaggedColumns(f"column {name!r} is not one-dimensional")
         if n is None:
@@ -418,8 +429,12 @@ class FunctionalFit:
     _propensity = None
 
     def __post_init__(self):
-        estimate = np.atleast_1d(np.asarray(self.estimate, dtype=float))
-        influence = np.asarray(self.influence, dtype=float)
+        try:
+            estimate = np.atleast_1d(np.asarray(self.estimate, dtype=float))
+            influence = np.asarray(self.influence, dtype=float)
+        except (TypeError, ValueError, OverflowError):  # raised again, naming the argument
+            estimate = np.atleast_1d(_floats("estimate", self.estimate))
+            influence = _floats("influence", self.influence)
         if influence.ndim != 2 or influence.shape[1] != estimate.shape[0]:
             raise DimensionMismatch(
                 f"influence shape {influence.shape} does not match "

@@ -292,6 +292,7 @@ class ScenarioConfig:
         if not 0.0 < _real("level", self.level) < 1.0:
             raise MalformedInput(f"level must be in (0, 1), got {self.level}")
         object.__setattr__(self, "tau", _tau(self.tau))
+        _check_type("debias", self.debias, DebiasConfig)
         if self.out_dir is not None:
             _path(self.out_dir, "out_dir")
 

@@ -412,6 +412,24 @@ def test_non_finite_tuning_and_test_values_are_malformed(call):
         call(_mean_cv_inputs(beta_tilde=0.1))
 
 
+_NOT_OF_ITS_TYPE = {
+    "estimate_dbs-config-int": ("config", lambda inputs: estimate_dbs(inputs, 5)),
+    "estimate_dbs-config-dict": ("config", lambda inputs: estimate_dbs(inputs, {})),
+    "cv_tune-grid_c-int": ("grid_c", lambda inputs: cv_tune(inputs, 5)),
+    "cv_tune-grid_c-None": ("grid_c", lambda inputs: cv_tune(inputs, None)),
+    "cv_tune-folds-int": ("folds", lambda inputs: cv_tune(inputs, [1.0], folds=5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_OF_ITS_TYPE))
+def test_a_config_grid_or_folds_of_the_wrong_type_is_malformed(name):
+    # a config that is not a DebiasConfig raised a raw AttributeError (no
+    # 'seed'), a grid or folds that is not iterable a raw TypeError
+    what, call = _NOT_OF_ITS_TYPE[name]
+    with pytest.raises(MalformedInput, match=f"^{what} must be"):
+        call(_mean_cv_inputs(beta_tilde=0.1))
+
+
 def test_select_unbiased_names_a_nan_alpha():
     # a NaN alpha made NaN weights, reported as "weights must be non-negative"
     with pytest.raises(MalformedInput, match="alpha"):

@@ -24,6 +24,7 @@ from datafuse import (
     FusionResult,
     Method,
     SelectionResult,
+    efficiency_bound,
     read_internal_csv,
     read_summary_json,
     validate_dataset,
@@ -428,6 +429,28 @@ def test_functional_fit_shape_and_finite_checks():
     # finite values whose squares overflow are rejected where they are
     # calibrated (tests/test_fusion.py), not where the fit is built
     FunctionalFit([0.0], np.array([[1e200], [-1e200]]))
+
+
+_NOT_NUMBERS = {
+    "validate_dataset-int": ("raw", lambda: validate_dataset(5)),
+    "validate_dataset-list": ("raw", lambda: validate_dataset([1, 2])),
+    "validate_dataset-strings": ("column 'Y'", lambda: validate_dataset({"Y": ["a", "b"]})),
+    "validate_dataset-ragged": ("column 'Y'", lambda: validate_dataset({"Y": [[1.0, 2.0], [3.0]]})),
+    "efficiency_bound-phi_var": (
+        "phi_var", lambda: efficiency_bound("a", [[1.0]], [[1.0]], [[1.0]], 1.0)
+    ),
+    "FunctionalFit-estimate": ("estimate", lambda: FunctionalFit("a", [[1.0]])),
+    "FunctionalFit-influence": ("influence", lambda: FunctionalFit([1.0], "b")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_NUMBERS))
+def test_arguments_that_are_not_numbers_are_malformed_and_named(name):
+    # each raised a raw AttributeError (no .items()) or ValueError (a string
+    # or a ragged nesting read as floats)
+    what, call = _NOT_NUMBERS[name]
+    with pytest.raises(MalformedInput, match=f"^{what} must be"):
+        call()
 
 
 def _result(avar, se=None, estimate=None):

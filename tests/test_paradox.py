@@ -151,3 +151,30 @@ def test_dbs_keeps_its_coverage_where_a_local_bias_ruins_effs():
     assert 92.5 <= unbiased["DBS"] <= 97.5, unbiased
     assert 92.5 <= biased["DBS"] <= 97.5, biased
     assert biased["EFF"] < 10.0, biased
+
+
+def _selection_rates(scenario, unbiased, seed=5151, reps=400, sizes=(500, 1000, 2000, 4000, 8000)):
+    """The rate of replications on which DBS selects exactly the unbiased
+    set, and its Monte Carlo SE, at each internal size n (m = 4n)."""
+    rates = []
+    for n in sizes:
+        config = ScenarioConfig(
+            scenario=scenario, n=n, m=4 * n, reps=reps, seed=seed, methods=("DBS",)
+        )
+        records = run_replications(config).records
+        rate = sum(r["param"] == 0 and r["selected"] == unbiased for r in records) / reps
+        rates.append((rate, np.sqrt(rate * (1.0 - rate) / reps)))
+    return rates
+
+
+def test_dbs_selects_the_unbiased_set_ever_more_often_as_n_grows():
+    # Zou's oracle property (JASA 101, 2006): the rate of correct selection
+    # tends to 1. Between consecutive n it falls by at most 2 Monte Carlo
+    # SEs of the difference, and at the largest n it exceeds the rate at the
+    # smallest by more than 2 of them
+    for scenario, unbiased in (("II_biased", "0"), ("II_unbiased", "0;1")):
+        rates = _selection_rates(scenario, unbiased)
+        for (low, low_se), (high, high_se) in zip(rates, rates[1:]):
+            assert high >= low - 2.0 * np.hypot(low_se, high_se), (scenario, rates)
+        (first, first_se), (last, last_se) = rates[0], rates[-1]
+        assert last > first + 2.0 * np.hypot(first_se, last_se), (scenario, rates)

@@ -297,6 +297,10 @@ def test_scenario_config_defaults_and_errors():
         ScenarioConfig(scenario="I", methods=("GMM",))
     with pytest.raises(MalformedInput):
         ScenarioConfig(scenario="I", methods=("IVW",))
+    # a debias config of another type raised a raw AttributeError only once
+    # a replication ran DBS
+    with pytest.raises(MalformedInput, match=r"^debias must be a DebiasConfig, got \{\}$"):
+        ScenarioConfig(scenario="II_biased", debias={})
     for out_dir in (3, True):
         with pytest.raises(MalformedInput, match=rf"^out_dir must be a path, got {out_dir!r}$"):
             ScenarioConfig(scenario="I", out_dir=out_dir)
