@@ -52,7 +52,7 @@ from .errors import (
     RankDeficientDesign,
 )
 from .model import Method, SelectionResult, _check_type, _config_keys
-from .model import _integer, _real, _reals, _seed
+from .model import _floats, _integer, _real, _reals, _seed
 # estimate_eff, estimate_int, prepare_inputs and restrict_inputs stay bound
 # for bench/layers.py, which patches them here
 from .fusion import (  # noqa: F401
@@ -267,9 +267,7 @@ def adaptive_lasso(x, y, weights, lam):
     with infinite weight are pinned at zero and flagged with a warning
     rather than aborting.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    x, y, weights = _floats("x", x), _floats("y", y), _floats("weights", weights)
     if x.ndim != 2 or y.shape != (x.shape[0],) or weights.shape != (x.shape[1],):
         raise DimensionMismatch(
             f"inconsistent shapes x{x.shape} y{y.shape} weights{weights.shape}"
@@ -340,9 +338,13 @@ def kfold_indices(n: int, k: int, seed) -> list:
 
 
 def _fold_rows(fold, n: int, fold_idx: int) -> np.ndarray:
-    rows = np.asarray(fold)
+    try:
+        rows = np.asarray(fold)
+    except ValueError:  # ragged nesting
+        rows = None
     if (
-        rows.ndim != 1
+        rows is None
+        or rows.ndim != 1
         or rows.size == 0
         or not np.issubdtype(rows.dtype, np.integer)
         or rows.min() < 0

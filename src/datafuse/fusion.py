@@ -467,7 +467,7 @@ def wald_inference(result: FusionResult, null=0.0, side: str = "upper", level=No
     per coordinate: an array that broadcasts to the estimate.
     """
     _check_type("result", result, FusionResult)
-    if side not in ("upper", "lower", "two_sided"):
+    if not isinstance(side, str) or side not in ("upper", "lower", "two_sided"):
         raise DimensionMismatch(f"side must be upper/lower/two_sided, got {side!r}")
     level = result.level if level is None else level
     null = _finite_array("null", null)

@@ -137,8 +137,14 @@ class InternalDataset:
         return tuple(self.columns)
 
     def subset(self, idx) -> "InternalDataset":
-        """Row subset (used by cross-validation folds)."""
-        idx = np.asarray(idx)
+        """Row subset (used by cross-validation folds); `idx` is a
+        one-dimensional array of integer row indices."""
+        try:
+            idx = np.asarray(idx)
+        except ValueError:  # ragged nesting
+            idx = None
+        if idx is None or idx.ndim != 1 or idx.dtype.kind not in "iu":
+            raise MalformedInput("idx must be a one-dimensional array of row indices")
         cols = {name: arr[idx] for name, arr in self.columns.items()}  # new arrays
         for col in cols.values():
             col.setflags(write=False)
@@ -179,9 +185,13 @@ def validate_dataset(
         cols[name] = _readonly(arr)
     if n is None or n < 2:
         raise RaggedColumns(f"dataset needs at least 2 rows, got {n}")
-    if isinstance(covariates, (str, bytes)):
+    try:
+        listed = None if isinstance(covariates, (str, bytes)) else list(covariates)
+    except TypeError:  # not iterable
+        listed = None
+    if listed is None:
         raise MalformedInput(f"covariates must be a list of column names, got {covariates!r}")
-    roles = [role for role in (outcome, treatment) if role is not None] + list(covariates)
+    roles = [role for role in (outcome, treatment) if role is not None] + listed
     for role_name in roles:
         if not isinstance(role_name, str):
             raise MalformedInput(f"a role must be a column name, got {role_name!r}")

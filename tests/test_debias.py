@@ -418,13 +418,22 @@ _NOT_OF_ITS_TYPE = {
     "cv_tune-grid_c-int": ("grid_c", lambda inputs: cv_tune(inputs, 5)),
     "cv_tune-grid_c-None": ("grid_c", lambda inputs: cv_tune(inputs, None)),
     "cv_tune-folds-int": ("folds", lambda inputs: cv_tune(inputs, [1.0], folds=5)),
+    "cv_tune-fold-ragged": (
+        "fold 1", lambda inputs: cv_tune(inputs, [1.0], folds=[[0, 1], [[2], [3, 4]]])
+    ),
+    "adaptive_lasso-x-str": ("x", lambda inputs: adaptive_lasso("a", [1.0], [1.0], 0.1)),
+    "adaptive_lasso-y-str": ("y", lambda inputs: adaptive_lasso([[1.0]], ["a"], [1.0], 0.1)),
+    "adaptive_lasso-weights-ragged": (
+        "weights", lambda inputs: adaptive_lasso(np.eye(2), [1.0, 1.0], [[1.0], [1.0, 2.0]], 0.1)
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_NOT_OF_ITS_TYPE))
 def test_a_config_grid_or_folds_of_the_wrong_type_is_malformed(name):
     # a config that is not a DebiasConfig raised a raw AttributeError (no
-    # 'seed'), a grid or folds that is not iterable a raw TypeError
+    # 'seed'), a grid or folds that is not iterable a raw TypeError, a ragged
+    # fold or a lasso argument that is not numbers a raw ValueError
     what, call = _NOT_OF_ITS_TYPE[name]
     with pytest.raises(MalformedInput, match=f"^{what} must be"):
         call(_mean_cv_inputs(beta_tilde=0.1))

@@ -718,6 +718,9 @@ def test_wald_errors():
         wald_inference(result)
     with pytest.raises(DimensionMismatch):
         wald_inference(_inference_result([1.0], [0.5]), side="both")
+    # an array side raised numpy's ambiguous-truth ValueError
+    with pytest.raises(DimensionMismatch, match="side must be upper/lower/two_sided"):
+        wald_inference(_inference_result([1.0], [0.5]), side=np.array([[1, 2]]))
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import csv
 import importlib
 import json
+import math
 import os
 import pkgutil
 import tracemalloc
@@ -124,13 +125,34 @@ def test_validate_dataset_missing_role():
         validate_dataset({"A": [1.0, 2.0]}, covariates=("C",))
 
 
-@pytest.mark.parametrize("covariates", ["X2", b"X2"], ids=["str", "bytes"])
-def test_validate_dataset_rejects_a_bare_string_of_covariates(covariates):
-    # a string was read as a list of its characters (MissingColumn 'X')
+@pytest.mark.parametrize(
+    "covariates", ["X2", b"X2", None, 5, math.nan, True],
+    ids=["str", "bytes", "none", "int", "nan", "bool"],
+)
+def test_validate_dataset_rejects_a_bare_string_of_covariates(covariates, tmp_path):
+    # a string was read as a list of its characters (MissingColumn 'X'), and
+    # None or a number raised a raw TypeError (not iterable), also from the
+    # CSV reader
     raw = {"Y": [1.0, 2.0, 3.0], "X2": [0.0, 1.0, 0.5]}
     with pytest.raises(MalformedInput, match="covariates must be a list of column names"):
         validate_dataset(raw, outcome="Y", covariates=covariates)
     assert validate_dataset(raw, outcome="Y", covariates=["X2"]).n == 3
+    path = tmp_path / "data.csv"
+    path.write_text("Y,X2\n1,0\n2,1\n3,0.5\n")
+    with pytest.raises(MalformedInput, match="covariates must be a list of column names"):
+        read_internal_csv(path, covariates=covariates)
+
+
+@pytest.mark.parametrize(
+    "idx", ["a", [1.5], None, [[0], [1, 2]], [[0, 1]], 1],
+    ids=["str", "float", "none", "ragged", "2-d", "scalar"],
+)
+def test_subset_rejects_what_is_not_a_list_of_row_indices(idx):
+    # these raised a raw IndexError or ValueError, or (a 2-d or scalar
+    # index) built columns that are not one row per index
+    data = validate_dataset({"Y": [1.0, 2.0, 3.0]})
+    with pytest.raises(MalformedInput, match="idx must be a one-dimensional array of row indices"):
+        data.subset(idx)
 
 
 @pytest.mark.parametrize(
