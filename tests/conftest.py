@@ -1,7 +1,10 @@
-"""Hypothesis draws the same examples on every run (no example database), so a
+"""Hypothesis draws the same examples on every run (no example database, and
+no constants from the source of the modules a run happens to import), so a
 property test cannot pass or fail by luck between two runs of the suite."""
 
 from hypothesis import settings
+from hypothesis.internal.conjecture import providers
 
 settings.register_profile("datafuse", derandomize=True, database=None)
 settings.load_profile("datafuse")
+providers._get_local_constants = lambda: providers.Constants()

@@ -1,5 +1,7 @@
 """Shared builders for synthetic fusion instances used across test modules."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -42,6 +44,30 @@ def stack_of_one(kernel, *args, **kwargs):
 
     out = kernel(*map(one, args), **{name: one(arg) for name, arg in kwargs.items()})
     return tuple(part[0] for part in out) if isinstance(out, tuple) else out[0]
+
+
+def assert_same_bits(got, want, where="value"):
+    """Assert that `got` is `want` bit for bit: arrays (and numpy scalars) by
+    dtype, shape and bytes, so -0.0 is not 0.0 and a NaN equals itself;
+    floats by their bytes; lists, tuples, dicts and dataclasses (every
+    attribute, also those set after construction) part by part; anything
+    else by ==. `where` names the part compared."""
+    assert type(got) is type(want), f"{where}: {type(got)} is not {type(want)}"
+    if isinstance(want, (np.ndarray, np.generic, float)):
+        got, want = np.asarray(got), np.asarray(want)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), (
+            f"{where}: {got!r} is not {want!r}")
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), where
+        for i, (one, other) in enumerate(zip(got, want)):
+            assert_same_bits(one, other, f"{where}[{i}]")
+    elif isinstance(want, dict) or dataclasses.is_dataclass(want):
+        got, want = (vars(got), vars(want)) if dataclasses.is_dataclass(want) else (got, want)
+        assert list(got) == list(want), where
+        for key in want:
+            assert_same_bits(got[key], want[key], f"{where}.{key}")
+    else:
+        assert got == want, f"{where}: {got!r} != {want!r}"
 
 
 def logistic_coef(data, response, covariates):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import logistic_coef, pick, stack_of_one
+from helpers import assert_same_bits, logistic_coef, pick, stack_of_one
 
 from datafuse import fit_joint_ols, functionals, validate_dataset
 from datafuse._linalg import logistic
@@ -113,49 +113,15 @@ def _outcome(fit, *args):
     return value, error, shown
 
 
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    assert a.shape == b.shape and a.dtype == b.dtype
-    assert a.tobytes() == b.tobytes()
-
-
 SEEDS = st.integers(0, 2**32 - 1)
 
 
-@settings(max_examples=400, deadline=None)
-@given(SEEDS)
-def test_newton_and_aipw_match_the_reference(seed):
-    data, covariates, design, start = _case(seed)
-    t = data.column("T")
-
-    newton_start = _newton_start(start, design)
-    newton = functionals._newton_logistic
-    got, error, shown = _outcome(stack_of_one, newton, design, t, "p", newton_start)
-    want, want_error, want_shown = _outcome(oracles._newton_logistic, design, t, "p", newton_start)
-    assert (error, shown) == (want_error, want_shown)
-    if want is not None:
-        coef, prob = got
-        _same_bits(coef, want)
-        _same_bits(prob, logistic(design @ want))
-
-    args = (data, "Y", "T", covariates, functionals.PROPENSITY_TRIM, start)
-    got, error, shown = _outcome(stack_of_one, functionals._fit_aipw, *args)
-    want, want_error, want_shown = _outcome(oracles._fit_aipw, *args)
-    assert (error, shown) == (want_error, want_shown)
-    if want is not None:
-        _same_bits(got.estimate, want.estimate)
-        _same_bits(got.influence, want.influence)
-        _same_bits(got._propensity, want._propensity)
-        assert got.label == want.label
-
-
-def test_cases_reach_every_outcome(monkeypatch):
-    """Over seeds 0-399 the cases fit, stop at the iteration cap, ridge the
+def test_newton_and_aipw_match_the_reference(monkeypatch):
+    """Over its examples the cases fit, stop at the iteration cap, ridge the
     Newton system and raise each of the Newton's errors, and the separation
     check meets probe rows that are pinned while other rows are not, so the
-    property test compares every path."""
-    pinned = functionals._pinned
-    probe_only = []
+    property compares every path."""
+    pinned, probe_only, seen = functionals._pinned, [], set()
 
     def spy(prob, ones, zeros, probes):
         result = pinned(prob, ones, zeros, probes)
@@ -166,16 +132,38 @@ def test_cases_reach_every_outcome(monkeypatch):
             probe_only.append(True)
         return result
 
-    monkeypatch.setattr(functionals, "_pinned", spy)
-    seen = set()
-    for seed in range(400):
-        data, _, design, start = _case(seed)
-        start = _newton_start(start, design)
-        _, error, shown = _outcome(
-            stack_of_one, functionals._newton_logistic, design, data.column("T"), "p", start
+    @settings(max_examples=400, deadline=None)
+    @given(SEEDS)
+    def each_case(seed):
+        data, covariates, design, start = _case(seed)
+        t = data.column("T")
+
+        newton_start = _newton_start(start, design)
+        newton = functionals._newton_logistic
+        got, error, shown = _outcome(stack_of_one, newton, design, t, "p", newton_start)
+        want, want_error, want_shown = _outcome(
+            oracles._newton_logistic, design, t, "p", newton_start
         )
+        assert (error, shown) == (want_error, want_shown)
         seen.add("fit" if error is None else error[1].split(" (")[0])
         seen.update(message.split(" (")[0] for _, message in shown)
+        if want is not None:
+            coef, prob = got
+            assert_same_bits(coef, want)
+            assert_same_bits(prob, logistic(design @ want))
+
+        args = (data, "Y", "T", covariates, functionals.PROPENSITY_TRIM, start)
+        got, error, shown = _outcome(stack_of_one, functionals._fit_aipw, *args)
+        want, want_error, want_shown = _outcome(oracles._fit_aipw, *args)
+        assert (error, shown) == (want_error, want_shown)
+        if want is not None:
+            assert_same_bits(got.estimate, want.estimate)
+            assert_same_bits(got.influence, want.influence)
+            assert_same_bits(got._propensity, want._propensity)
+            assert got.label == want.label
+
+    monkeypatch.setattr(functionals, "_pinned", spy)
+    each_case()
     assert probe_only
     assert {
         "fit",

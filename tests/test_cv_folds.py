@@ -7,15 +7,12 @@ on the held-out rows (debias._fit_tau) and prepare_inputs on the train rows
 and re-run from zero if they raise, then the whitening.
 """
 
-from dataclasses import fields
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_spd
+from helpers import assert_same_bits, random_spd
 
 from datafuse import (
     FunctionalDescriptor,
@@ -26,11 +23,9 @@ from datafuse import (
     validate_dataset,
     validate_summary,
 )
-from datafuse import debias
-from datafuse.debias import _FoldFits, _fit_tau, _tune, _whiten
+from datafuse.debias import _FoldFits, _fit_tau, _whiten
 from datafuse.errors import DataFuseError, FoldTooSmall
-from datafuse.functionals import _Moments
-from datafuse.fusion import _Calibration, _prepare
+from datafuse.fusion import _prepare
 
 FOLD_RTOL = 1e-10
 HELD_OUT_RTOL = 1e-12
@@ -213,7 +208,7 @@ def test_feature_sums_that_overflow_fall_back_to_refits():
         ref_tau, ref_calib = _reference(
             inputs, test_rows, np.setdiff1d(np.arange(12), test_rows), None
         )
-        assert np.array_equal(tau_test, ref_tau)
+        assert_same_bits(tau_test, ref_tau)
         for field in ("tau", "cross", "gram", "residual", "sigma_ext"):
             np.testing.assert_allclose(getattr(calib, field), getattr(ref_calib, field), rtol=1e-12)
 
@@ -239,38 +234,6 @@ def test_folds_that_do_not_partition_the_rows_match_refits():
         for field in ("tau", "cross", "gram", "residual", "sigma_ext"):
             actual, expected = getattr(got[1], field), getattr(ref[1], field)
             _assert_close(actual, expected, FOLD_RTOL, scales[field], field)
-
-
-def test_each_input_of_a_stack_has_the_folds_it_has_alone():
-    # three inputs of one target and binding, the second with a row in no
-    # fold: its folds are refitted and the others' read from sums, and every
-    # fold, and each input's tuning, equals what the input gives alone
-    rng = np.random.default_rng(8)
-    tau = FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X1", "X2"], "intercept": False})
-    binding = [FunctionalDescriptor(_K, {"outcome": "Y", "regressor": x}) for x in ("X1", "X2")]
-    inputs, folds = [], []
-    for r in range(3):
-        x1, x2 = rng.standard_normal(60), rng.standard_normal(60)
-        data = validate_dataset({"Y": x1 + x2 + rng.standard_normal(60), "X1": x1, "X2": x2})
-        summary = validate_summary(1.0 + 0.1 * rng.standard_normal(2), random_spd(rng, 2), 200,
-                                   binding)
-        inputs.append(prepare_inputs(data, tau, [summary]))
-        folds.append(kfold_indices(60, 3, r))
-    folds[1][0] = folds[1][0][1:]
-    fits = _FoldFits(inputs, folds)
-    assert fits.refit.tolist() == [False] * 3 + [True] * 3 + [False] * 3
-    g = 0
-    for one, part in zip(inputs, folds):
-        alone = _FoldFits([one], [part])
-        for f in range(len(part)):
-            got, want = fits.fold(g), alone.fold(f)
-            assert np.array_equal(got[0], want[0])
-            for field in ("tau", "phi_var", "cross", "gram", "residual", "sigma_ext"):
-                assert np.array_equal(getattr(got[1], field), getattr(want[1], field)), field
-            g += 1
-    grid = [1.0, 3.0, 10.0]
-    alone = [cv_tune(one, grid, folds=part) for one, part in zip(inputs, folds)]
-    assert _tune(inputs, folds, grid, 1.0, 2.0) == alone
 
 
 # fitters on no rows warn (numpy's mean of an empty slice) before they fail
@@ -326,7 +289,7 @@ def test_fits_beyond_the_feature_cap_are_refitted():
     for f, test_rows in enumerate(folds):
         got = _ours(fits, f)
         ref = _reference(inputs, test_rows, np.setdiff1d(np.arange(n), test_rows), None)
-        assert np.array_equal(got[0], ref[0])
+        assert_same_bits(got[0], ref[0])
         scales = _scales(ref[1])
         for field in ("tau", "cross", "gram", "residual", "sigma_ext"):
             actual, expected = getattr(got[1], field), getattr(ref[1], field)
@@ -371,125 +334,3 @@ def test_folds_whose_fits_would_fail_are_refitted():
     with pytest.raises(FoldTooSmall) as info:
         cv_tune(inputs, [1.0, 10.0], folds=folds)
     assert str(info.value) == f"fold 0: {ref_errors[0][1]}"
-
-
-MOMENT_TARGETS = tuple(desc for desc in TARGETS if desc.kind is not _A)
-MOMENT_BINDINGS = tuple(desc for desc in BINDINGS if desc.kind is not _A)
-# how an input's folds are drawn: kfold_indices, an unequal partition of
-# shuffled rows, kfold_indices with a row left out, or kfold_indices on data
-# scaled by 1e80, whose feature sums overflow
-LAYOUTS = ("kfold",) * 4 + ("partition", "row-out", "overflow")
-
-
-def _stack_case(seed):
-    """(inputs, folds), or None if prepare_inputs raises on every input:
-    1-5 inputs of one moment-form target and one binding of 1-2 sources of
-    1-2 moment-form descriptors, each input with its own data of 30 or 45
-    rows (as in _case), its own summaries and folds drawn by one of LAYOUTS,
-    2-5 of them by kfold_indices, 4 most often. Inputs of one row count and fold count
-    share their fold sizes, so they are built as one group; an input on
-    which prepare_inputs raises is left out."""
-    rng = np.random.default_rng(seed)
-    tau = MOMENT_TARGETS[rng.integers(len(MOMENT_TARGETS))]
-    sources = [
-        [MOMENT_BINDINGS[j] for j in rng.integers(len(MOMENT_BINDINGS), size=rng.integers(1, 3))]
-        for _ in range(rng.integers(1, 3))
-    ]
-    inputs, folds = [], []
-    for _ in range(rng.integers(1, 6)):
-        n, layout = int(rng.choice([30, 30, 30, 45])), LAYOUTS[rng.integers(len(LAYOUTS))]
-        x1, x2 = rng.standard_normal(n), rng.standard_normal(n)
-        b = (rng.random(n) < 0.4).astype(float)
-        t = (rng.random(n) < 0.5).astype(float)
-        noise = rng.choice([1.0, 1e-6]) * rng.standard_normal(n)
-        y = 1.0 + x1 - 0.5 * x2 + 0.3 * b + 0.2 * t + noise
-        if layout == "overflow":
-            x1, x2, y = 1e80 * x1, 1e80 * x2, 1e80 * y
-        data = validate_dataset({"Y": y, "X1": x1, "X2": x2, "B": b, "T": t})
-        summaries = []
-        for binding in sources:
-            q = sum(desc.width() for desc in binding)
-            beta, sigma1 = rng.standard_normal(q), random_spd(rng, q)
-            summaries.append(validate_summary(beta, sigma1, int(rng.integers(20, 400)), binding))
-        try:
-            inputs.append(prepare_inputs(data, tau, summaries))
-        except DataFuseError:
-            continue
-        if layout == "partition":
-            cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(1, 5)), replace=False))
-            folds.append(np.split(rng.permutation(n), cuts))
-        else:
-            k = int(rng.choice([2, 3, 4, 4, 4, 5]))
-            folds.append(kfold_indices(n, k, int(rng.integers(1000))))
-            if layout == "row-out":
-                folds[-1][0] = folds[-1][0][1:]
-    return (inputs, folds) if inputs else None
-
-
-@st.composite
-def _stack_cases(draw):
-    case = _stack_case(draw(st.integers(0, 2**32 - 1)))
-    assume(case is not None)
-    return case
-
-
-def _sums_alone(data, part, slots, centers, spans):
-    """The feature sums of one dataset's folds built as one input at a time
-    builds them: the features in row order, the products of each fold's
-    rows taken out of them, and each train sum the other folds' products
-    added in fold order."""
-    features = np.empty((1, spans[-1].stop, data.n))
-    features[:, 0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for desc, center, span in zip(slots, centers, spans):
-            _Moments([data], desc, center).features(features[:, span], np.arange(data.n)[None])
-        test = []
-        for rows in part:
-            block = features[0].take(rows, 1)
-            test.append(block @ block.T)
-        train = [sum(test[g] for g in range(len(part)) if g != f) for f in range(len(part))]
-    return np.array(test), np.array(train)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_stack_cases())
-def test_each_input_of_a_stack_has_the_folds_and_tuning_it_has_alone(case):
-    inputs, folds = case
-    # each group's feature sums are those of its inputs built one at a time
-    calls, fold_sums = [], debias._fold_sums
-
-    def recording(datas, parts, sizes, slots, centers, spans):
-        out = fold_sums(datas, parts, sizes, slots, centers, spans)
-        calls.append((datas, parts, slots, spans, out))
-        return out
-
-    with mock.patch.object(debias, "_fold_sums", recording):
-        fits = _FoldFits(inputs, folds)
-    for datas, parts, slots, spans, (test, train, centers) in calls:
-        for b, (data, part) in enumerate(zip(datas, parts)):
-            alone = _sums_alone(data, part, slots, [c[b : b + 1] for c in centers], spans)
-            assert test[b].tobytes() == alone[0].tobytes()
-            assert train[b].tobytes() == alone[1].tobytes()
-    # each input's folds, read from sums or refitted, are those it has alone
-    g = 0
-    for one, part in zip(inputs, folds):
-        alone = _FoldFits([one], [part])
-        assert fits.refit[g : g + len(part)].tobytes() == alone.refit.tobytes()
-        assert fits.train_size[g : g + len(part)] == alone.train_size
-        for f in range(len(part)):
-            got, error = _outcome(lambda: fits.fold(g + f))
-            want, want_error = _outcome(lambda: alone.fold(f))
-            assert error == want_error
-            if error is None:
-                assert got[0].tobytes() == want[0].tobytes()
-                for field in fields(_Calibration):
-                    value, expected = getattr(got[1], field.name), getattr(want[1], field.name)
-                    assert value.tobytes() == expected.tobytes(), field.name
-        g += len(part)
-    # and the tuning of the stack is each input's cv_tune, or the error of
-    # the first input whose cv_tune fails
-    grid = [1.0, 3.0, 10.0]
-    alone = [_outcome(lambda: cv_tune(one, grid, folds=part)) for one, part in zip(inputs, folds)]
-    errors = [error for _, error in alone if error is not None]
-    want = (None, errors[0]) if errors else ([tuned for tuned, _ in alone], None)
-    assert _outcome(lambda: _tune(inputs, folds, grid, 1.0, 2.0)) == want

@@ -24,6 +24,15 @@ def test_spd_solve_ridges_ill_conditioned_system():
     assert sink == [f"ill-conditioned system (probe): added ridge {ridge:.3e} to diagonal"]
 
 
+def test_spd_solve_records_each_ridge_of_a_stack_in_its_sink():
+    a = np.array([np.diag([1.0, 1e-14]), np.eye(2), np.diag([4.0, 0.0])])
+    sink = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spd_solve(a, np.ones((3, 2)), sink=sink, context="probe")
+    assert len(sink) == 2 and sink == [str(w.message) for w in caught]
+
+
 def test_spd_solve_ridge_reaches_result_warnings():
     rng = np.random.default_rng(41)
     n = 200

@@ -1,8 +1,7 @@
-"""The stacked calibration kernel against the same calls one matrix at a
-time: spd_solve, inv_sqrt_spd, _Calibration.restrict/fuse and _whiten on a
-stack give each matrix's result, warnings and first error, and cv_tune,
-which runs its folds as one stack, fails with the first failing fold's
-error as the folds run one by one would."""
+"""cv_tune's stacked pass fails with the first failing fold's error, and
+ridges each fold, as the folds run one by one would; _eigh takes apart a
+stack that numpy's eigh raises for (tests/test_stack_invariance.py compares
+every batched entry point with its lone calls)."""
 
 import warnings
 from collections import Counter
@@ -23,10 +22,9 @@ from datafuse import (
     validate_summary,
 )
 from datafuse import debias
-from datafuse._linalg import _eigh, inv_sqrt_spd, spd_solve
+from datafuse._linalg import _eigh, inv_sqrt_spd
 from datafuse.debias import _FoldFits, _fold_error, _whiten
 from datafuse.errors import (
-    DataFuseError,
     EmptyArm,
     FoldTooSmall,
     NoConvergence,
@@ -34,142 +32,6 @@ from datafuse.errors import (
     SingularCalibration,
 )
 from datafuse.fusion import _Calibration
-
-REL_TOL = 1e-15
-
-
-def _matrix(rng, q, kind):
-    """A symmetric q x q matrix V diag(lam) V': well conditioned ("plain"),
-    with lam_min / lam_max far below 1 / COND_LIMIT or zero ("ridge"), with
-    an eigenvalue of -lam_max ("indefinite"), or holding a NaN ("nan")."""
-    v = np.linalg.qr(rng.standard_normal((q, q)))[0]
-    lam = rng.uniform(0.5, 2.0, q) * 10.0 ** rng.uniform(-3.0, 3.0)
-    if kind == "ridge":
-        lam[0] = lam.max() * rng.choice([0.0, 1e-14, 1e-17])
-    elif kind == "indefinite":
-        lam[0] = -lam.max()
-    a = (v * lam) @ v.T
-    if kind == "nan":
-        a[0, 0] = np.nan
-    return a
-
-
-@st.composite
-def _stacks(draw, nan=False):
-    """(rng, k matrices of one q x q shape, their kinds): k and q in 1..5,
-    each matrix plain or ridged, at most one indefinite and, with `nan`, at
-    most one holding a NaN."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    k, q = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    kinds = draw(st.lists(st.sampled_from(["plain", "ridge"]), min_size=k, max_size=k))
-    for kind in ("indefinite", "nan") if nan else ("indefinite",):
-        at = draw(st.none() | st.integers(0, k - 1))
-        if at is not None:
-            kinds[at] = kind
-    return rng, np.array([_matrix(rng, q, kind) for kind in kinds]), kinds
-
-
-def _run(compute):
-    """(result, warning messages, (error type, message) or None)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            result, error = compute(), None
-        except DataFuseError as exc:
-            result, error = None, (type(exc), str(exc))
-    return result, [str(w.message) for w in caught], error
-
-
-def _one_by_one(compute, count):
-    """compute(i) for i = 0, 1, ... until one raises, as _run reports it:
-    the results in a list, every warning in order, the first error."""
-    results, messages = [], []
-    for i in range(count):
-        result, caught, error = _run(lambda: compute(i))
-        messages += caught
-        if error is not None:
-            return None, messages, error
-        results.append(result)
-    return results, messages, None
-
-
-def _assert_matches(stacked, one_by_one):
-    """The same error and warnings; without an error, output j of the
-    stacked call at index i equals output j of call i, bit for bit or else
-    within REL_TOL of its largest entry."""
-    result, caught, error = stacked
-    want_results, want_caught, want_error = one_by_one
-    assert error == want_error
-    assert caught == want_caught
-    if error is not None:
-        return
-    for i, want_outputs in enumerate(want_results):
-        for got, want in zip(result, want_outputs):
-            got, want = got[i], np.asarray(want)
-            assert got.shape == want.shape
-            if not np.array_equal(got, want):
-                assert np.max(np.abs(got - want)) <= REL_TOL * np.max(np.abs(want))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_stacks(nan=True), st.booleans())
-def test_spd_solve_of_a_stack_is_each_matrix_solved_alone(case, vector_rhs):
-    rng, a, kinds = case
-    k, q = a.shape[:2]
-    b = rng.standard_normal((k, q) if vector_rhs else (k, q, 2))
-    sink = []
-    stacked = _run(lambda: (spd_solve(a, b, SingularCalibration, sink, "probe"),))
-    alone = _one_by_one(
-        lambda i: (spd_solve(a[i], b[i], SingularCalibration, context="probe"),), k
-    )
-    _assert_matches(stacked, alone)
-    assert sink == stacked[1]
-    if stacked[2] is None and q > 1:
-        # each ridged matrix warns once, with the text it warns with alone
-        assert len(stacked[1]) == kinds.count("ridge")
-
-
-@settings(max_examples=300, deadline=None)
-@given(_stacks(nan=True))
-def test_inv_sqrt_spd_of_a_stack_is_each_matrix_alone(case):
-    _, a, kinds = case
-    stacked = _run(lambda: (inv_sqrt_spd(a, NotPositiveDefinite, "probe"),))
-    alone = _one_by_one(lambda i: (inv_sqrt_spd(a[i], NotPositiveDefinite, "probe"),), len(a))
-    _assert_matches(stacked, alone)
-    assert (stacked[2] is None) == (kinds.count("plain") + kinds.count("ridge") == len(kinds))
-
-
-def _calibrations(rng, gram, p):
-    """A stack of calibrations on the matrices `gram`, about half of them
-    with zero external covariance, so that a gram that needs the ridge makes
-    a fused system that needs it."""
-    k, q = gram.shape[:2]
-    phi = rng.standard_normal((k, p, p))
-    sigma_ext = np.array([_matrix(rng, q, "plain") * rng.choice([0.0, 1.0]) for _ in range(k)])
-    return _Calibration(
-        tau=rng.standard_normal((k, p)),
-        phi_var=phi @ phi.swapaxes(1, 2),
-        cross=rng.standard_normal((k, p, q)),
-        gram=gram,
-        residual=rng.standard_normal((k, q)),
-        sigma_ext=sigma_ext,
-    )
-
-
-@settings(max_examples=300, deadline=None)
-@given(_stacks(), st.integers(1, 3), st.data())
-def test_calibration_stack_fuses_and_whitens_each_calibration_alone(case, p, data):
-    rng, gram, _ = case
-    k, q = gram.shape[:2]
-    calib = _calibrations(rng, gram, p)
-    keep = data.draw(st.lists(st.integers(0, q - 1), unique=True).map(sorted))
-    sub = calib.restrict(keep)
-    for i in range(k):
-        alone = calib[i].restrict(keep)
-        for field in ("tau", "phi_var", "cross", "gram", "residual", "sigma_ext"):
-            assert np.array_equal(getattr(sub, field)[i], getattr(alone, field))
-    _assert_matches(_run(sub.fuse), _one_by_one(lambda i: sub[i].fuse(), k))
-    _assert_matches(_run(lambda: _whiten(calib)), _one_by_one(lambda i: _whiten(calib[i]), k))
 
 
 def _cv_inputs(n=60, seed=4):
