@@ -4,6 +4,7 @@ probabilities, estimates and influence, the same errors with the same
 messages, and the same warnings. Also: the fitters' designs are column-major,
 and the fits agree with the same fits on row-major designs."""
 
+import functools
 import warnings
 from unittest import mock
 
@@ -116,11 +117,11 @@ def _outcome(fit, *args):
 SEEDS = st.integers(0, 2**32 - 1)
 
 
-def test_newton_and_aipw_match_the_reference(monkeypatch):
-    """Over its examples the cases fit, stop at the iteration cap, ridge the
-    Newton system and raise each of the Newton's errors, and the separation
-    check meets probe rows that are pinned while other rows are not, so the
-    property compares every path."""
+@functools.cache
+def _reached():
+    """The property, run once for both tests below: (the head of each Newton
+    error and warning, or "fit", its cases reach; whether the separation
+    check met probe rows that are pinned while other rows are not)."""
     pinned, probe_only, seen = functionals._pinned, [], set()
 
     def spy(prob, ones, zeros, probes):
@@ -162,8 +163,18 @@ def test_newton_and_aipw_match_the_reference(monkeypatch):
             assert_same_bits(got._propensity, want._propensity)
             assert got.label == want.label
 
-    monkeypatch.setattr(functionals, "_pinned", spy)
-    each_case()
+    with mock.patch.object(functionals, "_pinned", spy):
+        each_case()
+    return frozenset(seen), bool(probe_only)
+
+
+def test_newton_and_aipw_match_the_reference():
+    _reached()
+
+
+def test_cases_reach_every_outcome():
+    """The property compares every path of the Newton."""
+    seen, probe_only = _reached()
     assert probe_only
     assert {
         "fit",

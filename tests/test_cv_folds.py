@@ -23,7 +23,7 @@ from datafuse import (
     validate_dataset,
     validate_summary,
 )
-from datafuse.debias import _FoldFits, _fit_tau, _whiten
+from datafuse.debias import _FoldFits, _fit_tau, _tune, _whiten
 from datafuse.errors import DataFuseError, FoldTooSmall
 from datafuse.fusion import _prepare
 
@@ -234,6 +234,44 @@ def test_folds_that_do_not_partition_the_rows_match_refits():
         for field in ("tau", "cross", "gram", "residual", "sigma_ext"):
             actual, expected = getattr(got[1], field), getattr(ref[1], field)
             _assert_close(actual, expected, FOLD_RTOL, scales[field], field)
+
+
+def test_each_input_of_a_stack_has_the_folds_and_tuning_it_has_alone():
+    # the _FoldFits row of test_stack_invariance's table (imported here, as
+    # that module imports this one)
+    from test_stack_invariance import ROW, reached
+
+    missed = ROW["_FoldFits"].reach - reached("_FoldFits")
+    assert not missed, sorted(missed)
+
+
+def test_each_input_of_a_stack_has_the_folds_it_has_alone():
+    # three inputs of one target and binding, the second with a row in no
+    # fold: its folds are refitted and the others' read from sums, and every
+    # fold, and each input's tuning, equals what the input gives alone
+    rng = np.random.default_rng(8)
+    tau = FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X1", "X2"], "intercept": False})
+    binding = [FunctionalDescriptor(_K, {"outcome": "Y", "regressor": x}) for x in ("X1", "X2")]
+    inputs, folds = [], []
+    for r in range(3):
+        x1, x2 = rng.standard_normal(60), rng.standard_normal(60)
+        data = validate_dataset({"Y": x1 + x2 + rng.standard_normal(60), "X1": x1, "X2": x2})
+        summary = validate_summary(1.0 + 0.1 * rng.standard_normal(2), random_spd(rng, 2), 200,
+                                   binding)
+        inputs.append(prepare_inputs(data, tau, [summary]))
+        folds.append(kfold_indices(60, 3, r))
+    folds[1][0] = folds[1][0][1:]
+    fits = _FoldFits(inputs, folds)
+    assert fits.refit.tolist() == [False] * 3 + [True] * 3 + [False] * 3
+    g = 0
+    for one, part in zip(inputs, folds):
+        alone = _FoldFits([one], [part])
+        for f in range(len(part)):
+            assert_same_bits(fits.fold(g), alone.fold(f), f"fold {g}")
+            g += 1
+    grid = [1.0, 3.0, 10.0]
+    alone = [cv_tune(one, grid, folds=part) for one, part in zip(inputs, folds)]
+    assert_same_bits(_tune(inputs, folds, grid, 1.0, 2.0), alone)
 
 
 # fitters on no rows warn (numpy's mean of an empty slice) before they fail

@@ -12,8 +12,11 @@ alone (which sim._run_chunk's and debias._tune's replays depend on), else
 gives each slice its lone result. numpy's RuntimeWarnings come once per
 operation, on a stack as on one slice, and are not compared. A row's draws
 must reach the outcomes it names (_heads, "mixed" for failing and passing
-slices in one stack, the row's tags and its entries' labels)."""
+slices in one stack, the row's tags and its entries' labels). Each row runs
+once (reached), also for the tests of test_stacked_newton, test_stacked_ols
+and test_cv_folds that read its run."""
 
+import functools
 import importlib
 import re
 import warnings
@@ -669,9 +672,14 @@ def _heads(outcome):
     return set(labels + error[:1]) if outcome.error else set(labels) | {"ok"}
 
 
-@pytest.mark.parametrize("row", ROWS, ids=[r.entries[0].name.split(":")[1].split(".")[0]
-                                           for r in ROWS])
-def test_each_slice_of_a_stack_is_its_lone_call(row):
+# the rows by their first entry point's name, without its module
+ROW = {r.entries[0].name.split(":")[1].split(".")[0]: r for r in ROWS}
+
+
+@functools.cache
+def reached(name):
+    """The outcomes that the draws of row `name` reach, each draw compared."""
+    row = ROW[name]
     entries = [(entry, _resolve(entry.name)) for entry in row.entries]
     counts, seen = [0] * len(row.spies), set()
 
@@ -705,4 +713,10 @@ def test_each_slice_of_a_stack_is_its_lone_call(row):
             module = importlib.import_module("datafuse." + module)
             spies.enter_context(mock.patch.object(module, attribute, counting(i, _resolve(name))))
         each_slice()
-    assert row.reach <= seen, sorted(row.reach - seen)
+    return frozenset(seen)
+
+
+@pytest.mark.parametrize("name", ROW)
+def test_each_slice_of_a_stack_is_its_lone_call(name):
+    missed = ROW[name].reach - reached(name)
+    assert not missed, sorted(missed)

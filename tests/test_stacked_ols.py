@@ -1,15 +1,37 @@
-"""A zero se warns in its own result of a stack only, and one failing binding
-fit makes fusion._prepare's list raise that dataset's own error."""
+"""Results and Wald intervals of a stack against each row's alone (the
+_build_results row of test_stack_invariance's table, and each side of
+_wald), a zero se that warns in its own result of a stack only, and one
+failing binding fit that makes fusion._prepare's list raise that dataset's
+own error."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from test_stack_invariance import JOINT, PREPARE_BINDINGS, PREPARE_TAUS, _dataset, _summary
+from helpers import assert_same_bits
+from test_stack_invariance import (
+    JOINT, PREPARE_BINDINGS, PREPARE_TAUS, ROW, _dataset, _summary, reached,
+)
 
 from datafuse import Method, fusion
 from datafuse.errors import DataFuseError, DegenerateRegressor, RankDeficientDesign
+
+
+def test_each_result_of_a_stack_is_its_lone_result():
+    missed = ROW["_build_results"].reach - reached("_build_results")
+    assert not missed, sorted(missed)
+
+
+def test_wald_on_a_stack_is_wald_on_each_row():
+    rng = np.random.default_rng(4)
+    estimate, se = rng.standard_normal((3, 4)), abs(rng.standard_normal((3, 4)))
+    se[1, 2] = 0.0
+    for side in ("upper", "lower", "two_sided"):
+        z, p, ci = fusion._wald(estimate, se, 0.8, 0.1, side)
+        assert ci.shape == (3, 4, 2)
+        for r in range(3):
+            assert_same_bits((z[r], p[r], ci[r]), fusion._wald(estimate[r], se[r], 0.8, 0.1, side))
 
 
 def test_a_zero_se_in_one_result_of_a_stack_warns_in_that_result_only():
