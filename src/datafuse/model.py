@@ -138,13 +138,16 @@ class InternalDataset:
 
     def subset(self, idx) -> "InternalDataset":
         """Row subset (used by cross-validation folds); `idx` is a
-        one-dimensional array of integer row indices."""
+        one-dimensional array of integer row indices, possibly empty."""
         try:
-            idx = np.asarray(idx)
+            rows = np.asarray(idx)
         except ValueError:  # ragged nesting
-            idx = None
-        if idx is None or idx.ndim != 1 or idx.dtype.kind not in "iu":
-            raise MalformedInput("idx must be a one-dimensional array of row indices")
+            rows = None
+        if rows is not None and rows.ndim == 1 and rows.size == 0:
+            rows = rows.astype(np.intp)  # [] is float64
+        if rows is None or rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise MalformedInput(f"idx must be a one-dimensional array of row indices, got {idx!r}")
+        idx = rows
         cols = {name: arr[idx] for name, arr in self.columns.items()}  # new arrays
         for col in cols.values():
             col.setflags(write=False)

@@ -12,7 +12,9 @@ from datafuse import (
     FusionInputs,
     InternalDataset,
     SummaryStatistic,
+    evaluate_binding,
     functionals,
+    validate_dataset,
     validate_summary,
 )
 
@@ -110,6 +112,77 @@ def synth_inputs(rng, n, p, q, splits=None, m_range=(50, 400)):
         )
         at += qb
     return FusionInputs(tau_fit=tau_fit, beta_fit=beta_fit, summaries=tuple(summaries))
+
+
+_M, _J, _K, _A = (
+    FunctionalKind.MEAN,
+    FunctionalKind.JOINT_OLS,
+    FunctionalKind.MARGINAL_OLS,
+    FunctionalKind.AIPW_ATE,
+)
+# targets and bindings of the cross-validation fold tests, on columns Y, X1,
+# X2, B and T
+FOLD_TARGETS = (
+    FunctionalDescriptor(_M, {"column": "Y"}),
+    FunctionalDescriptor(_M, {"column": "Y", "where": {"column": "B", "equals": 1}}),
+    FunctionalDescriptor(_K, {"outcome": "Y", "regressor": "X1"}),
+    FunctionalDescriptor(_K, {"outcome": "Y", "regressor": "B"}),
+    FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X1", "X2", "B"]}),
+    FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X1", "X2"], "intercept": False}),
+    FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X1", "B"]}, component=1),
+    FunctionalDescriptor(_A, {"outcome": "Y", "treatment": "T", "covariates": ["X1"]}),
+)
+FOLD_BINDINGS = (
+    FunctionalDescriptor(_M, {"column": "X1"}),
+    FunctionalDescriptor(_M, {"column": "Y", "where": {"column": "B", "equals": 1}}),
+    FunctionalDescriptor(_M, {"column": "X2", "where": {"column": "T", "equals": 0}}),
+    FunctionalDescriptor(_K, {"outcome": "Y", "regressor": "B"}),
+    FunctionalDescriptor(_K, {"outcome": "Y", "regressor": "X2"}),
+    FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X1", "B"]}),
+    FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X2"], "intercept": False}),
+    FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X1", "X2", "B"]}, component=2),
+    FunctionalDescriptor(_A, {"outcome": "Y", "treatment": "T", "covariates": ["X1"]}),
+)
+
+# targets and bindings on the columns X, Z, T and Y of xz_dataset
+PREPARE_TAUS = (
+    FunctionalDescriptor(_A, {"outcome": "Y", "treatment": "T", "covariates": ["X", "Z"]}),
+    FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X", "Z"]}),
+    FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X"], "intercept": False}),
+    FunctionalDescriptor(_M, {"column": "Y"}),
+)
+JOINT = FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X", "Z"]})
+PREPARE_BINDINGS = (
+    (JOINT,),
+    (FunctionalDescriptor(_J, JOINT.args, component=2),),
+    tuple(FunctionalDescriptor(_K, {"outcome": "Y", "regressor": r}) for r in ("X", "Z")),
+    (
+        FunctionalDescriptor(_J, JOINT.args, component=1),
+        FunctionalDescriptor(_M, {"column": "Y", "where": {"column": "T", "equals": 1.0}}),
+        FunctionalDescriptor(_J, JOINT.args, component=0),
+        FunctionalDescriptor(_K, {"outcome": "Y", "regressor": "Z"}),
+    ),
+)
+
+
+def xz_dataset(rng, n, bad=None):
+    """Columns X, Z, T and Y of n rows; bad="collinear" makes Z = 2 X, and
+    bad="zero" makes Z zero."""
+    x, z = rng.standard_normal(n), rng.standard_normal(n)
+    if bad == "collinear":
+        z = 2.0 * x
+    elif bad == "zero":
+        z = np.zeros(n)
+    t = (rng.random(n) < 0.5).astype(float)
+    t[:2] = 0.0, 1.0
+    y = 1.0 + x - 0.5 * z + t + rng.standard_normal(n)
+    return validate_dataset({"X": x, "Z": z, "T": t, "Y": y}, outcome="Y", treatment="T")
+
+
+def xz_summary(rng, binding):
+    """A summary of `binding` fitted on 500 external rows of xz_dataset."""
+    beta, eta = evaluate_binding(xz_dataset(rng, 500), binding)
+    return validate_summary(beta, eta.T @ eta / 500, 500, binding)
 
 
 # Cells that float() and np.loadtxt may read differently: quotes, whitespace

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_same_bits, random_spd
+from helpers import FOLD_BINDINGS, FOLD_TARGETS, assert_same_bits, random_spd
+from test_stack_invariance import ROW, reached
 
 from datafuse import (
     FunctionalDescriptor,
@@ -30,33 +31,7 @@ from datafuse.fusion import _prepare
 FOLD_RTOL = 1e-10
 HELD_OUT_RTOL = 1e-12
 
-_M, _J, _K, _A = (
-    FunctionalKind.MEAN,
-    FunctionalKind.JOINT_OLS,
-    FunctionalKind.MARGINAL_OLS,
-    FunctionalKind.AIPW_ATE,
-)
-TARGETS = (
-    FunctionalDescriptor(_M, {"column": "Y"}),
-    FunctionalDescriptor(_M, {"column": "Y", "where": {"column": "B", "equals": 1}}),
-    FunctionalDescriptor(_K, {"outcome": "Y", "regressor": "X1"}),
-    FunctionalDescriptor(_K, {"outcome": "Y", "regressor": "B"}),
-    FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X1", "X2", "B"]}),
-    FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X1", "X2"], "intercept": False}),
-    FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X1", "B"]}, component=1),
-    FunctionalDescriptor(_A, {"outcome": "Y", "treatment": "T", "covariates": ["X1"]}),
-)
-BINDINGS = (
-    FunctionalDescriptor(_M, {"column": "X1"}),
-    FunctionalDescriptor(_M, {"column": "Y", "where": {"column": "B", "equals": 1}}),
-    FunctionalDescriptor(_M, {"column": "X2", "where": {"column": "T", "equals": 0}}),
-    FunctionalDescriptor(_K, {"outcome": "Y", "regressor": "B"}),
-    FunctionalDescriptor(_K, {"outcome": "Y", "regressor": "X2"}),
-    FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X1", "B"]}),
-    FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X2"], "intercept": False}),
-    FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X1", "X2", "B"]}, component=2),
-    FunctionalDescriptor(_A, {"outcome": "Y", "treatment": "T", "covariates": ["X1"]}),
-)
+_M, _J, _K = FunctionalKind.MEAN, FunctionalKind.JOINT_OLS, FunctionalKind.MARGINAL_OLS
 
 
 def _case(seed):
@@ -77,13 +52,14 @@ def _case(seed):
     data = validate_dataset({"Y": y, "X1": x1, "X2": x2, "B": b, "T": t})
     summaries = []
     for _ in range(rng.integers(1, 4)):
-        binding = [BINDINGS[j] for j in rng.integers(len(BINDINGS), size=rng.integers(1, 3))]
+        drawn = rng.integers(len(FOLD_BINDINGS), size=rng.integers(1, 3))
+        binding = [FOLD_BINDINGS[j] for j in drawn]
         q = sum(desc.width() for desc in binding)
         beta = rng.standard_normal(q)
         m = int(rng.integers(20, 400))
         summaries.append(validate_summary(beta, random_spd(rng, q), m, binding))
     try:
-        inputs = prepare_inputs(data, TARGETS[rng.integers(len(TARGETS))], summaries)
+        inputs = prepare_inputs(data, FOLD_TARGETS[rng.integers(len(FOLD_TARGETS))], summaries)
     except DataFuseError:
         return None
     return inputs, kfold_indices(n, int(rng.integers(2, 5)), int(rng.integers(1000)))
@@ -219,7 +195,7 @@ def test_folds_that_do_not_partition_the_rows_match_refits():
     rng = np.random.default_rng(8)
     x1, x2 = rng.standard_normal(40), rng.standard_normal(40)
     data = validate_dataset({"Y": 1.0 + x1 - x2 + rng.standard_normal(40), "X1": x1, "X2": x2})
-    binding = [BINDINGS[0], FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X2"]})]
+    binding = [FOLD_BINDINGS[0], FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X2"]})]
     summary = validate_summary(rng.standard_normal(3), random_spd(rng, 3), 100, binding)
     tau = FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X1", "X2"], "intercept": False})
     inputs = prepare_inputs(data, tau, [summary])
@@ -237,10 +213,7 @@ def test_folds_that_do_not_partition_the_rows_match_refits():
 
 
 def test_each_input_of_a_stack_has_the_folds_and_tuning_it_has_alone():
-    # the _FoldFits row of test_stack_invariance's table (imported here, as
-    # that module imports this one)
-    from test_stack_invariance import ROW, reached
-
+    # the _FoldFits row of test_stack_invariance's table
     missed = ROW["_FoldFits"].reach - reached("_FoldFits")
     assert not missed, sorted(missed)
 
@@ -276,7 +249,7 @@ def test_each_input_of_a_stack_has_the_folds_it_has_alone():
 
 # fitters on no rows warn (numpy's mean of an empty slice) before they fail
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("tau", TARGETS, ids=lambda desc: desc.kind.value)
+@pytest.mark.parametrize("tau", FOLD_TARGETS, ids=lambda desc: desc.kind.value)
 def test_fold_with_no_train_rows_fails_as_the_refit_does(tau, monkeypatch):
     # a user fold that holds every row leaves no train rows: the refit on
     # them fails, and cv_tune raises that error as FoldTooSmall
@@ -286,7 +259,7 @@ def test_fold_with_no_train_rows_fails_as_the_refit_does(tau, monkeypatch):
     b = (np.arange(n) % 3 == 0).astype(float)
     y = 1.0 + x1 + t + rng.standard_normal(n)
     data = validate_dataset({"Y": y, "X1": x1, "X2": rng.standard_normal(n), "B": b, "T": t})
-    summary = validate_summary([0.0], [[1.0]], 50, [BINDINGS[4]])
+    summary = validate_summary([0.0], [[1.0]], 50, [FOLD_BINDINGS[4]])
     inputs = prepare_inputs(data, tau, [summary])
     folds = [np.arange(n), np.arange(5)]
     start = inputs.tau_fit._propensity
@@ -350,7 +323,7 @@ def test_folds_whose_fits_would_fail_are_refitted():
     data = validate_dataset({"Y": y, "X1": x1, "B": b, "C": np.isin(rows, [11, 14, 17]) * 1.0})
     binding = [FunctionalDescriptor(_J, {"outcome": "Y", "regressors": ["X1", "C"]})]
     summary = validate_summary(np.zeros(3), np.eye(3), 50, binding)
-    inputs = prepare_inputs(data, TARGETS[1], [summary])
+    inputs = prepare_inputs(data, FOLD_TARGETS[1], [summary])
     folds = [rows[:10], rows[10:20], rows[20:]]
     fits = _FoldFits([inputs], [folds])
     assert fits.refit.tolist() == [True, True, False]

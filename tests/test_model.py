@@ -84,6 +84,7 @@ def test_validate_dataset_subset_keeps_roles():
     sub = data.subset([2, 0])
     assert sub.n == 2
     np.testing.assert_array_equal(sub.column("Y"), [3.0, 1.0])
+    assert data.subset([]).n == 0 and data.subset([]).column("Y").shape == (0,)
     # each column is its own read-only float copy
     for name in ("Y", "T"):
         col = sub.column(name)
@@ -151,8 +152,9 @@ def test_subset_rejects_what_is_not_a_list_of_row_indices(idx):
     # these raised a raw IndexError or ValueError, or (a 2-d or scalar
     # index) built columns that are not one row per index
     data = validate_dataset({"Y": [1.0, 2.0, 3.0]})
-    with pytest.raises(MalformedInput, match="idx must be a one-dimensional array of row indices"):
+    with pytest.raises(MalformedInput) as info:
         data.subset(idx)
+    assert str(info.value) == f"idx must be a one-dimensional array of row indices, got {idx!r}"
 
 
 @pytest.mark.parametrize(

@@ -12,9 +12,12 @@ alone (which sim._run_chunk's and debias._tune's replays depend on), else
 gives each slice its lone result. numpy's RuntimeWarnings come once per
 operation, on a stack as on one slice, and are not compared. A row's draws
 must reach the outcomes it names (_heads, "mixed" for failing and passing
-slices in one stack, the row's tags and its entries' labels). Each row runs
-once (reached), also for the tests of test_stacked_newton, test_stacked_ols
-and test_cv_folds that read its run."""
+slices in one stack, the row's tags and what its entries' checks return).
+An entry's check also asserts what the lone calls must give: inv_sqrt_spd
+fails exactly on an indefinite or NaN matrix, a result's se and warnings
+are those of its avar and note, and the fold sums are those built one input
+at a time. Each row runs once (reached), also for the tests of
+test_stacked_newton, test_stacked_ols and test_cv_folds that read its run."""
 
 import functools
 import importlib
@@ -29,27 +32,27 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_same_bits, fuzz_rng, pick, random_spd, stack_of_one, synth_inputs
-from test_cv_folds import BINDINGS as FOLD_BINDINGS
-from test_cv_folds import TARGETS as FOLD_TARGETS
+from helpers import (
+    FOLD_BINDINGS, FOLD_TARGETS, PREPARE_BINDINGS, PREPARE_TAUS, assert_same_bits, fuzz_rng, pick,
+    random_spd, stack_of_one, synth_inputs, xz_dataset, xz_summary,
+)
 
 from datafuse import (
     DebiasConfig,
-    FunctionalDescriptor,
     FunctionalKind,
     Method,
     ScenarioConfig,
-    evaluate_binding,
+    debias,
     functionals,
     kfold_indices,
     prepare_inputs,
     validate_dataset,
     validate_summary,
 )
-from datafuse._linalg import logistic
+from datafuse._linalg import logistic, sym
 from datafuse.errors import DataFuseError, NotPositiveDefinite, SingularCalibration
 from datafuse.fusion import _Calibration
-from datafuse.sim import SCENARIOS
+from datafuse.sim import SCENARIOS, gen_scenario1
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -91,6 +94,13 @@ def _systems(draw):
     rng, a, kinds = draw(_stacks(nan=True))
     b = rng.standard_normal(a.shape[:2] if draw(st.booleans()) else a.shape[:2] + (2,))
     return list(zip(a, b)), set(kinds)
+
+
+def _fails_on_indefinite_or_nan(lone, tags, alone):
+    """inv_sqrt_spd fails on a stack exactly when one of its matrices is
+    indefinite or holds a NaN."""
+    assert all(o.error is None for o in alone) == (tags <= {"plain", "ridge"}), tags
+    return set()
 
 
 def _calibrations(rng, gram, p):
@@ -164,7 +174,7 @@ def _design_cases(draw, with_y=True):
     return [(d, t) if with_y else (d,) for d, t in zip(design, y)], tags
 
 
-def _ill_and_full_rank(tags, alone):
+def _ill_and_full_rank(lone, tags, alone):
     ok = all(o.error is None for o in alone)
     return {"ill-scaled and full rank"} if "ill" in tags and ok else set()
 
@@ -248,7 +258,21 @@ def _capped(newton, design, y, start, cap):
         return newton(design, y, "p", start)
 
 
-def _steps(tags, alone):
+def _aipw_case(seed, fits, spread):
+    """(Scenario I dataset, start or None) per fit: one row count of 30-400
+    for the stack, and the propensity Newton started cold (spread None) or
+    from coefficients of scale `spread`."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 400))
+    data = [gen_scenario1(n, 50, rng)[0] for _ in range(fits)]
+    start = [None] * fits if spread is None else list(spread * rng.standard_normal((fits, 3)))
+    return list(zip(data, start)), {"cold" if spread is None else f"start {spread}"}
+
+
+_aipw_cases = st.builds(_aipw_case, SEEDS, st.integers(1, 5), st.sampled_from((None, 0.1, 3.0)))
+
+
+def _steps(lone, tags, alone):
     """"staggered": the fits stop after different numbers of steps (solves);
     "halved": one halves a step (a log-likelihood more than one per step)."""
     fitted = [o.counts for o in alone if o.error is None]
@@ -256,55 +280,10 @@ def _steps(tags, alone):
     return out | ({"halved"} if any(ll > 1 + solves for solves, ll in fitted) else set())
 
 
-PREPARE_TAUS = (
-    FunctionalDescriptor(
-        FunctionalKind.AIPW_ATE, {"outcome": "Y", "treatment": "T", "covariates": ["X", "Z"]}
-    ),
-    FunctionalDescriptor(FunctionalKind.JOINT_OLS, {"outcome": "Y", "regressors": ["X", "Z"]}),
-    FunctionalDescriptor(
-        FunctionalKind.JOINT_OLS, {"outcome": "Y", "regressors": ["X"], "intercept": False}
-    ),
-    FunctionalDescriptor(FunctionalKind.MEAN, {"column": "Y"}),
-)
-JOINT = FunctionalDescriptor(FunctionalKind.JOINT_OLS, {"outcome": "Y", "regressors": ["X", "Z"]})
-PREPARE_BINDINGS = (
-    (JOINT,),
-    (FunctionalDescriptor(FunctionalKind.JOINT_OLS, JOINT.args, component=2),),
-    tuple(
-        FunctionalDescriptor(FunctionalKind.MARGINAL_OLS, {"outcome": "Y", "regressor": r})
-        for r in ("X", "Z")
-    ),
-    (
-        FunctionalDescriptor(FunctionalKind.JOINT_OLS, JOINT.args, component=1),
-        FunctionalDescriptor(FunctionalKind.MEAN, {"column": "Y", "where": {"column": "T", "equals": 1.0}}),
-        FunctionalDescriptor(FunctionalKind.JOINT_OLS, JOINT.args, component=0),
-        FunctionalDescriptor(FunctionalKind.MARGINAL_OLS, {"outcome": "Y", "regressor": "Z"}),
-    ),
-)
-# every descriptor above, each fitted alone by _refit
+# every descriptor of PREPARE_TAUS and PREPARE_BINDINGS, each fitted alone by _refit
 DESCRIPTORS = PREPARE_TAUS + tuple(d for b in PREPARE_BINDINGS for d in b)
 # a dataset's defect: none most often, Z = 2 X, or Z zero
 DEFECTS = (None,) * 6 + ("collinear", "zero")
-
-
-def _dataset(rng, n, bad=None):
-    """Columns X, Z, T and Y of n rows; bad="collinear" makes Z = 2 X, and
-    bad="zero" makes Z zero."""
-    x, z = rng.standard_normal(n), rng.standard_normal(n)
-    if bad == "collinear":
-        z = 2.0 * x
-    elif bad == "zero":
-        z = np.zeros(n)
-    t = (rng.random(n) < 0.5).astype(float)
-    t[:2] = 0.0, 1.0
-    y = 1.0 + x - 0.5 * z + t + rng.standard_normal(n)
-    return validate_dataset({"X": x, "Z": z, "T": t, "Y": y}, outcome="Y", treatment="T")
-
-
-def _summary(rng, binding):
-    """A summary of `binding` fitted on 500 external rows of _dataset."""
-    beta, eta = evaluate_binding(_dataset(rng, 500), binding)
-    return validate_summary(beta, eta.T @ eta / 500, 500, binding)
 
 
 @st.composite
@@ -314,7 +293,7 @@ def _fit_cases(draw, descriptors, start=None):
     (start="propensity"), or a _Moments form from random centers ("center")."""
     rng = fuzz_rng(draw)
     n, what, size = int(rng.integers(12, 300)), pick(rng, descriptors), draw(st.integers(1, 5))
-    datas = [_dataset(rng, n, pick(rng, DEFECTS)) for _ in range(size)]
+    datas = [xz_dataset(rng, n, pick(rng, DEFECTS)) for _ in range(size)]
     if start is None:
         return [(data, what) for data in datas], {desc.kind.value for desc in what}
     starts = [None] * size
@@ -341,8 +320,8 @@ def _prepare_cases(draw):
     size, rng = draw(st.integers(1, 5)), fuzz_rng(draw)
     n, tau = int(rng.integers(12, 300)), pick(rng, PREPARE_TAUS)
     return [
-        (_dataset(rng, n), tau,
-         [_summary(rng, pick(rng, PREPARE_BINDINGS)) for _ in range(int(rng.integers(1, 3)))])
+        (xz_dataset(rng, n), tau,
+         [xz_summary(rng, pick(rng, PREPARE_BINDINGS)) for _ in range(int(rng.integers(1, 3)))])
         for _ in range(size)
     ], {tau.kind.value}
 
@@ -397,6 +376,22 @@ def _result_cases(draw):
     method, note, level = pick(rng, tuple(Method)), pick(rng, ("", "a note")), pick(rng, LEVELS)
     lone = zip(ns, gain, estimate, avar)
     return [(method, n, g, e, a, level, warn, note) for n, g, e, a in lone], set()
+
+
+def _se_and_warnings(lone, tags, alone):
+    """Each result's se is sqrt(max(diag avar, 0) / n), and its warnings are
+    the fit's, then one for a zero se, then the note."""
+    out = set()
+    for (_, n, _, _, avar, _, warn, note), one in zip(lone, alone):
+        if one.error is None:
+            diagonal = sym(avar).diagonal()
+            se = np.sqrt(np.maximum(diagonal, 0.0) / n)
+            assert_same_bits(one.value.se, se, "se")
+            zero = ["zero standard error: one-sided p set to NaN"] if (se == 0.0).any() else []
+            assert one.value.warnings == tuple(warn + zero + ([note] if note else []))
+            out |= {"zero se"} if zero else set()
+            out |= {"clipped diagonal"} if (diagonal < 0.0).any() else set()
+    return out
 
 
 def _wald_of_results(wald, method, ns, gain, estimate, avar, level, warn, note):
@@ -466,10 +461,44 @@ def _stack_cases(draw):
     return list(zip(*case)), set()
 
 
+def _sums_alone(data, part, slots, centers, spans):
+    """The feature sums of one dataset's folds built as one input at a time
+    builds them: the features in row order, the products of each fold's
+    rows taken out of them, and each train sum the other folds' products
+    added in fold order."""
+    features = np.empty((1, spans[-1].stop, data.n))
+    features[:, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for desc, center, span in zip(slots, centers, spans):
+            functionals._Moments([data], desc, center).features(
+                features[:, span], np.arange(data.n)[None])
+        test = []
+        for rows in part:
+            block = features[0].take(rows, 1)
+            test.append(block @ block.T)
+        train = [sum(test[g] for g in range(len(part)) if g != f) for f in range(len(part))]
+    return np.array(test), np.array(train)
+
+
 def _fold_fits(fold_fits, inputs, folds):
     """Per input: its folds' refit flags and train row counts, and each
-    fold's (held-out estimate, calibration) or error (class, message)."""
-    fits, out, start = fold_fits(inputs, folds), [], 0
+    fold's (held-out estimate, calibration) or error (class, message). Each
+    group's feature sums (debias._fold_sums) must be those of its inputs
+    built one at a time (_sums_alone)."""
+    calls, fold_sums = [], debias._fold_sums
+
+    def recording(datas, parts, sizes, slots, centers, spans):
+        out = fold_sums(datas, parts, sizes, slots, centers, spans)
+        calls.append((datas, parts, slots, spans, out))
+        return out
+
+    with mock.patch.object(debias, "_fold_sums", recording):
+        fits = fold_fits(inputs, folds)
+    for datas, parts, slots, spans, (test, train, centers) in calls:
+        for b, (data, part) in enumerate(zip(datas, parts)):
+            alone = _sums_alone(data, part, slots, [c[b : b + 1] for c in centers], spans)
+            assert_same_bits((test[b], train[b]), alone, "fold sums")
+    out, start = [], 0
     for part in folds:
         span = slice(start, start + len(part))
         out.append((fits.refit[span], fits.train_size[span], []))
@@ -482,7 +511,7 @@ def _fold_fits(fold_fits, inputs, folds):
     return out
 
 
-def _fold_paths(tags, alone):
+def _fold_paths(lone, tags, alone):
     """The paths the folds took: read from sums, refitted, failed."""
     done = [o.value for o in alone if o.error is None]
     return {"refitted" if flag else "read from sums" for refit, _, _ in done for flag in refit} | {
@@ -542,9 +571,10 @@ def _stacker(*shared, designs=False):
 
 
 # An entry point ("module:attribute.path" in datafuse), its rule, how to call
-# it on a row's arguments (directly if None), and `labels`, a map of (the
-# row's tags, the lone outcomes) to more outcomes reached.
-Entry = namedtuple("Entry", "name rule call labels", defaults=(None, None))
+# it on a row's arguments (directly if None), and `check`, which asserts what
+# the lone calls give, from (their arguments, the row's tags, their
+# outcomes), and returns more outcomes reached.
+Entry = namedtuple("Entry", "name rule call check", defaults=(None, None))
 # A strategy of (lone calls' arguments, tags), how to stack them, the entry
 # points, the examples to draw besides the `explicit` ones, and the outcomes
 # to reach; each lone call counts the calls of the `spies`.
@@ -557,13 +587,17 @@ _NEWTON_REACH = {
     "ill-conditioned system", "fitted probabilities pinned at 0/1", "no improving Newton step",
     "coefficients diverged", "matrix is not positive definite", "design matrix is rank deficient",
 }
+# marginal slopes on X and Z of two datasets, Z zero in the second
+_ZERO_Z = ([(xz_dataset(np.random.default_rng(seed), 40, bad), PREPARE_BINDINGS[2])
+            for seed, bad in ((0, None), (1, "zero"))], {"marginal_ols"})
 ROWS = (
     Row(_systems(), _stacker(), (Entry(
         "_linalg:spd_solve", "first", lambda f, a, b: f(a, b, SingularCalibration, None, "x")),),
         300, {"ok", "mixed", "ill-conditioned system", "matrix is not finite",
               "matrix is not positive definite", "singular system"}, unbatched=True),
     Row(_stacks(nan=True).map(lambda c: ([(a,) for a in c[1]], set(c[2]))), _stacker(), (Entry(
-        "_linalg:inv_sqrt_spd", "first", lambda f, a: f(a, NotPositiveDefinite, "x")),),
+        "_linalg:inv_sqrt_spd", "first", lambda f, a: f(a, NotPositiveDefinite, "x"),
+        _fails_on_indefinite_or_nan),),
         300, {"ok", "mixed", "matrix is not finite", "matrix is not positive semidefinite"},
         unbatched=True),
     Row(_design_cases(with_y=False), _stacker(designs=True), (Entry(
@@ -575,13 +609,15 @@ ROWS = (
     Row(_newton_cases, _stacker(3, designs=True), (
         Entry("functionals:_newton_logistic", "any", _capped, _steps),), 300, _NEWTON_REACH,
         explicit=_RARE, spies=("functionals:spd_solve", "functionals:_bernoulli_loglik")),
-    Row(_fit_cases(PREPARE_TAUS[:1], "propensity"), _stacker(1), (Entry(
-        "functionals:_fit_aipw", "any",
-        lambda f, datas, tau, start: f(datas, **tau.args, start=start)),), 40, {"ok", "mixed"}),
+    Row(_aipw_cases, _stacker(), (Entry(
+        "functionals:_fit_aipw", "any", lambda f, datas, start: f(
+            datas, "Y", "T", ["X", "X2"], functionals.PROPENSITY_TRIM, start=start)),), 40,
+        {"ok", "cold", "start 0.1", "start 3.0"}),
     Row(_fit_cases(DESCRIPTORS, "propensity"), _stacker(1), (Entry("functionals:_refit", "any"),),
         60, {k.value for k in functionals._FITTERS} | {"ok", "mixed", *_FIT_ERRORS}),
     Row(_fit_cases(PREPARE_BINDINGS), _stacker(1), (
-        Entry("functionals:_evaluate_bindings", "first"),), 40, {"ok", "mixed", *_FIT_ERRORS}),
+        Entry("functionals:_evaluate_bindings", "first"),), 40, {"ok", "mixed", *_FIT_ERRORS},
+        explicit=(_ZERO_Z,)),
     Row(_fit_cases([d for d in DESCRIPTORS if d.kind is not FunctionalKind.AIPW_ATE], "center"),
         _stacker(1), (Entry("functionals:_Moments", "first", _moments),), 40,
         {"mean", "joint_ols", "marginal_ols", "ok", "mixed"}),
@@ -590,9 +626,10 @@ ROWS = (
     Row(_external_cases(), _stacker(), (Entry("fusion:_external", "first"),), 100,
         {"inputs", "folds"}),
     Row(_result_cases(), _stacker(0, 5, 6, 7), (
-        Entry("fusion:_build_results", "first"),
+        Entry("fusion:_build_results", "first", None, _se_and_warnings),
         Entry("fusion:_wald", "first", _wald_of_results),
-    ), 200, {"ok", "mixed", "avar is not positive semidefinite", "MalformedInput"}),
+    ), 200, {"ok", "mixed", "avar is not positive semidefinite", "MalformedInput", "zero se",
+             "clipped diagonal"}),
     Row(_calibration_cases(), _stacker(1), (
         Entry("fusion:_Calibration.restrict", "first"),
         Entry("fusion:_Calibration.fuse", "first", lambda f, calib, keep: f(calib.restrict(keep))),
@@ -703,7 +740,7 @@ def reached(name):
             _check(entry.rule, stacked, alone)
             mixed = len({one.error is None for one in alone}) > 1
             seen.update(*map(_heads, alone), ["mixed"] * mixed)
-            seen.update(entry.labels(tags, alone) if entry.labels else ())
+            seen.update(entry.check(lone, tags, alone) if entry.check else ())
 
     for case in row.explicit:
         each_slice = example(case)(each_slice)

@@ -1,18 +1,16 @@
 """Results and Wald intervals of a stack against each row's alone (the
-_build_results row of test_stack_invariance's table, and each side of
-_wald), a zero se that warns in its own result of a stack only, and one
-failing binding fit that makes fusion._prepare's list raise that dataset's
-own error."""
+_build_results row of test_stack_invariance's table, which also checks each
+result's se and the order of its warnings, and each side of _wald), a zero
+se that warns in its own result of a stack only, and one failing binding
+fit that makes fusion._prepare's list raise that dataset's own error."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from helpers import assert_same_bits
-from test_stack_invariance import (
-    JOINT, PREPARE_BINDINGS, PREPARE_TAUS, ROW, _dataset, _summary, reached,
-)
+from helpers import JOINT, PREPARE_BINDINGS, PREPARE_TAUS, assert_same_bits, xz_dataset, xz_summary
+from test_stack_invariance import ROW, reached
 
 from datafuse import Method, fusion
 from datafuse.errors import DataFuseError, DegenerateRegressor, RankDeficientDesign
@@ -68,8 +66,8 @@ def test_a_list_with_one_failing_binding_raises_its_lone_error(bad, binding, kin
     joint design, a regressor with zero second moment) makes the list raise
     that dataset's own class and message."""
     rng = np.random.default_rng(11)
-    datas = [_dataset(rng, 80, bad if r == at else None) for r in range(3)]
-    summaries = [[_summary(rng, binding)] for _ in datas]
+    datas = [xz_dataset(rng, 80, bad if r == at else None) for r in range(3)]
+    summaries = [[xz_summary(rng, binding)] for _ in datas]
     tau = PREPARE_TAUS[3]
     _, lone = _prepared([datas[at]], tau, [summaries[at]])
     assert lone is not None and lone[0] is kind
