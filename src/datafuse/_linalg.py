@@ -36,8 +36,8 @@ LOGISTIC_SCORE_TOL = 1e-10  # absolute, max |score|: functionals._newton_logisti
 LOGLIK_SLACK = 1e-12  # relative, to 1 + |loglik|: the steps _newton_logistic accepts
 DIVERGENCE_BOUND = 1e4  # absolute, max |coef|: _newton_logistic's divergence test
 PINNED_PROB = 1e-8  # absolute, distance from 0 or 1: functionals._pinned's probabilities
-SECOND_MOMENT_FLOOR = 1e-30  # absolute: fit_marginal_ols and _Moments.fit, second moments
-CANCELLATION_FLOOR = 1e-4  # relative: _Moments.fit's failed (to lam_max), cancelled (to terms)
+SECOND_MOMENT_FLOOR = 1e-30  # absolute: fit_marginal_ols and _Moments.solve, second moments
+CANCELLATION_FLOOR = 1e-4  # relative: _Moments.solve's failed (to lam_max), .fit's refit (to terms)
 
 # the strictly lower triangle of a k x k matrix as a boolean mask, by k
 _LOWER = {}

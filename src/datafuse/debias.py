@@ -529,21 +529,20 @@ class _FoldFits:
     buffer is dropped. Every fold's fits come from those sums at once, with
     no refit and no influence columns: estimates, influence maps L, and the
     calibration moments L S L' with S the train rows' second moments of the
-    features. The slots of one design width share one _Moments.fit call,
-    over the sets of rows of all of them and of every input: the target's
-    held-out and train rows of every fold, and the other slots' train rows.
-    The calibrations of all folds are built from the sums at once, as one
+    features. The target on every fold's held-out rows is one
+    _Moments.solve, for its estimate alone; the slots of one design width
+    are fitted on every fold's train rows by one _Moments.fit call. The
+    calibrations of all folds are built from the sums at once, as one
     stacked _Calibration. Otherwise the fold is refitted whole (`refit[g]`):
     the target on the held-out rows (_fit_tau), then prepare_inputs on the
     train rows, an aipw_ate target started from the full-data propensity
     and the fold re-run from zero if that raises. That is every fold when a
     slot has no moment form (aipw_ate, or designs too wide); every fold of
     an input whose folds overlap or leave rows out, or whose feature sums
-    are not finite; and a fold whose sums flag a fit or whose moments would
-    cancel (_Moments.fit). The sums flag a superset of the folds on which a fitter
-    fails, and the refit decides, so a fold fails only with the refit's
-    error. Of the target on the held-out rows only its estimate is read, so
-    there only a flagged fit calls for a refit.
+    are not finite; and a fold whose held-out solve fails or whose train
+    fits call for a refit (_Moments.solve, _Moments.fit). The sums flag a
+    superset of the folds on which a fitter fails, and the refit decides,
+    so a fold fails only with the refit's error.
     """
 
     def __init__(self, inputs, folds):
@@ -615,37 +614,23 @@ class _FoldFits:
         if not live:
             return
 
-        # the folds read from sums, and the sets of rows of each slot: for the
-        # target the test rows too, of which only the estimate is read;
-        # feature 0 is ones, so sums[:, 0, 0] counts each set's rows
+        # the folds read from sums: the target on their held-out rows is solved
+        # for its estimate, each slot fitted on their train rows; feature 0 is
+        # ones, so sums[:, 0, 0] counts each set's rows
         test, train, sigma_ext, beta_tilde, *centers = (np.concatenate(a) for a in zip(*parts))
-        k = len(live)
-        sets = [np.concatenate((test, train))] + [train] * len(distinct)
-        centers[0] = np.concatenate((centers[0], centers[0]))
-        # per fold: the stacked estimates and influence maps of the slots; a
-        # fold whose sums flag a fit or cancel is refitted
-        refit = np.zeros(k, dtype=bool)
-        estimates = np.zeros((k, starts[-1]))
-        maps = np.zeros((k, starts[-1], test.shape[-1]))
+        tau_test, refit = _Moments.solve(centers[0], test[:, 0, 0], test[:, 0, spans[0]])[:2]
+        estimates = np.zeros((len(live), starts[-1]))
+        maps = np.zeros((len(live), starts[-1], train.shape[-1]))
         for width in dict.fromkeys(widths):
             group = [i for i in range(len(slots)) if widths[i] == width]
             fitted = _Moments.fit(
                 np.concatenate([centers[i] for i in group]),
-                np.concatenate([sets[i][:, 0, 0] for i in group]),
-                np.concatenate([sets[i][:, 0, spans[i]] for i in group]),
-                np.concatenate([sets[i][:, spans[i], spans[i]] for i in group]),
+                np.tile(train[:, 0, 0], len(group)),
+                np.concatenate([train[:, 0, spans[i]] for i in group]),
+                np.concatenate([train[:, spans[i], spans[i]] for i in group]),
             )
-            at = 0
-            for i in group:
-                estimate, lmap, failed, cancelled = (a[at : at + len(sets[i])] for a in fitted)
-                at += len(sets[i])
-                if i == 0:
-                    tau_test = estimate[:k, self.tau]
-                    refit |= failed[:k]
-                    estimate, lmap, failed, cancelled = (
-                        a[k:] for a in (estimate, lmap, failed, cancelled)
-                    )
-                refit |= failed | cancelled
+            for i, estimate, lmap, flags in zip(group, *(np.split(a, len(group)) for a in fitted)):
+                refit |= flags
                 estimates[:, coefs[i]], maps[:, coefs[i], spans[i]] = estimate, lmap
         moments = _calibration_moments(
             maps[:, self.tau], maps[:, self.beta], train / train[:, :1, :1]
@@ -655,7 +640,7 @@ class _FoldFits:
         )
         # the folds of the inputs not read from sums hold zeros, never read
         self.refit[live] = refit
-        self.tau_test = _scatter(tau_test, live, len(self.where))
+        self.tau_test = _scatter(tau_test[:, self.tau], live, len(self.where))
         self.calibration = _Calibration(
             *(_scatter(getattr(calib, f.name), live, len(self.where)) for f in fields(calib))
         )

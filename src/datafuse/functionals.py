@@ -546,33 +546,25 @@ class _Moments:
             np.multiply(factors[j], factors[k], out=out[:, pairs.shape[1] + j])
 
     @staticmethod
-    def fit(centers, counts, totals, products):
-        """The fit on each of several sets of rows, from the center of its
-        form (row i of `centers`, all of one width k), its row count
+    def solve(centers, counts, totals):
+        """The estimate on each of several sets of rows, from the center of
+        its form (row i of `centers`, all of one width k), its row count
         (`counts[i]`) and the sums over its rows of the features (row i of
-        `totals`) and of their outer products (`products[i]`): (estimates,
-        L, failed, cancelled), one entry per set.
+        `totals`): (estimates, failed, inv(A), shifts), one entry per set.
 
         One rule serves every kind; a mean or marginal_ols fit is its case
         k = 1. failed[i] is True where A = E(VV') on set i has a diagonal
         entry at most SECOND_MOMENT_FLOOR (a `where` that no row meets, a
         zero second moment), where A scaled to unit diagonal has
         lambda_min <= CANCELLATION_FLOOR lambda_max (a design that is rank
-        deficient, or near it, in any units of its columns), or where the
-        estimate or the influence's sum of squares (the trace of L P L') is
-        not finite. That flags every set the fitter rejects, and more: the
-        fitter accepts a design of that condition number or less. The
-        estimate and L of a failed set are zero. cancelled[i] is True when a
-        diagonal entry of L P L' is at most CANCELLATION_FLOOR times the
-        size of the terms it is summed from, (|L| sqrt(diag P))^2: the
-        round-off of those terms is then no longer small against it, or
-        both are zero (as when the rows fit exactly: the fitter's influence
-        is then round-off, which the sums do not see). Either way the set's
-        fits are to be refitted.
+        deficient, or near it, in any units of its columns; this also keeps
+        a singular A from inv, which would raise for the whole stack), or
+        where the estimate is not finite. That flags every set the fitter
+        rejects, and more: the fitter accepts a design of that condition
+        number or less. The estimate of a failed set is zero.
         """
         sets, k = centers.shape
         eye, (a, b) = np.eye(k), _pairs(k)
-        pair = np.arange(a.size)
         mean = totals / counts[:, None]
         gram = np.empty((sets, k, k))
         gram[:, a, b] = gram[:, b, a] = mean[:, : a.size]
@@ -586,18 +578,38 @@ class _Moments:
         a_inv = np.linalg.inv(gram)
         with np.errstate(over="ignore", invalid="ignore"):
             shift = (a_inv @ mean[:, -k:, None])[:, :, 0]
+            estimate = centers + shift
+            failed |= ~np.isfinite(estimate.sum(axis=1))
+        estimate[failed] = 0.0
+        return estimate, failed, a_inv, shift
+
+    @staticmethod
+    def fit(centers, counts, totals, products):
+        """solve's estimates with the influence maps L and one refit flag per
+        set, from the sums over set i's rows of the features' outer products
+        too (`products[i]`): (estimates, L, refit). refit[i] is True where
+        set i failed, where the trace of L P L' is not finite, or where a
+        diagonal entry of L P L' is at most CANCELLATION_FLOOR times the size
+        of the terms it is summed from, (|L| sqrt(diag P))^2: their round-off
+        is then no longer small against it, or both are zero (as when the
+        rows fit exactly: the fitter's influence is then round-off, which the
+        sums do not see). The estimate and L of a failed set, or of one whose
+        trace is not finite, are zero."""
+        estimate, failed, a_inv, shift = _Moments.solve(centers, counts, totals)
+        a, b = _pairs(shift.shape[1])
+        pair = np.arange(a.size)
+        with np.errstate(over="ignore", invalid="ignore"):
             # D, with D g = V V' shift: column p, for the pair (a, b), holds
             # shift_b in row a and shift_a in row b
-            d = np.zeros((sets, k, a.size))
+            d = np.zeros(shift.shape + pair.shape)
             d[:, a, pair], d[:, b, pair] = shift[:, b], shift[:, a]
             lmap = np.concatenate((-(a_inv @ d), a_inv), axis=2)
-            estimate = centers + shift
             diag = ((lmap @ products) * lmap).sum(axis=2)
             size = (np.abs(lmap) @ np.sqrt(np.diagonal(products, 0, 1, 2))[:, :, None])[:, :, 0]
-            failed |= ~np.isfinite(diag.sum(axis=1) + estimate.sum(axis=1))
-            cancelled = (diag <= CANCELLATION_FLOOR * size**2).any(axis=1)
+            failed |= ~np.isfinite(diag.sum(axis=1))
+            refit = failed | (diag <= CANCELLATION_FLOOR * size**2).any(axis=1)
         estimate[failed], lmap[failed] = 0.0, 0.0
-        return estimate, lmap, failed, cancelled
+        return estimate, lmap, refit
 
 
 @functools.lru_cache(maxsize=None)

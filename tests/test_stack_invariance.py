@@ -305,13 +305,15 @@ def _fit_cases(draw, descriptors, start=None):
 
 
 def _moments(moments, datas, desc, center):
-    """The centers and features of _Moments on every row in order, and
-    _Moments.fit on all rows from the feature sums."""
+    """The centers and features of _Moments on every row in order, and both
+    parts of the fit on all rows from the feature sums: _Moments.solve (the
+    estimate) and _Moments.fit (the influence maps and refit flags)."""
     form, (size, n) = moments(datas, desc, center), (len(datas), datas[0].n)
     out = np.empty((size, len(form.factors) * (len(form.factors) + 1) // 2 - 1, n))
     form.features(out, np.arange(size * n).reshape(size, n))
     sums = (np.full(size, float(n)), out.sum(axis=-1), out @ out.swapaxes(-1, -2))
-    return (form.center, out) + moments.fit(form.center, *sums)
+    return (form.center, out) + moments.solve(form.center, *sums[:2]) + moments.fit(
+        form.center, *sums)
 
 
 @st.composite
