@@ -585,16 +585,17 @@ class _Moments:
 
     @staticmethod
     def fit(centers, counts, totals, products):
-        """solve's estimates with the influence maps L and one refit flag per
-        set, from the sums over set i's rows of the features' outer products
-        too (`products[i]`): (estimates, L, refit). refit[i] is True where
-        set i failed, where the trace of L P L' is not finite, or where a
-        diagonal entry of L P L' is at most CANCELLATION_FLOOR times the size
-        of the terms it is summed from, (|L| sqrt(diag P))^2: their round-off
-        is then no longer small against it, or both are zero (as when the
-        rows fit exactly: the fitter's influence is then round-off, which the
-        sums do not see). The estimate and L of a failed set, or of one whose
-        trace is not finite, are zero."""
+        """solve's estimates, the influence maps L and one refit flag per set:
+        (estimates, L, refit), from solve's arguments and the sums over set
+        i's rows of the features' outer products (P = `products[i]`).
+        refit[i] is True where set i failed, where the trace of L P L' is
+        not finite, or where a diagonal entry of L P L' is at most
+        CANCELLATION_FLOOR times the size of the terms it is summed from,
+        (|L| sqrt(diag P))^2: their round-off is then no longer small against
+        it, or both are zero (as when the rows fit exactly: the fitter's
+        influence is then round-off, which the sums do not see). The
+        estimate and L of a failed set, or of one whose trace is not finite,
+        are zero."""
         estimate, failed, a_inv, shift = _Moments.solve(centers, counts, totals)
         a, b = _pairs(shift.shape[1])
         pair = np.arange(a.size)

@@ -138,20 +138,23 @@ class InternalDataset:
 
     def subset(self, idx) -> "InternalDataset":
         """Row subset (used by cross-validation folds); `idx` is a
-        one-dimensional array of integer row indices, possibly empty."""
+        one-dimensional array of integer row indices in [0, n), possibly
+        empty."""
         try:
             rows = np.asarray(idx)
         except ValueError:  # ragged nesting
             rows = None
         if rows is not None and rows.ndim == 1 and rows.size == 0:
             rows = rows.astype(np.intp)  # [] is float64
-        if rows is None or rows.ndim != 1 or rows.dtype.kind not in "iu":
-            raise MalformedInput(f"idx must be a one-dimensional array of row indices, got {idx!r}")
-        idx = rows
-        cols = {name: arr[idx] for name, arr in self.columns.items()}  # new arrays
+        bad = rows is None or rows.ndim != 1 or rows.dtype.kind not in "iu"
+        if bad or (rows.size and (rows.min() < 0 or rows.max() >= self.n)):
+            raise MalformedInput(
+                f"idx must be a one-dimensional array of row indices in [0, {self.n}), got {idx!r}"
+            )
+        cols = {name: arr[rows] for name, arr in self.columns.items()}  # new arrays
         for col in cols.values():
             col.setflags(write=False)
-        return InternalDataset(columns=cols, n=int(idx.size))
+        return InternalDataset(columns=cols, n=int(rows.size))
 
 
 def validate_dataset(
@@ -382,6 +385,8 @@ def validate_summary(
     source_id: str = "",
 ) -> SummaryStatistic:
     """Build a SummaryStatistic, enforcing symmetry/PSD/shape contracts."""
+    if not isinstance(source_id, str):
+        raise MalformedInput(f"summary 'source_id' must be a string, got {source_id!r}")
     try:
         beta = np.atleast_1d(np.asarray(beta, dtype=float))
         sigma1 = np.asarray(sigma1, dtype=float)
@@ -416,7 +421,7 @@ def validate_summary(
         sigma1=_readonly(sigma1),
         m=int(m),
         binding=binding,
-        source_id=str(source_id),
+        source_id=source_id,
     )
 
 
@@ -442,12 +447,8 @@ class FunctionalFit:
     _propensity = None
 
     def __post_init__(self):
-        try:
-            estimate = np.atleast_1d(np.asarray(self.estimate, dtype=float))
-            influence = np.asarray(self.influence, dtype=float)
-        except (TypeError, ValueError, OverflowError):  # raised again, naming the argument
-            estimate = np.atleast_1d(_floats("estimate", self.estimate))
-            influence = _floats("influence", self.influence)
+        estimate = np.atleast_1d(_floats("estimate", self.estimate))
+        influence = _floats("influence", self.influence)
         if influence.ndim != 2 or influence.shape[1] != estimate.shape[0]:
             raise DimensionMismatch(
                 f"influence shape {influence.shape} does not match "
@@ -735,11 +736,7 @@ def _summary_from_dict(obj) -> SummaryStatistic:
     if not isinstance(binding, Sequence) or isinstance(binding, (str, bytes)):
         raise MalformedInput("summary 'binding' must be a list of descriptors")
     descs = [FunctionalDescriptor.from_json(entry) for entry in binding]
-    source_id = obj.get("source_id")
-    if source_id is None:
-        source_id = ""
-    elif not isinstance(source_id, str):
-        raise MalformedInput(f"summary 'source_id' must be a string, got {source_id!r}")
+    source_id = "" if obj.get("source_id") is None else obj["source_id"]
     return validate_summary(obj["beta"], obj["sigma1"], obj["m"], descs, source_id)
 
 

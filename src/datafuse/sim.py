@@ -198,6 +198,7 @@ def gen_scenario2(
     1/2; the first summary coordinate stays unbiased.
     """
     _check_draw(n, m, rng)
+    _check_type("biased", biased, bool)
     tau1, tau2 = _tau(tau)
     chol = np.array([[1.0, 0.0], [0.6, 0.8]])
 

@@ -924,44 +924,79 @@ def test_warnings_reach_stderr_only_when_the_command_succeeds(tmp_path):
     assert done.stderr.endswith("  warnings.warn(msg)\n")
 
 
-# Run in a fresh interpreter: the scipy modules loaded after importing the
-# CLI and after each named command.
-_SCIPY_LOADED = """
+# Run in a fresh interpreter in which every import of scipy fails: it writes
+# the inputs into the directory argv[1], runs each command of argv[2] and
+# prints the scipy modules loaded after the import and after each command
+# (or the command's exit status), and each command's stdout.
+_NO_SCIPY = """
 import contextlib, io, json, sys
+from pathlib import Path
+
+sys.modules["scipy"] = None  # any import of scipy now fails
+import numpy as np
+from datafuse import cli, gen_scenario1, gen_scenario2, write_internal_csv, write_summary_json
 
 def loaded():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    return sorted(name for name, module in sys.modules.items()
+                  if module is not None and name.split(".")[0] == "scipy")
 
-from datafuse import cli
-stages = {"import": loaded()}
-for stage, argv in json.loads(sys.argv[1]).items():
-    with contextlib.redirect_stdout(io.StringIO()):
+stages, printed, tmp = {"import": loaded()}, {}, Path(sys.argv[1])
+internal, summary, _ = gen_scenario1(1000, 1000, np.random.default_rng(1))
+write_internal_csv(internal, tmp / "internal.csv")
+write_summary_json(summary, tmp / "summary.json")
+crlf = (tmp / "internal.csv").read_bytes()
+(tmp / "lf.csv").write_bytes(crlf.replace(b"\\r\\n", b"\\n").rstrip(b"\\n"))
+(tmp / "cr.csv").write_bytes(crlf.replace(b"\\r\\n", b"\\r"))
+internal, summary, _ = gen_scenario2(1000, 4000, True, np.random.default_rng(2))
+write_internal_csv(internal, tmp / "internal_II.csv")
+write_summary_json(summary, tmp / "summary_II.json")
+for stage, argv in json.loads(sys.argv[2]).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     stages[stage] = loaded() if code == 0 else f"exit {code}"
-print(json.dumps(stages))
+    printed[stage] = out.getvalue()
+print(json.dumps([stages, printed]))
 """
+
+# the three line ends of the aipw_ate estimate's internal CSV
+_LINE_ENDS = ("internal.csv", "lf.csv", "cr.csv")
 
 
 def test_commands_load_no_scipy(tmp_path):
-    # importing scipy.linalg.lapack and scipy.special once cost every command
-    # about two thirds of its start-up CPU; scipy is now a test dependency
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(1000)
-    y = 1.0 + x + rng.standard_normal(1000)
-    internal = tmp_path / "internal.csv"
-    internal.write_text("X,Y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x, y)))
-    _, summary = _write_example(tmp_path, beta=0.0)
+    # scipy is a test dependency only (importing scipy.linalg.lapack and
+    # scipy.special once cost every command about two thirds of its
+    # start-up CPU). With its import blocked, the generators and writers,
+    # 17-rep simulates of Scenarios I and II_biased (a stacked chunk of 16
+    # and a chunk of one; DBS, its moment-sum folds and the marginal
+    # external fits) and two dbs estimates each exit 0. The aipw_ate
+    # estimate runs on the written CRLF file, on an LF rewrite with no
+    # final line end (the fast path's line-end census) and on a CR-only
+    # rewrite (the csv loop), and all three print the same stdout. The
+    # joint_ols estimate on a Scenario II_biased dataset and its marginal
+    # summary reads its folds from moment sums as one input.
+    def estimate(tau, summary, internal):
+        return ["estimate", "--summary", str(tmp_path / summary), "--tau", json.dumps(tau),
+                "--method", "dbs", "--internal", str(tmp_path / internal)]
+
+    aipw = {"functional": "aipw_ate",
+            "args": {"outcome": "Y", "treatment": "T", "covariates": ["X", "X2"]}}
+    joint = {"functional": "joint_ols",
+             "args": {"outcome": "Y", "regressors": ["X1", "X2"], "intercept": False}}
     commands = {
-        "estimate dbs": ["estimate", "--internal", str(internal), "--summary", str(summary),
-                         "--tau", TAU_MEAN_Y, "--method", "dbs"],
-        **{f"simulate {scenario}": ["simulate", "--scenario", scenario, "--n", "200",
-                                    "--m", "400", "--reps", "2"]
-           for scenario in ("I", "II_biased")},
+        **{f"simulate {scenario}": ["simulate", "--scenario", scenario, "--n", "500", "--m", m,
+                                    "--reps", "17", "--out-dir", str(tmp_path)]
+           for scenario, m in (("I", "500"), ("II_biased", "2000"))},
+        **{f"estimate aipw_ate {name}": estimate(aipw, "summary.json", name)
+           for name in _LINE_ENDS},
+        "estimate joint_ols": estimate(joint, "summary_II.json", "internal_II.csv"),
     }
-    done = _python_process(["-c", _SCIPY_LOADED, json.dumps(commands)])
+    done = _python_process(["-c", _NO_SCIPY, str(tmp_path), json.dumps(commands)])
     assert done.returncode == 0, done.stderr
-    stages = json.loads(done.stdout)
+    stages, printed = json.loads(done.stdout)
     assert stages == {stage: [] for stage in ("import", *commands)}
+    assert len({printed[f"estimate aipw_ate {name}"] for name in _LINE_ENDS}) == 1
+    assert b"\r\n" in (tmp_path / "internal.csv").read_bytes()
 
 
 def test_no_library_module_imports_scipy():

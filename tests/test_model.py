@@ -145,16 +145,19 @@ def test_validate_dataset_rejects_a_bare_string_of_covariates(covariates, tmp_pa
 
 
 @pytest.mark.parametrize(
-    "idx", ["a", [1.5], None, [[0], [1, 2]], [[0, 1]], 1],
-    ids=["str", "float", "none", "ragged", "2-d", "scalar"],
+    "idx", ["a", [1.5], None, [[0], [1, 2]], [[0, 1]], 1, np.array([3]), np.array([0, -1])],
+    ids=["str", "float", "none", "ragged", "2-d", "scalar", "past-the-end", "negative"],
 )
 def test_subset_rejects_what_is_not_a_list_of_row_indices(idx):
     # these raised a raw IndexError or ValueError, or (a 2-d or scalar
-    # index) built columns that are not one row per index
+    # index) built columns that are not one row per index; a negative
+    # index silently took a row from the end
     data = validate_dataset({"Y": [1.0, 2.0, 3.0]})
     with pytest.raises(MalformedInput) as info:
         data.subset(idx)
-    assert str(info.value) == f"idx must be a one-dimensional array of row indices, got {idx!r}"
+    assert str(info.value) == (
+        f"idx must be a one-dimensional array of row indices in [0, 3), got {idx!r}"
+    )
 
 
 @pytest.mark.parametrize(
@@ -856,6 +859,11 @@ def test_summary_source_id_null_and_non_string():
     for bad in (3, ["a"], {"id": "a"}, True):
         with pytest.raises(MalformedInput):
             _summary_from_dict({**base, "source_id": bad})
+    # the library call has the JSON reader's rule: it stored "5"
+    binding = _summary_from_dict(base).binding
+    with pytest.raises(MalformedInput) as info:
+        validate_summary([1.0], [[1.0]], 10, binding, source_id=5)
+    assert str(info.value) == "summary 'source_id' must be a string, got 5"
 
 
 def test_summary_json_io_errors(tmp_path):

@@ -176,9 +176,10 @@ _TOO_BIG = sim_module._MAX_SIZE + 1
         lambda rng: gen_scenario2(50, 50, True, None),
         lambda rng: gen_scenario2(50, 50, True, rng, tau=("a", "b")),
         lambda rng: gen_scenario2(50, 50, True, rng, tau=(1.0,)),
+        lambda rng: gen_scenario2(20, 20, "no", rng),  # was read as biased
     ],
     ids=["n-str", "n-float", "m-too-big", "rng-none", "n-negative", "n-too-big", "rng-none-2",
-         "tau-str", "tau-short"],
+         "tau-str", "tau-short", "biased-str"],
 )
 def test_generators_reject_bad_arguments(call):
     with pytest.raises(MalformedInput):
