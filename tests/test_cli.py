@@ -959,10 +959,6 @@ for stage, argv in json.loads(sys.argv[2]).items():
 print(json.dumps([stages, printed]))
 """
 
-# the three line ends of the aipw_ate estimate's internal CSV
-_LINE_ENDS = ("internal.csv", "lf.csv", "cr.csv")
-
-
 def test_commands_load_no_scipy(tmp_path):
     # scipy is a test dependency only (importing scipy.linalg.lapack and
     # scipy.special once cost every command about two thirds of its
@@ -975,6 +971,8 @@ def test_commands_load_no_scipy(tmp_path):
     # rewrite (the csv loop), and all three print the same stdout. The
     # joint_ols estimate on a Scenario II_biased dataset and its marginal
     # summary reads its folds from moment sums as one input.
+    line_ends = ("internal.csv", "lf.csv", "cr.csv")  # CRLF, LF, CR-only
+
     def estimate(tau, summary, internal):
         return ["estimate", "--summary", str(tmp_path / summary), "--tau", json.dumps(tau),
                 "--method", "dbs", "--internal", str(tmp_path / internal)]
@@ -988,14 +986,14 @@ def test_commands_load_no_scipy(tmp_path):
                                     "--reps", "17", "--out-dir", str(tmp_path)]
            for scenario, m in (("I", "500"), ("II_biased", "2000"))},
         **{f"estimate aipw_ate {name}": estimate(aipw, "summary.json", name)
-           for name in _LINE_ENDS},
+           for name in line_ends},
         "estimate joint_ols": estimate(joint, "summary_II.json", "internal_II.csv"),
     }
     done = _python_process(["-c", _NO_SCIPY, str(tmp_path), json.dumps(commands)])
     assert done.returncode == 0, done.stderr
     stages, printed = json.loads(done.stdout)
     assert stages == {stage: [] for stage in ("import", *commands)}
-    assert len({printed[f"estimate aipw_ate {name}"] for name in _LINE_ENDS}) == 1
+    assert len({printed[f"estimate aipw_ate {name}"] for name in line_ends}) == 1
     assert b"\r\n" in (tmp_path / "internal.csv").read_bytes()
 
 
