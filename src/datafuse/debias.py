@@ -17,13 +17,13 @@ A cross-validation fold takes one of two paths (_FoldFits). When every fit
 is a mean, marginal_ols or joint_ols fit of a narrow design and the folds
 partition the rows, the fold's estimates and influence maps come from
 per-fold sums of moment features (functionals._Moments). The inputs of one
-row count and fold sizes write their features into one buffer, each
-input's rows in fold order, so that a fold's rows are one block of it and
-its sums one batched product (_fold_sums). Otherwise the fold is refitted
-whole on its rows; so is a fold whose sums flag a fit or whose moments
-would cancel. The sums flag a superset of the folds on which a fitter
-fails, so the refit decides, and a fold fails only with its error.
-The folds' calibrations are then one _Calibration with a leading fold axis:
+set of fold sizes write their features into one buffer, each input's rows
+in fold order, so that a fold's rows are one block of it and its sums one
+batched product (_fold_sums); their folds are fitted at once and written
+in place. Otherwise the fold is refitted whole on its rows; so is a fold
+whose sums flag a fit or whose moments would cancel. The sums flag a
+superset of the folds on which a fitter fails, so the refit decides, and a
+fold fails only with its error. The folds' calibrations are then one _Calibration with a leading fold axis:
 cv_tune whitens them with one stacked eigendecomposition and fuses all the
 folds that select one set with one batched solve. Should that stacked pass
 raise, cv_tune replays it one fold at a time, so the first failing fold
@@ -40,7 +40,7 @@ from itertools import accumulate, compress
 
 import numpy as np
 
-from ._linalg import inv_sqrt_spd, matvec
+from ._linalg import inv_sqrt_spd, matvec, sym
 from .errors import (
     DataFuseError,
     DimensionMismatch,
@@ -517,23 +517,24 @@ class _FoldFits:
     (functionals._distinct_fits); their coefficients are stacked, slot i's
     at `coefs[i]`, and `tau` and `beta` index the ones the target and the
     bindings report. The features of an input's forms, after a row of ones,
-    make its feature matrix G (one row per feature). The inputs of one row
-    count and one set of fold sizes form a group (one input, as `estimate`
-    has, is a group of one), whose matrices G are one buffer (B, F, n),
-    each input's columns in the order of its folds' rows (_fold_sums):
-    fold f's columns G_f are then one block of the buffer, and one batched
-    product per fold gives each input's G_f G_f', the row count and the
-    sums of the features and of their outer products over the fold's rows,
-    as the input alone gives them. The train rows' sums are added up from
-    the other folds' products in fold order, so nothing cancels, and the
-    buffer is dropped. Every fold's fits come from those sums at once, with
-    no refit and no influence columns: estimates, influence maps L, and the
-    calibration moments L S L' with S the train rows' second moments of the
-    features. The target on every fold's held-out rows is one
-    _Moments.solve, for its estimate alone; the slots of one design width
-    are fitted on every fold's train rows by one _Moments.fit call. The
-    calibrations of all folds are built from the sums at once, as one
-    stacked _Calibration. Otherwise the fold is refitted whole (`refit[g]`):
+    make its feature matrix G (one row per feature). The inputs of one set
+    of fold sizes, and so of one row count, form a group (one input, as
+    `estimate` has, is a group of one), whose matrices G are one buffer
+    (B, F, n), each input's columns in the order of its folds' rows
+    (_fold_sums): fold f's columns G_f are then one block of the buffer, and
+    one batched product per fold gives each input's G_f G_f', the row count
+    and the sums of the features and of their outer products over the
+    fold's rows, as the input alone gives them. The train rows' sums are
+    added up from the other folds' products in fold order, so nothing
+    cancels, and the buffer is dropped. Each group's folds are then fitted
+    at once from those sums, with no refit and no influence columns, and
+    their results are written in place into the arrays of all folds: the
+    target on their held-out rows is one _Moments.solve, for its estimate
+    alone; the slots of one design width are fitted on their train rows by
+    one _Moments.fit call, for estimates and influence maps L; and their
+    calibrations are one stacked _Calibration, with moments L S L', S the
+    train rows' second moments of the features. Otherwise the fold is
+    refitted whole (`refit[g]`), its entries there zeros, never read:
     the target on the held-out rows (_fit_tau), then prepare_inputs on the
     train rows, an aipw_ate target started from the full-data propensity
     and the fold re-run from zero if that raises. That is every fold when a
@@ -554,12 +555,12 @@ class _FoldFits:
         self.refit = np.ones(len(self.where), dtype=bool)
         # each fold's train rows number n less its distinct rows; the inputs
         # whose folds partition the rows, which may be read from sums, in
-        # groups of one row count and fold sizes
+        # groups of one set of fold sizes (which sum to the row count)
         self.train_size, groups = [], {}
         for r, (one, part) in enumerate(zip(inputs, folds)):
             if (np.bincount(np.concatenate(part), minlength=one.n) == 1).all():
                 self.train_size += [one.n - len(rows) for rows in part]
-                groups.setdefault((one.n, tuple(len(rows) for rows in part)), []).append(r)
+                groups.setdefault(tuple(len(rows) for rows in part), []).append(r)
             else:
                 self.train_size += [
                     one.n - int(np.count_nonzero(np.bincount(rows, minlength=one.n)))
@@ -582,10 +583,14 @@ class _FoldFits:
         # the rows of the feature matrix: ones, then the features of each slot
         spans = list(accumulate([k * (k + 3) // 2 for k in widths], initial=1))
         spans = [slice(a, b) for a, b in zip(spans[:-1], spans[1:])]
-        # each group's sums are built at once
+        # the folds not read from sums hold zeros, never read
+        p, q, total = self.tau.size, self.beta.size, len(self.where)
+        self.tau_test = np.zeros((total, p))
+        self.calibration = _Calibration(*(
+            np.zeros((total,) + shape) for shape in ((p,), (p, p), (p, q), (q, q), (q,), (q, q))
+        ))
         first = list(accumulate(map(len, folds), initial=0))
-        live, parts = [], []
-        for (_, sizes), members in groups.items():
+        for sizes, members in groups.items():
             # build the moment forms around the full-data fits where the
             # inputs hold all of a slot's coefficients
             known = np.full((len(members), starts[-1]), np.nan)
@@ -602,48 +607,45 @@ class _FoldFits:
             beta_tilde, sigma_ext = _external(
                 [inputs[r].summaries for r in members], train[:, :, 0, 0]
             )
-            # the folds of an input whose sums are not finite are refitted
+            # the folds of an input whose sums are not finite are refitted; the
+            # others, `live`, are read from sums: the target on their held-out
+            # rows is solved for its estimate, each slot fitted on their train
+            # rows; feature 0 is ones, so sums[:, 0, 0] counts each set's rows
             finite = np.isfinite(test).all(axis=(1, 2, 3)) & np.isfinite(train).all(axis=(1, 2, 3))
-            keep = np.repeat(finite, len(sizes))
-            live += compress([first[r] + f for r in members for f in range(len(sizes))], keep)
-            per_fold = (test, train, sigma_ext)
-            parts.append(
-                [a.reshape((keep.size,) + a.shape[2:])[keep] for a in per_fold]
-                + [np.repeat(a, len(sizes), 0)[keep] for a in (beta_tilde, *centers)]
+            live = np.add.outer(np.take(first, members), np.arange(len(sizes)))[finite].ravel()
+            test, train, sigma_ext = (
+                a[finite].reshape((live.size,) + a.shape[2:]) for a in (test, train, sigma_ext)
             )
-        if not live:
-            return
-
-        # the folds read from sums: the target on their held-out rows is solved
-        # for its estimate, each slot fitted on their train rows; feature 0 is
-        # ones, so sums[:, 0, 0] counts each set's rows
-        test, train, sigma_ext, beta_tilde, *centers = (np.concatenate(a) for a in zip(*parts))
-        tau_test, refit = _Moments.solve(centers[0], test[:, 0, 0], test[:, 0, spans[0]])[:2]
-        estimates = np.zeros((len(live), starts[-1]))
-        maps = np.zeros((len(live), starts[-1], train.shape[-1]))
-        for width in dict.fromkeys(widths):
-            group = [i for i in range(len(slots)) if widths[i] == width]
-            fitted = _Moments.fit(
-                np.concatenate([centers[i] for i in group]),
-                np.tile(train[:, 0, 0], len(group)),
-                np.concatenate([train[:, 0, spans[i]] for i in group]),
-                np.concatenate([train[:, spans[i], spans[i]] for i in group]),
+            beta_tilde, *centers = (
+                np.repeat(a[finite], len(sizes), 0) for a in (beta_tilde, *centers)
             )
-            for i, estimate, lmap, flags in zip(group, *(np.split(a, len(group)) for a in fitted)):
-                refit |= flags
-                estimates[:, coefs[i]], maps[:, coefs[i], spans[i]] = estimate, lmap
-        moments = _calibration_moments(
-            maps[:, self.tau], maps[:, self.beta], train / train[:, :1, :1]
-        )
-        calib = _Calibration(
-            estimates[:, self.tau], *moments, estimates[:, self.beta] - beta_tilde, sigma_ext
-        )
-        # the folds of the inputs not read from sums hold zeros, never read
-        self.refit[live] = refit
-        self.tau_test = _scatter(tau_test[:, self.tau], live, len(self.where))
-        self.calibration = _Calibration(
-            *(_scatter(getattr(calib, f.name), live, len(self.where)) for f in fields(calib))
-        )
+            tau_test, refit = _Moments.solve(centers[0], test[:, 0, 0], test[:, 0, spans[0]])[:2]
+            estimates = np.zeros((live.size, starts[-1]))
+            maps = np.zeros((live.size, starts[-1], train.shape[-1]))
+            for width in dict.fromkeys(widths):
+                same = [i for i in range(len(slots)) if widths[i] == width]
+                fitted = _Moments.fit(
+                    np.concatenate([centers[i] for i in same]),
+                    np.tile(train[:, 0, 0], len(same)),
+                    np.concatenate([train[:, 0, spans[i]] for i in same]),
+                    np.concatenate([train[:, spans[i], spans[i]] for i in same]),
+                )
+                for i, estimate, lmap, flag in zip(same, *(np.split(a, len(same)) for a in fitted)):
+                    refit |= flag
+                    estimates[:, coefs[i]], maps[:, coefs[i], spans[i]] = estimate, lmap
+            # the calibration moments L S L', S the train rows' second moments
+            l_tau, l_beta = maps[:, self.tau], maps[:, self.beta]
+            second = train / train[:, :1, :1]
+            tau_second = l_tau @ second
+            calib = _Calibration(
+                estimates[:, self.tau], sym(tau_second @ l_tau.swapaxes(-1, -2)),
+                tau_second @ l_beta.swapaxes(-1, -2),
+                sym(l_beta @ second @ l_beta.swapaxes(-1, -2)),
+                estimates[:, self.beta] - beta_tilde, sigma_ext,
+            )
+            self.refit[live], self.tau_test[live] = refit, tau_test[:, self.tau]
+            for f in fields(calib):
+                getattr(self.calibration, f.name)[live] = getattr(calib, f.name)
 
     def stacked(self, fs: slice):
         """(held-out estimates, _Calibration) of the folds of slice `fs`,
@@ -688,29 +690,6 @@ class _FoldFits:
         data = inputs.data.subset(self.train_rows(g))
         train = _prepare([data], inputs.tau, [inputs.summaries], stack)[0]
         return tau_test, train._calibration
-
-
-def _scatter(values, at: list, size: int) -> np.ndarray:
-    """`values` as the rows `at` of `size` rows, the others zero."""
-    if at == list(range(size)):
-        return values
-    out = np.zeros((size,) + values.shape[1:])
-    out[at] = values
-    return out
-
-
-def _calibration_moments(l_tau, l_beta, second):
-    """E(phi phi'), E(phi eta') and E(eta eta') from the influence maps of
-    the target (l_tau) and the bindings (l_beta) on features with second
-    moments `second`; leading axes, if any, index folds."""
-    tau_second = l_tau @ second
-    phi_var = tau_second @ l_tau.swapaxes(-1, -2)
-    gram = l_beta @ second @ l_beta.swapaxes(-1, -2)
-    return (
-        (phi_var + phi_var.swapaxes(-1, -2)) / 2.0,
-        tau_second @ l_beta.swapaxes(-1, -2),
-        (gram + gram.swapaxes(-1, -2)) / 2.0,
-    )
 
 
 def _fit_tau(inputs: FusionInputs, rows, start=None) -> np.ndarray:
