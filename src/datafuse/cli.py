@@ -23,6 +23,7 @@ from .errors import DataFuseError, IoError, MalformedInput, ZeroStandardError
 from .model import (
     FunctionalDescriptor,
     Method,
+    _read_json,
     _real,
     read_internal_csv,
     read_summary_json,
@@ -171,25 +172,23 @@ def _estimate_table(out: dict) -> str:
 
 
 def _load_config_file(path: str, toml: bool = True):
-    """The content of a JSON file, or of a TOML file if `toml` and the name
-    ends in .toml. A file that does not parse, is not UTF-8 or holds an
-    integer beyond the interpreter's digit limit (all ValueError, as is
-    tomllib.TOMLDecodeError) raises MalformedInput."""
-    fmt = "TOML" if toml and Path(path).suffix.lower() == ".toml" else "JSON"
+    """The content of a JSON file (model._read_json), or of a TOML file if
+    `toml` and the name ends in .toml. A TOML file that does not parse or is
+    not UTF-8 (both ValueError, as is tomllib.TOMLDecodeError) raises
+    MalformedInput."""
+    if not (toml and Path(path).suffix.lower() == ".toml"):
+        return _read_json(path)
     try:
-        if fmt == "TOML":
-            try:
-                import tomllib
-            except ModuleNotFoundError:
-                import tomli as tomllib
-            with open(path, "rb") as fh:
-                return tomllib.load(fh)
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        import tomllib
+    except ModuleNotFoundError:
+        import tomli as tomllib
+    try:
+        with open(path, "rb") as fh:
+            return tomllib.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
-        raise MalformedInput(f"{path}: invalid {fmt}: {exc}") from exc
+        raise MalformedInput(f"{path}: invalid TOML: {exc}") from exc
 
 
 def _cmd_simulate(args) -> tuple:

@@ -90,7 +90,7 @@ def _default_grid() -> tuple:
     # the penalty cannot zero the bias estimate of a genuinely unbiased
     # coordinate at n around 1000, so cross-validation noise would discard
     # usable summaries far too often.
-    return tuple(np.logspace(0.0, 2.0, 10))
+    return tuple(np.logspace(0.0, 2.0, 10).tolist())
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class DebiasConfig:
     lambda_fixed: float = None
 
     def __post_init__(self):
-        grid = tuple(sorted(_reals("grid_c", self.grid_c or _default_grid())))
+        grid = tuple(sorted(_reals("grid_c", self.grid_c) or _default_grid()))
         if any(c <= 0.0 for c in grid):
             raise MalformedInput("grid_c entries must be positive")
         object.__setattr__(self, "grid_c", grid)
@@ -325,12 +325,19 @@ _ORC_NOTE = "empty unbiased set: internal-only estimate"
 _DBS_NOTE = "empty selection: internal-only estimate"
 
 
+# numpy sizes an array only when its byte count fits in intp: the row
+# count whose permutation, of 8-byte indices, an array can hold
+_MAX_FOLD_ROWS = int(np.iinfo(np.intp).max) // 8
+
+
 def kfold_indices(n: int, k: int, seed) -> list:
     """Balanced folds (sizes differ by at most one) from a seeded shuffle;
     n is an integer >= k, k an integer >= 2 and seed an integer >= 0 or a
     numpy SeedSequence."""
     if _integer("k", k, 2) > _integer("n", n, 0):
         raise MalformedInput(f"cannot split {n} rows into {k} folds")
+    if n > _MAX_FOLD_ROWS:
+        raise MalformedInput(f"n must be at most {_MAX_FOLD_ROWS}, got {n!r}")
     perm = np.random.default_rng(_seed(seed)).permutation(n)
     # np.array_split's parts: the first n % k hold one row more
     bounds = [f * (n // k) + min(f, n % k) for f in range(k + 1)]
@@ -474,7 +481,14 @@ def _cv_errors(fits, fs: slice, grid, w: float, alpha: float) -> np.ndarray:
     weights, coords = _adaptive_weights(calib.residual, alpha), range(calib.residual.shape[-1])
     keys = []  # per fold, the selected set at each grid point
     for i, g in enumerate(folds):
-        lams = [c * fits.train_size[g] ** -w for c in grid]
+        try:
+            lams = [c * fits.train_size[g] ** -w for c in grid]
+        except OverflowError:  # n ** -w beyond the float range
+            lams = [math.inf]
+        if not math.isfinite(lams[-1]):
+            raise MalformedInput(
+                f"w={w} makes the penalty C * n^-w overflow at n = {fits.train_size[g]}"
+            )
         path = _lasso_path(x[i], y[i], weights[i], lams)
         keys.append([tuple(compress(coords, zero)) for zero in (path == 0.0).tolist()])
     selecting = {}  # each distinct selected set: the folds that select it, in order

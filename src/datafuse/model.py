@@ -244,6 +244,8 @@ class FunctionalDescriptor:
     component: Optional[int] = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):  # the enum lookup would compare an array
+            FunctionalKind._missing_(self.kind)
         kind = FunctionalKind(self.kind)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "args", _validate_args(kind, self.args))
@@ -545,7 +547,7 @@ class SelectionResult:
     def __post_init__(self):
         try:
             b = np.asarray(self.b_hat, dtype=float)
-        except (TypeError, ValueError):  # not numbers, or ragged
+        except (TypeError, ValueError, OverflowError):  # not numbers, ragged, or too large
             b = None
         if b is None or b.ndim != 1 or not np.isfinite(b).all():
             raise MalformedInput(f"b_hat must be a vector of finite numbers, got {self.b_hat!r}")
@@ -753,13 +755,19 @@ def write_summary_json(summary: SummaryStatistic, path):
 
 def read_summary_json(path) -> SummaryStatistic:
     _path(path)
+    return _summary_from_dict(_read_json(path))
+
+
+def _read_json(path):
+    """The content of the JSON file `path` (a summary, or a config or --tau
+    file of the CLI): IoError if it cannot be read, MalformedInput if it is
+    not UTF-8 text or not JSON the parser takes."""
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise MalformedInput(f"{path}: not UTF-8 text: {exc}") from None
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, or beyond the int-digit limit
         raise MalformedInput(f"{path}: invalid JSON: {exc}") from exc
-    return _summary_from_dict(obj)

@@ -272,7 +272,7 @@ class ScenarioConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
+        if not isinstance(self.scenario, str) or self.scenario not in SCENARIOS:
             raise MalformedInput(
                 f"scenario must be one of {SCENARIOS}, got {self.scenario!r}"
             )
@@ -285,7 +285,7 @@ class ScenarioConfig:
         methods = tuple(self.methods) or _DEFAULT_METHODS[self.scenario]
         seen = []
         for name in methods:
-            if name not in _METHOD_NAMES:
+            if not isinstance(name, str) or name not in _METHOD_NAMES:
                 raise MalformedInput(f"unknown method {name!r}")
             if name not in seen:
                 seen.append(name)

@@ -1215,31 +1215,44 @@ def test_simulate_fuzzed_config_exits_0_2_or_3(tmp_path_factory, case):
 
 _HUGE_INT = "1" * 5000  # beyond the interpreter's 4300-digit limit on int()
 _DEEP_LIST = "[" * 100_000 + "]" * 100_000  # beyond the recursion limit
+_NOT_UTF8 = "\udcff"  # written as the byte 0xff (surrogateescape), in no UTF-8 text
 
 
-@pytest.mark.parametrize("text", [_HUGE_INT, _DEEP_LIST], ids=["huge_int", "deep_list"])
+@pytest.mark.parametrize("text", [_HUGE_INT, _DEEP_LIST, _NOT_UTF8],
+                         ids=["huge_int", "deep_list", "not_utf8"])
 @pytest.mark.parametrize("reader", ["debias_config", "summary", "simulate_config", "tau"])
 def test_json_beyond_the_parser_limits_exits_2(tmp_path, capsys, reader, text):
-    # each of these used to end in a raw ValueError or RecursionError traceback
+    # each of these used to end in a raw ValueError or RecursionError
+    # traceback; a config or --tau file holding a 0xff byte was reported as
+    # invalid JSON, a summary file as not UTF-8 text
     internal, summary = _write_larger(tmp_path)
     bad = tmp_path / "bad.json"
     argv = ["estimate", "--internal", str(internal), "--summary", str(summary),
             "--tau", TAU_MEAN_Y, "--method", "dbs"]
+
+    def write(content):
+        bad.write_text(content, encoding="utf-8", errors="surrogateescape")
+
     if reader == "debias_config":
-        bad.write_text('{"alpha": %s}' % text)
+        write('{"alpha": %s}' % text)
         argv += ["--debias-config", str(bad)]
     elif reader == "summary":
-        bad.write_text(summary.read_text().replace('"m": 50', '"m": %s' % text))
+        write(summary.read_text().replace('"m": 50', '"m": %s' % text))
         argv[argv.index(str(summary))] = str(bad)
     elif reader == "simulate_config":
-        bad.write_text('{"scenario": "I", "n": %s}' % text)
+        write('{"scenario": "I", "n": %s}' % text)
         argv = ["simulate", "--config", str(bad)]
     else:
-        argv[argv.index(TAU_MEAN_Y)] = '{"functional": "mean", "args": {"column": %s}}' % text
+        tau = '{"functional": "mean", "args": {"column": %s}}' % text
+        if text == _NOT_UTF8:  # a --tau file: no argument holds the byte
+            write(tau)
+            tau = str(bad)
+        argv[argv.index(TAU_MEAN_Y)] = tau
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert _assert_one_json_error(err) == "MalformedInput"
-    assert "invalid JSON" in json.loads(err)["error"]["detail"]
+    expected = "not UTF-8 text" if text == _NOT_UTF8 else "invalid JSON"
+    assert expected in json.loads(err)["error"]["detail"]
 
 
 @pytest.mark.parametrize("field", ["where_equals", "beta", "m"])

@@ -348,6 +348,15 @@ def test_kfold_rejects_a_non_integer_row_count():
         kfold_indices(10.0, 2, seed=0)
 
 
+# only counts past the bound: a smaller huge count would try to allocate
+@pytest.mark.parametrize("n", [int(np.iinfo(np.intp).max) // 8 + 1, 10**40],
+                         ids=["one-past", "10**40"])
+def test_kfold_rejects_a_row_count_no_permutation_can_hold(n):
+    # these raised numpy's raw ValueError from the permutation
+    with pytest.raises(MalformedInput, match=rf"^n must be at most \d+, got {n}$"):
+        kfold_indices(n, 3, 0)
+
+
 def _mean_cv_inputs(beta_tilde, n=12, seed=21):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
@@ -416,6 +425,8 @@ _NOT_OF_ITS_TYPE = {
     "estimate_dbs-config-int": ("config", lambda inputs: estimate_dbs(inputs, 5)),
     "estimate_dbs-config-dict": ("config", lambda inputs: estimate_dbs(inputs, {})),
     "cv_tune-grid_c-int": ("grid_c", lambda inputs: cv_tune(inputs, 5)),
+    "DebiasConfig-grid_c-array": ("grid_c", lambda _: DebiasConfig(grid_c=np.array([1.0, 2.0]))),
+    "DebiasConfig-grid_c-empty-array": ("grid_c", lambda _: DebiasConfig(grid_c=np.array([]))),
     "cv_tune-grid_c-None": ("grid_c", lambda inputs: cv_tune(inputs, None)),
     "cv_tune-folds-int": ("folds", lambda inputs: cv_tune(inputs, [1.0], folds=5)),
     "cv_tune-fold-ragged": (
@@ -433,7 +444,8 @@ _NOT_OF_ITS_TYPE = {
 def test_a_config_grid_or_folds_of_the_wrong_type_is_malformed(name):
     # a config that is not a DebiasConfig raised a raw AttributeError (no
     # 'seed'), a grid or folds that is not iterable a raw TypeError, a ragged
-    # fold or a lasso argument that is not numbers a raw ValueError
+    # fold, a lasso argument that is not numbers or a config's grid given as
+    # an array (its truth value) a raw ValueError
     what, call = _NOT_OF_ITS_TYPE[name]
     with pytest.raises(MalformedInput, match=f"^{what} must be"):
         call(_mean_cv_inputs(beta_tilde=0.1))
@@ -443,6 +455,17 @@ def test_select_unbiased_names_a_nan_alpha():
     # a NaN alpha made NaN weights, reported as "weights must be non-negative"
     with pytest.raises(MalformedInput, match="alpha"):
         select_unbiased(_mean_cv_inputs(beta_tilde=0.1), 0.1, alpha=np.nan)
+
+
+def test_cv_tune_names_w_when_a_penalty_overflows():
+    # n ** -w beyond the float range raised a raw OverflowError; C * n ** -w
+    # beyond it gave an infinite penalty
+    inputs = _mean_cv_inputs(beta_tilde=0.1, n=60)
+    for grid, w in (([1.0], -200.0), ([1e300], -10.0)):
+        with pytest.raises(MalformedInput, match=rf"^w={w} makes the penalty C \* n\^-w "):
+            cv_tune(inputs, grid, w=w)
+    c_star, trace = cv_tune(inputs, [1.0, 2.0], w=-150.0)
+    assert c_star == 1.0 and [c for c, _ in trace] == [1.0, 2.0]
 
 
 def test_cv_tune_takes_any_iterable_grid():

@@ -367,12 +367,14 @@ def test_keyed_args_read_the_table(case):
         lambda: FunctionalDescriptor(None),
         lambda: FunctionalDescriptor("mean", None),
         lambda: validate_summary([1.0], [[1.0]], 1, None),
+        lambda: FunctionalDescriptor(np.array(["mean", "x"]), {"column": "Y"}),
     ],
-    ids=["kind-None", "args-None", "binding-None"],
+    ids=["kind-None", "args-None", "binding-None", "kind-array"],
 )
 def test_descriptors_and_summaries_reject_objects_of_the_wrong_type(call):
     # a kind of None raised a raw ValueError, args or a binding of None a
-    # raw TypeError
+    # raw TypeError, a kind given as an array numpy's raw ValueError on its
+    # truth value
     with pytest.raises(MalformedInput):
         call()
 
@@ -551,14 +553,17 @@ _SELECTION = {"b_hat": np.array([0.0, 1.5]), "selected": (0,), "lam": 0.1, "alph
         {"alpha": "x"},
         {"b_hat": None},
         {"b_hat": [0.0, "x"]},
+        {"b_hat": 10**400},
+        {"b_hat": [10**400]},
     ],
     ids=["selected-None", "selected-float", "selected-bool", "lam-None", "lam-nan", "alpha-str",
-         "b_hat-None", "b_hat-str"],
+         "b_hat-None", "b_hat-str", "b_hat-huge-int", "b_hat-huge-int-entry"],
 )
 def test_selection_result_rejects_malformed_arguments(bad):
-    # at the parent selected=None and a b_hat with a string raised a raw
-    # TypeError or ValueError, b_hat=None a DimensionMismatch, and the others
-    # were accepted (a bool in selected was written to JSON as true)
+    # selected=None and a b_hat with a string raised a raw TypeError or
+    # ValueError, an integer b_hat beyond the float range a raw
+    # OverflowError, b_hat=None a DimensionMismatch, and the others were
+    # accepted (a bool in selected was written to JSON as true)
     with pytest.raises(MalformedInput):
         SelectionResult(**{**_SELECTION, **bad})
 

@@ -299,6 +299,11 @@ def test_scenario_config_defaults_and_errors():
         ScenarioConfig(scenario="I", methods=("GMM",))
     with pytest.raises(MalformedInput):
         ScenarioConfig(scenario="I", methods=("IVW",))
+    # an array where a name goes raised numpy's raw ValueError on its truth value
+    with pytest.raises(MalformedInput, match=r"^scenario must be one of"):
+        ScenarioConfig(np.array(["I", "I"]))
+    with pytest.raises(MalformedInput, match=r"^unknown method array"):
+        ScenarioConfig("I", methods=[np.array(["INT", "EFF"])])
     # a debias config of another type raised a raw AttributeError only once
     # a replication ran DBS
     with pytest.raises(MalformedInput, match=r"^debias must be a DebiasConfig, got \{\}$"):

@@ -16,7 +16,8 @@ slices in one stack, the row's tags and what its entries' checks return).
 An entry's check also asserts what the lone calls must give: inv_sqrt_spd
 fails exactly on an indefinite or NaN matrix, a result's se and warnings
 are those of its avar and note, and the fold sums are those built one input
-at a time. Each row runs once (reached), also for the tests of
+at a time. Rows may add `explicit` stacks that draws rarely make, such as
+_Moments slices next to its thresholds beside ordinary ones. Each row runs once (reached), also for the tests of
 test_stacked_newton, test_stacked_ols and test_cv_folds that read its run."""
 
 import functools
@@ -33,8 +34,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    FOLD_BINDINGS, FOLD_TARGETS, PREPARE_BINDINGS, PREPARE_TAUS, assert_same_bits, fuzz_rng, pick,
-    random_spd, stack_of_one, synth_inputs, xz_dataset, xz_summary,
+    FOLD_BINDINGS, FOLD_TARGETS, JOINT, PREPARE_BINDINGS, PREPARE_TAUS, assert_same_bits, fuzz_rng,
+    pick, random_spd, stack_of_one, synth_inputs, xz_dataset, xz_summary,
 )
 
 from datafuse import (
@@ -316,6 +317,43 @@ def _moments(moments, datas, desc, center):
         form.center, *sums)
 
 
+def _near_threshold(slices):
+    """A stack of JOINT (Y on 1, X, Z) fits of 40 rows, each from a random
+    center, of the given kinds of slice: "ordinary" (xz_dataset);
+    "near-collinear", Z = X + delta W with delta set so that the unit-diagonal
+    gram has lambda_min / lambda_max = 0.8 CANCELLATION_FLOOR, which fails
+    _Moments.solve's test alone but would pass it against the largest
+    eigenvalue of an ordinary slice (about half its own); "exact", Y
+    = 1 + X - 0.5 Z with no noise, from a center 1e3 away, whose influence
+    cancels, so that _Moments.fit refits it alone, and whose terms are large
+    enough that an ordinary slice measured by them would be refitted too."""
+    rng, out = np.random.default_rng(7), []
+    for kind in slices:
+        data, center = xz_dataset(rng, 40), rng.standard_normal(3)
+        x, z = data.columns["X"], data.columns["Z"]
+        if kind == "near-collinear":
+            delta = 1e-2
+            for _ in range(3):  # lambda_min is about quadratic in delta
+                design = np.column_stack([np.ones(40), x, x + delta * z])
+                gram = design.T @ design
+                scale = 1.0 / np.sqrt(np.diag(gram))
+                unit = np.linalg.eigvalsh(gram * scale[:, None] * scale)
+                delta *= np.sqrt(0.8 * functionals.CANCELLATION_FLOOR * unit[-1] / unit[0])
+            data = validate_dataset({**data.columns, "Z": x + delta * z}, outcome="Y")
+        elif kind == "exact":
+            data = validate_dataset({**data.columns, "Y": 1.0 + x - 0.5 * z}, outcome="Y")
+            center = center * 1e3
+        out.append((data, JOINT, center))
+    return out, {"joint_ols"}
+
+
+def _moment_flags(lone, tags, alone):
+    """Which lone fits failed _Moments.solve's tests, and which passed them
+    and were flagged by _Moments.fit alone."""
+    values = [o.value for o in alone if o.error is None]
+    return {"failed" for v in values if v[3]} | {"refit" for v in values if v[-1] and not v[3]}
+
+
 @st.composite
 def _prepare_cases(draw):
     """(dataset, target, 1-2 summaries of its own bindings) per slice."""
@@ -482,11 +520,18 @@ def _sums_alone(data, part, slots, centers, spans):
     return np.array(test), np.array(train)
 
 
+# the layouts of groups that _fold_fits has met in one _FoldFits call
+_GROUPINGS = set()
+
+
 def _fold_fits(fold_fits, inputs, folds):
     """Per input: its folds' refit flags and train row counts, and each
     fold's (held-out estimate, calibration) or error (class, message). Each
     group's feature sums (debias._fold_sums) must be those of its inputs
-    built one at a time (_sums_alone)."""
+    built one at a time (_sums_alone). A call of several groups adds
+    "several groups" to _GROUPINGS, and "a group with no live fold" if
+    every input of one group has sums that are not finite and another
+    group has a live one."""
     calls, fold_sums = [], debias._fold_sums
 
     def recording(datas, parts, sizes, slots, centers, spans):
@@ -496,10 +541,16 @@ def _fold_fits(fold_fits, inputs, folds):
 
     with mock.patch.object(debias, "_fold_sums", recording):
         fits = fold_fits(inputs, folds)
+    live = []
     for datas, parts, slots, spans, (test, train, centers) in calls:
         for b, (data, part) in enumerate(zip(datas, parts)):
             alone = _sums_alone(data, part, slots, [c[b : b + 1] for c in centers], spans)
             assert_same_bits((test[b], train[b]), alone, "fold sums")
+        live.append(np.isfinite(test + train).all(axis=(1, 2, 3)).any())
+    if len(calls) > 1:
+        _GROUPINGS.add("several groups")
+        if any(live) and not all(live):
+            _GROUPINGS.add("a group with no live fold")
     out, start = [], 0
     for part in folds:
         span = slice(start, start + len(part))
@@ -514,10 +565,12 @@ def _fold_fits(fold_fits, inputs, folds):
 
 
 def _fold_paths(lone, tags, alone):
-    """The paths the folds took: read from sums, refitted, failed."""
+    """The paths the folds took: read from sums, refitted, failed; and the
+    layouts of groups met so far (_GROUPINGS)."""
     done = [o.value for o in alone if o.error is None]
     return {"refitted" if flag else "read from sums" for refit, _, _ in done for flag in refit} | {
-        "fold error" for _, _, folds in done for fold in folds if isinstance(fold[0], type)}
+        "fold error" for _, _, folds in done for fold in folds if isinstance(fold[0], type)
+    } | _GROUPINGS
 
 
 @st.composite
@@ -621,8 +674,10 @@ ROWS = (
         Entry("functionals:_evaluate_bindings", "first"),), 40, {"ok", "mixed", *_FIT_ERRORS},
         explicit=(_ZERO_Z,)),
     Row(_fit_cases([d for d in DESCRIPTORS if d.kind is not FunctionalKind.AIPW_ATE], "center"),
-        _stacker(1), (Entry("functionals:_Moments", "first", _moments),), 40,
-        {"mean", "joint_ols", "marginal_ols", "ok", "mixed"}),
+        _stacker(1), (Entry("functionals:_Moments", "first", _moments, _moment_flags),), 40,
+        {"mean", "joint_ols", "marginal_ols", "ok", "mixed", "failed", "refit"},
+        explicit=(_near_threshold(("ordinary", "near-collinear", "ordinary")),
+                  _near_threshold(("exact", "ordinary", "exact")))),
     Row(_prepare_cases(), _stacker(1), (Entry("fusion:_prepare", "first"),), 60,
         {"ok", "aipw_ate", "joint_ols", "mean"}),
     Row(_external_cases(), _stacker(), (Entry("fusion:_external", "first"),), 100,
@@ -644,7 +699,8 @@ ROWS = (
         Entry("debias:_FoldFits", "first", _fold_fits, _fold_paths),
         Entry("debias:_tune", "first",
               lambda f, inputs, folds: f(inputs, folds, [1.0, 3.0, 10.0], 1.0, 2.0)),
-    ), 200, {"read from sums", "refitted", "fold error", "ok", "mixed", "FoldTooSmall"}),
+    ), 200, {"read from sums", "refitted", "fold error", "ok", "mixed", "FoldTooSmall",
+             "several groups", "a group with no live fold"}),
     Row(_method_cases(), _stacker(0, 5), (Entry(
         "debias:_run_methods", "replay",
         lambda f, method, inputs, beta, unbiased, seeds, config: f(
