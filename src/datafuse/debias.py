@@ -23,13 +23,14 @@ batched product (_fold_sums); their folds are fitted at once and written
 in place. Otherwise the fold is refitted whole on its rows; so is a fold
 whose sums flag a fit or whose moments would cancel. The sums flag a
 superset of the folds on which a fitter fails, so the refit decides, and a
-fold fails only with its error. The folds' calibrations are then one _Calibration with a leading fold axis:
-cv_tune whitens them with one stacked eigendecomposition and fuses all the
-folds that select one set with one batched solve. Should that stacked pass
-raise, cv_tune replays it one fold at a time, so the first failing fold
-raises its own error. The folds of several inputs (a chunk of simulated
-replications) stack the same way, along one axis of all their folds
-(_tune, _estimate_dbs); one input is the case of one.
+fold fails only with its error. The folds' calibrations are then one
+_Calibration with a leading fold axis: cv_tune whitens them with one
+stacked eigendecomposition and fuses all the folds that select one set
+with one batched solve. Should that stacked pass raise, cv_tune replays it
+one fold at a time, so the first failing fold raises its own error. The
+folds of several inputs (a chunk of simulated replications) stack the same
+way, along one axis of all their folds (_tune, _estimate_dbs); one input
+is the case of one.
 """
 
 import math

@@ -369,6 +369,8 @@ def test_simulate_config_files(tmp_path, capsys):
     code, from_toml, _ = _run(capsys, ["simulate", "--config", str(toml_path)])
     assert code == 0
     assert from_json == from_toml
+    code, _, err = _run(capsys, ["simulate", "--config", str(tmp_path / "missing.toml")])
+    assert code == 2 and _stderr_kind(err) == "IoError"
 
     # command-line flags override the config file
     out_dir = tmp_path / "override"
