@@ -52,7 +52,7 @@ from .errors import (
     NotPositiveDefinite,
     RankDeficientDesign,
 )
-from .model import Method, SelectionResult, _check_type, _config_keys
+from .model import Method, SelectionResult, _check_type, _config_keys, _rows
 from .model import _floats, _integer, _real, _reals, _seed
 # estimate_eff, estimate_int, prepare_inputs and restrict_inputs stay bound
 # for bench/layers.py, which patches them here
@@ -346,18 +346,8 @@ def kfold_indices(n: int, k: int, seed) -> list:
 
 
 def _fold_rows(fold, n: int, fold_idx: int) -> np.ndarray:
-    try:
-        rows = np.asarray(fold)
-    except ValueError:  # ragged nesting
-        rows = None
-    if (
-        rows is None
-        or rows.ndim != 1
-        or rows.size == 0
-        or not np.issubdtype(rows.dtype, np.integer)
-        or rows.min() < 0
-        or rows.max() >= n
-    ):
+    rows = _rows(fold, n)
+    if rows is None or rows.size == 0:
         raise MalformedInput(
             f"fold {fold_idx} must be a non-empty list of row indices in [0, {n})"
         )

@@ -17,7 +17,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass, field, fields
-from enum import Enum
+from enum import Enum, EnumMeta
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -85,6 +85,21 @@ def _reals(name: str, values) -> tuple:
     return tuple(_real(name, v) for v in values)
 
 
+def _rows(idx, n: int):
+    """`idx` as an intp array of row indices in [0, n), if it is a
+    one-dimensional array of them (of any integer type) or empty; else None."""
+    try:
+        rows = np.asarray(idx)
+    except ValueError:  # ragged nesting
+        return None
+    if rows.ndim != 1 or (
+        rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n)
+    ):
+        return None
+    # [] is float64, and numpy mixes uint64 rows with int64 ones as floats
+    return rows.astype(np.intp, copy=False)
+
+
 def _check_type(name: str, value, kind: type, optional: bool = False) -> None:
     """MalformedInput unless `value` is a `kind` (or None, if `optional`)."""
     if not (isinstance(value, kind) or (optional and value is None)):
@@ -140,14 +155,8 @@ class InternalDataset:
         """Row subset (used by cross-validation folds); `idx` is a
         one-dimensional array of integer row indices in [0, n), possibly
         empty."""
-        try:
-            rows = np.asarray(idx)
-        except ValueError:  # ragged nesting
-            rows = None
-        if rows is not None and rows.ndim == 1 and rows.size == 0:
-            rows = rows.astype(np.intp)  # [] is float64
-        bad = rows is None or rows.ndim != 1 or rows.dtype.kind not in "iu"
-        if bad or (rows.size and (rows.min() < 0 or rows.max() >= self.n)):
+        rows = _rows(idx, self.n)
+        if rows is None:
             raise MalformedInput(
                 f"idx must be a one-dimensional array of row indices in [0, {self.n}), got {idx!r}"
             )
@@ -216,7 +225,19 @@ def validate_dataset(
 # functional descriptors
 
 
-class FunctionalKind(str, Enum):
+class _Names(EnumMeta):
+    """Metaclass of the package's enums of names: a value that is not a str
+    goes straight to the enum's _missing_, which raises MalformedInput.
+    Enum's own lookup compares it with each member, and numpy answers that
+    comparison for an array element by element."""
+
+    def __call__(cls, value, *args, **kwargs):
+        if not isinstance(value, str):
+            return cls._missing_(value)
+        return super().__call__(value, *args, **kwargs)
+
+
+class FunctionalKind(str, Enum, metaclass=_Names):
     MEAN = "mean"
     JOINT_OLS = "joint_ols"
     MARGINAL_OLS = "marginal_ols"
@@ -244,8 +265,6 @@ class FunctionalDescriptor:
     component: Optional[int] = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, str):  # the enum lookup would compare an array
-            FunctionalKind._missing_(self.kind)
         kind = FunctionalKind(self.kind)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "args", _validate_args(kind, self.args))
@@ -389,11 +408,8 @@ def validate_summary(
     """Build a SummaryStatistic, enforcing symmetry/PSD/shape contracts."""
     if not isinstance(source_id, str):
         raise MalformedInput(f"summary 'source_id' must be a string, got {source_id!r}")
-    try:
-        beta = np.atleast_1d(np.asarray(beta, dtype=float))
-        sigma1 = np.asarray(sigma1, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MalformedInput(f"summary beta and sigma1 must be numeric arrays: {exc}") from None
+    beta = np.atleast_1d(_floats("beta", beta))
+    sigma1 = _floats("sigma1", sigma1)
     if sigma1.ndim == 0:
         sigma1 = sigma1.reshape(1, 1)
     if beta.ndim != 1:
@@ -470,7 +486,7 @@ class FunctionalFit:
         return int(self.estimate.shape[0])
 
 
-class Method(str, Enum):
+class Method(str, Enum, metaclass=_Names):
     INT = "INT"
     CRD = "CRD"
     EFF = "EFF"
@@ -545,11 +561,8 @@ class SelectionResult:
     cv_trace: tuple = ()
 
     def __post_init__(self):
-        try:
-            b = np.asarray(self.b_hat, dtype=float)
-        except (TypeError, ValueError, OverflowError):  # not numbers, ragged, or too large
-            b = None
-        if b is None or b.ndim != 1 or not np.isfinite(b).all():
+        b = _floats("b_hat", self.b_hat)
+        if b.ndim != 1 or not np.isfinite(b).all():
             raise MalformedInput(f"b_hat must be a vector of finite numbers, got {self.b_hat!r}")
         _real("lam", self.lam)
         _real("alpha", self.alpha)
@@ -585,19 +598,25 @@ def _path(path, name: str = "path") -> None:
         raise MalformedInput(f"{name} must be a path, got {path!r}")
 
 
+def _write_csv(path, header, rows) -> None:
+    """The UTF-8 CSV file `path` of a `header` row and `rows`, each a list of
+    values: floats as FLOAT_FMT, other values as the csv module writes them.
+    IoError if the file cannot be written."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([FLOAT_FMT % v if isinstance(v, float) else v for v in row])
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 def write_internal_csv(dataset: InternalDataset, path):
     """UTF-8 CSV with a header row; floats keep 17 significant digits."""
     _check_type("dataset", dataset, InternalDataset)
     _path(path)
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(dataset.names)
-            arrays = [dataset.columns[name] for name in dataset.names]
-            for row in zip(*arrays):
-                writer.writerow([FLOAT_FMT % v for v in row])
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    _write_csv(path, dataset.names, zip(*dataset.columns.values()))
 
 
 def read_internal_csv(

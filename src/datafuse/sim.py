@@ -29,11 +29,10 @@ are therefore identical for any chunk size, any `threads` cap and any
 method subset.
 """
 
-import csv
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -48,12 +47,10 @@ from .debias import DebiasConfig, _run_methods, estimate_dbs, estimate_orc  # no
 from .errors import (
     DataFuseError,
     ExcessiveFailures,
-    IoError,
     MalformedInput,
     RankDeficientDesign,
 )
 from .model import (
-    FLOAT_FMT,
     FunctionalDescriptor,
     FunctionalKind,
     InternalDataset,
@@ -65,6 +62,7 @@ from .model import (
     _path,
     _real,
     _reals,
+    _write_csv,
     validate_dataset,
     validate_summary,
 )
@@ -248,7 +246,6 @@ def _external_summary(columns: dict, m: int, binding, source_id: str) -> Summary
 # configuration
 
 
-_METHOD_NAMES = tuple(m.value for m in Method)
 _DEFAULT_METHODS = {
     "I": ("INT", "CRD", "EFF", "KNW"),
     "II_biased": ("INT", "ORC", "DBS", "EFF"),
@@ -283,13 +280,9 @@ class ScenarioConfig:
         if not isinstance(self.methods, (list, tuple)):
             raise MalformedInput(f"methods must be a list of names, got {self.methods!r}")
         methods = tuple(self.methods) or _DEFAULT_METHODS[self.scenario]
-        seen = []
         for name in methods:
-            if not isinstance(name, str) or name not in _METHOD_NAMES:
-                raise MalformedInput(f"unknown method {name!r}")
-            if name not in seen:
-                seen.append(name)
-        object.__setattr__(self, "methods", tuple(seen))
+            Method(name)  # MalformedInput unless the name of a method
+        object.__setattr__(self, "methods", tuple(dict.fromkeys(methods)))
         if not 0.0 < _real("level", self.level) < 1.0:
             raise MalformedInput(f"level must be in (0, 1), got {self.level}")
         object.__setattr__(self, "tau", _tau(self.tau))
@@ -548,19 +541,9 @@ def _sample_sd(values) -> float:
 # output
 
 
-_SUMMARY_COLUMNS = (
-    "scenario", "method", "m", "param", "bias", "rmse", "ase", "cp",
-    "mc_se_bias", "mc_se_rmse", "mc_se_ase", "mc_se_cp", "reps",
-)
 _LONG_COLUMNS = (
     "scenario", "method", "m", "rep", "param", "estimate", "se", "covered", "selected",
 )
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return FLOAT_FMT % value
-    return str(value)
 
 
 def export_tables(result: SimulationResult, path) -> tuple:
@@ -573,19 +556,9 @@ def export_tables(result: SimulationResult, path) -> tuple:
         raise MalformedInput("no metrics rows to export")
     path = Path(path)
     long_path = path.with_name(path.stem + "_per_rep" + (path.suffix or ".csv"))
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_SUMMARY_COLUMNS)
-            for row in result.rows:
-                writer.writerow([_fmt(getattr(row, col)) for col in _SUMMARY_COLUMNS])
-        with open(long_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_LONG_COLUMNS)
-            for rec in result.records:
-                writer.writerow([_fmt(rec[col]) for col in _LONG_COLUMNS])
-    except OSError as exc:
-        raise IoError(f"cannot write tables: {exc}") from exc
+    _write_csv(path, [f.name for f in fields(MetricsRow)], map(astuple, result.rows))
+    long_rows = ([rec[col] for col in _LONG_COLUMNS] for rec in result.records)
+    _write_csv(long_path, _LONG_COLUMNS, long_rows)
     return path, long_path
 
 

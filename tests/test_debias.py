@@ -672,12 +672,20 @@ def test_cv_tune_rejects_folds_outside_the_rows():
         [np.array([-1, 0, 1, 2, 3, 4]), np.arange(5, 12)],
         [np.array([0.0, 1.0, 2.0, 3.0]), np.arange(4, 12)],
         [np.array([], dtype=int), np.arange(12)],
+        [np.ones(12, dtype=bool), np.arange(12)],
+        [np.arange(6).reshape(2, 3), np.arange(6, 12)],
+        [np.array(0), np.arange(1, 12)],
         # fewer than 2 folds
         [],
         [np.arange(12)],
     ):
         with pytest.raises(MalformedInput):
             cv_tune(inputs, [1.0], folds=bad)
+    # rows of any integer type: uint64 ones raised a raw TypeError where the
+    # fold fits mix them with int64 rows
+    folds = [np.arange(0, 6), np.arange(6, 12)]
+    unsigned = [f.astype(np.uint64) for f in folds]
+    assert cv_tune(inputs, [1.0, 2.0], folds=unsigned) == cv_tune(inputs, [1.0, 2.0], folds=folds)
 
 
 # ---------------------------------------------------------------------------

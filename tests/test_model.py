@@ -85,6 +85,8 @@ def test_validate_dataset_subset_keeps_roles():
     assert sub.n == 2
     np.testing.assert_array_equal(sub.column("Y"), [3.0, 1.0])
     assert data.subset([]).n == 0 and data.subset([]).column("Y").shape == (0,)
+    # any integer type of index, uint64 among them
+    np.testing.assert_array_equal(data.subset(np.array([2, 0], np.uint64)).column("Y"), [3.0, 1.0])
     # each column is its own read-only float copy
     for name in ("Y", "T"):
         col = sub.column(name)
@@ -145,8 +147,11 @@ def test_validate_dataset_rejects_a_bare_string_of_covariates(covariates, tmp_pa
 
 
 @pytest.mark.parametrize(
-    "idx", ["a", [1.5], None, [[0], [1, 2]], [[0, 1]], 1, np.array([3]), np.array([0, -1])],
-    ids=["str", "float", "none", "ragged", "2-d", "scalar", "past-the-end", "negative"],
+    "idx",
+    ["a", [1.5], None, [[0], [1, 2]], [[0, 1]], 1, np.array([3]), np.array([0, -1]),
+     np.array([True, False, True]), np.array([[0, 1]]), np.array(1)],
+    ids=["str", "float", "none", "ragged", "2-d", "scalar", "past-the-end", "negative",
+         "bool-array", "2-d-array", "0-d-array"],
 )
 def test_subset_rejects_what_is_not_a_list_of_row_indices(idx):
     # these raised a raw IndexError or ValueError, or (a 2-d or scalar
@@ -219,11 +224,16 @@ def test_descriptor_requires_functional_key():
         (FunctionalKind, "bogus", "unknown functional kind 'bogus'"),
         (FunctionalKind, None, "unknown functional kind None"),
         (Method, "xyz", "unknown method 'xyz'"),
+        (Method, np.array(["INT", "EFF"]), "unknown method array(['INT', 'EFF'], dtype='<U3')"),
+        (Method, np.array(["INT"]), "unknown method array(['INT'], dtype='<U3')"),
+        (FunctionalKind, np.array(["mean"]), "unknown functional kind array(['mean'], dtype='<U4')"),
     ],
 )
 def test_an_unknown_enum_value_is_malformed_input(enum, value, message):
     """The enums raise the package's own error on a value they do not hold,
-    not the bare ValueError of Python's Enum."""
+    not the bare ValueError of Python's Enum. An array raised numpy's raw
+    ValueError on its truth value, and an array of one name was taken as
+    that member."""
     with pytest.raises(MalformedInput) as caught:
         enum(value)
     assert str(caught.value) == message

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import threading
 import warnings
 
@@ -304,6 +305,8 @@ def test_scenario_config_defaults_and_errors():
         ScenarioConfig(np.array(["I", "I"]))
     with pytest.raises(MalformedInput, match=r"^unknown method array"):
         ScenarioConfig("I", methods=[np.array(["INT", "EFF"])])
+    with pytest.raises(MalformedInput, match=r"^unknown method array\(\['EFF'\]"):
+        ScenarioConfig("I", methods=["INT", np.array(["EFF"])])
     # a debias config of another type raised a raw AttributeError only once
     # a replication ran DBS
     with pytest.raises(MalformedInput, match=r"^debias must be a DebiasConfig, got \{\}$"):
@@ -588,6 +591,10 @@ def test_export_tables_errors(tmp_path):
         export_tables(replace(result, rows=()), tmp_path / "x.csv")
     with pytest.raises(IoError):
         export_tables(result, tmp_path / "absent" / "x.csv")
+    # the per-rep file alone cannot be written: the error names it
+    (tmp_path / "x_per_rep.csv").mkdir()
+    with pytest.raises(IoError, match=f"^cannot write {re.escape(str(tmp_path / 'x_per_rep.csv'))}: "):
+        export_tables(result, tmp_path / "x.csv")
 
 
 @pytest.mark.parametrize("path", [None, 5, b"x.csv"], ids=["none", "int", "bytes"])
