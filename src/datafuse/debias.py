@@ -291,13 +291,14 @@ def adaptive_lasso(x, y, weights, lam):
 def select_unbiased(inputs: FusionInputs, lam: float, alpha: float = 2.0) -> SelectionResult:
     """Estimate summary biases and return the selected (exactly zero) set;
     alpha is a finite number > 0."""
-    return _select([inputs], [lam], alpha)[0]
+    b_hat, selected = _select([inputs], [lam], alpha)[0]
+    return SelectionResult(b_hat=b_hat, selected=selected, lam=float(lam), alpha=float(alpha))
 
 
 def _select(inputs, lams, alpha) -> list:
-    """select_unbiased of each FusionInputs of the list `inputs` at its
-    penalty lams[r]: its checks per input, one stacked whitening of their
-    calibrations, then one adaptive_lasso per input."""
+    """(b_hat, selected) of select_unbiased of each FusionInputs of the list
+    `inputs` at its penalty lams[r]: its checks per input, one stacked
+    whitening of their calibrations, then one adaptive_lasso per input."""
     for one in inputs:
         _check_type("inputs", one, FusionInputs)
         if not one.summaries:
@@ -310,10 +311,7 @@ def _select(inputs, lams, alpha) -> list:
     out = []
     for r, lam in enumerate(lams):
         b_hat = adaptive_lasso(x[r], y[r], weights[r], lam)
-        selected = tuple(int(j) for j in np.flatnonzero(b_hat == 0.0))
-        out.append(
-            SelectionResult(b_hat=b_hat, selected=selected, lam=float(lam), alpha=float(alpha))
-        )
+        out.append((b_hat, tuple(int(j) for j in np.flatnonzero(b_hat == 0.0))))
     return out
 
 
@@ -779,9 +777,9 @@ def _estimate_dbs(inputs, config=None, level=0.95, seeds=None) -> list:
             lams[r] = c_star * one.n ** (-config.w)
     selections = [
         SelectionResult(
-            b_hat=base.b_hat, selected=base.selected, lam=lam, alpha=config.alpha, cv_trace=trace
+            b_hat=b_hat, selected=selected, lam=lam, alpha=config.alpha, cv_trace=trace
         )
-        for base, lam, trace in zip(_select(inputs, lams, config.alpha), lams, traces)
+        for (b_hat, selected), lam, trace in zip(_select(inputs, lams, config.alpha), lams, traces)
     ]
     results = _fused(inputs, [s.selected for s in selections], Method.DBS, level, _DBS_NOTE)
     return list(zip(results, selections))

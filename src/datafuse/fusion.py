@@ -60,6 +60,7 @@ from .model import (
     _check_type,
     _floats,
     _items,
+    _level,
     _readonly,
     _real,
 )
@@ -271,9 +272,7 @@ def _wald(estimate, se, level, null=0.0, side: str = "upper"):
     z_crit the normal quantile at (1 + level) / 2, along a new last axis.
     estimate and se may carry leading batch axes. `level` must be a number
     in (0, 1), else MalformedInput."""
-    level = _real("level", level)
-    if not 0.0 < level < 1.0:
-        raise MalformedInput(f"level must be in (0, 1), got {level}")
+    level = _level(level)
     zcrit = _NORMAL.inv_cdf(0.5 + level / 2.0)
     ci = np.stack([estimate - zcrit * se, estimate + zcrit * se], axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):

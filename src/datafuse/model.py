@@ -73,6 +73,13 @@ def _floats(name: str, values) -> np.ndarray:
         raise MalformedInput(f"{name} must be an array of numbers, got {values!r}") from None
 
 
+def _level(value) -> float:
+    """`value`, a confidence level, as a float if it is a number in (0, 1)."""
+    if not 0.0 < _real("level", value) < 1.0:
+        raise MalformedInput(f"level must be in (0, 1), got {value}")
+    return float(value)
+
+
 def _seed(value):
     """`value` if it is an integer >= 0 or a numpy SeedSequence."""
     return value if isinstance(value, np.random.SeedSequence) else _integer("seed", value, 0)
@@ -503,7 +510,12 @@ class Method(str, Enum, metaclass=_Names):
 class FusionResult:
     """Estimate, its plug-in avar, se, the calibration gain, and the Wald
     interval and one-sided p built from them. The influence moments behind
-    the gain are not kept."""
+    the gain are not kept.
+
+    `method` is a Method or its name, `avar` a finite symmetric PSD square
+    matrix, the other arrays numbers, `level` a number in (0, 1) and
+    `warnings` a list of str, else a DataFuseError; the arrays are stored as
+    float arrays and `method` as its member."""
 
     method: Method
     estimate: np.ndarray
@@ -516,6 +528,7 @@ class FusionResult:
     warnings: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "method", Method(self.method))
         try:
             avar = np.asarray(self.avar)
         except ValueError:  # ragged nesting
@@ -523,6 +536,10 @@ class FusionResult:
         if avar is None or avar.dtype.kind not in "iuf":
             raise MalformedInput(f"avar must be an array of numbers, got {self.avar!r}")
         avar = np.asarray(avar, dtype=float)
+        p = len(avar) if avar.ndim == 2 else -1
+        if avar.shape != (p, p):
+            raise DimensionMismatch(f"avar must be a square matrix, got shape {avar.shape}")
+        object.__setattr__(self, "avar", avar)
         if not np.isfinite(avar).all():
             raise NonFiniteValue("avar is not finite: the influence moments overflow")
         scale = AVAR_TOL * (1.0 + (abs(avar).max() if avar.size else 0.0))
@@ -530,6 +547,10 @@ class FusionResult:
             raise DimensionMismatch("avar is not symmetric")
         if min_eigenvalue(avar) < -scale:
             raise NotPositiveDefinite("avar is not positive semidefinite")
+        for name in ("estimate", "se", "gain", "ci", "p_one_sided"):
+            object.__setattr__(self, name, _floats(name, getattr(self, name)))
+        object.__setattr__(self, "level", _level(self.level))
+        object.__setattr__(self, "warnings", _items("warnings", self.warnings, str))
 
     def to_json_dict(self) -> dict:
         return {
@@ -549,9 +570,11 @@ class FusionResult:
 class SelectionResult:
     """Adaptive-lasso output: bias estimates and the selected (zero) set.
 
-    `b_hat` is a vector of finite numbers, `lam` and `alpha` are finite
-    numbers and `selected` is a list of int, else MalformedInput; a
-    `selected` other than the exact zeros of `b_hat` is a DimensionMismatch.
+    `b_hat` is a vector of finite numbers (stored as a float array), `lam`
+    and `alpha` are finite numbers, `selected` is a list of int and
+    `cv_trace` a list of (C, error) pairs of finite numbers (stored as a
+    tuple of float pairs), else MalformedInput; a `selected` other than the
+    exact zeros of `b_hat` is a DimensionMismatch.
     """
 
     b_hat: np.ndarray
@@ -571,10 +594,18 @@ class SelectionResult:
             raise DimensionMismatch(
                 f"selected {self.selected} does not equal exact zeros {zeros}"
             )
+        trace = self.cv_trace
+        if not isinstance(trace, (list, tuple)) or not all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in trace
+        ):
+            raise MalformedInput(f"cv_trace must be a list of (C, error) pairs, got {trace!r}")
+        trace = tuple((_real("cv_trace C", c), _real("cv_trace error", e)) for c, e in trace)
+        object.__setattr__(self, "b_hat", b)
+        object.__setattr__(self, "cv_trace", trace)
 
     def to_json_dict(self) -> dict:
         return {
-            "b_hat": np.asarray(self.b_hat, dtype=float).tolist(),
+            "b_hat": self.b_hat.tolist(),
             "selected": list(self.selected),
             "lambda": self.lam,
             "alpha": self.alpha,

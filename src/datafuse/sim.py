@@ -59,8 +59,8 @@ from .model import (
     _check_type,
     _config_keys,
     _integer,
+    _level,
     _path,
-    _real,
     _reals,
     _write_csv,
     validate_dataset,
@@ -283,8 +283,7 @@ class ScenarioConfig:
         for name in methods:
             Method(name)  # MalformedInput unless the name of a method
         object.__setattr__(self, "methods", tuple(dict.fromkeys(methods)))
-        if not 0.0 < _real("level", self.level) < 1.0:
-            raise MalformedInput(f"level must be in (0, 1), got {self.level}")
+        _level(self.level)
         object.__setattr__(self, "tau", _tau(self.tau))
         _check_type("debias", self.debias, DebiasConfig)
         if self.out_dir is not None:

@@ -517,6 +517,10 @@ def test_fusion_result_rejects_bad_avar():
     for avar in ([[np.nan]], [[1.0, np.inf], [np.inf, 1.0]]):
         with pytest.raises(NonFiniteValue, match="avar"):
             _result(avar)
+    # a number raised a raw IndexError and a vector numpy's AxisError
+    for avar in (5, [1.0]):
+        with pytest.raises(DimensionMismatch, match="^avar must be a square matrix"):
+            replace(_result(np.eye(1)), avar=avar)
 
 
 @pytest.mark.parametrize(
@@ -537,6 +541,47 @@ def test_fusion_result_json_dict():
     assert out["estimate"] == [2.5]
     assert out["working_covariance"] is False
     assert json.dumps(out)
+    # a method's name and arrays given as lists, numbers or None are stored
+    # as the member and float arrays; each raised a raw AttributeError in
+    # to_json_dict
+    named = replace(
+        _result(np.eye(1)), method="EFF", estimate=[2.5], se=0.5, gain=None,
+        ci=[[2.0, 3.0]], p_one_sided=[0.25], avar=[[1]], level=np.float32(0.5), warnings=["w"],
+    )
+    assert named.method is Method.EFF and named.level == 0.5 and named.warnings == ("w",)
+    for name in ("estimate", "se", "gain", "ci", "p_one_sided", "avar"):
+        assert getattr(named, name).dtype == float
+    out = named.to_json_dict()
+    assert (out["method"], out["estimate"], out["se"], out["avar"]) == ("EFF", [2.5], 0.5, [[1.0]])
+    assert json.dumps(out) and math.isnan(out["gain"])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"method": None},
+        {"method": 5},
+        {"method": np.array(["INT"])},
+        {"method": "GMM"},
+        {"estimate": "a"},
+        {"ci": [[0.0], [1.0, 2.0]]},
+        {"warnings": None},
+        {"warnings": 5},
+        {"warnings": ["w", 5]},
+        {"level": 1.0},
+        {"level": "x"},
+        {"level": float("nan")},
+    ],
+    ids=["method-None", "method-int", "method-array", "method-unknown", "estimate-str",
+         "ci-ragged", "warnings-None", "warnings-int", "warnings-int-entry", "level-1",
+         "level-str", "level-nan"],
+)
+def test_fusion_result_rejects_malformed_arguments(bad):
+    # a method other than a member raised a raw AttributeError in
+    # to_json_dict, warnings of None or 5 a raw TypeError there, and the
+    # others were accepted
+    with pytest.raises(MalformedInput):
+        replace(_result(np.eye(1)), **bad)
 
 
 def test_selection_result_zero_set_consistency():
@@ -547,6 +592,10 @@ def test_selection_result_zero_set_consistency():
         SelectionResult(b_hat=np.array([0.0, 1.5]), selected=(1,), lam=0.1, alpha=2.0)
     with pytest.raises(DimensionMismatch):
         SelectionResult(b_hat=np.array([1e-14, 1.5]), selected=(0,), lam=0.1, alpha=2.0)
+    # b_hat is stored as a float array and cv_trace as a tuple of float pairs
+    sel = SelectionResult(b_hat=[0, 1], selected=[0], lam=0.1, alpha=2.0, cv_trace=[[1, 0.5]])
+    assert sel.b_hat.dtype == float and sel.cv_trace == ((1.0, 0.5),)
+    assert sel.to_json_dict()["cv_trace"] == [[1.0, 0.5]]
 
 
 _SELECTION = {"b_hat": np.array([0.0, 1.5]), "selected": (0,), "lam": 0.1, "alpha": 2.0}
@@ -565,15 +614,22 @@ _SELECTION = {"b_hat": np.array([0.0, 1.5]), "selected": (0,), "lam": 0.1, "alph
         {"b_hat": [0.0, "x"]},
         {"b_hat": 10**400},
         {"b_hat": [10**400]},
+        {"cv_trace": 5},
+        {"cv_trace": [(1.0,)]},
+        {"cv_trace": "x"},
+        {"cv_trace": [(1.0, float("nan"))]},
     ],
     ids=["selected-None", "selected-float", "selected-bool", "lam-None", "lam-nan", "alpha-str",
-         "b_hat-None", "b_hat-str", "b_hat-huge-int", "b_hat-huge-int-entry"],
+         "b_hat-None", "b_hat-str", "b_hat-huge-int", "b_hat-huge-int-entry", "cv_trace-int",
+         "cv_trace-single", "cv_trace-str", "cv_trace-nan"],
 )
 def test_selection_result_rejects_malformed_arguments(bad):
     # selected=None and a b_hat with a string raised a raw TypeError or
     # ValueError, an integer b_hat beyond the float range a raw
     # OverflowError, b_hat=None a DimensionMismatch, and the others were
-    # accepted (a bool in selected was written to JSON as true)
+    # accepted (a bool in selected was written to JSON as true; a cv_trace
+    # other than a list of pairs raised a raw TypeError or ValueError in
+    # to_json_dict)
     with pytest.raises(MalformedInput):
         SelectionResult(**{**_SELECTION, **bad})
 
