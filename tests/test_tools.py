@@ -1,4 +1,5 @@
-"""tools/compare_outputs.py: the verdict on one output of two checkouts;
+"""tools/compare_outputs.py: the verdict on one output of two checkouts, and
+the environment of the child that runs each side;
 tools/line_coverage.py: which lines that no test ran fail the run."""
 
 import json
@@ -57,6 +58,22 @@ def test_p_values_that_differ_are_still_reported():
     # text that is not JSON is compared token by token, as before
     assert compare_outputs.verdict("a,1.0\n", "a,1.5\n") == (False, "max rel diff 0.333 over 1 numbers")
     assert compare_outputs.verdict("a,1.0\n", "b,1.0\n")[0]
+
+
+def test_a_comparison_writes_no_bytecode_into_either_checkout(tmp_path, monkeypatch):
+    # a child importing a checkout's src/ wrote __pycache__ there, which
+    # changes how fast that checkout imports afterwards
+    seen = []
+
+    def run(argv, env, check):
+        seen.append(env)
+        return subprocess.CompletedProcess(argv, 0)
+
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setattr(compare_outputs.subprocess, "run", run)
+    assert compare_outputs.run_side(tmp_path, tmp_path / "out.json") == (0, {})
+    assert seen[0]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert seen[0]["OPENBLAS_NUM_THREADS"] == "1"
 
 
 _GUARDED = """import sys

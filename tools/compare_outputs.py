@@ -63,8 +63,10 @@ def collect(src: str, out: str) -> int:
 
 
 def run_side(checkout: Path, out: Path) -> tuple:
-    """(exit code, outputs) of the command set on `checkout`'s src/."""
-    env = dict(os.environ)
+    """(exit code, outputs) of the command set on `checkout`'s src/. The
+    child writes no bytecode, so both checkouts are left as they were: a
+    __pycache__ written into a checkout's src/ changes how fast it imports."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     argv = [sys.executable, __file__, "--collect", str(checkout / "src"), str(out)]
